@@ -108,7 +108,7 @@ fn window_shortfall(
     let mut free_gpu_slots = 0.0_f64;
     let mut t = 0usize;
     while t < scan_end {
-        let run_end = ledger.run_end(t).min(scan_end);
+        let run_end = ledger.run_end(t, scan_end);
         free_gpu_slots += f64::from(ledger.free(t, total_gpus)).min(cap) * (run_end - t) as f64;
         t = run_end;
     }
@@ -237,9 +237,13 @@ impl AdmissionController {
     /// jobs, their minimum-satisfactory profiles, and the committed
     /// ledger, so later arrivals can be answered incrementally via
     /// [`AdmissionSet::whatif_admit`] instead of refilling every job.
-    /// The second element lists the lapsed jobs (infeasible against the
-    /// earlier ones; they commit nothing, exactly as in
-    /// [`AdmissionController::feasible_subset`]).
+    /// The second element lists the lapsed jobs: infeasible against the
+    /// earlier ones, they commit nothing. In the idealized model every
+    /// admitted job stays feasible (Algorithm 1's invariant), but in a
+    /// running system scaling pauses and slot discretization can push an
+    /// admitted job past the point of recovery; such lapsed jobs are
+    /// scheduled best-effort (§4.4, soft deadlines) and must not veto
+    /// future admissions.
     pub fn fill(&self, jobs: &[PlanningJob], grid: &SlotGrid) -> (AdmissionSet, Vec<JobId>) {
         self.fill_owned(jobs.to_vec(), grid)
     }
@@ -285,35 +289,6 @@ impl AdmissionController {
         (set, lapsed)
     }
 
-    /// Splits `jobs` into the deadline-ordered *feasible subset* (each job
-    /// progressively filled against the ones before it) and the lapsed
-    /// remainder. In the idealized model every admitted job stays feasible
-    /// (Algorithm 1's invariant), but in a running system scaling pauses
-    /// and slot discretization can push an admitted job past the point of
-    /// recovery; such lapsed jobs are scheduled best-effort (§4.4, soft
-    /// deadlines) and must not veto future admissions.
-    pub fn feasible_subset(
-        &self,
-        jobs: &[PlanningJob],
-        grid: &SlotGrid,
-    ) -> (Vec<PlanningJob>, Vec<JobId>) {
-        let (feasible, lapsed, _) = self.feasible_subset_with_ledger(jobs, grid);
-        (feasible, lapsed)
-    }
-
-    /// Like [`AdmissionController::feasible_subset`], additionally
-    /// returning the reservation ledger of the feasible jobs' committed
-    /// profiles (useful to gauge near-term booked load).
-    pub fn feasible_subset_with_ledger(
-        &self,
-        jobs: &[PlanningJob],
-        grid: &SlotGrid,
-    ) -> (Vec<PlanningJob>, Vec<JobId>, ReservationLedger) {
-        let (set, lapsed) = self.fill(jobs, grid);
-        let (feasible, _profiles, ledger) = set.into_parts();
-        (feasible, lapsed, ledger)
-    }
-
     /// Mean booked fraction of the cluster over the next `horizon_slots`
     /// slots of the given ledger, in `[0, 1]`.
     pub fn booked_fraction(&self, ledger: &ReservationLedger, horizon_slots: usize) -> f64 {
@@ -322,8 +297,8 @@ impl AdmissionController {
         }
         // Per-slot commitments are small integers, so summing them in f64
         // is exact — when nothing exceeds the cluster size the clamp is
-        // the identity and the cached integer prefix sum gives the same
-        // value in O(1) instead of an O(horizon) walk.
+        // the identity and the integer prefix sum gives the same value
+        // without a walk past the ledger's end.
         let total = if ledger.peak() <= self.total_gpus {
             ledger.committed_before(horizon_slots) as f64
         } else {
@@ -332,21 +307,6 @@ impl AdmissionController {
                 .sum()
         };
         total / (horizon_slots as f64 * self.total_gpus as f64)
-    }
-
-    /// Convenience wrapper for the arrival path: checks `candidate`
-    /// against the feasible subset of `existing` and reports whether the
-    /// candidate may enter. Jobs of `existing` that have already lapsed
-    /// cannot veto the newcomer (their deadlines are lost either way), but
-    /// the newcomer is rejected if it would break any still-feasible job.
-    pub fn admit(
-        &self,
-        existing: &[PlanningJob],
-        candidate: &PlanningJob,
-        grid: &SlotGrid,
-    ) -> bool {
-        let (set, _lapsed) = self.fill(existing, grid);
-        set.whatif_admit(candidate, grid).is_ok()
     }
 }
 
@@ -477,10 +437,22 @@ impl AdmissionSet {
         scratch: &mut FillScratch,
     ) -> Result<SuffixRefill, AdmissionDenial> {
         let k = self.insertion_point(candidate);
-        let mut ledger = self.ledger.clone();
-        for profile in &self.profiles[k..] {
-            ledger.uncommit(profile);
-        }
+        // The ledger of the prefix `[0, k)`, built from whichever side
+        // touches fewer profiles. Commitments are integers, so both
+        // routes give the same vector.
+        let mut ledger = if k < self.profiles.len() / 2 {
+            let mut prefix = ReservationLedger::new();
+            for profile in &self.profiles[..k] {
+                prefix.commit(profile);
+            }
+            prefix
+        } else {
+            let mut full = self.ledger.clone();
+            for profile in &self.profiles[k..] {
+                full.uncommit(profile);
+            }
+            full
+        };
         let (cand_profile, cand_target) =
             match progressive_filling_from(candidate, &ledger, grid, self.total_gpus, 1, scratch) {
                 Some(filled) => filled,
@@ -803,12 +775,12 @@ mod tests {
     }
 
     #[test]
-    fn admit_wrapper_checks_the_union() {
+    fn whatif_admit_checks_the_union() {
         let ac = AdmissionController::new(2);
         let grid = SlotGrid::uniform(1.0);
-        let existing = [job(0, 2.0, 2)];
-        assert!(ac.admit(&existing, &job(1, 1.0, 2), &grid));
-        assert!(!ac.admit(&existing, &job(1, 4.0, 2), &grid));
+        let (set, _) = ac.fill(&[job(0, 2.0, 2)], &grid);
+        assert!(set.whatif_admit(&job(1, 1.0, 2), &grid).is_ok());
+        assert!(set.whatif_admit(&job(1, 4.0, 2), &grid).is_err());
     }
 
     #[test]
@@ -817,11 +789,11 @@ mod tests {
         // one (same work, same load).
         let ac = AdmissionController::new(2);
         let grid = SlotGrid::uniform(1.0);
-        let existing = [job(0, 3.0, 2)];
+        let (set, _) = ac.fill(&[job(0, 3.0, 2)], &grid);
         let tight = job(1, 2.5, 2);
         let loose = job(1, 2.5, 4);
-        assert!(!ac.admit(&existing, &tight, &grid));
-        assert!(ac.admit(&existing, &loose, &grid));
+        assert!(set.whatif_admit(&tight, &grid).is_err());
+        assert!(set.whatif_admit(&loose, &grid).is_ok());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
+use elasticflow_perfmodel::CurveMemo;
 use elasticflow_trace::JobId;
 
-use crate::filling::{progressive_filling_with, FillScratch};
+use crate::filling::{progressive_filling_memo, FillScratch};
 use crate::{
     AdmissionController, AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON,
 };
@@ -60,21 +61,40 @@ pub struct ResourceAllocator {
 }
 
 /// One pending boost in the priority queue.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Boost {
     priority: f64,
     id: JobId,
+    /// Index of the job's [`BoostState`].
+    slot: usize,
     extra: u32,
     profile: AllocationProfile,
+    /// `finish_seconds` and `gpu_seconds` of `profile`, carried so an
+    /// applied boost never recomputes them.
+    finish: Option<f64>,
+    gpu_seconds: f64,
     version: u64,
 }
 
+/// What the boost loop knows about one job, derived once per profile
+/// rather than once per probe.
+struct BoostState<'a> {
+    job: &'a PlanningJob,
+    memo: CurveMemo,
+    /// Largest useful slot-0 grant (constraint (7)).
+    cap: u32,
+    incumbent: u32,
+    profile: &'a mut AllocationProfile,
+    finish: Option<f64>,
+    gpu_seconds: f64,
+}
+
 /// Heap entry wrapping a [`Boost`] with its fixed selection key, ordered
-/// so `BinaryHeap::pop` yields exactly the entry the reference linear scan
-/// ([`ResourceAllocator::boost_reference`]) selects: restorations toward
-/// incumbent sizes first, then highest marginal priority, smallest job id
-/// as the final tiebreak. The queue holds at most one entry per job id at
-/// any time, so the order is total and pops are deterministic.
+/// so `BinaryHeap::pop` yields exactly the entry a linear scan for the
+/// best pending boost selects: restorations toward incumbent sizes first,
+/// then highest marginal priority, smallest job id as the final
+/// tiebreak. The queue holds at most one entry per job id at any time,
+/// so the order is total and pops are deterministic.
 struct RankedBoost {
     restoring: bool,
     boost: Boost,
@@ -182,9 +202,9 @@ impl ResourceAllocator {
     /// Selection runs through a lazy binary heap: entries keep the key
     /// they were pushed with, a popped entry whose version predates the
     /// ledger is recomputed and re-pushed, and a popped entry that no
-    /// longer fits the shrinking budget is discarded. Pop order equals the
-    /// reference linear scan ([`ResourceAllocator::boost_reference`])
-    /// entry for entry, so both produce identical allocations.
+    /// longer fits the shrinking budget is discarded. Pop order equals a
+    /// linear rescan for the best pending boost entry for entry, so both
+    /// produce identical allocations.
     pub fn boost(
         &self,
         jobs: &[PlanningJob],
@@ -194,164 +214,75 @@ impl ResourceAllocator {
         budget: u32,
         incumbents: &BTreeMap<JobId, u32>,
     ) -> u32 {
+        if budget == 0 {
+            return 0; // every boost step costs at least one GPU
+        }
         let jobs_by_id: BTreeMap<JobId, &PlanningJob> = jobs.iter().map(|j| (j.id, j)).collect();
+        let mut states: Vec<BoostState<'_>> = profiles
+            .iter_mut()
+            .map(|(id, profile)| {
+                let job = jobs_by_id[id];
+                let memo = job.curve.memo();
+                BoostState {
+                    job,
+                    cap: memo.clamp_useful(self.total_gpus),
+                    memo,
+                    incumbent: incumbents.get(id).copied().unwrap_or(0),
+                    finish: job.finish_seconds(profile, grid),
+                    gpu_seconds: profile.gpu_seconds(grid),
+                    profile,
+                }
+            })
+            .collect();
         let mut free0 = budget;
         let mut version = 0u64;
         let mut scratch = FillScratch::new();
-        let restoring =
-            |b: &Boost| b.profile.gpus(0) <= incumbents.get(&b.id).copied().unwrap_or(0);
         let mut queue: BinaryHeap<RankedBoost> = BinaryHeap::new();
-        for (&id, profile) in profiles.iter() {
-            if let Some(b) = self.candidate(
-                jobs_by_id[&id],
-                profile,
-                ledger,
-                grid,
-                free0,
-                version,
-                &mut scratch,
-            ) {
-                queue.push(RankedBoost {
-                    restoring: restoring(&b),
-                    boost: b,
-                });
+        let ranked = |state: &BoostState<'_>, boost: Boost| RankedBoost {
+            restoring: boost.profile.gpus(0) <= state.incumbent,
+            boost,
+        };
+        for (slot, state) in states.iter().enumerate() {
+            if let Some(b) = self.candidate(state, slot, ledger, grid, free0, version, &mut scratch)
+            {
+                queue.push(ranked(state, b));
             }
         }
         while free0 > 0 {
             let Some(RankedBoost { boost, .. }) = queue.pop() else {
                 break;
             };
-            let job = jobs_by_id[&boost.id];
+            let slot = boost.slot;
+            let state = &mut states[slot];
             if boost.version < version {
                 // Stale: recompute against the current ledger and re-queue.
-                let current = &profiles[&boost.id];
+                scratch.recycle(boost.profile);
                 if let Some(fresh) =
-                    self.candidate(job, current, ledger, grid, free0, version, &mut scratch)
+                    self.candidate(state, slot, ledger, grid, free0, version, &mut scratch)
                 {
-                    queue.push(RankedBoost {
-                        restoring: restoring(&fresh),
-                        boost: fresh,
-                    });
+                    queue.push(ranked(state, fresh));
                 }
                 continue;
             }
             if boost.extra > free0 {
-                continue; // cannot ever fit again: free0 only shrinks
-            }
-            // Apply the boost: swap profiles in the ledger.
-            let old = profiles
-                .insert(boost.id, boost.profile.clone())
-                // elasticflow-lint: allow(EF-L001): boosts are only ever built from entries of `profiles`, so a previous profile exists; proceeding without it would leave its reservation committed forever
-                .expect("boosted job has a profile");
-            ledger.uncommit(&old);
-            ledger.commit(&boost.profile);
-            free0 -= boost.extra;
-            version += 1;
-            // Queue this job's next step.
-            if let Some(next) = self.candidate(
-                job,
-                &profiles[&boost.id],
-                ledger,
-                grid,
-                free0,
-                version,
-                &mut scratch,
-            ) {
-                queue.push(RankedBoost {
-                    restoring: restoring(&next),
-                    boost: next,
-                });
-            }
-        }
-        budget - free0
-    }
-
-    /// The retained linear-scan implementation of
-    /// [`ResourceAllocator::boost`], kept as the differential-testing
-    /// oracle: every pop of the heap-driven version must match the
-    /// maximum this scan selects.
-    /// Property tests assert the two produce identical profiles, grants,
-    /// and ledgers across random job sets; production code calls `boost`.
-    pub fn boost_reference(
-        &self,
-        jobs: &[PlanningJob],
-        grid: &SlotGrid,
-        profiles: &mut BTreeMap<JobId, AllocationProfile>,
-        ledger: &mut ReservationLedger,
-        budget: u32,
-        incumbents: &BTreeMap<JobId, u32>,
-    ) -> u32 {
-        let jobs_by_id: BTreeMap<JobId, &PlanningJob> = jobs.iter().map(|j| (j.id, j)).collect();
-        let mut free0 = budget;
-        let mut version = 0u64;
-        let mut scratch = FillScratch::new();
-        let mut queue: Vec<Boost> = Vec::new();
-        for (&id, profile) in profiles.iter() {
-            if let Some(b) = self.candidate(
-                jobs_by_id[&id],
-                profile,
-                ledger,
-                grid,
-                free0,
-                version,
-                &mut scratch,
-            ) {
-                queue.push(b);
-            }
-        }
-        while free0 > 0 && !queue.is_empty() {
-            // Pop the best boost: restorations toward incumbent sizes
-            // first, then highest marginal return; id as final tiebreak.
-            let restoring =
-                |b: &Boost| b.profile.gpus(0) <= incumbents.get(&b.id).copied().unwrap_or(0);
-            let Some(best_idx) = queue
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| {
-                    restoring(a)
-                        .cmp(&restoring(b))
-                        .then(a.priority.total_cmp(&b.priority))
-                        .then(b.id.cmp(&a.id))
-                })
-                .map(|(i, _)| i)
-            else {
-                break;
-            };
-            let boost = queue.swap_remove(best_idx);
-            let job = jobs_by_id[&boost.id];
-            if boost.version < version {
-                // Stale: recompute against the current ledger and re-queue.
-                let current = &profiles[&boost.id];
-                if let Some(fresh) =
-                    self.candidate(job, current, ledger, grid, free0, version, &mut scratch)
-                {
-                    queue.push(fresh);
-                }
+                // Cannot ever fit again: free0 only shrinks.
+                scratch.recycle(boost.profile);
                 continue;
             }
-            if boost.extra > free0 {
-                continue; // cannot ever fit again: free0 only shrinks
-            }
             // Apply the boost: swap profiles in the ledger.
-            let old = profiles
-                .insert(boost.id, boost.profile.clone())
-                // elasticflow-lint: allow(EF-L001): boosts are only ever built from entries of `profiles`, so a previous profile exists; proceeding without it would leave its reservation committed forever
-                .expect("boosted job has a profile");
-            ledger.uncommit(&old);
+            ledger.uncommit(state.profile);
             ledger.commit(&boost.profile);
+            let superseded = std::mem::replace(state.profile, boost.profile);
+            scratch.recycle(superseded);
+            state.finish = boost.finish;
+            state.gpu_seconds = boost.gpu_seconds;
             free0 -= boost.extra;
             version += 1;
             // Queue this job's next step.
-            if let Some(next) = self.candidate(
-                job,
-                &profiles[&boost.id],
-                ledger,
-                grid,
-                free0,
-                version,
-                &mut scratch,
-            ) {
-                queue.push(next);
+            if let Some(next) =
+                self.candidate(state, slot, ledger, grid, free0, version, &mut scratch)
+            {
+                queue.push(ranked(state, next));
             }
         }
         budget - free0
@@ -363,17 +294,17 @@ impl ResourceAllocator {
     #[allow(clippy::too_many_arguments)]
     fn candidate(
         &self,
-        job: &PlanningJob,
-        current: &AllocationProfile,
+        state: &BoostState<'_>,
+        slot: usize,
         ledger: &mut ReservationLedger,
         grid: &SlotGrid,
         free0: u32,
         version: u64,
         scratch: &mut FillScratch,
     ) -> Option<Boost> {
-        let cur0 = current.gpus(0);
+        let cur0 = state.profile.gpus(0);
         let next0 = if cur0 == 0 { 1 } else { cur0 * 2 };
-        if next0 > job.curve.clamp_useful(self.total_gpus) {
+        if next0 > state.cap {
             return None; // past the knee: constraint (7)
         }
         let extra = next0 - cur0;
@@ -381,39 +312,208 @@ impl ResourceAllocator {
             return None;
         }
         // Evaluate against the ledger without this job's own reservations.
-        ledger.uncommit(current);
-        let fresh =
-            progressive_filling_with(job, ledger, grid, self.total_gpus, Some(next0), scratch);
-        ledger.commit(current);
+        ledger.uncommit(state.profile);
+        let fresh = progressive_filling_memo(
+            state.job,
+            &state.memo,
+            ledger,
+            grid,
+            self.total_gpus,
+            Some(next0),
+            scratch,
+        );
+        ledger.commit(state.profile);
         let fresh = fresh?;
         // Paper line 10/23: enqueue only if the boost finishes the job
         // strictly earlier (fractional finish times within slots).
-        let finishes_earlier = match (
-            job.finish_seconds(&fresh, grid),
-            job.finish_seconds(current, grid),
-        ) {
+        let finish = state.job.finish_seconds(&fresh, grid);
+        let finishes_earlier = match (finish, state.finish) {
             (Some(a), Some(b)) => a + WORK_EPSILON < b,
             (Some(_), None) => true,
             (None, _) => false,
         };
-        let saved = current.gpu_seconds(grid) - fresh.gpu_seconds(grid);
         if !finishes_earlier {
+            scratch.recycle(fresh);
             return None;
         }
+        let gpu_seconds = fresh.gpu_seconds(grid);
         Some(Boost {
-            priority: saved / extra as f64,
-            id: job.id,
+            priority: (state.gpu_seconds - gpu_seconds) / extra as f64,
+            id: state.job.id,
+            slot,
             extra,
             profile: fresh,
+            finish,
+            gpu_seconds,
             version,
         })
+    }
+}
+
+/// The linear-scan boost loop the heap-driven [`ResourceAllocator::boost`]
+/// replaced, kept as the differential-testing oracle: every pop of the
+/// heap must match the maximum this scan selects, so both produce
+/// identical profiles, grants, and ledgers.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::filling::progressive_filling_with;
+
+    struct Boost {
+        priority: f64,
+        id: JobId,
+        extra: u32,
+        profile: AllocationProfile,
+        version: u64,
+    }
+
+    impl ResourceAllocator {
+        pub(super) fn boost_reference(
+            &self,
+            jobs: &[PlanningJob],
+            grid: &SlotGrid,
+            profiles: &mut BTreeMap<JobId, AllocationProfile>,
+            ledger: &mut ReservationLedger,
+            budget: u32,
+            incumbents: &BTreeMap<JobId, u32>,
+        ) -> u32 {
+            let jobs_by_id: BTreeMap<JobId, &PlanningJob> =
+                jobs.iter().map(|j| (j.id, j)).collect();
+            let mut free0 = budget;
+            let mut version = 0u64;
+            let mut scratch = FillScratch::new();
+            let mut queue: Vec<Boost> = Vec::new();
+            for (&id, profile) in profiles.iter() {
+                if let Some(b) = self.candidate_reference(
+                    jobs_by_id[&id],
+                    profile,
+                    ledger,
+                    grid,
+                    free0,
+                    version,
+                    &mut scratch,
+                ) {
+                    queue.push(b);
+                }
+            }
+            while free0 > 0 && !queue.is_empty() {
+                // Pop the best boost: restorations toward incumbent sizes
+                // first, then highest marginal return; id as final tiebreak.
+                let restoring =
+                    |b: &Boost| b.profile.gpus(0) <= incumbents.get(&b.id).copied().unwrap_or(0);
+                let Some(best_idx) = queue
+                    .iter()
+                    .enumerate()
+                    .max_by(|(_, a), (_, b)| {
+                        restoring(a)
+                            .cmp(&restoring(b))
+                            .then(a.priority.total_cmp(&b.priority))
+                            .then(b.id.cmp(&a.id))
+                    })
+                    .map(|(i, _)| i)
+                else {
+                    break;
+                };
+                let boost = queue.swap_remove(best_idx);
+                let job = jobs_by_id[&boost.id];
+                if boost.version < version {
+                    // Stale: recompute against the current ledger and re-queue.
+                    let current = &profiles[&boost.id];
+                    if let Some(fresh) = self.candidate_reference(
+                        job,
+                        current,
+                        ledger,
+                        grid,
+                        free0,
+                        version,
+                        &mut scratch,
+                    ) {
+                        queue.push(fresh);
+                    }
+                    continue;
+                }
+                if boost.extra > free0 {
+                    continue; // cannot ever fit again: free0 only shrinks
+                }
+                // Apply the boost: swap profiles in the ledger.
+                let old = profiles
+                    .insert(boost.id, boost.profile.clone())
+                    .expect("boosted job has a profile");
+                ledger.uncommit(&old);
+                ledger.commit(&boost.profile);
+                free0 -= boost.extra;
+                version += 1;
+                // Queue this job's next step.
+                if let Some(next) = self.candidate_reference(
+                    job,
+                    &profiles[&boost.id],
+                    ledger,
+                    grid,
+                    free0,
+                    version,
+                    &mut scratch,
+                ) {
+                    queue.push(next);
+                }
+            }
+            budget - free0
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn candidate_reference(
+            &self,
+            job: &PlanningJob,
+            current: &AllocationProfile,
+            ledger: &mut ReservationLedger,
+            grid: &SlotGrid,
+            free0: u32,
+            version: u64,
+            scratch: &mut FillScratch,
+        ) -> Option<Boost> {
+            let cur0 = current.gpus(0);
+            let next0 = if cur0 == 0 { 1 } else { cur0 * 2 };
+            if next0 > job.curve.clamp_useful(self.total_gpus) {
+                return None; // past the knee: constraint (7)
+            }
+            let extra = next0 - cur0;
+            if extra > free0 {
+                return None;
+            }
+            // Evaluate against the ledger without this job's own reservations.
+            ledger.uncommit(current);
+            let fresh =
+                progressive_filling_with(job, ledger, grid, self.total_gpus, Some(next0), scratch);
+            ledger.commit(current);
+            let fresh = fresh?;
+            let finishes_earlier = match (
+                job.finish_seconds(&fresh, grid),
+                job.finish_seconds(current, grid),
+            ) {
+                (Some(a), Some(b)) => a + WORK_EPSILON < b,
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            let saved = current.gpu_seconds(grid) - fresh.gpu_seconds(grid);
+            if !finishes_earlier {
+                return None;
+            }
+            Some(Boost {
+                priority: saved / extra as f64,
+                id: job.id,
+                extra,
+                profile: fresh,
+                version,
+            })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::progressive_filling;
     use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
+    use proptest::prelude::*;
 
     fn curve() -> ScalingCurve {
         ScalingCurve::from_points(
@@ -530,6 +630,106 @@ mod tests {
                 .map(|(t, &g)| j.iters_in_slot(g, &grid, t))
                 .sum();
             assert!(done + 1e-9 >= j.remaining_iterations);
+        }
+    }
+
+    /// A random concave power-of-two curve up to 8 GPUs.
+    fn concave_curve() -> impl Strategy<Value = ScalingCurve> {
+        (0.5f64..2.0, 0.3f64..0.95, 0.3f64..0.95, 0.2f64..0.9).prop_map(|(t1, d1, d2, d3)| {
+            let g2 = t1 + t1 * d1;
+            let g4 = g2 + 2.0 * t1 * d1 * d2;
+            let g8 = g4 + 4.0 * t1 * d1 * d2 * d3;
+            ScalingCurve::from_points(
+                DnnModel::ResNet50,
+                64,
+                vec![
+                    CurvePoint {
+                        gpus: 1,
+                        iters_per_sec: t1,
+                    },
+                    CurvePoint {
+                        gpus: 2,
+                        iters_per_sec: g2,
+                    },
+                    CurvePoint {
+                        gpus: 4,
+                        iters_per_sec: g4,
+                    },
+                    CurvePoint {
+                        gpus: 8,
+                        iters_per_sec: g8,
+                    },
+                ],
+            )
+        })
+    }
+
+    /// Random jobs plus a per-job incumbent GPU count (0 = no incumbent),
+    /// the incumbents being what steers the heap's restoring-first ordering.
+    #[allow(clippy::type_complexity)]
+    fn instance() -> impl Strategy<Value = Vec<(ScalingCurve, f64, usize, u32)>> {
+        prop::collection::vec((concave_curve(), 0.2f64..6.0, 1usize..6, 0u32..5), 1..7)
+    }
+
+    proptest! {
+        /// On random job/curve/grid/incumbent/budget sets, the heap-driven
+        /// boost and the linear reference walk the same trajectory.
+        #[test]
+        fn heap_boost_matches_linear_reference(
+            specs in instance(),
+            budget_pick in 0u32..9,
+        ) {
+            let grid = SlotGrid::uniform(1.0);
+            let total = 8u32;
+            let alloc = ResourceAllocator::new(total);
+
+            let mut jobs = Vec::new();
+            let mut incumbents = BTreeMap::new();
+            for (i, (curve, work_scale, deadline_slot, incumbent)) in specs.into_iter().enumerate() {
+                let id = JobId::new(i as u64);
+                let work = work_scale
+                    * curve
+                        .iters_per_sec(1)
+                        .expect("1 GPU is always on the curve");
+                if incumbent > 0 {
+                    incumbents.insert(id, incumbent);
+                }
+                jobs.push(PlanningJob {
+                    id,
+                    curve,
+                    remaining_iterations: work,
+                    deadline_slot,
+                });
+            }
+
+            // Rebuild Algorithm 2's phase 1 (minimum satisfactory shares) so
+            // the boost loops start from a realistic mid-pipeline state.
+            let mut profiles = BTreeMap::new();
+            let mut ledger = ReservationLedger::new();
+            for job in &jobs {
+                if let Some(p) = progressive_filling(job, &ledger, &grid, total, None) {
+                    ledger.commit(&p);
+                    profiles.insert(job.id, p);
+                }
+            }
+            let used: u32 = profiles.values().map(|p| p.gpus(0)).sum();
+            let free0 = total.saturating_sub(used);
+            // Budgets from 0 up to the full leftover, including starved ones.
+            let budget = if free0 == 0 { 0 } else { budget_pick % (free0 + 1) };
+
+            let mut p_heap = profiles.clone();
+            let mut l_heap = ledger.clone();
+            let spent_heap = alloc.boost(&jobs, &grid, &mut p_heap, &mut l_heap, budget, &incumbents);
+
+            let mut p_ref = profiles;
+            let mut l_ref = ledger;
+            let spent_ref =
+                alloc.boost_reference(&jobs, &grid, &mut p_ref, &mut l_ref, budget, &incumbents);
+
+            prop_assert_eq!(spent_heap, spent_ref, "GPUs spent diverge");
+            prop_assert_eq!(&p_heap, &p_ref, "resulting profiles diverge");
+            prop_assert_eq!(&l_heap, &l_ref, "committed ledgers diverge");
+            prop_assert!(spent_heap <= budget, "boost overspent its budget");
         }
     }
 }

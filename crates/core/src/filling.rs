@@ -160,18 +160,70 @@ fn ladder_fill(
     start_target: u32,
     scratch: &mut FillScratch,
 ) -> Option<(AllocationProfile, u32)> {
-    let horizon = job.deadline_slot;
-    if horizon == 0 {
+    scratch.memo.rebuild(&job.curve);
+    let FillScratch { gpus, memo, pool } = scratch;
+    ladder_walk(
+        job,
+        memo,
+        ledger,
+        grid,
+        total_gpus,
+        fixed_slot0,
+        start_target,
+        gpus,
+        pool,
+    )
+}
+
+/// [`progressive_filling_with`] against a memo of `job.curve` the caller
+/// already holds: Algorithm 2 probes one job many times and builds its
+/// memo once.
+pub(crate) fn progressive_filling_memo(
+    job: &PlanningJob,
+    memo: &CurveMemo,
+    ledger: &ReservationLedger,
+    grid: &SlotGrid,
+    total_gpus: u32,
+    fixed_slot0: Option<u32>,
+    scratch: &mut FillScratch,
+) -> Option<AllocationProfile> {
+    let FillScratch { gpus, pool, .. } = scratch;
+    ladder_walk(
+        job,
+        memo,
+        ledger,
+        grid,
+        total_gpus,
+        fixed_slot0,
+        1,
+        gpus,
+        pool,
+    )
+    .map(|(profile, _)| profile)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn ladder_walk(
+    job: &PlanningJob,
+    memo: &CurveMemo,
+    ledger: &ReservationLedger,
+    grid: &SlotGrid,
+    total_gpus: u32,
+    fixed_slot0: Option<u32>,
+    start_target: u32,
+    gpus: &mut Vec<u32>,
+    pool: &mut Vec<Vec<u32>>,
+) -> Option<(AllocationProfile, u32)> {
+    if job.deadline_slot == 0 {
         return None;
     }
-    scratch.memo.rebuild(&job.curve);
-    let max_target = scratch.memo.clamp_useful(total_gpus).max(1);
+    let max_target = memo.clamp_useful(total_gpus).max(1);
     // A hint only skips rungs when the monotonicity gate holds (see
     // `progressive_filling_from`); malformed hints fall back to rung 1.
     let mut j = if fixed_slot0.is_none()
         && start_target > 1
         && start_target.is_power_of_two()
-        && scratch.memo.ladder_monotone()
+        && memo.ladder_monotone()
     {
         start_target.min(max_target)
     } else {
@@ -185,9 +237,9 @@ fn ladder_fill(
             total_gpus,
             j,
             fixed_slot0,
-            &scratch.memo,
-            &mut scratch.gpus,
-            &mut scratch.pool,
+            memo,
+            gpus,
+            pool,
         ) {
             return Some((profile, j));
         }
@@ -198,12 +250,6 @@ fn ladder_fill(
     }
 }
 
-/// Builds the profile for one candidate target `j`, returning it only when
-/// the job finishes by its deadline. The profile is trimmed at the slot
-/// where the remaining work reaches zero, so commitments never outlive the
-/// job (the early slots run at full `j`; the trim frees the tail for
-/// others — the source of the "finish early, admit more later" benefit the
-/// paper describes in §4.2).
 /// Shrinks the final active slot's grant to the smallest power of two that
 /// still completes the remaining work. The pseudocode's constant-`j` fill
 /// books `j` GPUs in the finish slot even when only a sliver of work is
@@ -212,24 +258,25 @@ fn ladder_fill(
 /// the same job filling a fuller one (where `free` clamps its grants), so
 /// removing a neighbor could flip an admitted set to rejected. Frugality
 /// here costs nothing — the job still finishes in the same slot.
+///
+/// `gpus` ends at the slot where the work completes, and `done_before` is
+/// the work of the slots before it, summed in slot order from zero — the
+/// same additions, in the same order, that a re-sum of `gpus[..last]`
+/// would perform.
 fn trim_final_slot(
     job: &PlanningJob,
     grid: &SlotGrid,
     memo: &CurveMemo,
     gpus: &mut [u32],
     fixed_slot0: Option<u32>,
+    done_before: f64,
 ) {
-    let Some(last) = gpus.iter().rposition(|&g| g > 0) else {
+    let Some(last) = gpus.len().checked_sub(1) else {
         return;
     };
     if last == 0 && fixed_slot0.is_some() {
         return; // slot 0 is pinned by Algorithm 2's hypothetical boost
     }
-    let done_before: f64 = gpus[..last]
-        .iter()
-        .enumerate()
-        .map(|(t, &g)| memo.iters_per_sec(g) * grid.duration(t))
-        .sum();
     let needed = job.remaining_iterations - done_before;
     let mut g = 1u32;
     while g < gpus[last] {
@@ -250,6 +297,12 @@ fn emit_profile(gpus: &[u32], pool: &mut Vec<Vec<u32>>) -> AllocationProfile {
     AllocationProfile::new(buf)
 }
 
+/// Builds the profile for one candidate target `j`, returning it only when
+/// the job finishes by its deadline. The profile is trimmed at the slot
+/// where the remaining work reaches zero, so commitments never outlive the
+/// job (the early slots run at full `j`; the trim frees the tail for
+/// others — the source of the "finish early, admit more later" benefit the
+/// paper describes in §4.2).
 #[allow(clippy::too_many_arguments)]
 fn try_target(
     job: &PlanningJob,
@@ -263,6 +316,12 @@ fn try_target(
     pool: &mut Vec<Vec<u32>>,
 ) -> Option<AllocationProfile> {
     let horizon = job.deadline_slot;
+    // The grant of a slot with room for the whole target: `j` is a power
+    // of two, so `clamp_pow2(j, free)` is `j` itself whenever
+    // `free >= j`, and only the knee clamp (constraint (7)) remains.
+    let full = memo.clamp_useful(j.min(total_gpus));
+    // Slots past 0 all last `rest` seconds.
+    let per_full = memo.iters_per_sec(full) * grid.rest_seconds();
     // Conservative infeasibility prune: even running every slot at the
     // best throughput reachable under this candidate's cap (a prefix max,
     // so safe for measured curves that dip before the knee), with a whole
@@ -272,96 +331,214 @@ fn try_target(
     // fire on a target the walk would have accepted. Skipped when slot 0
     // is pinned: a pinned grant may exceed the candidate's own cap.
     if fixed_slot0.is_none() && horizon != usize::MAX {
-        let cap = memo.clamp_useful(j.min(total_gpus));
-        let best = memo.peak_rate_at_or_below(cap);
+        let best = memo.peak_rate_at_or_below(full);
         let slack = best * grid.rest_seconds();
         if slack > WORK_EPSILON && slack * (horizon as f64 + 1.0) < job.remaining_iterations {
             return None;
         }
     }
-    let committed_horizon = ledger.horizon();
     gpus.clear();
-    let mut done = 0.0f64;
-    let mut t = 0usize;
-    while t < horizon {
-        // Fast path: beyond the ledger's committed horizon every slot is
-        // fully free, so the number of additional slots needed follows
-        // analytically instead of slot-by-slot.
-        if t >= committed_horizon.max(1) {
-            let x = memo.clamp_useful(j.min(total_gpus));
-            let per_slot = memo.iters_per_sec(x) * grid.duration(t);
-            if per_slot <= 0.0 {
-                return None;
-            }
-            let need = match elasticflow_cluster::num::slots_ceil(
-                (job.remaining_iterations - done - WORK_EPSILON) / per_slot,
-            ) {
-                // Absurd horizons are unsatisfiable, not worth materializing.
-                Some(n) if n <= 10_000_000 => n.max(1),
-                _ => return None,
-            };
-            if horizon != usize::MAX && t + need > horizon {
-                return None;
-            }
-            gpus.extend(std::iter::repeat_n(x, need));
-            trim_final_slot(job, grid, memo, gpus, fixed_slot0);
+    let x = match fixed_slot0 {
+        Some(x0) => x0,
+        None => {
+            let free = ledger.free(0, total_gpus);
+            clamp_pow2(j.min(free), free)
+        }
+    };
+    // Never allocate past the knee (constraint (7)).
+    let x = if x == 0 { 0 } else { memo.clamp_useful(x) };
+    gpus.push(x);
+    let mut done = memo.iters_per_sec(x) * grid.duration(0);
+    if done + WORK_EPSILON >= job.remaining_iterations {
+        trim_final_slot(job, grid, memo, gpus, fixed_slot0, 0.0);
+        return Some(emit_profile(gpus, pool));
+    }
+    // Walk the committed slots one by one, in slot order: f64 addition is
+    // not associative, and the golden digests depend on the order. Only a
+    // slot short of room for the whole target pays for the ladder
+    // arithmetic.
+    let committed = ledger.committed_slots();
+    let walk_end = horizon.min(ledger.horizon().max(1));
+    for (t, &c) in committed.iter().enumerate().take(walk_end).skip(1) {
+        let free = total_gpus.saturating_sub(c);
+        let (x, per) = if free >= j {
+            (full, per_full)
+        } else {
+            let x = clamp_pow2(j.min(free), free);
+            let x = if x == 0 { 0 } else { memo.clamp_useful(x) };
+            (x, memo.iters_per_sec(x) * grid.duration(t))
+        };
+        gpus.push(x);
+        if per <= 0.0 {
+            // Adding +0.0 to the non-negative partial sum is the
+            // identity, and the completion check was already false.
+            continue;
+        }
+        let before = done;
+        done += per;
+        if done + WORK_EPSILON >= job.remaining_iterations {
+            trim_final_slot(job, grid, memo, gpus, fixed_slot0, before);
             return Some(emit_profile(gpus, pool));
         }
-        if t == 0 {
-            let x = match fixed_slot0 {
-                Some(x0) => x0,
-                None => {
-                    let free = ledger.free(0, total_gpus);
-                    clamp_pow2(j.min(free), free)
-                }
-            };
-            // Never allocate past the knee (constraint (7)).
-            let x = if x == 0 { 0 } else { memo.clamp_useful(x) };
-            gpus.push(x);
-            done += memo.iters_per_sec(x) * grid.duration(0);
-            if done + WORK_EPSILON >= job.remaining_iterations {
-                trim_final_slot(job, grid, memo, gpus, fixed_slot0);
-                return Some(emit_profile(gpus, pool));
-            }
-            t = 1;
-            continue;
+    }
+    if walk_end >= horizon {
+        return None;
+    }
+    // Beyond the ledger's committed horizon every slot is fully free, so
+    // the number of additional slots needed follows analytically instead
+    // of slot-by-slot.
+    if per_full <= 0.0 {
+        return None;
+    }
+    let need = match elasticflow_cluster::num::slots_ceil(
+        (job.remaining_iterations - done - WORK_EPSILON) / per_full,
+    ) {
+        // Absurd horizons are unsatisfiable, not worth materializing.
+        Some(n) if n <= 10_000_000 => n.max(1),
+        _ => return None,
+    };
+    if horizon != usize::MAX && walk_end + need > horizon {
+        return None;
+    }
+    gpus.extend(std::iter::repeat_n(full, need));
+    let last = gpus.len() - 1;
+    let done_before: f64 = gpus[..last]
+        .iter()
+        .enumerate()
+        .map(|(t, &g)| memo.iters_per_sec(g) * grid.duration(t))
+        .sum();
+    trim_final_slot(job, grid, memo, gpus, fixed_slot0, done_before);
+    Some(emit_profile(gpus, pool))
+}
+
+/// The run-skipping slot walk the headroom walk replaced, its code kept
+/// verbatim (comments dropped, `run_end` given an unbounded limit) as the
+/// oracle of the differential property test below: the headroom walk
+/// must reproduce its profiles bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn trim_final_slot(
+        job: &PlanningJob,
+        grid: &SlotGrid,
+        memo: &CurveMemo,
+        gpus: &mut [u32],
+        fixed_slot0: Option<u32>,
+    ) {
+        let Some(last) = gpus.iter().rposition(|&g| g > 0) else {
+            return;
+        };
+        if last == 0 && fixed_slot0.is_some() {
+            return; // slot 0 is pinned by Algorithm 2's hypothetical boost
         }
-        // The committed value — and with it the grant `x` and the per-slot
-        // rate — is constant across `[t, run_end)`, and slot durations are
-        // uniform past slot 0, so the whole run is processed with the
-        // grant computed once.
-        let run_end = ledger.run_end(t).min(horizon).min(committed_horizon.max(1));
-        let free = ledger.free(t, total_gpus);
-        let x = clamp_pow2(j.min(free), free);
-        // Never allocate past the knee (constraint (7)).
-        let x = if x == 0 { 0 } else { memo.clamp_useful(x) };
-        let per = memo.iters_per_sec(x) * grid.duration(t);
-        if per <= 0.0 {
-            // A zero-rate run cannot change `done` (adding +0.0 to the
-            // non-negative partial sum is the identity) and the completion
-            // check was already false when control reached this slot, so
-            // the run is emitted wholesale.
-            gpus.resize(run_end, x);
-            t = run_end;
-            continue;
-        }
-        // Non-zero rate: keep the slot-by-slot accumulation order (f64
-        // addition is not associative; the golden digests depend on it),
-        // but with `x` and `per` hoisted out of the loop.
-        loop {
-            gpus.push(x);
-            done += per;
-            t += 1;
-            if done + WORK_EPSILON >= job.remaining_iterations {
-                trim_final_slot(job, grid, memo, gpus, fixed_slot0);
-                return Some(emit_profile(gpus, pool));
+        let done_before: f64 = gpus[..last]
+            .iter()
+            .enumerate()
+            .map(|(t, &g)| memo.iters_per_sec(g) * grid.duration(t))
+            .sum();
+        let needed = job.remaining_iterations - done_before;
+        let mut g = 1u32;
+        while g < gpus[last] {
+            if memo.iters_per_sec(g) * grid.duration(last) + WORK_EPSILON >= needed {
+                gpus[last] = g;
+                return;
             }
-            if t >= run_end {
-                break;
-            }
+            g *= 2;
         }
     }
-    None
+
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn try_target(
+        job: &PlanningJob,
+        ledger: &ReservationLedger,
+        grid: &SlotGrid,
+        total_gpus: u32,
+        j: u32,
+        fixed_slot0: Option<u32>,
+        memo: &CurveMemo,
+        gpus: &mut Vec<u32>,
+        pool: &mut Vec<Vec<u32>>,
+    ) -> Option<AllocationProfile> {
+        let horizon = job.deadline_slot;
+        if fixed_slot0.is_none() && horizon != usize::MAX {
+            let cap = memo.clamp_useful(j.min(total_gpus));
+            let best = memo.peak_rate_at_or_below(cap);
+            let slack = best * grid.rest_seconds();
+            if slack > WORK_EPSILON && slack * (horizon as f64 + 1.0) < job.remaining_iterations {
+                return None;
+            }
+        }
+        let committed_horizon = ledger.horizon();
+        gpus.clear();
+        let mut done = 0.0f64;
+        let mut t = 0usize;
+        while t < horizon {
+            if t >= committed_horizon.max(1) {
+                let x = memo.clamp_useful(j.min(total_gpus));
+                let per_slot = memo.iters_per_sec(x) * grid.duration(t);
+                if per_slot <= 0.0 {
+                    return None;
+                }
+                let need = match elasticflow_cluster::num::slots_ceil(
+                    (job.remaining_iterations - done - WORK_EPSILON) / per_slot,
+                ) {
+                    Some(n) if n <= 10_000_000 => n.max(1),
+                    _ => return None,
+                };
+                if horizon != usize::MAX && t + need > horizon {
+                    return None;
+                }
+                gpus.extend(std::iter::repeat_n(x, need));
+                trim_final_slot(job, grid, memo, gpus, fixed_slot0);
+                return Some(emit_profile(gpus, pool));
+            }
+            if t == 0 {
+                let x = match fixed_slot0 {
+                    Some(x0) => x0,
+                    None => {
+                        let free = ledger.free(0, total_gpus);
+                        clamp_pow2(j.min(free), free)
+                    }
+                };
+                let x = if x == 0 { 0 } else { memo.clamp_useful(x) };
+                gpus.push(x);
+                done += memo.iters_per_sec(x) * grid.duration(0);
+                if done + WORK_EPSILON >= job.remaining_iterations {
+                    trim_final_slot(job, grid, memo, gpus, fixed_slot0);
+                    return Some(emit_profile(gpus, pool));
+                }
+                t = 1;
+                continue;
+            }
+            let run_end = ledger
+                .run_end(t, usize::MAX)
+                .min(horizon)
+                .min(committed_horizon.max(1));
+            let free = ledger.free(t, total_gpus);
+            let x = clamp_pow2(j.min(free), free);
+            let x = if x == 0 { 0 } else { memo.clamp_useful(x) };
+            let per = memo.iters_per_sec(x) * grid.duration(t);
+            if per <= 0.0 {
+                gpus.resize(run_end, x);
+                t = run_end;
+                continue;
+            }
+            loop {
+                gpus.push(x);
+                done += per;
+                t += 1;
+                if done + WORK_EPSILON >= job.remaining_iterations {
+                    trim_final_slot(job, grid, memo, gpus, fixed_slot0);
+                    return Some(emit_profile(gpus, pool));
+                }
+                if t >= run_end {
+                    break;
+                }
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -369,6 +546,7 @@ mod tests {
     use super::*;
     use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
     use elasticflow_trace::JobId;
+    use proptest::prelude::*;
 
     fn fig4_curve() -> ScalingCurve {
         ScalingCurve::from_points(
@@ -519,5 +697,126 @@ mod tests {
         // Just-feasible boundary: 2 slots at T(4)=2 completes 4.0 exactly.
         let p = progressive_filling(&job(4.0, 2), &ledger, &grid, 4, None).unwrap();
         assert_eq!(p.as_slice(), &[4, 4]);
+    }
+
+    /// A random curve on the 1..=16 ladder: either ladder-monotone
+    /// (cumulative positive gains) or with arbitrary dips.
+    fn any_curve() -> impl Strategy<Value = ScalingCurve> {
+        (
+            any::<bool>(),
+            prop::collection::vec(0.05f64..2.0, 5..6),
+            1usize..6,
+        )
+            .prop_map(|(monotone, steps, len)| {
+                let mut rate = 0.0;
+                let points = (0..len)
+                    .map(|i| {
+                        rate = if monotone { rate + steps[i] } else { steps[i] };
+                        CurvePoint {
+                            gpus: 1 << i,
+                            iters_per_sec: rate,
+                        }
+                    })
+                    .collect();
+                ScalingCurve::from_points(DnnModel::ResNet50, 64, points)
+            })
+    }
+
+    /// Runs of committed values on a 16-GPU cluster: empty, saturated
+    /// (zero free, sometimes over-booked), and fragmented single slots.
+    fn any_ledger() -> impl Strategy<Value = ReservationLedger> {
+        prop::collection::vec((0u32..4, 0u32..19, 1usize..4), 0..12).prop_map(|runs| {
+            let mut committed = Vec::new();
+            for (kind, value, len) in runs {
+                let c = match kind {
+                    0 => 0,
+                    1 => 16 + value % 3,
+                    _ => value % 17,
+                };
+                committed.extend(std::iter::repeat_n(c, len));
+            }
+            let mut ledger = ReservationLedger::new();
+            ledger.commit(&AllocationProfile::new(committed));
+            ledger
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The headroom walk returns exactly the verbatim reference's
+        /// profile for every rung, and the ladder — from rung 1 or from a
+        /// hint — settles on the same profile and target.
+        #[test]
+        fn headroom_walk_matches_the_reference_kernel(
+            curve in any_curve(),
+            ledger in any_ledger(),
+            work_scale in 0.0f64..24.0,
+            deadline in prop_oneof![4 => 1usize..30, 1 => Just(usize::MAX)],
+            first in 0.2f64..1.0,
+            pin in prop_oneof![2 => Just(None), 1 => (0u32..17).prop_map(Some)],
+            hint in 0u32..20,
+            exact in prop::collection::vec(0u32..5, 0..12),
+        ) {
+            let grid = SlotGrid::new(first * 2.0, 2.0);
+            let total = 16u32;
+            let memo = curve.memo();
+            // Most cases put the work exactly on the epsilon edge of a
+            // target's walk: the work its first `exact.len()` slots
+            // complete, summed in slot order, plus WORK_EPSILON. There a
+            // reordered or regrouped addition flips the completion check.
+            let remaining_iterations = match exact.split_first() {
+                None => work_scale * curve.iters_per_sec(1).expect("rate at 1 GPU"),
+                Some((&rung, rest)) => {
+                    let j = 1u32 << rung;
+                    let mut done = 0.0f64;
+                    for t in 0..=rest.len() {
+                        let free = ledger.free(t, total);
+                        let x = match (t, pin) {
+                            (0, Some(x0)) => x0,
+                            _ => clamp_pow2(j.min(free), free),
+                        };
+                        let x = if x == 0 { 0 } else { memo.clamp_useful(x) };
+                        done += memo.iters_per_sec(x) * grid.duration(t);
+                    }
+                    done + WORK_EPSILON
+                }
+            };
+            let job = PlanningJob {
+                id: JobId::new(0),
+                remaining_iterations,
+                curve,
+                deadline_slot: deadline,
+            };
+            let max_target = memo.clamp_useful(total).max(1);
+            let (mut a, mut b, mut pool) = (Vec::new(), Vec::new(), Vec::new());
+            let mut j = 1u32;
+            while j <= max_target {
+                let new = try_target(&job, &ledger, &grid, total, j, pin, &memo, &mut a, &mut pool);
+                let old = reference::try_target(
+                    &job, &ledger, &grid, total, j, pin, &memo, &mut b, &mut pool,
+                );
+                prop_assert_eq!(new, old, "target {}", j);
+                j *= 2;
+            }
+            let got = ladder_fill(&job, &ledger, &grid, total, pin, hint, &mut FillScratch::new());
+            let mut j = if pin.is_none() && hint > 1 && hint.is_power_of_two() && memo.ladder_monotone() {
+                hint.min(max_target)
+            } else {
+                1
+            };
+            let want = loop {
+                if let Some(p) =
+                    reference::try_target(&job, &ledger, &grid, total, j, pin, &memo, &mut b, &mut pool)
+                {
+                    break Some((p, j));
+                }
+                if j >= max_target {
+                    break None;
+                }
+                j *= 2;
+            };
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -5,8 +5,6 @@
 //! running system "slot 0" is the remainder of the current scheduling
 //! interval and later slots have the full interval length.
 
-use std::cell::RefCell;
-
 use elasticflow_perfmodel::ScalingCurve;
 use elasticflow_trace::JobId;
 use serde::{Deserialize, Serialize};
@@ -192,126 +190,16 @@ impl AllocationProfile {
     }
 }
 
-/// Derived views of a ledger's committed vector, rebuilt lazily after
-/// each mutation: GPU-slot prefix sums (`prefix[t]` = GPUs committed
-/// across slots `[0, t)`), the peak commitment, and the horizon. Turns
-/// the admission loop's repeated O(slots) scans into O(1) amortized
-/// lookups.
-///
-/// Mutations mark the cache stale instead of dropping it: the next read
-/// rebuilds *in place*, reusing the prefix and run-end buffers. The
-/// admission hot path alternates commit/uncommit with reads thousands of
-/// times per decision, so rebuild-without-realloc is what keeps the
-/// ledger off the allocator entirely in steady state.
-#[derive(Debug, Default)]
-struct LedgerCache {
-    /// `true` when the views below match the committed vector. The
-    /// default (`false`) forces a first rebuild, so empty buffers are
-    /// never served.
-    fresh: bool,
-    prefix: Vec<u64>,
-    peak: u32,
-    horizon: usize,
-    /// `run_end[t]` is the exclusive end of the maximal run of slots with
-    /// `committed` equal to `committed[t]` that contains `t`. Lets slot
-    /// walks process whole constant-commitment regions at once.
-    run_end: Vec<usize>,
-}
-
-impl LedgerCache {
-    /// Recomputes every view from `committed`, reusing the buffers.
-    fn rebuild(&mut self, committed: &[u32]) {
-        self.prefix.clear();
-        self.prefix.reserve(committed.len() + 1);
-        self.prefix.push(0u64);
-        let mut sum = 0u64;
-        let mut peak = 0u32;
-        for &c in committed {
-            sum += u64::from(c);
-            peak = peak.max(c);
-            self.prefix.push(sum);
-        }
-        self.peak = peak;
-        self.horizon = committed
-            .iter()
-            .rposition(|&c| c > 0)
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        self.run_end.clear();
-        self.run_end.resize(committed.len(), 0);
-        for t in (0..committed.len()).rev() {
-            self.run_end[t] = if committed.get(t + 1) == Some(&committed[t]) {
-                self.run_end[t + 1]
-            } else {
-                t + 1
-            };
-        }
-        self.fresh = true;
-    }
-}
-
 /// Committed GPUs per slot across all already-planned jobs: the
 /// `sum_{k < i} x_k(t)` term of Algorithm 1, line 15.
 ///
-/// Equality, cloning, and serialization are all defined over the
-/// committed vector alone; the interior-mutability cache is a pure
-/// acceleration structure that readers rebuild on demand.
-#[derive(Default)]
+/// The committed vector is kept canonical — it never ends in a zero
+/// slot — so two ledgers holding the same reservations compare equal no
+/// matter which commit/uncommit sequence produced them, and the horizon
+/// is simply the vector's length.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReservationLedger {
     committed: Vec<u32>,
-    cache: RefCell<LedgerCache>,
-}
-
-impl std::fmt::Debug for ReservationLedger {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReservationLedger")
-            .field("committed", &self.committed)
-            .finish()
-    }
-}
-
-impl Clone for ReservationLedger {
-    fn clone(&self) -> Self {
-        ReservationLedger {
-            committed: self.committed.clone(),
-            cache: RefCell::default(),
-        }
-    }
-}
-
-impl PartialEq for ReservationLedger {
-    fn eq(&self, other: &Self) -> bool {
-        self.committed == other.committed
-    }
-}
-
-impl Eq for ReservationLedger {}
-
-/// Serialization mirror of [`ReservationLedger`], keeping the on-disk
-/// shape identical to the former derived form (`{"committed": [...]}`)
-/// so existing snapshots stay readable.
-#[derive(Serialize, Deserialize)]
-struct LedgerRepr {
-    committed: Vec<u32>,
-}
-
-impl Serialize for ReservationLedger {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        LedgerRepr {
-            committed: self.committed.clone(),
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for ReservationLedger {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let repr = LedgerRepr::deserialize(deserializer)?;
-        Ok(ReservationLedger {
-            committed: repr.committed,
-            cache: RefCell::default(),
-        })
-    }
 }
 
 impl ReservationLedger {
@@ -325,6 +213,12 @@ impl ReservationLedger {
         self.committed.get(t).copied().unwrap_or(0)
     }
 
+    /// The committed vector up to the horizon (slot-indexed); every slot
+    /// past its end is committed 0.
+    pub(crate) fn committed_slots(&self) -> &[u32] {
+        &self.committed
+    }
+
     /// GPUs still free in slot `t` on a cluster of `total` GPUs.
     pub fn free(&self, t: usize, total: u32) -> u32 {
         total.saturating_sub(self.committed(t))
@@ -332,13 +226,16 @@ impl ReservationLedger {
 
     /// Adds a profile's reservations.
     pub fn commit(&mut self, profile: &AllocationProfile) {
-        if self.committed.len() < profile.len() {
-            self.committed.resize(profile.len(), 0);
+        // Trailing zero slots of the profile add nothing; skipping them
+        // keeps the vector canonical.
+        let gpus = profile.as_slice();
+        let gpus = &gpus[..gpus.iter().rposition(|&g| g > 0).map_or(0, |i| i + 1)];
+        if self.committed.len() < gpus.len() {
+            self.committed.resize(gpus.len(), 0);
         }
-        for (t, &g) in profile.as_slice().iter().enumerate() {
-            self.committed[t] += g;
+        for (c, &g) in self.committed.iter_mut().zip(gpus) {
+            *c += g;
         }
-        self.cache.get_mut().fresh = false;
     }
 
     /// Removes a previously committed profile.
@@ -353,52 +250,51 @@ impl ReservationLedger {
                 *c -= g;
             }
         }
-        // Keep the representation canonical (no trailing zero slots) so
-        // two ledgers holding the same reservations compare equal no
-        // matter which commit/uncommit sequence produced them.
         while self.committed.last() == Some(&0) {
             self.committed.pop();
         }
-        self.cache.get_mut().fresh = false;
     }
 
-    /// Runs `f` against the cached derived views, rebuilding them first
-    /// if a mutation invalidated the cache. O(slots) on the first read
-    /// after a mutation (reusing the cache's buffers), O(1) afterwards.
-    fn with_cache<R>(&self, f: impl FnOnce(&LedgerCache) -> R) -> R {
-        let mut guard = self.cache.borrow_mut();
-        if !guard.fresh {
-            guard.rebuild(&self.committed);
-        }
-        f(&guard)
-    }
-
-    /// Total GPU-slots committed across slots `[0, t)` — an O(1)
-    /// amortized prefix-sum lookup (slots past the ledger's end
-    /// contribute zero).
+    /// Total GPU-slots committed across slots `[0, t)` (slots past the
+    /// ledger's end contribute zero). O(t).
     pub fn committed_before(&self, t: usize) -> u64 {
-        self.with_cache(|c| c.prefix[t.min(c.prefix.len() - 1)])
+        self.committed[..t.min(self.committed.len())]
+            .iter()
+            .map(|&c| u64::from(c))
+            .sum()
     }
 
-    /// The highest committed value across all slots.
+    /// The highest committed value across all slots. O(horizon).
     pub fn peak(&self) -> u32 {
-        self.with_cache(|c| c.peak)
+        self.committed.iter().copied().max().unwrap_or(0)
     }
 
     /// First slot index from which nothing is committed (every slot at or
     /// beyond it is fully free). Lets planners switch to an analytic fast
-    /// path instead of walking empty slots one by one.
+    /// path instead of walking empty slots one by one. O(1) on the
+    /// canonical vector; the scan only matters for a deserialized vector
+    /// that carries trailing zero slots.
     pub fn horizon(&self) -> usize {
-        self.with_cache(|c| c.horizon)
+        self.committed
+            .iter()
+            .rposition(|&c| c > 0)
+            .map_or(0, |i| i + 1)
     }
 
-    /// Exclusive end of the maximal run of slots whose committed value
-    /// equals `committed(t)`, starting at or before `t`. Past the ledger's
-    /// end every slot is committed 0 forever, so the run is unbounded
-    /// (`usize::MAX`). O(1) amortized; slot walks use it to handle whole
-    /// constant-commitment regions at once.
-    pub fn run_end(&self, t: usize) -> usize {
-        self.with_cache(|c| c.run_end.get(t).copied().unwrap_or(usize::MAX))
+    /// Exclusive end of the run of slots from `t` whose committed value
+    /// equals `committed(t)`, capped at `limit`. Past the ledger's end
+    /// every slot is committed 0 forever, so the run reaches `limit`.
+    /// A forward scan, O(returned run length); slot walks use it to
+    /// handle whole constant-commitment regions at once.
+    pub fn run_end(&self, t: usize, limit: usize) -> usize {
+        let Some(&c) = self.committed.get(t) else {
+            return limit;
+        };
+        let mut end = t + 1;
+        while end < limit && self.committed.get(end) == Some(&c) {
+            end += 1;
+        }
+        end.min(limit)
     }
 }
 
@@ -475,8 +371,6 @@ mod tests {
         let a = AllocationProfile::new(vec![2, 2, 0]);
         let b = AllocationProfile::new(vec![1, 4, 4, 4]);
         ledger.commit(&a);
-        // Prime the cache, then mutate again: the stale prefix sums must
-        // be rebuilt, not served.
         assert_eq!(ledger.committed_before(3), 4);
         ledger.commit(&b);
         assert_eq!(ledger.committed_before(0), 0);
@@ -495,35 +389,43 @@ mod tests {
     fn run_end_spans_constant_regions() {
         let mut ledger = ReservationLedger::new();
         ledger.commit(&AllocationProfile::new(vec![2, 2, 2, 5, 5, 0, 0, 1]));
-        assert_eq!(ledger.run_end(0), 3);
-        assert_eq!(ledger.run_end(1), 3);
-        assert_eq!(ledger.run_end(2), 3);
-        assert_eq!(ledger.run_end(3), 5);
-        assert_eq!(ledger.run_end(5), 7);
-        assert_eq!(ledger.run_end(7), 8);
+        assert_eq!(ledger.run_end(0, usize::MAX), 3);
+        assert_eq!(ledger.run_end(1, usize::MAX), 3);
+        assert_eq!(ledger.run_end(2, usize::MAX), 3);
+        assert_eq!(ledger.run_end(3, usize::MAX), 5);
+        assert_eq!(ledger.run_end(5, usize::MAX), 7);
+        assert_eq!(ledger.run_end(7, usize::MAX), 8);
+        // The caller's limit caps the scan.
+        assert_eq!(ledger.run_end(0, 2), 2);
+        assert_eq!(ledger.run_end(3, 4), 4);
         // Beyond the committed vector every slot is free forever.
-        assert_eq!(ledger.run_end(8), usize::MAX);
-        assert_eq!(ledger.run_end(1000), usize::MAX);
-        // The index tracks mutations like the other cached views.
+        assert_eq!(ledger.run_end(8, usize::MAX), usize::MAX);
+        assert_eq!(ledger.run_end(1000, 1200), 1200);
         ledger.commit(&AllocationProfile::new(vec![0, 0, 0, 0, 0, 2]));
         assert_eq!(ledger.committed(5), 2);
-        assert_eq!(ledger.run_end(3), 5);
-        assert_eq!(ledger.run_end(5), 6);
-        assert_eq!(ledger.run_end(6), 7);
+        assert_eq!(ledger.run_end(3, usize::MAX), 5);
+        assert_eq!(ledger.run_end(5, usize::MAX), 6);
+        assert_eq!(ledger.run_end(6, usize::MAX), 7);
     }
 
     #[test]
-    fn ledger_identity_ignores_cache_state() {
-        let mut warm = ReservationLedger::new();
-        warm.commit(&AllocationProfile::new(vec![1, 2]));
-        let _ = warm.committed_before(2); // populate the cache
-        let mut cold = ReservationLedger::new();
-        cold.commit(&AllocationProfile::new(vec![1, 2]));
-        assert_eq!(warm, cold);
-        assert_eq!(warm.clone(), cold);
-        let json = serde_json::to_string(&warm).unwrap();
-        assert_eq!(json, serde_json::to_string(&cold).unwrap());
+    fn ledger_identity_is_canonical() {
+        // Trailing zero slots of a profile never reach the ledger, so the
+        // same reservations compare, clone and serialize alike whatever
+        // sequence produced them.
+        let mut padded = ReservationLedger::new();
+        padded.commit(&AllocationProfile::new(vec![1, 2, 0, 0]));
+        let mut exact = ReservationLedger::new();
+        exact.commit(&AllocationProfile::new(vec![1, 2]));
+        let mut round_trip = exact.clone();
+        round_trip.commit(&AllocationProfile::new(vec![0, 0, 3]));
+        round_trip.uncommit(&AllocationProfile::new(vec![0, 0, 3]));
+        assert_eq!(padded, exact);
+        assert_eq!(round_trip, exact);
+        assert_eq!(padded.horizon(), 2);
+        let json = serde_json::to_string(&padded).unwrap();
+        assert_eq!(json, r#"{"committed":[1,2]}"#);
         let back: ReservationLedger = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, warm);
+        assert_eq!(back, exact);
     }
 }

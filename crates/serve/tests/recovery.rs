@@ -74,8 +74,13 @@ fn durable_files(root: &Path) -> (Vec<u8>, Vec<u8>) {
 }
 
 /// The uninterrupted run every recovery scenario must converge to.
-fn reference_run(lines: &[String]) -> (Vec<u8>, Vec<u8>, elasticflow_serve::GatewayStats) {
-    let root = tmp("reference");
+/// `name` keeps each test's reference directory its own: the tests run
+/// on parallel threads and must not share a state directory.
+fn reference_run(
+    name: &str,
+    lines: &[String],
+) -> (Vec<u8>, Vec<u8>, elasticflow_serve::GatewayStats) {
+    let root = tmp(&format!("reference-{name}"));
     let mut daemon = open(&root);
     feed(&mut daemon, lines);
     let stats = daemon.stats();
@@ -87,7 +92,7 @@ fn reference_run(lines: &[String]) -> (Vec<u8>, Vec<u8>, elasticflow_serve::Gate
 #[test]
 fn kill_at_arbitrary_offsets_recovers_bit_identically() {
     let lines = request_lines(120);
-    let (ref_journal, ref_wal, ref_stats) = reference_run(&lines);
+    let (ref_journal, ref_wal, ref_stats) = reference_run("kill", &lines);
     assert!(ref_stats.declined > 0, "the stream must contend for GPUs");
 
     // Offsets straddle snapshot boundaries (every 16 submissions): just
@@ -116,7 +121,7 @@ fn kill_at_arbitrary_offsets_recovers_bit_identically() {
 #[test]
 fn torn_tails_in_both_files_are_repaired_on_resume() {
     let lines = request_lines(80);
-    let (ref_journal, ref_wal, ref_stats) = reference_run(&lines);
+    let (ref_journal, ref_wal, ref_stats) = reference_run("torn", &lines);
 
     let offset = 33usize;
     let root = tmp("torn");
@@ -153,7 +158,7 @@ fn torn_tails_in_both_files_are_repaired_on_resume() {
 #[test]
 fn double_crash_during_recovery_window_still_converges() {
     let lines = request_lines(100);
-    let (ref_journal, ref_wal, ref_stats) = reference_run(&lines);
+    let (ref_journal, ref_wal, ref_stats) = reference_run("double", &lines);
 
     // Crash, resume briefly, crash again before the next snapshot.
     let root = tmp("double");
@@ -183,7 +188,7 @@ fn double_crash_during_recovery_window_still_converges() {
 #[test]
 fn torn_tail_inside_a_group_commit_run_recovers_bit_identically() {
     let lines = request_lines(120);
-    let (ref_journal, ref_wal, ref_stats) = reference_run(&lines);
+    let (ref_journal, ref_wal, ref_stats) = reference_run("group-torn", &lines);
     let requests: Vec<Request> = lines
         .iter()
         .map(|l| {
