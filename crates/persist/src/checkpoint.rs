@@ -54,8 +54,6 @@ pub struct CheckpointStats {
     pub snapshot_bytes: Vec<u64>,
     /// Wall-clock write latency of each successful snapshot, seconds.
     pub write_seconds: Vec<f64>,
-    /// Sequence number of the newest snapshot written, if any.
-    pub last_seq: Option<u64>,
 }
 
 impl CheckpointStats {
@@ -232,14 +230,13 @@ impl SimController for Checkpointer {
             sim: snapshot,
         };
         let started = Instant::now();
-        match self.dir.write_next_snapshot(&stored) {
-            Ok((seq, bytes)) => {
+        match self.dir.snapshots().write_next(&stored) {
+            Ok((_, bytes)) => {
                 self.stats.checkpoints += 1;
                 self.stats.snapshot_bytes.push(bytes);
                 self.stats
                     .write_seconds
                     .push(started.elapsed().as_secs_f64());
-                self.stats.last_seq = Some(seq);
             }
             Err(e) => {
                 self.stats.failures += 1;

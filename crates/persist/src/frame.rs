@@ -1,16 +1,16 @@
 //! Shared on-disk framing primitives.
 //!
-//! Both persisted artifacts use the same record frame:
+//! Every persisted artifact uses the same record frame:
 //!
 //! ```text
 //! u32 LE payload length | u64 LE FNV-1a-64 checksum | payload bytes
 //! ```
 //!
-//! and the same 8-byte file header: 4 ASCII magic bytes (`EFSN` for
-//! snapshots, `EFWL` for the write-ahead log) followed by a `u32` LE
-//! format version. Checksums use the simulator's own
-//! [`elasticflow_sim::fnv1a64`] so a digest printed by the persistence
-//! layer is directly comparable with golden-replay digests.
+//! and the same 8-byte file header: 4 ASCII magic bytes (`EFSN`/`EFWL`
+//! for the simulator's snapshots and log, `EFGS`/`EFGW` for the
+//! gateway's) followed by a `u32` LE format version. Checksums use the
+//! simulator's own [`elasticflow_sim::fnv1a64`] so a digest printed by
+//! the persistence layer is directly comparable with golden-replay digests.
 //!
 //! Parsing distinguishes three shapes of bad bytes: a frame whose header
 //! or payload extends past end-of-file is a *torn tail* (the expected
@@ -23,11 +23,7 @@ use elasticflow_sim::fnv1a64;
 
 use crate::error::PersistError;
 
-/// Magic bytes opening a snapshot file.
-pub const SNAPSHOT_MAGIC: &[u8; 4] = b"EFSN";
-/// Magic bytes opening a write-ahead log.
-pub const WAL_MAGIC: &[u8; 4] = b"EFWL";
-/// Current on-disk format version for both artifacts.
+/// Current on-disk format version for every artifact.
 pub const PERSIST_VERSION: u32 = 1;
 
 /// Byte length of the file header (magic + version).
@@ -175,10 +171,11 @@ mod tests {
 
     #[test]
     fn header_checks_magic_then_version() {
+        const SNAPSHOT_MAGIC: &[u8; 4] = b"EFSN";
         let h = encode_header(SNAPSHOT_MAGIC, PERSIST_VERSION);
         assert_eq!(check_header(&h, SNAPSHOT_MAGIC, "EFSN").unwrap(), 1);
         assert!(matches!(
-            check_header(&h, WAL_MAGIC, "EFWL"),
+            check_header(&h, b"EFWL", "EFWL"),
             Err(PersistError::BadMagic { expected: "EFWL" })
         ));
         let newer = encode_header(SNAPSHOT_MAGIC, PERSIST_VERSION + 1);

@@ -14,9 +14,9 @@
 //! * **framing** ([`frame`]) — length-prefixed, FNV-1a-64-checksummed
 //!   records behind versioned `EFSN`/`EFWL` headers; torn tails are
 //!   recoverable, checksum mismatches are typed errors, never panics;
-//! * **storage** ([`wal`], [`store`]) — the append-only log and the
-//!   sequenced snapshot files in a [`StateDir`], written atomically via
-//!   temp-file + rename;
+//! * **storage** ([`records`], [`snapshots`]) — the generic [`RecordLog`]
+//!   and [`SnapshotStore`] (atomic writes, newest two kept), bound to the
+//!   simulator's files in [`wal`] and [`store`] ([`StateDir`]);
 //! * **harness** ([`checkpoint`], [`PersistSession`]) — a
 //!   [`elasticflow_sim::SimController`] that cuts snapshots on a simulated
 //!   clock and a [`elasticflow_sim::SimObserver`] that streams events into
@@ -59,6 +59,7 @@ mod error;
 pub mod frame;
 pub mod records;
 mod session;
+pub mod snapshots;
 pub mod store;
 pub mod wal;
 
@@ -67,5 +68,6 @@ pub use error::PersistError;
 pub use frame::PERSIST_VERSION;
 pub use records::{FsyncPolicy, LogContents, LogKind, RecordLog};
 pub use session::PersistSession;
+pub use snapshots::{LatestValid, SnapshotKind, SnapshotPayload, SnapshotStore, KEEP_SNAPSHOTS};
 pub use store::{Recovered, StateDir, StoredSnapshot};
 pub use wal::{WalContents, WalWriter};

@@ -1,0 +1,172 @@
+//! Generic sequenced snapshot files, shared by the simulator's
+//! [`crate::StateDir`] and the `elasticflow-serve` gateway directory:
+//! `snapshot-NNNNNN.<extension>`, each an 8-byte magic+version header
+//! and one checksummed frame around a JSON payload. Writes are atomic
+//! (temp file + rename) and keep only the newest [`KEEP_SNAPSHOTS`]
+//! files; loading takes the newest file that passes validation.
+
+use std::marker::PhantomData;
+use std::path::{Path, PathBuf};
+
+use serde::de::DeserializeOwned;
+use serde::Serialize;
+
+use crate::error::PersistError;
+use crate::frame::{
+    check_header, decode_frame, encode_frame, encode_header, FrameRead, HEADER_LEN, PERSIST_VERSION,
+};
+
+/// Snapshot files kept on disk after each write: the newest plus one
+/// fallback for when the newest fails validation.
+pub const KEEP_SNAPSHOTS: usize = 2;
+
+/// Identity of one snapshot file format.
+#[derive(Debug, Clone, Copy)]
+pub struct SnapshotKind {
+    /// The 4 ASCII magic bytes opening the file.
+    pub magic: &'static [u8; 4],
+    /// The magic rendered as ASCII, for [`PersistError::BadMagic`].
+    pub magic_name: &'static str,
+    /// File extension without the dot (e.g. `"efsnap"`).
+    pub extension: &'static str,
+    /// Name used in error messages (e.g. `"snapshot"`).
+    pub long_name: &'static str,
+}
+
+/// A snapshot payload: JSON carrying the format version it was written
+/// under.
+pub trait SnapshotPayload: Serialize + DeserializeOwned {
+    /// The format version recorded in the payload.
+    fn version(&self) -> u32;
+}
+
+impl SnapshotKind {
+    /// Serializes `payload` into its on-disk bytes.
+    pub fn encode<T: SnapshotPayload>(&self, payload: &T) -> Result<Vec<u8>, PersistError> {
+        let json = serde_json::to_string(payload)?;
+        let mut bytes = Vec::with_capacity(HEADER_LEN + json.len() + 16);
+        bytes.extend_from_slice(&encode_header(self.magic, PERSIST_VERSION));
+        encode_frame(&mut bytes, json.as_bytes());
+        Ok(bytes)
+    }
+
+    /// Parses and validates snapshot bytes: magic, version, frame
+    /// integrity, checksum, and payload decode. A truncated file is
+    /// [`PersistError::Corrupt`]: snapshots are written atomically, so a
+    /// short file is not a crash artifact the way a torn log tail is.
+    pub fn decode<T: SnapshotPayload>(&self, bytes: &[u8]) -> Result<T, PersistError> {
+        let name = self.long_name;
+        check_header(bytes, self.magic, self.magic_name)?;
+        let FrameRead::Complete { payload, next } = decode_frame(bytes, HEADER_LEN)? else {
+            return Err(PersistError::Corrupt(format!(
+                "{name} file is truncated mid-frame"
+            )));
+        };
+        if next != bytes.len() {
+            return Err(PersistError::Corrupt(format!(
+                "{name} file has {} trailing bytes after its frame",
+                bytes.len() - next
+            )));
+        }
+        let text = std::str::from_utf8(payload)
+            .map_err(|_| PersistError::Corrupt(format!("{name} payload is not valid UTF-8")))?;
+        let value: T = serde_json::from_str(text)?;
+        let found = value.version();
+        if found == 0 || found > PERSIST_VERSION {
+            let supported = PERSIST_VERSION;
+            return Err(PersistError::UnknownVersion { found, supported });
+        }
+        Ok(value)
+    }
+}
+
+/// What a newest-valid-wins scan found.
+#[derive(Debug)]
+pub struct LatestValid<T> {
+    /// The newest snapshot that passed validation, with its sequence
+    /// number; `None` when none did.
+    pub valid: Option<(u64, T)>,
+    /// Newer files that failed validation, as `(sequence, reason)`
+    /// pairs, newest first.
+    pub skipped: Vec<(u64, String)>,
+}
+
+/// The sequenced snapshot files of one kind in one directory.
+#[derive(Debug, Clone)]
+pub struct SnapshotStore<T> {
+    kind: SnapshotKind,
+    root: PathBuf,
+    payload: PhantomData<fn() -> T>,
+}
+
+impl<T: SnapshotPayload> SnapshotStore<T> {
+    /// The store of `kind` snapshots in the existing directory `root`.
+    pub fn new(kind: SnapshotKind, root: PathBuf) -> Self {
+        SnapshotStore {
+            kind,
+            root,
+            payload: PhantomData,
+        }
+    }
+
+    /// The directory holding the snapshots.
+    pub fn root(&self) -> &Path {
+        &self.root
+    }
+
+    /// Path of snapshot number `seq`.
+    pub fn path(&self, seq: u64) -> PathBuf {
+        self.root
+            .join(format!("snapshot-{seq:06}.{}", self.kind.extension))
+    }
+
+    /// Every snapshot sequence number present on disk, ascending.
+    pub fn seqs(&self) -> Result<Vec<u64>, PersistError> {
+        let mut seqs = Vec::new();
+        for entry in std::fs::read_dir(&self.root)? {
+            let name = entry?.file_name();
+            let stem = name.to_str().and_then(|n| {
+                let n = n.strip_prefix("snapshot-")?;
+                n.strip_suffix(self.kind.extension)?.strip_suffix('.')
+            });
+            seqs.extend(stem.and_then(|s| s.parse::<u64>().ok()));
+        }
+        seqs.sort_unstable();
+        Ok(seqs)
+    }
+
+    /// Writes `payload` as the next snapshot in sequence, then removes
+    /// all but the newest [`KEEP_SNAPSHOTS`] files. Returns the new
+    /// sequence number and the snapshot's encoded size in bytes.
+    pub fn write_next(&self, payload: &T) -> Result<(u64, u64), PersistError> {
+        let mut seqs = self.seqs()?;
+        let seq = seqs.last().copied().unwrap_or(0) + 1;
+        let bytes = self.kind.encode(payload)?;
+        let tmp_path = self.root.join(format!("snapshot-{seq:06}.tmp"));
+        std::fs::write(&tmp_path, &bytes)?;
+        std::fs::rename(&tmp_path, self.path(seq))?;
+        seqs.push(seq);
+        for &old in &seqs[..seqs.len().saturating_sub(KEEP_SNAPSHOTS)] {
+            std::fs::remove_file(self.path(old))?;
+        }
+        Ok((seq, bytes.len() as u64))
+    }
+
+    /// Loads the newest snapshot that passes full validation, skipping
+    /// corrupt or unreadable ones and reporting what it passed over.
+    pub fn latest_valid(&self) -> Result<LatestValid<T>, PersistError> {
+        let mut skipped = Vec::new();
+        let mut valid = None;
+        for seq in self.seqs()?.into_iter().rev() {
+            let bytes = std::fs::read(self.path(seq)).map_err(PersistError::from);
+            match bytes.and_then(|bytes| self.kind.decode(&bytes)) {
+                Ok(payload) => {
+                    valid = Some((seq, payload));
+                    break;
+                }
+                Err(e) => skipped.push((seq, e.to_string())),
+            }
+        }
+        Ok(LatestValid { valid, skipped })
+    }
+}

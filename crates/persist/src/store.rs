@@ -1,21 +1,19 @@
-//! The on-disk state directory: snapshot files plus the write-ahead log.
+//! The simulator's state directory: snapshot files plus the write-ahead log.
 //!
 //! Layout under one [`StateDir`] root:
 //!
 //! ```text
 //! state/
-//!   snapshot-000001.efsnap    sequenced full-state snapshots
+//!   snapshot-000001.efsnap    sequenced full-state snapshots (the newest two)
 //!   snapshot-000002.efsnap
 //!   events.wal                append-only event log
 //! ```
 //!
-//! Snapshots are written whole to a temporary file and renamed into
-//! place, so a crash mid-snapshot leaves at worst a stray `.tmp` — never
-//! a half-written `.efsnap` under its final name. Recovery walks the
-//! sequence from newest to oldest and loads the first snapshot that
-//! passes magic, version, checksum, and decode validation, so a corrupt
-//! latest snapshot degrades to the previous one instead of bricking the
-//! directory.
+//! Snapshots live in a [`SnapshotStore`] of [`SNAPSHOT_KIND`]; a corrupt
+//! newest one degrades to its fallback. What this module adds is the
+//! simulator's log rule: on resume the write-ahead log is repaired and
+//! truncated back to the snapshot's record count, and the resumed run
+//! re-appends the tail itself.
 
 use std::path::{Path, PathBuf};
 
@@ -23,17 +21,22 @@ use elasticflow_sim::SimSnapshot;
 use serde::{Deserialize, Serialize};
 
 use crate::error::PersistError;
-use crate::frame::{
-    check_header, decode_frame, encode_frame, encode_header, FrameRead, HEADER_LEN,
-    PERSIST_VERSION, SNAPSHOT_MAGIC,
-};
+use crate::snapshots::{LatestValid, SnapshotKind, SnapshotPayload, SnapshotStore};
 use crate::wal::read_wal;
+
+/// The [`SnapshotKind`] of simulator snapshot files.
+pub const SNAPSHOT_KIND: SnapshotKind = SnapshotKind {
+    magic: b"EFSN",
+    magic_name: "EFSN",
+    extension: "efsnap",
+    long_name: "snapshot",
+};
 
 /// One snapshot file's payload: the simulation snapshot plus the
 /// write-ahead log position it is consistent with.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredSnapshot {
-    /// On-disk format version ([`PERSIST_VERSION`] at write time).
+    /// On-disk format version ([`crate::PERSIST_VERSION`] at write time).
     pub version: u32,
     /// Number of WAL records that existed when this snapshot was cut.
     /// Resume truncates the log back to this count so the resumed run
@@ -43,44 +46,10 @@ pub struct StoredSnapshot {
     pub sim: SimSnapshot,
 }
 
-/// Serializes a snapshot into its on-disk byte representation
-/// (header + one checksummed frame around the JSON payload).
-pub fn encode_snapshot(stored: &StoredSnapshot) -> Result<Vec<u8>, PersistError> {
-    let payload = serde_json::to_string(stored)?;
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len() + 16);
-    bytes.extend_from_slice(&encode_header(SNAPSHOT_MAGIC, PERSIST_VERSION));
-    encode_frame(&mut bytes, payload.as_bytes());
-    Ok(bytes)
-}
-
-/// Parses and validates snapshot bytes: magic, version, frame integrity,
-/// checksum, and payload decode. A truncated file is [`PersistError::Corrupt`]
-/// (snapshots are written atomically, so a short file is not a crash
-/// artifact the way a torn WAL tail is).
-pub fn decode_snapshot(bytes: &[u8]) -> Result<StoredSnapshot, PersistError> {
-    check_header(bytes, SNAPSHOT_MAGIC, "EFSN")?;
-    let frame = decode_frame(bytes, HEADER_LEN)?;
-    let FrameRead::Complete { payload, next } = frame else {
-        return Err(PersistError::Corrupt(
-            "snapshot file is truncated mid-frame".to_owned(),
-        ));
-    };
-    if next != bytes.len() {
-        return Err(PersistError::Corrupt(format!(
-            "snapshot file has {} trailing bytes after its frame",
-            bytes.len() - next
-        )));
+impl SnapshotPayload for StoredSnapshot {
+    fn version(&self) -> u32 {
+        self.version
     }
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| PersistError::Corrupt("snapshot payload is not valid UTF-8".to_owned()))?;
-    let stored: StoredSnapshot = serde_json::from_str(text)?;
-    if stored.version == 0 || stored.version > PERSIST_VERSION {
-        return Err(PersistError::UnknownVersion {
-            found: stored.version,
-            supported: PERSIST_VERSION,
-        });
-    }
-    Ok(stored)
 }
 
 /// Everything recovery found in a state directory.
@@ -90,9 +59,6 @@ pub struct Recovered {
     pub seq: u64,
     /// The loaded snapshot.
     pub snapshot: StoredSnapshot,
-    /// Number of intact WAL records found on disk *before* the log was
-    /// truncated back to the snapshot's position (torn tail excluded).
-    pub wal_records_on_disk: u64,
     /// `true` when the log ended in a torn (crash-interrupted) record
     /// that recovery truncated away.
     pub wal_was_torn: bool,
@@ -104,7 +70,7 @@ pub struct Recovered {
 /// A persistence root directory.
 #[derive(Debug, Clone)]
 pub struct StateDir {
-    root: PathBuf,
+    snapshots: SnapshotStore<StoredSnapshot>,
 }
 
 impl StateDir {
@@ -112,76 +78,18 @@ impl StateDir {
     pub fn open<P: AsRef<Path>>(root: P) -> Result<Self, PersistError> {
         std::fs::create_dir_all(&root)?;
         Ok(StateDir {
-            root: root.as_ref().to_path_buf(),
+            snapshots: SnapshotStore::new(SNAPSHOT_KIND, root.as_ref().to_path_buf()),
         })
-    }
-
-    /// The directory root.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// Path of the write-ahead log.
     pub fn wal_path(&self) -> PathBuf {
-        self.root.join("events.wal")
+        self.snapshots.root().join("events.wal")
     }
 
-    /// Path of snapshot number `seq`.
-    pub fn snapshot_path(&self, seq: u64) -> PathBuf {
-        self.root.join(format!("snapshot-{seq:06}.efsnap"))
-    }
-
-    /// Every snapshot sequence number present on disk, ascending.
-    pub fn snapshot_seqs(&self) -> Result<Vec<u64>, PersistError> {
-        let mut seqs = Vec::new();
-        for entry in std::fs::read_dir(&self.root)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(stem) = name
-                .strip_prefix("snapshot-")
-                .and_then(|s| s.strip_suffix(".efsnap"))
-            else {
-                continue;
-            };
-            if let Ok(seq) = stem.parse::<u64>() {
-                seqs.push(seq);
-            }
-        }
-        seqs.sort_unstable();
-        Ok(seqs)
-    }
-
-    /// Writes `stored` as the next snapshot in sequence (atomically, via a
-    /// temporary file renamed into place). Returns the sequence number and
-    /// the snapshot's encoded size in bytes.
-    pub fn write_next_snapshot(&self, stored: &StoredSnapshot) -> Result<(u64, u64), PersistError> {
-        let seq = self.snapshot_seqs()?.last().copied().unwrap_or(0) + 1;
-        let bytes = encode_snapshot(stored)?;
-        let final_path = self.snapshot_path(seq);
-        let tmp_path = self.root.join(format!("snapshot-{seq:06}.tmp"));
-        std::fs::write(&tmp_path, &bytes)?;
-        std::fs::rename(&tmp_path, &final_path)?;
-        Ok((seq, bytes.len() as u64))
-    }
-
-    /// Loads the newest snapshot that passes full validation, skipping
-    /// corrupt or unreadable ones. `Ok(None)` when no snapshot exists at
-    /// all; the skip list lets callers report what was passed over.
-    #[allow(clippy::type_complexity)]
-    pub fn latest_valid_snapshot(
-        &self,
-    ) -> Result<Option<(u64, StoredSnapshot, Vec<(u64, String)>)>, PersistError> {
-        let mut skipped = Vec::new();
-        for seq in self.snapshot_seqs()?.into_iter().rev() {
-            let read = std::fs::read(self.snapshot_path(seq))
-                .map_err(PersistError::from)
-                .and_then(|bytes| decode_snapshot(&bytes));
-            match read {
-                Ok(stored) => return Ok(Some((seq, stored, skipped))),
-                Err(e) => skipped.push((seq, e.to_string())),
-            }
-        }
-        Ok(None)
+    /// The directory's snapshot files.
+    pub fn snapshots(&self) -> &SnapshotStore<StoredSnapshot> {
+        &self.snapshots
     }
 
     /// Full crash recovery: load the newest valid snapshot, repair the
@@ -189,35 +97,32 @@ impl StateDir {
     /// to the snapshot's record count so a resumed run re-appends the
     /// tail itself. `Ok(None)` when the directory holds no snapshot.
     pub fn recover(&self) -> Result<Option<Recovered>, PersistError> {
-        let Some((seq, snapshot, skipped)) = self.latest_valid_snapshot()? else {
+        let LatestValid {
+            valid: Some((seq, snapshot)),
+            skipped,
+        } = self.snapshots.latest_valid()?
+        else {
             return Ok(None);
         };
         let wal_path = self.wal_path();
-        if !wal_path.exists() {
-            if snapshot.wal_records > 0 {
-                return Err(PersistError::Corrupt(format!(
-                    "snapshot {seq} requires {} WAL records but no write-ahead log exists",
-                    snapshot.wal_records
-                )));
+        let wal_was_torn = if wal_path.exists() {
+            let contents = read_wal(&wal_path)?;
+            if contents.torn {
+                let file = std::fs::OpenOptions::new().write(true).open(&wal_path)?;
+                file.set_len(contents.clean_len())?;
             }
-            return Ok(Some(Recovered {
-                seq,
-                snapshot,
-                wal_records_on_disk: 0,
-                wal_was_torn: false,
-                skipped,
-            }));
-        }
-        let contents = read_wal(&wal_path)?;
-        let wal_was_torn = contents.torn;
-        if wal_was_torn {
-            let file = std::fs::OpenOptions::new().write(true).open(&wal_path)?;
-            file.set_len(contents.clean_len())?;
-        }
+            contents.torn
+        } else if snapshot.wal_records > 0 {
+            return Err(PersistError::Corrupt(format!(
+                "snapshot {seq} requires {} WAL records but no write-ahead log exists",
+                snapshot.wal_records
+            )));
+        } else {
+            false
+        };
         Ok(Some(Recovered {
             seq,
             snapshot,
-            wal_records_on_disk: contents.records.len() as u64,
             wal_was_torn,
             skipped,
         }))

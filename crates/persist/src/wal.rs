@@ -26,12 +26,11 @@ use std::path::Path;
 use elasticflow_sim::TraceRecord;
 
 use crate::error::PersistError;
-use crate::frame::WAL_MAGIC;
 use crate::records::{self, LogKind, RecordLog};
 
 /// The [`LogKind`] of the simulator WAL.
 pub const WAL_KIND: LogKind = LogKind {
-    magic: WAL_MAGIC,
+    magic: b"EFWL",
     magic_name: "EFWL",
     record_name: "WAL",
     long_name: "write-ahead log",

@@ -5,8 +5,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use elasticflow_cluster::ClusterSpec;
 use elasticflow_perfmodel::Interconnect;
-use elasticflow_persist::store::{decode_snapshot, encode_snapshot};
-use elasticflow_persist::{PersistError, PersistSession, StateDir, StoredSnapshot};
+use elasticflow_persist::store::SNAPSHOT_KIND;
+use elasticflow_persist::{
+    LatestValid, PersistError, PersistSession, StateDir, StoredSnapshot, KEEP_SNAPSHOTS,
+};
 use elasticflow_sched::EdfScheduler;
 use elasticflow_sim::{RunDirective, SimConfig, SimController, SimSnapshot, Simulation};
 use elasticflow_trace::{Trace, TraceConfig};
@@ -58,6 +60,14 @@ fn capture_snapshot(at_round: u64) -> SimSnapshot {
     capture.snap.expect("snapshot captured")
 }
 
+fn encode_snapshot(stored: &StoredSnapshot) -> Result<Vec<u8>, PersistError> {
+    SNAPSHOT_KIND.encode(stored)
+}
+
+fn decode_snapshot(bytes: &[u8]) -> Result<StoredSnapshot, PersistError> {
+    SNAPSHOT_KIND.decode(bytes)
+}
+
 fn stored(at_round: u64, wal_records: u64) -> StoredSnapshot {
     StoredSnapshot {
         version: elasticflow_persist::PERSIST_VERSION,
@@ -74,6 +84,18 @@ fn snapshot_encoding_is_byte_stable_and_round_trips() {
     assert_eq!(s, back);
     // Byte-stable: re-encoding the decoded value yields identical bytes.
     assert_eq!(bytes, encode_snapshot(&back).unwrap());
+}
+
+/// FNV-1a-64 of the encoded `stored(4, 17)` snapshot. Pinned so that
+/// no change to the snapshot store can move a byte of the `.efsnap`
+/// format.
+const STORED_SNAPSHOT_DIGEST: u64 = 0x90ba_db2d_a739_aeca;
+
+#[test]
+fn snapshot_bytes_match_the_pinned_digest() {
+    let bytes = encode_snapshot(&stored(4, 17)).unwrap();
+    let digest = elasticflow_sim::fnv1a64(&bytes);
+    assert_eq!(digest, STORED_SNAPSHOT_DIGEST, "got {digest:#018x}");
 }
 
 #[test]
@@ -114,21 +136,20 @@ fn truncated_and_corrupted_snapshot_files_are_typed_errors() {
 fn latest_valid_snapshot_skips_corrupt_newer_files() {
     let dir = StateDir::open(temp_dir()).unwrap();
     let good = stored(4, 2);
-    let (seq1, _) = dir.write_next_snapshot(&good).unwrap();
+    let (seq1, _) = dir.snapshots().write_next(&good).unwrap();
     let newer = stored(6, 5);
-    let (seq2, _) = dir.write_next_snapshot(&newer).unwrap();
+    let (seq2, _) = dir.snapshots().write_next(&newer).unwrap();
     assert_eq!((seq1, seq2), (1, 2));
 
     // Corrupt the newest file's tail.
-    let path = dir.snapshot_path(seq2);
+    let path = dir.snapshots().path(seq2);
     let mut bytes = std::fs::read(&path).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0xff;
     std::fs::write(&path, &bytes).unwrap();
 
-    let (seq, loaded, skipped) = dir.latest_valid_snapshot().unwrap().expect("one valid");
-    assert_eq!(seq, seq1);
-    assert_eq!(loaded, good);
+    let LatestValid { valid, skipped } = dir.snapshots().latest_valid().unwrap();
+    assert_eq!(valid, Some((seq1, good)));
     assert_eq!(skipped.len(), 1);
     assert_eq!(skipped[0].0, seq2);
     assert!(
@@ -136,6 +157,40 @@ fn latest_valid_snapshot_skips_corrupt_newer_files() {
         "{}",
         skipped[0].1
     );
+}
+
+#[test]
+fn writes_keep_only_the_newest_snapshots_and_seqs_keep_rising() {
+    let dir = StateDir::open(temp_dir()).unwrap();
+    let snap = stored(4, 2);
+    for expected in 1..=5 {
+        let (seq, _) = dir.snapshots().write_next(&snap).unwrap();
+        assert_eq!(seq, expected);
+    }
+    assert_eq!(KEEP_SNAPSHOTS, 2);
+    assert_eq!(dir.snapshots().seqs().unwrap(), vec![4, 5]);
+    let (seq, _) = dir.snapshots().write_next(&snap).unwrap();
+    assert_eq!(seq, 6);
+    assert_eq!(dir.snapshots().seqs().unwrap(), vec![5, 6]);
+    // Only snapshot files and no leftover temporaries are on disk.
+    let files = std::fs::read_dir(dir.snapshots().root()).unwrap().count();
+    assert_eq!(files, 2);
+}
+
+#[test]
+fn every_snapshot_corrupt_recovers_nothing_and_reports_each() {
+    let dir = StateDir::open(temp_dir()).unwrap();
+    for _ in 0..3 {
+        dir.snapshots().write_next(&stored(4, 0)).unwrap();
+    }
+    for seq in dir.snapshots().seqs().unwrap() {
+        std::fs::write(dir.snapshots().path(seq), b"EFSN").unwrap();
+    }
+    let LatestValid { valid, skipped } = dir.snapshots().latest_valid().unwrap();
+    assert!(valid.is_none());
+    let seqs: Vec<u64> = skipped.iter().map(|(seq, _)| *seq).collect();
+    assert_eq!(seqs, vec![3, 2]);
+    assert!(dir.recover().unwrap().is_none());
 }
 
 #[test]

@@ -196,32 +196,35 @@ impl Daemon {
         }
 
         let payloads = dir.recover_wal()?;
-        let (snapshot_seq, gateway, covered_records, journal_entries) =
-            match dir.latest_valid_snapshot()? {
-                Some((seq, snap, _skipped)) => {
-                    if snap.config != config.gateway {
-                        return Err(ServeError::ConfigMismatch {
-                            stored: snap.config,
-                            requested: config.gateway,
-                        });
-                    }
-                    if snap.wal_records > payloads.len() as u64 {
-                        return Err(ServeError::Persist(PersistError::Corrupt(format!(
-                            "snapshot {seq} covers {} WAL records but only {} survive on disk",
-                            snap.wal_records,
-                            payloads.len()
-                        ))));
-                    }
-                    let gateway = Gateway::from_snapshot(
-                        config.gateway,
-                        snap.origin_slot,
-                        &snap.jobs,
-                        snap.stats,
-                    );
-                    (Some(seq), gateway, snap.wal_records, snap.journal_entries)
+        let latest = dir.snapshots().latest_valid()?;
+        for (seq, why) in &latest.skipped {
+            eprintln!("elasticflow-serve: skipped corrupt snapshot {seq}: {why}");
+        }
+        let (snapshot_seq, gateway, covered_records, journal_entries) = match latest.valid {
+            Some((seq, snap)) => {
+                if snap.config != config.gateway {
+                    return Err(ServeError::ConfigMismatch {
+                        stored: snap.config,
+                        requested: config.gateway,
+                    });
                 }
-                None => (None, Gateway::new(config.gateway), 0, 0),
-            };
+                if snap.wal_records > payloads.len() as u64 {
+                    return Err(ServeError::Persist(PersistError::Corrupt(format!(
+                        "snapshot {seq} covers {} WAL records but only {} survive on disk",
+                        snap.wal_records,
+                        payloads.len()
+                    ))));
+                }
+                let gateway = Gateway::from_snapshot(
+                    config.gateway,
+                    snap.origin_slot,
+                    &snap.jobs,
+                    snap.stats,
+                );
+                (Some(seq), gateway, snap.wal_records, snap.journal_entries)
+            }
+            None => (None, Gateway::new(config.gateway), 0, 0),
+        };
 
         let journal = dir.rewind_journal(journal_entries)?;
         let mut wal = dir.reopen_wal(payloads.len() as u64)?;

@@ -14,7 +14,7 @@
 //! - [`gateway`] — the pure decision core: deterministic, clock-free,
 //!   I/O-free. Same requests in, same [`DecisionRecord`]s out.
 //! - [`store`] — the state directory: `EFGW`-framed submission WAL,
-//!   explain-compatible `decisions.jsonl`, `EFGS` snapshots.
+//!   explain-compatible `decisions.jsonl`, `EFGS` snapshots (newest two).
 //! - [`daemon`] — ties them together with write-ahead discipline and
 //!   exact crash recovery (snapshot + journal rewind + WAL replay).
 //! - [`metrics`] — the shared Prometheus registry and scrape endpoint.

@@ -18,20 +18,16 @@
 //! decision journal *is* truncated back to the snapshot's entry count
 //! first, so the regenerated entries land where the lost ones were and
 //! the recovered file converges byte-identically to an uninterrupted
-//! run's.
-//!
-//! Snapshots use the same atomic temp-file + rename and newest-valid-wins
-//! recovery as [`elasticflow_persist::StateDir`].
+//! run's. Snapshots live in the generic [`SnapshotStore`], which keeps
+//! only the newest two; since the WAL keeps the whole history, even a
+//! directory whose every snapshot is corrupt recovers from genesis.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use elasticflow_persist::frame::{
-    check_header, decode_frame, encode_frame, encode_header, FrameRead, HEADER_LEN, PERSIST_VERSION,
-};
 use elasticflow_persist::records::{self, LogKind, RecordLog};
-use elasticflow_persist::PersistError;
+use elasticflow_persist::{PersistError, SnapshotKind, SnapshotPayload, SnapshotStore};
 use elasticflow_sched::{CapacityShortfall, DecisionRecord, DeclineReason};
 use elasticflow_telemetry::{JournalEntry, JOURNAL_MAGIC, JOURNAL_VERSION};
 use serde::{Deserialize, Serialize};
@@ -39,8 +35,13 @@ use serde::{Deserialize, Serialize};
 use crate::gateway::{GatewayConfig, GatewayStats, SnapshotJob};
 use crate::proto::push_f64;
 
-/// Magic bytes of a gateway snapshot file.
-pub const GATEWAY_SNAPSHOT_MAGIC: &[u8; 4] = b"EFGS";
+/// The [`SnapshotKind`] of gateway snapshot files.
+pub const GATEWAY_SNAPSHOT_KIND: SnapshotKind = SnapshotKind {
+    magic: b"EFGS",
+    magic_name: "EFGS",
+    extension: "efgs",
+    long_name: "gateway snapshot",
+};
 
 /// The [`LogKind`] of the gateway submission log.
 pub const GATEWAY_WAL_KIND: LogKind = LogKind {
@@ -54,7 +55,7 @@ pub const GATEWAY_WAL_KIND: LogKind = LogKind {
 /// and to know how much of the WAL and journal it already covers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GatewaySnapshot {
-    /// On-disk format version ([`PERSIST_VERSION`] at write time).
+    /// On-disk format version (`PERSIST_VERSION` at write time).
     pub version: u32,
     /// WAL records already folded into this snapshot; recovery replays
     /// only the records after them.
@@ -73,41 +74,10 @@ pub struct GatewaySnapshot {
     pub jobs: Vec<SnapshotJob>,
 }
 
-/// Serializes a gateway snapshot (header + one checksummed frame).
-pub fn encode_snapshot(snap: &GatewaySnapshot) -> Result<Vec<u8>, PersistError> {
-    let payload = serde_json::to_string(snap)?;
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len() + 16);
-    bytes.extend_from_slice(&encode_header(GATEWAY_SNAPSHOT_MAGIC, PERSIST_VERSION));
-    encode_frame(&mut bytes, payload.as_bytes());
-    Ok(bytes)
-}
-
-/// Parses and validates gateway snapshot bytes.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<GatewaySnapshot, PersistError> {
-    check_header(bytes, GATEWAY_SNAPSHOT_MAGIC, "EFGS")?;
-    let frame = decode_frame(bytes, HEADER_LEN)?;
-    let FrameRead::Complete { payload, next } = frame else {
-        return Err(PersistError::Corrupt(
-            "gateway snapshot file is truncated mid-frame".to_owned(),
-        ));
-    };
-    if next != bytes.len() {
-        return Err(PersistError::Corrupt(format!(
-            "gateway snapshot file has {} trailing bytes after its frame",
-            bytes.len() - next
-        )));
+impl SnapshotPayload for GatewaySnapshot {
+    fn version(&self) -> u32 {
+        self.version
     }
-    let text = std::str::from_utf8(payload).map_err(|_| {
-        PersistError::Corrupt("gateway snapshot payload is not valid UTF-8".to_owned())
-    })?;
-    let snap: GatewaySnapshot = serde_json::from_str(text)?;
-    if snap.version == 0 || snap.version > PERSIST_VERSION {
-        return Err(PersistError::UnknownVersion {
-            found: snap.version,
-            supported: PERSIST_VERSION,
-        });
-    }
-    Ok(snap)
 }
 
 /// The journal's header line, byte-identical to the one
@@ -197,7 +167,7 @@ pub fn render_journal_entry_into(t: f64, decision: &DecisionRecord, out: &mut St
 /// A gateway persistence root directory.
 #[derive(Debug, Clone)]
 pub struct GatewayDir {
-    root: PathBuf,
+    snapshots: SnapshotStore<GatewaySnapshot>,
 }
 
 impl GatewayDir {
@@ -205,28 +175,33 @@ impl GatewayDir {
     pub fn open<P: AsRef<Path>>(root: P) -> Result<Self, PersistError> {
         std::fs::create_dir_all(&root)?;
         Ok(GatewayDir {
-            root: root.as_ref().to_path_buf(),
+            snapshots: SnapshotStore::new(GATEWAY_SNAPSHOT_KIND, root.as_ref().to_path_buf()),
         })
     }
 
     /// The directory root.
     pub fn root(&self) -> &Path {
-        &self.root
+        self.snapshots.root()
     }
 
     /// Path of the submission log.
     pub fn wal_path(&self) -> PathBuf {
-        self.root.join("gateway.wal")
+        self.root().join("gateway.wal")
     }
 
     /// Path of the decision journal.
     pub fn journal_path(&self) -> PathBuf {
-        self.root.join("decisions.jsonl")
+        self.root().join("decisions.jsonl")
     }
 
-    /// Path of snapshot number `seq`.
-    pub fn snapshot_path(&self, seq: u64) -> PathBuf {
-        self.root.join(format!("snapshot-{seq:06}.efgs"))
+    /// The directory's snapshot files.
+    pub fn snapshots(&self) -> &SnapshotStore<GatewaySnapshot> {
+        &self.snapshots
+    }
+
+    /// Writes `snap` as the next snapshot; returns its sequence number.
+    pub fn write_next_snapshot(&self, snap: &GatewaySnapshot) -> Result<u64, PersistError> {
+        Ok(self.snapshots.write_next(snap)?.0)
     }
 
     /// `true` when the directory holds prior gateway state.
@@ -289,61 +264,12 @@ impl GatewayDir {
         file.seek(SeekFrom::End(0))?;
         Ok(file)
     }
-
-    /// Every snapshot sequence number present on disk, ascending.
-    pub fn snapshot_seqs(&self) -> Result<Vec<u64>, PersistError> {
-        let mut seqs = Vec::new();
-        for entry in std::fs::read_dir(&self.root)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(stem) = name
-                .strip_prefix("snapshot-")
-                .and_then(|s| s.strip_suffix(".efgs"))
-            else {
-                continue;
-            };
-            if let Ok(seq) = stem.parse::<u64>() {
-                seqs.push(seq);
-            }
-        }
-        seqs.sort_unstable();
-        Ok(seqs)
-    }
-
-    /// Writes `snap` as the next snapshot in sequence (atomically, via a
-    /// temporary file renamed into place).
-    pub fn write_next_snapshot(&self, snap: &GatewaySnapshot) -> Result<u64, PersistError> {
-        let seq = self.snapshot_seqs()?.last().copied().unwrap_or(0) + 1;
-        let bytes = encode_snapshot(snap)?;
-        let tmp_path = self.root.join(format!("snapshot-{seq:06}.tmp"));
-        std::fs::write(&tmp_path, &bytes)?;
-        std::fs::rename(&tmp_path, self.snapshot_path(seq))?;
-        Ok(seq)
-    }
-
-    /// Loads the newest snapshot that passes full validation, skipping
-    /// corrupt ones; `Ok(None)` when no snapshot exists.
-    #[allow(clippy::type_complexity)]
-    pub fn latest_valid_snapshot(
-        &self,
-    ) -> Result<Option<(u64, GatewaySnapshot, Vec<(u64, String)>)>, PersistError> {
-        let mut skipped = Vec::new();
-        for seq in self.snapshot_seqs()?.into_iter().rev() {
-            let read = std::fs::read(self.snapshot_path(seq))
-                .map_err(PersistError::from)
-                .and_then(|bytes| decode_snapshot(&bytes));
-            match read {
-                Ok(snap) => return Ok(Some((seq, snap, skipped))),
-                Err(e) => skipped.push((seq, e.to_string())),
-            }
-        }
-        Ok(None)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elasticflow_persist::PERSIST_VERSION;
     use elasticflow_telemetry::DecisionJournal;
 
     fn tmp(name: &str) -> PathBuf {
@@ -376,38 +302,41 @@ mod tests {
         assert_eq!(format!("{}\n", journal_header()), reference);
     }
 
-    #[test]
-    fn snapshot_encode_decode_round_trips() {
-        let snap = snapshot(vec![SnapshotJob {
+    fn one_job_snapshot() -> GatewaySnapshot {
+        snapshot(vec![SnapshotJob {
             id: 4,
             model: elasticflow_perfmodel::DnnModel::Bert,
             global_batch: 128,
             remaining_iterations: 512.5,
             deadline_slot: 40,
-        }]);
-        let bytes = encode_snapshot(&snap).unwrap();
-        assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
+        }])
     }
 
     #[test]
-    fn corrupt_snapshot_falls_back_to_the_previous_one() {
-        let dir = GatewayDir::open(tmp("fallback")).unwrap();
-        let first = snapshot(vec![]);
-        let mut second = snapshot(vec![]);
-        second.origin_slot = 9;
-        dir.write_next_snapshot(&first).unwrap();
-        let seq2 = dir.write_next_snapshot(&second).unwrap();
-        // Corrupt the newest file.
-        let path = dir.snapshot_path(seq2);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let (seq, snap, skipped) = dir.latest_valid_snapshot().unwrap().expect("snapshot");
-        assert_eq!(seq, 1);
-        assert_eq!(snap, first);
-        assert_eq!(skipped.len(), 1);
-        assert_eq!(skipped[0].0, seq2);
+    fn snapshot_encode_decode_round_trips() {
+        let snap = one_job_snapshot();
+        let bytes = GATEWAY_SNAPSHOT_KIND.encode(&snap).unwrap();
+        assert_eq!(
+            GATEWAY_SNAPSHOT_KIND
+                .decode::<GatewaySnapshot>(&bytes)
+                .unwrap(),
+            snap
+        );
+    }
+
+    /// FNV-1a-64 of the encoded [`one_job_snapshot`]. Pinned so that no
+    /// change to the snapshot store can move a byte of the `.efgs`
+    /// format.
+    const GATEWAY_SNAPSHOT_DIGEST: u64 = 0xd605_5b3d_3a32_2bab;
+
+    #[test]
+    fn snapshot_bytes_match_the_pinned_digest() {
+        let bytes = GATEWAY_SNAPSHOT_KIND.encode(&one_job_snapshot()).unwrap();
+        // FNV-1a-64, the checksum the frame layer uses.
+        let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(digest, GATEWAY_SNAPSHOT_DIGEST, "got {digest:#018x}");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 use std::path::{Path, PathBuf};
 
 use elasticflow_serve::{
-    gateway_registry, loadgen_stream, Daemon, DaemonConfig, FsyncPolicy, GatewayConfig,
-    LoadgenConfig, Request,
+    gateway_registry, loadgen_stream, Daemon, DaemonConfig, FsyncPolicy, GatewayConfig, GatewayDir,
+    LoadgenConfig, Request, Resumption,
 };
 use elasticflow_telemetry::TickClock;
 
@@ -50,15 +50,18 @@ fn request_lines(arrivals: usize) -> Vec<String> {
         .collect()
 }
 
-fn open(root: &Path) -> Daemon {
-    let (daemon, _resumption) = Daemon::open(
+fn resume(root: &Path) -> (Daemon, Resumption) {
+    Daemon::open(
         root,
         daemon_config(),
         Box::new(TickClock::new(500)),
         gateway_registry(),
     )
-    .expect("daemon opens");
-    daemon
+    .expect("daemon opens")
+}
+
+fn open(root: &Path) -> Daemon {
+    resume(root).0
 }
 
 fn feed(daemon: &mut Daemon, lines: &[String]) {
@@ -177,6 +180,53 @@ fn double_crash_during_recovery_window_still_converges() {
     let (journal, wal) = durable_files(&root);
     assert_eq!(journal, ref_journal);
     assert_eq!(wal, ref_wal);
+}
+
+/// A corrupt snapshot costs only replay. With the newest retained
+/// snapshot corrupt, the daemon resumes from the fallback; with every
+/// retained snapshot corrupt, it replays the whole WAL from genesis. In
+/// both cases the durable files converge on the reference.
+#[test]
+fn corrupt_snapshots_fall_back_to_the_older_one_then_to_genesis() {
+    let lines = request_lines(120);
+    let (ref_journal, ref_wal, ref_stats) = reference_run("corrupt-snapshots", &lines);
+
+    // 70 submissions cut snapshots at 16, 32, 48 and 64; only the
+    // newest two (seqs 3 and 4) stay on disk.
+    let offset = 70usize;
+    let cases = [
+        ("corrupt-newest", vec![4], Some(3), offset as u64 - 48),
+        ("corrupt-all", vec![3, 4], None, offset as u64),
+    ];
+    for (name, corrupt, snapshot, replayed) in cases {
+        let root = tmp(name);
+        {
+            let mut daemon = open(&root);
+            feed(&mut daemon, &lines[..offset]);
+        }
+        let dir = GatewayDir::open(&root).expect("dir opens");
+        assert_eq!(dir.snapshots().seqs().expect("seqs"), vec![3, 4]);
+        for seq in corrupt {
+            let path = dir.snapshots().path(seq);
+            let mut bytes = std::fs::read(&path).expect("snapshot exists");
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0xff;
+            std::fs::write(&path, &bytes).expect("snapshot rewritten");
+        }
+
+        let (mut daemon, resumption) = resume(&root);
+        assert_eq!(
+            resumption,
+            Resumption::Resumed { snapshot, replayed },
+            "{name}"
+        );
+        feed(&mut daemon, &lines[offset..]);
+        assert_eq!(daemon.stats(), ref_stats, "stats diverged ({name})");
+        drop(daemon);
+        let (journal, wal) = durable_files(&root);
+        assert_eq!(journal, ref_journal, "journal diverged ({name})");
+        assert_eq!(wal, ref_wal, "wal diverged ({name})");
+    }
 }
 
 /// Kill the daemon so that the WAL's tail lands *inside* a

@@ -98,7 +98,8 @@ impl SimController for DiskCutter {
             sim: snapshot,
         };
         self.state
-            .write_next_snapshot(&stored)
+            .snapshots()
+            .write_next(&stored)
             .expect("snapshot write");
         self.wrote = true;
     }
