@@ -20,7 +20,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use elasticflow_bench::workloads::{arriving_candidate, planning_jobs};
-use elasticflow_core::{AdmissionController, ResourceAllocator, SlotGrid};
+use elasticflow_core::{AdmissionController, FillScratch, ResourceAllocator, SlotGrid};
 
 const SIZES: [usize; 3] = [50, 200, 1000];
 const TOTAL_GPUS: u32 = 128;
@@ -48,11 +48,12 @@ fn bench_incremental_arrival(c: &mut Criterion) {
         let candidate = arriving_candidate(n as u64, TOTAL_GPUS);
         let grid = SlotGrid::uniform(60.0);
         let ac = AdmissionController::new(TOTAL_GPUS);
-        let (set, _lapsed) = ac.fill(&existing, &grid);
+        let mut scratch = FillScratch::new();
+        let (set, _lapsed) = ac.fill(&existing, &grid, &mut scratch);
         group.bench_with_input(
             BenchmarkId::from_parameter(n),
             &candidate,
-            |b, candidate| b.iter(|| set.whatif_admit(candidate, &grid).is_ok()),
+            |b, candidate| b.iter(|| set.whatif_admit(candidate, &grid, &mut scratch).is_ok()),
         );
     }
     group.finish();
@@ -65,9 +66,10 @@ fn bench_incremental_mid(c: &mut Criterion) {
         let (candidate, existing) = jobs.split_last().expect("n + 1 >= 1");
         let grid = SlotGrid::uniform(60.0);
         let ac = AdmissionController::new(TOTAL_GPUS);
-        let (set, _lapsed) = ac.fill(existing, &grid);
+        let mut scratch = FillScratch::new();
+        let (set, _lapsed) = ac.fill(existing, &grid, &mut scratch);
         group.bench_with_input(BenchmarkId::from_parameter(n), candidate, |b, candidate| {
-            b.iter(|| set.whatif_admit(candidate, &grid).is_ok())
+            b.iter(|| set.whatif_admit(candidate, &grid, &mut scratch).is_ok())
         });
     }
     group.finish();

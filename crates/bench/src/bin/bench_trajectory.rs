@@ -41,7 +41,7 @@ use elasticflow_bench::experiments::fig6;
 use elasticflow_bench::mega::{run_mega, MegaConfig};
 use elasticflow_bench::serve::{run_serve_bench, ServeBenchConfig};
 use elasticflow_bench::workloads::{arriving_candidate, planning_jobs};
-use elasticflow_core::{AdmissionController, ResourceAllocator, SlotGrid};
+use elasticflow_core::{AdmissionController, FillScratch, ResourceAllocator, SlotGrid};
 use serde_json::Value;
 
 const SIZES: [usize; 3] = [50, 200, 1000];
@@ -120,10 +120,13 @@ fn admission_benchmarks(samples: u32) -> Vec<(String, Value)> {
         let candidate = arriving_candidate(n as u64, TOTAL_GPUS);
         let mut union = existing.clone();
         union.push(candidate.clone());
-        let (set, _lapsed) = ac.fill(&existing, &grid);
+        let mut workspace = FillScratch::new();
+        let (set, _lapsed) = ac.fill(&existing, &grid, &mut workspace);
 
         let scratch = mean_ns(samples, || ac.check(&union, &grid).is_admitted());
-        let incremental = mean_ns(samples, || set.whatif_admit(&candidate, &grid).is_ok());
+        let incremental = mean_ns(samples, || {
+            set.whatif_admit(&candidate, &grid, &mut workspace).is_ok()
+        });
         let replan = mean_ns(samples.min(10), || {
             alloc.allocate(&existing, &grid).slot0_gpus()
         });

@@ -243,20 +243,25 @@ impl AdmissionController {
     /// running system scaling pauses and slot discretization can push an
     /// admitted job past the point of recovery; such lapsed jobs are
     /// scheduled best-effort (§4.4, soft deadlines) and must not veto
-    /// future admissions.
-    pub fn fill(&self, jobs: &[PlanningJob], grid: &SlotGrid) -> (AdmissionSet, Vec<JobId>) {
-        self.fill_owned(jobs.to_vec(), grid)
+    /// future admissions. Fills run through the caller's workspace.
+    pub fn fill(
+        &self,
+        jobs: &[PlanningJob],
+        grid: &SlotGrid,
+        scratch: &mut FillScratch,
+    ) -> (AdmissionSet, Vec<JobId>) {
+        self.fill_owned(jobs.to_vec(), grid, scratch)
     }
 
     /// [`AdmissionController::fill`] taking the jobs by value, so callers
     /// that already own them (the online advance path rebuilds the whole
-    /// set every boundary crossing) avoid one clone of every job's curve.
-    /// Identical results: the fill order is the same total `fill_key`
-    /// order.
+    /// set every boundary crossing) skip copying the job list. Identical
+    /// results: the fill order is the same total `fill_key` order.
     pub fn fill_owned(
         &self,
         mut jobs: Vec<PlanningJob>,
         grid: &SlotGrid,
+        scratch: &mut FillScratch,
     ) -> (AdmissionSet, Vec<JobId>) {
         jobs.sort_by_key(fill_key);
         let mut set = AdmissionSet {
@@ -267,16 +272,8 @@ impl AdmissionController {
             ledger: ReservationLedger::new(),
         };
         let mut lapsed = Vec::new();
-        let mut scratch = FillScratch::new();
         for job in jobs {
-            match progressive_filling_from(
-                &job,
-                &set.ledger,
-                grid,
-                self.total_gpus,
-                1,
-                &mut scratch,
-            ) {
+            match progressive_filling_from(&job, &set.ledger, grid, self.total_gpus, 1, scratch) {
                 Some((profile, target)) => {
                     set.ledger.commit(&profile);
                     set.jobs.push(job);
@@ -326,7 +323,7 @@ impl AdmissionController {
 /// # Example
 ///
 /// ```
-/// use elasticflow_core::{AdmissionController, PlanningJob, SlotGrid};
+/// use elasticflow_core::{AdmissionController, FillScratch, PlanningJob, SlotGrid};
 /// use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
 /// use elasticflow_trace::JobId;
 ///
@@ -342,12 +339,13 @@ impl AdmissionController {
 /// };
 /// let ac = AdmissionController::new(2);
 /// let grid = SlotGrid::uniform(1.0);
-/// let (mut set, lapsed) = ac.fill(&[job(0, 2.0, 2)], &grid);
+/// let mut scratch = FillScratch::new();
+/// let (mut set, lapsed) = ac.fill(&[job(0, 2.0, 2)], &grid, &mut scratch);
 /// assert!(lapsed.is_empty());
 /// // One more 1-GPU job fits; a third does not — and the denial says
 /// // who blocked and by how much.
 /// assert!(set.admit(job(1, 2.0, 2), &grid).is_ok());
-/// let denial = set.whatif_admit(&job(2, 2.0, 2), &grid).unwrap_err();
+/// let denial = set.whatif_admit(&job(2, 2.0, 2), &grid, &mut scratch).unwrap_err();
 /// assert_eq!(denial.blocking_job, JobId::new(2));
 /// assert!(denial.shortfall.shortfall_gpu_slots() > 0.0);
 /// ```
@@ -515,14 +513,20 @@ impl AdmissionSet {
     /// deadline-ordered suffix from the candidate's position; the prefix
     /// is reused unchanged. `Err` names the first unsatisfiable job —
     /// the same blocking job (and the same shortfall) a from-scratch
-    /// check would report. The set is not modified.
+    /// check would report. The set is not modified; fills run through the
+    /// caller's workspace, and the refilled profiles go back into it.
     pub fn whatif_admit(
         &self,
         candidate: &PlanningJob,
         grid: &SlotGrid,
+        scratch: &mut FillScratch,
     ) -> Result<(), AdmissionDenial> {
-        self.refill_suffix(candidate, grid, &mut FillScratch::new())
-            .map(|_| ())
+        let refill = self.refill_suffix(candidate, grid, scratch)?;
+        scratch.recycle(refill.cand_profile);
+        for profile in refill.suffix {
+            scratch.recycle(profile);
+        }
+        Ok(())
     }
 
     /// The full [`AdmissionOutcome`] (witness plan or blocking job) of
@@ -778,9 +782,10 @@ mod tests {
     fn whatif_admit_checks_the_union() {
         let ac = AdmissionController::new(2);
         let grid = SlotGrid::uniform(1.0);
-        let (set, _) = ac.fill(&[job(0, 2.0, 2)], &grid);
-        assert!(set.whatif_admit(&job(1, 1.0, 2), &grid).is_ok());
-        assert!(set.whatif_admit(&job(1, 4.0, 2), &grid).is_err());
+        let scratch = &mut FillScratch::new();
+        let (set, _) = ac.fill(&[job(0, 2.0, 2)], &grid, scratch);
+        assert!(set.whatif_admit(&job(1, 1.0, 2), &grid, scratch).is_ok());
+        assert!(set.whatif_admit(&job(1, 4.0, 2), &grid, scratch).is_err());
     }
 
     #[test]
@@ -789,11 +794,12 @@ mod tests {
         // one (same work, same load).
         let ac = AdmissionController::new(2);
         let grid = SlotGrid::uniform(1.0);
-        let (set, _) = ac.fill(&[job(0, 3.0, 2)], &grid);
+        let scratch = &mut FillScratch::new();
+        let (set, _) = ac.fill(&[job(0, 3.0, 2)], &grid, scratch);
         let tight = job(1, 2.5, 2);
         let loose = job(1, 2.5, 4);
-        assert!(set.whatif_admit(&tight, &grid).is_err());
-        assert!(set.whatif_admit(&loose, &grid).is_ok());
+        assert!(set.whatif_admit(&tight, &grid, scratch).is_err());
+        assert!(set.whatif_admit(&loose, &grid, scratch).is_ok());
     }
 
     #[test]
@@ -852,7 +858,7 @@ mod tests {
         let ac = AdmissionController::new(4);
         let grid = SlotGrid::uniform(1.0);
         let existing = [job(0, 2.0, 1), job(1, 3.0, 3), job(2, 1.0, 2)];
-        let (set, lapsed) = ac.fill(&existing, &grid);
+        let (set, lapsed) = ac.fill(&existing, &grid, &mut FillScratch::new());
         assert!(lapsed.is_empty());
         // Candidates landing before, between, and after the existing
         // deadlines; feasible and infeasible alike.
@@ -877,13 +883,21 @@ mod tests {
     fn admit_then_withdraw_round_trips() {
         let ac = AdmissionController::new(4);
         let grid = SlotGrid::uniform(1.0);
-        let (mut set, _) = ac.fill(&[job(0, 2.0, 2), job(1, 2.0, 3)], &grid);
+        let (mut set, _) = ac.fill(
+            &[job(0, 2.0, 2), job(1, 2.0, 3)],
+            &grid,
+            &mut FillScratch::new(),
+        );
         let before_plan = set.plan();
         let before_ledger = set.ledger().clone();
         set.admit(job(2, 1.0, 2), &grid).unwrap();
         assert_eq!(set.len(), 3);
         // The mutated set must equal a from-scratch fill of the union...
-        let (scratch_set, _) = ac.fill(&[job(0, 2.0, 2), job(1, 2.0, 3), job(2, 1.0, 2)], &grid);
+        let (scratch_set, _) = ac.fill(
+            &[job(0, 2.0, 2), job(1, 2.0, 3), job(2, 1.0, 2)],
+            &grid,
+            &mut FillScratch::new(),
+        );
         assert_eq!(set.plan(), scratch_set.plan());
         assert_eq!(set.ledger(), scratch_set.ledger());
         // ...and withdrawing restores the original committed state.
@@ -897,14 +911,18 @@ mod tests {
     fn failed_admit_leaves_the_set_unchanged() {
         let ac = AdmissionController::new(2);
         let grid = SlotGrid::uniform(1.0);
-        let (mut set, _) = ac.fill(&[job(0, 2.0, 2), job(1, 2.0, 2)], &grid);
+        let (mut set, _) = ac.fill(
+            &[job(0, 2.0, 2), job(1, 2.0, 2)],
+            &grid,
+            &mut FillScratch::new(),
+        );
         let plan = set.plan();
         let denial = set.admit(job(2, 2.0, 2), &grid).unwrap_err();
         assert_eq!(denial.blocking_job, JobId::new(2));
         assert_eq!(set.plan(), plan);
         // A tight candidate with the earliest deadline blocks a *later*
         // job, not itself; the error names that job, like check does.
-        let (set2, _) = ac.fill(&[job(5, 1.5, 2)], &grid);
+        let (set2, _) = ac.fill(&[job(5, 1.5, 2)], &grid, &mut FillScratch::new());
         let bully = job(1, 3.0, 1);
         let mut union = vec![job(5, 1.5, 2), bully.clone()];
         let scratch = ac.check(&union, &grid);

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use elasticflow_perfmodel::CurveMemo;
 use elasticflow_trace::JobId;
 
-use crate::filling::{progressive_filling_memo, FillScratch};
+use crate::filling::{headroom_through, progressive_filling_memo, slot_walk_end, FillScratch};
 use crate::{
     AdmissionController, AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON,
 };
@@ -61,7 +61,7 @@ pub struct ResourceAllocator {
 }
 
 /// One pending boost in the priority queue.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Boost {
     priority: f64,
     id: JobId,
@@ -73,7 +73,45 @@ struct Boost {
     /// applied boost never recomputes them.
     finish: Option<f64>,
     gpu_seconds: f64,
+    /// What the fill that produced `profile` read of the ledger, when
+    /// that is little enough to recheck cheaply.
+    footprint: Option<Footprint>,
     version: u64,
+}
+
+/// The part of the ledger a boost candidate's fill depended on, recorded
+/// only when the fill took the slot walk's headroom branch everywhere.
+///
+/// A candidate fill pins slot 0 and walks the ladder from rung 1 up to
+/// the rung `target` it settles on; every rung walks slots `[1,
+/// walk_end)` of the ledger without the job's own reservations and
+/// treats the rest analytically. When each of those slots has at least
+/// `target` GPUs free, every probed rung takes the headroom branch in
+/// every slot, so grants, the f64 progress sums, the trim, the finish
+/// time, the GPU-seconds and the priority are functions of the rung
+/// alone. The same fill on any later ledger with the same `walk_end` and
+/// the same headroom therefore repeats bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Footprint {
+    target: u32,
+    walk_end: usize,
+}
+
+impl Footprint {
+    /// The footprint of a fill of `job` that settled on `target`, or
+    /// `None` if some walked slot lacked headroom for it. `ledger` holds
+    /// every reservation but the job's own.
+    fn of(job: &PlanningJob, ledger: &ReservationLedger, total: u32, target: u32) -> Option<Self> {
+        let walk_end = slot_walk_end(job, ledger);
+        headroom_through(ledger, walk_end, total, target).then_some(Footprint { target, walk_end })
+    }
+
+    /// `true` when a fill of `job` against `ledger` (again without the
+    /// job's own reservations) would repeat the recorded one.
+    fn holds(self, job: &PlanningJob, ledger: &ReservationLedger, total: u32) -> bool {
+        slot_walk_end(job, ledger) == self.walk_end
+            && headroom_through(ledger, self.walk_end, total, self.target)
+    }
 }
 
 /// What the boost loop knows about one job, derived once per profile
@@ -157,9 +195,18 @@ impl ResourceAllocator {
         grid: &SlotGrid,
         incumbents: &BTreeMap<JobId, u32>,
     ) -> AllocationResult {
-        let (mut profiles, infeasible, mut ledger) = self.minimum_shares(jobs, grid);
+        let mut scratch = FillScratch::new();
+        let (mut profiles, infeasible, mut ledger) = self.minimum_shares(jobs, grid, &mut scratch);
         let free0 = self.total_gpus - profiles.values().map(|p| p.gpus(0)).sum::<u32>();
-        self.boost(jobs, grid, &mut profiles, &mut ledger, free0, incumbents);
+        self.boost(
+            jobs,
+            grid,
+            &mut profiles,
+            &mut ledger,
+            free0,
+            incumbents,
+            &mut scratch,
+        );
         AllocationResult {
             profiles,
             infeasible,
@@ -168,11 +215,13 @@ impl ResourceAllocator {
 
     /// Phase 1 of Algorithm 2: every job's minimum satisfactory profile
     /// (via Algorithm 1's progressive filling), the ids that no longer fit,
-    /// and the reservation ledger of the committed profiles.
+    /// and the reservation ledger of the committed profiles. Fills run
+    /// through the caller's workspace.
     pub fn minimum_shares(
         &self,
         jobs: &[PlanningJob],
         grid: &SlotGrid,
+        scratch: &mut FillScratch,
     ) -> (
         BTreeMap<JobId, AllocationProfile>,
         Vec<JobId>,
@@ -184,7 +233,7 @@ impl ResourceAllocator {
         // satisfiable jobs and surfaces the lapsed rest for fallback —
         // no second from-scratch fill on the rejected path.
         let ac = AdmissionController::new(self.total_gpus);
-        let (set, mut infeasible) = ac.fill(jobs, grid);
+        let (set, mut infeasible) = ac.fill(jobs, grid, scratch);
         let (filled_jobs, filled_profiles, ledger) = set.into_parts();
         let profiles: BTreeMap<JobId, AllocationProfile> = filled_jobs
             .into_iter()
@@ -200,11 +249,18 @@ impl ResourceAllocator {
     /// place. Returns the number of GPUs actually granted.
     ///
     /// Selection runs through a lazy binary heap: entries keep the key
-    /// they were pushed with, a popped entry whose version predates the
-    /// ledger is recomputed and re-pushed, and a popped entry that no
-    /// longer fits the shrinking budget is discarded. Pop order equals a
+    /// they were pushed with, and a popped entry that no longer fits the
+    /// shrinking budget is discarded. A popped entry whose version
+    /// predates the ledger is *stale*. If the footprint of its fill still
+    /// holds on the current ledger, that fill would repeat bit for bit;
+    /// the entry was the heap maximum and nothing was pushed since, so
+    /// re-pushing it would pop it again — it is applied as if fresh.
+    /// Otherwise it is recomputed and re-pushed. Pop order equals a
     /// linear rescan for the best pending boost entry for entry, so both
     /// produce identical allocations.
+    ///
+    /// Fills and per-job curve memos come from the caller's workspace.
+    #[allow(clippy::too_many_arguments)]
     pub fn boost(
         &self,
         jobs: &[PlanningJob],
@@ -213,16 +269,19 @@ impl ResourceAllocator {
         ledger: &mut ReservationLedger,
         budget: u32,
         incumbents: &BTreeMap<JobId, u32>,
+        scratch: &mut FillScratch,
     ) -> u32 {
         if budget == 0 {
             return 0; // every boost step costs at least one GPU
         }
         let jobs_by_id: BTreeMap<JobId, &PlanningJob> = jobs.iter().map(|j| (j.id, j)).collect();
+        let mut memos = std::mem::take(&mut scratch.memos);
         let mut states: Vec<BoostState<'_>> = profiles
             .iter_mut()
             .map(|(id, profile)| {
                 let job = jobs_by_id[id];
-                let memo = job.curve.memo();
+                let mut memo = memos.pop().unwrap_or_default();
+                memo.rebuild(&job.curve);
                 BoostState {
                     job,
                     cap: memo.clamp_useful(self.total_gpus),
@@ -236,15 +295,13 @@ impl ResourceAllocator {
             .collect();
         let mut free0 = budget;
         let mut version = 0u64;
-        let mut scratch = FillScratch::new();
         let mut queue: BinaryHeap<RankedBoost> = BinaryHeap::new();
         let ranked = |state: &BoostState<'_>, boost: Boost| RankedBoost {
             restoring: boost.profile.gpus(0) <= state.incumbent,
             boost,
         };
         for (slot, state) in states.iter().enumerate() {
-            if let Some(b) = self.candidate(state, slot, ledger, grid, free0, version, &mut scratch)
-            {
+            if let Some(b) = self.candidate(state, slot, ledger, grid, free0, version, scratch) {
                 queue.push(ranked(state, b));
             }
         }
@@ -255,14 +312,45 @@ impl ResourceAllocator {
             let slot = boost.slot;
             let state = &mut states[slot];
             if boost.version < version {
-                // Stale: recompute against the current ledger and re-queue.
-                scratch.recycle(boost.profile);
-                if let Some(fresh) =
-                    self.candidate(state, slot, ledger, grid, free0, version, &mut scratch)
-                {
-                    queue.push(ranked(state, fresh));
+                // Stale: revalidate against the current ledger, or
+                // recompute and re-queue.
+                ledger.uncommit(state.profile);
+                let holds = boost
+                    .footprint
+                    .is_some_and(|f| f.holds(state.job, ledger, self.total_gpus));
+                ledger.commit(state.profile);
+                if !holds {
+                    scratch.recycle(boost.profile);
+                    if let Some(fresh) =
+                        self.candidate(state, slot, ledger, grid, free0, version, scratch)
+                    {
+                        queue.push(ranked(state, fresh));
+                    }
+                    continue;
                 }
-                continue;
+                #[cfg(test)]
+                {
+                    scratch.revalidated += 1;
+                }
+                #[cfg(debug_assertions)]
+                {
+                    // The soundness argument, checked on every debug run:
+                    // a recomputation reproduces the revalidated entry
+                    // (or drops it exactly when it no longer fits).
+                    let recomputed = self
+                        .candidate(state, slot, ledger, grid, free0, version, scratch)
+                        .map(|b| Boost {
+                            version: boost.version,
+                            ..b
+                        });
+                    debug_assert_eq!(
+                        recomputed.as_ref(),
+                        (boost.extra <= free0).then_some(&boost)
+                    );
+                    if let Some(b) = recomputed {
+                        scratch.recycle(b.profile);
+                    }
+                }
             }
             if boost.extra > free0 {
                 // Cannot ever fit again: free0 only shrinks.
@@ -279,12 +367,15 @@ impl ResourceAllocator {
             free0 -= boost.extra;
             version += 1;
             // Queue this job's next step.
-            if let Some(next) =
-                self.candidate(state, slot, ledger, grid, free0, version, &mut scratch)
-            {
+            if let Some(next) = self.candidate(state, slot, ledger, grid, free0, version, scratch) {
                 queue.push(ranked(state, next));
             }
         }
+        for RankedBoost { boost, .. } in queue {
+            scratch.recycle(boost.profile);
+        }
+        memos.extend(states.into_iter().map(|state| state.memo));
+        scratch.memos = memos;
         budget - free0
     }
 
@@ -313,7 +404,7 @@ impl ResourceAllocator {
         }
         // Evaluate against the ledger without this job's own reservations.
         ledger.uncommit(state.profile);
-        let fresh = progressive_filling_memo(
+        let filled = progressive_filling_memo(
             state.job,
             &state.memo,
             ledger,
@@ -321,9 +412,13 @@ impl ResourceAllocator {
             self.total_gpus,
             Some(next0),
             scratch,
-        );
+        )
+        .map(|(profile, target)| {
+            let footprint = Footprint::of(state.job, ledger, self.total_gpus, target);
+            (profile, footprint)
+        });
         ledger.commit(state.profile);
-        let fresh = fresh?;
+        let (fresh, footprint) = filled?;
         // Paper line 10/23: enqueue only if the boost finishes the job
         // strictly earlier (fractional finish times within slots).
         let finish = state.job.finish_seconds(&fresh, grid);
@@ -345,6 +440,7 @@ impl ResourceAllocator {
             profile: fresh,
             finish,
             gpu_seconds,
+            footprint,
             version,
         })
     }
@@ -671,6 +767,155 @@ mod tests {
         prop::collection::vec((concave_curve(), 0.2f64..6.0, 1usize..6, 0u32..5), 1..7)
     }
 
+    /// Random jobs with short windows on a large cluster: every walked
+    /// slot has room, so most stale boosts revalidate instead of refilling.
+    #[allow(clippy::type_complexity)]
+    fn headroom_instance() -> impl Strategy<Value = Vec<(ScalingCurve, f64, usize, u32)>> {
+        prop::collection::vec((concave_curve(), 0.2f64..4.0, 1usize..4, 0u32..9), 2..10)
+    }
+
+    /// What one boost loop produced: GPUs granted, profiles, ledger.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        spent: u32,
+        profiles: BTreeMap<JobId, AllocationProfile>,
+        ledger: ReservationLedger,
+    }
+
+    /// Builds Algorithm 2's phase-1 state (minimum satisfactory shares)
+    /// for `specs` on `total` GPUs, then runs the heap boost (through
+    /// `scratch`) and the linear reference from it. Returns the budget
+    /// and both outcomes.
+    fn boost_both(
+        specs: Vec<(ScalingCurve, f64, usize, u32)>,
+        total: u32,
+        budget_pick: u32,
+        scratch: &mut FillScratch,
+    ) -> (u32, Outcome, Outcome) {
+        let grid = SlotGrid::uniform(1.0);
+        let alloc = ResourceAllocator::new(total);
+        let mut jobs = Vec::new();
+        let mut incumbents = BTreeMap::new();
+        for (i, (curve, work_scale, deadline_slot, incumbent)) in specs.into_iter().enumerate() {
+            let id = JobId::new(i as u64);
+            let work = work_scale
+                * curve
+                    .iters_per_sec(1)
+                    .expect("1 GPU is always on the curve");
+            if incumbent > 0 {
+                incumbents.insert(id, incumbent);
+            }
+            jobs.push(PlanningJob {
+                id,
+                curve,
+                remaining_iterations: work,
+                deadline_slot,
+            });
+        }
+        let mut profiles = BTreeMap::new();
+        let mut ledger = ReservationLedger::new();
+        for job in &jobs {
+            if let Some(p) = progressive_filling(job, &ledger, &grid, total, None) {
+                ledger.commit(&p);
+                profiles.insert(job.id, p);
+            }
+        }
+        let used: u32 = profiles.values().map(|p| p.gpus(0)).sum();
+        let free0 = total.saturating_sub(used);
+        // Budgets from 0 up to the full leftover, including starved ones.
+        let budget = if free0 == 0 {
+            0
+        } else {
+            budget_pick % (free0 + 1)
+        };
+
+        let mut heap = Outcome {
+            spent: 0,
+            profiles: profiles.clone(),
+            ledger: ledger.clone(),
+        };
+        heap.spent = alloc.boost(
+            &jobs,
+            &grid,
+            &mut heap.profiles,
+            &mut heap.ledger,
+            budget,
+            &incumbents,
+            scratch,
+        );
+        let mut reference = Outcome {
+            spent: 0,
+            profiles,
+            ledger,
+        };
+        reference.spent = alloc.boost_reference(
+            &jobs,
+            &grid,
+            &mut reference.profiles,
+            &mut reference.ledger,
+            budget,
+            &incumbents,
+        );
+        (budget, heap, reference)
+    }
+
+    #[test]
+    fn footprint_holds_only_with_the_same_walk_end_and_headroom() {
+        let grid = SlotGrid::uniform(1.0);
+        let ledger = |committed: Vec<u32>| {
+            let mut l = ReservationLedger::new();
+            l.commit(&AllocationProfile::new(committed));
+            l
+        };
+        let fill = |job: &PlanningJob, l: &ReservationLedger| {
+            let memo = job.curve.memo();
+            progressive_filling_memo(job, &memo, l, &grid, 4, Some(2), &mut FillScratch::new())
+        };
+        // Slot 0 pinned at 2 GPUs does 1.5 units; rung 1 falls short
+        // and rung 2 finishes in slot 3 with 2 of 3 free GPUs per slot.
+        let tight = job(0, 6.0, 4);
+        let base = ledger(vec![1, 1, 1, 1]);
+        let (profile, target) = fill(&tight, &base).expect("rung 2 fits");
+        assert_eq!((profile.as_slice(), target), (&[2, 2, 2, 2][..], 2));
+        let fp = Footprint::of(&tight, &base, 4, target).expect("every slot has room");
+        assert_eq!(fp.walk_end, 4);
+        assert!(fp.holds(&tight, &base, 4));
+        // Slot 1 loses its headroom: same walk end, different fill.
+        let crowded = ledger(vec![1, 3, 1, 1]);
+        assert!(!fp.holds(&tight, &crowded, 4));
+        assert_eq!(fill(&tight, &crowded), None);
+        // A fill that settles around a short slot records no footprint:
+        // once the slot frees up, the same fill comes out different.
+        let around = job(0, 6.0, 5);
+        let (profile, target) = fill(&around, &crowded).expect("rung 2 fits");
+        assert_eq!((profile.as_slice(), target), (&[2, 1, 2, 2, 1][..], 2));
+        assert_eq!(Footprint::of(&around, &crowded, 4, target), None);
+        assert_ne!(fill(&around, &base), Some((profile, target)));
+        // A longer window walks to the ledger's horizon, which moves.
+        let loose = job(0, 6.0, 6);
+        let (_, target) = fill(&loose, &base).expect("fits");
+        let fp = Footprint::of(&loose, &base, 4, target).expect("every slot has room");
+        assert!(!fp.holds(&loose, &ledger(vec![1, 1, 1, 1, 1]), 4));
+    }
+
+    #[test]
+    fn stale_boosts_revalidate_and_match_the_reference() {
+        // Eight 1–2 slot jobs on 64 GPUs: after the first applied boost
+        // every other queued entry is stale, and with this much room each
+        // one's footprint still holds.
+        let specs: Vec<_> = (0..8u32)
+            .map(|i| (curve(), 1.0 + f64::from(i) * 0.3, 1 + (i as usize) % 2, 0))
+            .collect();
+        let mut scratch = FillScratch::new();
+        let (budget, heap, reference) = boost_both(specs.clone(), 64, 64, &mut scratch);
+        assert!(budget > 8, "budget {budget}");
+        assert!(scratch.revalidated > 0, "no stale boost revalidated");
+        assert_eq!(heap, reference);
+        // A reused workspace answers the same instance identically.
+        let (_, again, _) = boost_both(specs, 64, 64, &mut scratch);
+        assert_eq!(again, heap);
+    }
+
     proptest! {
         /// On random job/curve/grid/incumbent/budget sets, the heap-driven
         /// boost and the linear reference walk the same trajectory.
@@ -679,57 +924,24 @@ mod tests {
             specs in instance(),
             budget_pick in 0u32..9,
         ) {
-            let grid = SlotGrid::uniform(1.0);
-            let total = 8u32;
-            let alloc = ResourceAllocator::new(total);
+            let (budget, heap, reference) =
+                boost_both(specs, 8, budget_pick, &mut FillScratch::new());
+            prop_assert_eq!(&heap, &reference);
+            prop_assert!(heap.spent <= budget, "boost overspent its budget");
+        }
 
-            let mut jobs = Vec::new();
-            let mut incumbents = BTreeMap::new();
-            for (i, (curve, work_scale, deadline_slot, incumbent)) in specs.into_iter().enumerate() {
-                let id = JobId::new(i as u64);
-                let work = work_scale
-                    * curve
-                        .iters_per_sec(1)
-                        .expect("1 GPU is always on the curve");
-                if incumbent > 0 {
-                    incumbents.insert(id, incumbent);
-                }
-                jobs.push(PlanningJob {
-                    id,
-                    curve,
-                    remaining_iterations: work,
-                    deadline_slot,
-                });
-            }
-
-            // Rebuild Algorithm 2's phase 1 (minimum satisfactory shares) so
-            // the boost loops start from a realistic mid-pipeline state.
-            let mut profiles = BTreeMap::new();
-            let mut ledger = ReservationLedger::new();
-            for job in &jobs {
-                if let Some(p) = progressive_filling(job, &ledger, &grid, total, None) {
-                    ledger.commit(&p);
-                    profiles.insert(job.id, p);
-                }
-            }
-            let used: u32 = profiles.values().map(|p| p.gpus(0)).sum();
-            let free0 = total.saturating_sub(used);
-            // Budgets from 0 up to the full leftover, including starved ones.
-            let budget = if free0 == 0 { 0 } else { budget_pick % (free0 + 1) };
-
-            let mut p_heap = profiles.clone();
-            let mut l_heap = ledger.clone();
-            let spent_heap = alloc.boost(&jobs, &grid, &mut p_heap, &mut l_heap, budget, &incumbents);
-
-            let mut p_ref = profiles;
-            let mut l_ref = ledger;
-            let spent_ref =
-                alloc.boost_reference(&jobs, &grid, &mut p_ref, &mut l_ref, budget, &incumbents);
-
-            prop_assert_eq!(spent_heap, spent_ref, "GPUs spent diverge");
-            prop_assert_eq!(&p_heap, &p_ref, "resulting profiles diverge");
-            prop_assert_eq!(&l_heap, &l_ref, "committed ledgers diverge");
-            prop_assert!(spent_heap <= budget, "boost overspent its budget");
+        /// The same on headroom-rich instances (large cluster, short
+        /// windows), where stale entries mostly revalidate.
+        #[test]
+        fn heap_boost_matches_linear_reference_with_headroom(
+            specs in headroom_instance(),
+            total in prop_oneof![Just(32u32), Just(64u32)],
+            budget_pick in 0u32..65,
+        ) {
+            let (budget, heap, reference) =
+                boost_both(specs, total, budget_pick, &mut FillScratch::new());
+            prop_assert_eq!(&heap, &reference);
+            prop_assert!(heap.spent <= budget, "boost overspent its budget");
         }
     }
 }

@@ -6,18 +6,24 @@ use elasticflow_sched::clamp_pow2;
 use crate::plan::WORK_EPSILON;
 use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
 
-/// Reusable buffers for [`progressive_filling_with`].
+/// The planner's fill workspace: reusable buffers for
+/// [`progressive_filling_with`] and Algorithm 2's boost loop.
 ///
 /// Progressive filling is the planner's innermost loop: every admission
 /// check and every Algorithm-2 boost probe builds per-slot candidate
 /// vectors and re-derives the job's curve knee. A scratch owns both —
 /// the candidate slot vector (cleared, never freed, between targets) and
-/// a [`CurveMemo`] rebuilt once per fill — so a replan round allocates
-/// O(1) times instead of O(candidates).
+/// a [`CurveMemo`] rebuilt once per fill — plus a pool of recycled
+/// profile buffers and a pool of per-job curve memos for the boost loop.
 ///
-/// Lifetime rule: a scratch may be reused across any sequence of fills
-/// (its contents are dead between calls), but it must not be shared
-/// concurrently — each worker thread owns its own. Returned
+/// Ownership rule: the caller owns the workspace and lends it to every
+/// fill, admission check and boost it runs. A scheduler or gateway keeps
+/// one for its whole lifetime and reuses it across rounds, so a
+/// steady-state planning round allocates almost nothing. Contents are
+/// dead between calls — reuse never changes an outcome — which is also
+/// why a workspace is never part of its owner's state: it is not
+/// compared, not snapshotted, and a clone starts empty. It must not be
+/// shared concurrently; each worker thread owns its own. Returned
 /// [`AllocationProfile`]s are copied out of the scratch, so they stay
 /// valid after the scratch is reused or dropped.
 #[derive(Debug, Default)]
@@ -30,6 +36,12 @@ pub struct FillScratch {
     /// [`FillScratch::recycle`]. Contents are dead — only capacity is
     /// reused — so recycling can never change a fill's outcome.
     pool: Vec<Vec<u32>>,
+    /// Curve memos lent to the boost loop's per-job state and handed
+    /// back when the loop ends; rebuilt before every use.
+    pub(crate) memos: Vec<CurveMemo>,
+    /// Stale boosts applied through revalidation (unit tests only).
+    #[cfg(test)]
+    pub(crate) revalidated: u64,
 }
 
 /// Recycled buffers beyond this are dropped; enough to cover the deepest
@@ -51,6 +63,15 @@ impl FillScratch {
     }
 }
 
+/// A clone is an empty workspace: the contents are dead between calls,
+/// so an empty one is interchangeable with the original, and owners that
+/// derive `Clone` never copy buffers.
+impl Clone for FillScratch {
+    fn clone(&self) -> Self {
+        FillScratch::new()
+    }
+}
+
 /// Computes the job's minimum-satisfactory allocation against the current
 /// reservations: the smallest power-of-two target `j` such that giving the
 /// job `min(j, free(t))` GPUs in every slot up to its deadline completes
@@ -68,7 +89,8 @@ impl FillScratch {
 /// (§4.3), and per-slot grants are rounded *down* to powers of two.
 ///
 /// This convenience wrapper allocates a fresh [`FillScratch`] per call;
-/// hot paths thread one through [`progressive_filling_with`] instead.
+/// planners thread their own workspace through
+/// [`progressive_filling_with`] instead.
 ///
 /// # Example
 ///
@@ -161,7 +183,9 @@ fn ladder_fill(
     scratch: &mut FillScratch,
 ) -> Option<(AllocationProfile, u32)> {
     scratch.memo.rebuild(&job.curve);
-    let FillScratch { gpus, memo, pool } = scratch;
+    let FillScratch {
+        gpus, memo, pool, ..
+    } = scratch;
     ladder_walk(
         job,
         memo,
@@ -177,7 +201,7 @@ fn ladder_fill(
 
 /// [`progressive_filling_with`] against a memo of `job.curve` the caller
 /// already holds: Algorithm 2 probes one job many times and builds its
-/// memo once.
+/// memo once. Also reports the target the ladder settled on.
 pub(crate) fn progressive_filling_memo(
     job: &PlanningJob,
     memo: &CurveMemo,
@@ -186,7 +210,7 @@ pub(crate) fn progressive_filling_memo(
     total_gpus: u32,
     fixed_slot0: Option<u32>,
     scratch: &mut FillScratch,
-) -> Option<AllocationProfile> {
+) -> Option<(AllocationProfile, u32)> {
     let FillScratch { gpus, pool, .. } = scratch;
     ladder_walk(
         job,
@@ -199,7 +223,6 @@ pub(crate) fn progressive_filling_memo(
         gpus,
         pool,
     )
-    .map(|(profile, _)| profile)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -248,6 +271,30 @@ fn ladder_walk(
         }
         j *= 2;
     }
+}
+
+/// The exclusive end of `try_target`'s slot walk on `ledger`: the walk
+/// visits slots `[1, end)` one by one and treats everything from `end`
+/// on analytically (fully free up to the deadline).
+pub(crate) fn slot_walk_end(job: &PlanningJob, ledger: &ReservationLedger) -> usize {
+    job.deadline_slot.min(ledger.horizon().max(1))
+}
+
+/// `true` when every slot in `[1, end)` of `ledger` has at least `j`
+/// GPUs free — there every rung up to `j` takes the walk's headroom
+/// branch, whose grant and progress depend on the rung alone.
+pub(crate) fn headroom_through(
+    ledger: &ReservationLedger,
+    end: usize,
+    total_gpus: u32,
+    j: u32,
+) -> bool {
+    ledger
+        .committed_slots()
+        .iter()
+        .take(end)
+        .skip(1)
+        .all(|&c| total_gpus.saturating_sub(c) >= j)
 }
 
 /// Shrinks the final active slot's grant to the smallest power of two that
@@ -358,7 +405,7 @@ fn try_target(
     // slot short of room for the whole target pays for the ladder
     // arithmetic.
     let committed = ledger.committed_slots();
-    let walk_end = horizon.min(ledger.horizon().max(1));
+    let walk_end = slot_walk_end(job, ledger);
     for (t, &c) in committed.iter().enumerate().take(walk_end).skip(1) {
         let free = total_gpus.saturating_sub(c);
         let (x, per) = if free >= j {

@@ -56,7 +56,7 @@ pub use alloc::ResourceAllocator;
 pub use filling::{
     progressive_filling, progressive_filling_from, progressive_filling_with, FillScratch,
 };
-pub use online::{AdvanceReport, OnlineAdmission, OnlineArrival};
+pub use online::{AdvanceReport, OnlineAdmission};
 pub use plan::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON};
-pub use scheduler::ElasticFlowScheduler;
+pub use scheduler::{ElasticFlowScheduler, ElasticFlowState};
 pub use variants::{EdfWithAdmission, EdfWithElastic};

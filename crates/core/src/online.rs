@@ -31,20 +31,6 @@ use crate::{
     WORK_EPSILON,
 };
 
-/// One arrival in an [`OnlineAdmission::submit_batch`] call: the job
-/// plus its absolute arrival and deadline slots.
-#[derive(Debug, Clone)]
-pub struct OnlineArrival {
-    /// The job being submitted (its `deadline_slot` field is rebased by
-    /// the submit, exactly as in [`OnlineAdmission::submit`]).
-    pub job: PlanningJob,
-    /// The absolute slot containing the arrival time; the clock is
-    /// advanced here before the decision runs.
-    pub arrival_slot: u64,
-    /// The absolute deadline slot.
-    pub deadline_slot: u64,
-}
-
 /// What one [`OnlineAdmission::advance_to`] boundary crossing did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdvanceReport {
@@ -73,7 +59,7 @@ impl AdvanceReport {
 /// # Example
 ///
 /// ```
-/// use elasticflow_core::{OnlineAdmission, PlanningJob};
+/// use elasticflow_core::{FillScratch, OnlineAdmission, PlanningJob};
 /// use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
 /// use elasticflow_trace::JobId;
 ///
@@ -91,7 +77,7 @@ impl AdvanceReport {
 /// assert!(online.submit(job, 2).is_ok());
 /// // Crossing into slot 1 credits the profile's progress; the job
 /// // finishes within its window by slot 2.
-/// let report = online.advance_to(2);
+/// let report = online.advance_to(2, &mut FillScratch::new());
 /// assert_eq!(report.completed, vec![JobId::new(7)]);
 /// assert!(online.is_empty());
 /// ```
@@ -115,7 +101,7 @@ impl OnlineAdmission {
     pub fn new(total_gpus: u32, slot_seconds: f64) -> Self {
         let controller = AdmissionController::new(total_gpus);
         let grid = SlotGrid::uniform(slot_seconds);
-        let (set, _lapsed) = controller.fill(&[], &grid);
+        let (set, _lapsed) = controller.fill_owned(Vec::new(), &grid, &mut FillScratch::new());
         OnlineAdmission {
             controller,
             grid,
@@ -134,10 +120,11 @@ impl OnlineAdmission {
         slot_seconds: f64,
         origin_slot: u64,
         jobs: &[PlanningJob],
+        scratch: &mut FillScratch,
     ) -> (Self, Vec<JobId>) {
         let controller = AdmissionController::new(total_gpus);
         let grid = SlotGrid::uniform(slot_seconds);
-        let (set, lapsed) = controller.fill(jobs, &grid);
+        let (set, lapsed) = controller.fill(jobs, &grid, scratch);
         (
             OnlineAdmission {
                 controller,
@@ -217,9 +204,9 @@ impl OnlineAdmission {
     }
 
     /// [`OnlineAdmission::submit`] with a caller-provided fill scratch:
-    /// the hot-path variant batch submission threads one buffer set
-    /// through. Outcomes are identical — the scratch carries no state
-    /// between calls.
+    /// the hot-path variant a gateway threads its one workspace through.
+    /// Outcomes are identical — the scratch carries no state between
+    /// calls.
     pub fn submit_with(
         &mut self,
         mut job: PlanningJob,
@@ -229,33 +216,6 @@ impl OnlineAdmission {
         let relative = deadline_slot_abs.saturating_sub(self.origin_slot);
         job.deadline_slot = usize::try_from(relative).unwrap_or(usize::MAX);
         self.set.admit_with(job, &self.grid, scratch)
-    }
-
-    /// Submits a batch of arrivals in order, advancing the clock only at
-    /// slot crossings (an arrival in the same slot as its predecessor
-    /// pays no advance) and reusing one [`FillScratch`] — and through it
-    /// one memoized-curve cache — across every decision in the batch.
-    ///
-    /// Returns the per-job outcomes in submission order plus one
-    /// [`AdvanceReport`] accumulating every boundary crossing the batch
-    /// performed. The outcomes are bit-identical to calling
-    /// [`OnlineAdmission::advance_to`] + [`OnlineAdmission::submit`] per
-    /// arrival: batching is an amortization, never a semantic change.
-    pub fn submit_batch(
-        &mut self,
-        arrivals: impl IntoIterator<Item = OnlineArrival>,
-    ) -> (Vec<Result<(), AdmissionDenial>>, AdvanceReport) {
-        let mut scratch = FillScratch::new();
-        let mut outcomes = Vec::new();
-        let mut report = AdvanceReport::default();
-        for arrival in arrivals {
-            let crossing = self.advance_to(arrival.arrival_slot);
-            report.completed.extend(crossing.completed);
-            report.expired.extend(crossing.expired);
-            report.lapsed.extend(crossing.lapsed);
-            outcomes.push(self.submit_with(arrival.job, arrival.deadline_slot, &mut scratch));
-        }
-        (outcomes, report)
     }
 
     /// Removes the job `id` (caller cancellation), refilling later jobs
@@ -275,8 +235,8 @@ impl OnlineAdmission {
     /// ahead of the origin). Every committed job is credited the work
     /// its guaranteed profile performs over the elapsed slots; finished
     /// jobs retire, survivors are rebased to the new origin and refilled
-    /// as one batch.
-    pub fn advance_to(&mut self, slot: u64) -> AdvanceReport {
+    /// as one batch through the caller's workspace.
+    pub fn advance_to(&mut self, slot: u64, scratch: &mut FillScratch) -> AdvanceReport {
         let mut report = AdvanceReport::default();
         if slot <= self.origin_slot {
             return report;
@@ -287,9 +247,12 @@ impl OnlineAdmission {
             return report;
         }
         // Take the set by value: the credited survivors feed straight
-        // into the rebuild, so nothing here needs a clone of the jobs
-        // (each would copy its scaling curve) or profiles.
-        let empty = self.controller.fill_owned(Vec::new(), &self.grid).0;
+        // into the rebuild, so nothing here clones the jobs, and the old
+        // profiles go back to the workspace once credited.
+        let empty = self
+            .controller
+            .fill_owned(Vec::new(), &self.grid, scratch)
+            .0;
         let (jobs, profiles, _ledger) = std::mem::replace(&mut self.set, empty).into_parts();
         let mut survivors = Vec::with_capacity(jobs.len());
         for (mut job, profile) in jobs.into_iter().zip(&profiles) {
@@ -315,7 +278,10 @@ impl OnlineAdmission {
                 survivors.push(job);
             }
         }
-        let (set, lapsed) = self.controller.fill_owned(survivors, &self.grid);
+        for profile in profiles {
+            scratch.recycle(profile);
+        }
+        let (set, lapsed) = self.controller.fill_owned(survivors, &self.grid, scratch);
         self.set = set;
         report.lapsed = lapsed;
         report
@@ -378,7 +344,7 @@ mod tests {
         assert_eq!(online.len(), 1);
         // After advancing one slot the same absolute deadline buys one
         // less slot of window.
-        online.advance_to(1);
+        online.advance_to(1, &mut FillScratch::new());
         let denial = online.submit(job(2, 2.0), 2).unwrap_err();
         assert_eq!(denial.blocking_job, JobId::new(2));
     }
@@ -390,7 +356,7 @@ mod tests {
         assert!(online.submit(job(1, 1.0), 3).is_ok());
         // Crossing to slot 2: job 0's profile ([1, 1]) finishes its 2
         // units; job 1 ran in slot 2's window only if scheduled there.
-        let report = online.advance_to(2);
+        let report = online.advance_to(2, &mut FillScratch::new());
         assert_eq!(report.completed, vec![JobId::new(0)]);
         assert!(report.expired.is_empty());
         assert!(report.lapsed.is_empty());
@@ -400,7 +366,7 @@ mod tests {
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].id, JobId::new(1));
         assert_eq!(jobs[0].deadline_slot, 1);
-        let report = online.advance_to(3);
+        let report = online.advance_to(3, &mut FillScratch::new());
         assert_eq!(report.completed, vec![JobId::new(1)]);
         assert!(online.is_empty());
     }
@@ -413,7 +379,7 @@ mod tests {
         // bounces…
         assert!(online.submit(job(1, 2.0), 2).is_err());
         // …until the first job finishes and its reservation is released.
-        online.advance_to(2);
+        online.advance_to(2, &mut FillScratch::new());
         assert!(online.submit(job(1, 2.0), 4).is_ok());
     }
 
@@ -446,10 +412,11 @@ mod tests {
         let mut online = OnlineAdmission::new(4, 30.0);
         assert!(online.submit(job(0, 3.0), 4).is_ok());
         assert!(online.submit(job(1, 2.0), 6).is_ok());
-        online.advance_to(2);
+        online.advance_to(2, &mut FillScratch::new());
         assert!(online.submit(job(2, 1.0), 5).is_ok());
         let (origin, jobs) = online.parts();
-        let (rebuilt, lapsed) = OnlineAdmission::from_parts(4, 30.0, origin, jobs);
+        let (rebuilt, lapsed) =
+            OnlineAdmission::from_parts(4, 30.0, origin, jobs, &mut FillScratch::new());
         assert!(lapsed.is_empty());
         assert_eq!(rebuilt.origin_slot(), online.origin_slot());
         assert_eq!(rebuilt.parts().1, online.parts().1);
@@ -458,60 +425,6 @@ mod tests {
         let mut b = rebuilt;
         assert_eq!(a.submit(job(3, 2.5), 7), b.submit(job(3, 2.5), 7));
         assert_eq!(a.parts().1, b.parts().1);
-    }
-
-    #[test]
-    fn submit_batch_matches_one_at_a_time_submission() {
-        // Arrivals spanning several slot crossings, with same-slot runs
-        // in between: the batch path must advance at exactly the same
-        // boundaries and answer identically.
-        let arrivals: Vec<OnlineArrival> = (0..40u64)
-            .map(|i| OnlineArrival {
-                job: job(i, 1.0 + (i % 5) as f64 * 0.7),
-                arrival_slot: i / 4,
-                deadline_slot: i / 4 + 2 + i % 3,
-            })
-            .collect();
-        let mut batched = OnlineAdmission::new(2, 1.0);
-        let mut sequential = OnlineAdmission::new(2, 1.0);
-        let (outcomes, batch_report) = batched.submit_batch(arrivals.clone());
-        let mut seq_report = AdvanceReport::default();
-        for (arrival, batch_outcome) in arrivals.into_iter().zip(outcomes) {
-            let crossing = sequential.advance_to(arrival.arrival_slot);
-            seq_report.completed.extend(crossing.completed);
-            seq_report.expired.extend(crossing.expired);
-            seq_report.lapsed.extend(crossing.lapsed);
-            let seq_outcome = sequential.submit(arrival.job, arrival.deadline_slot);
-            assert_eq!(seq_outcome, batch_outcome);
-        }
-        assert_eq!(batch_report, seq_report);
-        assert_eq!(batched.origin_slot(), sequential.origin_slot());
-        assert_eq!(batched.parts().1, sequential.parts().1);
-    }
-
-    #[test]
-    fn submit_batch_boundaries_do_not_change_outcomes() {
-        // The same stream cut into different batch sizes produces the
-        // same committed set: batch boundaries are a runtime artifact.
-        let arrivals: Vec<OnlineArrival> = (0..30u64)
-            .map(|i| OnlineArrival {
-                job: job(i, 1.5),
-                arrival_slot: i / 3,
-                deadline_slot: i / 3 + 3,
-            })
-            .collect();
-        let mut whole = OnlineAdmission::new(2, 1.0);
-        let (whole_outcomes, _) = whole.submit_batch(arrivals.clone());
-        for chunk in [1usize, 4, 7, 30] {
-            let mut chunked = OnlineAdmission::new(2, 1.0);
-            let mut outcomes = Vec::new();
-            for window in arrivals.chunks(chunk) {
-                let (mut o, _) = chunked.submit_batch(window.to_vec());
-                outcomes.append(&mut o);
-            }
-            assert_eq!(outcomes, whole_outcomes, "chunk size {chunk}");
-            assert_eq!(chunked.parts().1, whole.parts().1, "chunk size {chunk}");
-        }
     }
 
     #[test]

@@ -8,7 +8,9 @@ use elasticflow_sched::{
 use elasticflow_trace::JobId;
 use serde::{Deserialize, Serialize};
 
-use crate::{AdmissionController, PlanningJob, ResourceAllocator, SlotGrid, WORK_EPSILON};
+use crate::{
+    AdmissionController, FillScratch, PlanningJob, ResourceAllocator, SlotGrid, WORK_EPSILON,
+};
 
 /// One pending best-effort ladder step in `fill_leftovers`' marginal-fill
 /// heap: grow job `idx` to `next` workers for `extra` more GPUs. Ordered
@@ -58,8 +60,26 @@ impl Ord for BestEffortStep {
 /// let ef = ElasticFlowScheduler::new();
 /// assert_eq!(ef.name(), "elasticflow");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ElasticFlowScheduler {
+    planning_slot_seconds: f64,
+    /// The fill workspace every admission check and planning round
+    /// borrows. Not state: it is not compared, not snapshotted, and a
+    /// clone starts with an empty one.
+    workspace: FillScratch,
+}
+
+/// Schedulers compare by configuration; the workspace is not state.
+impl PartialEq for ElasticFlowScheduler {
+    fn eq(&self, other: &Self) -> bool {
+        self.planning_slot_seconds == other.planning_slot_seconds
+    }
+}
+
+/// ElasticFlow's snapshot state: it recomputes every plan from the job
+/// table, so the planning-slot configuration is all it persists.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ElasticFlowState {
     planning_slot_seconds: f64,
 }
 
@@ -74,6 +94,7 @@ impl ElasticFlowScheduler {
     pub fn new() -> Self {
         ElasticFlowScheduler {
             planning_slot_seconds: Self::DEFAULT_PLANNING_SLOT,
+            workspace: FillScratch::new(),
         }
     }
 
@@ -252,21 +273,27 @@ pub(crate) fn admission_decision(
     job: &JobRuntime,
     now: f64,
     view: &ClusterView,
-    existing: &[PlanningJob],
+    existing: Vec<PlanningJob>,
     grid: &SlotGrid,
+    scratch: &mut FillScratch,
 ) -> AdmissionDecision {
     let ac = AdmissionController::new(view.total_gpus);
     // One fill commits the feasible subset; the candidate is then answered
     // incrementally — only the deadline-ordered suffix at or after its
     // insertion point refills, instead of every job from scratch.
-    let (set, _lapsed) = ac.fill(existing, grid);
+    let (set, _lapsed) = ac.fill_owned(existing, grid, scratch);
     // Booked load over the next ~hour decides how much slack to demand.
     let horizon = elasticflow_cluster::num::slots_ceil(3_600.0 / grid.rest_seconds())
         .unwrap_or(1)
         .max(1);
     let contention = ac.booked_fraction(set.ledger(), horizon);
     let candidate = ElasticFlowScheduler::planning_job_with_reserve(job, now, grid, contention);
-    match set.whatif_admit(&candidate, grid) {
+    let outcome = set.whatif_admit(&candidate, grid, scratch);
+    let (_, profiles, _) = set.into_parts();
+    for profile in profiles {
+        scratch.recycle(profile);
+    }
+    match outcome {
         Ok(()) => AdmissionDecision::Admit,
         Err(denial) => {
             // Attribute the decline: the fill either failed at the
@@ -309,7 +336,7 @@ impl Scheduler for ElasticFlowScheduler {
             .filter(|j| j.is_slo())
             .map(|j| Self::planning_job(j, now, &grid))
             .collect();
-        admission_decision(job, now, view, &existing, &grid)
+        admission_decision(job, now, view, existing, &grid, &mut self.workspace)
     }
 
     fn plan(&mut self, now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {
@@ -326,7 +353,8 @@ impl Scheduler for ElasticFlowScheduler {
             .collect();
         // Stage 1: minimum satisfactory shares of the feasible SLO set.
         let allocator = ResourceAllocator::new(view.total_gpus);
-        let (mut profiles, infeasible, mut ledger) = allocator.minimum_shares(&planning, &grid);
+        let (mut profiles, infeasible, mut ledger) =
+            allocator.minimum_shares(&planning, &grid, &mut self.workspace);
         let mut plan = SchedulePlan::new();
         for (&id, profile) in &profiles {
             if profile.gpus(0) > 0 {
@@ -362,6 +390,7 @@ impl Scheduler for ElasticFlowScheduler {
             &mut ledger,
             free,
             &incumbents,
+            &mut self.workspace,
         );
         free -= granted;
         for (&id, profile) in &profiles {
@@ -397,6 +426,9 @@ impl Scheduler for ElasticFlowScheduler {
         debug_assert!(plan.total_gpus() <= view.total_gpus);
         #[cfg(feature = "audit")]
         crate::audit::check_plan(&planning, &profiles, &ledger, &plan, &grid, view.total_gpus);
+        for profile in profiles.into_values() {
+            self.workspace.recycle(profile);
+        }
         plan
     }
 
@@ -405,20 +437,19 @@ impl Scheduler for ElasticFlowScheduler {
     }
 
     fn restore_state(&mut self, state: &str) -> Result<(), RestoreError> {
-        let parsed: ElasticFlowScheduler = serde_json::from_str(state)
+        let parsed: ElasticFlowState = serde_json::from_str(state)
             .map_err(|e| RestoreError::new(format!("elasticflow state did not parse: {e}")))?;
         self.restore(parsed)
     }
 }
 
-// ElasticFlow recomputes every plan from the job table, so its persistent
-// state is just the planning-slot configuration; the scheduler itself is
-// its own checkpoint payload.
 impl Snapshottable for ElasticFlowScheduler {
-    type State = ElasticFlowScheduler;
+    type State = ElasticFlowState;
 
     fn capture(&self) -> Self::State {
-        self.clone()
+        ElasticFlowState {
+            planning_slot_seconds: self.planning_slot_seconds,
+        }
     }
 
     fn restore(&mut self, state: Self::State) -> Result<(), RestoreError> {
@@ -427,7 +458,7 @@ impl Snapshottable for ElasticFlowScheduler {
                 "planning slot must be positive and finite",
             ));
         }
-        *self = state;
+        self.planning_slot_seconds = state.planning_slot_seconds;
         Ok(())
     }
 }

@@ -14,7 +14,7 @@ use elasticflow_sched::{
     AdmissionDecision, ClusterView, EdfScheduler, JobRuntime, JobTable, SchedulePlan, Scheduler,
 };
 
-use crate::{ElasticFlowScheduler, PlanningJob, SlotGrid, WORK_EPSILON};
+use crate::{ElasticFlowScheduler, FillScratch, PlanningJob, SlotGrid, WORK_EPSILON};
 
 /// Planning grid anchored to absolute slot boundaries (see
 /// `ElasticFlowScheduler::anchored_grid`).
@@ -42,6 +42,8 @@ fn anchored_grid(slot_seconds: f64, now: f64) -> SlotGrid {
 pub struct EdfWithAdmission {
     planning_slot_seconds: f64,
     edf: EdfScheduler,
+    /// Fill workspace reused across admission checks (not state).
+    workspace: FillScratch,
 }
 
 impl EdfWithAdmission {
@@ -50,6 +52,7 @@ impl EdfWithAdmission {
         EdfWithAdmission {
             planning_slot_seconds: ElasticFlowScheduler::DEFAULT_PLANNING_SLOT,
             edf: EdfScheduler::new(),
+            workspace: FillScratch::new(),
         }
     }
 }
@@ -81,7 +84,7 @@ impl Scheduler for EdfWithAdmission {
             .filter(|j| j.is_slo())
             .map(|j| ElasticFlowScheduler::planning_job(j, now, &grid))
             .collect();
-        crate::scheduler::admission_decision(job, now, view, &existing, &grid)
+        crate::scheduler::admission_decision(job, now, view, existing, &grid, &mut self.workspace)
     }
 
     fn plan(&mut self, now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {
@@ -108,6 +111,8 @@ impl Scheduler for EdfWithAdmission {
 #[derive(Debug, Clone)]
 pub struct EdfWithElastic {
     planning_slot_seconds: f64,
+    /// Fill workspace reused across planning rounds (not state).
+    workspace: FillScratch,
 }
 
 impl EdfWithElastic {
@@ -115,6 +120,7 @@ impl EdfWithElastic {
     pub fn new() -> Self {
         EdfWithElastic {
             planning_slot_seconds: ElasticFlowScheduler::DEFAULT_PLANNING_SLOT,
+            workspace: FillScratch::new(),
         }
     }
 }
@@ -141,7 +147,7 @@ impl Scheduler for EdfWithElastic {
     }
 
     fn plan(&mut self, now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {
-        use crate::{progressive_filling, AllocationProfile, ReservationLedger};
+        use crate::{progressive_filling_with, AllocationProfile, ReservationLedger};
         use elasticflow_sched::clamp_pow2;
 
         let grid = anchored_grid(self.planning_slot_seconds, now);
@@ -157,7 +163,15 @@ impl Scheduler for EdfWithElastic {
         let mut free0 = view.total_gpus;
         for job in &actives {
             let pj = ElasticFlowScheduler::planning_job(job, now, &grid);
-            match progressive_filling(&pj, &ledger, &grid, view.total_gpus, None) {
+            let filled = progressive_filling_with(
+                &pj,
+                &ledger,
+                &grid,
+                view.total_gpus,
+                None,
+                &mut self.workspace,
+            );
+            match filled {
                 Some(profile) => {
                     let g = profile.gpus(0);
                     if g > 0 {
@@ -165,6 +179,7 @@ impl Scheduler for EdfWithElastic {
                         free0 -= g;
                     }
                     ledger.commit(&profile);
+                    self.workspace.recycle(profile);
                 }
                 None => {
                     // Doomed but most urgent: EDF still runs it at up to

@@ -166,7 +166,7 @@ proptest! {
         let grid = SlotGrid::uniform(1.0);
         let ac = AdmissionController::new(4);
         let (candidate, existing) = jobs.split_last().expect("instances are non-empty");
-        let (set, _lapsed) = ac.fill(existing, &grid);
+        let (set, _lapsed) = ac.fill(existing, &grid, &mut FillScratch::new());
         let mut union: Vec<PlanningJob> = set.jobs().to_vec();
         union.push(candidate.clone());
         let incremental = set.admission_outcome(candidate, &grid);
@@ -182,7 +182,7 @@ proptest! {
     fn admit_withdraw_sequences_match_from_scratch_fill(jobs in small_instance()) {
         let grid = SlotGrid::uniform(1.0);
         let ac = AdmissionController::new(4);
-        let (mut set, _) = ac.fill(&[], &grid);
+        let (mut set, _) = ac.fill(&[], &grid, &mut FillScratch::new());
         let mut resident: Vec<PlanningJob> = Vec::new();
         for job in &jobs {
             if set.admit(job.clone(), &grid).is_ok() {
@@ -190,7 +190,7 @@ proptest! {
             }
         }
         // Mid-sequence checkpoint: the mutated set matches a fresh fill.
-        let (fresh, lapsed) = ac.fill(&resident, &grid);
+        let (fresh, lapsed) = ac.fill(&resident, &grid, &mut FillScratch::new());
         prop_assert!(lapsed.is_empty(), "admitted jobs cannot lapse on refill");
         prop_assert_eq!(set.plan(), fresh.plan());
         prop_assert_eq!(set.ledger(), fresh.ledger());
@@ -202,7 +202,7 @@ proptest! {
             prop_assert!(lapsed.is_empty(), "withdrawal freed capacity but lapsed {lapsed:?}");
             resident.retain(|j| j.id != *id);
         }
-        let (fresh, lapsed) = ac.fill(&resident, &grid);
+        let (fresh, lapsed) = ac.fill(&resident, &grid, &mut FillScratch::new());
         prop_assert!(lapsed.is_empty());
         prop_assert_eq!(set.plan(), fresh.plan());
         prop_assert_eq!(set.ledger(), fresh.ledger());
@@ -358,7 +358,7 @@ proptest! {
     ) {
         let grid = SlotGrid::uniform(1.0);
         let controller = AdmissionController::new(8);
-        let (mut set, _) = controller.fill(&[], &grid);
+        let (mut set, _) = controller.fill(&[], &grid, &mut FillScratch::new());
         let mut accepted: Vec<PlanningJob> = Vec::new();
         let mut scratch = FillScratch::new();
         for (i, (curve, work_scale, deadline_slot)) in specs.into_iter().enumerate() {

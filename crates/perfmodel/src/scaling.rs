@@ -1,5 +1,7 @@
 //! Scaling curves: throughput as a function of the number of workers.
 
+use std::sync::Arc;
+
 use elasticflow_cluster::PlacementShape;
 use serde::{Deserialize, Serialize};
 
@@ -21,6 +23,11 @@ pub struct CurvePoint {
 /// allocation consume: the paper's `T_i(x)` (§4.1), restricted to powers of
 /// two by the buddy-allocation placement rule (§4.3).
 ///
+/// The points are shared, immutable and reference-counted: every planning
+/// round hands each job a copy of its curve, and a clone costs one
+/// refcount bump instead of a fresh allocation. They still serialize as a
+/// plain sequence, so the bytes are those of a `Vec`.
+///
 /// # Example
 ///
 /// ```
@@ -37,7 +44,7 @@ pub struct ScalingCurve {
     model: DnnModel,
     global_batch: u32,
     gpus_per_server: u32,
-    points: Vec<CurvePoint>,
+    points: Arc<[CurvePoint]>,
 }
 
 impl ScalingCurve {
@@ -85,7 +92,7 @@ impl ScalingCurve {
             model,
             global_batch,
             gpus_per_server: net.gpus_per_server(),
-            points,
+            points: points.into(),
         }
     }
 
@@ -115,7 +122,7 @@ impl ScalingCurve {
             model,
             global_batch,
             gpus_per_server: 8,
-            points,
+            points: points.into(),
         }
     }
 
@@ -550,6 +557,14 @@ mod tests {
         let memo = ScalingCurve::from_points(DnnModel::ResNet50, 64, pts).memo();
         assert_eq!(memo.peak_rate_at_or_below(2), 1.0);
         assert_eq!(memo.peak_rate_at_or_below(4), 2.0);
+    }
+
+    #[test]
+    fn clones_share_their_points() {
+        let curve = ScalingCurve::build(DnnModel::Bert, 128, &net());
+        let copy = curve.clone();
+        assert!(std::ptr::eq(curve.points(), copy.points()));
+        assert_eq!(copy, curve);
     }
 
     #[test]

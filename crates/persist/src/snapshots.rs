@@ -138,6 +138,10 @@ impl<T: SnapshotPayload> SnapshotStore<T> {
     /// Writes `payload` as the next snapshot in sequence, then removes
     /// all but the newest [`KEEP_SNAPSHOTS`] files. Returns the new
     /// sequence number and the snapshot's encoded size in bytes.
+    ///
+    /// Pruning is best-effort: once the rename has put the new snapshot
+    /// in place the write has succeeded, so a file that cannot be
+    /// removed stays behind and the next write tries again.
     pub fn write_next(&self, payload: &T) -> Result<(u64, u64), PersistError> {
         let mut seqs = self.seqs()?;
         let seq = seqs.last().copied().unwrap_or(0) + 1;
@@ -147,7 +151,9 @@ impl<T: SnapshotPayload> SnapshotStore<T> {
         std::fs::rename(&tmp_path, self.path(seq))?;
         seqs.push(seq);
         for &old in &seqs[..seqs.len().saturating_sub(KEEP_SNAPSHOTS)] {
-            std::fs::remove_file(self.path(old))?;
+            // Ignored on failure: the file is still listed by the next
+            // write's `seqs`, which retries the removal.
+            std::fs::remove_file(self.path(old)).ok();
         }
         Ok((seq, bytes.len() as u64))
     }

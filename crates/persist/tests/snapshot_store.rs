@@ -178,6 +178,36 @@ fn writes_keep_only_the_newest_snapshots_and_seqs_keep_rising() {
 }
 
 #[test]
+fn a_failed_prune_does_not_fail_the_write_and_is_retried() {
+    let dir = StateDir::open(temp_dir()).unwrap();
+    let snap = stored(4, 2);
+    let store = dir.snapshots();
+    for _ in 0..2 {
+        store.write_next(&snap).unwrap();
+    }
+    // A directory where snapshot 1 was: `remove_file` cannot delete it.
+    std::fs::remove_file(store.path(1)).unwrap();
+    std::fs::create_dir(store.path(1)).unwrap();
+    for expected in 3..=4 {
+        let (seq, _) = store.write_next(&snap).unwrap();
+        assert_eq!(seq, expected);
+    }
+    // Snapshot 2 was pruned; the blocked path stays, and the newest
+    // snapshot still recovers.
+    assert_eq!(store.seqs().unwrap(), vec![1, 3, 4]);
+    assert_eq!(
+        store.latest_valid().unwrap().valid.map(|(seq, _)| seq),
+        Some(4)
+    );
+    // Once the path is removable again, the next write prunes it.
+    std::fs::remove_dir(store.path(1)).unwrap();
+    std::fs::write(store.path(1), b"EFSN").unwrap();
+    let (seq, _) = store.write_next(&snap).unwrap();
+    assert_eq!(seq, 5);
+    assert_eq!(store.seqs().unwrap(), vec![4, 5]);
+}
+
+#[test]
 fn every_snapshot_corrupt_recovers_nothing_and_reports_each() {
     let dir = StateDir::open(temp_dir()).unwrap();
     for _ in 0..3 {

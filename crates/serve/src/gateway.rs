@@ -103,8 +103,10 @@ pub struct Gateway {
     curves: BTreeMap<(DnnModel, u32), ScalingCurve>,
     online: OnlineAdmission,
     stats: GatewayStats,
-    /// Reused fill workspace. Carries no decision state between calls —
-    /// reuse never changes an outcome, it only skips reallocation.
+    /// The fill workspace every submission, withdrawal and boundary
+    /// refill borrows. Carries no decision state between calls — reuse
+    /// never changes an outcome, it only skips reallocation — so it is
+    /// not part of a snapshot.
     scratch: FillScratch,
 }
 
@@ -148,6 +150,7 @@ impl Gateway {
             config.slot_seconds,
             origin_slot,
             &planning,
+            &mut gateway.scratch,
         );
         // A snapshot captures a jointly feasible set, so nothing lapses
         // on rebuild; counted defensively all the same.
@@ -208,7 +211,7 @@ impl Gateway {
     /// retiring finished plans and rebasing survivors.
     fn advance_to_seconds(&mut self, seconds: f64) {
         let slot = self.online.slot_of(seconds);
-        let report = self.online.advance_to(slot);
+        let report = self.online.advance_to(slot, &mut self.scratch);
         self.stats.completed += report.completed.len() as u64;
         self.stats.expired += report.expired.len() as u64;
         self.stats.lapsed += report.lapsed.len() as u64;

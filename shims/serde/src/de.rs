@@ -177,6 +177,12 @@ impl<'de, T: DeserializeOwned> Deserialize<'de> for Vec<T> {
     }
 }
 
+impl<'de, T: DeserializeOwned> Deserialize<'de> for std::sync::Arc<[T]> {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        Vec::<T>::deserialize(deserializer).map(std::sync::Arc::from)
+    }
+}
+
 impl<'de, T: DeserializeOwned> Deserialize<'de> for VecDeque<T> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         Vec::<T>::deserialize(deserializer).map(VecDeque::from)
