@@ -17,9 +17,7 @@ pub mod parallel;
 pub mod persist;
 pub mod report;
 pub mod runners;
-pub mod serve;
 pub mod telemetry;
-pub mod workloads;
 
 pub use report::Table;
 pub use runners::{run_one, scheduler_by_name, RosterEntry, ROSTER};

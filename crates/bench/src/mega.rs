@@ -75,7 +75,7 @@ impl MegaConfig {
     }
 }
 
-/// Everything a mega-cluster run produces that the trajectory tracks.
+/// Everything a mega-cluster run produces that the digest tests check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MegaStats {
     /// Arrivals simulated.

@@ -19,7 +19,7 @@
 //!   exact crash recovery (snapshot + journal rewind + WAL replay).
 //! - [`metrics`] — the shared Prometheus registry and scrape endpoint.
 //! - [`loadgen`] — deterministic open-loop arrival streams for the
-//!   companion `elasticflow-loadgen` binary and the serve benchmarks.
+//!   companion `elasticflow-loadgen` binary and perfbench's serve workloads.
 //!
 //! The determinism argument, in one paragraph: the gateway consults no
 //! wall clock (submission time arrives *in* the request), no RNG, and
@@ -53,7 +53,7 @@ pub use store::{GatewayDir, GatewaySnapshot};
 
 pub use elasticflow_persist::FsyncPolicy;
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 /// One input line's place in a batch: a parsed request (answered by the
 /// daemon) or a parse failure (answered in place, in order).
@@ -70,6 +70,10 @@ enum LineSlot {
 /// buffered, so an interactive client is answered after its first line
 /// while a pipe saturates the batch from one read. At `batch == 1`
 /// this is exactly the old line-at-a-time loop.
+///
+/// A line that does not parse — malformed JSON, or bytes that are not
+/// UTF-8 — is answered in place with [`Response::Error`]; only an I/O
+/// failure of `input` or `output` ends the connection with `Err`.
 ///
 /// Returns `Ok(true)` when the client asked for shutdown, `Ok(false)`
 /// at end-of-input. `die_after` aborts the process with exit code 17
@@ -100,12 +104,12 @@ pub fn serve_connection<R: Read, W: Write>(
             if !slots.is_empty() && !reader.has_buffered_line() {
                 break;
             }
-            match reader.next_line()? {
-                None => {
+            match reader.next_line() {
+                Ok(None) => {
                     eof = true;
                     break;
                 }
-                Some(line) => match parse_request(line) {
+                Ok(Some(line)) => match parse_request(line) {
                     Ok(None) => continue, // blank line: no response
                     Ok(Some(request)) => {
                         saw_shutdown = matches!(request, Request::Shutdown {});
@@ -117,6 +121,12 @@ pub fn serve_connection<R: Read, W: Write>(
                     }
                     Err(message) => slots.push(LineSlot::Failed(message)),
                 },
+                // A non-UTF-8 line: the reader has already consumed it,
+                // so answer it in place like any malformed line.
+                Err(e) if e.kind() == ErrorKind::InvalidData => {
+                    slots.push(LineSlot::Failed(e.to_string()));
+                }
+                Err(e) => return Err(e),
             }
         }
         if slots.is_empty() {
@@ -250,5 +260,56 @@ mod tests {
         assert!(lines[10].starts_with("{\"Error\":"), "got {}", lines[10]);
         assert_eq!(lines[11], "{\"Bye\":{}}");
         assert_eq!(daemon.wal_records(), 10);
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_answered_with_an_error_and_serving_continues() {
+        let submit = Request::Submit {
+            job: JobSubmission {
+                id: 0,
+                model: DnnModel::ResNet50,
+                global_batch: 128,
+                iterations: 1_000.0,
+                arrival_seconds: 0.0,
+                deadline_seconds: Some(3_600.0),
+            },
+        };
+        let valid = format!("{}\n", serde_json::to_string(&submit).unwrap());
+        let mut input = b"\xff\xfe\n".to_vec();
+        input.extend_from_slice(valid.as_bytes());
+        let serve = |name: &str, input: &[u8], batch: usize| {
+            let root = std::env::temp_dir().join(format!(
+                "ef-serve-lib-utf8-{name}-{batch}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            let (mut daemon, _) = Daemon::open(
+                &root,
+                DaemonConfig::default(),
+                Box::new(TickClock::new(100)),
+                gateway_registry(),
+            )
+            .expect("daemon opens");
+            let mut out = Vec::new();
+            let shutdown =
+                serve_connection(&mut daemon, input, &mut out, batch, None).expect("serves");
+            assert!(!shutdown);
+            assert_eq!(daemon.wal_records(), 1, "only the valid line is logged");
+            drop(daemon);
+            let journal = std::fs::read(root.join("decisions.jsonl")).expect("journal");
+            let wal = std::fs::read(root.join("gateway.wal")).expect("wal");
+            let _ = std::fs::remove_dir_all(&root);
+            (String::from_utf8(out).unwrap(), journal, wal)
+        };
+        for batch in [1, 4] {
+            let (out, journal, wal) = serve("mixed", &input, batch);
+            let lines: Vec<&str> = out.lines().collect();
+            assert_eq!(lines.len(), 2, "batch {batch}: one error + one decision");
+            assert!(lines[0].starts_with("{\"Error\":"), "got {}", lines[0]);
+            assert!(lines[1].starts_with("{\"Decision\":"), "got {}", lines[1]);
+            let (_, clean_journal, clean_wal) = serve("clean", valid.as_bytes(), batch);
+            assert_eq!(journal, clean_journal, "batch {batch}: journal bytes moved");
+            assert_eq!(wal, clean_wal, "batch {batch}: WAL bytes moved");
+        }
     }
 }

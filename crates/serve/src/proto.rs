@@ -376,7 +376,10 @@ impl<R: std::io::Read> LineReader<R> {
     /// Reads the next line (without its terminator; a trailing `\r` is
     /// stripped, matching `BufRead::lines`). Blocks until a full line
     /// or end-of-input arrives; `None` at end-of-input. The returned
-    /// slice borrows the internal buffer — no allocation.
+    /// slice borrows the internal buffer — no allocation. A line that is
+    /// not valid UTF-8 is consumed and reported as
+    /// [`std::io::ErrorKind::InvalidData`], so the next call reads the
+    /// line after it.
     pub fn next_line(&mut self) -> std::io::Result<Option<&str>> {
         loop {
             if let Some(nl) = self.buf[self.pos..self.len]

@@ -87,6 +87,13 @@ fn reference_run(
     let mut daemon = open(&root);
     feed(&mut daemon, lines);
     let stats = daemon.stats();
+    assert_eq!(stats.submissions, lines.len() as u64);
+    assert_eq!(
+        stats.admitted + stats.declined + stats.best_effort,
+        stats.submissions,
+        "every submission resolves to exactly one outcome"
+    );
+    assert!(stats.declined > 0, "the stream must contend for GPUs");
     drop(daemon);
     let (journal, wal) = durable_files(&root);
     (journal, wal, stats)
@@ -96,7 +103,6 @@ fn reference_run(
 fn kill_at_arbitrary_offsets_recovers_bit_identically() {
     let lines = request_lines(120);
     let (ref_journal, ref_wal, ref_stats) = reference_run("kill", &lines);
-    assert!(ref_stats.declined > 0, "the stream must contend for GPUs");
 
     // Offsets straddle snapshot boundaries (every 16 submissions): just
     // after genesis, mid-epoch, exactly on a snapshot, and late.
@@ -415,4 +421,64 @@ fn binary_batched_crash_then_resume_matches_the_unbatched_reference() {
     let (journal, wal) = durable_files(&crash_dir);
     assert_eq!(journal, ref_journal, "batched binary journal diverged");
     assert_eq!(wal, ref_wal, "batched binary WAL diverged");
+}
+
+/// A line of bytes that are not UTF-8 is answered with an `Error` line
+/// and the binary keeps serving: it exits 0 at end-of-input, and its
+/// durable files match a run that never saw the bad line.
+#[cfg(unix)]
+#[test]
+fn binary_answers_a_non_utf8_line_and_keeps_serving() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    let lines = request_lines(20);
+    let valid: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let mut mixed = b"\xff\xfe\n".to_vec();
+    mixed.extend_from_slice(valid.as_bytes());
+    let binary = env!("CARGO_BIN_EXE_elasticflow-serve");
+    let run = |dir: &Path, stdin_bytes: &[u8]| {
+        let mut child = Command::new(binary)
+            .arg("--state-dir")
+            .arg(dir)
+            .args(["--servers", "2", "--gpus-per-server", "8"])
+            .args(["--latency-clock", "tick"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("binary spawns");
+        if let Some(mut stdin) = child.stdin.take() {
+            stdin
+                .write_all(stdin_bytes)
+                .expect("binary reads its input");
+        }
+        child.wait_with_output().expect("binary exits")
+    };
+
+    let clean_dir = tmp("bin-utf8-clean");
+    let clean = run(&clean_dir, valid.as_bytes());
+    assert!(
+        clean.status.success(),
+        "clean run failed: {:?}",
+        clean.status
+    );
+
+    let mixed_dir = tmp("bin-utf8-mixed");
+    let out = run(&mixed_dir, &mixed);
+    assert!(
+        out.status.success(),
+        "bad line ended the run: {:?}",
+        out.status
+    );
+    let stdout = String::from_utf8(out.stdout).expect("responses are UTF-8");
+    let (first, rest) = stdout.split_once('\n').expect("a response per line");
+    assert!(first.starts_with("{\"Error\":"), "got {first}");
+    assert_eq!(
+        rest.as_bytes(),
+        clean.stdout,
+        "the valid lines' answers moved"
+    );
+
+    assert_eq!(durable_files(&mixed_dir), durable_files(&clean_dir));
 }

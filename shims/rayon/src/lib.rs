@@ -1,6 +1,6 @@
 //! Offline, `std`-only stand-in for the subset of [rayon] the workspace
 //! uses. The build environment has no registry access, so — like the
-//! sibling `serde`/`proptest`/`criterion` shims — this crate provides an
+//! sibling `serde`/`proptest` shims — this crate provides an
 //! API-compatible drop-in that a later `cargo add rayon` can replace
 //! without touching call sites.
 //!
@@ -8,9 +8,9 @@
 //!
 //! - [`ThreadPoolBuilder`] with `num_threads`, `build_global`, and
 //!   `build`; [`ThreadPool::install`] scopes a thread-count override to
-//!   one closure (used by the bench-trajectory harness to time the same
-//!   sweep at `--jobs 1` and `--jobs N` inside one process, which real
-//!   rayon also supports via per-pool `install`).
+//!   one closure (used by the bench crate's tests to run one batch on a
+//!   pool of a fixed size inside one process, which real rayon also
+//!   supports via per-pool `install`).
 //! - [`current_num_threads`] resolving override → global → hardware.
 //! - `prelude::*` with `par_iter()` on slices/`Vec` and `into_par_iter()`
 //!   on `Vec`, each supporting `.map(..).collect::<Vec<_>>()`.
