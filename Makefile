@@ -17,6 +17,7 @@ fmt:
 
 clippy:
 	cargo clippy --workspace --all-targets
+	cargo clippy --workspace --all-targets --features audit
 
 test:
 	cargo test --workspace -q

@@ -1,7 +1,7 @@
 //! Fig. 3: why EDF fails under non-linear scaling (the paper's motivating
 //! example, replayed exactly).
 
-use elasticflow_core::{AdmissionController, PlanningJob, SlotGrid};
+use elasticflow_core::{AdmissionSet, PlanningJob, SlotGrid};
 use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
 use elasticflow_trace::JobId;
 
@@ -78,9 +78,7 @@ pub fn run() -> Vec<Table> {
             deadline_slot: 3, // 3.5 floors to 3 complete slots
         },
     ];
-    let admitted = AdmissionController::new(2)
-        .check(&jobs, &grid)
-        .is_admitted();
+    let admitted = AdmissionSet::check(2, &jobs, &grid).is_ok();
     let mut verdict = Table::new(
         "Fig 3 (cont.): ElasticFlow admission on the same instance",
         &["Check", "Result"],

@@ -1,7 +1,8 @@
 //! Fig. 4: the admission-control walkthrough (paper §4.1).
 
 use elasticflow_core::{
-    mss, progressive_filling, AllocationProfile, PlanningJob, ReservationLedger, SlotGrid,
+    mss, progressive_filling, AllocationProfile, FillScratch, PlanningJob, ReservationLedger,
+    SlotGrid,
 };
 use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
 use elasticflow_trace::JobId;
@@ -66,12 +67,12 @@ pub fn run() -> Vec<Table> {
     );
     // (b) Idle cluster.
     let empty = ReservationLedger::new();
-    let idle = progressive_filling(&job_c, &empty, &grid, 4, None);
+    let idle = progressive_filling(&job_c, &empty, &grid, 4, None, &mut FillScratch::new());
     push_profile_row(&mut walkthrough, "idle cluster", idle.as_ref(), &grid);
     // (c) Jobs A and B hold 3 GPUs in slot 0.
     let mut ledger = ReservationLedger::new();
     ledger.commit(&AllocationProfile::new(vec![3]));
-    let loaded = progressive_filling(&job_c, &ledger, &grid, 4, None);
+    let loaded = progressive_filling(&job_c, &ledger, &grid, 4, None, &mut FillScratch::new());
     push_profile_row(
         &mut walkthrough,
         "A+B hold 3 GPUs in slot 0",

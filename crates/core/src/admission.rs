@@ -2,10 +2,10 @@
 
 use std::collections::BTreeMap;
 
-use elasticflow_sched::CapacityShortfall;
+use elasticflow_sched::{CapacityShortfall, DeclineReason};
 use elasticflow_trace::JobId;
 
-use crate::filling::{progressive_filling_from, progressive_filling_with, FillScratch};
+use crate::filling::{progressive_filling_from, FillScratch};
 use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
 
 /// Sort key of Algorithm 1's deadline order (ties broken by job id so
@@ -19,8 +19,8 @@ fn fill_key(job: &PlanningJob) -> (usize, JobId) {
 ///
 /// Because Algorithm 1 fills in deadline order against the ledger of
 /// strictly earlier jobs only, the ledger state when a fill fails is
-/// identical between a from-scratch [`AdmissionController::check`] and
-/// the incremental [`AdmissionSet`] paths (the incremental admission
+/// identical between a from-scratch [`AdmissionSet::check`] and the
+/// incremental [`AdmissionSet`] paths (the incremental admission
 /// invariant) — so the shortfall here is bit-identical however the
 /// question was asked.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,6 +30,25 @@ pub struct AdmissionDenial {
     /// The blocking job's minimum demand vs. the free capacity left in
     /// its deadline window.
     pub shortfall: CapacityShortfall,
+}
+
+impl AdmissionDenial {
+    /// Attributes the decline of `candidate`: the fill either failed at
+    /// the candidate itself (its window cannot carry its demand) or at
+    /// an already-guaranteed job downstream that the candidate would
+    /// displace. The one attribution the simulator and the gateway share.
+    pub fn decline_reason(self, candidate: JobId) -> DeclineReason {
+        if self.blocking_job == candidate {
+            DeclineReason::CandidateInfeasible {
+                shortfall: self.shortfall,
+            }
+        } else {
+            DeclineReason::WouldDisplace {
+                blocking_job: self.blocking_job,
+                shortfall: self.shortfall,
+            }
+        }
+    }
 }
 
 /// Capacity arithmetic at a fill failure: `job`'s minimum-satisfactory
@@ -128,42 +147,28 @@ fn window_shortfall(
     }
 }
 
-/// Result of an admission check over a set of jobs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AdmissionOutcome {
-    /// Every job's deadline can be guaranteed; the witness plan assigns a
-    /// minimum-satisfactory profile per job.
-    Admitted {
-        /// Per-job minimum satisfactory profiles, keyed by job id.
-        plan: BTreeMap<JobId, AllocationProfile>,
-    },
-    /// No feasible plan exists; the named job is the first (in deadline
-    /// order) that cannot be satisfied.
-    Rejected {
-        /// The unsatisfiable job.
-        blocking_job: JobId,
-        /// The blocking job's minimum demand vs. the capacity left in
-        /// its window when the fill failed.
-        shortfall: CapacityShortfall,
-    },
-}
-
-impl AdmissionOutcome {
-    /// `true` for the admitted case.
-    pub fn is_admitted(&self) -> bool {
-        matches!(self, AdmissionOutcome::Admitted { .. })
-    }
-}
-
-/// ElasticFlow's admission controller: sorts jobs by deadline and
-/// progressively fills each against the reservations of the earlier ones
-/// (paper Algorithm 1). A new job is admitted iff the whole set — existing
-/// admitted jobs plus the newcomer — remains satisfiable.
+/// ElasticFlow's admission control (paper Algorithm 1): the committed
+/// outcome of one fill, kept around so the next admission question
+/// touches only the suffix it can change.
+///
+/// [`AdmissionSet::fill`] sorts jobs by deadline and progressively fills
+/// each against the reservations of the earlier ones; a new job is
+/// admitted iff the whole set — admitted jobs plus the newcomer —
+/// remains satisfiable.
+///
+/// Because each job fills against the ledger of strictly earlier jobs
+/// only, inserting a candidate at deadline position `k` cannot alter any
+/// profile in positions `[0, k)` — that prefix was computed from inputs
+/// the candidate does not reach. This is the *incremental admission
+/// invariant*: reusing the stored prefix profiles and refilling only
+/// `[k, n]` yields, job for job and bit for bit, the plan a from-scratch
+/// [`AdmissionSet::check`] over the union would produce, and the same
+/// first blocking job on rejection.
 ///
 /// # Example
 ///
 /// ```
-/// use elasticflow_core::{AdmissionController, PlanningJob, SlotGrid};
+/// use elasticflow_core::{AdmissionSet, FillScratch, PlanningJob, SlotGrid};
 /// use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
 /// use elasticflow_trace::JobId;
 ///
@@ -177,174 +182,15 @@ impl AdmissionOutcome {
 ///     remaining_iterations: work,
 ///     deadline_slot: slots,
 /// };
-/// let ac = AdmissionController::new(2);
-/// let grid = SlotGrid::uniform(1.0);
-/// // Two 1-GPU jobs with enough slack fit on 2 GPUs…
-/// assert!(ac.check(&[job(0, 2.0, 2), job(1, 2.0, 2)], &grid).is_admitted());
-/// // …a third does not.
-/// let out = ac.check(&[job(0, 2.0, 2), job(1, 2.0, 2), job(2, 2.0, 2)], &grid);
-/// assert!(!out.is_admitted());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionController {
-    total_gpus: u32,
-}
-
-impl AdmissionController {
-    /// Creates a controller for a cluster of `total_gpus` GPUs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_gpus` is zero.
-    pub fn new(total_gpus: u32) -> Self {
-        assert!(total_gpus > 0, "cluster must have GPUs");
-        AdmissionController { total_gpus }
-    }
-
-    /// The cluster size this controller plans for.
-    pub fn total_gpus(&self) -> u32 {
-        self.total_gpus
-    }
-
-    /// Checks whether all `jobs` can meet their deadlines together
-    /// (Algorithm 1 lines 2–9: sort by deadline, progressively fill each).
-    pub fn check(&self, jobs: &[PlanningJob], grid: &SlotGrid) -> AdmissionOutcome {
-        let mut order: Vec<&PlanningJob> = jobs.iter().collect();
-        order.sort_by_key(|j| fill_key(j));
-        let mut ledger = ReservationLedger::new();
-        let mut plan = BTreeMap::new();
-        let mut scratch = FillScratch::new();
-        for job in order {
-            match progressive_filling_with(job, &ledger, grid, self.total_gpus, None, &mut scratch)
-            {
-                Some(profile) => {
-                    ledger.commit(&profile);
-                    plan.insert(job.id, profile);
-                }
-                None => {
-                    return AdmissionOutcome::Rejected {
-                        blocking_job: job.id,
-                        shortfall: window_shortfall(job, &ledger, grid, self.total_gpus),
-                    }
-                }
-            }
-        }
-        AdmissionOutcome::Admitted { plan }
-    }
-
-    /// Runs Algorithm 1's fill over `jobs` once, *keeping* the result:
-    /// the returned [`AdmissionSet`] owns the deadline-ordered feasible
-    /// jobs, their minimum-satisfactory profiles, and the committed
-    /// ledger, so later arrivals can be answered incrementally via
-    /// [`AdmissionSet::whatif_admit`] instead of refilling every job.
-    /// The second element lists the lapsed jobs: infeasible against the
-    /// earlier ones, they commit nothing. In the idealized model every
-    /// admitted job stays feasible (Algorithm 1's invariant), but in a
-    /// running system scaling pauses and slot discretization can push an
-    /// admitted job past the point of recovery; such lapsed jobs are
-    /// scheduled best-effort (§4.4, soft deadlines) and must not veto
-    /// future admissions. Fills run through the caller's workspace.
-    pub fn fill(
-        &self,
-        jobs: &[PlanningJob],
-        grid: &SlotGrid,
-        scratch: &mut FillScratch,
-    ) -> (AdmissionSet, Vec<JobId>) {
-        self.fill_owned(jobs.to_vec(), grid, scratch)
-    }
-
-    /// [`AdmissionController::fill`] taking the jobs by value, so callers
-    /// that already own them (the online advance path rebuilds the whole
-    /// set every boundary crossing) skip copying the job list. Identical
-    /// results: the fill order is the same total `fill_key` order.
-    pub fn fill_owned(
-        &self,
-        mut jobs: Vec<PlanningJob>,
-        grid: &SlotGrid,
-        scratch: &mut FillScratch,
-    ) -> (AdmissionSet, Vec<JobId>) {
-        jobs.sort_by_key(fill_key);
-        let mut set = AdmissionSet {
-            total_gpus: self.total_gpus,
-            jobs: Vec::with_capacity(jobs.len()),
-            profiles: Vec::with_capacity(jobs.len()),
-            targets: Vec::with_capacity(jobs.len()),
-            ledger: ReservationLedger::new(),
-        };
-        let mut lapsed = Vec::new();
-        for job in jobs {
-            match progressive_filling_from(&job, &set.ledger, grid, self.total_gpus, 1, scratch) {
-                Some((profile, target)) => {
-                    set.ledger.commit(&profile);
-                    set.jobs.push(job);
-                    set.profiles.push(profile);
-                    set.targets.push(target);
-                }
-                None => lapsed.push(job.id),
-            }
-        }
-        (set, lapsed)
-    }
-
-    /// Mean booked fraction of the cluster over the next `horizon_slots`
-    /// slots of the given ledger, in `[0, 1]`.
-    pub fn booked_fraction(&self, ledger: &ReservationLedger, horizon_slots: usize) -> f64 {
-        if horizon_slots == 0 {
-            return 0.0;
-        }
-        // Per-slot commitments are small integers, so summing them in f64
-        // is exact — when nothing exceeds the cluster size the clamp is
-        // the identity and the integer prefix sum gives the same value
-        // without a walk past the ledger's end.
-        let total = if ledger.peak() <= self.total_gpus {
-            ledger.committed_before(horizon_slots) as f64
-        } else {
-            (0..horizon_slots)
-                .map(|t| ledger.committed(t).min(self.total_gpus) as f64)
-                .sum()
-        };
-        total / (horizon_slots as f64 * self.total_gpus as f64)
-    }
-}
-
-/// The committed outcome of one Algorithm-1 fill, kept around so the
-/// next admission question touches only the suffix it can change.
-///
-/// Algorithm 1 fills jobs in deadline order, each against the ledger of
-/// strictly earlier jobs only. Inserting a candidate at deadline
-/// position `k` therefore cannot alter any profile in positions
-/// `[0, k)` — that prefix was computed from inputs the candidate does
-/// not reach. This is the *incremental admission invariant*: reusing
-/// the stored prefix profiles and refilling only `[k, n]` yields, job
-/// for job and bit for bit, the plan a from-scratch
-/// [`AdmissionController::check`] over the union would produce, and the
-/// same first blocking job on rejection.
-///
-/// # Example
-///
-/// ```
-/// use elasticflow_core::{AdmissionController, FillScratch, PlanningJob, SlotGrid};
-/// use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
-/// use elasticflow_trace::JobId;
-///
-/// let curve = ScalingCurve::from_points(DnnModel::ResNet50, 64, vec![
-///     CurvePoint { gpus: 1, iters_per_sec: 1.0 },
-///     CurvePoint { gpus: 2, iters_per_sec: 1.5 },
-/// ]);
-/// let job = |id: u64, work: f64, slots: usize| PlanningJob {
-///     id: JobId::new(id),
-///     curve: curve.clone(),
-///     remaining_iterations: work,
-///     deadline_slot: slots,
-/// };
-/// let ac = AdmissionController::new(2);
 /// let grid = SlotGrid::uniform(1.0);
 /// let mut scratch = FillScratch::new();
-/// let (mut set, lapsed) = ac.fill(&[job(0, 2.0, 2)], &grid, &mut scratch);
+/// // Two 1-GPU jobs with enough slack fit on 2 GPUs…
+/// let two = [job(0, 2.0, 2), job(1, 2.0, 2)];
+/// assert!(AdmissionSet::check(2, &two, &grid).is_ok());
+/// let (mut set, lapsed) = AdmissionSet::fill(2, vec![job(0, 2.0, 2)], &grid, &mut scratch);
 /// assert!(lapsed.is_empty());
-/// // One more 1-GPU job fits; a third does not — and the denial says
-/// // who blocked and by how much.
-/// assert!(set.admit(job(1, 2.0, 2), &grid).is_ok());
+/// assert!(set.admit(job(1, 2.0, 2), &grid, &mut scratch).is_ok());
+/// // …a third does not — and the denial says who blocked and by how much.
 /// let denial = set.whatif_admit(&job(2, 2.0, 2), &grid, &mut scratch).unwrap_err();
 /// assert_eq!(denial.blocking_job, JobId::new(2));
 /// assert!(denial.shortfall.shortfall_gpu_slots() > 0.0);
@@ -379,6 +225,111 @@ struct SuffixRefill {
 }
 
 impl AdmissionSet {
+    /// Checks whether all `jobs` can meet their deadlines together on
+    /// `total_gpus` GPUs (Algorithm 1 lines 2–9: sort by deadline,
+    /// progressively fill each), from scratch. `Ok` carries the witness
+    /// plan, a minimum-satisfactory profile per job; `Err` names the
+    /// first job (in deadline order) that cannot be satisfied. This is
+    /// the reference the incremental paths are held to.
+    pub fn check(
+        total_gpus: u32,
+        jobs: &[PlanningJob],
+        grid: &SlotGrid,
+    ) -> Result<BTreeMap<JobId, AllocationProfile>, AdmissionDenial> {
+        let mut order: Vec<&PlanningJob> = jobs.iter().collect();
+        order.sort_by_key(|j| fill_key(j));
+        let mut ledger = ReservationLedger::new();
+        let mut plan = BTreeMap::new();
+        let mut scratch = FillScratch::new();
+        for job in order {
+            match progressive_filling_from(job, &ledger, grid, total_gpus, 1, &mut scratch) {
+                Some((profile, _)) => {
+                    ledger.commit(&profile);
+                    plan.insert(job.id, profile);
+                }
+                None => {
+                    return Err(AdmissionDenial {
+                        blocking_job: job.id,
+                        shortfall: window_shortfall(job, &ledger, grid, total_gpus),
+                    })
+                }
+            }
+        }
+        Ok(plan)
+    }
+
+    /// Runs Algorithm 1's fill over `jobs` on `total_gpus` GPUs once,
+    /// *keeping* the result: the set owns the deadline-ordered feasible
+    /// jobs, their minimum-satisfactory profiles, and the committed
+    /// ledger, so later arrivals are answered incrementally via
+    /// [`AdmissionSet::whatif_admit`] instead of refilling every job.
+    /// The second element lists the lapsed jobs: infeasible against the
+    /// earlier ones, they commit nothing. In the idealized model every
+    /// admitted job stays feasible (Algorithm 1's invariant), but in a
+    /// running system scaling pauses and slot discretization can push an
+    /// admitted job past the point of recovery; such lapsed jobs are
+    /// scheduled best-effort (§4.4, soft deadlines) and must not veto
+    /// future admissions. Fills run through the caller's workspace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_gpus` is zero.
+    pub fn fill(
+        total_gpus: u32,
+        mut jobs: Vec<PlanningJob>,
+        grid: &SlotGrid,
+        scratch: &mut FillScratch,
+    ) -> (AdmissionSet, Vec<JobId>) {
+        assert!(total_gpus > 0, "cluster must have GPUs");
+        jobs.sort_by_key(fill_key);
+        let mut set = AdmissionSet {
+            total_gpus,
+            jobs: Vec::with_capacity(jobs.len()),
+            profiles: Vec::with_capacity(jobs.len()),
+            targets: Vec::with_capacity(jobs.len()),
+            ledger: ReservationLedger::new(),
+        };
+        let mut lapsed = Vec::new();
+        for job in jobs {
+            match progressive_filling_from(&job, &set.ledger, grid, total_gpus, 1, scratch) {
+                Some((profile, target)) => {
+                    set.ledger.commit(&profile);
+                    set.jobs.push(job);
+                    set.profiles.push(profile);
+                    set.targets.push(target);
+                }
+                None => lapsed.push(job.id),
+            }
+        }
+        (set, lapsed)
+    }
+
+    /// Mean booked fraction of the cluster over the next `horizon_slots`
+    /// slots of the committed ledger, in `[0, 1]`.
+    pub fn booked_fraction(&self, horizon_slots: usize) -> f64 {
+        if horizon_slots == 0 {
+            return 0.0;
+        }
+        let ledger = &self.ledger;
+        // Per-slot commitments are small integers, so summing them in f64
+        // is exact — when nothing exceeds the cluster size the clamp is
+        // the identity and the integer prefix sum gives the same value
+        // without a walk past the ledger's end.
+        let total = if ledger.peak() <= self.total_gpus {
+            ledger.committed_before(horizon_slots) as f64
+        } else {
+            (0..horizon_slots)
+                .map(|t| ledger.committed(t).min(self.total_gpus) as f64)
+                .sum()
+        };
+        total / (horizon_slots as f64 * self.total_gpus as f64)
+    }
+
+    /// The cluster size the set is filled for.
+    pub(crate) fn total_gpus(&self) -> u32 {
+        self.total_gpus
+    }
+
     /// The committed reservation ledger of every job in the set.
     pub fn ledger(&self) -> &ReservationLedger {
         &self.ledger
@@ -529,45 +480,12 @@ impl AdmissionSet {
         Ok(())
     }
 
-    /// The full [`AdmissionOutcome`] (witness plan or blocking job) of
-    /// admitting `candidate`, built incrementally. Equals
-    /// `AdmissionController::check` over `jobs() + candidate`.
-    pub fn admission_outcome(&self, candidate: &PlanningJob, grid: &SlotGrid) -> AdmissionOutcome {
-        match self.refill_suffix(candidate, grid, &mut FillScratch::new()) {
-            Ok(refill) => {
-                let mut plan = BTreeMap::new();
-                for (job, profile) in self.jobs[..refill.k].iter().zip(&self.profiles[..refill.k]) {
-                    plan.insert(job.id, profile.clone());
-                }
-                plan.insert(candidate.id, refill.cand_profile);
-                for (job, profile) in self.jobs[refill.k..].iter().zip(&refill.suffix) {
-                    plan.insert(job.id, profile.clone());
-                }
-                AdmissionOutcome::Admitted { plan }
-            }
-            Err(denial) => AdmissionOutcome::Rejected {
-                blocking_job: denial.blocking_job,
-                shortfall: denial.shortfall,
-            },
-        }
-    }
-
     /// Commits `candidate` into the set (incremental fill). On failure
     /// the set is unchanged and the denial (blocking job + shortfall)
-    /// is returned.
+    /// is returned. Fills run through the caller's workspace, which
+    /// carries no decision state between calls — reuse never changes an
+    /// outcome.
     pub fn admit(
-        &mut self,
-        candidate: PlanningJob,
-        grid: &SlotGrid,
-    ) -> Result<(), AdmissionDenial> {
-        self.admit_with(candidate, grid, &mut FillScratch::new())
-    }
-
-    /// [`AdmissionSet::admit`] with a caller-provided fill scratch, so a
-    /// batch of submissions reuses one set of buffers (and one curve
-    /// memo) instead of allocating per decision. The scratch carries no
-    /// decision state between calls — reuse never changes an outcome.
-    pub fn admit_with(
         &mut self,
         candidate: PlanningJob,
         grid: &SlotGrid,
@@ -591,16 +509,10 @@ impl AdmissionSet {
     /// freed capacity, exactly as a from-scratch fill over the remaining
     /// jobs would. Returns the ids of any suffix jobs that can no longer
     /// be satisfied (possible outside the idealized model; they are
-    /// dropped from the set, mirroring [`AdmissionController::fill`]'s
-    /// lapsed handling). A no-op returning an empty list if `id` is not
-    /// in the set.
-    pub fn withdraw(&mut self, id: JobId, grid: &SlotGrid) -> Vec<JobId> {
-        self.withdraw_with(id, grid, &mut FillScratch::new())
-    }
-
-    /// [`AdmissionSet::withdraw`] with a caller-provided fill scratch
-    /// (see [`AdmissionSet::admit_with`]).
-    pub fn withdraw_with(
+    /// dropped from the set, mirroring [`AdmissionSet::fill`]'s lapsed
+    /// handling). A no-op returning an empty list if `id` is not in the
+    /// set.
+    pub fn withdraw(
         &mut self,
         id: JobId,
         grid: &SlotGrid,
@@ -674,10 +586,57 @@ mod tests {
         }
     }
 
+    /// The plan `set` would commit with `candidate` admitted, or its
+    /// denial — what the from-scratch `check` over the union must equal.
+    fn admitted_plan(
+        set: &AdmissionSet,
+        candidate: PlanningJob,
+        grid: &SlotGrid,
+    ) -> Result<BTreeMap<JobId, AllocationProfile>, AdmissionDenial> {
+        let mut set = set.clone();
+        set.admit(candidate, grid, &mut FillScratch::new())?;
+        Ok(set.plan())
+    }
+
     #[test]
     fn empty_set_is_admitted() {
-        let ac = AdmissionController::new(4);
-        assert!(ac.check(&[], &SlotGrid::uniform(1.0)).is_admitted());
+        assert!(AdmissionSet::check(4, &[], &SlotGrid::uniform(1.0)).is_ok());
+    }
+
+    #[test]
+    fn decline_reason_attributes_the_blocking_job() {
+        let shortfall = CapacityShortfall {
+            window_slots: 7,
+            demand_gpu_slots: 0.1 + 0.2,
+            free_gpu_slots: f64::MIN_POSITIVE,
+        };
+        let bits = |s: &CapacityShortfall| {
+            (
+                s.window_slots,
+                s.demand_gpu_slots.to_bits(),
+                s.free_gpu_slots.to_bits(),
+            )
+        };
+        let denial = AdmissionDenial {
+            blocking_job: JobId::new(3),
+            shortfall,
+        };
+        match denial.decline_reason(JobId::new(3)) {
+            DeclineReason::CandidateInfeasible { shortfall: got } => {
+                assert_eq!(bits(&got), bits(&shortfall));
+            }
+            other => panic!("the candidate blocked itself, got {other:?}"),
+        }
+        match denial.decline_reason(JobId::new(9)) {
+            DeclineReason::WouldDisplace {
+                blocking_job,
+                shortfall: got,
+            } => {
+                assert_eq!(blocking_job, JobId::new(3));
+                assert_eq!(bits(&got), bits(&shortfall));
+            }
+            other => panic!("job 3 blocked candidate 9, got {other:?}"),
+        }
     }
 
     #[test]
@@ -685,39 +644,29 @@ mod tests {
         // The motivating example (Fig. 3): jobs A and B, 3 units each,
         // deadlines 3 and 3.5 (=> 3 slots each, conservatively), 2 GPUs.
         // One worker each meets both deadlines.
-        let ac = AdmissionController::new(2);
         let grid = SlotGrid::uniform(1.0);
-        let out = ac.check(&[job(0, 3.0, 3), job(1, 3.0, 3)], &grid);
-        match out {
-            AdmissionOutcome::Admitted { plan } => {
-                assert_eq!(plan[&JobId::new(0)].as_slice(), &[1, 1, 1]);
-                assert_eq!(plan[&JobId::new(1)].as_slice(), &[1, 1, 1]);
-            }
-            AdmissionOutcome::Rejected { .. } => panic!("Fig. 3 set must be admitted"),
-        }
+        let plan = AdmissionSet::check(2, &[job(0, 3.0, 3), job(1, 3.0, 3)], &grid)
+            .expect("Fig. 3 set must be admitted");
+        assert_eq!(plan[&JobId::new(0)].as_slice(), &[1, 1, 1]);
+        assert_eq!(plan[&JobId::new(1)].as_slice(), &[1, 1, 1]);
     }
 
     #[test]
     fn rejection_names_the_blocking_job() {
-        let ac = AdmissionController::new(1);
         let grid = SlotGrid::uniform(1.0);
-        let out = ac.check(&[job(0, 1.0, 1), job(1, 1.0, 1)], &grid);
-        match out {
-            AdmissionOutcome::Rejected {
-                blocking_job,
-                shortfall,
-            } => {
-                assert_eq!(blocking_job, JobId::new(1));
-                // Job 0 booked the lone GPU for the whole 1-slot window:
-                // job 1 needs 1 GPU-slot (1 unit of work at 1 it/s on 1
-                // GPU) and finds 0 free.
-                assert_eq!(shortfall.window_slots, 1);
-                assert!((shortfall.demand_gpu_slots - 1.0).abs() < 1e-12);
-                assert_eq!(shortfall.free_gpu_slots, 0.0);
-                assert!((shortfall.shortfall_gpu_slots() - 1.0).abs() < 1e-12);
-            }
-            AdmissionOutcome::Admitted { .. } => panic!("one GPU cannot carry both jobs"),
-        }
+        let AdmissionDenial {
+            blocking_job,
+            shortfall,
+        } = AdmissionSet::check(1, &[job(0, 1.0, 1), job(1, 1.0, 1)], &grid)
+            .expect_err("one GPU cannot carry both jobs");
+        assert_eq!(blocking_job, JobId::new(1));
+        // Job 0 booked the lone GPU for the whole 1-slot window: job 1
+        // needs 1 GPU-slot (1 unit of work at 1 it/s on 1 GPU) and finds
+        // 0 free.
+        assert_eq!(shortfall.window_slots, 1);
+        assert!((shortfall.demand_gpu_slots - 1.0).abs() < 1e-12);
+        assert_eq!(shortfall.free_gpu_slots, 0.0);
+        assert!((shortfall.shortfall_gpu_slots() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -728,22 +677,17 @@ mod tests {
         // 2 slots), so demand is charged at full tilt: 50 units / 2 it/s
         // = 25 slots of time × 4 GPUs = 100 GPU-slots. Usable free is
         // slot 1's 4 GPUs (slot 0 is fully booked).
-        let ac = AdmissionController::new(4);
         let grid = SlotGrid::uniform(1.0);
-        let out = ac.check(&[job(0, 2.0, 1), job(1, 50.0, 2)], &grid);
-        match out {
-            AdmissionOutcome::Rejected {
-                blocking_job,
-                shortfall,
-            } => {
-                assert_eq!(blocking_job, JobId::new(1));
-                assert_eq!(shortfall.window_slots, 2);
-                assert!((shortfall.demand_gpu_slots - 100.0).abs() < 1e-9);
-                assert!((shortfall.free_gpu_slots - 4.0).abs() < 1e-9);
-                assert!((shortfall.shortfall_gpu_slots() - 96.0).abs() < 1e-9);
-            }
-            AdmissionOutcome::Admitted { .. } => panic!("50 units cannot fit in 8 GPU-slots"),
-        }
+        let AdmissionDenial {
+            blocking_job,
+            shortfall,
+        } = AdmissionSet::check(4, &[job(0, 2.0, 1), job(1, 50.0, 2)], &grid)
+            .expect_err("50 units cannot fit in 8 GPU-slots");
+        assert_eq!(blocking_job, JobId::new(1));
+        assert_eq!(shortfall.window_slots, 2);
+        assert!((shortfall.demand_gpu_slots - 100.0).abs() < 1e-9);
+        assert!((shortfall.free_gpu_slots - 4.0).abs() < 1e-9);
+        assert!((shortfall.shortfall_gpu_slots() - 96.0).abs() < 1e-9);
     }
 
     #[test]
@@ -762,28 +706,22 @@ mod tests {
 
     #[test]
     fn later_deadline_job_uses_leftover_slots() {
-        let ac = AdmissionController::new(4);
         let grid = SlotGrid::uniform(1.0);
         // Urgent job needs the whole cluster in slot 0; the second job has
         // an extra slot and fits after it.
-        let out = ac.check(&[job(0, 2.0, 1), job(1, 2.0, 2)], &grid);
-        match out {
-            AdmissionOutcome::Admitted { plan } => {
-                assert_eq!(plan[&JobId::new(0)].as_slice(), &[4]);
-                // Job 1 gets nothing in slot 0, then the cluster in slot 1.
-                assert_eq!(plan[&JobId::new(1)].gpus(0), 0);
-                assert_eq!(plan[&JobId::new(1)].gpus(1), 4);
-            }
-            AdmissionOutcome::Rejected { .. } => panic!("should fit"),
-        }
+        let plan =
+            AdmissionSet::check(4, &[job(0, 2.0, 1), job(1, 2.0, 2)], &grid).expect("should fit");
+        assert_eq!(plan[&JobId::new(0)].as_slice(), &[4]);
+        // Job 1 gets nothing in slot 0, then the cluster in slot 1.
+        assert_eq!(plan[&JobId::new(1)].gpus(0), 0);
+        assert_eq!(plan[&JobId::new(1)].gpus(1), 4);
     }
 
     #[test]
     fn whatif_admit_checks_the_union() {
-        let ac = AdmissionController::new(2);
         let grid = SlotGrid::uniform(1.0);
         let scratch = &mut FillScratch::new();
-        let (set, _) = ac.fill(&[job(0, 2.0, 2)], &grid, scratch);
+        let (set, _) = AdmissionSet::fill(2, vec![job(0, 2.0, 2)], &grid, scratch);
         assert!(set.whatif_admit(&job(1, 1.0, 2), &grid, scratch).is_ok());
         assert!(set.whatif_admit(&job(1, 4.0, 2), &grid, scratch).is_err());
     }
@@ -792,10 +730,9 @@ mod tests {
     fn admission_is_monotone_in_deadline() {
         // A job rejected at a tight deadline must be admitted at a looser
         // one (same work, same load).
-        let ac = AdmissionController::new(2);
         let grid = SlotGrid::uniform(1.0);
         let scratch = &mut FillScratch::new();
-        let (set, _) = ac.fill(&[job(0, 3.0, 2)], &grid, scratch);
+        let (set, _) = AdmissionSet::fill(2, vec![job(0, 3.0, 2)], &grid, scratch);
         let tight = job(1, 2.5, 2);
         let loose = job(1, 2.5, 4);
         assert!(set.whatif_admit(&tight, &grid, scratch).is_err());
@@ -836,9 +773,8 @@ mod tests {
             mk(1, [1.210, 2.196, 3.160], 1.315, 2),
             mk(2, [1.541, 2.400, 3.194], 1.124, 3),
         ];
-        let ac = AdmissionController::new(4);
         let grid = SlotGrid::uniform(1.0);
-        assert!(ac.check(&jobs, &grid).is_admitted());
+        assert!(AdmissionSet::check(4, &jobs, &grid).is_ok());
         for skip in 0..jobs.len() {
             let subset: Vec<PlanningJob> = jobs
                 .iter()
@@ -847,7 +783,7 @@ mod tests {
                 .map(|(_, j)| j.clone())
                 .collect();
             assert!(
-                ac.check(&subset, &grid).is_admitted(),
+                AdmissionSet::check(4, &subset, &grid).is_ok(),
                 "removing job {skip} broke admission"
             );
         }
@@ -855,10 +791,10 @@ mod tests {
 
     #[test]
     fn incremental_outcome_matches_from_scratch_check() {
-        let ac = AdmissionController::new(4);
         let grid = SlotGrid::uniform(1.0);
         let existing = [job(0, 2.0, 1), job(1, 3.0, 3), job(2, 1.0, 2)];
-        let (set, lapsed) = ac.fill(&existing, &grid, &mut FillScratch::new());
+        let (set, lapsed) =
+            AdmissionSet::fill(4, existing.to_vec(), &grid, &mut FillScratch::new());
         assert!(lapsed.is_empty());
         // Candidates landing before, between, and after the existing
         // deadlines; feasible and infeasible alike.
@@ -871,8 +807,8 @@ mod tests {
             let mut union: Vec<PlanningJob> = existing.to_vec();
             union.push(candidate.clone());
             assert_eq!(
-                set.admission_outcome(&candidate, &grid),
-                ac.check(&union, &grid),
+                admitted_plan(&set, candidate.clone(), &grid),
+                AdmissionSet::check(4, &union, &grid),
                 "candidate deadline {}",
                 candidate.deadline_slot
             );
@@ -881,27 +817,25 @@ mod tests {
 
     #[test]
     fn admit_then_withdraw_round_trips() {
-        let ac = AdmissionController::new(4);
         let grid = SlotGrid::uniform(1.0);
-        let (mut set, _) = ac.fill(
-            &[job(0, 2.0, 2), job(1, 2.0, 3)],
-            &grid,
-            &mut FillScratch::new(),
-        );
+        let scratch = &mut FillScratch::new();
+        let (mut set, _) =
+            AdmissionSet::fill(4, vec![job(0, 2.0, 2), job(1, 2.0, 3)], &grid, scratch);
         let before_plan = set.plan();
         let before_ledger = set.ledger().clone();
-        set.admit(job(2, 1.0, 2), &grid).unwrap();
+        set.admit(job(2, 1.0, 2), &grid, scratch).unwrap();
         assert_eq!(set.len(), 3);
         // The mutated set must equal a from-scratch fill of the union...
-        let (scratch_set, _) = ac.fill(
-            &[job(0, 2.0, 2), job(1, 2.0, 3), job(2, 1.0, 2)],
+        let (scratch_set, _) = AdmissionSet::fill(
+            4,
+            vec![job(0, 2.0, 2), job(1, 2.0, 3), job(2, 1.0, 2)],
             &grid,
-            &mut FillScratch::new(),
+            scratch,
         );
         assert_eq!(set.plan(), scratch_set.plan());
         assert_eq!(set.ledger(), scratch_set.ledger());
         // ...and withdrawing restores the original committed state.
-        let lapsed = set.withdraw(JobId::new(2), &grid);
+        let lapsed = set.withdraw(JobId::new(2), &grid, scratch);
         assert!(lapsed.is_empty());
         assert_eq!(set.plan(), before_plan);
         assert_eq!(set.ledger(), &before_ledger);
@@ -909,25 +843,21 @@ mod tests {
 
     #[test]
     fn failed_admit_leaves_the_set_unchanged() {
-        let ac = AdmissionController::new(2);
         let grid = SlotGrid::uniform(1.0);
-        let (mut set, _) = ac.fill(
-            &[job(0, 2.0, 2), job(1, 2.0, 2)],
-            &grid,
-            &mut FillScratch::new(),
-        );
+        let scratch = &mut FillScratch::new();
+        let (mut set, _) =
+            AdmissionSet::fill(2, vec![job(0, 2.0, 2), job(1, 2.0, 2)], &grid, scratch);
         let plan = set.plan();
-        let denial = set.admit(job(2, 2.0, 2), &grid).unwrap_err();
+        let denial = set.admit(job(2, 2.0, 2), &grid, scratch).unwrap_err();
         assert_eq!(denial.blocking_job, JobId::new(2));
         assert_eq!(set.plan(), plan);
         // A tight candidate with the earliest deadline blocks a *later*
         // job, not itself; the error names that job, like check does.
-        let (set2, _) = ac.fill(&[job(5, 1.5, 2)], &grid, &mut FillScratch::new());
+        let (set2, _) = AdmissionSet::fill(2, vec![job(5, 1.5, 2)], &grid, scratch);
         let bully = job(1, 3.0, 1);
-        let mut union = vec![job(5, 1.5, 2), bully.clone()];
-        let scratch = ac.check(&union, &grid);
-        union.pop();
-        assert_eq!(set2.admission_outcome(&bully, &grid), scratch);
+        let union = vec![job(5, 1.5, 2), bully.clone()];
+        let from_scratch = AdmissionSet::check(2, &union, &grid);
+        assert_eq!(admitted_plan(&set2, bully, &grid), from_scratch);
     }
 
     #[test]
@@ -958,16 +888,11 @@ mod tests {
             remaining_iterations: work,
             deadline_slot: slots,
         };
-        let ac = AdmissionController::new(4);
         let grid = SlotGrid::uniform(1.0);
         // Theorem 1: sum of M_j/k_j over deadline-sorted prefixes <= G*D_i.
         // Jobs: (4 work, D=1), (8 work, D=3): prefix1 4 <= 4; prefix2 12 <= 12.
-        assert!(ac
-            .check(&[mk(0, 4.0, 1), mk(1, 8.0, 3)], &grid)
-            .is_admitted());
+        assert!(AdmissionSet::check(4, &[mk(0, 4.0, 1), mk(1, 8.0, 3)], &grid).is_ok());
         // Push past the bound: (4, D=1), (9, D=3): 13 > 12 infeasible.
-        assert!(!ac
-            .check(&[mk(0, 4.0, 1), mk(1, 9.0, 3)], &grid)
-            .is_admitted());
+        assert!(AdmissionSet::check(4, &[mk(0, 4.0, 1), mk(1, 9.0, 3)], &grid).is_err());
     }
 }

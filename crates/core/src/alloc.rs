@@ -8,7 +8,7 @@ use elasticflow_trace::JobId;
 
 use crate::filling::{headroom_through, progressive_filling_memo, slot_walk_end, FillScratch};
 use crate::{
-    AdmissionController, AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON,
+    AdmissionSet, AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON,
 };
 
 /// Outcome of a resource-allocation round.
@@ -176,25 +176,11 @@ impl ResourceAllocator {
     ///
     /// Phase 1 recomputes every job's minimum satisfactory profile via
     /// Algorithm 1's progressive filling; phase 2 distributes leftover
-    /// slot-0 GPUs by marginal return.
+    /// slot-0 GPUs by marginal return. No job has an incumbent size here;
+    /// a scheduler that tracks running sizes calls
+    /// [`ResourceAllocator::minimum_shares`] and
+    /// [`ResourceAllocator::boost`] itself.
     pub fn allocate(&self, jobs: &[PlanningJob], grid: &SlotGrid) -> AllocationResult {
-        self.allocate_with_incumbents(jobs, grid, &BTreeMap::new())
-    }
-
-    /// Like [`ResourceAllocator::allocate`], but biases the boost order
-    /// toward each job's *incumbent* (currently running) worker count:
-    /// among pending boosts, restoring a job to a size it already holds is
-    /// preferred over growing another job past its incumbent. Restoration
-    /// boosts are free at runtime (no checkpoint/restore pause), so this
-    /// damping reduces allocation churn without changing what Algorithm 2
-    /// can express — ties in marginal return are simply broken in favor of
-    /// the status quo.
-    pub fn allocate_with_incumbents(
-        &self,
-        jobs: &[PlanningJob],
-        grid: &SlotGrid,
-        incumbents: &BTreeMap<JobId, u32>,
-    ) -> AllocationResult {
         let mut scratch = FillScratch::new();
         let (mut profiles, infeasible, mut ledger) = self.minimum_shares(jobs, grid, &mut scratch);
         let free0 = self.total_gpus - profiles.values().map(|p| p.gpus(0)).sum::<u32>();
@@ -204,7 +190,7 @@ impl ResourceAllocator {
             &mut profiles,
             &mut ledger,
             free0,
-            incumbents,
+            &BTreeMap::new(),
             &mut scratch,
         );
         AllocationResult {
@@ -232,8 +218,8 @@ impl ResourceAllocator {
         // (scaling pauses, discretization) the same pass keeps the
         // satisfiable jobs and surfaces the lapsed rest for fallback —
         // no second from-scratch fill on the rejected path.
-        let ac = AdmissionController::new(self.total_gpus);
-        let (set, mut infeasible) = ac.fill(jobs, grid, scratch);
+        let (set, mut infeasible) =
+            AdmissionSet::fill(self.total_gpus, jobs.to_vec(), grid, scratch);
         let (filled_jobs, filled_profiles, ledger) = set.into_parts();
         let profiles: BTreeMap<JobId, AllocationProfile> = filled_jobs
             .into_iter()
@@ -258,6 +244,13 @@ impl ResourceAllocator {
     /// Otherwise it is recomputed and re-pushed. Pop order equals a
     /// linear rescan for the best pending boost entry for entry, so both
     /// produce identical allocations.
+    ///
+    /// `incumbents` holds each job's currently running worker count:
+    /// among pending boosts, restoring a job to a size it already holds
+    /// is preferred over growing another job past its incumbent.
+    /// Restorations are free at runtime (no checkpoint/restore pause), so
+    /// this damps allocation churn; ties in marginal return are broken in
+    /// favor of the status quo.
     ///
     /// Fills and per-job curve memos come from the caller's workspace.
     #[allow(clippy::too_many_arguments)]
@@ -453,7 +446,7 @@ impl ResourceAllocator {
 #[cfg(test)]
 mod reference {
     use super::*;
-    use crate::filling::progressive_filling_with;
+    use crate::filling::progressive_filling;
 
     struct Boost {
         priority: f64,
@@ -578,7 +571,7 @@ mod reference {
             // Evaluate against the ledger without this job's own reservations.
             ledger.uncommit(current);
             let fresh =
-                progressive_filling_with(job, ledger, grid, self.total_gpus, Some(next0), scratch);
+                progressive_filling(job, ledger, grid, self.total_gpus, Some(next0), scratch);
             ledger.commit(current);
             let fresh = fresh?;
             let finishes_earlier = match (
@@ -815,7 +808,9 @@ mod tests {
         let mut profiles = BTreeMap::new();
         let mut ledger = ReservationLedger::new();
         for job in &jobs {
-            if let Some(p) = progressive_filling(job, &ledger, &grid, total, None) {
+            if let Some(p) =
+                progressive_filling(job, &ledger, &grid, total, None, &mut FillScratch::new())
+            {
                 ledger.commit(&p);
                 profiles.insert(job.id, p);
             }

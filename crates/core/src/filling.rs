@@ -7,7 +7,7 @@ use crate::plan::WORK_EPSILON;
 use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
 
 /// The planner's fill workspace: reusable buffers for
-/// [`progressive_filling_with`] and Algorithm 2's boost loop.
+/// [`progressive_filling`] and Algorithm 2's boost loop.
 ///
 /// Progressive filling is the planner's innermost loop: every admission
 /// check and every Algorithm-2 boost probe builds per-slot candidate
@@ -88,14 +88,13 @@ impl Clone for FillScratch {
 /// ladder: buddy placement restricts worker counts to powers of two
 /// (§4.3), and per-slot grants are rounded *down* to powers of two.
 ///
-/// This convenience wrapper allocates a fresh [`FillScratch`] per call;
-/// planners thread their own workspace through
-/// [`progressive_filling_with`] instead.
+/// Fills run through the caller's [`FillScratch`]; the result does not
+/// depend on what the workspace held before.
 ///
 /// # Example
 ///
 /// ```
-/// use elasticflow_core::{progressive_filling, PlanningJob, ReservationLedger, SlotGrid};
+/// use elasticflow_core::{progressive_filling, FillScratch, PlanningJob, ReservationLedger, SlotGrid};
 /// use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
 /// use elasticflow_trace::JobId;
 ///
@@ -115,30 +114,12 @@ impl Clone for FillScratch {
 /// // Jobs A and B occupy 3 of the 4 GPUs in slot 0.
 /// let mut ledger = ReservationLedger::new();
 /// ledger.commit(&elasticflow_core::AllocationProfile::new(vec![3]));
-/// let profile = progressive_filling(&job, &ledger, &grid, 4, None).unwrap();
+/// let profile = progressive_filling(&job, &ledger, &grid, 4, None, &mut FillScratch::new());
+/// let profile = profile.unwrap();
 /// // As in the paper: 1 GPU in slot 0, 4 GPUs in slot 1 => 1 + 2 = 3 iters.
 /// assert_eq!(profile.as_slice(), &[1, 4]);
 /// ```
 pub fn progressive_filling(
-    job: &PlanningJob,
-    ledger: &ReservationLedger,
-    grid: &SlotGrid,
-    total_gpus: u32,
-    fixed_slot0: Option<u32>,
-) -> Option<AllocationProfile> {
-    progressive_filling_with(
-        job,
-        ledger,
-        grid,
-        total_gpus,
-        fixed_slot0,
-        &mut FillScratch::new(),
-    )
-}
-
-/// [`progressive_filling`] with caller-owned scratch buffers — identical
-/// results, no per-candidate allocation.
-pub fn progressive_filling_with(
     job: &PlanningJob,
     ledger: &ReservationLedger,
     grid: &SlotGrid,
@@ -149,8 +130,8 @@ pub fn progressive_filling_with(
     ladder_fill(job, ledger, grid, total_gpus, fixed_slot0, 1, scratch).map(|(profile, _)| profile)
 }
 
-/// [`progressive_filling_with`] that also reports the target `j` the
-/// ladder settled on, and accepts a starting rung.
+/// [`progressive_filling`] that also reports the target `j` the ladder
+/// settled on, and accepts a starting rung.
 ///
 /// `start_target` above 1 skips the ladder's lower rungs. The caller
 /// asserts that those rungs are known to fail — the contract under which
@@ -162,7 +143,7 @@ pub fn progressive_filling_with(
 /// before still fails. The hint is ignored — full ladder from rung 1 —
 /// whenever the curve is not ladder-monotone, so dips in measured curves
 /// can never flip an outcome.
-pub fn progressive_filling_from(
+pub(crate) fn progressive_filling_from(
     job: &PlanningJob,
     ledger: &ReservationLedger,
     grid: &SlotGrid,
@@ -199,7 +180,7 @@ fn ladder_fill(
     )
 }
 
-/// [`progressive_filling_with`] against a memo of `job.curve` the caller
+/// [`progressive_filling`] against a memo of `job.curve` the caller
 /// already holds: Algorithm 2 probes one job many times and builds its
 /// memo once. Also reports the target the ladder settled on.
 pub(crate) fn progressive_filling_memo(
@@ -630,7 +611,8 @@ mod tests {
         // Deadline 1 slot, 1 unit of work, throughput 1 at 1 GPU: j = 1.
         let grid = SlotGrid::uniform(1.0);
         let ledger = ReservationLedger::new();
-        let p = progressive_filling(&job(1.0, 1), &ledger, &grid, 4, None).unwrap();
+        let s = &mut FillScratch::new();
+        let p = progressive_filling(&job(1.0, 1), &ledger, &grid, 4, None, s).unwrap();
         assert_eq!(p.as_slice(), &[1]);
     }
 
@@ -639,7 +621,8 @@ mod tests {
         // 1.5 units of work in 1 slot needs 2 GPUs (T(2) = 1.5).
         let grid = SlotGrid::uniform(1.0);
         let ledger = ReservationLedger::new();
-        let p = progressive_filling(&job(1.5, 1), &ledger, &grid, 4, None).unwrap();
+        let s = &mut FillScratch::new();
+        let p = progressive_filling(&job(1.5, 1), &ledger, &grid, 4, None, s).unwrap();
         assert_eq!(p.as_slice(), &[2]);
     }
 
@@ -651,7 +634,8 @@ mod tests {
         let mut ledger = ReservationLedger::new();
         ledger.commit(&AllocationProfile::new(vec![3]));
         // j = 2 is checked first and fails: T(1) + T(2) = 2.5 < 3.
-        let p = progressive_filling(&job(3.0, 2), &ledger, &grid, 4, None).unwrap();
+        let s = &mut FillScratch::new();
+        let p = progressive_filling(&job(3.0, 2), &ledger, &grid, 4, None, s).unwrap();
         assert_eq!(p.as_slice(), &[1, 4]);
     }
 
@@ -660,14 +644,16 @@ mod tests {
         // 10 units of work, deadline 1 slot, max throughput 2: impossible.
         let grid = SlotGrid::uniform(1.0);
         let ledger = ReservationLedger::new();
-        assert!(progressive_filling(&job(10.0, 1), &ledger, &grid, 4, None).is_none());
+        let s = &mut FillScratch::new();
+        assert!(progressive_filling(&job(10.0, 1), &ledger, &grid, 4, None, s).is_none());
     }
 
     #[test]
     fn zero_deadline_slots_is_infeasible() {
         let grid = SlotGrid::uniform(1.0);
         let ledger = ReservationLedger::new();
-        assert!(progressive_filling(&job(0.5, 0), &ledger, &grid, 4, None).is_none());
+        let s = &mut FillScratch::new();
+        assert!(progressive_filling(&job(0.5, 0), &ledger, &grid, 4, None, s).is_none());
     }
 
     #[test]
@@ -675,7 +661,8 @@ mod tests {
         // 2 units of work with j=1 over a 10-slot horizon: only 2 slots used.
         let grid = SlotGrid::uniform(1.0);
         let ledger = ReservationLedger::new();
-        let p = progressive_filling(&job(2.0, 10), &ledger, &grid, 4, None).unwrap();
+        let s = &mut FillScratch::new();
+        let p = progressive_filling(&job(2.0, 10), &ledger, &grid, 4, None, s).unwrap();
         assert_eq!(p.len(), 2);
         assert_eq!(p.as_slice(), &[1, 1]);
     }
@@ -684,7 +671,8 @@ mod tests {
     fn fixed_slot0_is_respected() {
         let grid = SlotGrid::uniform(1.0);
         let ledger = ReservationLedger::new();
-        let p = progressive_filling(&job(3.5, 2), &ledger, &grid, 4, Some(4)).unwrap();
+        let s = &mut FillScratch::new();
+        let p = progressive_filling(&job(3.5, 2), &ledger, &grid, 4, Some(4), s).unwrap();
         assert_eq!(p.gpus(0), 4);
         // Slot 0 completes 2 units; remaining 1.5 needs 2 GPUs in slot 1.
         assert_eq!(p.gpus(1), 2);
@@ -696,7 +684,8 @@ mod tests {
         let mut ledger = ReservationLedger::new();
         // 1 GPU committed leaves 3 free; grants must round down to 2.
         ledger.commit(&AllocationProfile::new(vec![1, 1, 1, 1]));
-        let p = progressive_filling(&job(4.0, 4), &ledger, &grid, 4, None).unwrap();
+        let s = &mut FillScratch::new();
+        let p = progressive_filling(&job(4.0, 4), &ledger, &grid, 4, None, s).unwrap();
         for &g in p.as_slice() {
             assert!(g == 0 || g.is_power_of_two());
             assert!(g <= 2);
@@ -709,9 +698,10 @@ mod tests {
         let mut ledger = ReservationLedger::new();
         ledger.commit(&AllocationProfile::new(vec![4, 4]));
         // Cluster fully booked for 2 slots: a 2-slot-deadline job can't fit.
-        assert!(progressive_filling(&job(1.0, 2), &ledger, &grid, 4, None).is_none());
+        let s = &mut FillScratch::new();
+        assert!(progressive_filling(&job(1.0, 2), &ledger, &grid, 4, None, s).is_none());
         // But a 3-slot deadline leaves slot 2 free.
-        let p = progressive_filling(&job(1.0, 3), &ledger, &grid, 4, None).unwrap();
+        let p = progressive_filling(&job(1.0, 3), &ledger, &grid, 4, None, s).unwrap();
         assert_eq!(p.as_slice(), &[0, 0, 1]);
     }
 
@@ -721,14 +711,12 @@ mod tests {
         let mut scratch = FillScratch::new();
         let mut ledger = ReservationLedger::new();
         ledger.commit(&AllocationProfile::new(vec![3]));
-        let a =
-            progressive_filling_with(&job(3.0, 2), &ledger, &grid, 4, None, &mut scratch).unwrap();
+        let a = progressive_filling(&job(3.0, 2), &ledger, &grid, 4, None, &mut scratch).unwrap();
         assert_eq!(a.as_slice(), &[1, 4]);
         // A second, different fill through the same scratch must match the
         // fresh-scratch result exactly.
         let empty = ReservationLedger::new();
-        let b =
-            progressive_filling_with(&job(1.5, 1), &empty, &grid, 4, None, &mut scratch).unwrap();
+        let b = progressive_filling(&job(1.5, 1), &empty, &grid, 4, None, &mut scratch).unwrap();
         assert_eq!(b.as_slice(), &[2]);
         // And the first profile is an independent copy, not a view.
         assert_eq!(a.as_slice(), &[1, 4]);
@@ -740,9 +728,10 @@ mod tests {
         // walked path must reject, and feasible cases must be unaffected.
         let grid = SlotGrid::uniform(1.0);
         let ledger = ReservationLedger::new();
-        assert!(progressive_filling(&job(1000.0, 3), &ledger, &grid, 4, None).is_none());
+        let s = &mut FillScratch::new();
+        assert!(progressive_filling(&job(1000.0, 3), &ledger, &grid, 4, None, s).is_none());
         // Just-feasible boundary: 2 slots at T(4)=2 completes 4.0 exactly.
-        let p = progressive_filling(&job(4.0, 2), &ledger, &grid, 4, None).unwrap();
+        let p = progressive_filling(&job(4.0, 2), &ledger, &grid, 4, None, s).unwrap();
         assert_eq!(p.as_slice(), &[4, 4]);
     }
 
@@ -864,6 +853,77 @@ mod tests {
                 j *= 2;
             };
             prop_assert_eq!(got, want);
+        }
+    }
+
+    /// A random curve over the 1..=8 power-of-two ladder. Rates are drawn
+    /// independently, so a sample may be monotone (ladder-start hints engage)
+    /// or dip (the monotonicity gate must force the full ladder) — both paths
+    /// of the hinted fill get exercised.
+    fn ladder_curve() -> impl Strategy<Value = ScalingCurve> {
+        prop::collection::vec(0.1f64..4.0, 4..5).prop_map(|rates| {
+            ScalingCurve::from_points(
+                DnnModel::ResNet50,
+                64,
+                rates
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, iters_per_sec)| CurvePoint {
+                        gpus: 1 << i,
+                        iters_per_sec,
+                    })
+                    .collect(),
+            )
+        })
+    }
+
+    /// A ledger built from a few random committed profiles.
+    fn random_ledger(total: u32) -> impl Strategy<Value = ReservationLedger> {
+        prop::collection::vec(prop::collection::vec(0u32..total + 1, 0..6), 0..4).prop_map(
+            |profiles| {
+                let mut ledger = ReservationLedger::new();
+                for gpus in profiles {
+                    ledger.commit(&AllocationProfile::new(gpus));
+                }
+                ledger
+            },
+        )
+    }
+
+    proptest! {
+        /// The ladder-start shortcut is exact: a job's full-ladder target
+        /// under some ledger is a sound starting rung under *any* ledger that
+        /// dominates it (pointwise at least as full) — the hinted fill must
+        /// return the same profile and the same target as the full ladder,
+        /// for monotone and non-monotone curves alike.
+        #[test]
+        fn ladder_start_matches_full_ladder_under_dominating_ledgers(
+            curve in ladder_curve(),
+            base in random_ledger(8),
+            extra in prop::collection::vec(0u32..9, 0..8),
+            work_scale in 0.2f64..6.0,
+            deadline_slot in 1usize..10,
+        ) {
+            let grid = SlotGrid::uniform(1.0);
+            let total = 8u32;
+            let work = work_scale * curve.iters_per_sec(1).expect("rate at 1 GPU");
+            let job = PlanningJob {
+                id: JobId::new(1),
+                curve,
+                remaining_iterations: work,
+                deadline_slot,
+            };
+            let mut scratch = FillScratch::new();
+            if let Some((_, stored_target)) =
+                progressive_filling_from(&job, &base, &grid, total, 1, &mut scratch)
+            {
+                let mut fuller = base.clone();
+                fuller.commit(&AllocationProfile::new(extra));
+                let full = progressive_filling_from(&job, &fuller, &grid, total, 1, &mut scratch);
+                let hinted =
+                    progressive_filling_from(&job, &fuller, &grid, total, stored_target, &mut scratch);
+                prop_assert_eq!(hinted, full);
+            }
         }
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! * **Minimum Satisfactory Share** ([`mss`]) — the least share of GPUs a
 //!   job needs to meet its deadline under a concave scaling curve (§4.1);
-//! * **Admission control** ([`AdmissionController`], paper Algorithm 1) —
+//! * **Admission control** ([`AdmissionSet`], paper Algorithm 1) —
 //!   progressive filling over discrete time slots decides whether a new
 //!   job's deadline can be guaranteed without breaking any admitted job's;
+//!   [`OnlineAdmission`] runs the same set against a moving clock;
 //! * **Elastic resource allocation** ([`ResourceAllocator`], paper
 //!   Algorithm 2) — leftover GPUs go to the job with the highest *marginal
 //!   return* (GPU-time saved per extra GPU), provably optimal for concave
@@ -51,11 +52,9 @@ pub(crate) mod scheduler;
 pub mod theory;
 mod variants;
 
-pub use admission::{AdmissionController, AdmissionDenial, AdmissionOutcome, AdmissionSet};
+pub use admission::{AdmissionDenial, AdmissionSet};
 pub use alloc::ResourceAllocator;
-pub use filling::{
-    progressive_filling, progressive_filling_from, progressive_filling_with, FillScratch,
-};
+pub use filling::{progressive_filling, FillScratch};
 pub use online::{AdvanceReport, OnlineAdmission};
 pub use plan::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON};
 pub use scheduler::{ElasticFlowScheduler, ElasticFlowState};

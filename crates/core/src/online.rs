@@ -1,6 +1,6 @@
 //! The online admission surface: Algorithm 1 against a moving clock.
 //!
-//! Batch admission ([`AdmissionController::check`]) answers one offline
+//! A from-scratch check ([`AdmissionSet::check`]) answers one offline
 //! question; a serving gateway instead faces a *stream* of arrivals
 //! while time passes underneath the committed plan. [`OnlineAdmission`]
 //! keeps an incremental [`AdmissionSet`] anchored at an **origin slot**
@@ -26,10 +26,7 @@
 
 use elasticflow_trace::JobId;
 
-use crate::{
-    AdmissionController, AdmissionDenial, AdmissionSet, FillScratch, PlanningJob, SlotGrid,
-    WORK_EPSILON,
-};
+use crate::{AdmissionDenial, AdmissionSet, FillScratch, PlanningJob, SlotGrid, WORK_EPSILON};
 
 /// What one [`OnlineAdmission::advance_to`] boundary crossing did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -43,15 +40,8 @@ pub struct AdvanceReport {
     pub expired: Vec<JobId>,
     /// Survivors the post-advance refill could no longer satisfy
     /// (possible outside the idealized model); dropped from the set,
-    /// mirroring [`AdmissionController::fill`]'s lapsed handling.
+    /// mirroring [`AdmissionSet::fill`]'s lapsed handling.
     pub lapsed: Vec<JobId>,
-}
-
-impl AdvanceReport {
-    /// `true` when the crossing changed nothing.
-    pub fn is_empty(&self) -> bool {
-        self.completed.is_empty() && self.expired.is_empty() && self.lapsed.is_empty()
-    }
 }
 
 /// Incremental admission over a stream of arrivals and a moving clock.
@@ -67,6 +57,7 @@ impl AdvanceReport {
 ///     CurvePoint { gpus: 1, iters_per_sec: 1.0 },
 /// ]);
 /// let mut online = OnlineAdmission::new(1, 60.0);
+/// let mut scratch = FillScratch::new();
 /// // 60 units of work, deadline at absolute slot 2: one slot of slack.
 /// let job = PlanningJob {
 ///     id: JobId::new(7),
@@ -74,16 +65,15 @@ impl AdvanceReport {
 ///     remaining_iterations: 60.0,
 ///     deadline_slot: 2,
 /// };
-/// assert!(online.submit(job, 2).is_ok());
+/// assert!(online.submit(job, 2, &mut scratch).is_ok());
 /// // Crossing into slot 1 credits the profile's progress; the job
 /// // finishes within its window by slot 2.
-/// let report = online.advance_to(2, &mut FillScratch::new());
+/// let report = online.advance_to(2, &mut scratch);
 /// assert_eq!(report.completed, vec![JobId::new(7)]);
 /// assert!(online.is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct OnlineAdmission {
-    controller: AdmissionController,
     grid: SlotGrid,
     origin_slot: u64,
     set: AdmissionSet,
@@ -97,17 +87,9 @@ impl OnlineAdmission {
     ///
     /// Panics if `total_gpus` is zero or `slot_seconds` is not positive
     /// (both are configuration errors, same contract as
-    /// [`AdmissionController::new`] and [`SlotGrid::uniform`]).
+    /// [`AdmissionSet::fill`] and [`SlotGrid::uniform`]).
     pub fn new(total_gpus: u32, slot_seconds: f64) -> Self {
-        let controller = AdmissionController::new(total_gpus);
-        let grid = SlotGrid::uniform(slot_seconds);
-        let (set, _lapsed) = controller.fill_owned(Vec::new(), &grid, &mut FillScratch::new());
-        OnlineAdmission {
-            controller,
-            grid,
-            origin_slot: 0,
-            set,
-        }
+        OnlineAdmission::from_parts(total_gpus, slot_seconds, 0, &[], &mut FillScratch::new()).0
     }
 
     /// Rebuilds the state a snapshot captured: `jobs` carry
@@ -122,33 +104,16 @@ impl OnlineAdmission {
         jobs: &[PlanningJob],
         scratch: &mut FillScratch,
     ) -> (Self, Vec<JobId>) {
-        let controller = AdmissionController::new(total_gpus);
         let grid = SlotGrid::uniform(slot_seconds);
-        let (set, lapsed) = controller.fill(jobs, &grid, scratch);
+        let (set, lapsed) = AdmissionSet::fill(total_gpus, jobs.to_vec(), &grid, scratch);
         (
             OnlineAdmission {
-                controller,
                 grid,
                 origin_slot,
                 set,
             },
             lapsed,
         )
-    }
-
-    /// The absolute slot the committed plan's slot 0 maps to.
-    pub fn origin_slot(&self) -> u64 {
-        self.origin_slot
-    }
-
-    /// The slot grid the plan is filled over.
-    pub fn grid(&self) -> &SlotGrid {
-        &self.grid
-    }
-
-    /// The cluster size being planned for.
-    pub fn total_gpus(&self) -> u32 {
-        self.controller.total_gpus()
     }
 
     /// Number of committed (guaranteed) jobs.
@@ -169,10 +134,10 @@ impl OnlineAdmission {
             as u64
     }
 
-    /// The committed jobs, in fill order, with origin-relative deadline
-    /// slots — together with [`OnlineAdmission::origin_slot`] this is
-    /// everything a snapshot needs to rebuild the state via
-    /// [`OnlineAdmission::from_parts`].
+    /// The origin slot (the absolute slot the committed plan's slot 0
+    /// maps to) and the committed jobs, in fill order, with
+    /// origin-relative deadline slots — everything a snapshot needs to
+    /// rebuild the state via [`OnlineAdmission::from_parts`].
     pub fn parts(&self) -> (u64, &[PlanningJob]) {
         (self.origin_slot, self.set.jobs())
     }
@@ -180,15 +145,15 @@ impl OnlineAdmission {
     /// Mean booked fraction of the cluster over the next `horizon_slots`
     /// slots, in `[0, 1]`.
     pub fn booked_fraction(&self, horizon_slots: usize) -> f64 {
-        self.controller
-            .booked_fraction(self.set.ledger(), horizon_slots)
+        self.set.booked_fraction(horizon_slots)
     }
 
     /// Submits `job` (remaining work plus an **absolute** deadline slot,
     /// passed as `deadline_slot_abs`; the job's own `deadline_slot`
     /// field is overwritten with the origin-relative window). Commits it
     /// on success; on failure the state is unchanged and the denial
-    /// names the blocking job and its capacity shortfall.
+    /// names the blocking job and its capacity shortfall. Fills run
+    /// through the caller's workspace.
     ///
     /// A deadline at or before the current origin leaves a zero-slot
     /// window, which Algorithm 1 rejects unless the job has (epsilon)
@@ -197,38 +162,19 @@ impl OnlineAdmission {
         &mut self,
         mut job: PlanningJob,
         deadline_slot_abs: u64,
-    ) -> Result<(), AdmissionDenial> {
-        let relative = deadline_slot_abs.saturating_sub(self.origin_slot);
-        job.deadline_slot = usize::try_from(relative).unwrap_or(usize::MAX);
-        self.set.admit(job, &self.grid)
-    }
-
-    /// [`OnlineAdmission::submit`] with a caller-provided fill scratch:
-    /// the hot-path variant a gateway threads its one workspace through.
-    /// Outcomes are identical — the scratch carries no state between
-    /// calls.
-    pub fn submit_with(
-        &mut self,
-        mut job: PlanningJob,
-        deadline_slot_abs: u64,
         scratch: &mut FillScratch,
     ) -> Result<(), AdmissionDenial> {
         let relative = deadline_slot_abs.saturating_sub(self.origin_slot);
         job.deadline_slot = usize::try_from(relative).unwrap_or(usize::MAX);
-        self.set.admit_with(job, &self.grid, scratch)
+        self.set.admit(job, &self.grid, scratch)
     }
 
     /// Removes the job `id` (caller cancellation), refilling later jobs
-    /// into the freed capacity. Returns any jobs the refill could no
-    /// longer satisfy. No-op for unknown ids.
-    pub fn withdraw(&mut self, id: JobId) -> Vec<JobId> {
-        self.set.withdraw(id, &self.grid)
-    }
-
-    /// [`OnlineAdmission::withdraw`] with a caller-provided fill scratch
-    /// (see [`OnlineAdmission::submit_with`]).
-    pub fn withdraw_with(&mut self, id: JobId, scratch: &mut FillScratch) -> Vec<JobId> {
-        self.set.withdraw_with(id, &self.grid, scratch)
+    /// into the freed capacity through the caller's workspace. Returns
+    /// any jobs the refill could no longer satisfy. No-op for unknown
+    /// ids.
+    pub fn withdraw(&mut self, id: JobId, scratch: &mut FillScratch) -> Vec<JobId> {
+        self.set.withdraw(id, &self.grid, scratch)
     }
 
     /// Advances the origin to absolute `slot` (no-op when `slot` is not
@@ -249,10 +195,8 @@ impl OnlineAdmission {
         // Take the set by value: the credited survivors feed straight
         // into the rebuild, so nothing here clones the jobs, and the old
         // profiles go back to the workspace once credited.
-        let empty = self
-            .controller
-            .fill_owned(Vec::new(), &self.grid, scratch)
-            .0;
+        let total_gpus = self.set.total_gpus();
+        let empty = AdmissionSet::fill(total_gpus, Vec::new(), &self.grid, scratch).0;
         let (jobs, profiles, _ledger) = std::mem::replace(&mut self.set, empty).into_parts();
         let mut survivors = Vec::with_capacity(jobs.len());
         for (mut job, profile) in jobs.into_iter().zip(&profiles) {
@@ -281,7 +225,7 @@ impl OnlineAdmission {
         for profile in profiles {
             scratch.recycle(profile);
         }
-        let (set, lapsed) = self.controller.fill_owned(survivors, &self.grid, scratch);
+        let (set, lapsed) = AdmissionSet::fill(total_gpus, survivors, &self.grid, scratch);
         self.set = set;
         report.lapsed = lapsed;
         report
@@ -336,27 +280,29 @@ mod tests {
 
     #[test]
     fn submit_converts_absolute_deadlines_to_the_origin() {
+        let s = &mut FillScratch::new();
         let mut online = OnlineAdmission::new(1, 1.0);
         // 2 units of work, 2 slots of window: feasible on 1 GPU at 1 it/s.
-        assert!(online.submit(job(0, 2.0), 2).is_ok());
+        assert!(online.submit(job(0, 2.0), 2, s).is_ok());
         // Same shape with a dead window: rejected, state unchanged.
-        assert!(online.submit(job(1, 2.0), 0).is_err());
+        assert!(online.submit(job(1, 2.0), 0, s).is_err());
         assert_eq!(online.len(), 1);
         // After advancing one slot the same absolute deadline buys one
         // less slot of window.
-        online.advance_to(1, &mut FillScratch::new());
-        let denial = online.submit(job(2, 2.0), 2).unwrap_err();
+        online.advance_to(1, s);
+        let denial = online.submit(job(2, 2.0), 2, s).unwrap_err();
         assert_eq!(denial.blocking_job, JobId::new(2));
     }
 
     #[test]
     fn advance_credits_guaranteed_progress_and_retires_jobs() {
+        let s = &mut FillScratch::new();
         let mut online = OnlineAdmission::new(1, 1.0);
-        assert!(online.submit(job(0, 2.0), 2).is_ok());
-        assert!(online.submit(job(1, 1.0), 3).is_ok());
+        assert!(online.submit(job(0, 2.0), 2, s).is_ok());
+        assert!(online.submit(job(1, 1.0), 3, s).is_ok());
         // Crossing to slot 2: job 0's profile ([1, 1]) finishes its 2
         // units; job 1 ran in slot 2's window only if scheduled there.
-        let report = online.advance_to(2, &mut FillScratch::new());
+        let report = online.advance_to(2, s);
         assert_eq!(report.completed, vec![JobId::new(0)]);
         assert!(report.expired.is_empty());
         assert!(report.lapsed.is_empty());
@@ -366,28 +312,29 @@ mod tests {
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].id, JobId::new(1));
         assert_eq!(jobs[0].deadline_slot, 1);
-        let report = online.advance_to(3, &mut FillScratch::new());
+        let report = online.advance_to(3, s);
         assert_eq!(report.completed, vec![JobId::new(1)]);
         assert!(online.is_empty());
     }
 
     #[test]
     fn advance_frees_capacity_for_new_arrivals() {
+        let s = &mut FillScratch::new();
         let mut online = OnlineAdmission::new(1, 1.0);
-        assert!(online.submit(job(0, 2.0), 2).is_ok());
+        assert!(online.submit(job(0, 2.0), 2, s).is_ok());
         // Cluster is saturated through slot 2; a same-window newcomer
         // bounces…
-        assert!(online.submit(job(1, 2.0), 2).is_err());
+        assert!(online.submit(job(1, 2.0), 2, s).is_err());
         // …until the first job finishes and its reservation is released.
-        online.advance_to(2, &mut FillScratch::new());
-        assert!(online.submit(job(1, 2.0), 4).is_ok());
+        online.advance_to(2, s);
+        assert!(online.submit(job(1, 2.0), 4, s).is_ok());
     }
 
     #[test]
     fn online_stream_matches_offline_check_at_each_step() {
         // Every accepted prefix of the stream must be exactly the set an
         // offline Algorithm 1 would admit over the same (rebased) jobs.
-        let controller = AdmissionController::new(2);
+        let s = &mut FillScratch::new();
         let grid = SlotGrid::uniform(1.0);
         let mut online = OnlineAdmission::new(2, 1.0);
         let arrivals = [
@@ -398,10 +345,10 @@ mod tests {
             (4, 2.0, 5),
         ];
         for (id, work, deadline) in arrivals {
-            let _ = online.submit(job(id, work), deadline);
+            let _ = online.submit(job(id, work), deadline, s);
             let (_, committed) = online.parts();
             assert!(
-                controller.check(committed, &grid).is_admitted(),
+                AdmissionSet::check(2, committed, &grid).is_ok(),
                 "committed set must stay jointly feasible after job {id}"
             );
         }
@@ -409,30 +356,30 @@ mod tests {
 
     #[test]
     fn parts_round_trip_through_from_parts_is_exact() {
+        let s = &mut FillScratch::new();
         let mut online = OnlineAdmission::new(4, 30.0);
-        assert!(online.submit(job(0, 3.0), 4).is_ok());
-        assert!(online.submit(job(1, 2.0), 6).is_ok());
-        online.advance_to(2, &mut FillScratch::new());
-        assert!(online.submit(job(2, 1.0), 5).is_ok());
+        assert!(online.submit(job(0, 3.0), 4, s).is_ok());
+        assert!(online.submit(job(1, 2.0), 6, s).is_ok());
+        online.advance_to(2, s);
+        assert!(online.submit(job(2, 1.0), 5, s).is_ok());
         let (origin, jobs) = online.parts();
-        let (rebuilt, lapsed) =
-            OnlineAdmission::from_parts(4, 30.0, origin, jobs, &mut FillScratch::new());
+        let (rebuilt, lapsed) = OnlineAdmission::from_parts(4, 30.0, origin, jobs, s);
         assert!(lapsed.is_empty());
-        assert_eq!(rebuilt.origin_slot(), online.origin_slot());
-        assert_eq!(rebuilt.parts().1, online.parts().1);
+        assert_eq!(rebuilt.parts(), online.parts());
         // And the rebuilt state answers the next question identically.
         let mut a = online.clone();
         let mut b = rebuilt;
-        assert_eq!(a.submit(job(3, 2.5), 7), b.submit(job(3, 2.5), 7));
+        assert_eq!(a.submit(job(3, 2.5), 7, s), b.submit(job(3, 2.5), 7, s));
         assert_eq!(a.parts().1, b.parts().1);
     }
 
     #[test]
     fn withdraw_releases_the_reservation() {
+        let s = &mut FillScratch::new();
         let mut online = OnlineAdmission::new(1, 1.0);
-        assert!(online.submit(job(0, 2.0), 2).is_ok());
-        assert!(online.submit(job(1, 2.0), 2).is_err());
-        assert!(online.withdraw(JobId::new(0)).is_empty());
-        assert!(online.submit(job(1, 2.0), 2).is_ok());
+        assert!(online.submit(job(0, 2.0), 2, s).is_ok());
+        assert!(online.submit(job(1, 2.0), 2, s).is_err());
+        assert!(online.withdraw(JobId::new(0), s).is_empty());
+        assert!(online.submit(job(1, 2.0), 2, s).is_ok());
     }
 }

@@ -2,15 +2,29 @@
 //! best-effort extension, packaged behind the simulator-facing trait.
 
 use elasticflow_sched::{
-    clamp_pow2, AdmissionDecision, ClusterView, DeclineReason, JobRuntime, JobTable, RestoreError,
-    SchedulePlan, Scheduler, Snapshottable,
+    clamp_pow2, AdmissionDecision, ClusterView, JobRuntime, JobTable, RestoreError, SchedulePlan,
+    Scheduler, Snapshottable,
 };
 use elasticflow_trace::JobId;
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    AdmissionController, FillScratch, PlanningJob, ResourceAllocator, SlotGrid, WORK_EPSILON,
-};
+use crate::{AdmissionSet, FillScratch, PlanningJob, ResourceAllocator, SlotGrid, WORK_EPSILON};
+
+/// The planning grid at time `now` for `slot_seconds`-long slots,
+/// anchored to *absolute* multiples of the slot length: slot 0 is the
+/// remainder of the current global slot. Stable slot boundaries keep
+/// reservation profiles comparable across replans — re-anchoring at
+/// `now` would shift every boundary on every event and jitter jobs'
+/// minimum satisfactory shares.
+pub(crate) fn anchored_grid(slot_seconds: f64, now: f64) -> SlotGrid {
+    let into_slot = now.rem_euclid(slot_seconds);
+    let first = if into_slot < WORK_EPSILON || slot_seconds - into_slot < 1.0 {
+        slot_seconds
+    } else {
+        slot_seconds - into_slot
+    };
+    SlotGrid::new(first, slot_seconds)
+}
 
 /// One pending best-effort ladder step in `fill_leftovers`' marginal-fill
 /// heap: grow job `idx` to `next` workers for `extra` more GPUs. Ordered
@@ -111,22 +125,6 @@ impl ElasticFlowScheduler {
         );
         self.planning_slot_seconds = seconds;
         self
-    }
-
-    /// The planning grid at time `now`, anchored to *absolute* multiples
-    /// of the slot length: slot 0 is the remainder of the current global
-    /// slot. Stable slot boundaries keep reservation profiles comparable
-    /// across replans — re-anchoring at `now` would shift every boundary
-    /// on every event and jitter jobs' minimum satisfactory shares.
-    pub(crate) fn anchored_grid(&self, now: f64) -> SlotGrid {
-        let rest = self.planning_slot_seconds;
-        let into_slot = now.rem_euclid(rest);
-        let first = if into_slot < WORK_EPSILON || rest - into_slot < 1.0 {
-            rest
-        } else {
-            rest - into_slot
-        };
-        SlotGrid::new(first, rest)
     }
 
     /// Work-inflation margin applied to every planning view: scheduling
@@ -265,53 +263,48 @@ impl Default for ElasticFlowScheduler {
     }
 }
 
-/// The shared admission decision used by ElasticFlow and the EDF+AC
-/// ablation: progressive-filling feasibility of the newcomer against the
-/// feasible subset of existing jobs, with a deadline-window safety reserve
-/// scaled by how heavily the near-term schedule is already booked.
-pub(crate) fn admission_decision(
+/// The arrival decision shared by ElasticFlow and the EDF+AC ablation.
+/// Best-effort jobs always enter (§4.4). An SLO job is checked by
+/// progressive filling against the feasible subset of the active SLO
+/// jobs, with a deadline-window safety reserve scaled by how heavily the
+/// near-term schedule is already booked.
+pub(crate) fn arrival_decision(
     job: &JobRuntime,
     now: f64,
     view: &ClusterView,
-    existing: Vec<PlanningJob>,
-    grid: &SlotGrid,
+    jobs: &JobTable,
+    planning_slot_seconds: f64,
     scratch: &mut FillScratch,
 ) -> AdmissionDecision {
-    let ac = AdmissionController::new(view.total_gpus);
+    if !job.is_slo() {
+        return AdmissionDecision::Admit;
+    }
+    let grid = anchored_grid(planning_slot_seconds, now);
+    let existing: Vec<PlanningJob> = jobs
+        .active()
+        .filter(|j| j.is_slo())
+        .map(|j| ElasticFlowScheduler::planning_job(j, now, &grid))
+        .collect();
     // One fill commits the feasible subset; the candidate is then answered
     // incrementally — only the deadline-ordered suffix at or after its
     // insertion point refills, instead of every job from scratch.
-    let (set, _lapsed) = ac.fill_owned(existing, grid, scratch);
+    let (set, _lapsed) = AdmissionSet::fill(view.total_gpus, existing, &grid, scratch);
     // Booked load over the next ~hour decides how much slack to demand.
     let horizon = elasticflow_cluster::num::slots_ceil(3_600.0 / grid.rest_seconds())
         .unwrap_or(1)
         .max(1);
-    let contention = ac.booked_fraction(set.ledger(), horizon);
-    let candidate = ElasticFlowScheduler::planning_job_with_reserve(job, now, grid, contention);
-    let outcome = set.whatif_admit(&candidate, grid, scratch);
+    let contention = set.booked_fraction(horizon);
+    let candidate = ElasticFlowScheduler::planning_job_with_reserve(job, now, &grid, contention);
+    let outcome = set.whatif_admit(&candidate, &grid, scratch);
     let (_, profiles, _) = set.into_parts();
     for profile in profiles {
         scratch.recycle(profile);
     }
     match outcome {
         Ok(()) => AdmissionDecision::Admit,
-        Err(denial) => {
-            // Attribute the decline: the fill either failed at the
-            // candidate itself (its reserve-shrunk window cannot carry
-            // its demand) or at an already-guaranteed job downstream
-            // that the candidate would displace.
-            let reason = if denial.blocking_job == candidate.id {
-                DeclineReason::CandidateInfeasible {
-                    shortfall: denial.shortfall,
-                }
-            } else {
-                DeclineReason::WouldDisplace {
-                    blocking_job: denial.blocking_job,
-                    shortfall: denial.shortfall,
-                }
-            };
-            AdmissionDecision::Drop { reason }
-        }
+        Err(denial) => AdmissionDecision::Drop {
+            reason: denial.decline_reason(candidate.id),
+        },
     }
 }
 
@@ -327,20 +320,18 @@ impl Scheduler for ElasticFlowScheduler {
         view: &ClusterView,
         jobs: &JobTable,
     ) -> AdmissionDecision {
-        if !job.is_slo() {
-            return AdmissionDecision::Admit; // §4.4: best-effort always enters
-        }
-        let grid = self.anchored_grid(now);
-        let existing: Vec<PlanningJob> = jobs
-            .active()
-            .filter(|j| j.is_slo())
-            .map(|j| Self::planning_job(j, now, &grid))
-            .collect();
-        admission_decision(job, now, view, existing, &grid, &mut self.workspace)
+        arrival_decision(
+            job,
+            now,
+            view,
+            jobs,
+            self.planning_slot_seconds,
+            &mut self.workspace,
+        )
     }
 
     fn plan(&mut self, now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {
-        let grid = self.anchored_grid(now);
+        let grid = anchored_grid(self.planning_slot_seconds, now);
         let slo: Vec<&JobRuntime> = jobs.active().filter(|j| j.is_slo()).collect();
         let planning: Vec<PlanningJob> = slo
             .iter()
@@ -467,6 +458,7 @@ impl Snapshottable for ElasticFlowScheduler {
 mod tests {
     use super::*;
     use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
+    use elasticflow_sched::DeclineReason;
     use elasticflow_trace::JobSpec;
 
     fn runtime(id: u64, now_deadline: Option<f64>, iterations: f64) -> JobRuntime {

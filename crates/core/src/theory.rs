@@ -132,7 +132,7 @@ pub fn brute_force_feasible(jobs: &[PlanningJob], grid: &SlotGrid, total_gpus: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AdmissionController, ResourceAllocator};
+    use crate::{AdmissionSet, ResourceAllocator};
     use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
     use elasticflow_trace::Rng;
 
@@ -205,9 +205,7 @@ mod tests {
                 });
             }
             let t1 = theorem1_feasible(&linear_jobs, total);
-            let alg1 = AdmissionController::new(total)
-                .check(&planning_jobs, &grid)
-                .is_admitted();
+            let alg1 = AdmissionSet::check(total, &planning_jobs, &grid).is_ok();
             let brute = brute_force_feasible(&planning_jobs, &grid, total);
             if alg1 {
                 assert!(brute, "case {case}: admitted but no schedule exists");
@@ -248,10 +246,7 @@ mod tests {
                     }
                 })
                 .collect();
-            if AdmissionController::new(total)
-                .check(&jobs, &grid)
-                .is_admitted()
-            {
+            if AdmissionSet::check(total, &jobs, &grid).is_ok() {
                 admitted_count += 1;
                 assert!(
                     brute_force_feasible(&jobs, &grid, total),
@@ -378,15 +373,11 @@ mod tests {
         // Algorithm 2's *minimum satisfactory* portion equals the optimum;
         // the boost phase may then spend leftover idle GPUs to finish jobs
         // earlier, which is allowed by constraint (7).
-        let mss_gpu_time: f64 = {
-            let ac = AdmissionController::new(4);
-            match ac.check(&jobs, &grid) {
-                crate::AdmissionOutcome::Admitted { plan } => {
-                    plan.values().map(|p| p.gpu_seconds(&grid)).sum()
-                }
-                _ => panic!("instance known feasible"),
-            }
-        };
+        let mss_gpu_time: f64 = AdmissionSet::check(4, &jobs, &grid)
+            .expect("instance known feasible")
+            .values()
+            .map(|p| p.gpu_seconds(&grid))
+            .sum();
         assert!(
             (mss_gpu_time - best).abs() < 1e-9,
             "MSS GPU-time {mss_gpu_time} vs brute-force optimum {best}"

@@ -14,19 +14,8 @@ use elasticflow_sched::{
     AdmissionDecision, ClusterView, EdfScheduler, JobRuntime, JobTable, SchedulePlan, Scheduler,
 };
 
-use crate::{ElasticFlowScheduler, FillScratch, PlanningJob, SlotGrid, WORK_EPSILON};
-
-/// Planning grid anchored to absolute slot boundaries (see
-/// `ElasticFlowScheduler::anchored_grid`).
-fn anchored_grid(slot_seconds: f64, now: f64) -> SlotGrid {
-    let into_slot = now.rem_euclid(slot_seconds);
-    let first = if into_slot < WORK_EPSILON || slot_seconds - into_slot < 1.0 {
-        slot_seconds
-    } else {
-        slot_seconds - into_slot
-    };
-    SlotGrid::new(first, slot_seconds)
-}
+use crate::scheduler::{anchored_grid, arrival_decision};
+use crate::{ElasticFlowScheduler, FillScratch};
 
 /// EDF allocation with ElasticFlow admission control.
 ///
@@ -75,16 +64,14 @@ impl Scheduler for EdfWithAdmission {
         view: &ClusterView,
         jobs: &JobTable,
     ) -> AdmissionDecision {
-        if !job.is_slo() {
-            return AdmissionDecision::Admit;
-        }
-        let grid = anchored_grid(self.planning_slot_seconds, now);
-        let existing: Vec<PlanningJob> = jobs
-            .active()
-            .filter(|j| j.is_slo())
-            .map(|j| ElasticFlowScheduler::planning_job(j, now, &grid))
-            .collect();
-        crate::scheduler::admission_decision(job, now, view, existing, &grid, &mut self.workspace)
+        arrival_decision(
+            job,
+            now,
+            view,
+            jobs,
+            self.planning_slot_seconds,
+            &mut self.workspace,
+        )
     }
 
     fn plan(&mut self, now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {
@@ -147,7 +134,7 @@ impl Scheduler for EdfWithElastic {
     }
 
     fn plan(&mut self, now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {
-        use crate::{progressive_filling_with, AllocationProfile, ReservationLedger};
+        use crate::{progressive_filling, AllocationProfile, ReservationLedger};
         use elasticflow_sched::clamp_pow2;
 
         let grid = anchored_grid(self.planning_slot_seconds, now);
@@ -163,7 +150,7 @@ impl Scheduler for EdfWithElastic {
         let mut free0 = view.total_gpus;
         for job in &actives {
             let pj = ElasticFlowScheduler::planning_job(job, now, &grid);
-            let filled = progressive_filling_with(
+            let filled = progressive_filling(
                 &pj,
                 &ledger,
                 &grid,

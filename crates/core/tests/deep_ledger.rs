@@ -9,9 +9,7 @@
 //! a *mid-pack* job whose deadline falls inside the set, so about half
 //! the suffix is refilled.
 
-use elasticflow_core::{
-    AdmissionController, FillScratch, PlanningJob, ResourceAllocator, SlotGrid,
-};
+use elasticflow_core::{AdmissionSet, FillScratch, PlanningJob, ResourceAllocator, SlotGrid};
 use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
 use elasticflow_trace::JobId;
 
@@ -82,11 +80,10 @@ fn workload_is_deterministic_and_sized() {
 #[test]
 fn deep_ledgers_agree_with_a_from_scratch_fill() {
     let grid = SlotGrid::uniform(60.0);
-    let ac = AdmissionController::new(TOTAL_GPUS);
     let mut scratch = FillScratch::new();
     for n in SIZES {
         let existing = planning_jobs(n, TOTAL_GPUS);
-        let (set, lapsed) = ac.fill(&existing, &grid, &mut scratch);
+        let (set, lapsed) = AdmissionSet::fill(TOTAL_GPUS, existing.clone(), &grid, &mut scratch);
         assert!(lapsed.is_empty(), "n={n}: fill lapsed {lapsed:?}");
         assert_eq!(set.len(), n, "n={n}: the ledger must be n profiles deep");
 
@@ -96,19 +93,18 @@ fn deep_ledgers_agree_with_a_from_scratch_fill() {
         for (shape, candidate) in [("arriving", arriving), ("mid-pack", mid_pack)] {
             let mut union = existing.clone();
             union.push(candidate.clone());
-            let outcome = set.admission_outcome(&candidate, &grid);
+            let mut admitted = set.clone();
+            let outcome = admitted
+                .admit(candidate, &grid, &mut scratch)
+                .map(|()| admitted.plan());
             assert_eq!(
                 outcome,
-                ac.check(&union, &grid),
+                AdmissionSet::check(TOTAL_GPUS, &union, &grid),
                 "n={n}, {shape}: incremental outcome differs from a from-scratch check"
             );
-            assert!(outcome.is_admitted(), "n={n}, {shape}: candidate must fit");
+            assert!(outcome.is_ok(), "n={n}, {shape}: candidate must fit");
 
-            let mut admitted = set.clone();
-            admitted
-                .admit(candidate, &grid)
-                .unwrap_or_else(|d| panic!("n={n}, {shape}: admit failed: {d:?}"));
-            let (fresh, lapsed) = ac.fill(&union, &grid, &mut scratch);
+            let (fresh, lapsed) = AdmissionSet::fill(TOTAL_GPUS, union, &grid, &mut scratch);
             assert!(lapsed.is_empty(), "n={n}, {shape}: union lapsed {lapsed:?}");
             assert_eq!(
                 admitted.plan(),

@@ -1,9 +1,11 @@
 //! Property-based tests for ElasticFlow's planning algorithms.
 
+use std::collections::BTreeMap;
+
 use elasticflow_core::{
-    mss::minimum_satisfactory_share, progressive_filling, progressive_filling_from,
-    theory::brute_force_feasible, AdmissionController, AdmissionOutcome, AllocationProfile,
-    FillScratch, PlanningJob, ReservationLedger, ResourceAllocator, SlotGrid,
+    mss::minimum_satisfactory_share, progressive_filling, theory::brute_force_feasible,
+    AdmissionDenial, AdmissionSet, AllocationProfile, FillScratch, PlanningJob, ReservationLedger,
+    ResourceAllocator, SlotGrid,
 };
 use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
 use elasticflow_trace::JobId;
@@ -56,6 +58,18 @@ fn small_instance() -> impl Strategy<Value = Vec<PlanningJob>> {
     })
 }
 
+/// The plan `set` would commit with `candidate` admitted, or its denial —
+/// what a from-scratch `AdmissionSet::check` over the union must equal.
+fn admitted_plan(
+    set: &AdmissionSet,
+    candidate: PlanningJob,
+    grid: &SlotGrid,
+) -> Result<BTreeMap<JobId, AllocationProfile>, AdmissionDenial> {
+    let mut set = set.clone();
+    set.admit(candidate, grid, &mut FillScratch::new())?;
+    Ok(set.plan())
+}
+
 proptest! {
     /// Algorithm 1 is *sound*: whenever it admits a set, an exhaustive
     /// search confirms a feasible schedule exists.
@@ -63,7 +77,7 @@ proptest! {
     fn admission_is_sound(jobs in small_instance()) {
         let grid = SlotGrid::uniform(1.0);
         let total = 4u32;
-        if AdmissionController::new(total).check(&jobs, &grid).is_admitted() {
+        if AdmissionSet::check(total, &jobs, &grid).is_ok() {
             prop_assert!(
                 brute_force_feasible(&jobs, &grid, total),
                 "admitted but brute force finds no schedule"
@@ -118,7 +132,7 @@ proptest! {
         };
         let mut ledger = ReservationLedger::new();
         ledger.commit(&elasticflow_core::AllocationProfile::new(committed));
-        if let Some(p) = progressive_filling(&job, &ledger, &grid, 4, None) {
+        if let Some(p) = progressive_filling(&job, &ledger, &grid, 4, None, &mut FillScratch::new()) {
             let done: f64 = p
                 .as_slice()
                 .iter()
@@ -164,13 +178,12 @@ proptest! {
     #[test]
     fn incremental_admission_matches_from_scratch_check(jobs in small_instance()) {
         let grid = SlotGrid::uniform(1.0);
-        let ac = AdmissionController::new(4);
         let (candidate, existing) = jobs.split_last().expect("instances are non-empty");
-        let (set, _lapsed) = ac.fill(existing, &grid, &mut FillScratch::new());
+        let (set, _lapsed) = AdmissionSet::fill(4, existing.to_vec(), &grid, &mut FillScratch::new());
         let mut union: Vec<PlanningJob> = set.jobs().to_vec();
         union.push(candidate.clone());
-        let incremental = set.admission_outcome(candidate, &grid);
-        let from_scratch = ac.check(&union, &grid);
+        let incremental = admitted_plan(&set, candidate.clone(), &grid);
+        let from_scratch = AdmissionSet::check(4, &union, &grid);
         prop_assert_eq!(incremental, from_scratch);
     }
 
@@ -179,18 +192,18 @@ proptest! {
     /// scratch over the same resident jobs: identical plans and identical
     /// reservation ledgers.
     #[test]
-    fn admit_withdraw_sequences_match_from_scratch_fill(jobs in small_instance()) {
+    fn admit_and_withdraw_sequences_match_from_scratch_fill(jobs in small_instance()) {
         let grid = SlotGrid::uniform(1.0);
-        let ac = AdmissionController::new(4);
-        let (mut set, _) = ac.fill(&[], &grid, &mut FillScratch::new());
+        let scratch = &mut FillScratch::new();
+        let (mut set, _) = AdmissionSet::fill(4, Vec::new(), &grid, scratch);
         let mut resident: Vec<PlanningJob> = Vec::new();
         for job in &jobs {
-            if set.admit(job.clone(), &grid).is_ok() {
+            if set.admit(job.clone(), &grid, scratch).is_ok() {
                 resident.push(job.clone());
             }
         }
         // Mid-sequence checkpoint: the mutated set matches a fresh fill.
-        let (fresh, lapsed) = ac.fill(&resident, &grid, &mut FillScratch::new());
+        let (fresh, lapsed) = AdmissionSet::fill(4, resident.clone(), &grid, scratch);
         prop_assert!(lapsed.is_empty(), "admitted jobs cannot lapse on refill");
         prop_assert_eq!(set.plan(), fresh.plan());
         prop_assert_eq!(set.ledger(), fresh.ledger());
@@ -198,11 +211,11 @@ proptest! {
         // survivors match a from-scratch fill again.
         let withdrawn: Vec<JobId> = resident.iter().step_by(2).map(|j| j.id).collect();
         for id in &withdrawn {
-            let lapsed = set.withdraw(*id, &grid);
+            let lapsed = set.withdraw(*id, &grid, scratch);
             prop_assert!(lapsed.is_empty(), "withdrawal freed capacity but lapsed {lapsed:?}");
             resident.retain(|j| j.id != *id);
         }
-        let (fresh, lapsed) = ac.fill(&resident, &grid, &mut FillScratch::new());
+        let (fresh, lapsed) = AdmissionSet::fill(4, resident, &grid, scratch);
         prop_assert!(lapsed.is_empty());
         prop_assert_eq!(set.plan(), fresh.plan());
         prop_assert_eq!(set.ledger(), fresh.ledger());
@@ -213,8 +226,7 @@ proptest! {
     #[test]
     fn admission_is_downward_closed(jobs in small_instance()) {
         let grid = SlotGrid::uniform(1.0);
-        let ac = AdmissionController::new(4);
-        if ac.check(&jobs, &grid).is_admitted() && jobs.len() > 1 {
+        if AdmissionSet::check(4, &jobs, &grid).is_ok() && jobs.len() > 1 {
             for skip in 0..jobs.len() {
                 let subset: Vec<PlanningJob> = jobs
                     .iter()
@@ -223,7 +235,7 @@ proptest! {
                     .map(|(_, j)| j.clone())
                     .collect();
                 prop_assert!(
-                    ac.check(&subset, &grid).is_admitted(),
+                    AdmissionSet::check(4, &subset, &grid).is_ok(),
                     "removing a job broke admission"
                 );
             }
@@ -252,53 +264,7 @@ fn ladder_curve() -> impl Strategy<Value = ScalingCurve> {
     })
 }
 
-/// A ledger built from a few random committed profiles.
-fn random_ledger(total: u32) -> impl Strategy<Value = ReservationLedger> {
-    prop::collection::vec(prop::collection::vec(0u32..total + 1, 0..6), 0..4).prop_map(|profiles| {
-        let mut ledger = ReservationLedger::new();
-        for gpus in profiles {
-            ledger.commit(&AllocationProfile::new(gpus));
-        }
-        ledger
-    })
-}
-
 proptest! {
-    /// The ladder-start shortcut is exact: a job's full-ladder target
-    /// under some ledger is a sound starting rung under *any* ledger that
-    /// dominates it (pointwise at least as full) — the hinted fill must
-    /// return the same profile and the same target as the full ladder,
-    /// for monotone and non-monotone curves alike.
-    #[test]
-    fn ladder_start_matches_full_ladder_under_dominating_ledgers(
-        curve in ladder_curve(),
-        base in random_ledger(8),
-        extra in prop::collection::vec(0u32..9, 0..8),
-        work_scale in 0.2f64..6.0,
-        deadline_slot in 1usize..10,
-    ) {
-        let grid = SlotGrid::uniform(1.0);
-        let total = 8u32;
-        let work = work_scale * curve.iters_per_sec(1).expect("rate at 1 GPU");
-        let job = PlanningJob {
-            id: JobId::new(1),
-            curve,
-            remaining_iterations: work,
-            deadline_slot,
-        };
-        let mut scratch = FillScratch::new();
-        if let Some((_, stored_target)) =
-            progressive_filling_from(&job, &base, &grid, total, 1, &mut scratch)
-        {
-            let mut fuller = base.clone();
-            fuller.commit(&AllocationProfile::new(extra));
-            let full = progressive_filling_from(&job, &fuller, &grid, total, 1, &mut scratch);
-            let hinted =
-                progressive_filling_from(&job, &fuller, &grid, total, stored_target, &mut scratch);
-            prop_assert_eq!(hinted, full);
-        }
-    }
-
     /// Every ledger view equals a naive scan of the committed vector, and
     /// the vector stays canonical (no trailing zero slot, so the horizon
     /// is its length) at every point of an interleaved commit/uncommit
@@ -357,10 +323,9 @@ proptest! {
         specs in prop::collection::vec((ladder_curve(), 0.2f64..5.0, 1usize..8), 1..12)
     ) {
         let grid = SlotGrid::uniform(1.0);
-        let controller = AdmissionController::new(8);
-        let (mut set, _) = controller.fill(&[], &grid, &mut FillScratch::new());
-        let mut accepted: Vec<PlanningJob> = Vec::new();
         let mut scratch = FillScratch::new();
+        let (mut set, _) = AdmissionSet::fill(8, Vec::new(), &grid, &mut scratch);
+        let mut accepted: Vec<PlanningJob> = Vec::new();
         for (i, (curve, work_scale, deadline_slot)) in specs.into_iter().enumerate() {
             let work = work_scale * curve.iters_per_sec(1).expect("rate at 1 GPU");
             let job = PlanningJob {
@@ -371,15 +336,15 @@ proptest! {
             };
             let mut union = accepted.clone();
             union.push(job.clone());
-            let offline = controller.check(&union, &grid);
-            match (set.admit_with(job.clone(), &grid, &mut scratch), offline) {
-                (Ok(()), AdmissionOutcome::Admitted { plan }) => {
+            let offline = AdmissionSet::check(8, &union, &grid);
+            match (set.admit(job.clone(), &grid, &mut scratch), offline) {
+                (Ok(()), Ok(plan)) => {
                     accepted.push(job);
                     prop_assert_eq!(set.plan(), plan);
                 }
-                (Err(denial), AdmissionOutcome::Rejected { blocking_job, shortfall }) => {
-                    prop_assert_eq!(denial.blocking_job, blocking_job);
-                    prop_assert_eq!(denial.shortfall, shortfall);
+                (Err(denial), Err(offline)) => {
+                    prop_assert_eq!(denial.blocking_job, offline.blocking_job);
+                    prop_assert_eq!(denial.shortfall, offline.shortfall);
                 }
                 (incremental, offline) => prop_assert!(
                     false,

@@ -2,8 +2,9 @@
 //! [`crate::StateDir`] and the `elasticflow-serve` gateway directory:
 //! `snapshot-NNNNNN.<extension>`, each an 8-byte magic+version header
 //! and one checksummed frame around a JSON payload. Writes are atomic
-//! (temp file + rename) and keep only the newest [`KEEP_SNAPSHOTS`]
-//! files; loading takes the newest file that passes validation.
+//! (temp file `snapshot-NNNNNN.<extension>.tmp` + rename), keep only the
+//! newest [`KEEP_SNAPSHOTS`] files and clear temp files a crashed write
+//! left behind; loading takes the newest file that passes validation.
 
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
@@ -139,14 +140,24 @@ impl<T: SnapshotPayload> SnapshotStore<T> {
     /// all but the newest [`KEEP_SNAPSHOTS`] files. Returns the new
     /// sequence number and the snapshot's encoded size in bytes.
     ///
-    /// Pruning is best-effort: once the rename has put the new snapshot
-    /// in place the write has succeeded, so a file that cannot be
-    /// removed stays behind and the next write tries again.
+    /// A temp file of this kind found before the write is the leftover
+    /// of a write that crashed before its rename, and is removed. Both
+    /// removals are best-effort: once the rename has put the new
+    /// snapshot in place the write has succeeded, so a file that cannot
+    /// be removed stays behind and the next write tries again.
     pub fn write_next(&self, payload: &T) -> Result<(u64, u64), PersistError> {
+        let temp_suffix = format!(".{}.tmp", self.kind.extension);
+        for entry in std::fs::read_dir(&self.root)? {
+            let path = entry?.path();
+            let name = path.file_name().and_then(|n| n.to_str());
+            if name.is_some_and(|n| n.starts_with("snapshot-") && n.ends_with(&temp_suffix)) {
+                std::fs::remove_file(&path).ok();
+            }
+        }
         let mut seqs = self.seqs()?;
         let seq = seqs.last().copied().unwrap_or(0) + 1;
         let bytes = self.kind.encode(payload)?;
-        let tmp_path = self.root.join(format!("snapshot-{seq:06}.tmp"));
+        let tmp_path = self.root.join(format!("snapshot-{seq:06}{temp_suffix}"));
         std::fs::write(&tmp_path, &bytes)?;
         std::fs::rename(&tmp_path, self.path(seq))?;
         seqs.push(seq);

@@ -178,6 +178,39 @@ fn writes_keep_only_the_newest_snapshots_and_seqs_keep_rising() {
 }
 
 #[test]
+fn a_stale_temp_file_is_removed_by_the_next_write_and_never_counts() {
+    let dir = StateDir::open(temp_dir()).unwrap();
+    let snap = stored(4, 2);
+    let store = dir.snapshots();
+    store.write_next(&snap).unwrap();
+    // A write that crashed before its rename, with a sequence number
+    // ahead of every snapshot, and another kind's leftover beside it.
+    let root = store.root().to_path_buf();
+    let stale = root.join(format!("snapshot-000007.{}.tmp", SNAPSHOT_KIND.extension));
+    let foreign = root.join("snapshot-000003.efgs.tmp");
+    std::fs::write(&stale, b"EFSN half a snapsh").unwrap();
+    std::fs::write(&foreign, b"EFGS").unwrap();
+    assert_eq!(store.seqs().unwrap(), vec![1]);
+    let (seq, _) = store.write_next(&snap).unwrap();
+    assert_eq!(seq, 2, "a temp file never advances the sequence");
+    assert!(!stale.exists(), "the stale temp file survived the write");
+    assert!(foreign.exists(), "another kind's file was touched");
+    let (seq, _) = store.write_next(&snap).unwrap();
+    assert_eq!(seq, 3);
+    // The temp file never counted toward KEEP_SNAPSHOTS: two snapshots
+    // remain, plus the other kind's file.
+    assert_eq!(store.seqs().unwrap(), vec![2, 3]);
+    assert_eq!(
+        std::fs::read_dir(&root).unwrap().count(),
+        KEEP_SNAPSHOTS + 1
+    );
+    assert_eq!(
+        store.latest_valid().unwrap().valid.map(|(seq, _)| seq),
+        Some(3)
+    );
+}
+
+#[test]
 fn a_failed_prune_does_not_fail_the_write_and_is_retried() {
     let dir = StateDir::open(temp_dir()).unwrap();
     let snap = stored(4, 2);

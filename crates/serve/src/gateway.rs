@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use elasticflow_cluster::ClusterSpec;
 use elasticflow_core::{FillScratch, OnlineAdmission, PlanningJob};
 use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
-use elasticflow_sched::{DecisionRecord, DeclineReason};
+use elasticflow_sched::DecisionRecord;
 use elasticflow_trace::JobId;
 use serde::{Deserialize, Serialize};
 
@@ -240,7 +240,7 @@ impl Gateway {
         let deadline_slot_abs = self.online.slot_of(deadline_seconds);
         match self
             .online
-            .submit_with(candidate, deadline_slot_abs, &mut self.scratch)
+            .submit(candidate, deadline_slot_abs, &mut self.scratch)
         {
             Ok(()) => {
                 self.stats.admitted += 1;
@@ -248,19 +248,9 @@ impl Gateway {
             }
             Err(denial) => {
                 self.stats.declined += 1;
-                let reason = if denial.blocking_job == job_id {
-                    DeclineReason::CandidateInfeasible {
-                        shortfall: denial.shortfall,
-                    }
-                } else {
-                    DeclineReason::WouldDisplace {
-                        blocking_job: denial.blocking_job,
-                        shortfall: denial.shortfall,
-                    }
-                };
                 DecisionRecord::Decline {
                     job: job_id,
-                    reason,
+                    reason: denial.decline_reason(job_id),
                 }
             }
         }
@@ -271,21 +261,9 @@ impl Gateway {
     pub fn withdraw(&mut self, id: u64, at_seconds: f64) -> Vec<u64> {
         self.advance_to_seconds(at_seconds);
         self.stats.withdrawn += 1;
-        let lapsed = self.online.withdraw_with(JobId::new(id), &mut self.scratch);
+        let lapsed = self.online.withdraw(JobId::new(id), &mut self.scratch);
         self.stats.lapsed += lapsed.len() as u64;
         lapsed.iter().map(|j| j.raw()).collect()
-    }
-
-    /// Answers a run of submissions in order, pushing each decision onto
-    /// `out`. Decision-equivalent to calling [`Gateway::submit`] once per
-    /// entry — batching shares the fill scratch and the advance work
-    /// across the run but never changes an outcome, which is what keeps
-    /// the journal byte-identical across batch schedules.
-    pub fn submit_batch(&mut self, subs: &[JobSubmission], out: &mut Vec<DecisionRecord>) {
-        out.reserve(subs.len());
-        for sub in subs {
-            out.push(self.submit(sub));
-        }
     }
 }
 
@@ -427,34 +405,6 @@ mod tests {
             assert_eq!(live.submit(&s), rebuilt.submit(&s));
         }
         assert_eq!(live.stats(), rebuilt.stats());
-    }
-
-    #[test]
-    fn batched_submission_matches_one_at_a_time() {
-        let stream: Vec<JobSubmission> = (0..120)
-            .map(|i| {
-                sub(
-                    i,
-                    f64::from(i as u32) * 20.0,
-                    if i % 4 == 0 {
-                        None
-                    } else {
-                        Some(f64::from(i as u32) * 20.0 + 900.0 + f64::from((i % 5) as u32) * 300.0)
-                    },
-                )
-            })
-            .collect();
-        let mut sequential = Gateway::new(small());
-        let expected: Vec<DecisionRecord> = stream.iter().map(|s| sequential.submit(s)).collect();
-        for chunk_size in [1usize, 3, 17, 120] {
-            let mut batched = Gateway::new(small());
-            let mut got = Vec::new();
-            for chunk in stream.chunks(chunk_size) {
-                batched.submit_batch(chunk, &mut got);
-            }
-            assert_eq!(got, expected, "chunk size {chunk_size}");
-            assert_eq!(batched.stats(), sequential.stats());
-        }
     }
 
     #[test]

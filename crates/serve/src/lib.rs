@@ -71,9 +71,10 @@ enum LineSlot {
 /// while a pipe saturates the batch from one read. At `batch == 1`
 /// this is exactly the old line-at-a-time loop.
 ///
-/// A line that does not parse — malformed JSON, or bytes that are not
-/// UTF-8 — is answered in place with [`Response::Error`]; only an I/O
-/// failure of `input` or `output` ends the connection with `Err`.
+/// A line that does not parse — malformed JSON, bytes that are not
+/// UTF-8, or a line over 1 MiB — is answered in place with
+/// [`Response::Error`]; only an I/O failure of `input` or `output` ends
+/// the connection with `Err`.
 ///
 /// Returns `Ok(true)` when the client asked for shutdown, `Ok(false)`
 /// at end-of-input. `die_after` aborts the process with exit code 17
@@ -168,6 +169,32 @@ pub fn serve_connection<R: Read, W: Write>(
         }
         if eof {
             return Ok(false);
+        }
+    }
+}
+
+/// The `--listen` and `--unix` accept loop: serves each accepted
+/// connection in turn until a client asks for shutdown or the
+/// connections run out. An accept error or a connection's
+/// I/O error is logged to stderr and the next connection is served, so
+/// no client can take the daemon down; daemon-side failures never
+/// surface here ([`Daemon::handle_batch`] answers them as
+/// [`Response::Error`]).
+pub fn serve_connections<S>(
+    daemon: &mut Daemon,
+    connections: impl IntoIterator<Item = std::io::Result<S>>,
+    batch: usize,
+    die_after: Option<u64>,
+) where
+    for<'a> &'a S: Read + Write,
+{
+    for connection in connections {
+        let served = connection
+            .and_then(|stream| serve_connection(daemon, &stream, &stream, batch, die_after));
+        match served {
+            Ok(true) => return,
+            Ok(false) => {}
+            Err(e) => eprintln!("elasticflow-serve: connection failed: {e}"),
         }
     }
 }
@@ -311,5 +338,124 @@ mod tests {
             assert_eq!(journal, clean_journal, "batch {batch}: journal bytes moved");
             assert_eq!(wal, clean_wal, "batch {batch}: WAL bytes moved");
         }
+    }
+
+    fn submit_line(id: u64) -> String {
+        let submit = Request::Submit {
+            job: JobSubmission {
+                id,
+                model: DnnModel::ResNet50,
+                global_batch: 128,
+                iterations: 1_000.0,
+                arrival_seconds: id as f64,
+                deadline_seconds: Some(3_600.0),
+            },
+        };
+        format!("{}\n", serde_json::to_string(&submit).unwrap())
+    }
+
+    fn open_daemon(name: &str) -> (std::path::PathBuf, Daemon) {
+        let root = std::env::temp_dir().join(format!("ef-serve-lib-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (daemon, _) = Daemon::open(
+            &root,
+            DaemonConfig::default(),
+            Box::new(TickClock::new(100)),
+            gateway_registry(),
+        )
+        .expect("daemon opens");
+        (root, daemon)
+    }
+
+    #[test]
+    fn an_overlong_line_is_answered_with_an_error_and_serving_continues() {
+        let mut input = vec![b'x'; 2 << 20];
+        input.push(b'\n');
+        input.extend_from_slice(submit_line(0).as_bytes());
+        for batch in [1, 4] {
+            let (root, mut daemon) = open_daemon(&format!("overlong-{batch}"));
+            let mut out = Vec::new();
+            let shutdown =
+                serve_connection(&mut daemon, &input[..], &mut out, batch, None).expect("serves");
+            assert!(!shutdown);
+            let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+            assert_eq!(lines.len(), 2, "batch {batch}: one error + one decision");
+            assert!(lines[0].starts_with("{\"Error\":"), "got {}", lines[0]);
+            assert!(
+                lines[0].contains("exceeds"),
+                "not the line cap: {}",
+                lines[0]
+            );
+            assert!(lines[1].starts_with("{\"Decision\":"), "got {}", lines[1]);
+            assert_eq!(daemon.wal_records(), 1, "only the valid line is logged");
+            drop(daemon);
+            let wal = std::fs::read(root.join("gateway.wal")).expect("wal");
+            let _ = std::fs::remove_dir_all(&root);
+            let (clean_root, mut clean) = open_daemon(&format!("overlong-clean-{batch}"));
+            serve_connection(
+                &mut clean,
+                submit_line(0).as_bytes(),
+                Vec::new(),
+                batch,
+                None,
+            )
+            .expect("serves");
+            drop(clean);
+            let clean_wal = std::fs::read(clean_root.join("gateway.wal")).expect("wal");
+            let _ = std::fs::remove_dir_all(&clean_root);
+            assert_eq!(wal, clean_wal, "batch {batch}: WAL bytes moved");
+        }
+    }
+
+    /// A client connection: it sends `input`, then either collects the
+    /// answers or fails every write, like a peer that hung up.
+    struct Client {
+        input: std::cell::RefCell<std::io::Cursor<String>>,
+        answers: Option<std::rc::Rc<std::cell::RefCell<Vec<u8>>>>,
+    }
+
+    impl Read for &Client {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.input.borrow_mut().read(buf)
+        }
+    }
+
+    impl Write for &Client {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            match &self.answers {
+                Some(out) => out.borrow_mut().write(buf),
+                None => Err(std::io::Error::new(ErrorKind::BrokenPipe, "client hung up")),
+            }
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_client_does_not_end_the_accept_loop() {
+        let (root, mut daemon) = open_daemon("failing-client");
+        let out = std::rc::Rc::default();
+        let client = |id: u64, answers| Client {
+            input: std::io::Cursor::new(submit_line(id)).into(),
+            answers,
+        };
+        let connections = vec![
+            Ok(client(0, None)),
+            Err(std::io::Error::other("accept failed")),
+            Ok(client(1, Some(std::rc::Rc::clone(&out)))),
+        ];
+        serve_connections(&mut daemon, connections, 1, None);
+        let out = String::from_utf8(out.take()).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 1, "got {out}");
+        assert!(lines[0].starts_with("{\"Decision\":"), "got {}", lines[0]);
+        assert!(lines[0].contains("\"job\":1,"), "got {}", lines[0]);
+        // The failing client's submission was decided and logged before
+        // its answer could not be written; recovery reproduces it.
+        assert_eq!(daemon.wal_records(), 2);
+        drop(daemon);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

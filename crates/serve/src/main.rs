@@ -31,8 +31,8 @@ use std::process::ExitCode;
 
 use elasticflow_persist::FsyncPolicy;
 use elasticflow_serve::{
-    gateway_registry, serve_connection, spawn_exporter, Daemon, DaemonConfig, GatewayConfig,
-    Resumption,
+    gateway_registry, serve_connection, serve_connections, spawn_exporter, Daemon, DaemonConfig,
+    GatewayConfig, Resumption,
 };
 use elasticflow_telemetry::{Clock, MonotonicClock, TickClock};
 
@@ -184,16 +184,7 @@ fn run(opts: Options) -> Result<(), String> {
             std::net::TcpListener::bind(addr).map_err(|e| format!("--listen {addr}: {e}"))?;
         let bound = listener.local_addr().map_err(|e| e.to_string())?;
         eprintln!("elasticflow-serve: listening on {bound}");
-        for stream in listener.incoming() {
-            let stream = stream.map_err(|e| e.to_string())?;
-            let writer = stream.try_clone().map_err(|e| e.to_string())?;
-            let shutdown =
-                serve_connection(&mut daemon, stream, writer, opts.batch, opts.die_after)
-                    .map_err(|e| e.to_string())?;
-            if shutdown {
-                break;
-            }
-        }
+        serve_connections(&mut daemon, listener.incoming(), opts.batch, opts.die_after);
         return finish(&mut daemon);
     }
 
@@ -203,16 +194,7 @@ fn run(opts: Options) -> Result<(), String> {
         let listener = std::os::unix::net::UnixListener::bind(sock)
             .map_err(|e| format!("--unix {sock}: {e}"))?;
         eprintln!("elasticflow-serve: listening on unix socket {sock}");
-        for stream in listener.incoming() {
-            let stream = stream.map_err(|e| e.to_string())?;
-            let writer = stream.try_clone().map_err(|e| e.to_string())?;
-            let shutdown =
-                serve_connection(&mut daemon, stream, writer, opts.batch, opts.die_after)
-                    .map_err(|e| e.to_string())?;
-            if shutdown {
-                break;
-            }
-        }
+        serve_connections(&mut daemon, listener.incoming(), opts.batch, opts.die_after);
         return finish(&mut daemon);
     }
     #[cfg(not(unix))]

@@ -337,6 +337,11 @@ pub fn render_response(response: &Response) -> String {
 /// drains a batch of queued submissions without ever blocking on a
 /// partial batch (an interactive client is answered after its first
 /// line; a pipe saturates the batch from one `read`).
+///
+/// The buffer never grows past 1 MiB. A line longer than that (a
+/// canonical `Submit` line is about 200 bytes) is drained through its
+/// newline without being buffered and reported as an error in its
+/// place, so a client that never sends a newline cannot exhaust memory.
 #[derive(Debug)]
 pub struct LineReader<R> {
     inner: R,
@@ -345,7 +350,13 @@ pub struct LineReader<R> {
     pos: usize,
     /// Valid bytes in `buf`.
     len: usize,
+    /// The line being read outgrew [`MAX_LINE_BYTES`]; its bytes are
+    /// dropped until its newline (or end-of-input) arrives.
+    overlong: bool,
 }
+
+/// The most bytes one line, terminator included, may occupy.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 impl<R: std::io::Read> LineReader<R> {
     /// Wraps `inner` with a fresh (empty) line buffer.
@@ -355,6 +366,7 @@ impl<R: std::io::Read> LineReader<R> {
             buf: Vec::new(),
             pos: 0,
             len: 0,
+            overlong: false,
         }
     }
 
@@ -377,7 +389,7 @@ impl<R: std::io::Read> LineReader<R> {
     /// stripped, matching `BufRead::lines`). Blocks until a full line
     /// or end-of-input arrives; `None` at end-of-input. The returned
     /// slice borrows the internal buffer — no allocation. A line that is
-    /// not valid UTF-8 is consumed and reported as
+    /// not valid UTF-8, or longer than 1 MiB, is consumed and reported as
     /// [`std::io::ErrorKind::InvalidData`], so the next call reads the
     /// line after it.
     pub fn next_line(&mut self) -> std::io::Result<Option<&str>> {
@@ -386,6 +398,11 @@ impl<R: std::io::Read> LineReader<R> {
                 .iter()
                 .position(|b| *b == b'\n')
             {
+                if self.overlong {
+                    self.overlong = false;
+                    self.pos += nl + 1;
+                    return Err(overlong_line());
+                }
                 let start = self.pos;
                 let mut end = self.pos + nl;
                 self.pos = end + 1;
@@ -394,17 +411,29 @@ impl<R: std::io::Read> LineReader<R> {
                 }
                 return as_line(&self.buf[start..end]).map(Some);
             }
-            // No complete line buffered: compact and read more.
+            // No complete line buffered: compact and read more. The
+            // tail of an over-long line is dropped instead of kept.
+            if self.overlong {
+                self.pos = self.len;
+            }
             if self.pos > 0 {
                 self.buf.copy_within(self.pos..self.len, 0);
                 self.len -= self.pos;
                 self.pos = 0;
             }
-            if self.len == self.buf.len() {
-                self.buf.resize((self.buf.len() * 2).max(8 * 1024), 0);
+            if self.len >= MAX_LINE_BYTES {
+                self.overlong = true;
+                self.len = 0;
+            } else if self.len == self.buf.len() {
+                let grown = (self.buf.len() * 2).clamp(8 * 1024, MAX_LINE_BYTES);
+                self.buf.resize(grown, 0);
             }
             let n = self.inner.read(&mut self.buf[self.len..])?;
             if n == 0 {
+                if self.overlong {
+                    self.overlong = false;
+                    return Err(overlong_line());
+                }
                 if self.len == 0 {
                     return Ok(None);
                 }
@@ -420,6 +449,13 @@ impl<R: std::io::Read> LineReader<R> {
             self.len += n;
         }
     }
+}
+
+fn overlong_line() -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("line exceeds {MAX_LINE_BYTES} bytes"),
+    )
 }
 
 fn as_line(bytes: &[u8]) -> std::io::Result<&str> {
@@ -579,6 +615,30 @@ mod tests {
         assert_eq!(reader.next_line().unwrap(), Some("gamma"));
         assert_eq!(reader.next_line().unwrap(), None);
         assert_eq!(reader.next_line().unwrap(), None);
+    }
+
+    #[test]
+    fn line_reader_drains_an_overlong_line_and_reads_on() {
+        let long = "x".repeat(2 * MAX_LINE_BYTES);
+        let text = format!("{long}\nshort\n{long}");
+        let mut reader = LineReader::new(text.as_bytes());
+        let err = reader.next_line().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(reader.next_line().unwrap(), Some("short"));
+        // An over-long final line without a newline is reported too.
+        let err = reader.next_line().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(reader.next_line().unwrap(), None);
+        assert!(
+            reader.buf.len() <= MAX_LINE_BYTES,
+            "buffer grew past the cap"
+        );
+        // The longest line that fits is still read whole.
+        let fits = "y".repeat(MAX_LINE_BYTES - 1);
+        let text = format!("{fits}\nshort\n");
+        let mut reader = LineReader::new(text.as_bytes());
+        assert_eq!(reader.next_line().unwrap(), Some(fits.as_str()));
+        assert_eq!(reader.next_line().unwrap(), Some("short"));
     }
 
     #[test]
