@@ -224,6 +224,39 @@ struct SuffixRefill {
     ledger: ReservationLedger,
 }
 
+/// Adds `new − old` to the scratch's per-slot ledger difference,
+/// keeping its count of negative slots current.
+fn shift_delta(scratch: &mut FillScratch, new: &AllocationProfile, old: &AllocationProfile) {
+    let (new, old) = (new.as_slice(), old.as_slice());
+    if new == old {
+        return;
+    }
+    let FillScratch {
+        delta, negative, ..
+    } = scratch;
+    let len = new.len().max(old.len());
+    if delta.len() < len {
+        delta.resize(len, 0);
+    }
+    let common = new.len().min(old.len());
+    let mut shift = |d: &mut i64, step: i64| {
+        let was = *d < 0;
+        *d += step;
+        *negative = *negative - usize::from(was) + usize::from(*d < 0);
+    };
+    for ((d, &n), &o) in delta.iter_mut().zip(new).zip(old) {
+        if n != o {
+            shift(d, i64::from(n) - i64::from(o));
+        }
+    }
+    for (d, &n) in delta[common..].iter_mut().zip(&new[common..]) {
+        shift(d, i64::from(n));
+    }
+    for (d, &o) in delta[common..].iter_mut().zip(&old[common..]) {
+        shift(d, -i64::from(o));
+    }
+}
+
 impl AdmissionSet {
     /// Checks whether all `jobs` can meet their deadlines together on
     /// `total_gpus` GPUs (Algorithm 1 lines 2–9: sort by deadline,
@@ -415,24 +448,33 @@ impl AdmissionSet {
         ledger.commit(&cand_profile);
         let mut suffix = Vec::with_capacity(self.profiles.len() - k);
         let mut suffix_targets = Vec::with_capacity(self.profiles.len() - k);
-        // Ladder-start soundness: as long as every refilled job has
-        // reproduced its stored profile bit for bit, the working ledger
-        // each subsequent job fills against equals the ledger its stored
-        // target was computed under *plus* the candidate's profile — a
-        // pointwise-dominating ledger, under which no rung below the
-        // stored target can newly succeed (for ladder-monotone curves;
-        // `progressive_filling_from` enforces the curve gate itself).
-        // The first job whose profile changes breaks the equality, so
-        // every job after it falls back to the full ladder.
-        let mut dominated = true;
+        // Ladder-start soundness: a job's stored target is the full
+        // ladder's answer under the ledger it was filled against, the
+        // stored profiles before it. While the working ledger dominates
+        // that one (pointwise at least as full), no rung below the stored
+        // target can newly succeed (for ladder-monotone curves;
+        // `progressive_filling_from` enforces the curve gate itself). The
+        // per-slot difference `working − stored` starts as the
+        // candidate's profile and moves by `new − stored` with every
+        // refilled job; the hint holds while no slot of it is negative,
+        // so a job that shrank can be made up for by a later one that
+        // grew.
+        scratch.delta.clear();
+        scratch
+            .delta
+            .extend(cand_profile.as_slice().iter().map(|&g| i64::from(g)));
+        scratch.negative = 0;
         for (i, job) in self.jobs[k..].iter().enumerate() {
-            let hint = if dominated { self.targets[k + i] } else { 1 };
+            let hint = if scratch.negative == 0 {
+                scratch.counters.hinted_fills += 1;
+                self.targets[k + i]
+            } else {
+                1
+            };
             match progressive_filling_from(job, &ledger, grid, self.total_gpus, hint, scratch) {
                 Some((profile, target)) => {
                     ledger.commit(&profile);
-                    if dominated && profile != self.profiles[k + i] {
-                        dominated = false;
-                    }
+                    shift_delta(scratch, &profile, &self.profiles[k + i]);
                     suffix.push(profile);
                     suffix_targets.push(target);
                 }
@@ -858,6 +900,137 @@ mod tests {
         let union = vec![job(5, 1.5, 2), bully.clone()];
         let from_scratch = AdmissionSet::check(2, &union, &grid);
         assert_eq!(admitted_plan(&set2, bully, &grid), from_scratch);
+    }
+
+    #[test]
+    fn hints_stop_where_the_working_ledger_falls_below_the_stored_one() {
+        // Admitting job 4 (deadline 2) ahead of the set reshapes job 1's
+        // profile, which frees capacity in a slot job 2 used to fill
+        // against. Job 2's stored ladder target is then too high: the
+        // full ladder settles one rung lower, so a refill that kept the
+        // hint would commit a different plan than a from-scratch check.
+        let mk = |id: u64, rates: [f64; 4], work: f64, slots: usize| PlanningJob {
+            id: JobId::new(id),
+            curve: ScalingCurve::from_points(
+                DnnModel::ResNet50,
+                64,
+                rates
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &iters_per_sec)| CurvePoint {
+                        gpus: 1 << i,
+                        iters_per_sec,
+                    })
+                    .collect(),
+            ),
+            remaining_iterations: work,
+            deadline_slot: slots,
+        };
+        let stream = [
+            mk(0, [2.45, 3.475, 4.55, 6.324999999999999], 22.05, 2),
+            mk(1, [2.625, 4.725, 4.925, 7.4], 16.537499999999998, 3),
+            mk(
+                2,
+                [
+                    1.625,
+                    3.2249999999999996,
+                    4.449999999999999,
+                    5.5249999999999995,
+                ],
+                10.887500000000001,
+                5,
+            ),
+            mk(3, [1.95, 3.75, 4.05, 4.5], 9.555, 5),
+            mk(4, [0.925, 3.6000000000000005, 4.075, 4.975], 1.7575, 2),
+        ];
+        let grid = SlotGrid::uniform(1.0);
+        let scratch = &mut FillScratch::new();
+        let (mut set, _) = AdmissionSet::fill(8, Vec::new(), &grid, scratch);
+        let mut accepted = Vec::new();
+        for job in stream {
+            let mut union = accepted.clone();
+            union.push(job.clone());
+            let outcome = set.admit(job.clone(), &grid, scratch).map(|()| set.plan());
+            assert_eq!(
+                outcome,
+                AdmissionSet::check(8, &union, &grid),
+                "job {}",
+                job.id
+            );
+            if outcome.is_ok() {
+                accepted.push(job);
+            }
+        }
+        assert_eq!(set.plan()[&JobId::new(2)].as_slice(), &[2, 2, 0, 2, 1]);
+    }
+
+    /// The fill kernel's work counters on a fixed crowded instance: a
+    /// stream of 60 mixed jobs admitted one by one into 12 GPUs (most
+    /// declined), then Algorithm 2 over the admitted set. The counters
+    /// are a pure function of the fills asked, so a kernel change that
+    /// moves one of them changes how much work the kernel does.
+    #[test]
+    fn fill_counters_are_pinned_on_a_fixed_instance() {
+        let linear = ScalingCurve::from_points(
+            DnnModel::Vgg16,
+            64,
+            (0..4)
+                .map(|i| CurvePoint {
+                    gpus: 1 << i,
+                    iters_per_sec: f64::from(1u32 << i) * 0.9,
+                })
+                .collect(),
+        );
+        let grid = SlotGrid::new(0.5, 1.0);
+        let total = 12;
+        let stream: Vec<PlanningJob> = (0..60u64)
+            .map(|i| PlanningJob {
+                id: JobId::new(i),
+                curve: if i % 3 == 0 { linear.clone() } else { curve() },
+                remaining_iterations: 1.0 + ((i * 7) % 11) as f64 * 1.25,
+                deadline_slot: 2 + ((i * 5) % 13) as usize + (i / 4) as usize,
+            })
+            .collect();
+        let mut scratch = FillScratch::new();
+        let (mut set, _) = AdmissionSet::fill(total, Vec::new(), &grid, &mut scratch);
+        let mut admitted = 0;
+        for job in &stream {
+            admitted += usize::from(set.admit(job.clone(), &grid, &mut scratch).is_ok());
+        }
+        assert_eq!(admitted, 34);
+        // Every fourth admitted job leaves slot-0 GPUs for the boost loop.
+        let allocator = crate::ResourceAllocator::new(total);
+        let jobs: Vec<PlanningJob> = set.jobs().iter().step_by(4).cloned().collect();
+        let (mut profiles, _, mut ledger) = allocator.minimum_shares(&jobs, &grid, &mut scratch);
+        let free0 = total - profiles.values().map(|p| p.gpus(0)).sum::<u32>();
+        assert_eq!(free0, 2);
+        allocator.boost(
+            &jobs,
+            &grid,
+            &mut profiles,
+            &mut ledger,
+            free0,
+            &BTreeMap::new(),
+            &mut scratch,
+        );
+        assert_eq!(
+            scratch.counters(),
+            crate::FillCounters {
+                probes: 293,
+                pruned_entry: 8,
+                pruned_walk: 68,
+                pruned_pinned: 1,
+                booked_slots: 2343,
+                headroom_slots: 769,
+                partial_slots: 90,
+                failed_slots: 1217,
+                tail_steps: 58,
+                hinted_fills: 116,
+                revalidated_boosts: 1,
+            }
+        );
+        // Counters are not state: a clone starts from zero.
+        assert_eq!(scratch.clone().counters(), crate::FillCounters::default());
     }
 
     #[test]

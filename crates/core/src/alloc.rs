@@ -321,15 +321,15 @@ impl ResourceAllocator {
                     }
                     continue;
                 }
-                #[cfg(test)]
-                {
-                    scratch.revalidated += 1;
-                }
+                scratch.counters.revalidated_boosts += 1;
                 #[cfg(debug_assertions)]
                 {
                     // The soundness argument, checked on every debug run:
                     // a recomputation reproduces the revalidated entry
-                    // (or drops it exactly when it no longer fits).
+                    // (or drops it exactly when it no longer fits). The
+                    // check's own fills stay out of the work counters, so
+                    // they read the same in debug and release builds.
+                    let counted = scratch.counters;
                     let recomputed = self
                         .candidate(state, slot, ledger, grid, free0, version, scratch)
                         .map(|b| Boost {
@@ -343,6 +343,7 @@ impl ResourceAllocator {
                     if let Some(b) = recomputed {
                         scratch.recycle(b.profile);
                     }
+                    scratch.counters = counted;
                 }
             }
             if boost.extra > free0 {
@@ -904,7 +905,10 @@ mod tests {
         let mut scratch = FillScratch::new();
         let (budget, heap, reference) = boost_both(specs.clone(), 64, 64, &mut scratch);
         assert!(budget > 8, "budget {budget}");
-        assert!(scratch.revalidated > 0, "no stale boost revalidated");
+        assert!(
+            scratch.counters().revalidated_boosts > 0,
+            "no stale boost revalidated"
+        );
         assert_eq!(heap, reference);
         // A reused workspace answers the same instance identically.
         let (_, again, _) = boost_both(specs, 64, 64, &mut scratch);

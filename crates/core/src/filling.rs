@@ -14,7 +14,9 @@ use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
 /// vectors and re-derives the job's curve knee. A scratch owns both —
 /// the candidate slot vector (cleared, never freed, between targets) and
 /// a [`CurveMemo`] rebuilt once per fill — plus a pool of recycled
-/// profile buffers and a pool of per-job curve memos for the boost loop.
+/// profile buffers, a pool of per-job curve memos for the boost loop, the
+/// per-slot ledger difference a suffix refill tracks for its ladder
+/// hints, and the kernel's [`FillCounters`].
 ///
 /// Ownership rule: the caller owns the workspace and lends it to every
 /// fill, admission check and boost it runs. A scheduler or gateway keeps
@@ -22,7 +24,8 @@ use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
 /// steady-state planning round allocates almost nothing. Contents are
 /// dead between calls — reuse never changes an outcome — which is also
 /// why a workspace is never part of its owner's state: it is not
-/// compared, not snapshotted, and a clone starts empty. It must not be
+/// compared, not snapshotted, and a clone starts empty (counters at
+/// zero). It must not be
 /// shared concurrently; each worker thread owns its own. Returned
 /// [`AllocationProfile`]s are copied out of the scratch, so they stay
 /// valid after the scratch is reused or dropped.
@@ -39,9 +42,47 @@ pub struct FillScratch {
     /// Curve memos lent to the boost loop's per-job state and handed
     /// back when the loop ends; rebuilt before every use.
     pub(crate) memos: Vec<CurveMemo>,
-    /// Stale boosts applied through revalidation (unit tests only).
-    #[cfg(test)]
-    pub(crate) revalidated: u64,
+    /// Per-slot `working − stored` ledger difference of a suffix refill
+    /// and the number of its negative slots (see
+    /// [`crate::AdmissionSet`]'s refill); rebuilt per refill.
+    pub(crate) delta: Vec<i64>,
+    pub(crate) negative: usize,
+    /// Work done so far; see [`FillCounters`].
+    pub(crate) counters: FillCounters,
+}
+
+/// Deterministic work counters of the fill kernel, cumulative over a
+/// [`FillScratch`]'s life.
+///
+/// They count what the kernel did, never what it decided, so they are a
+/// pure function of the fills asked of it. Like the rest of the
+/// workspace they are not state: not compared, not snapshotted, and a
+/// clone starts at zero. Runs of slots are counted once per run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FillCounters {
+    /// Ladder probes: one per rung a fill tried.
+    pub probes: u64,
+    /// Probes rejected before the slot walk by the entry bound.
+    pub pruned_entry: u64,
+    /// Probes rejected inside the slot walk by the remaining-slots bound.
+    pub pruned_walk: u64,
+    /// Pinned-slot-0 probes rejected on slot 0's exact work.
+    pub pruned_pinned: u64,
+    /// Walked slots with nothing free.
+    pub booked_slots: u64,
+    /// Walked slots with room for the whole target.
+    pub headroom_slots: u64,
+    /// Walked slots with some, but not enough, room.
+    pub partial_slots: u64,
+    /// Walked slots (of any kind) of probes that failed.
+    pub failed_slots: u64,
+    /// Slots past the committed horizon added to the final-slot trim's
+    /// running sum.
+    pub tail_steps: u64,
+    /// Suffix refills started from the job's stored ladder target.
+    pub hinted_fills: u64,
+    /// Stale Algorithm 2 boosts applied without a recomputing fill.
+    pub revalidated_boosts: u64,
 }
 
 /// Recycled buffers beyond this are dropped; enough to cover the deepest
@@ -61,11 +102,16 @@ impl FillScratch {
             self.pool.push(profile.into_gpus());
         }
     }
+
+    /// The work counters accumulated since the workspace was created.
+    pub fn counters(&self) -> FillCounters {
+        self.counters
+    }
 }
 
-/// A clone is an empty workspace: the contents are dead between calls,
-/// so an empty one is interchangeable with the original, and owners that
-/// derive `Clone` never copy buffers.
+/// A clone is an empty workspace with zeroed counters: the contents are
+/// dead between calls, so an empty one is interchangeable with the
+/// original, and owners that derive `Clone` never copy buffers.
 impl Clone for FillScratch {
     fn clone(&self) -> Self {
         FillScratch::new()
@@ -165,7 +211,11 @@ fn ladder_fill(
 ) -> Option<(AllocationProfile, u32)> {
     scratch.memo.rebuild(&job.curve);
     let FillScratch {
-        gpus, memo, pool, ..
+        gpus,
+        memo,
+        pool,
+        counters,
+        ..
     } = scratch;
     ladder_walk(
         job,
@@ -177,6 +227,7 @@ fn ladder_fill(
         start_target,
         gpus,
         pool,
+        counters,
     )
 }
 
@@ -192,7 +243,12 @@ pub(crate) fn progressive_filling_memo(
     fixed_slot0: Option<u32>,
     scratch: &mut FillScratch,
 ) -> Option<(AllocationProfile, u32)> {
-    let FillScratch { gpus, pool, .. } = scratch;
+    let FillScratch {
+        gpus,
+        pool,
+        counters,
+        ..
+    } = scratch;
     ladder_walk(
         job,
         memo,
@@ -203,6 +259,7 @@ pub(crate) fn progressive_filling_memo(
         1,
         gpus,
         pool,
+        counters,
     )
 }
 
@@ -217,6 +274,7 @@ fn ladder_walk(
     start_target: u32,
     gpus: &mut Vec<u32>,
     pool: &mut Vec<Vec<u32>>,
+    counters: &mut FillCounters,
 ) -> Option<(AllocationProfile, u32)> {
     if job.deadline_slot == 0 {
         return None;
@@ -244,6 +302,7 @@ fn ladder_walk(
             memo,
             gpus,
             pool,
+            counters,
         ) {
             return Some((profile, j));
         }
@@ -255,8 +314,8 @@ fn ladder_walk(
 }
 
 /// The exclusive end of `try_target`'s slot walk on `ledger`: the walk
-/// visits slots `[1, end)` one by one and treats everything from `end`
-/// on analytically (fully free up to the deadline).
+/// visits slots `[1, end)` and treats everything from `end` on
+/// analytically (fully free up to the deadline).
 pub(crate) fn slot_walk_end(job: &PlanningJob, ledger: &ReservationLedger) -> usize {
     job.deadline_slot.min(ledger.horizon().max(1))
 }
@@ -331,6 +390,14 @@ fn emit_profile(gpus: &[u32], pool: &mut Vec<Vec<u32>>) -> AllocationProfile {
 /// job (the early slots run at full `j`; the trim frees the tail for
 /// others — the source of the "finish early, admit more later" benefit the
 /// paper describes in §4.2).
+///
+/// The slots past 0 are walked by runs of one kind: booked (nothing
+/// free), headroom (room for the whole target) and partial (some room).
+/// Each slot's progress is still added to the running sum one slot at a
+/// time, in slot order — f64 addition is not associative, and the golden
+/// digests depend on the order — but a booked slot adds nothing and a
+/// headroom slot adds the same precomputed value, so only a partial slot
+/// pays for the ladder arithmetic.
 #[allow(clippy::too_many_arguments)]
 fn try_target(
     job: &PlanningJob,
@@ -342,101 +409,154 @@ fn try_target(
     memo: &CurveMemo,
     gpus: &mut Vec<u32>,
     pool: &mut Vec<Vec<u32>>,
+    counters: &mut FillCounters,
 ) -> Option<AllocationProfile> {
+    counters.probes += 1;
+    gpus.clear();
     let horizon = job.deadline_slot;
+    let remaining = job.remaining_iterations;
     // The grant of a slot with room for the whole target: `j` is a power
     // of two, so `clamp_pow2(j, free)` is `j` itself whenever
     // `free >= j`, and only the knee clamp (constraint (7)) remains.
     let full = memo.clamp_useful(j.min(total_gpus));
     // Slots past 0 all last `rest` seconds.
     let per_full = memo.iters_per_sec(full) * grid.rest_seconds();
-    // Conservative infeasibility prune: even running every slot at the
-    // best throughput reachable under this candidate's cap (a prefix max,
-    // so safe for measured curves that dip before the knee), with a whole
-    // extra slot of slack on top, the work cannot finish by the deadline
-    // — skip the slot walk. The full-slot slack dwarfs both WORK_EPSILON
-    // and the float rounding of the bound itself, so the prune can never
-    // fire on a target the walk would have accepted. Skipped when slot 0
-    // is pinned: a pinned grant may exceed the candidate's own cap.
-    if fixed_slot0.is_none() && horizon != usize::MAX {
-        let best = memo.peak_rate_at_or_below(full);
-        let slack = best * grid.rest_seconds();
-        if slack > WORK_EPSILON && slack * (horizon as f64 + 1.0) < job.remaining_iterations {
-            return None;
-        }
-    }
-    gpus.clear();
+    // The most any slot can add under this target: the best throughput
+    // reachable under its cap (a prefix max, so safe for measured curves
+    // that dip before the knee) for a whole slot. Every infeasibility
+    // bound below keeps one such slot of slack on top, which dwarfs both
+    // WORK_EPSILON and the float rounding of the bound itself, so no
+    // bound can fire on a target the walk would have accepted.
+    let cap = memo.peak_rate_at_or_below(full) * grid.rest_seconds();
+    let bounded = cap > WORK_EPSILON && horizon != usize::MAX;
     let x = match fixed_slot0 {
         Some(x0) => x0,
         None => {
+            // Entry bound: even every slot at `cap` misses the deadline.
+            if bounded && cap * (horizon as f64 + 1.0) < remaining {
+                counters.pruned_entry += 1;
+                return None;
+            }
             let free = ledger.free(0, total_gpus);
             clamp_pow2(j.min(free), free)
         }
     };
     // Never allocate past the knee (constraint (7)).
     let x = if x == 0 { 0 } else { memo.clamp_useful(x) };
-    gpus.push(x);
     let mut done = memo.iters_per_sec(x) * grid.duration(0);
-    if done + WORK_EPSILON >= job.remaining_iterations {
+    // Pinned slot 0 may exceed the target's cap, so the entry bound does
+    // not hold for it; its work is known exactly instead, and the other
+    // `horizon - 1` slots plus one of slack bound the rest.
+    if fixed_slot0.is_some()
+        && bounded
+        && done + WORK_EPSILON < remaining
+        && done + cap * (horizon as f64) < remaining
+    {
+        counters.pruned_pinned += 1;
+        return None;
+    }
+    gpus.push(x);
+    if done + WORK_EPSILON >= remaining {
         trim_final_slot(job, grid, memo, gpus, fixed_slot0, 0.0);
         return Some(emit_profile(gpus, pool));
     }
-    // Walk the committed slots one by one, in slot order: f64 addition is
-    // not associative, and the golden digests depend on the order. Only a
-    // slot short of room for the whole target pays for the ladder
-    // arithmetic.
     let committed = ledger.committed_slots();
     let walk_end = slot_walk_end(job, ledger);
-    for (t, &c) in committed.iter().enumerate().take(walk_end).skip(1) {
-        let free = total_gpus.saturating_sub(c);
-        let (x, per) = if free >= j {
-            (full, per_full)
-        } else {
-            let x = clamp_pow2(j.min(free), free);
-            let x = if x == 0 { 0 } else { memo.clamp_useful(x) };
-            (x, memo.iters_per_sec(x) * grid.duration(t))
-        };
-        gpus.push(x);
-        if per <= 0.0 {
-            // Adding +0.0 to the non-negative partial sum is the
-            // identity, and the completion check was already false.
+    // Commitments up to this leave room for the whole target.
+    let roomy = total_gpus.checked_sub(j);
+    let mut t = 1;
+    while t < walk_end {
+        let c = committed[t];
+        if c >= total_gpus {
+            // A booked run grants nothing and adds nothing.
+            let end = t + committed[t..walk_end]
+                .iter()
+                .position(|&c| c < total_gpus)
+                .unwrap_or(walk_end - t);
+            counters.booked_slots += (end - t) as u64;
+            gpus.resize(gpus.len() + (end - t), 0);
+            t = end;
+        } else if let Some(roomy) = roomy.filter(|&r| c <= r) {
+            let end = t + committed[t..walk_end]
+                .iter()
+                .position(|&c| c > roomy)
+                .unwrap_or(walk_end - t);
+            if per_full > 0.0 {
+                for s in t..end {
+                    let before = done;
+                    done += per_full;
+                    if done + WORK_EPSILON >= remaining {
+                        counters.headroom_slots += (s + 1 - t) as u64;
+                        gpus.resize(gpus.len() + (s + 1 - t), full);
+                        trim_final_slot(job, grid, memo, gpus, fixed_slot0, before);
+                        return Some(emit_profile(gpus, pool));
+                    }
+                }
+            }
+            counters.headroom_slots += (end - t) as u64;
+            gpus.resize(gpus.len() + (end - t), full);
+            t = end;
+            // A headroom run progressed at full rate: nothing to bound.
             continue;
+        } else {
+            let free = total_gpus - c;
+            let x = memo.clamp_useful(clamp_pow2(j.min(free), free));
+            let per = memo.iters_per_sec(x) * grid.duration(t);
+            counters.partial_slots += 1;
+            gpus.push(x);
+            t += 1;
+            if per > 0.0 {
+                let before = done;
+                done += per;
+                if done + WORK_EPSILON >= remaining {
+                    trim_final_slot(job, grid, memo, gpus, fixed_slot0, before);
+                    return Some(emit_profile(gpus, pool));
+                }
+            }
         }
-        let before = done;
-        done += per;
-        if done + WORK_EPSILON >= job.remaining_iterations {
-            trim_final_slot(job, grid, memo, gpus, fixed_slot0, before);
-            return Some(emit_profile(gpus, pool));
+        // Mid-walk bound, where progress fell short of `cap`: even the
+        // `horizon - t` slots left at `cap`, plus one of slack, miss.
+        if bounded && done + cap * ((horizon - t) as f64 + 1.0) < remaining {
+            counters.pruned_walk += 1;
+            return failed(gpus, counters);
         }
     }
     if walk_end >= horizon {
-        return None;
+        return failed(gpus, counters);
     }
     // Beyond the ledger's committed horizon every slot is fully free, so
     // the number of additional slots needed follows analytically instead
     // of slot-by-slot.
     if per_full <= 0.0 {
-        return None;
+        return failed(gpus, counters);
     }
-    let need = match elasticflow_cluster::num::slots_ceil(
-        (job.remaining_iterations - done - WORK_EPSILON) / per_full,
-    ) {
-        // Absurd horizons are unsatisfiable, not worth materializing.
-        Some(n) if n <= 10_000_000 => n.max(1),
-        _ => return None,
-    };
+    let need =
+        match elasticflow_cluster::num::slots_ceil((remaining - done - WORK_EPSILON) / per_full) {
+            // Absurd horizons are unsatisfiable, not worth materializing.
+            Some(n) if n <= 10_000_000 => n.max(1),
+            _ => return failed(gpus, counters),
+        };
     if horizon != usize::MAX && walk_end + need > horizon {
-        return None;
+        return failed(gpus, counters);
     }
-    gpus.extend(std::iter::repeat_n(full, need));
-    let last = gpus.len() - 1;
-    let done_before: f64 = gpus[..last]
-        .iter()
-        .enumerate()
-        .map(|(t, &g)| memo.iters_per_sec(g) * grid.duration(t))
-        .sum();
+    gpus.resize(gpus.len() + need, full);
+    // The trim needs the work before the final slot: continue the walk's
+    // sum through the tail slots before it — the additions a re-sum of
+    // the profile from zero would make, in the same order.
+    let mut done_before = done;
+    for _ in 1..need {
+        done_before += per_full;
+    }
+    counters.tail_steps += (need - 1) as u64;
     trim_final_slot(job, grid, memo, gpus, fixed_slot0, done_before);
     Some(emit_profile(gpus, pool))
+}
+
+/// Accounts a failed probe's walked slots (everything past slot 0 in
+/// `gpus`) and fails it.
+fn failed(gpus: &[u32], counters: &mut FillCounters) -> Option<AllocationProfile> {
+    counters.failed_slots += gpus.len().saturating_sub(1) as u64;
+    None
 }
 
 /// The run-skipping slot walk the headroom walk replaced, its code kept
@@ -735,6 +855,63 @@ mod tests {
         assert_eq!(p.as_slice(), &[4, 4]);
     }
 
+    #[test]
+    fn pinned_slot0_prune_fires_exactly_past_its_bound() {
+        // Slot 0 pinned at 4 GPUs does T(4) = 2 units; at rung 1 every
+        // later slot does at most T(1) = 1, so the bound is
+        // 2 + 1 * horizon = 5 units over a 3-slot window.
+        let grid = SlotGrid::uniform(1.0);
+        let mut ledger = ReservationLedger::new();
+        ledger.commit(&AllocationProfile::new(vec![0, 1, 1]));
+        let memo = fig4_curve().memo();
+        let probe = |work: f64| {
+            let job = job(work, 3);
+            let mut counters = FillCounters::default();
+            let (mut gpus, mut pool) = (Vec::new(), Vec::new());
+            let got = try_target(
+                &job,
+                &ledger,
+                &grid,
+                4,
+                1,
+                Some(4),
+                &memo,
+                &mut gpus,
+                &mut pool,
+                &mut counters,
+            );
+            let want = reference::try_target(
+                &job,
+                &ledger,
+                &grid,
+                4,
+                1,
+                Some(4),
+                &memo,
+                &mut gpus,
+                &mut pool,
+            );
+            assert_eq!(got, want, "work {work}");
+            let ladder =
+                progressive_filling(&job, &ledger, &grid, 4, Some(4), &mut FillScratch::new());
+            (got, counters, ladder)
+        };
+        // Just inside the bound: rung 1 walks both slots (4 units < 5)
+        // and fails on its own; rung 2 then finishes in slot 2.
+        let (got, counters, ladder) = probe(5.0);
+        assert_eq!(got, None);
+        assert_eq!(counters.pruned_pinned, 0);
+        assert_eq!(counters.headroom_slots, 2);
+        assert_eq!(counters.failed_slots, 2);
+        assert_eq!(ladder.unwrap().as_slice(), &[4, 2, 2]);
+        // Just outside it: rung 1 is pruned before walking a slot.
+        let (got, counters, ladder) = probe(5.000_000_001);
+        assert_eq!(got, None);
+        assert_eq!(counters.pruned_pinned, 1);
+        assert_eq!(counters.headroom_slots + counters.failed_slots, 0);
+        assert_eq!(ladder.unwrap().as_slice(), &[4, 2, 2]);
+    }
+
     /// A random curve on the 1..=16 ladder: either ladder-monotone
     /// (cumulative positive gains) or with arbitrary dips.
     fn any_curve() -> impl Strategy<Value = ScalingCurve> {
@@ -777,22 +954,54 @@ mod tests {
         })
     }
 
+    /// Long alternating booked and lightly committed runs with a sparse
+    /// short slot inside some of them, on a 16-GPU cluster: the shapes the
+    /// run walk batches. Rungs meet booked runs, headroom runs and partial
+    /// slots in turn, so with deadlines past the horizon and work near a
+    /// window's capacity they exercise both walk bounds and the analytic
+    /// tail.
+    fn run_ledger() -> impl Strategy<Value = ReservationLedger> {
+        prop::collection::vec(
+            (0u32..5, 1usize..24, any::<bool>(), 0usize..24, 9u32..16),
+            1..7,
+        )
+        .prop_map(|runs| {
+            let mut committed = Vec::new();
+            for (i, (level, len, short, at, short_c)) in runs.into_iter().enumerate() {
+                // Even runs are booked (sometimes over-booked), odd runs
+                // leave most of the cluster free.
+                let c = if i % 2 == 0 { 16 + level % 3 } else { level };
+                let start = committed.len();
+                committed.extend(std::iter::repeat_n(c, len));
+                if short && at < len {
+                    committed[start + at] = short_c;
+                }
+            }
+            let mut ledger = ReservationLedger::new();
+            ledger.commit(&AllocationProfile::new(committed));
+            ledger
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The headroom walk returns exactly the verbatim reference's
-        /// profile for every rung, and the ladder — from rung 1 or from a
-        /// hint — settles on the same profile and target.
+        /// The run walk returns exactly the verbatim reference's profile
+        /// for every rung, and the ladder — from rung 1 or from a hint —
+        /// settles on the same profile and target.
         #[test]
         fn headroom_walk_matches_the_reference_kernel(
             curve in any_curve(),
-            ledger in any_ledger(),
-            work_scale in 0.0f64..24.0,
-            deadline in prop_oneof![4 => 1usize..30, 1 => Just(usize::MAX)],
+            ledger in prop_oneof![any_ledger(), run_ledger()],
+            work_scale in prop_oneof![3 => 0.0f64..24.0, 1 => 24.0f64..240.0],
+            deadline in prop_oneof![4 => 1usize..30, 2 => 30usize..150, 1 => Just(usize::MAX)],
             first in 0.2f64..1.0,
             pin in prop_oneof![2 => Just(None), 1 => (0u32..17).prop_map(Some)],
             hint in 0u32..20,
-            exact in prop::collection::vec(0u32..5, 0..12),
+            exact in prop_oneof![
+                3 => prop::collection::vec(0u32..5, 0..12),
+                1 => prop::collection::vec(0u32..5, 12..160),
+            ],
         ) {
             let grid = SlotGrid::new(first * 2.0, 2.0);
             let total = 16u32;
@@ -828,7 +1037,10 @@ mod tests {
             let (mut a, mut b, mut pool) = (Vec::new(), Vec::new(), Vec::new());
             let mut j = 1u32;
             while j <= max_target {
-                let new = try_target(&job, &ledger, &grid, total, j, pin, &memo, &mut a, &mut pool);
+                let new = try_target(
+                    &job, &ledger, &grid, total, j, pin, &memo, &mut a, &mut pool,
+                    &mut FillCounters::default(),
+                );
                 let old = reference::try_target(
                     &job, &ledger, &grid, total, j, pin, &memo, &mut b, &mut pool,
                 );

@@ -54,7 +54,7 @@ mod variants;
 
 pub use admission::{AdmissionDenial, AdmissionSet};
 pub use alloc::ResourceAllocator;
-pub use filling::{progressive_filling, FillScratch};
+pub use filling::{progressive_filling, FillCounters, FillScratch};
 pub use online::{AdvanceReport, OnlineAdmission};
 pub use plan::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON};
 pub use scheduler::{ElasticFlowScheduler, ElasticFlowState};

@@ -2,9 +2,10 @@
 //! [`crate::StateDir`] and the `elasticflow-serve` gateway directory:
 //! `snapshot-NNNNNN.<extension>`, each an 8-byte magic+version header
 //! and one checksummed frame around a JSON payload. Writes are atomic
-//! (temp file `snapshot-NNNNNN.<extension>.tmp` + rename), keep only the
-//! newest [`KEEP_SNAPSHOTS`] files and clear temp files a crashed write
-//! left behind; loading takes the newest file that passes validation.
+//! (temp file `snapshot-NNNNNN.<extension>.tmp` + rename), keep the
+//! newest file plus enough older ones to hold [`KEEP_SNAPSHOTS`] intact
+//! snapshots, and clear temp files a crashed write left behind; loading
+//! takes the newest file that passes validation.
 
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
@@ -17,8 +18,8 @@ use crate::frame::{
     check_header, decode_frame, encode_frame, encode_header, FrameRead, HEADER_LEN, PERSIST_VERSION,
 };
 
-/// Snapshot files kept on disk after each write: the newest plus one
-/// fallback for when the newest fails validation.
+/// Intact snapshot files kept on disk after each write: the newest plus
+/// one fallback for when the newest fails validation.
 pub const KEEP_SNAPSHOTS: usize = 2;
 
 /// Identity of one snapshot file format.
@@ -56,6 +57,25 @@ impl SnapshotKind {
     /// [`PersistError::Corrupt`]: snapshots are written atomically, so a
     /// short file is not a crash artifact the way a torn log tail is.
     pub fn decode<T: SnapshotPayload>(&self, bytes: &[u8]) -> Result<T, PersistError> {
+        let payload = self.payload(bytes)?;
+        let text = std::str::from_utf8(payload).map_err(|_| {
+            PersistError::Corrupt(format!("{} payload is not valid UTF-8", self.long_name))
+        })?;
+        let value: T = serde_json::from_str(text)?;
+        let found = value.version();
+        if found == 0 || found > PERSIST_VERSION {
+            let supported = PERSIST_VERSION;
+            return Err(PersistError::UnknownVersion { found, supported });
+        }
+        Ok(value)
+    }
+
+    /// The payload of snapshot bytes whose envelope is intact — magic,
+    /// version header, one complete frame whose checksum matches, and
+    /// nothing after it — without parsing the payload. Every byte of a
+    /// file is covered by these checks, so an on-disk corruption or a
+    /// truncation fails here exactly as it fails [`SnapshotKind::decode`].
+    fn payload<'a>(&self, bytes: &'a [u8]) -> Result<&'a [u8], PersistError> {
         let name = self.long_name;
         check_header(bytes, self.magic, self.magic_name)?;
         let FrameRead::Complete { payload, next } = decode_frame(bytes, HEADER_LEN)? else {
@@ -69,15 +89,7 @@ impl SnapshotKind {
                 bytes.len() - next
             )));
         }
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| PersistError::Corrupt(format!("{name} payload is not valid UTF-8")))?;
-        let value: T = serde_json::from_str(text)?;
-        let found = value.version();
-        if found == 0 || found > PERSIST_VERSION {
-            let supported = PERSIST_VERSION;
-            return Err(PersistError::UnknownVersion { found, supported });
-        }
-        Ok(value)
+        Ok(payload)
     }
 }
 
@@ -136,9 +148,18 @@ impl<T: SnapshotPayload> SnapshotStore<T> {
         Ok(seqs)
     }
 
-    /// Writes `payload` as the next snapshot in sequence, then removes
-    /// all but the newest [`KEEP_SNAPSHOTS`] files. Returns the new
-    /// sequence number and the snapshot's encoded size in bytes.
+    /// Writes `payload` as the next snapshot in sequence, then prunes.
+    /// Returns the new sequence number and the snapshot's encoded size
+    /// in bytes.
+    ///
+    /// Pruning keeps every older file down to the newest
+    /// `KEEP_SNAPSHOTS - 1` whose envelope is intact (magic, version
+    /// header, checksum, length) and removes the files older than those,
+    /// so a corrupt file never takes the place of a fallback: it stays
+    /// until enough intact snapshots are newer than it. Older files are
+    /// kept when none of them is intact. The payload is not parsed: the
+    /// checksum covers it, and it was written by
+    /// [`SnapshotKind::encode`], so an intact file decodes.
     ///
     /// A temp file of this kind found before the write is the leftover
     /// of a write that crashed before its rename, and is removed. Both
@@ -154,17 +175,25 @@ impl<T: SnapshotPayload> SnapshotStore<T> {
                 std::fs::remove_file(&path).ok();
             }
         }
-        let mut seqs = self.seqs()?;
-        let seq = seqs.last().copied().unwrap_or(0) + 1;
+        let older = self.seqs()?;
+        let seq = older.last().copied().unwrap_or(0) + 1;
         let bytes = self.kind.encode(payload)?;
         let tmp_path = self.root.join(format!("snapshot-{seq:06}{temp_suffix}"));
         std::fs::write(&tmp_path, &bytes)?;
         std::fs::rename(&tmp_path, self.path(seq))?;
-        seqs.push(seq);
-        for &old in &seqs[..seqs.len().saturating_sub(KEEP_SNAPSHOTS)] {
-            // Ignored on failure: the file is still listed by the next
-            // write's `seqs`, which retries the removal.
-            std::fs::remove_file(self.path(old)).ok();
+        let mut older = older.iter().rev();
+        let mut fallbacks = 0;
+        while fallbacks + 1 < KEEP_SNAPSHOTS {
+            let Some(&old) = older.next() else { break };
+            let intact = std::fs::read(self.path(old)).is_ok_and(|b| self.kind.payload(&b).is_ok());
+            fallbacks += usize::from(intact);
+        }
+        if fallbacks + 1 == KEEP_SNAPSHOTS {
+            for &old in older {
+                // Ignored on failure: the file is still listed by the next
+                // write's `seqs`, which retries the removal.
+                std::fs::remove_file(self.path(old)).ok();
+            }
         }
         Ok((seq, bytes.len() as u64))
     }

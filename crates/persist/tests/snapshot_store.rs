@@ -241,6 +241,34 @@ fn a_failed_prune_does_not_fail_the_write_and_is_retried() {
 }
 
 #[test]
+fn a_corrupt_snapshot_never_replaces_the_fallback() {
+    let dir = StateDir::open(temp_dir()).unwrap();
+    let store = dir.snapshots();
+    let snap = stored(4, 2);
+    for _ in 0..2 {
+        store.write_next(&snap).unwrap();
+    }
+    // Snapshot 2 rots on disk; writing 3 keeps 1, the only valid older
+    // file, as the fallback.
+    std::fs::write(store.path(2), b"EFSN").unwrap();
+    let (seq, _) = store.write_next(&snap).unwrap();
+    assert_eq!(seq, 3);
+    assert_eq!(store.seqs().unwrap(), vec![1, 2, 3]);
+    // Were snapshot 3 lost too, recovery would still find snapshot 1.
+    let newest = std::fs::read(store.path(3)).unwrap();
+    std::fs::write(store.path(3), b"EFSN").unwrap();
+    let LatestValid { valid, skipped } = store.latest_valid().unwrap();
+    assert_eq!(valid, Some((1, snap.clone())));
+    let skipped: Vec<u64> = skipped.iter().map(|(seq, _)| *seq).collect();
+    assert_eq!(skipped, vec![3, 2]);
+    std::fs::write(store.path(3), newest).unwrap();
+    // The next write has a valid fallback in 3 and prunes the rest,
+    // the corrupt file with it.
+    store.write_next(&snap).unwrap();
+    assert_eq!(store.seqs().unwrap(), vec![3, 4]);
+}
+
+#[test]
 fn every_snapshot_corrupt_recovers_nothing_and_reports_each() {
     let dir = StateDir::open(temp_dir()).unwrap();
     for _ in 0..3 {

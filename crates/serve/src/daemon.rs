@@ -26,7 +26,7 @@ use elasticflow_telemetry::{Clock, DECISION_LATENCY};
 use crate::gateway::{Gateway, GatewayConfig, GatewayStats};
 use crate::metrics::{
     self, SharedRegistry, ACTIVE_GUARANTEED, BATCH_SIZE, BOOKED_FRACTION, BOOKED_HORIZON_SLOTS,
-    DECISIONS_TOTAL, DECLINES_TOTAL, QUEUE_DEPTH,
+    DECISIONS_TOTAL, DECLINES_TOTAL, QUEUE_DEPTH, RUNNING_TOTALS,
 };
 use crate::proto::{render_request_into, render_submit_into, JobSubmission, Request, Response};
 use crate::store::{render_journal_entry_into, GatewayDir, GatewaySnapshot};
@@ -157,6 +157,8 @@ pub struct Daemon {
     journal_buf: String,
     batch: BatchScratch,
     resp_buf: Vec<Response>,
+    /// The [`RUNNING_TOTALS`] as last mirrored into the registry.
+    published: [u64; RUNNING_TOTALS.len()],
 }
 
 impl Daemon {
@@ -191,6 +193,7 @@ impl Daemon {
                 journal_buf: String::new(),
                 batch: BatchScratch::default(),
                 resp_buf: Vec::new(),
+                published: [0; RUNNING_TOTALS.len()],
             };
             return Ok((daemon, Resumption::Fresh));
         }
@@ -244,6 +247,7 @@ impl Daemon {
             journal_buf: String::new(),
             batch: BatchScratch::default(),
             resp_buf: Vec::new(),
+            published: [0; RUNNING_TOTALS.len()],
         };
 
         // The duplicate-id guard must cover the entire submission
@@ -271,7 +275,7 @@ impl Daemon {
                 })?;
             daemon.apply(&request, false)?;
         }
-        daemon.publish_gauges();
+        daemon.publish_state();
         Ok((
             daemon,
             Resumption::Resumed {
@@ -399,7 +403,7 @@ impl Daemon {
                     appended?;
                 }
                 let lapsed = self.gateway.withdraw(*job, *at_seconds);
-                self.publish_gauges();
+                self.publish_state();
                 Ok(Response::Withdrawn { job: *job, lapsed })
             }
             Request::Stats {} => Ok(Response::Stats {
@@ -597,15 +601,36 @@ impl Daemon {
             }
         }
         drop(registry);
-        self.publish_gauges();
+        self.publish_state();
     }
 
-    fn publish_gauges(&mut self) {
+    /// Publishes the gateway's state: the gauges, and the running
+    /// totals of lapses, expiries and fill-kernel work.
+    fn publish_state(&mut self) {
         let active = self.gateway.active_guaranteed() as f64;
         let booked = self.gateway.booked_fraction(BOOKED_HORIZON_SLOTS);
+        let stats = self.gateway.stats();
+        let fill = self.gateway.fill_counters();
+        let totals = [
+            stats.lapsed,
+            stats.expired,
+            fill.probes,
+            fill.booked_slots,
+            fill.headroom_slots,
+            fill.partial_slots,
+            fill.tail_steps,
+        ];
         let mut registry = metrics::lock(&self.registry);
         registry.set_gauge(ACTIVE_GUARANTEED, &[], active);
         registry.set_gauge(BOOKED_FRACTION, &[], booked);
+        for (((name, labels), published), now) in
+            RUNNING_TOTALS.iter().zip(&mut self.published).zip(totals)
+        {
+            if now > *published {
+                registry.inc(name, labels, (now - *published) as f64);
+                *published = now;
+            }
+        }
     }
 
     /// Writes a snapshot of the current state as the next file in
@@ -718,6 +743,28 @@ mod tests {
             guard.gauge_value(ACTIVE_GUARANTEED, &[]),
             Some(f64::from(daemon.stats().admitted as u32))
         );
+        drop(guard);
+        // Later arrivals cross slot boundaries, whose refills retire,
+        // expire or lapse guaranteed jobs; the running totals follow.
+        for i in 30..60 {
+            daemon.handle_line(&submit_line(i, (i - 29) as f64 * 90.0, Some(9_000.0)));
+        }
+        let guard = metrics::lock(&registry);
+        let stats = daemon.stats();
+        let fill = daemon.gateway.fill_counters();
+        assert!(fill.probes > 0);
+        let want = [
+            stats.lapsed,
+            stats.expired,
+            fill.probes,
+            fill.booked_slots,
+            fill.headroom_slots,
+            fill.partial_slots,
+            fill.tail_steps,
+        ];
+        for ((name, labels), want) in RUNNING_TOTALS.iter().zip(want) {
+            assert_eq!(guard.counter_value(name, labels), want as f64, "{name}");
+        }
     }
 
     #[test]

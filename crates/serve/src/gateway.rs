@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use elasticflow_cluster::ClusterSpec;
-use elasticflow_core::{FillScratch, OnlineAdmission, PlanningJob};
+use elasticflow_core::{FillCounters, FillScratch, OnlineAdmission, PlanningJob};
 use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
 use elasticflow_sched::DecisionRecord;
 use elasticflow_trace::JobId;
@@ -167,6 +167,12 @@ impl Gateway {
     /// Cumulative counters.
     pub fn stats(&self) -> GatewayStats {
         self.stats
+    }
+
+    /// Work counters of the fill kernel since this gateway was built.
+    /// Not snapshotted: a rebuilt gateway counts from its own rebuild.
+    pub fn fill_counters(&self) -> FillCounters {
+        self.scratch.counters()
     }
 
     /// Jobs currently holding a deadline guarantee.

@@ -43,6 +43,36 @@ pub const BATCH_SIZE_BUCKETS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 1
 /// being served) when the serve loop last cut a batch.
 pub const QUEUE_DEPTH: &str = "ef_gateway_queue_depth";
 
+/// Counter: guaranteed jobs dropped because a boundary or withdrawal
+/// refill could no longer satisfy them (`GatewayStats::lapsed`).
+pub const LAPSED_TOTAL: &str = "ef_gateway_lapsed_total";
+
+/// Counter: guaranteed jobs whose windows elapsed unfinished
+/// (`GatewayStats::expired`).
+pub const EXPIRED_TOTAL: &str = "ef_gateway_expired_total";
+
+/// Counter: ladder probes of the gateway's fill kernel.
+pub const FILL_PROBES_TOTAL: &str = "ef_fill_probes_total";
+
+/// Counter: slots the fill kernel walked, labelled by `kind`: `booked`
+/// (nothing free), `headroom` (room for the whole target), `partial`
+/// (some room), and `tail` (slots past the committed horizon summed for
+/// the final-slot trim).
+pub const FILL_SLOTS_TOTAL: &str = "ef_fill_slots_total";
+
+/// The series the daemon mirrors from running totals it does not own
+/// (gateway counters and fill-kernel work), in the order
+/// `Daemon::publish_state` reads them.
+pub const RUNNING_TOTALS: [(&str, &[(&str, &str)]); 7] = [
+    (LAPSED_TOTAL, &[]),
+    (EXPIRED_TOTAL, &[]),
+    (FILL_PROBES_TOTAL, &[]),
+    (FILL_SLOTS_TOTAL, &[("kind", "booked")]),
+    (FILL_SLOTS_TOTAL, &[("kind", "headroom")]),
+    (FILL_SLOTS_TOTAL, &[("kind", "partial")]),
+    (FILL_SLOTS_TOTAL, &[("kind", "tail")]),
+];
+
 /// The registry handle shared between the daemon and the exporter.
 pub type SharedRegistry = Arc<Mutex<MetricsRegistry>>;
 
@@ -71,6 +101,20 @@ pub fn gateway_registry() -> SharedRegistry {
         QUEUE_DEPTH,
         "Complete lines buffered behind the batch being served",
     );
+    registry.describe_counter(
+        LAPSED_TOTAL,
+        "Guaranteed jobs dropped by a refill that could no longer satisfy them",
+    );
+    registry.describe_counter(
+        EXPIRED_TOTAL,
+        "Guaranteed jobs whose windows elapsed unfinished",
+    );
+    registry.describe_counter(FILL_PROBES_TOTAL, "Ladder probes of the fill kernel");
+    registry.describe_counter(FILL_SLOTS_TOTAL, "Slots the fill kernel walked, by kind");
+    // The running totals exist from the first scrape, at zero.
+    for (name, labels) in RUNNING_TOTALS {
+        registry.inc(name, labels, 0.0);
+    }
     Arc::new(Mutex::new(registry))
 }
 
@@ -130,9 +174,15 @@ mod tests {
             BOOKED_FRACTION,
             BATCH_SIZE,
             QUEUE_DEPTH,
+            LAPSED_TOTAL,
+            EXPIRED_TOTAL,
+            FILL_PROBES_TOTAL,
+            FILL_SLOTS_TOTAL,
         ] {
             assert!(body.contains(&format!("# HELP {name} ")), "missing {name}");
         }
+        assert!(body.contains("ef_gateway_lapsed_total 0\n"));
+        assert!(body.contains("ef_fill_slots_total{kind=\"partial\"} 0\n"));
         assert!(prometheus::parse(&body).is_ok());
     }
 
