@@ -6,7 +6,7 @@ use elasticflow_sched::{CapacityShortfall, DeclineReason};
 use elasticflow_trace::JobId;
 
 use crate::filling::{progressive_filling_from, FillScratch};
-use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
+use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON};
 
 /// Sort key of Algorithm 1's deadline order (ties broken by job id so
 /// the fill order — and with it every downstream plan — is total).
@@ -49,6 +49,25 @@ impl AdmissionDenial {
             }
         }
     }
+}
+
+/// What one [`AdmissionSet::advance`] boundary crossing did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AdvanceReport {
+    /// Jobs whose guaranteed profiles completed their remaining work
+    /// within the elapsed slots; they left the set satisfied.
+    pub completed: Vec<JobId>,
+    /// Jobs whose deadline windows elapsed with work still outstanding.
+    /// Unreachable in the idealized model (an admitted profile finishes
+    /// by its deadline) but guarded: such jobs are dropped, not replanned.
+    pub expired: Vec<JobId>,
+    /// Survivors the post-advance refill could not satisfy; dropped from
+    /// the set. Not an edge case: the refill is greedy and starts from
+    /// scratch, so it need not find the plans the survivors were
+    /// admitted under and can drop an admitted job whose rebased plan
+    /// still fits. The serve gateway counts these as
+    /// `GatewayStats::lapsed` (`ef_gateway_lapsed_total`).
+    pub lapsed: Vec<JobId>,
 }
 
 /// Capacity arithmetic at a fill failure: `job`'s minimum-satisfactory
@@ -322,19 +341,33 @@ impl AdmissionSet {
             targets: Vec::with_capacity(jobs.len()),
             ledger: ReservationLedger::new(),
         };
+        let lapsed = set.fill_tail(jobs, grid, scratch);
+        (set, lapsed)
+    }
+
+    /// Algorithm 1's fill loop: appends `jobs` — in fill order, each
+    /// after every job already in the set — filling each against the
+    /// committed ledger from ladder rung 1. Returns the jobs that cannot
+    /// be satisfied; they commit nothing.
+    fn fill_tail(
+        &mut self,
+        jobs: Vec<PlanningJob>,
+        grid: &SlotGrid,
+        scratch: &mut FillScratch,
+    ) -> Vec<JobId> {
         let mut lapsed = Vec::new();
         for job in jobs {
-            match progressive_filling_from(&job, &set.ledger, grid, total_gpus, 1, scratch) {
+            match progressive_filling_from(&job, &self.ledger, grid, self.total_gpus, 1, scratch) {
                 Some((profile, target)) => {
-                    set.ledger.commit(&profile);
-                    set.jobs.push(job);
-                    set.profiles.push(profile);
-                    set.targets.push(target);
+                    self.ledger.commit(&profile);
+                    self.jobs.push(job);
+                    self.profiles.push(profile);
+                    self.targets.push(target);
                 }
                 None => lapsed.push(job.id),
             }
         }
-        (set, lapsed)
+        lapsed
     }
 
     /// Mean booked fraction of the cluster over the next `horizon_slots`
@@ -356,11 +389,6 @@ impl AdmissionSet {
                 .sum()
         };
         total / (horizon_slots as f64 * self.total_gpus as f64)
-    }
-
-    /// The cluster size the set is filled for.
-    pub(crate) fn total_gpus(&self) -> u32 {
-        self.total_gpus
     }
 
     /// The committed reservation ledger of every job in the set.
@@ -570,26 +598,91 @@ impl AdmissionSet {
             scratch.recycle(superseded);
         }
         self.targets.truncate(k);
-        let tail: Vec<PlanningJob> = self.jobs.drain(k..).collect();
-        let mut lapsed = Vec::new();
-        for job in tail {
-            if job.id == id {
-                continue;
-            }
-            // A withdrawal *frees* capacity, so a job's minimum target can
-            // shrink — stored targets are no shortcut here; walk the full
-            // ladder from rung 1.
-            match progressive_filling_from(&job, &self.ledger, grid, self.total_gpus, 1, scratch) {
-                Some((profile, target)) => {
-                    self.ledger.commit(&profile);
-                    self.jobs.push(job);
-                    self.profiles.push(profile);
-                    self.targets.push(target);
+        // Position `k` holds the withdrawn job itself. A withdrawal
+        // *frees* capacity, so a later job's minimum target can shrink —
+        // stored targets are no shortcut here; the refill walks the full
+        // ladder from rung 1.
+        let tail: Vec<PlanningJob> = self.jobs.drain(k..).skip(1).collect();
+        self.fill_tail(tail, grid, scratch)
+    }
+
+    /// Moves the set's slot 0 forward by `slots` slots (a no-op for 0).
+    /// Every job is credited the work its profile performs over the
+    /// elapsed slots; finished jobs retire, jobs whose windows elapsed
+    /// expire, and the survivors are rebased to the new slot 0 and
+    /// refilled from scratch as one batch through the caller's
+    /// workspace. Like every other path here it is a pure function of
+    /// the set and its arguments, so a stream of arrivals and boundary
+    /// crossings replays bit for bit.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use elasticflow_core::{AdmissionSet, FillScratch, PlanningJob, SlotGrid};
+    /// use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
+    /// use elasticflow_trace::JobId;
+    ///
+    /// let curve = ScalingCurve::from_points(DnnModel::ResNet50, 64, vec![
+    ///     CurvePoint { gpus: 1, iters_per_sec: 1.0 },
+    /// ]);
+    /// let grid = SlotGrid::uniform(60.0);
+    /// let mut scratch = FillScratch::new();
+    /// // 60 units of work with a two-slot window: one slot of slack.
+    /// let job = PlanningJob {
+    ///     id: JobId::new(7),
+    ///     curve,
+    ///     remaining_iterations: 60.0,
+    ///     deadline_slot: 2,
+    /// };
+    /// let (mut set, _) = AdmissionSet::fill(1, Vec::new(), &grid, &mut scratch);
+    /// assert!(set.admit(job, &grid, &mut scratch).is_ok());
+    /// // Two slots later the profile's progress has finished the job.
+    /// let report = set.advance(2, &grid, &mut scratch);
+    /// assert_eq!(report.completed, vec![JobId::new(7)]);
+    /// assert!(set.is_empty());
+    /// ```
+    pub fn advance(
+        &mut self,
+        slots: usize,
+        grid: &SlotGrid,
+        scratch: &mut FillScratch,
+    ) -> AdvanceReport {
+        let mut report = AdvanceReport::default();
+        if slots == 0 || self.jobs.is_empty() {
+            return report;
+        }
+        let jobs = std::mem::take(&mut self.jobs);
+        let mut survivors = Vec::with_capacity(jobs.len());
+        for (mut job, profile) in jobs.into_iter().zip(self.profiles.drain(..)) {
+            // Work the guaranteed plan performs in the elapsed slots.
+            let mut done = 0.0_f64;
+            for t in 0..slots.min(profile.len()) {
+                let gpus = profile.gpus(t);
+                if gpus == 0 {
+                    continue;
                 }
-                None => lapsed.push(job.id),
+                if let Some(rate) = job.curve.iters_per_sec(gpus) {
+                    done += rate * grid.duration(t);
+                }
+            }
+            scratch.recycle(profile);
+            let remaining = job.remaining_iterations - done;
+            if remaining <= WORK_EPSILON {
+                report.completed.push(job.id);
+            } else if job.deadline_slot <= slots {
+                report.expired.push(job.id);
+            } else {
+                job.remaining_iterations = remaining;
+                job.deadline_slot -= slots;
+                survivors.push(job);
             }
         }
-        lapsed
+        // Rebasing shifts every window by the same amount, so the
+        // survivors are still in fill order.
+        self.targets.clear();
+        self.ledger = ReservationLedger::new();
+        report.lapsed = self.fill_tail(survivors, grid, scratch);
+        report
     }
 }
 
@@ -962,6 +1055,98 @@ mod tests {
             }
         }
         assert_eq!(set.plan()[&JobId::new(2)].as_slice(), &[2, 2, 0, 2, 1]);
+    }
+
+    #[test]
+    fn advance_credits_guaranteed_progress_and_retires_jobs() {
+        let grid = SlotGrid::uniform(1.0);
+        let s = &mut FillScratch::new();
+        let (mut set, _) = AdmissionSet::fill(1, Vec::new(), &grid, s);
+        assert!(set.admit(job(0, 2.0, 2), &grid, s).is_ok());
+        assert!(set.admit(job(1, 1.0, 3), &grid, s).is_ok());
+        // Two slots on: job 0's profile ([1, 1]) finishes its 2 units;
+        // job 1 ran in slot 2's window only if scheduled there.
+        let report = set.advance(2, &grid, s);
+        assert_eq!(report.completed, vec![JobId::new(0)]);
+        assert!(report.expired.is_empty());
+        assert!(report.lapsed.is_empty());
+        // Job 1 survives with its window rebased to 1 remaining slot.
+        assert_eq!(set.len(), 1);
+        assert_eq!(set.jobs()[0].id, JobId::new(1));
+        assert_eq!(set.jobs()[0].deadline_slot, 1);
+        let report = set.advance(1, &grid, s);
+        assert_eq!(report.completed, vec![JobId::new(1)]);
+        assert!(set.is_empty());
+    }
+
+    #[test]
+    fn advance_frees_capacity_for_new_arrivals() {
+        let grid = SlotGrid::uniform(1.0);
+        let s = &mut FillScratch::new();
+        let (mut set, _) = AdmissionSet::fill(1, Vec::new(), &grid, s);
+        assert!(set.admit(job(0, 2.0, 2), &grid, s).is_ok());
+        // Cluster is saturated through slot 2; a same-window newcomer
+        // bounces…
+        assert!(set.admit(job(1, 2.0, 2), &grid, s).is_err());
+        // …until the first job finishes and its reservation is released.
+        set.advance(2, &grid, s);
+        assert!(set.admit(job(1, 2.0, 2), &grid, s).is_ok());
+    }
+
+    #[test]
+    fn stream_matches_offline_check_at_each_step() {
+        // Every accepted prefix of the stream must be exactly the set an
+        // offline Algorithm 1 would admit over the same jobs.
+        let grid = SlotGrid::uniform(1.0);
+        let s = &mut FillScratch::new();
+        let (mut set, _) = AdmissionSet::fill(2, Vec::new(), &grid, s);
+        let arrivals = [
+            (0u64, 1.0_f64, 3usize),
+            (1, 2.0, 2),
+            (2, 4.0, 4),
+            (3, 1.5, 3),
+            (4, 2.0, 5),
+        ];
+        for (id, work, deadline) in arrivals {
+            let _ = set.admit(job(id, work, deadline), &grid, s);
+            assert!(
+                AdmissionSet::check(2, set.jobs(), &grid).is_ok(),
+                "committed set must stay jointly feasible after job {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn jobs_round_trip_through_fill_is_exact() {
+        let grid = SlotGrid::uniform(30.0);
+        let s = &mut FillScratch::new();
+        let (mut set, _) = AdmissionSet::fill(4, Vec::new(), &grid, s);
+        assert!(set.admit(job(0, 3.0, 4), &grid, s).is_ok());
+        assert!(set.admit(job(1, 2.0, 6), &grid, s).is_ok());
+        set.advance(2, &grid, s);
+        assert!(set.admit(job(2, 1.0, 3), &grid, s).is_ok());
+        let (rebuilt, lapsed) = AdmissionSet::fill(4, set.jobs().to_vec(), &grid, s);
+        assert!(lapsed.is_empty());
+        assert_eq!(rebuilt.jobs(), set.jobs());
+        // And the rebuilt set answers the next question identically.
+        let mut a = set.clone();
+        let mut b = rebuilt;
+        assert_eq!(
+            a.admit(job(3, 2.5, 5), &grid, s),
+            b.admit(job(3, 2.5, 5), &grid, s)
+        );
+        assert_eq!(a.jobs(), b.jobs());
+    }
+
+    #[test]
+    fn withdraw_releases_the_reservation() {
+        let grid = SlotGrid::uniform(1.0);
+        let s = &mut FillScratch::new();
+        let (mut set, _) = AdmissionSet::fill(1, Vec::new(), &grid, s);
+        assert!(set.admit(job(0, 2.0, 2), &grid, s).is_ok());
+        assert!(set.admit(job(1, 2.0, 2), &grid, s).is_err());
+        assert!(set.withdraw(JobId::new(0), &grid, s).is_empty());
+        assert!(set.admit(job(1, 2.0, 2), &grid, s).is_ok());
     }
 
     /// The fill kernel's work counters on a fixed crowded instance: a

@@ -7,8 +7,8 @@
 //!   job needs to meet its deadline under a concave scaling curve (§4.1);
 //! * **Admission control** ([`AdmissionSet`], paper Algorithm 1) —
 //!   progressive filling over discrete time slots decides whether a new
-//!   job's deadline can be guaranteed without breaking any admitted job's;
-//!   [`OnlineAdmission`] runs the same set against a moving clock;
+//!   job's deadline can be guaranteed without breaking any admitted job's,
+//!   and [`AdmissionSet::advance`] runs the same set against a moving clock;
 //! * **Elastic resource allocation** ([`ResourceAllocator`], paper
 //!   Algorithm 2) — leftover GPUs go to the job with the highest *marginal
 //!   return* (GPU-time saved per extra GPU), provably optimal for concave
@@ -46,16 +46,14 @@ mod alloc;
 mod audit;
 mod filling;
 pub mod mss;
-pub mod online;
 mod plan;
 pub(crate) mod scheduler;
 pub mod theory;
 mod variants;
 
-pub use admission::{AdmissionDenial, AdmissionSet};
+pub use admission::{AdmissionDenial, AdmissionSet, AdvanceReport};
 pub use alloc::ResourceAllocator;
 pub use filling::{progressive_filling, FillCounters, FillScratch};
-pub use online::{AdvanceReport, OnlineAdmission};
 pub use plan::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON};
 pub use scheduler::{ElasticFlowScheduler, ElasticFlowState};
 pub use variants::{EdfWithAdmission, EdfWithElastic};

@@ -4,8 +4,8 @@ use std::collections::BTreeMap;
 
 use elasticflow_core::{
     mss::minimum_satisfactory_share, progressive_filling, theory::brute_force_feasible,
-    AdmissionDenial, AdmissionSet, AllocationProfile, FillScratch, OnlineAdmission, PlanningJob,
-    ReservationLedger, ResourceAllocator, SlotGrid,
+    AdmissionDenial, AdmissionSet, AllocationProfile, FillScratch, PlanningJob, ReservationLedger,
+    ResourceAllocator, SlotGrid,
 };
 use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
 use elasticflow_trace::JobId;
@@ -354,8 +354,8 @@ proptest! {
         }
     }
 
-    /// The same stream through `OnlineAdmission`, with the clock moving
-    /// between arrivals: every boundary refills the survivors from
+    /// The same stream with the clock moving between arrivals
+    /// (`AdmissionSet::advance`): every boundary refills the survivors from
     /// scratch and stores fresh ladder targets, and the hinted refills
     /// that follow must still answer exactly as a from-scratch
     /// Algorithm 1 over the survivors plus the candidate — decision,
@@ -371,11 +371,9 @@ proptest! {
         const HORIZON: usize = 16;
         let grid = SlotGrid::uniform(1.0);
         let mut scratch = FillScratch::new();
-        let mut online = OnlineAdmission::new(GPUS, 1.0);
-        let mut now = 0u64;
+        let (mut set, _) = AdmissionSet::fill(GPUS, Vec::new(), &grid, &mut scratch);
         for (i, (curve, work_scale, window, advance)) in specs.into_iter().enumerate() {
-            now += advance;
-            online.advance_to(now, &mut scratch);
+            set.advance(advance as usize, &grid, &mut scratch);
             let work = work_scale * curve.iters_per_sec(1).expect("rate at 1 GPU");
             let job = PlanningJob {
                 id: JobId::new(i as u64),
@@ -383,12 +381,12 @@ proptest! {
                 remaining_iterations: work,
                 deadline_slot: window as usize,
             };
-            let mut union = online.parts().1.to_vec();
+            let mut union = set.jobs().to_vec();
             union.push(job.clone());
             let offline = AdmissionSet::check(GPUS, &union, &grid);
-            match (online.submit(job, now + window, &mut scratch), offline) {
+            match (set.admit(job, &grid, &mut scratch), offline) {
                 (Ok(()), Ok(plan)) => {
-                    // The online set's ledger, read slot by slot through
+                    // The live set's ledger, read slot by slot through
                     // its booked fraction, is the offline plan's.
                     let mut ledger = ReservationLedger::new();
                     for profile in plan.values() {
@@ -396,7 +394,7 @@ proptest! {
                     }
                     for h in 1..=HORIZON {
                         let booked = ledger.committed_before(h) as f64 / (h as f64 * f64::from(GPUS));
-                        prop_assert_eq!(online.booked_fraction(h), booked, "first {} slots", h);
+                        prop_assert_eq!(set.booked_fraction(h), booked, "first {} slots", h);
                     }
                 }
                 (Err(denial), Err(offline)) => {

@@ -311,15 +311,6 @@ impl Daemon {
         std::sync::Arc::clone(&self.registry)
     }
 
-    /// Handles one raw input line; `None` for blank lines.
-    pub fn handle_line(&mut self, line: &str) -> Option<Response> {
-        match crate::proto::parse_request(line) {
-            Ok(None) => None,
-            Ok(Some(request)) => Some(self.handle_request(&request)),
-            Err(message) => Some(Response::Error { message }),
-        }
-    }
-
     /// Handles one parsed request: logs it, decides, journals, counts.
     pub fn handle_request(&mut self, request: &Request) -> Response {
         match self.apply(request, true) {
@@ -708,15 +699,18 @@ mod tests {
         serde_json::to_string(&req).unwrap()
     }
 
+    /// Parses one protocol line the way the daemon's input loop does.
+    fn request(line: &str) -> Request {
+        crate::proto::parse_request(line).unwrap().unwrap()
+    }
+
     #[test]
     fn duplicate_ids_are_rejected_without_touching_the_logs() {
         let root = tmp("dup");
         let (mut daemon, _) = open(&root);
-        let first = daemon
-            .handle_line(&submit_line(1, 0.0, Some(1_800.0)))
-            .unwrap();
+        let first = daemon.handle_request(&request(&submit_line(1, 0.0, Some(1_800.0))));
         assert!(matches!(first, Response::Decision { .. }));
-        let dup = daemon.handle_line(&submit_line(1, 5.0, None)).unwrap();
+        let dup = daemon.handle_request(&request(&submit_line(1, 5.0, None)));
         assert!(matches!(dup, Response::Error { .. }));
         assert_eq!(daemon.wal_records(), 1);
         assert_eq!(daemon.journal_entries(), 1);
@@ -727,7 +721,7 @@ mod tests {
         let root = tmp("metrics");
         let (mut daemon, _) = open(&root);
         for i in 0..30 {
-            daemon.handle_line(&submit_line(i, 0.0, Some(1_800.0)));
+            daemon.handle_request(&request(&submit_line(i, 0.0, Some(1_800.0))));
         }
         let registry = daemon.registry();
         let guard = metrics::lock(&registry);
@@ -747,7 +741,11 @@ mod tests {
         // Later arrivals cross slot boundaries, whose refills retire,
         // expire or lapse guaranteed jobs; the running totals follow.
         for i in 30..60 {
-            daemon.handle_line(&submit_line(i, (i - 29) as f64 * 90.0, Some(9_000.0)));
+            daemon.handle_request(&request(&submit_line(
+                i,
+                (i - 29) as f64 * 90.0,
+                Some(9_000.0),
+            )));
         }
         let guard = metrics::lock(&registry);
         let stats = daemon.stats();
@@ -774,7 +772,7 @@ mod tests {
             let (mut daemon, resumption) = open(&root);
             assert_eq!(resumption, Resumption::Fresh);
             for i in 0..4 {
-                daemon.handle_line(&submit_line(i, i as f64 * 10.0, Some(3_600.0)));
+                daemon.handle_request(&request(&submit_line(i, i as f64 * 10.0, Some(3_600.0))));
             }
             std::fs::read(daemon.dir.journal_path()).unwrap()
         };
@@ -800,7 +798,7 @@ mod tests {
             let (mut daemon, _) = open(&root);
             // snapshot_every = 5 → a snapshot lands at submission 5.
             for i in 0..8 {
-                daemon.handle_line(&submit_line(i, i as f64 * 20.0, Some(7_200.0)));
+                daemon.handle_request(&request(&submit_line(i, i as f64 * 20.0, Some(7_200.0))));
             }
         }
         let (mut daemon, resumption) = open(&root);
@@ -813,7 +811,7 @@ mod tests {
         );
         assert_eq!(daemon.stats().submissions, 8);
         // History replayed through the dedup guard: old ids still refuse.
-        let dup = daemon.handle_line(&submit_line(2, 500.0, None)).unwrap();
+        let dup = daemon.handle_request(&request(&submit_line(2, 500.0, None)));
         assert!(matches!(dup, Response::Error { .. }));
     }
 
@@ -830,7 +828,7 @@ mod tests {
                         Some(i as f64 * 15.0 + 1_800.0)
                     },
                 );
-                crate::proto::parse_request(&line).unwrap().unwrap()
+                request(&line)
             })
             .collect();
 
@@ -874,7 +872,7 @@ mod tests {
             submit_line(2, 2.0, Some(3_600.0)),
         ]
         .iter()
-        .map(|l| crate::proto::parse_request(l).unwrap().unwrap())
+        .map(|l| request(l))
         .collect();
         let mut out = Vec::new();
         daemon.handle_batch(&requests, &mut out);
@@ -891,7 +889,7 @@ mod tests {
         {
             let (mut daemon, _) = open(&root);
             for i in 0..6 {
-                daemon.handle_line(&submit_line(i, 0.0, Some(3_600.0)));
+                daemon.handle_request(&request(&submit_line(i, 0.0, Some(3_600.0))));
             }
         }
         let mut other = config();

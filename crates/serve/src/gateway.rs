@@ -1,17 +1,17 @@
 //! The deterministic decision core of the daemon.
 //!
 //! A [`Gateway`] is a pure state machine over the request stream: it
-//! holds an [`OnlineAdmission`] (the incremental Algorithm 1 anchored at
-//! a moving origin slot), a scaling-curve cache, and cumulative
-//! counters. Feeding it the same requests in the same order always
-//! produces the same [`DecisionRecord`]s — no clocks, no randomness, no
-//! I/O — which is what lets the daemon journal decisions and prove a
+//! holds an [`AdmissionSet`] (the incremental Algorithm 1) anchored at a
+//! moving origin slot, a scaling-curve cache, and cumulative counters.
+//! Feeding it the same requests in the same order always produces the
+//! same [`DecisionRecord`]s — no clocks, no randomness, no I/O — which
+//! is what lets the daemon journal decisions and prove a
 //! crash-recovered instance bit-identical to an uninterrupted one.
 
 use std::collections::BTreeMap;
 
 use elasticflow_cluster::ClusterSpec;
-use elasticflow_core::{FillCounters, FillScratch, OnlineAdmission, PlanningJob};
+use elasticflow_core::{AdmissionSet, FillCounters, FillScratch, PlanningJob, SlotGrid};
 use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
 use elasticflow_sched::DecisionRecord;
 use elasticflow_trace::JobId;
@@ -101,7 +101,11 @@ pub struct Gateway {
     config: GatewayConfig,
     net: Interconnect,
     curves: BTreeMap<(DnnModel, u32), ScalingCurve>,
-    online: OnlineAdmission,
+    /// The absolute slot the set's slot 0 maps to.
+    origin_slot: u64,
+    grid: SlotGrid,
+    /// The committed jobs, with windows relative to `origin_slot`.
+    set: AdmissionSet,
     stats: GatewayStats,
     /// The fill workspace every submission, withdrawal and boundary
     /// refill borrows. Carries no decision state between calls — reuse
@@ -112,15 +116,25 @@ pub struct Gateway {
 
 impl Gateway {
     /// A fresh gateway at origin slot 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cluster has no GPUs or `slot_seconds` is not
+    /// positive (configuration errors).
     pub fn new(config: GatewayConfig) -> Self {
         let spec = ClusterSpec::with_servers(config.servers, config.gpus_per_server);
+        let grid = SlotGrid::uniform(config.slot_seconds);
+        let mut scratch = FillScratch::new();
+        let (set, _) = AdmissionSet::fill(config.total_gpus(), Vec::new(), &grid, &mut scratch);
         Gateway {
             config,
             net: Interconnect::from_spec(&spec),
             curves: BTreeMap::new(),
-            online: OnlineAdmission::new(config.total_gpus(), config.slot_seconds),
+            origin_slot: 0,
+            grid,
+            set,
             stats: GatewayStats::default(),
-            scratch: FillScratch::new(),
+            scratch,
         }
     }
 
@@ -136,6 +150,7 @@ impl Gateway {
     ) -> Self {
         let mut gateway = Gateway::new(config);
         gateway.stats = stats;
+        gateway.origin_slot = origin_slot;
         let planning: Vec<PlanningJob> = jobs
             .iter()
             .map(|j| PlanningJob {
@@ -145,17 +160,16 @@ impl Gateway {
                 deadline_slot: usize::try_from(j.deadline_slot).unwrap_or(usize::MAX),
             })
             .collect();
-        let (online, lapsed) = OnlineAdmission::from_parts(
+        let (set, lapsed) = AdmissionSet::fill(
             config.total_gpus(),
-            config.slot_seconds,
-            origin_slot,
-            &planning,
+            planning,
+            &gateway.grid,
             &mut gateway.scratch,
         );
         // A snapshot captures a jointly feasible set, so nothing lapses
         // on rebuild; counted defensively all the same.
         gateway.stats.lapsed += lapsed.len() as u64;
-        gateway.online = online;
+        gateway.set = set;
         gateway
     }
 
@@ -177,20 +191,21 @@ impl Gateway {
 
     /// Jobs currently holding a deadline guarantee.
     pub fn active_guaranteed(&self) -> u64 {
-        self.online.len() as u64
+        self.set.len() as u64
     }
 
     /// Mean booked fraction of the cluster over the next `horizon_slots`
     /// slots, in `[0, 1]`.
     pub fn booked_fraction(&self, horizon_slots: usize) -> f64 {
-        self.online.booked_fraction(horizon_slots)
+        self.set.booked_fraction(horizon_slots)
     }
 
     /// Snapshot state: origin slot plus every committed job with its
-    /// origin-relative window.
+    /// origin-relative window, in fill order.
     pub fn snapshot_jobs(&self) -> (u64, Vec<SnapshotJob>) {
-        let (origin, jobs) = self.online.parts();
-        let snap = jobs
+        let snap = self
+            .set
+            .jobs()
             .iter()
             .map(|j| SnapshotJob {
                 id: j.id.raw(),
@@ -200,7 +215,7 @@ impl Gateway {
                 deadline_slot: j.deadline_slot as u64,
             })
             .collect();
-        (origin, snap)
+        (self.origin_slot, snap)
     }
 
     /// The scaling curve for `(model, global_batch)` on this cluster
@@ -213,11 +228,24 @@ impl Gateway {
             .clone()
     }
 
-    /// Moves the admission origin to the slot containing `seconds`,
-    /// retiring finished plans and rebasing survivors.
+    /// The absolute slot containing time `seconds` (slot boundaries at
+    /// integer multiples of the slot length). Times before 0 and
+    /// non-finite times clamp to slot 0.
+    fn slot_of(&self, seconds: f64) -> u64 {
+        elasticflow_cluster::num::slots_floor(seconds / self.grid.rest_seconds()).unwrap_or(0)
+            as u64
+    }
+
+    /// Moves the admission origin to the slot containing `seconds` (never
+    /// backwards), retiring finished plans and rebasing survivors.
     fn advance_to_seconds(&mut self, seconds: f64) {
-        let slot = self.online.slot_of(seconds);
-        let report = self.online.advance_to(slot, &mut self.scratch);
+        let slot = self.slot_of(seconds);
+        if slot <= self.origin_slot {
+            return;
+        }
+        let elapsed = usize::try_from(slot - self.origin_slot).unwrap_or(usize::MAX);
+        self.origin_slot = slot;
+        let report = self.set.advance(elapsed, &self.grid, &mut self.scratch);
         self.stats.completed += report.completed.len() as u64;
         self.stats.expired += report.expired.len() as u64;
         self.stats.lapsed += report.lapsed.len() as u64;
@@ -235,19 +263,20 @@ impl Gateway {
             self.stats.best_effort += 1;
             return DecisionRecord::Admit { job: job_id };
         };
+        // Conservative window: only slots that end at or before the
+        // deadline count (same rounding as `SlotGrid::slots_before`). A
+        // deadline at or before the origin leaves a zero-slot window,
+        // which Algorithm 1 rejects unless the job has no work left.
+        let window = self
+            .slot_of(deadline_seconds)
+            .saturating_sub(self.origin_slot);
         let candidate = PlanningJob {
             id: job_id,
             curve: self.curve(sub.model, sub.global_batch),
             remaining_iterations: sub.iterations,
-            deadline_slot: 0, // rebased by submit below
+            deadline_slot: usize::try_from(window).unwrap_or(usize::MAX),
         };
-        // Conservative window: only slots that end at or before the
-        // deadline count (same rounding as `SlotGrid::slots_before`).
-        let deadline_slot_abs = self.online.slot_of(deadline_seconds);
-        match self
-            .online
-            .submit(candidate, deadline_slot_abs, &mut self.scratch)
-        {
+        match self.set.admit(candidate, &self.grid, &mut self.scratch) {
             Ok(()) => {
                 self.stats.admitted += 1;
                 DecisionRecord::Admit { job: job_id }
@@ -267,7 +296,9 @@ impl Gateway {
     pub fn withdraw(&mut self, id: u64, at_seconds: f64) -> Vec<u64> {
         self.advance_to_seconds(at_seconds);
         self.stats.withdrawn += 1;
-        let lapsed = self.online.withdraw(JobId::new(id), &mut self.scratch);
+        let lapsed = self
+            .set
+            .withdraw(JobId::new(id), &self.grid, &mut self.scratch);
         self.stats.lapsed += lapsed.len() as u64;
         lapsed.iter().map(|j| j.raw()).collect()
     }
@@ -276,6 +307,8 @@ impl Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elasticflow_sched::DeclineReason;
+    use proptest::prelude::*;
 
     /// Iterations equal to `seconds` of single-GPU work on the small
     /// cluster — the sizing that makes saturation arithmetic legible
@@ -304,6 +337,64 @@ mod tests {
             gpus_per_server: 8,
             slot_seconds: 60.0,
         }
+    }
+
+    #[test]
+    fn slot_of_maps_times_onto_boundaries() {
+        let gw = Gateway::new(GatewayConfig {
+            servers: 1,
+            gpus_per_server: 4,
+            slot_seconds: 60.0,
+        });
+        assert_eq!(gw.slot_of(0.0), 0);
+        assert_eq!(gw.slot_of(59.9), 0);
+        assert_eq!(gw.slot_of(60.0), 1);
+        assert_eq!(gw.slot_of(3600.0), 60);
+        assert_eq!(gw.slot_of(-5.0), 0);
+        assert_eq!(gw.slot_of(f64::NAN), 0);
+    }
+
+    #[test]
+    fn submit_converts_absolute_deadlines_to_the_origin() {
+        // One GPU, 1 s slots; `work(s)` is `s` seconds of its work.
+        let config = GatewayConfig {
+            servers: 1,
+            gpus_per_server: 1,
+            slot_seconds: 1.0,
+        };
+        let net = Interconnect::from_spec(&ClusterSpec::with_servers(1, 1));
+        let curve = ScalingCurve::build_with_max(DnnModel::ResNet50, 128, &net, 1);
+        let rate = curve.iters_per_sec(1).expect("1 GPU is on the curve");
+        let at = |id: u64, arrival: f64, deadline: f64| JobSubmission {
+            id,
+            model: DnnModel::ResNet50,
+            global_batch: 128,
+            iterations: rate * 2.0,
+            arrival_seconds: arrival,
+            deadline_seconds: Some(deadline),
+        };
+        let mut gw = Gateway::new(config);
+        // 2 s of work, 2 slots of window: feasible.
+        assert!(matches!(
+            gw.submit(&at(0, 0.0, 2.0)),
+            DecisionRecord::Admit { .. }
+        ));
+        // Same shape with a dead window: declined, state unchanged.
+        assert!(matches!(
+            gw.submit(&at(1, 0.0, 0.0)),
+            DecisionRecord::Decline { .. }
+        ));
+        assert_eq!(gw.active_guaranteed(), 1);
+        // One slot later the same absolute deadline buys one less slot
+        // of window: the newcomer cannot fit even alone.
+        match gw.submit(&at(2, 1.0, 2.0)) {
+            DecisionRecord::Decline { reason, .. } => assert!(
+                matches!(reason, DeclineReason::CandidateInfeasible { .. }),
+                "the newcomer blocks itself, got {reason:?}"
+            ),
+            other => panic!("expected a decline, got {other:?}"),
+        }
+        assert_eq!(gw.snapshot_jobs().0, 1);
     }
 
     #[test]
@@ -387,30 +478,55 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
     }
 
-    #[test]
-    fn snapshot_round_trip_preserves_future_decisions() {
-        let mut live = Gateway::new(small());
-        for i in 0..30 {
-            let _ = live.submit(&sub(
-                i,
-                f64::from(i as u32) * 45.0,
-                Some(f64::from(i as u32) * 45.0 + 2_400.0),
-            ));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// A gateway rebuilt from a snapshot taken at any cut point of a
+        /// mixed stream answers every later submission as the live one
+        /// does and ends with equal counters. The rebuild is a
+        /// from-scratch fill of the snapshot jobs, the live set was built
+        /// incrementally, so this pins that both reach the same boundary
+        /// outcomes (completions, expiries, lapses).
+        #[test]
+        fn snapshot_round_trip_preserves_future_decisions(
+            arrivals in prop::collection::vec((0u32..120, 0u32..10, 0.3f64..3.0), 20..80),
+            cut in 0.0f64..1.0,
+        ) {
+            let base = half_hour_iterations();
+            let mut arrival = 0.0;
+            let stream: Vec<JobSubmission> = arrivals
+                .iter()
+                .enumerate()
+                .map(|(i, &(gap, window, scale))| {
+                    arrival += f64::from(gap);
+                    JobSubmission {
+                        id: i as u64,
+                        model: DnnModel::ResNet50,
+                        global_batch: 128,
+                        iterations: base * scale,
+                        arrival_seconds: arrival,
+                        // Window code 0 is best-effort; the rest spread
+                        // deadlines from 10 minutes to 90.
+                        deadline_seconds: (window > 0)
+                            .then(|| arrival + f64::from(window) * 600.0),
+                    }
+                })
+                .collect();
+            let cut = (cut * stream.len() as f64) as usize;
+            let mut live = Gateway::new(small());
+            for s in &stream[..cut] {
+                let _ = live.submit(s);
+            }
+            let (origin, jobs) = live.snapshot_jobs();
+            let mut rebuilt = Gateway::from_snapshot(small(), origin, &jobs, live.stats());
+            prop_assert_eq!(rebuilt.stats(), live.stats());
+            prop_assert_eq!(rebuilt.active_guaranteed(), live.active_guaranteed());
+            // The rebuilt gateway must answer the entire future identically.
+            for s in &stream[cut..] {
+                prop_assert_eq!(live.submit(s), rebuilt.submit(s), "job {}", s.id);
+            }
+            prop_assert_eq!(live.stats(), rebuilt.stats());
+            prop_assert_eq!(live.snapshot_jobs(), rebuilt.snapshot_jobs());
         }
-        let (origin, jobs) = live.snapshot_jobs();
-        let mut rebuilt = Gateway::from_snapshot(small(), origin, &jobs, live.stats());
-        assert_eq!(rebuilt.stats(), live.stats());
-        assert_eq!(rebuilt.active_guaranteed(), live.active_guaranteed());
-        // The rebuilt gateway must answer the entire future identically.
-        for i in 30..60 {
-            let s = sub(
-                i,
-                f64::from(i as u32) * 45.0,
-                Some(f64::from(i as u32) * 45.0 + 1_500.0),
-            );
-            assert_eq!(live.submit(&s), rebuilt.submit(&s));
-        }
-        assert_eq!(live.stats(), rebuilt.stats());
     }
 
     #[test]

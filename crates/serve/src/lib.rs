@@ -4,8 +4,9 @@
 //! into a daemon: a process that accepts a *stream* of job submissions
 //! over newline-delimited JSON (stdin pipe, TCP socket, or Unix
 //! socket), answers each with an online admit/decline decision from
-//! [`elasticflow_core::OnlineAdmission`], and makes every byte of that
-//! history durable enough to survive `kill -9`.
+//! an [`elasticflow_core::AdmissionSet`] whose slot 0 moves with the
+//! arrivals, and makes every byte of that history durable enough to
+//! survive `kill -9`.
 //!
 //! The layering, bottom to top:
 //!

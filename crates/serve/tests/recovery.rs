@@ -11,8 +11,8 @@
 use std::path::{Path, PathBuf};
 
 use elasticflow_serve::{
-    gateway_registry, loadgen_stream, Daemon, DaemonConfig, FsyncPolicy, GatewayConfig, GatewayDir,
-    LoadgenConfig, Request, Resumption,
+    gateway_registry, loadgen_stream, parse_request, Daemon, DaemonConfig, FsyncPolicy,
+    GatewayConfig, GatewayDir, LoadgenConfig, Request, Resumption,
 };
 use elasticflow_telemetry::TickClock;
 
@@ -66,7 +66,9 @@ fn open(root: &Path) -> Daemon {
 
 fn feed(daemon: &mut Daemon, lines: &[String]) {
     for line in lines {
-        daemon.handle_line(line);
+        if let Some(request) = parse_request(line).expect("loadgen lines parse") {
+            daemon.handle_request(&request);
+        }
     }
 }
 
