@@ -12,12 +12,11 @@
 pub mod drill;
 pub mod experiments;
 pub mod explain;
+pub mod instrument;
 pub mod mega;
 pub mod parallel;
-pub mod persist;
 pub mod report;
 pub mod runners;
-pub mod telemetry;
 
 pub use report::Table;
 pub use runners::{run_one, scheduler_by_name, RosterEntry, ROSTER};

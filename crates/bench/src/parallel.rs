@@ -12,16 +12,13 @@
 use std::sync::Arc;
 
 use elasticflow_cluster::ClusterSpec;
-use elasticflow_sim::{SimConfig, SimReport, Simulation};
+use elasticflow_sim::{SimConfig, SimReport};
 use elasticflow_trace::Trace;
 use rayon::prelude::*;
 
-use crate::runners::scheduler_by_name;
-
 /// One independent simulation to run: a scheduler name, a cluster, a
-/// trace, and an optional non-default simulator config (failure
-/// injection). Traces are shared via `Arc` because one trace typically
-/// serves a whole roster of schedulers.
+/// trace, and the simulator config. Traces are shared via `Arc` because
+/// one trace typically serves a whole roster of schedulers.
 #[derive(Debug, Clone)]
 pub struct RunRequest {
     /// Roster name of the scheduler to instantiate.
@@ -30,22 +27,14 @@ pub struct RunRequest {
     pub spec: ClusterSpec,
     /// Workload trace.
     pub trace: Arc<Trace>,
-    /// `None` uses [`SimConfig::default`] and routes through
-    /// [`crate::run_one`] so `--telemetry-out` / `--state-dir`
-    /// instrumentation still applies; `Some` runs the plain simulator
-    /// with the given config.
-    pub config: Option<SimConfig>,
+    /// Simulator config (failure injection, slot length, overheads).
+    pub config: SimConfig,
 }
 
 impl RunRequest {
     /// A default-config run (the common case).
     pub fn new(scheduler: &str, spec: &ClusterSpec, trace: &Arc<Trace>) -> Self {
-        RunRequest {
-            scheduler: scheduler.to_owned(),
-            spec: spec.clone(),
-            trace: Arc::clone(trace),
-            config: None,
-        }
+        RunRequest::with_config(scheduler, spec, trace, SimConfig::default())
     }
 
     /// A run with an explicit simulator config (e.g. failure injection).
@@ -56,8 +45,10 @@ impl RunRequest {
         config: SimConfig,
     ) -> Self {
         RunRequest {
-            config: Some(config),
-            ..RunRequest::new(scheduler, spec, trace)
+            scheduler: scheduler.to_owned(),
+            spec: spec.clone(),
+            trace: Arc::clone(trace),
+            config,
         }
     }
 }
@@ -77,28 +68,27 @@ pub fn jobs() -> usize {
     rayon::current_num_threads()
 }
 
-/// Runs every request across the worker pool and returns the reports in
-/// request order. Each simulation is deterministic in its inputs and the
-/// collection is index-ordered, so the output is independent of the
-/// worker count.
+/// Runs every request across the worker pool, instrumented as the
+/// installed [`crate::instrument::RunSettings`] ask, and returns the
+/// reports in request order. Each simulation is deterministic in its
+/// inputs and the collection is index-ordered, so the output is
+/// independent of the worker count.
 pub fn run_batch(requests: Vec<RunRequest>) -> Vec<SimReport> {
-    requests.into_par_iter().map(run_request).collect()
-}
-
-fn run_request(req: RunRequest) -> SimReport {
-    match req.config {
-        Some(cfg) => {
-            let mut scheduler = scheduler_by_name(&req.scheduler);
-            Simulation::new(req.spec, cfg).run(&req.trace, scheduler.as_mut())
-        }
-        None => crate::run_one(&req.scheduler, &req.spec, &req.trace),
-    }
+    let settings = crate::instrument::installed();
+    requests
+        .into_par_iter()
+        .map(|req| {
+            crate::instrument::run(&req.scheduler, &req.spec, &req.config, &req.trace, settings)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runners::scheduler_by_name;
     use elasticflow_perfmodel::Interconnect;
+    use elasticflow_sim::Simulation;
     use elasticflow_trace::TraceConfig;
 
     #[test]

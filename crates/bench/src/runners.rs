@@ -6,7 +6,7 @@ use elasticflow_sched::{
     ChronusScheduler, EdfScheduler, GandivaScheduler, PolluxScheduler, Scheduler, ThemisScheduler,
     TiresiasScheduler,
 };
-use elasticflow_sim::{SimConfig, SimObserver, SimReport, Simulation};
+use elasticflow_sim::{SimConfig, SimReport};
 use elasticflow_trace::Trace;
 
 /// One scheduler in the evaluation roster.
@@ -79,30 +79,13 @@ pub fn scheduler_by_name(name: &str) -> Box<dyn Scheduler> {
     }
 }
 
-/// Runs one (scheduler, trace, cluster) combination.
-///
-/// When `--telemetry-out` capture is enabled (see [`crate::telemetry`]),
-/// the run carries a telemetry session and its exports land in the
-/// capture directory; the report is identical either way.
+/// Runs one (scheduler, trace, cluster) combination under the default
+/// simulator config, instrumented as the installed
+/// [`crate::instrument::RunSettings`] ask. Instrumentation never changes
+/// the report.
 pub fn run_one(name: &str, spec: &ClusterSpec, trace: &Trace) -> SimReport {
-    crate::telemetry::run_maybe_instrumented(name, spec, trace)
-}
-
-/// Runs one (scheduler, trace, cluster) combination with observers
-/// attached to the engine's hook chain. Observers are read-only, so the
-/// returned report is identical to [`run_one`]'s for the same inputs.
-pub fn run_one_observed(
-    name: &str,
-    spec: &ClusterSpec,
-    trace: &Trace,
-    observers: &mut [&mut dyn SimObserver],
-) -> SimReport {
-    let mut scheduler = scheduler_by_name(name);
-    Simulation::new(spec.clone(), SimConfig::default()).run_observed(
-        trace,
-        scheduler.as_mut(),
-        observers,
-    )
+    let settings = crate::instrument::installed();
+    crate::instrument::run(name, spec, &SimConfig::default(), trace, settings)
 }
 
 /// The six-baseline subset used in most end-to-end figures.
@@ -136,16 +119,5 @@ mod tests {
         let trace = TraceConfig::testbed_small(3).generate(&Interconnect::from_spec(&spec));
         let report = run_one("edf", &spec, &trace);
         assert_eq!(report.outcomes().len(), trace.jobs().len());
-    }
-
-    #[test]
-    fn run_one_observed_matches_run_one() {
-        use elasticflow_sim::EventTraceLogger;
-        let spec = ClusterSpec::small_testbed();
-        let trace = TraceConfig::testbed_small(3).generate(&Interconnect::from_spec(&spec));
-        let mut log = EventTraceLogger::new();
-        let observed = run_one_observed("edf", &spec, &trace, &mut [&mut log]);
-        assert_eq!(observed, run_one("edf", &spec, &trace));
-        assert!(!log.is_empty());
     }
 }

@@ -175,62 +175,50 @@ impl Daemon {
         registry: SharedRegistry,
     ) -> Result<(Self, Resumption), ServeError> {
         let dir = GatewayDir::open(root)?;
-        if !dir.has_state() {
-            let (mut wal, journal) = dir.create_genesis()?;
-            wal.set_fsync_policy(config.fsync);
-            let daemon = Daemon {
-                config,
-                dir,
-                gateway: Gateway::new(config.gateway),
-                wal,
-                journal,
-                journal_entries: 0,
-                seen: BTreeSet::new(),
-                clock,
-                registry,
-                wal_buf: String::new(),
-                wal_offsets: Vec::new(),
-                journal_buf: String::new(),
-                batch: BatchScratch::default(),
-                resp_buf: Vec::new(),
-                published: [0; RUNNING_TOTALS.len()],
-            };
-            return Ok((daemon, Resumption::Fresh));
-        }
-
-        let payloads = dir.recover_wal()?;
-        let latest = dir.snapshots().latest_valid()?;
-        for (seq, why) in &latest.skipped {
-            eprintln!("elasticflow-serve: skipped corrupt snapshot {seq}: {why}");
-        }
-        let (snapshot_seq, gateway, covered_records, journal_entries) = match latest.valid {
-            Some((seq, snap)) => {
-                if snap.config != config.gateway {
-                    return Err(ServeError::ConfigMismatch {
-                        stored: snap.config,
-                        requested: config.gateway,
-                    });
-                }
-                if snap.wal_records > payloads.len() as u64 {
-                    return Err(ServeError::Persist(PersistError::Corrupt(format!(
-                        "snapshot {seq} covers {} WAL records but only {} survive on disk",
-                        snap.wal_records,
-                        payloads.len()
-                    ))));
-                }
-                let gateway = Gateway::from_snapshot(
-                    config.gateway,
-                    snap.origin_slot,
-                    &snap.jobs,
-                    snap.stats,
-                );
-                (Some(seq), gateway, snap.wal_records, snap.journal_entries)
+        let fresh = !dir.has_state();
+        // A fresh daemon starts from the genesis logs with nothing to
+        // replay; a resumed one recovers both logs and its gateway.
+        let (payloads, snapshot_seq, gateway, covered_records, journal_entries) = if fresh {
+            (Vec::new(), None, Gateway::new(config.gateway), 0, 0)
+        } else {
+            let payloads = dir.recover_wal()?;
+            let latest = dir.snapshots().latest_valid()?;
+            for (seq, why) in &latest.skipped {
+                eprintln!("elasticflow-serve: skipped corrupt snapshot {seq}: {why}");
             }
-            None => (None, Gateway::new(config.gateway), 0, 0),
+            let (seq, gateway, covered, entries) = match latest.valid {
+                Some((seq, snap)) => {
+                    if snap.config != config.gateway {
+                        return Err(ServeError::ConfigMismatch {
+                            stored: snap.config,
+                            requested: config.gateway,
+                        });
+                    }
+                    if snap.wal_records > payloads.len() as u64 {
+                        return Err(ServeError::Persist(PersistError::Corrupt(format!(
+                            "snapshot {seq} covers {} WAL records but only {} survive on disk",
+                            snap.wal_records,
+                            payloads.len()
+                        ))));
+                    }
+                    let gateway = Gateway::from_snapshot(
+                        config.gateway,
+                        snap.origin_slot,
+                        &snap.jobs,
+                        snap.stats,
+                    );
+                    (Some(seq), gateway, snap.wal_records, snap.journal_entries)
+                }
+                None => (None, Gateway::new(config.gateway), 0, 0),
+            };
+            (payloads, seq, gateway, covered, entries)
         };
-
-        let journal = dir.rewind_journal(journal_entries)?;
-        let mut wal = dir.reopen_wal(payloads.len() as u64)?;
+        let (mut wal, journal) = if fresh {
+            dir.create_genesis()?
+        } else {
+            let journal = dir.rewind_journal(journal_entries)?;
+            (dir.reopen_wal(payloads.len() as u64)?, journal)
+        };
         wal.set_fsync_policy(config.fsync);
         let mut daemon = Daemon {
             config,
@@ -274,6 +262,9 @@ impl Daemon {
                     ))
                 })?;
             daemon.apply(&request, false)?;
+        }
+        if fresh {
+            return Ok((daemon, Resumption::Fresh));
         }
         daemon.publish_state();
         Ok((
