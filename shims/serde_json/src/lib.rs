@@ -152,6 +152,22 @@ mod tests {
     }
 
     #[test]
+    fn strings_roundtrip_across_escapes_and_multibyte_text() {
+        for s in [
+            "",
+            "plain",
+            "tab\there \"q\" \\ /",
+            "é ü 中文 🚀",
+            "a\u{0008}b\u{000c}",
+        ] {
+            let back: String = from_str(&to_string(s).unwrap()).unwrap();
+            assert_eq!(back, s);
+        }
+        let back: String = from_str("\"x\\u00e9\\/y\"").unwrap();
+        assert_eq!(back, "xé/y");
+    }
+
+    #[test]
     fn parse_errors_are_reported() {
         assert!(from_str::<u32>("not json").is_err());
         assert!(from_str::<u32>("[1,").is_err());

@@ -190,15 +190,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a UTF-8 boundary of the
+                    // (already valid) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    let c = match rest.chars().next() {
-                        Some(c) => c,
-                        None => return Err(Error::new("unterminated string")),
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
