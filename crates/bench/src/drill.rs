@@ -120,20 +120,21 @@ pub fn run_crash_drill(
     }
     let kill_round = rounds / 2;
 
+    let run = |session: &mut PersistSession| {
+        let mut scheduler = scheduler_by_name(DRILL_SCHEDULER);
+        session.run(&sim, &trace, scheduler.as_mut(), &mut [])
+    };
+
     // Phase 2: persisted run, hard-killed mid-flight.
     let crash_dir = state_dir.join("crash");
     let mut session = PersistSession::begin(&crash_dir, every_seconds, false)
         .map_err(|e| format!("opening {}: {e}", crash_dir.display()))?
         .kill_at_round(kill_round);
-    let checkpoints_before_crash = {
-        let mut scheduler = scheduler_by_name(DRILL_SCHEDULER);
-        let (wal, ckpt) = session.parts();
-        let outcome = sim.run_controlled(&trace, scheduler.as_mut(), &mut [wal], ckpt);
-        if outcome.completed {
-            return Err("kill round never fired; the crash phase ran to completion".to_owned());
-        }
-        session.stats().checkpoints
-    };
+    let crashed = run(&mut session).map_err(|e| format!("fresh run rejected: {e}"))?;
+    if crashed.completed {
+        return Err("kill round never fired; the crash phase ran to completion".to_owned());
+    }
+    let checkpoints_before_crash = session.stats().checkpoints;
     if checkpoints_before_crash == 0 {
         return Err(format!(
             "no checkpoint was cut before round {kill_round}; lower --checkpoint-every"
@@ -147,16 +148,10 @@ pub fn run_crash_drill(
     // Phase 3: recover and run to completion.
     let mut session = PersistSession::begin(&crash_dir, every_seconds, true)
         .map_err(|e| format!("recovering {}: {e}", crash_dir.display()))?;
-    let snap = session
-        .snapshot()
-        .cloned()
-        .ok_or("recovery found no snapshot after the crash phase")?;
-    let resumed = {
-        let mut scheduler = scheduler_by_name(DRILL_SCHEDULER);
-        let (wal, ckpt) = session.parts();
-        sim.resume_controlled(&trace, scheduler.as_mut(), &mut [wal], ckpt, &snap)
-            .map_err(|e| format!("resume rejected: {e}"))?
-    };
+    if session.snapshot().is_none() {
+        return Err("recovery found no snapshot after the crash phase".to_owned());
+    }
+    let resumed = run(&mut session).map_err(|e| format!("resume rejected: {e}"))?;
     if !resumed.completed {
         return Err("resumed run stopped early".to_owned());
     }
@@ -167,11 +162,7 @@ pub fn run_crash_drill(
     let full_dir = state_dir.join("full");
     let mut session = PersistSession::begin(&full_dir, every_seconds, false)
         .map_err(|e| format!("opening {}: {e}", full_dir.display()))?;
-    {
-        let mut scheduler = scheduler_by_name(DRILL_SCHEDULER);
-        let (wal, ckpt) = session.parts();
-        let _ = sim.run_controlled(&trace, scheduler.as_mut(), &mut [wal], ckpt);
-    }
+    run(&mut session).map_err(|e| format!("fresh run rejected: {e}"))?;
     drop(session);
     let crash_wal = std::fs::read(crash_dir.join("events.wal"))
         .map_err(|e| format!("reading crash-phase log: {e}"))?;

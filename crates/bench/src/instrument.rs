@@ -159,7 +159,7 @@ pub(crate) fn run(
 /// Runs one persisted simulation into `state_dir`, resuming from its
 /// newest valid snapshot when `settings.resume` allows and one exists.
 ///
-/// `extra` observers (telemetry) ride alongside the WAL observer. A
+/// `extra` observers (telemetry) ride behind the session's WAL tap. A
 /// rejected snapshot restarts the run fresh, and a state directory that
 /// cannot be opened runs it unpersisted, each with a warning:
 /// experiments never fail because stored state was unusable. Returns the
@@ -195,25 +195,15 @@ fn run_persisted(
             }
         }
 
-        let snapshot = session.snapshot().cloned();
         let mut policy = scheduler_by_name(scheduler);
-        let (wal, ckpt) = session.parts();
-        let mut observers: Vec<&mut dyn SimObserver> = vec![wal];
-        for o in extra.iter_mut() {
-            observers.push(&mut **o);
-        }
-        let outcome = match &snapshot {
-            Some(snap) => sim.resume_controlled(trace, policy.as_mut(), &mut observers, ckpt, snap),
-            None => Ok(sim.run_controlled(trace, policy.as_mut(), &mut observers, ckpt)),
-        };
-        match outcome {
+        match session.run(sim, trace, policy.as_mut(), extra) {
             Ok(outcome) => {
                 if let Some(e) = session.first_error() {
                     eprintln!(
                         "warning: persistence write error during run: {e} (results unaffected)"
                     );
                 }
-                return (outcome.report, Some(session.stats()));
+                return (outcome.report, Some(session.stats().clone()));
             }
             Err(e) => {
                 eprintln!("warning: stored snapshot rejected ({e}); restarting fresh");

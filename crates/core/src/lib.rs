@@ -55,5 +55,5 @@ pub use admission::{AdmissionDenial, AdmissionSet, AdvanceReport};
 pub use alloc::ResourceAllocator;
 pub use filling::{progressive_filling, FillCounters, FillScratch};
 pub use plan::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON};
-pub use scheduler::{ElasticFlowScheduler, ElasticFlowState};
+pub use scheduler::ElasticFlowScheduler;
 pub use variants::{EdfWithAdmission, EdfWithElastic};

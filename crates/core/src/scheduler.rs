@@ -3,7 +3,7 @@
 
 use elasticflow_sched::{
     clamp_pow2, AdmissionDecision, ClusterView, JobRuntime, JobTable, RestoreError, SchedulePlan,
-    Scheduler, Snapshottable,
+    Scheduler,
 };
 use elasticflow_trace::JobId;
 use serde::{Deserialize, Serialize};
@@ -92,8 +92,8 @@ impl PartialEq for ElasticFlowScheduler {
 
 /// ElasticFlow's snapshot state: it recomputes every plan from the job
 /// table, so the planning-slot configuration is all it persists.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ElasticFlowState {
+#[derive(Serialize, Deserialize)]
+struct ElasticFlowState {
     planning_slot_seconds: f64,
 }
 
@@ -424,32 +424,21 @@ impl Scheduler for ElasticFlowScheduler {
     }
 
     fn snapshot_state(&self) -> Option<String> {
-        serde_json::to_string(&self.capture()).ok()
+        let state = ElasticFlowState {
+            planning_slot_seconds: self.planning_slot_seconds,
+        };
+        serde_json::to_string(&state).ok()
     }
 
     fn restore_state(&mut self, state: &str) -> Result<(), RestoreError> {
         let parsed: ElasticFlowState = serde_json::from_str(state)
             .map_err(|e| RestoreError::new(format!("elasticflow state did not parse: {e}")))?;
-        self.restore(parsed)
-    }
-}
-
-impl Snapshottable for ElasticFlowScheduler {
-    type State = ElasticFlowState;
-
-    fn capture(&self) -> Self::State {
-        ElasticFlowState {
-            planning_slot_seconds: self.planning_slot_seconds,
-        }
-    }
-
-    fn restore(&mut self, state: Self::State) -> Result<(), RestoreError> {
-        if !(state.planning_slot_seconds.is_finite() && state.planning_slot_seconds > 0.0) {
+        if !(parsed.planning_slot_seconds.is_finite() && parsed.planning_slot_seconds > 0.0) {
             return Err(RestoreError::new(
                 "planning slot must be positive and finite",
             ));
         }
-        self.planning_slot_seconds = state.planning_slot_seconds;
+        self.planning_slot_seconds = parsed.planning_slot_seconds;
         Ok(())
     }
 }
@@ -577,5 +566,24 @@ mod tests {
         let newcomer = runtime(99, Some(3_700.0), work_for(3_500.0, 4));
         let d = ef.on_job_arrival(&newcomer, 0.0, &ClusterView::new(16), &jobs);
         assert!(matches!(d, AdmissionDecision::Drop { .. }), "{d:?}");
+    }
+
+    #[test]
+    fn restore_state_rejects_a_bad_planning_slot_and_accepts_its_own_state() {
+        let mut ef = ElasticFlowScheduler::new();
+        for bad in ["0.0", "-60.0"] {
+            let state = format!("{{\"planning_slot_seconds\":{bad}}}");
+            let err = ef.restore_state(&state).expect_err(&state);
+            assert!(err.reason().contains("positive and finite"), "{err}");
+        }
+        assert_eq!(
+            ef,
+            ElasticFlowScheduler::new(),
+            "a rejected state was applied"
+        );
+        let tuned = ElasticFlowScheduler::new().with_planning_slot(300.0);
+        let state = tuned.snapshot_state().expect("elasticflow is stateful");
+        ef.restore_state(&state).expect("own state restores");
+        assert_eq!(ef, tuned);
     }
 }

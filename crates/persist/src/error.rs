@@ -5,8 +5,6 @@
 //! from "saved by an incompatible build" — and recovery code never panics
 //! on bad bytes.
 
-use elasticflow_sim::ResumeError;
-
 /// Any failure while writing, reading, or validating persisted state.
 #[derive(Debug)]
 pub enum PersistError {
@@ -41,9 +39,6 @@ pub enum PersistError {
     /// A frame's payload is intact (checksum passed) but is not valid JSON
     /// for the expected type.
     Decode(serde_json::Error),
-    /// The snapshot loaded cleanly but the simulation rejected it (input
-    /// mismatch, unknown simulation-layer version, bad cursors).
-    Resume(ResumeError),
 }
 
 impl std::fmt::Display for PersistError {
@@ -67,7 +62,6 @@ impl std::fmt::Display for PersistError {
             ),
             PersistError::Corrupt(why) => write!(f, "corrupt persisted state: {why}"),
             PersistError::Decode(e) => write!(f, "persisted payload failed to decode: {e}"),
-            PersistError::Resume(e) => write!(f, "snapshot rejected on resume: {e}"),
         }
     }
 }
@@ -77,7 +71,6 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Io(e) => Some(e),
             PersistError::Decode(e) => Some(e),
-            PersistError::Resume(e) => Some(e),
             _ => None,
         }
     }
@@ -92,11 +85,5 @@ impl From<std::io::Error> for PersistError {
 impl From<serde_json::Error> for PersistError {
     fn from(e: serde_json::Error) -> Self {
         PersistError::Decode(e)
-    }
-}
-
-impl From<ResumeError> for PersistError {
-    fn from(e: ResumeError) -> Self {
-        PersistError::Resume(e)
     }
 }

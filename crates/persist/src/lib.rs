@@ -16,11 +16,11 @@
 //!   recoverable, checksum mismatches are typed errors, never panics;
 //! * **storage** ([`records`], [`snapshots`]) — the generic [`RecordLog`]
 //!   and [`SnapshotStore`] (atomic writes, newest two kept), bound to the
-//!   simulator's files in [`wal`] and [`store`] ([`StateDir`]);
-//! * **harness** ([`checkpoint`], [`PersistSession`]) — a
-//!   [`elasticflow_sim::SimController`] that cuts snapshots on a simulated
-//!   clock and a [`elasticflow_sim::SimObserver`] that streams events into
-//!   the log, pre-wired by [`PersistSession`].
+//!   simulator's files in [`store`] ([`StateDir`], [`store::WAL_KIND`]);
+//! * **session** ([`PersistSession`]) — one call runs a persisted
+//!   simulation: it streams every event into the log and cuts snapshots
+//!   on a simulated clock, resuming from the newest valid snapshot when
+//!   recovery found one.
 //!
 //! # Example
 //!
@@ -36,38 +36,27 @@
 //! let trace = TraceConfig::testbed_small(1).generate(&Interconnect::from_spec(&spec));
 //! let sim = Simulation::new(spec, SimConfig::default());
 //!
+//! // Resumes from `state/` when it holds a snapshot, else starts fresh.
 //! let mut session = PersistSession::begin("state", 600.0, true).unwrap();
-//! let mut policy = EdfScheduler::new();
-//! let outcome = match session.snapshot().cloned() {
-//!     Some(snap) => {
-//!         let (wal, ckpt) = session.parts();
-//!         sim.resume_controlled(&trace, &mut policy, &mut [wal], ckpt, &snap).unwrap()
-//!     }
-//!     None => {
-//!         let (wal, ckpt) = session.parts();
-//!         sim.run_controlled(&trace, &mut policy, &mut [wal], ckpt)
-//!     }
-//! };
+//! let outcome = session
+//!     .run(&sim, &trace, &mut EdfScheduler::new(), &mut [])
+//!     .unwrap();
 //! assert!(outcome.completed);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 mod error;
 pub mod frame;
 pub mod records;
 mod session;
 pub mod snapshots;
 pub mod store;
-pub mod wal;
 
-pub use checkpoint::{CheckpointStats, Checkpointer, WalObserver};
 pub use error::PersistError;
 pub use frame::PERSIST_VERSION;
 pub use records::{FsyncPolicy, LogContents, LogKind, RecordLog};
-pub use session::PersistSession;
+pub use session::{CheckpointStats, PersistSession};
 pub use snapshots::{LatestValid, SnapshotKind, SnapshotPayload, SnapshotStore, KEEP_SNAPSHOTS};
 pub use store::{Recovered, StateDir, StoredSnapshot};
-pub use wal::{WalContents, WalWriter};

@@ -1,15 +1,14 @@
 //! Generic framed record logs: the storage layer under every
 //! append-only journal in the workspace.
 //!
-//! [`crate::wal`] (the simulator's typed event log) and the
+//! The simulator's event log ([`crate::store::WAL_KIND`]) and the
 //! `elasticflow-serve` gateway's submission log share the same on-disk
 //! shape — an 8-byte magic+version header followed by length-prefixed,
 //! FNV-1a-64-checksummed frames — and the same crash semantics: a torn
 //! final frame is recoverable by truncation, a checksum mismatch is bit
 //! rot and surfaces as a typed error. This module owns that shape once,
 //! parameterized by a [`LogKind`] naming the magic bytes and the words
-//! used in error messages; the typed logs are thin wrappers that add
-//! payload (de)serialization.
+//! used in error messages; callers (de)serialize their own payloads.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -63,7 +62,6 @@ pub enum FsyncPolicy {
 /// An open record log positioned for appending.
 #[derive(Debug)]
 pub struct RecordLog {
-    kind: LogKind,
     file: File,
     records: u64,
     policy: FsyncPolicy,
@@ -80,7 +78,6 @@ impl RecordLog {
         file.write_all(&encode_header(kind.magic, crate::frame::PERSIST_VERSION))?;
         file.flush()?;
         Ok(RecordLog {
-            kind,
             file,
             records: 0,
             policy: FsyncPolicy::default(),
@@ -114,7 +111,6 @@ impl RecordLog {
         let mut file = file;
         file.seek(SeekFrom::End(0))?;
         Ok(RecordLog {
-            kind,
             file,
             records: keep,
             policy: FsyncPolicy::default(),
@@ -203,11 +199,6 @@ impl RecordLog {
     /// Records appended so far (including any kept prefix).
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// The log kind this writer frames records as.
-    pub fn kind(&self) -> &LogKind {
-        &self.kind
     }
 }
 

@@ -148,6 +148,15 @@ impl<T: SnapshotPayload> SnapshotStore<T> {
         Ok(seqs)
     }
 
+    /// Removes every snapshot file of this kind; the next write starts
+    /// the sequence again at 1.
+    pub fn clear(&self) -> Result<(), PersistError> {
+        for seq in self.seqs()? {
+            std::fs::remove_file(self.path(seq))?;
+        }
+        Ok(())
+    }
+
     /// Writes `payload` as the next snapshot in sequence, then prunes.
     /// Returns the new sequence number and the snapshot's encoded size
     /// in bytes.

@@ -10,19 +10,42 @@
 //! ```
 //!
 //! Snapshots live in a [`SnapshotStore`] of [`SNAPSHOT_KIND`]; a corrupt
-//! newest one degrades to its fallback. What this module adds is the
-//! simulator's log rule: on resume the write-ahead log is repaired and
-//! truncated back to the snapshot's record count, and the resumed run
-//! re-appends the tail itself.
+//! newest one degrades to its fallback.
+//!
+//! The write-ahead log is a [`RecordLog`](crate::RecordLog) of
+//! [`WAL_KIND`]: every typed simulation event is appended as one framed
+//! [`TraceRecord`] (JSON payload, length-prefixed, FNV-1a-64 checksummed)
+//! behind an `EFWL` + version header. The log is an audit trail with
+//! crash-grade durability semantics:
+//!
+//! * a crash mid-append leaves a *torn tail* — an incomplete final frame
+//!   — which recovery detects and truncates away, keeping every record
+//!   before it;
+//! * a complete frame whose payload no longer matches its checksum is
+//!   bit rot, not a crash artifact, and surfaces as a typed
+//!   [`PersistError::ChecksumMismatch`] rather than silent truncation.
+//!
+//! On resume the log is truncated back to the record count captured in
+//! the snapshot being resumed from; the resumed run then re-appends the
+//! same records the lost run would have, so an interrupted-and-resumed
+//! session converges to the byte-identical log of an uninterrupted one.
 
 use std::path::{Path, PathBuf};
 
-use elasticflow_sim::SimSnapshot;
+use elasticflow_sim::{SimSnapshot, TraceRecord};
 use serde::{Deserialize, Serialize};
 
 use crate::error::PersistError;
+use crate::records::{read_log, LogKind};
 use crate::snapshots::{LatestValid, SnapshotKind, SnapshotPayload, SnapshotStore};
-use crate::wal::read_wal;
+
+/// The [`LogKind`] of the simulator write-ahead log.
+pub const WAL_KIND: LogKind = LogKind {
+    magic: b"EFWL",
+    magic_name: "EFWL",
+    record_name: "WAL",
+    long_name: "write-ahead log",
+};
 
 /// The [`SnapshotKind`] of simulator snapshot files.
 pub const SNAPSHOT_KIND: SnapshotKind = SnapshotKind {
@@ -96,6 +119,9 @@ impl StateDir {
     /// write-ahead log (truncate a torn tail), and truncate the log back
     /// to the snapshot's record count so a resumed run re-appends the
     /// tail itself. `Ok(None)` when the directory holds no snapshot.
+    ///
+    /// Every intact record must decode as a [`TraceRecord`]; one that is
+    /// checksummed but undecodable is a typed error, not a torn tail.
     pub fn recover(&self) -> Result<Option<Recovered>, PersistError> {
         let LatestValid {
             valid: Some((seq, snapshot)),
@@ -106,7 +132,10 @@ impl StateDir {
         };
         let wal_path = self.wal_path();
         let wal_was_torn = if wal_path.exists() {
-            let contents = read_wal(&wal_path)?;
+            let contents = read_log(WAL_KIND, &wal_path)?;
+            for payload in &contents.payloads {
+                serde_json::from_str::<TraceRecord>(payload)?;
+            }
             if contents.torn {
                 let file = std::fs::OpenOptions::new().write(true).open(&wal_path)?;
                 file.set_len(contents.clean_len())?;

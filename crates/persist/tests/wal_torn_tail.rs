@@ -9,8 +9,9 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use elasticflow_persist::wal::{read_wal, recover_wal};
-use elasticflow_persist::{PersistError, WalWriter};
+use elasticflow_persist::records::{read_log, recover_log};
+use elasticflow_persist::store::WAL_KIND;
+use elasticflow_persist::{LogContents, PersistError, RecordLog};
 use elasticflow_sim::{Event, TraceRecord};
 use elasticflow_trace::JobId;
 
@@ -43,12 +44,27 @@ fn sample_records(n: usize) -> Vec<TraceRecord> {
         .collect()
 }
 
+fn append(log: &mut RecordLog, record: &TraceRecord) {
+    let payload = serde_json::to_string(record).expect("record serializes");
+    log.append_payload(payload.as_bytes())
+        .expect("append record");
+}
+
 fn write_log(path: &std::path::Path, records: &[TraceRecord]) {
-    let mut writer = WalWriter::create(path).expect("create WAL");
+    let mut log = RecordLog::create(WAL_KIND, path).expect("create WAL");
     for r in records {
-        writer.append(r).expect("append record");
+        append(&mut log, r);
     }
-    assert_eq!(writer.records(), records.len() as u64);
+    assert_eq!(log.records(), records.len() as u64);
+}
+
+/// The log's intact payloads, decoded as the simulator's records.
+fn decoded(contents: &LogContents) -> Vec<TraceRecord> {
+    contents
+        .payloads
+        .iter()
+        .map(|p| serde_json::from_str(p).expect("payload decodes as a TraceRecord"))
+        .collect()
 }
 
 #[test]
@@ -59,14 +75,14 @@ fn truncation_at_every_byte_of_the_final_record_recovers_cleanly() {
     let full = std::fs::read(&path).unwrap();
 
     // Byte offset where the final record's frame begins.
-    let contents = read_wal(&path).unwrap();
+    let contents = read_log(WAL_KIND, &path).unwrap();
     assert!(!contents.torn);
-    assert_eq!(contents.records, records);
+    assert_eq!(decoded(&contents), records);
     let last_start = contents.record_offsets[records.len() - 1] as usize;
 
     for cut in last_start..full.len() {
         std::fs::write(&path, &full[..cut]).unwrap();
-        let recovered = recover_wal(&path).unwrap_or_else(|e| {
+        let recovered = recover_log(WAL_KIND, &path).unwrap_or_else(|e| {
             panic!("cut at byte {cut}: recovery errored instead of truncating: {e}")
         });
         assert!(
@@ -74,15 +90,15 @@ fn truncation_at_every_byte_of_the_final_record_recovers_cleanly() {
             "cut at byte {cut}: still torn after recovery"
         );
         assert_eq!(
-            recovered.records,
+            decoded(&recovered),
             records[..records.len() - 1],
             "cut at byte {cut}: wrong records survived"
         );
         // The file itself was truncated back to a clean prefix: re-reading
         // finds no torn tail and the same records.
-        let reread = read_wal(&path).unwrap();
+        let reread = read_log(WAL_KIND, &path).unwrap();
         assert!(!reread.torn, "cut at byte {cut}: file not truncated");
-        assert_eq!(reread.records, records[..records.len() - 1]);
+        assert_eq!(decoded(&reread), records[..records.len() - 1]);
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
             recovered.clean_len(),
@@ -98,11 +114,11 @@ fn corrupted_checksum_is_a_typed_error_not_a_panic() {
     write_log(&path, &records);
     let mut bytes = std::fs::read(&path).unwrap();
     // Flip one byte in the middle record's payload (past header + frame 0).
-    let contents = read_wal(&path).unwrap();
+    let contents = read_log(WAL_KIND, &path).unwrap();
     let mid = contents.record_offsets[1] as usize + 14;
     bytes[mid] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
-    match read_wal(&path) {
+    match read_log(WAL_KIND, &path) {
         Err(PersistError::ChecksumMismatch { offset, .. }) => {
             assert_eq!(offset, contents.record_offsets[1]);
         }
@@ -110,7 +126,7 @@ fn corrupted_checksum_is_a_typed_error_not_a_panic() {
     }
     // Recovery must not silently truncate bit rot either.
     assert!(matches!(
-        recover_wal(&path),
+        recover_log(WAL_KIND, &path),
         Err(PersistError::ChecksumMismatch { .. })
     ));
 }
@@ -125,13 +141,13 @@ fn wrong_magic_and_unknown_version_are_typed_errors() {
     wrong_magic[0] = b'X';
     std::fs::write(&path, &wrong_magic).unwrap();
     assert!(matches!(
-        read_wal(&path),
+        read_log(WAL_KIND, &path),
         Err(PersistError::BadMagic { expected: "EFWL" })
     ));
 
     bytes[4] = 0xff; // version little-endian low byte -> 255
     std::fs::write(&path, &bytes).unwrap();
-    match read_wal(&path) {
+    match read_log(WAL_KIND, &path) {
         Err(PersistError::UnknownVersion { found, supported }) => {
             assert_eq!(found, 255);
             assert_eq!(supported, elasticflow_persist::PERSIST_VERSION);
@@ -147,24 +163,25 @@ fn open_truncated_rolls_the_log_back_and_appends_from_there() {
     write_log(&path, &records);
 
     // Roll back to 2 records, append a different tail.
-    let mut writer = WalWriter::open_truncated(&path, 2).unwrap();
-    assert_eq!(writer.records(), 2);
+    let mut log = RecordLog::open_truncated(WAL_KIND, &path, 2).unwrap();
+    assert_eq!(log.records(), 2);
     let replacement = TraceRecord {
         time: 999.0,
         event: Event::SlotBoundary,
     };
-    writer.append(&replacement).unwrap();
-    drop(writer);
+    append(&mut log, &replacement);
+    drop(log);
 
-    let contents = read_wal(&path).unwrap();
+    let contents = read_log(WAL_KIND, &path).unwrap();
     assert!(!contents.torn);
-    assert_eq!(contents.records.len(), 3);
-    assert_eq!(contents.records[..2], records[..2]);
-    assert_eq!(contents.records[2], replacement);
+    let kept = decoded(&contents);
+    assert_eq!(kept.len(), 3);
+    assert_eq!(kept[..2], records[..2]);
+    assert_eq!(kept[2], replacement);
 
     // Asking for more records than exist is a typed error.
     assert!(matches!(
-        WalWriter::open_truncated(&path, 10),
+        RecordLog::open_truncated(WAL_KIND, &path, 10),
         Err(PersistError::Corrupt(_))
     ));
 }
@@ -183,13 +200,13 @@ fn interrupted_then_resumed_log_is_byte_identical_to_uninterrupted() {
 
     // Recovery truncates the torn tail; the resumed writer re-appends the
     // tail the lost run would have written.
-    let recovered = recover_wal(&crashed).unwrap();
-    assert_eq!(recovered.records.len(), 3);
-    let mut writer = WalWriter::open_truncated(&crashed, 3).unwrap();
+    let recovered = recover_log(WAL_KIND, &crashed).unwrap();
+    assert_eq!(decoded(&recovered), records[..3]);
+    let mut log = RecordLog::open_truncated(WAL_KIND, &crashed, 3).unwrap();
     for r in &records[3..] {
-        writer.append(r).unwrap();
+        append(&mut log, r);
     }
-    drop(writer);
+    drop(log);
 
     assert_eq!(
         std::fs::read(&crashed).unwrap(),

@@ -486,30 +486,6 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// Checkpoint/restore seam for stateful scheduling components.
-///
-/// A `Snapshottable` component can externalize its mutable state as a
-/// serializable value and later re-absorb it, so a crashed control plane
-/// resumes exactly where it stopped. Implementations must round-trip
-/// losslessly: `restore(capture())` leaves the component in a state that
-/// behaves identically — the simulator's bit-identical resume tests hold
-/// every implementation to that contract.
-///
-/// Trait-object call sites (the simulation engine holds `&mut dyn
-/// Scheduler`) go through the object-safe string form instead:
-/// [`Scheduler::snapshot_state`] / [`Scheduler::restore_state`].
-pub trait Snapshottable {
-    /// The externalized state. Implementations choose a serde-serializable
-    /// type (often `Self` for plain-old-data policies).
-    type State;
-
-    /// Captures the current state.
-    fn capture(&self) -> Self::State;
-
-    /// Replaces the current state with a previously captured one.
-    fn restore(&mut self, state: Self::State) -> Result<(), RestoreError>;
-}
-
 /// A scheduling policy, driven by the simulator.
 ///
 /// The simulator calls [`Scheduler::on_job_arrival`] once per submission
@@ -542,8 +518,10 @@ pub trait Scheduler {
     /// those need nothing restored beyond their construction arguments.
     ///
     /// Stateful policies override this (typically by serializing their
-    /// [`Snapshottable::capture`] value as JSON) together with
-    /// [`Scheduler::restore_state`].
+    /// mutable state as JSON) together with [`Scheduler::restore_state`].
+    /// The pair must round-trip losslessly: restoring a snapshot leaves
+    /// the policy behaving identically, the contract the simulator's
+    /// bit-identical resume tests hold every implementation to.
     fn snapshot_state(&self) -> Option<String> {
         None
     }

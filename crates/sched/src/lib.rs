@@ -36,7 +36,7 @@ mod tiresias;
 
 pub use api::{
     clamp_pow2, AdmissionDecision, ClusterView, JobRuntime, JobTable, ReplanOutcome, RestoreError,
-    SchedulePlan, Scheduler, Snapshottable,
+    SchedulePlan, Scheduler,
 };
 pub use decision::{CapacityShortfall, DecisionRecord, DeclineReason, PauseCause};
 

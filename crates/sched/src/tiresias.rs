@@ -10,7 +10,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::{
     AdmissionDecision, ClusterView, JobRuntime, JobTable, RestoreError, SchedulePlan, Scheduler,
-    Snapshottable,
 };
 
 /// The Tiresias baseline scheduler.
@@ -67,29 +66,6 @@ impl Default for TiresiasScheduler {
     }
 }
 
-// Tiresias is plain-old-data (the threshold vector), so the whole policy
-// doubles as its own checkpoint state.
-impl Snapshottable for TiresiasScheduler {
-    type State = TiresiasScheduler;
-
-    fn capture(&self) -> Self::State {
-        self.clone()
-    }
-
-    fn restore(&mut self, state: Self::State) -> Result<(), RestoreError> {
-        if state.queue_thresholds.is_empty()
-            || !state.queue_thresholds.windows(2).all(|w| w[0] < w[1])
-            || !state.queue_thresholds.iter().all(|&t| t > 0.0)
-        {
-            return Err(RestoreError::new(
-                "tiresias queue thresholds must be positive and strictly ascending",
-            ));
-        }
-        *self = state;
-        Ok(())
-    }
-}
-
 impl Scheduler for TiresiasScheduler {
     fn name(&self) -> &str {
         "tiresias"
@@ -128,14 +104,25 @@ impl Scheduler for TiresiasScheduler {
         plan
     }
 
+    // Tiresias is plain-old-data (the threshold vector), so the whole
+    // policy doubles as its own checkpoint state.
     fn snapshot_state(&self) -> Option<String> {
-        serde_json::to_string(&self.capture()).ok()
+        serde_json::to_string(self).ok()
     }
 
     fn restore_state(&mut self, state: &str) -> Result<(), RestoreError> {
         let parsed: TiresiasScheduler = serde_json::from_str(state)
             .map_err(|e| RestoreError::new(format!("tiresias state did not parse: {e}")))?;
-        self.restore(parsed)
+        if parsed.queue_thresholds.is_empty()
+            || !parsed.queue_thresholds.windows(2).all(|w| w[0] < w[1])
+            || !parsed.queue_thresholds.iter().all(|&t| t > 0.0)
+        {
+            return Err(RestoreError::new(
+                "tiresias queue thresholds must be positive and strictly ascending",
+            ));
+        }
+        *self = parsed;
+        Ok(())
     }
 }
 
@@ -189,5 +176,20 @@ mod tests {
         table.insert(job(1, 0.0, None, 4));
         let plan = TiresiasScheduler::new().plan(0.0, &ClusterView::new(64), &table);
         assert_eq!(plan.gpus(JobId::new(1)), 4);
+    }
+
+    #[test]
+    fn restore_state_rejects_bad_thresholds_and_accepts_its_own_state() {
+        let mut t = TiresiasScheduler::new();
+        for bad in ["[]", "[10.0,5.0]", "[5.0,5.0]", "[0.0,5.0]"] {
+            let state = format!("{{\"queue_thresholds\":{bad}}}");
+            let err = t.restore_state(&state).expect_err(&state);
+            assert!(err.reason().contains("strictly ascending"), "{err}");
+        }
+        assert_eq!(t, TiresiasScheduler::new(), "a rejected state was applied");
+        let tuned = TiresiasScheduler::with_thresholds(vec![60.0, 600.0, 6_000.0]);
+        let state = tuned.snapshot_state().expect("tiresias is stateful");
+        t.restore_state(&state).expect("own state restores");
+        assert_eq!(t, tuned);
     }
 }

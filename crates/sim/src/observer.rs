@@ -313,13 +313,6 @@ impl EventTraceLogger {
         Ok(out)
     }
 
-    /// Writes the JSONL dump (see [`EventTraceLogger::to_jsonl`]) to a
-    /// file, creating or truncating it.
-    pub fn write_jsonl<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
-        let text = self.to_jsonl().map_err(std::io::Error::from)?;
-        std::fs::write(path, text)
-    }
-
     /// Parses a [`EventTraceLogger::to_jsonl`] dump back into a logger, so
     /// logged traces can be re-ingested (diffed, replayed against recovered
     /// WALs) rather than just written out. Blank lines are skipped; any
@@ -340,13 +333,6 @@ impl EventTraceLogger {
             records,
             replans: 0,
         })
-    }
-
-    /// Reads and parses a JSONL dump from a file (see
-    /// [`EventTraceLogger::from_jsonl`]).
-    pub fn read_jsonl<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_jsonl(&text).map_err(std::io::Error::from)
     }
 }
 

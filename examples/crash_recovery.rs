@@ -7,8 +7,9 @@
 //! ```
 //!
 //! State lands in `target/crash_recovery/`: sequenced `snapshot-*.efsnap`
-//! files plus the `events.wal` write-ahead log. Run it twice and the
-//! second pass recovers from the first pass's state directory.
+//! files plus the `events.wal` write-ahead log. Each pass starts fresh:
+//! the crash phase clears the directory's old snapshots and log before
+//! it runs.
 
 use elasticflow::cluster::ClusterSpec;
 use elasticflow::core::ElasticFlowScheduler;
@@ -37,16 +38,10 @@ fn main() {
     let mut session = PersistSession::begin(state_dir, 600.0, false)
         .expect("open state directory")
         .kill_at_round(rounds / 2);
-    {
-        let (wal, checkpointer) = session.parts();
-        let outcome = sim.run_controlled(
-            &trace,
-            &mut ElasticFlowScheduler::new(),
-            &mut [wal],
-            checkpointer,
-        );
-        assert!(!outcome.completed, "the kill should interrupt the run");
-    }
+    let outcome = session
+        .run(&sim, &trace, &mut ElasticFlowScheduler::new(), &mut [])
+        .expect("a fresh run has no snapshot to reject");
+    assert!(!outcome.completed, "the kill should interrupt the run");
     let stats = session.stats();
     println!(
         "crashed at round {}: {} snapshot(s) on disk, {} WAL record(s) appended",
@@ -59,23 +54,13 @@ fn main() {
     // Phase 2: a "new process" — recover the newest valid snapshot,
     // truncate any torn WAL tail, and resume to completion.
     let mut session = PersistSession::begin(state_dir, 600.0, true).expect("recover state");
-    let snapshot = session
-        .snapshot()
-        .cloned()
-        .expect("a snapshot survived the crash");
+    let snapshot = session.snapshot().expect("a snapshot survived the crash");
     println!(
         "recovered snapshot from round {} (t = {:.0} s)",
         snapshot.round, snapshot.now
     );
-    let (wal, checkpointer) = session.parts();
-    let outcome = sim
-        .resume_controlled(
-            &trace,
-            &mut ElasticFlowScheduler::new(),
-            &mut [wal],
-            checkpointer,
-            &snapshot,
-        )
+    let outcome = session
+        .run(&sim, &trace, &mut ElasticFlowScheduler::new(), &mut [])
         .expect("snapshot resumes");
     assert!(outcome.completed);
 
