@@ -3,9 +3,9 @@
 //!
 //! The paper's evaluation tops out at 128 GPUs and a few hundred jobs;
 //! this workload exists to exercise the simulator's *data layout* far past
-//! that — the calendar event queue, the dense job arenas, and the indexed
-//! allocation table all have to stay O(active) per scheduling event when
-//! the job table holds a million materialized entries. The generator is
+//! that — the dense job arenas and the indexed allocation table both have
+//! to stay O(active) per scheduling event when the job table holds a
+//! million materialized entries. The generator is
 //! fully deterministic (one [`Rng`] stream, fixed draw order per job), so
 //! a run's outcome digest is a golden value: any change to event ordering
 //! or job-state arithmetic anywhere in the stack shows up as a digest

@@ -3,9 +3,9 @@
 //! same generator, same load per GPU, same digest construction).
 //!
 //! The pinned digests make them determinism gates for the whole
-//! data-layout stack at scale — the calendar event queue, the dense job
-//! arenas, and the indexed allocation table must reproduce the exact
-//! event order and job arithmetic or the digest moves.
+//! data-layout stack at scale — the event core, the dense job arenas, and
+//! the indexed allocation table must reproduce the exact event order and
+//! job arithmetic or the digest moves.
 //!
 //! Both tests are `#[ignore]`d because they need a release build to
 //! finish quickly. CI runs the smoke only:

@@ -261,11 +261,6 @@ impl ClusterState {
         Ok(())
     }
 
-    /// `true` when the owner's block is pinned.
-    pub fn is_pinned(&self, owner: u64) -> bool {
-        self.pinned.contains(&owner)
-    }
-
     /// Changes `owner`'s allocation to `new_size`, defragmenting if needed.
     /// Returns the new placement and any migrations of *other* jobs.
     ///

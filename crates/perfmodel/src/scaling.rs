@@ -160,12 +160,6 @@ impl ScalingCurve {
         Some(self.points[idx].iters_per_sec)
     }
 
-    /// Throughput in samples/second with `gpus` workers.
-    pub fn samples_per_sec(&self, gpus: u32) -> Option<f64> {
-        self.iters_per_sec(gpus)
-            .map(|t| t * self.global_batch as f64)
-    }
-
     /// Speedup over a single GPU.
     pub fn speedup(&self, gpus: u32) -> Option<f64> {
         let base = self.points[0].iters_per_sec;

@@ -43,11 +43,6 @@ pub enum AdmissionDecision {
 }
 
 impl AdmissionDecision {
-    /// `true` for [`AdmissionDecision::Admit`].
-    pub fn is_admit(&self) -> bool {
-        matches!(self, AdmissionDecision::Admit)
-    }
-
     /// A decline without structured provenance — the decision policies
     /// predating the provenance layer return.
     pub fn drop_unexplained() -> Self {
@@ -111,11 +106,6 @@ impl JobRuntime {
     /// i.e. eligible for GPUs.
     pub fn is_active(&self) -> bool {
         self.admitted && !self.dropped && self.finish_time.is_none()
-    }
-
-    /// `true` once the job has run to completion.
-    pub fn is_finished(&self) -> bool {
-        self.finish_time.is_some()
     }
 
     /// `true` when the job finished at or before its deadline.

@@ -21,9 +21,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::gateway::GatewayStats;
 
-/// Wire protocol version; bumped on incompatible changes.
-pub const PROTOCOL_VERSION: u32 = 1;
-
 /// One job submission: the serverless interface of the paper's §3.1 —
 /// model, hyper-parameters, termination condition, and deadline. No GPU
 /// count: the platform decides shares.

@@ -2,15 +2,14 @@
 //! `EPS_TIME` batching.
 //!
 //! This layer owns *when* things happen and *what kind* of thing happens;
-//! it never touches cluster or job state. Two event streams are static:
-//! arrivals stay a cursor over the pre-sorted trace, while failure/repair
-//! transitions live in a [`CalendarQueue`] (time-bucketed, ascending time
-//! with insertion order breaking ties — the same total order the former
-//! stable sort + cursor produced, at O(1) amortized per pop). The other
-//! candidates (completions, slot boundaries) are *derived* from job state
-//! at selection time, because any replan invalidates them — deriving is
-//! cheaper and simpler than queue invalidation, and it is exactly the
-//! "fast-forwarding" the paper's simulator does (§6.2).
+//! it never touches cluster or job state. Two event streams are static and
+//! share one shape: a vector sorted once at construction plus a cursor —
+//! arrivals in trace order, failure/repair transitions in time order with
+//! schedule order breaking ties. The other candidates (completions, slot
+//! boundaries) are *derived* from job state at selection time, because any
+//! replan invalidates them — deriving is cheaper and simpler than queue
+//! invalidation, and it is exactly the "fast-forwarding" the paper's
+//! simulator does (§6.2).
 //!
 //! All events within [`EPS_TIME`] of the chosen step time fire as one
 //! batch, preserving the engine's original simultaneous-event semantics.
@@ -19,7 +18,6 @@ use elasticflow_sched::JobTable;
 use elasticflow_trace::{JobId, JobSpec, Trace};
 use serde::{Deserialize, Serialize};
 
-use crate::calendar::CalendarQueue;
 use crate::failures::FailureSchedule;
 use crate::snapshot::{EventCoreSnapshot, ResumeError};
 
@@ -82,12 +80,9 @@ pub(crate) struct Step {
 pub(crate) struct EventCore<'t> {
     arrivals: &'t [JobSpec],
     next_arrival: usize,
-    /// Failure/repair timeline: `(server, is_repair)` payloads in a
-    /// calendar queue, popping in ascending time with schedule order
-    /// breaking ties.
-    transitions: CalendarQueue<(u32, bool)>,
-    /// Transitions popped so far — mirrors `transitions.popped()`; the
-    /// snapshot cursor.
+    /// Failure/repair timeline: `(time, server, is_repair)`, stably sorted
+    /// by time.
+    transitions: Vec<(f64, u32, bool)>,
     next_transition: usize,
     slot_seconds: f64,
     last_arrival: f64,
@@ -107,20 +102,18 @@ impl<'t> EventCore<'t> {
     ) -> Self {
         let arrivals = trace.jobs();
         let last_arrival = arrivals.last().map(|j| j.submit_time).unwrap_or(0.0);
-        // No pre-sort: the calendar queue pops in (time, insertion) order,
-        // which over this push sequence is exactly the stable
-        // sort-by-time order the former vector held.
-        let mut timeline: Vec<(f64, (u32, bool))> = Vec::new();
+        let mut transitions: Vec<(f64, u32, bool)> = Vec::new();
         for f in failures.events() {
             if f.server < num_servers {
-                timeline.push((f.at, (f.server, false)));
-                timeline.push((f.at + f.repair_seconds, (f.server, true)));
+                transitions.push((f.at, f.server, false));
+                transitions.push((f.at + f.repair_seconds, f.server, true));
             }
         }
+        transitions.sort_by(|a, b| a.0.total_cmp(&b.0));
         EventCore {
             arrivals,
             next_arrival: 0,
-            transitions: CalendarQueue::build(timeline),
+            transitions,
             next_transition: 0,
             slot_seconds,
             last_arrival,
@@ -133,7 +126,7 @@ impl<'t> EventCore<'t> {
     /// while work exists), and the next failure/repair transition (only
     /// while work remains). Returns `None` when the simulation is drained
     /// or the starvation horizon is exceeded.
-    pub(crate) fn next_step(&mut self, now: f64, jobs: &JobTable) -> Option<Step> {
+    pub(crate) fn next_step(&self, now: f64, jobs: &JobTable) -> Option<Step> {
         let t_arrival = self.arrivals.get(self.next_arrival).map(|j| j.submit_time);
         let t_completion = jobs
             .active()
@@ -149,7 +142,7 @@ impl<'t> EventCore<'t> {
         } else {
             None
         };
-        let t_transition = self.transitions.peek_time();
+        let t_transition = self.transitions.get(self.next_transition).map(|&(t, ..)| t);
 
         let mut t_next = f64::INFINITY;
         if let Some(t) = t_arrival {
@@ -182,14 +175,12 @@ impl<'t> EventCore<'t> {
     /// `EPS_TIME`), in stable time order.
     pub(crate) fn due_transitions(&mut self, now: f64) -> Vec<(u32, bool)> {
         let mut due = Vec::new();
-        while let Some(tt) = self.transitions.peek_time() {
-            if tt > now + EPS_TIME {
+        while let Some(&(t, server, is_repair)) = self.transitions.get(self.next_transition) {
+            if t > now + EPS_TIME {
                 break;
             }
-            if let Some((_, payload)) = self.transitions.pop() {
-                self.next_transition += 1;
-                due.push(payload);
-            }
+            self.next_transition += 1;
+            due.push((server, is_repair));
         }
         due
     }
@@ -228,7 +219,7 @@ impl<'t> EventCore<'t> {
     /// `true` when both static event streams are exhausted (no pending
     /// arrivals or failure/repair transitions).
     pub(crate) fn exhausted(&self) -> bool {
-        self.next_arrival >= self.arrivals.len() && self.transitions.is_empty()
+        self.next_arrival >= self.arrivals.len() && self.next_transition >= self.transitions.len()
     }
 
     /// Captures the cursor positions; the streams themselves are rebuilt
@@ -241,10 +232,7 @@ impl<'t> EventCore<'t> {
     }
 
     /// Restores captured cursor positions, validating them against the
-    /// freshly rebuilt streams. The transition queue is replayed to the
-    /// captured cursor by popping — the queue cannot rewind, so the cursor
-    /// must not precede the queue's current position (it never does: the
-    /// engine restores into a freshly built core).
+    /// freshly rebuilt streams.
     pub(crate) fn restore(&mut self, snap: &EventCoreSnapshot) -> Result<(), ResumeError> {
         if snap.next_arrival > self.arrivals.len() {
             return Err(ResumeError::CursorOutOfRange {
@@ -253,21 +241,181 @@ impl<'t> EventCore<'t> {
                 len: self.arrivals.len(),
             });
         }
-        let total_transitions = self.transitions.popped() + self.transitions.remaining();
-        if snap.next_transition > total_transitions
-            || snap.next_transition < self.transitions.popped()
-        {
+        if snap.next_transition > self.transitions.len() {
             return Err(ResumeError::CursorOutOfRange {
                 cursor: "transition",
                 value: snap.next_transition,
-                len: total_transitions,
+                len: self.transitions.len(),
             });
         }
         self.next_arrival = snap.next_arrival;
-        while self.transitions.popped() < snap.next_transition {
-            let _ = self.transitions.pop();
-        }
         self.next_transition = snap.next_transition;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::failures::NodeFailure;
+    use elasticflow_trace::Rng;
+
+    fn fail(server: u32, at: f64, repair_seconds: f64) -> NodeFailure {
+        NodeFailure {
+            server,
+            at,
+            repair_seconds,
+        }
+    }
+
+    fn core<'t>(trace: &'t Trace, events: Vec<NodeFailure>, num_servers: u32) -> EventCore<'t> {
+        let schedule = FailureSchedule::fixed(events);
+        EventCore::new(trace, &schedule, num_servers, 3_600.0, 1.0e9)
+    }
+
+    #[test]
+    fn same_instant_tie_pops_in_schedule_order() {
+        let trace = Trace::new("empty", Vec::new());
+        // Server 1's repair and server 2's failure both land at 3,000 s;
+        // the repair was scheduled first, so it fires first.
+        let mut c = core(
+            &trace,
+            vec![fail(1, 1_200.0, 1_800.0), fail(2, 3_000.0, 600.0)],
+            4,
+        );
+        assert_eq!(c.due_transitions(1_199.0), vec![]);
+        assert_eq!(c.due_transitions(1_200.0), vec![(1, false)]);
+        assert_eq!(c.due_transitions(3_000.0), vec![(1, true), (2, false)]);
+        assert!(!c.exhausted());
+        assert_eq!(c.due_transitions(3_600.0), vec![(2, true)]);
+        assert!(c.exhausted());
+        assert_eq!(c.due_transitions(1.0e9), vec![]);
+    }
+
+    #[test]
+    fn a_transition_within_eps_of_now_fires_in_the_same_batch() {
+        let trace = Trace::new("empty", Vec::new());
+        let mut c = core(
+            &trace,
+            vec![
+                fail(0, 100.0, 50.0),
+                fail(1, 100.0 + 0.5 * EPS_TIME, 50.0),
+                fail(2, 100.0 + 4.0 * EPS_TIME, 50.0),
+            ],
+            4,
+        );
+        assert_eq!(c.due_transitions(100.0), vec![(0, false), (1, false)]);
+        assert_eq!(c.due_transitions(100.0 + 4.0 * EPS_TIME), vec![(2, false)]);
+    }
+
+    #[test]
+    fn events_on_servers_past_the_cluster_are_dropped() {
+        let trace = Trace::new("empty", Vec::new());
+        let mut c = core(
+            &trace,
+            vec![fail(2, 10.0, 5.0), fail(1, 20.0, 5.0), fail(7, 30.0, 5.0)],
+            2,
+        );
+        assert_eq!(c.transitions.len(), 2);
+        assert_eq!(c.due_transitions(1.0e9), vec![(1, false), (1, true)]);
+        assert!(c.exhausted());
+
+        let mut none = core(&trace, Vec::new(), 2);
+        assert!(none.exhausted());
+        assert_eq!(none.due_transitions(1.0e9), vec![]);
+    }
+
+    /// Every batch holds exactly the transitions scheduled at that instant,
+    /// in schedule order — checked against a filter of the push sequence,
+    /// not a sort, on schedules mixing spread-out, clustered and exactly
+    /// tied times.
+    #[test]
+    fn random_timelines_drain_in_time_then_schedule_order() {
+        let trace = Trace::new("empty", Vec::new());
+        let mut rng = Rng::new(0x5eed_ca1e);
+        for case in 0..100 {
+            let n = 1 + rng.uniform_usize(60);
+            let mut draw = || match rng.uniform_usize(3) {
+                0 => rng.uniform_range(0.0, 1.0e6),
+                1 => rng.uniform_range(0.0, 10.0),
+                _ => (1 + rng.uniform_usize(5)) as f64 * 2.5,
+            };
+            let events: Vec<NodeFailure> = (0..n as u32)
+                .map(|server| {
+                    let at = draw();
+                    fail(server, at, draw())
+                })
+                .collect();
+            // The push sequence: `fixed` orders failures stably by time,
+            // then each contributes its failure and its repair.
+            let schedule = FailureSchedule::fixed(events);
+            let pushed: Vec<(f64, u32, bool)> = schedule
+                .events()
+                .iter()
+                .flat_map(|f| {
+                    [
+                        (f.at, f.server, false),
+                        (f.at + f.repair_seconds, f.server, true),
+                    ]
+                })
+                .collect();
+            let mut times: Vec<f64> = pushed.iter().map(|p| p.0).collect();
+            times.sort_by(f64::total_cmp);
+            times.dedup();
+
+            let mut c = EventCore::new(&trace, &schedule, n as u32, 3_600.0, 1.0e9);
+            for t in times {
+                let expected: Vec<(u32, bool)> = pushed
+                    .iter()
+                    .filter(|p| p.0 == t)
+                    .map(|&(_, server, is_repair)| (server, is_repair))
+                    .collect();
+                assert_eq!(c.due_transitions(t), expected, "case {case} at t = {t}");
+            }
+            assert!(c.exhausted(), "case {case}");
+        }
+    }
+
+    #[test]
+    fn restoring_a_mid_timeline_cursor_replays_the_same_tail() {
+        let trace = Trace::new("empty", Vec::new());
+        let schedule = FailureSchedule::poisson(8, 3_600.0, 600.0, 86_400.0, 7);
+        let mut whole = EventCore::new(&trace, &schedule, 8, 3_600.0, 1.0e9);
+        assert!(whole.transitions.len() > 20);
+        let cut = whole.transitions[whole.transitions.len() / 2].0;
+        let head = whole.due_transitions(cut);
+        assert!(!head.is_empty());
+        let snap = whole.capture();
+        assert_eq!(snap.next_transition, head.len());
+
+        let mut resumed = EventCore::new(&trace, &schedule, 8, 3_600.0, 1.0e9);
+        resumed.restore(&snap).unwrap();
+        assert_eq!(resumed.capture(), snap);
+        let mut now = cut;
+        while !whole.exhausted() {
+            now += 900.0;
+            assert_eq!(resumed.due_transitions(now), whole.due_transitions(now));
+            assert_eq!(resumed.exhausted(), whole.exhausted());
+        }
+        assert!(resumed.exhausted());
+    }
+
+    #[test]
+    fn a_cursor_past_the_timeline_is_out_of_range() {
+        let trace = Trace::new("empty", Vec::new());
+        let mut c = core(&trace, vec![fail(0, 10.0, 5.0)], 1);
+        let mut snap = c.capture();
+        snap.next_transition = 2;
+        c.restore(&snap).unwrap();
+        assert!(c.exhausted());
+        snap.next_transition = 3;
+        assert_eq!(
+            c.restore(&snap),
+            Err(ResumeError::CursorOutOfRange {
+                cursor: "transition",
+                value: 3,
+                len: 2,
+            })
+        );
     }
 }

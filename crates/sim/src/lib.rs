@@ -47,7 +47,6 @@
 
 #[cfg(feature = "audit")]
 pub mod audit;
-mod calendar;
 mod config;
 mod driver;
 mod engine;

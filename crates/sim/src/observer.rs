@@ -300,40 +300,6 @@ impl EventTraceLogger {
     pub fn count(&self, pred: impl Fn(&Event) -> bool) -> usize {
         self.records.iter().filter(|r| pred(&r.event)).count()
     }
-
-    /// Serializes the trace as JSON Lines: one `{"time": .., "event": ..}`
-    /// object per line, in firing order. The format is stable across runs
-    /// of the same seed, so diffs of two dumps localize a divergence.
-    pub fn to_jsonl(&self) -> Result<String, serde_json::Error> {
-        let mut out = String::new();
-        for record in &self.records {
-            out.push_str(&serde_json::to_string(record)?);
-            out.push('\n');
-        }
-        Ok(out)
-    }
-
-    /// Parses a [`EventTraceLogger::to_jsonl`] dump back into a logger, so
-    /// logged traces can be re-ingested (diffed, replayed against recovered
-    /// WALs) rather than just written out. Blank lines are skipped; any
-    /// malformed line fails the whole parse.
-    ///
-    /// The replan counter is not part of the JSONL format (it is a run
-    /// statistic, not an event), so the returned logger reports
-    /// [`EventTraceLogger::replans`] of 0.
-    pub fn from_jsonl(text: &str) -> Result<Self, serde_json::Error> {
-        let mut records = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            records.push(serde_json::from_str::<TraceRecord>(line)?);
-        }
-        Ok(EventTraceLogger {
-            records,
-            replans: 0,
-        })
-    }
 }
 
 impl SimObserver for EventTraceLogger {

@@ -6,7 +6,7 @@
 //! round-trip `Display`. [`parse`] reads the same format back for the
 //! validator binary and the golden tests.
 
-use crate::registry::{MetricKind, MetricsRegistry, SeriesKey};
+use crate::registry::{MetricKind, MetricsRegistry};
 
 /// Escapes a label value per the exposition-format rules.
 fn escape_label(value: &str) -> String {
@@ -217,16 +217,6 @@ pub fn parse(text: &str) -> Result<Vec<Sample>, String> {
         samples.push(parse_sample(line, lineno)?);
     }
     Ok(samples)
-}
-
-/// Convenience: a `SeriesKey` for a parsed sample (labels sorted).
-pub fn sample_key(sample: &Sample) -> SeriesKey {
-    let labels: Vec<(&str, &str)> = sample
-        .labels
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect();
-    SeriesKey::new(&sample.name, &labels)
 }
 
 #[cfg(test)]

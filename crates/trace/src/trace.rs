@@ -69,14 +69,6 @@ impl Trace {
         self.jobs.iter().filter(|j| j.kind == JobKind::Slo).count()
     }
 
-    /// Number of soft-deadline jobs (§4.4).
-    pub fn num_soft_deadline_jobs(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| j.kind == JobKind::SoftDeadline)
-            .count()
-    }
-
     /// Number of best-effort jobs.
     pub fn num_best_effort_jobs(&self) -> usize {
         self.jobs

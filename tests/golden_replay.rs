@@ -88,6 +88,35 @@ fn failure_injection_replay_digest_is_stable() {
     check("failure-injection", FAILURE_DIGEST, &report);
 }
 
+/// Poisson failure traffic on every server of the small testbed (an MTBF
+/// of one hour, ten-minute repairs, over four hours), plus a fixed pair on
+/// server 1 whose repair and next failure land on the same instant. Repair
+/// then failure leaves the server down; the reverse order would leave it
+/// up, so the digest pins the timeline's tie order as well as its time
+/// order.
+#[test]
+fn poisson_failure_replay_digest_is_stable() {
+    let mut events = FailureSchedule::poisson(4, 3_600.0, 600.0, 14_400.0, 24)
+        .events()
+        .to_vec();
+    assert!(events.len() >= 8, "{} failures drawn", events.len());
+    events.extend([
+        NodeFailure {
+            server: 1,
+            at: 1_200.0,
+            repair_seconds: 1_800.0,
+        },
+        NodeFailure {
+            server: 1,
+            at: 3_000.0,
+            repair_seconds: 1_800.0,
+        },
+    ]);
+    let config = SimConfig::default().with_failures(FailureSchedule::fixed(events));
+    let report = run_scenario(21, config, &mut ElasticFlowScheduler::new());
+    check("poisson-failures", POISSON_FAILURE_DIGEST, &report);
+}
+
 /// Like [`run_scenario`], but with the full telemetry stack (metrics
 /// collector + span tracer) attached through `run_observed`.
 fn run_scenario_with_telemetry(
@@ -143,3 +172,6 @@ fn identical_seeds_give_identical_reports() {
 const ELASTICFLOW_DIGEST: u64 = 0xfc0e_f318_b192_ca64;
 const EDF_DIGEST: u64 = 0x22c5_5c57_dd91_acd6;
 const FAILURE_DIGEST: u64 = 0xb3ee_dbf5_627c_2861;
+// Pinned from the engine whose failure timeline was a calendar queue; the
+// sorted timeline must replay it bit for bit.
+const POISSON_FAILURE_DIGEST: u64 = 0x93c5_cd9d_44cb_b60a;
