@@ -247,15 +247,6 @@ impl Topology {
         self.levels.len() - 1
     }
 
-    /// `true` when the given GPUs all live on the same server.
-    pub fn same_server(&self, gpus: &[GpuId]) -> bool {
-        if gpus.is_empty() {
-            return true;
-        }
-        let first = self.server_of(gpus[0]);
-        gpus.iter().all(|&g| self.server_of(g) == first)
-    }
-
     /// Index of the first inter-server (network) level.
     pub fn server_level(&self) -> usize {
         self.server_level
@@ -314,14 +305,6 @@ mod tests {
         assert_eq!(intra, 32.0e9);
         assert_eq!(cross, 3.6e9);
         assert!(cross < intra);
-    }
-
-    #[test]
-    fn same_server_detection() {
-        let t = topo_2x8();
-        assert!(t.same_server(&[GpuId::new(1), GpuId::new(6)]));
-        assert!(!t.same_server(&[GpuId::new(1), GpuId::new(9)]));
-        assert!(t.same_server(&[]));
     }
 
     #[test]

@@ -11,9 +11,15 @@
 //! uninterrupted run would have produced, which the recovery tests (and
 //! the CI smoke) check with a literal byte comparison.
 //!
+//! One private pipeline carries every request to the gateway: dedup →
+//! WAL → decide → journal → metrics. [`Daemon::handle_batch`] hands it
+//! each batch, [`Daemon::handle_request`] is a batch of one, and
+//! recovery replays the WAL suffix through it as one batch.
+//!
 //! Idempotence falls out of the same discipline: duplicate submission
 //! ids are rejected *before* the WAL append, so the log never contains
-//! a duplicate and replay never has to suppress one.
+//! a duplicate and replay never has to suppress one. Withdrawals are
+//! not deduplicated: a re-sent `Withdraw` is logged and applied again.
 
 use std::collections::BTreeSet;
 use std::fs::File;
@@ -28,7 +34,7 @@ use crate::metrics::{
     self, SharedRegistry, ACTIVE_GUARANTEED, BATCH_SIZE, BOOKED_FRACTION, BOOKED_HORIZON_SLOTS,
     DECISIONS_TOTAL, DECLINES_TOTAL, QUEUE_DEPTH, RUNNING_TOTALS,
 };
-use crate::proto::{render_request_into, render_submit_into, JobSubmission, Request, Response};
+use crate::proto::{parse_request, render_request_into, Request, Response};
 use crate::store::{render_journal_entry_into, GatewayDir, GatewaySnapshot};
 
 /// Daemon-level configuration.
@@ -125,12 +131,13 @@ impl From<serde_json::Error> for ServeError {
     }
 }
 
-/// Reused per-batch workspace: indices of the submissions that passed
-/// the duplicate guard, their decisions, and their latencies. Carries
-/// no state between runs — every run clears it first.
+/// Reused per-batch workspace: indices of the requests the batch
+/// logs (new submissions and every withdrawal), and the submissions'
+/// decisions and latencies. Carries no state between batches — every
+/// batch clears it first.
 #[derive(Debug, Default)]
 struct BatchScratch {
-    accepted: Vec<usize>,
+    logged: Vec<usize>,
     decisions: Vec<DecisionRecord>,
     latencies: Vec<u64>,
 }
@@ -156,7 +163,6 @@ pub struct Daemon {
     /// written with one syscall.
     journal_buf: String,
     batch: BatchScratch,
-    resp_buf: Vec<Response>,
     /// The [`RUNNING_TOTALS`] as last mirrored into the registry.
     published: [u64; RUNNING_TOTALS.len()],
 }
@@ -234,35 +240,29 @@ impl Daemon {
             wal_offsets: Vec::new(),
             journal_buf: String::new(),
             batch: BatchScratch::default(),
-            resp_buf: Vec::new(),
             published: [0; RUNNING_TOTALS.len()],
         };
 
         // The duplicate-id guard must cover the entire submission
         // history. Records folded into the snapshot are scanned here;
-        // the replay below re-inserts the suffix through the live path.
+        // the suffix inserts its own ids as it goes through the
+        // pipeline, as one batch.
         let covered = usize::try_from(covered_records).unwrap_or(usize::MAX);
         for line in &payloads[..covered] {
-            if let Ok(Some(Request::Submit { job })) = crate::proto::parse_request(line) {
+            if let Ok(Some(Request::Submit { job })) = parse_request(line) {
                 daemon.seen.insert(job.id);
             }
         }
-
-        let replay = &payloads[covered..];
-        for line in replay {
-            let request = crate::proto::parse_request(line)
-                .map_err(|e| {
-                    ServeError::Persist(PersistError::Corrupt(format!(
-                        "gateway WAL record failed to parse on replay: {e}"
-                    )))
-                })?
-                .ok_or_else(|| {
-                    ServeError::Persist(PersistError::Corrupt(
-                        "gateway WAL holds an empty record".to_owned(),
-                    ))
-                })?;
-            daemon.apply(&request, false)?;
-        }
+        let replay = payloads[covered..]
+            .iter()
+            .map(|line| match parse_request(line) {
+                Ok(Some(request)) => Ok(request),
+                Ok(None) => Err("gateway WAL holds an empty record".to_owned()),
+                Err(e) => Err(format!("gateway WAL record failed to parse on replay: {e}")),
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|why| ServeError::Persist(PersistError::Corrupt(why)))?;
+        daemon.apply(&replay, false, &mut Vec::with_capacity(replay.len()))?;
         if fresh {
             return Ok((daemon, Resumption::Fresh));
         }
@@ -302,53 +302,37 @@ impl Daemon {
         std::sync::Arc::clone(&self.registry)
     }
 
-    /// Handles one parsed request: logs it, decides, journals, counts.
+    /// Handles one parsed request: a batch of one through
+    /// [`Daemon::handle_batch`].
     pub fn handle_request(&mut self, request: &Request) -> Response {
-        match self.apply(request, true) {
-            Ok(response) => response,
-            Err(e) => Response::Error {
-                message: e.to_string(),
-            },
-        }
+        let mut out = Vec::with_capacity(1);
+        self.handle_batch(std::slice::from_ref(request), &mut out);
+        out.pop().expect("a batch of one yields one response")
     }
 
     /// Handles a batch of parsed requests, pushing one response per
-    /// request onto `out` in order. Runs of consecutive submissions go
-    /// through the group-commit pipeline (one WAL append, one journal
-    /// write, one metrics pass for the whole run); everything else is
-    /// applied one at a time in place. Decision- and journal-equivalent
-    /// to `handle_request` per request — batch boundaries are a runtime
-    /// artifact, never replayed and never visible in the logs.
+    /// request onto `out` in order. The whole batch goes through the
+    /// request pipeline at once: one WAL append, one journal write and
+    /// one metrics pass. Batch boundaries are a runtime artifact, never
+    /// replayed and never visible in the logs: any split of a stream
+    /// into batches writes the same bytes and gets the same answers.
+    ///
+    /// An I/O failure answers every request in the batch with the same
+    /// [`Response::Error`]: either nothing was decided (a WAL error) or
+    /// a write after the decisions failed.
     pub fn handle_batch(&mut self, requests: &[Request], out: &mut Vec<Response>) {
-        if !requests.is_empty() {
-            let mut registry = metrics::lock(&self.registry);
-            registry.observe(BATCH_SIZE, &[], requests.len() as f64);
+        if requests.is_empty() {
+            return;
         }
+        metrics::lock(&self.registry).observe(BATCH_SIZE, &[], requests.len() as f64);
+        let start = out.len();
         out.reserve(requests.len());
-        let mut i = 0;
-        while i < requests.len() {
-            if !matches!(requests[i], Request::Submit { .. }) {
-                out.push(self.handle_request(&requests[i]));
-                i += 1;
-                continue;
-            }
-            let mut j = i + 1;
-            while j < requests.len() && matches!(requests[j], Request::Submit { .. }) {
-                j += 1;
-            }
-            let run = &requests[i..j];
-            if let Err(e) = self.apply_submit_run(run, true, out) {
-                // An I/O failure fails the whole run: nothing was
-                // decided (WAL error) or the journal is behind (write
-                // error); either way every caller gets the same answer.
-                let message = e.to_string();
-                for _ in 0..run.len() {
-                    out.push(Response::Error {
-                        message: message.clone(),
-                    });
-                }
-            }
-            i = j;
+        if let Err(e) = self.apply(requests, true, out) {
+            out.truncate(start);
+            let message = e.to_string();
+            out.extend(requests.iter().map(|_| Response::Error {
+                message: message.clone(),
+            }));
         }
     }
 
@@ -359,192 +343,141 @@ impl Daemon {
         registry.set_gauge(QUEUE_DEPTH, &[], depth as f64);
     }
 
-    /// The one request-application path, shared by live serving
-    /// (`live = true`: append to the WAL, maybe snapshot) and WAL
-    /// replay (`live = false`: the record is already durable). Journal
-    /// appends happen on both paths — that is what regenerates the
-    /// entries a crash cut off.
-    fn apply(&mut self, request: &Request, live: bool) -> Result<Response, ServeError> {
-        match request {
-            Request::Submit { .. } => {
-                let mut out = std::mem::take(&mut self.resp_buf);
-                out.clear();
-                let result = self.apply_submit_run(std::slice::from_ref(request), live, &mut out);
-                let response = out.pop();
-                self.resp_buf = out;
-                result?;
-                Ok(response.expect("a run of one submission yields one response"))
-            }
-            Request::Withdraw { job, at_seconds } => {
-                if live {
-                    self.wal_buf.clear();
-                    render_request_into(request, &mut self.wal_buf);
-                    let record = std::mem::take(&mut self.wal_buf);
-                    let appended = self.wal.append_payload(record.as_bytes());
-                    self.wal_buf = record;
-                    appended?;
-                }
-                let lapsed = self.gateway.withdraw(*job, *at_seconds);
-                self.publish_state();
-                Ok(Response::Withdrawn { job: *job, lapsed })
-            }
-            Request::Stats {} => Ok(Response::Stats {
-                stats: self.gateway.stats(),
-                active_guaranteed: self.gateway.active_guaranteed(),
-            }),
-            Request::Shutdown {} => Ok(Response::Bye {}),
-        }
-    }
-
-    /// Applies a run of consecutive submissions through the batched
-    /// pipeline: dedup → one group-committed WAL append → decide →
-    /// one journal write → one metrics pass. Pushes one response per
-    /// submission, in order. The WAL-before-decide discipline holds for
-    /// the run as a whole: every record is on disk before the first
-    /// outcome exists, so the journal can never lead the WAL.
-    fn apply_submit_run(
+    /// The one request pipeline, shared by live serving (`live = true`)
+    /// and WAL replay (`live = false`: the records are already durable):
+    /// dedup → one group-committed WAL append → decide in request order
+    /// → one journal write → one metrics pass → snapshot if due. Pushes
+    /// one response per request onto `out`, in order. Every logged
+    /// record is on disk before the first decision exists, so the
+    /// journal can never lead the WAL. Journal appends happen on both
+    /// paths — that is what regenerates the entries a crash cut off.
+    fn apply(
         &mut self,
-        run: &[Request],
+        requests: &[Request],
         live: bool,
         out: &mut Vec<Response>,
     ) -> Result<(), ServeError> {
-        fn submission(request: &Request) -> &JobSubmission {
-            match request {
-                Request::Submit { job } => job,
-                _ => unreachable!("submit runs contain only submissions"),
-            }
-        }
-
         // The batch-entry timestamp: each decision's latency is measured
         // from here, so queueing behind earlier members of the batch is
         // charged to the decisions it delays.
         let t0 = self.clock.now_nanos();
-        let mut scratch = std::mem::take(&mut self.batch);
-        scratch.accepted.clear();
-        scratch.decisions.clear();
-        scratch.latencies.clear();
+        self.batch.logged.clear();
+        self.batch.decisions.clear();
+        self.batch.latencies.clear();
+        self.journal_buf.clear();
 
-        // Duplicates (including duplicates *within* the run — the
-        // inserts are sequential) are rejected before the WAL ever sees
-        // the records, so the log never contains one and replay never
-        // has to suppress one.
-        for (i, request) in run.iter().enumerate() {
-            if self.seen.insert(submission(request).id) {
-                scratch.accepted.push(i);
+        // Dedup. A submission is logged only when its id is new; the
+        // inserts are sequential, so a duplicate inside the batch is
+        // rejected too. The WAL therefore never holds a duplicate and
+        // replay never has to suppress one. Every withdrawal is logged;
+        // `Stats` and `Shutdown` never are.
+        for (i, request) in requests.iter().enumerate() {
+            let logged = match request {
+                Request::Submit { job } => self.seen.insert(job.id),
+                Request::Withdraw { .. } => true,
+                Request::Stats {} | Request::Shutdown {} => false,
+            };
+            if logged {
+                self.batch.logged.push(i);
             }
         }
 
-        // Group commit: one render pass over the run into the reused
-        // buffer, one write, one policy-dependent sync. On failure
-        // nothing has been decided yet — roll the dedup guard back so
-        // the submissions can be retried.
-        if live && !scratch.accepted.is_empty() {
+        // Group commit: one render pass into the reused buffer, one
+        // write, one policy-dependent sync. On failure nothing has been
+        // decided yet — roll the dedup guard back so the submissions
+        // can be retried.
+        if live && !self.batch.logged.is_empty() {
             self.wal_buf.clear();
             self.wal_offsets.clear();
             self.wal_offsets.push(0);
-            for &i in &scratch.accepted {
-                render_submit_into(submission(&run[i]), &mut self.wal_buf);
+            for &i in &self.batch.logged {
+                render_request_into(&requests[i], &mut self.wal_buf);
                 self.wal_offsets.push(self.wal_buf.len());
             }
-            let Daemon {
-                wal,
-                wal_buf,
-                wal_offsets,
-                ..
-            } = self;
-            let payloads = wal_offsets
-                .windows(2)
-                .map(|w| &wal_buf.as_bytes()[w[0]..w[1]]);
-            if let Err(e) = wal.append_batch(payloads) {
-                for &i in &scratch.accepted {
-                    self.seen.remove(&submission(&run[i]).id);
+            let bytes = self.wal_buf.as_bytes();
+            let payloads = self.wal_offsets.windows(2).map(|w| &bytes[w[0]..w[1]]);
+            if let Err(e) = self.wal.append_batch(payloads) {
+                for &i in &self.batch.logged {
+                    if let Request::Submit { job } = &requests[i] {
+                        self.seen.remove(&job.id);
+                    }
                 }
-                self.batch = scratch;
                 return Err(e.into());
             }
         }
-        let base_seq = self.wal.records()
-            - if live {
-                scratch.accepted.len() as u64
-            } else {
-                0
-            };
 
-        for &i in &scratch.accepted {
-            let decision = self.gateway.submit(submission(&run[i]));
-            scratch
-                .latencies
-                .push(self.clock.now_nanos().saturating_sub(t0));
-            scratch.decisions.push(decision);
+        // Decide in request order, rendering each decision's journal
+        // line as it is made. A logged request's `seq` is its WAL record
+        // number.
+        let base_seq = self.wal.records() - self.batch.logged.len() as u64;
+        let mut logged_so_far = 0;
+        for (i, request) in requests.iter().enumerate() {
+            let logged = self.batch.logged.get(logged_so_far) == Some(&i);
+            logged_so_far += usize::from(logged);
+            out.push(match request {
+                Request::Submit { job } if logged => {
+                    let decision = self.gateway.submit(job);
+                    let latency = self.clock.now_nanos().saturating_sub(t0);
+                    self.batch.latencies.push(latency);
+                    self.batch.decisions.push(decision);
+                    render_journal_entry_into(
+                        job.arrival_seconds,
+                        &decision,
+                        &mut self.journal_buf,
+                    );
+                    self.journal_buf.push('\n');
+                    Response::Decision {
+                        job: job.id,
+                        seq: base_seq + logged_so_far as u64,
+                        admitted: matches!(decision, DecisionRecord::Admit { .. }),
+                        decision,
+                    }
+                }
+                Request::Submit { job } => Response::Error {
+                    message: format!("job id {} was already submitted", job.id),
+                },
+                Request::Withdraw { job, at_seconds } => Response::Withdrawn {
+                    job: *job,
+                    lapsed: self.gateway.withdraw(*job, *at_seconds),
+                },
+                Request::Stats {} => Response::Stats {
+                    stats: self.gateway.stats(),
+                    active_guaranteed: self.gateway.active_guaranteed(),
+                },
+                Request::Shutdown {} => Response::Bye {},
+            });
         }
 
-        // One journal write for the whole run. Rendering is pinned
-        // byte-identical to serde's, so replay (which runs unbatched)
-        // regenerates exactly these bytes.
-        self.journal_buf.clear();
-        for (k, &i) in scratch.accepted.iter().enumerate() {
-            render_journal_entry_into(
-                submission(&run[i]).arrival_seconds,
-                &scratch.decisions[k],
-                &mut self.journal_buf,
-            );
-            self.journal_buf.push('\n');
-        }
-        if let Err(e) = self.journal.write_all(self.journal_buf.as_bytes()) {
-            self.batch = scratch;
-            return Err(e.into());
-        }
-        self.journal_entries += scratch.accepted.len() as u64;
+        // One journal write for the whole batch. Rendering is pinned
+        // byte-identical to serde's, so no batch split shows in it.
+        self.journal.write_all(self.journal_buf.as_bytes())?;
+        self.journal_entries += self.batch.decisions.len() as u64;
 
-        self.record_run(&scratch, live);
+        if !self.batch.logged.is_empty() {
+            self.record_batch(live);
+            self.publish_state();
+        }
 
-        // Snapshot when the run crossed a cadence boundary (at run
-        // length 1 this is exactly the old is-multiple-of check). The
-        // snapshot lands at the run's end rather than mid-run — timing
-        // is a runtime artifact, never replayed.
+        // Snapshot when the batch crossed a cadence boundary. It lands
+        // at the batch's end rather than mid-batch — timing is a runtime
+        // artifact, never replayed.
         if live && self.config.snapshot_every > 0 {
             let after = self.gateway.stats().submissions;
-            let before = after - scratch.accepted.len() as u64;
+            let before = after - self.batch.decisions.len() as u64;
             if before / self.config.snapshot_every != after / self.config.snapshot_every {
-                if let Err(e) = self.snapshot_now() {
-                    self.batch = scratch;
-                    return Err(e.into());
-                }
+                self.snapshot_now()?;
             }
         }
-
-        let mut k = 0;
-        for (i, request) in run.iter().enumerate() {
-            let job = submission(request);
-            if k < scratch.accepted.len() && scratch.accepted[k] == i {
-                let decision = scratch.decisions[k];
-                k += 1;
-                out.push(Response::Decision {
-                    job: job.id,
-                    seq: base_seq + k as u64,
-                    admitted: matches!(decision, DecisionRecord::Admit { .. }),
-                    decision,
-                });
-            } else {
-                out.push(Response::Error {
-                    message: format!("job id {} was already submitted", job.id),
-                });
-            }
-        }
-        self.batch = scratch;
         Ok(())
     }
 
-    /// One metrics pass for a whole run: aggregated counter bumps, one
-    /// latency sample per decision (live only — replayed decisions
-    /// carry replay timing, not serving latency), one gauge publish.
-    fn record_run(&mut self, scratch: &BatchScratch, live: bool) {
-        if scratch.decisions.is_empty() {
-            return;
-        }
+    /// The batch's decision metrics: aggregated counter bumps and one
+    /// latency sample per decision (live only — replayed decisions carry
+    /// replay timing, not serving latency).
+    fn record_batch(&mut self, live: bool) {
         let mut admits = 0u64;
         let mut declines = [0u64; 3]; // candidate_infeasible, would_displace, unexplained
-        for decision in &scratch.decisions {
+        for decision in &self.batch.decisions {
             match decision {
                 DecisionRecord::Admit { .. } => admits += 1,
                 DecisionRecord::Decline { reason, .. } => match reason {
@@ -578,12 +511,10 @@ impl Daemon {
             }
         }
         if live {
-            for &nanos in &scratch.latencies {
+            for &nanos in &self.batch.latencies {
                 registry.observe(DECISION_LATENCY, &[], nanos as f64 / 1e9);
             }
         }
-        drop(registry);
-        self.publish_state();
     }
 
     /// Publishes the gateway's state: the gauges, and the running
@@ -637,6 +568,7 @@ impl Daemon {
 mod tests {
     use super::*;
     use crate::metrics::gateway_registry;
+    use crate::proto::JobSubmission;
     use elasticflow_perfmodel::DnnModel;
     use elasticflow_telemetry::TickClock;
     use std::path::PathBuf;

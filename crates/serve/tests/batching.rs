@@ -1,10 +1,11 @@
 //! Property: batching is invisible in the durable record.
 //!
 //! For an arbitrary arrival stream (mixed deadline/best-effort work,
-//! duplicate ids, interleaved withdrawals) chopped by an arbitrary
-//! batch-size schedule, the batched daemon must produce the same
-//! responses and *byte-identical* `decisions.jsonl` and `gateway.wal`
-//! files as a daemon fed the stream one request at a time. Batch
+//! duplicate ids, interleaved withdrawals and `Stats` queries) chopped
+//! by an arbitrary batch-size schedule, the batched daemon must produce
+//! the same responses and *byte-identical* `decisions.jsonl` and
+//! `gateway.wal` files as a daemon fed the stream one request at a
+//! time, and must recover from those files to the same state. Batch
 //! boundaries are a runtime artifact: they change how many syscalls the
 //! run takes, never which bytes it writes.
 
@@ -64,6 +65,9 @@ enum Event {
     Submit(u64, f64, Option<f64>),
     /// Withdraw the id slot (may or may not name a committed job).
     Withdraw(u64),
+    /// Ask for the counters; the answer depends on the position inside
+    /// a batch.
+    Stats,
 }
 
 fn events() -> impl Strategy<Value = Vec<Event>> {
@@ -74,6 +78,7 @@ fn events() -> impl Strategy<Value = Vec<Event>> {
             2 => (0u64..48, 0.0f64..90.0)
                 .prop_map(|(id, gap)| Event::Submit(id, gap, None)),
             1 => (0u64..48).prop_map(Event::Withdraw),
+            1 => Just(Event::Stats),
         ],
         1..60,
     )
@@ -105,6 +110,7 @@ fn materialize(events: &[Event]) -> Vec<Request> {
                 job: *id,
                 at_seconds: t,
             },
+            Event::Stats => Request::Stats {},
         })
         .collect()
 }
@@ -153,7 +159,16 @@ proptest! {
         prop_assert_eq!(batched.stats(), seq_stats, "stats diverged");
         drop(batched);
         let (journal, wal) = durable_files(&batch_root);
-        prop_assert_eq!(journal, seq_journal, "journal bytes diverged");
-        prop_assert_eq!(wal, seq_wal, "wal bytes diverged");
+        prop_assert_eq!(&journal, &seq_journal, "journal bytes diverged");
+        prop_assert_eq!(&wal, &seq_wal, "wal bytes diverged");
+
+        // Recovery replays the WAL suffix past the batched run's last
+        // snapshot — withdrawals included — through the same pipeline.
+        let reopened = open(&batch_root, fsync);
+        prop_assert_eq!(reopened.stats(), seq_stats, "stats diverged after replay");
+        drop(reopened);
+        let (journal, wal) = durable_files(&batch_root);
+        prop_assert_eq!(journal, seq_journal, "journal bytes diverged after replay");
+        prop_assert_eq!(wal, seq_wal, "wal bytes diverged after replay");
     }
 }

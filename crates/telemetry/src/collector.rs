@@ -162,11 +162,6 @@ impl MetricsCollector {
     pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
         &mut self.registry
     }
-
-    /// Consumes the collector into its registry.
-    pub fn into_registry(self) -> MetricsRegistry {
-        self.registry
-    }
 }
 
 impl SimObserver for MetricsCollector {
@@ -301,7 +296,7 @@ mod tests {
             &mut EdfScheduler::new(),
             &mut [&mut collector],
         );
-        collector.into_registry()
+        collector.registry().clone()
     }
 
     #[test]
@@ -357,7 +352,7 @@ mod tests {
             &mut elasticflow_core::ElasticFlowScheduler::new(),
             &mut [&mut collector],
         );
-        let reg = collector.into_registry();
+        let reg = collector.registry().clone();
         // One admit/decline decision per submitted job.
         let admits = reg.counter_value("ef_decisions_total", &[("kind", "admit")]);
         let declines = reg.counter_value("ef_decisions_total", &[("kind", "decline")]);

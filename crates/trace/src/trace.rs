@@ -1,42 +1,14 @@
-//! A named collection of jobs with persistence.
-
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::path::Path;
+//! A named collection of jobs.
 
 use serde::{Deserialize, Serialize};
 
 use crate::{JobKind, JobSpec};
 
 /// A workload trace: jobs sorted by submission time.
-///
-/// Traces serialize to JSON Lines (one job per line, with a header line)
-/// so they can be inspected, diffed, and replayed.
-///
-/// # Example
-///
-/// ```
-/// use elasticflow_trace::{Trace, TraceConfig};
-/// use elasticflow_perfmodel::Interconnect;
-///
-/// let trace = TraceConfig::testbed_small(1).generate(&Interconnect::paper_testbed());
-/// let dir = std::env::temp_dir().join("ef-trace-doc.jsonl");
-/// trace.save(&dir)?;
-/// let back = Trace::load(&dir)?;
-/// assert_eq!(trace.jobs(), back.jobs());
-/// # std::fs::remove_file(&dir).ok();
-/// # Ok::<(), std::io::Error>(())
-/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     name: String,
     jobs: Vec<JobSpec>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct Header {
-    name: String,
-    num_jobs: usize,
 }
 
 impl Trace {
@@ -106,60 +78,6 @@ impl Trace {
             .map(|j| j.trace_gpus as f64 * j.trace_duration)
             .sum()
     }
-
-    /// Writes the trace as JSON Lines: a header line then one job per line.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O or serialization error.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let file = File::create(path)?;
-        let mut w = BufWriter::new(file);
-        let header = Header {
-            name: self.name.clone(),
-            num_jobs: self.jobs.len(),
-        };
-        serde_json::to_writer(&mut w, &header)?;
-        w.write_all(b"\n")?;
-        for job in &self.jobs {
-            serde_json::to_writer(&mut w, job)?;
-            w.write_all(b"\n")?;
-        }
-        w.flush()
-    }
-
-    /// Reads a trace previously written by [`Trace::save`].
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error, a missing header, or malformed job lines.
-    pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
-        let file = File::open(path)?;
-        let mut lines = BufReader::new(file).lines();
-        let header_line = lines
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty trace file"))??;
-        let header: Header = serde_json::from_str(&header_line)?;
-        let mut jobs = Vec::with_capacity(header.num_jobs);
-        for line in lines {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            jobs.push(serde_json::from_str(&line)?);
-        }
-        if jobs.len() != header.num_jobs {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "trace header promises {} jobs but file has {}",
-                    header.num_jobs,
-                    jobs.len()
-                ),
-            ));
-        }
-        Ok(Trace::new(header.name, jobs))
-    }
 }
 
 impl Extend<JobSpec> for Trace {
@@ -194,29 +112,6 @@ mod tests {
             .build();
         let t = Trace::new("x", vec![a, b]);
         assert_eq!(t.jobs()[0].id, JobId::new(1));
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let t = sample_trace();
-        let path = std::env::temp_dir().join("ef-trace-test.jsonl");
-        t.save(&path).unwrap();
-        let back = Trace::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn load_rejects_truncated_files() {
-        let t = sample_trace();
-        let path = std::env::temp_dir().join("ef-trace-trunc.jsonl");
-        t.save(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let keep: Vec<&str> = text.lines().take(5).collect();
-        std::fs::write(&path, keep.join("\n")).unwrap();
-        let err = Trace::load(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

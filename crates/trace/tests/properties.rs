@@ -94,20 +94,4 @@ proptest! {
         let b = cfg.generate(&net);
         prop_assert_eq!(a.jobs(), b.jobs());
     }
-
-    /// Save/load round-trips exactly for arbitrary generated traces.
-    #[test]
-    fn save_load_roundtrip(cfg in any_config()) {
-        let net = Interconnect::paper_testbed();
-        let trace = cfg.generate(&net);
-        let path = std::env::temp_dir().join(format!(
-            "ef-prop-trace-{}-{}.jsonl",
-            std::process::id(),
-            cfg.seed
-        ));
-        trace.save(&path).expect("save");
-        let back = elasticflow_trace::Trace::load(&path).expect("load");
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(trace, back);
-    }
 }
