@@ -16,6 +16,12 @@ struct Claim {
 
 /// Runs every shape check and reports PASS/FAIL per claim.
 pub fn run(seed: u64) -> Vec<Table> {
+    check(seed).0
+}
+
+/// Runs every shape check: the PASS/FAIL table, and whether every claim
+/// held.
+pub fn check(seed: u64) -> (Vec<Table>, bool) {
     let net = Interconnect::paper_testbed();
     let mut claims: Vec<Claim> = Vec::new();
 
@@ -154,7 +160,7 @@ pub fn run(seed: u64) -> Vec<Table> {
             "FAIL".into()
         },
     ]);
-    vec![table]
+    (vec![table], all_pass)
 }
 
 #[cfg(test)]

@@ -38,6 +38,9 @@
 //! mid-run kill, recovery — and exits nonzero if the resumed report or
 //! the recovered write-ahead log diverges.
 //!
+//! `verify-shapes` checks the paper's qualitative claims and exits
+//! nonzero if any of them reads FAIL.
+//!
 //! `explain` prints the human-readable decision trail — admissions,
 //! declines (with the binding window and GPU-slot shortfall), resizes,
 //! migrations, preemptions, pauses — for the seeded golden workload, or
@@ -48,7 +51,7 @@
 
 use std::process::ExitCode;
 
-use elasticflow_bench::experiments::registry;
+use elasticflow_bench::experiments::{registry, verify};
 use elasticflow_bench::instrument::RunSettings;
 
 struct Options {
@@ -235,6 +238,15 @@ fn main() -> ExitCode {
                 elasticflow_bench::parallel::jobs()
             );
             ExitCode::SUCCESS
+        }
+        "verify-shapes" => {
+            let (tables, all_pass) = verify::check(opts.seed);
+            emit(tables, opts.json);
+            if all_pass {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            }
         }
         name => match registry.iter().find(|e| e.name == name) {
             Some(exp) => {

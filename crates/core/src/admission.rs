@@ -376,19 +376,17 @@ impl AdmissionSet {
         if horizon_slots == 0 {
             return 0.0;
         }
-        let ledger = &self.ledger;
-        // Per-slot commitments are small integers, so summing them in f64
-        // is exact — when nothing exceeds the cluster size the clamp is
-        // the identity and the integer prefix sum gives the same value
-        // without a walk past the ledger's end.
-        let total = if ledger.peak() <= self.total_gpus {
-            ledger.committed_before(horizon_slots) as f64
-        } else {
-            (0..horizon_slots)
-                .map(|t| ledger.committed(t).min(self.total_gpus) as f64)
-                .sum()
-        };
-        total / (horizon_slots as f64 * self.total_gpus as f64)
+        // Slots past the ledger's end are free; a slot booked past the
+        // cluster size counts as full. Per-slot commitments are small
+        // integers, so the f64 sum is exact. The fold starts at +0.0
+        // (`Sum` starts at -0.0), so an empty ledger books 0, not -0.
+        let total = self
+            .ledger
+            .committed_slots()
+            .iter()
+            .take(horizon_slots)
+            .fold(0.0, |acc, &c| acc + f64::from(c.min(self.total_gpus)));
+        total / (horizon_slots as f64 * f64::from(self.total_gpus))
     }
 
     /// The committed reservation ledger of every job in the set.
@@ -1147,6 +1145,48 @@ mod tests {
         assert!(set.admit(job(1, 2.0, 2), &grid, s).is_err());
         assert!(set.withdraw(JobId::new(0), &grid, s).is_empty());
         assert!(set.admit(job(1, 2.0, 2), &grid, s).is_ok());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// The clamped sum equals the peak-switched form — a whole-ledger
+        /// scan for the peak choosing between the clamped sum and the
+        /// integer prefix sum — bit for bit on random ledgers,
+        /// over-committed ones included.
+        #[test]
+        fn booked_fraction_matches_the_peak_switched_form(
+            gpus in proptest::prop::collection::vec(
+                proptest::prop::collection::vec(0u32..6, 0..40),
+                0..6,
+            ),
+            total_gpus in 1u32..16,
+            horizon in 0usize..64,
+        ) {
+            let mut ledger = ReservationLedger::new();
+            for profile in gpus {
+                ledger.commit(&AllocationProfile::new(profile));
+            }
+            let old = if horizon == 0 {
+                0.0
+            } else {
+                let total = if ledger.peak() <= total_gpus {
+                    ledger.committed_before(horizon) as f64
+                } else {
+                    (0..horizon)
+                        .map(|t| ledger.committed(t).min(total_gpus) as f64)
+                        .sum()
+                };
+                total / (horizon as f64 * total_gpus as f64)
+            };
+            let set = AdmissionSet {
+                total_gpus,
+                jobs: Vec::new(),
+                profiles: Vec::new(),
+                targets: Vec::new(),
+                ledger,
+            };
+            proptest::prop_assert_eq!(set.booked_fraction(horizon).to_bits(), old.to_bits());
+        }
     }
 
     /// The fill kernel's work counters on a fixed crowded instance: a

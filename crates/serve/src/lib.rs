@@ -47,8 +47,8 @@ pub use gateway::{Gateway, GatewayConfig, GatewayStats, SnapshotJob};
 pub use loadgen::{loadgen_stream, LoadgenConfig};
 pub use metrics::{gateway_registry, spawn_exporter, SharedRegistry};
 pub use proto::{
-    parse_request, render_request_into, render_response, JobSubmission, LineReader, Request,
-    Response,
+    parse_request, render_request_into, render_response, render_response_into, JobSubmission,
+    LineReader, Request, Response,
 };
 pub use store::{GatewayDir, GatewaySnapshot};
 
@@ -96,7 +96,6 @@ pub fn serve_connection<R: Read, W: Write>(
     let mut responses: Vec<Response> = Vec::with_capacity(batch);
     let mut out_buf = String::new();
     loop {
-        slots.clear();
         requests.clear();
         let mut saw_shutdown = false;
         let mut eof = false;
@@ -141,16 +140,14 @@ pub fn serve_connection<R: Read, W: Write>(
 
         out_buf.clear();
         let mut next = 0;
-        for slot in &slots {
+        for slot in slots.drain(..) {
             match slot {
                 LineSlot::Parsed => {
-                    out_buf.push_str(&render_response(&responses[next]));
+                    render_response_into(&responses[next], &mut out_buf);
                     next += 1;
                 }
                 LineSlot::Failed(message) => {
-                    out_buf.push_str(&render_response(&Response::Error {
-                        message: message.clone(),
-                    }));
+                    render_response_into(&Response::Error { message }, &mut out_buf);
                 }
             }
             out_buf.push('\n');

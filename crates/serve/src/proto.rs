@@ -16,7 +16,7 @@
 //! ```
 
 use elasticflow_perfmodel::DnnModel;
-use elasticflow_sched::DecisionRecord;
+use elasticflow_sched::{CapacityShortfall, DecisionRecord, DeclineReason};
 use serde::{Deserialize, Serialize};
 
 use crate::gateway::GatewayStats;
@@ -317,11 +317,125 @@ pub fn render_submit_into(job: &JobSubmission, out: &mut String) {
     out.push_str("}}}");
 }
 
-/// Serializes a response as one JSONL line (no trailing newline).
+/// Renders a decision record into `out`, byte-for-byte what
+/// `serde_json::to_string(decision)` produces. The admit and decline
+/// shapes the gateway emits are rendered by hand; the simulator-only
+/// variants (resize, preempt, migrate, pause) fall back to serde. Both
+/// the response line and the journal entry render decisions through
+/// here.
+pub(crate) fn render_decision_into(decision: &DecisionRecord, out: &mut String) {
+    use std::fmt::Write;
+
+    fn push_shortfall(out: &mut String, s: &CapacityShortfall) {
+        use std::fmt::Write;
+        let _ = write!(
+            out,
+            "{{\"window_slots\":{},\"demand_gpu_slots\":",
+            s.window_slots
+        );
+        push_f64(out, s.demand_gpu_slots);
+        out.push_str(",\"free_gpu_slots\":");
+        push_f64(out, s.free_gpu_slots);
+        out.push('}');
+    }
+
+    match decision {
+        DecisionRecord::Admit { job } => {
+            let _ = write!(out, "{{\"Admit\":{{\"job\":{}}}}}", job.raw());
+        }
+        DecisionRecord::Decline { job, reason } => {
+            let _ = write!(out, "{{\"Decline\":{{\"job\":{},\"reason\":", job.raw());
+            match reason {
+                DeclineReason::CandidateInfeasible { shortfall } => {
+                    out.push_str("{\"CandidateInfeasible\":{\"shortfall\":");
+                    push_shortfall(out, shortfall);
+                    out.push_str("}}");
+                }
+                DeclineReason::WouldDisplace {
+                    blocking_job,
+                    shortfall,
+                } => {
+                    let _ = write!(
+                        out,
+                        "{{\"WouldDisplace\":{{\"blocking_job\":{},\"shortfall\":",
+                        blocking_job.raw()
+                    );
+                    push_shortfall(out, shortfall);
+                    out.push_str("}}");
+                }
+                DeclineReason::Unexplained => out.push_str("\"Unexplained\""),
+            }
+            out.push_str("}}");
+        }
+        // Simulator-only variants: not on the gateway's hot path, so a
+        // serde round through the `Value` tree is fine.
+        DecisionRecord::Resize { .. }
+        | DecisionRecord::Preempt { .. }
+        | DecisionRecord::Migrate { .. }
+        | DecisionRecord::Pause { .. } => {
+            if let Ok(line) = serde_json::to_string(decision) {
+                out.push_str(&line);
+            }
+        }
+    }
+}
+
+/// Renders one response into `out` (appending; no trailing newline),
+/// producing byte-for-byte the line `serde_json::to_string` would.
+/// Decisions, withdrawal acknowledgements and `Bye` — every answer on
+/// the serving hot path — are rendered by hand without allocating;
+/// `Stats` and `Error` fall back to serde. The equality is pinned by
+/// tests over every response shape.
+pub fn render_response_into(response: &Response, out: &mut String) {
+    use std::fmt::Write;
+    match response {
+        Response::Decision {
+            job,
+            seq,
+            admitted,
+            decision,
+        } => {
+            let _ = write!(
+                out,
+                "{{\"Decision\":{{\"job\":{job},\"seq\":{seq},\"admitted\":{admitted},\"decision\":"
+            );
+            render_decision_into(decision, out);
+            out.push_str("}}");
+        }
+        Response::Withdrawn { job, lapsed } => {
+            let _ = write!(out, "{{\"Withdrawn\":{{\"job\":{job},\"lapsed\":[");
+            for (i, id) in lapsed.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{id}");
+            }
+            out.push_str("]}}");
+        }
+        Response::Bye {} => out.push_str("{\"Bye\":{}}"),
+        Response::Stats { .. } | Response::Error { .. } => match serde_json::to_string(response) {
+            Ok(line) => out.push_str(&line),
+            Err(e) => {
+                let _ = write!(
+                    out,
+                    "{{\"Error\":{{\"message\":\"response serialization failed: {e}\"}}}}"
+                );
+            }
+        },
+    }
+}
+
+/// Bytes reserved for one owned response line: a decision line, the
+/// answer to nearly every request, fits unless its ids and shortfall
+/// all run to full width, so rendering one allocates once.
+const RESPONSE_LINE_CAPACITY: usize = 256;
+
+/// Serializes a response as one JSONL line (no trailing newline); see
+/// [`render_response_into`].
 pub fn render_response(response: &Response) -> String {
-    serde_json::to_string(response).unwrap_or_else(|e| {
-        format!("{{\"Error\":{{\"message\":\"response serialization failed: {e}\"}}}}")
-    })
+    let mut out = String::with_capacity(RESPONSE_LINE_CAPACITY);
+    render_response_into(response, &mut out);
+    out
 }
 
 /// A line reader over one reused buffer: the ingestion half of the
@@ -467,6 +581,7 @@ fn as_line(bytes: &[u8]) -> std::io::Result<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn submit_round_trips() {
@@ -561,6 +676,119 @@ mod tests {
             out.clear();
             render_request_into(req, &mut out);
             assert_eq!(out, serde_json::to_string(req).unwrap(), "{req:?}");
+        }
+    }
+
+    /// One response of every shape, picked by `shape`; the other inputs
+    /// fill its fields. `special` swaps in a non-finite or signed-zero
+    /// shortfall field, which must render as serde renders it.
+    fn response_of_shape(
+        shape: u32,
+        (job, seq, other): (u64, u64, u64),
+        x: f64,
+        special: usize,
+        lapsed: Vec<u64>,
+        message: String,
+    ) -> Response {
+        use elasticflow_sched::PauseCause;
+        use elasticflow_trace::JobId;
+
+        let odd = [x, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][special];
+        let shortfall = CapacityShortfall {
+            window_slots: other,
+            demand_gpu_slots: odd,
+            free_gpu_slots: x * 0.5,
+        };
+        let (id, gpus) = (JobId::new(job), other as u32);
+        let decision = match shape {
+            0 => DecisionRecord::Admit { job: id },
+            1 => DecisionRecord::Decline {
+                job: id,
+                reason: DeclineReason::CandidateInfeasible { shortfall },
+            },
+            2 => DecisionRecord::Decline {
+                job: id,
+                reason: DeclineReason::WouldDisplace {
+                    blocking_job: JobId::new(other),
+                    shortfall,
+                },
+            },
+            3 => DecisionRecord::Decline {
+                job: id,
+                reason: DeclineReason::Unexplained,
+            },
+            // Simulator-only decisions take the serde fallback.
+            4 => DecisionRecord::Resize {
+                job: id,
+                from: gpus,
+                to: gpus / 2,
+            },
+            5 => DecisionRecord::Preempt { job: id, gpus },
+            6 => DecisionRecord::Migrate { job: id, gpus },
+            7 => DecisionRecord::Pause {
+                job: id,
+                seconds: odd,
+                cause: [PauseCause::Scale, PauseCause::Migrate, PauseCause::Recovery][special % 3],
+            },
+            8 => return Response::Withdrawn { job, lapsed },
+            9 => {
+                return Response::Stats {
+                    stats: GatewayStats {
+                        submissions: job,
+                        admitted: seq,
+                        declined: other,
+                        best_effort: job / 3,
+                        completed: seq / 5,
+                        expired: other / 7,
+                        lapsed: lapsed.len() as u64,
+                        withdrawn: special as u64,
+                    },
+                    active_guaranteed: job ^ seq,
+                }
+            }
+            10 => return Response::Error { message },
+            _ => return Response::Bye {},
+        };
+        Response::Decision {
+            job,
+            seq,
+            admitted: matches!(decision, DecisionRecord::Admit { .. }),
+            decision,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Every response shape renders byte-for-byte as serde renders
+        /// it: the hand-rendered decisions (admit and each decline
+        /// reason, non-finite shortfalls included), withdrawals with any
+        /// number of lapsed ids, and `Bye`; and the serde fallback for
+        /// the simulator-only decisions, `Stats`, and `Error` messages
+        /// carrying quotes, backslashes, control characters and
+        /// non-ASCII text (client bytes reach them).
+        #[test]
+        fn render_response_into_matches_serde_byte_for_byte(
+            shape in 0u32..12,
+            ids in (any::<u64>(), any::<u64>(), any::<u64>()),
+            x in -1e12f64..1e12,
+            special in 0usize..5,
+            lapsed in prop::collection::vec(any::<u64>(), 0..6),
+            chars in prop::collection::vec(
+                prop::sample::select(vec![
+                    'a', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}',
+                    '\u{1f}', '\u{7f}', 'é', '✓', '😀',
+                ]),
+                0..24,
+            ),
+        ) {
+            let message: String = chars.into_iter().collect();
+            let response = response_of_shape(shape, ids, x, special, lapsed, message);
+            // Appends after whatever the buffer already holds.
+            let mut out = String::from("prefix\n");
+            render_response_into(&response, &mut out);
+            let reference = serde_json::to_string(&response).unwrap();
+            prop_assert_eq!(&out["prefix\n".len()..], reference.as_str(), "{:?}", response);
+            prop_assert_eq!(render_response(&response), reference);
         }
     }
 

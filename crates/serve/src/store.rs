@@ -28,12 +28,12 @@ use std::path::{Path, PathBuf};
 
 use elasticflow_persist::records::{self, LogKind, RecordLog};
 use elasticflow_persist::{PersistError, SnapshotKind, SnapshotPayload, SnapshotStore};
-use elasticflow_sched::{CapacityShortfall, DecisionRecord, DeclineReason};
-use elasticflow_telemetry::{JournalEntry, JOURNAL_MAGIC, JOURNAL_VERSION};
+use elasticflow_sched::DecisionRecord;
+use elasticflow_telemetry::{JOURNAL_MAGIC, JOURNAL_VERSION};
 use serde::{Deserialize, Serialize};
 
 use crate::gateway::{GatewayConfig, GatewayStats, SnapshotJob};
-use crate::proto::push_f64;
+use crate::proto::{push_f64, render_decision_into};
 
 /// The [`SnapshotKind`] of gateway snapshot files.
 pub const GATEWAY_SNAPSHOT_KIND: SnapshotKind = SnapshotKind {
@@ -89,78 +89,15 @@ pub fn journal_header() -> String {
 
 /// Appends one journal entry line (no trailing newline) to `out`,
 /// byte-for-byte what `serde_json::to_string(&JournalEntry { t,
-/// decision })` produces — without building a `Value` tree. The admit
-/// and decline shapes the gateway emits are rendered by hand; the
-/// simulator-only variants (resize, preempt, migrate, pause) fall back
-/// to serde, keeping the function total. Equality with serde is pinned
-/// by tests over every shape.
+/// decision })` produces — without building a `Value` tree for the
+/// admit and decline shapes the gateway emits (the decision renders as
+/// it does in a response line). Equality with serde is pinned by tests
+/// over every shape.
 pub fn render_journal_entry_into(t: f64, decision: &DecisionRecord, out: &mut String) {
-    use std::fmt::Write;
-
-    fn push_shortfall(out: &mut String, s: &CapacityShortfall) {
-        use std::fmt::Write;
-        let _ = write!(
-            out,
-            "{{\"window_slots\":{},\"demand_gpu_slots\":",
-            s.window_slots
-        );
-        push_f64(out, s.demand_gpu_slots);
-        out.push_str(",\"free_gpu_slots\":");
-        push_f64(out, s.free_gpu_slots);
-        out.push('}');
-    }
-
-    if !matches!(
-        decision,
-        DecisionRecord::Admit { .. } | DecisionRecord::Decline { .. }
-    ) {
-        // Simulator-only variants: not on the gateway's hot path, so a
-        // serde round through the `Value` tree is fine.
-        if let Ok(line) = serde_json::to_string(&JournalEntry {
-            t,
-            decision: *decision,
-        }) {
-            out.push_str(&line);
-        }
-        return;
-    }
-
     out.push_str("{\"t\":");
     push_f64(out, t);
     out.push_str(",\"decision\":");
-    match decision {
-        DecisionRecord::Admit { job } => {
-            let _ = write!(out, "{{\"Admit\":{{\"job\":{}}}}}", job.raw());
-        }
-        DecisionRecord::Decline { job, reason } => {
-            let _ = write!(out, "{{\"Decline\":{{\"job\":{},\"reason\":", job.raw());
-            match reason {
-                DeclineReason::CandidateInfeasible { shortfall } => {
-                    out.push_str("{\"CandidateInfeasible\":{\"shortfall\":");
-                    push_shortfall(out, shortfall);
-                    out.push_str("}}");
-                }
-                DeclineReason::WouldDisplace {
-                    blocking_job,
-                    shortfall,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"WouldDisplace\":{{\"blocking_job\":{},\"shortfall\":",
-                        blocking_job.raw()
-                    );
-                    push_shortfall(out, shortfall);
-                    out.push_str("}}");
-                }
-                DeclineReason::Unexplained => out.push_str("\"Unexplained\""),
-            }
-            out.push_str("}}");
-        }
-        DecisionRecord::Resize { .. }
-        | DecisionRecord::Preempt { .. }
-        | DecisionRecord::Migrate { .. }
-        | DecisionRecord::Pause { .. } => unreachable!("handled above"),
-    }
+    render_decision_into(decision, out);
     out.push('}');
 }
 
@@ -270,7 +207,8 @@ impl GatewayDir {
 mod tests {
     use super::*;
     use elasticflow_persist::PERSIST_VERSION;
-    use elasticflow_telemetry::DecisionJournal;
+    use elasticflow_sched::{CapacityShortfall, DeclineReason};
+    use elasticflow_telemetry::{DecisionJournal, JournalEntry};
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
