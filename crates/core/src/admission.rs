@@ -1226,8 +1226,9 @@ mod tests {
         // Every fourth admitted job leaves slot-0 GPUs for the boost loop.
         let allocator = crate::ResourceAllocator::new(total);
         let jobs: Vec<PlanningJob> = set.jobs().iter().step_by(4).cloned().collect();
-        let (mut profiles, _, mut ledger) = allocator.minimum_shares(&jobs, &grid, &mut scratch);
-        let free0 = total - profiles.values().map(|p| p.gpus(0)).sum::<u32>();
+        let (jobs, mut profiles, _, mut ledger) =
+            allocator.minimum_shares(jobs, &grid, &mut scratch);
+        let free0 = total - profiles.iter().map(|p| p.gpus(0)).sum::<u32>();
         assert_eq!(free0, 2);
         allocator.boost(
             &jobs,
@@ -1235,7 +1236,7 @@ mod tests {
             &mut profiles,
             &mut ledger,
             free0,
-            &BTreeMap::new(),
+            &vec![0; jobs.len()],
             &mut scratch,
         );
         assert_eq!(

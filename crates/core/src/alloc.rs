@@ -3,10 +3,9 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use elasticflow_perfmodel::CurveMemo;
 use elasticflow_trace::JobId;
 
-use crate::filling::{headroom_through, progressive_filling_memo, slot_walk_end, FillScratch};
+use crate::filling::{headroom_through, ladder_fill, slot_walk_end, FillScratch};
 use crate::{
     AdmissionSet, AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON,
 };
@@ -118,9 +117,6 @@ impl Footprint {
 /// rather than once per probe.
 struct BoostState<'a> {
     job: &'a PlanningJob,
-    memo: CurveMemo,
-    /// Largest useful slot-0 grant (constraint (7)).
-    cap: u32,
     incumbent: u32,
     profile: &'a mut AllocationProfile,
     finish: Option<f64>,
@@ -177,39 +173,42 @@ impl ResourceAllocator {
     /// Phase 1 recomputes every job's minimum satisfactory profile via
     /// Algorithm 1's progressive filling; phase 2 distributes leftover
     /// slot-0 GPUs by marginal return. No job has an incumbent size here;
-    /// a scheduler that tracks running sizes calls
-    /// [`ResourceAllocator::minimum_shares`] and
-    /// [`ResourceAllocator::boost`] itself.
+    /// the scheduler, which tracks running sizes, runs the two phases
+    /// itself.
     pub fn allocate(&self, jobs: &[PlanningJob], grid: &SlotGrid) -> AllocationResult {
         let mut scratch = FillScratch::new();
-        let (mut profiles, infeasible, mut ledger) = self.minimum_shares(jobs, grid, &mut scratch);
-        let free0 = self.total_gpus - profiles.values().map(|p| p.gpus(0)).sum::<u32>();
+        let (jobs, mut profiles, infeasible, mut ledger) =
+            self.minimum_shares(jobs.to_vec(), grid, &mut scratch);
+        let free0 = self.total_gpus - profiles.iter().map(|p| p.gpus(0)).sum::<u32>();
+        let incumbents = vec![0; jobs.len()];
         self.boost(
-            jobs,
+            &jobs,
             grid,
             &mut profiles,
             &mut ledger,
             free0,
-            &BTreeMap::new(),
+            &incumbents,
             &mut scratch,
         );
         AllocationResult {
-            profiles,
+            profiles: jobs.iter().map(|j| j.id).zip(profiles).collect(),
             infeasible,
         }
     }
 
     /// Phase 1 of Algorithm 2: every job's minimum satisfactory profile
-    /// (via Algorithm 1's progressive filling), the ids that no longer fit,
-    /// and the reservation ledger of the committed profiles. Fills run
-    /// through the caller's workspace.
-    pub fn minimum_shares(
+    /// (via Algorithm 1's progressive filling). Returns the feasible jobs
+    /// in fill order with their index-aligned profiles, the sorted ids
+    /// that no longer fit, and the reservation ledger of the committed
+    /// profiles. Fills run through the caller's workspace.
+    pub(crate) fn minimum_shares(
         &self,
-        jobs: &[PlanningJob],
+        jobs: Vec<PlanningJob>,
         grid: &SlotGrid,
         scratch: &mut FillScratch,
     ) -> (
-        BTreeMap<JobId, AllocationProfile>,
+        Vec<PlanningJob>,
+        Vec<AllocationProfile>,
         Vec<JobId>,
         ReservationLedger,
     ) {
@@ -218,21 +217,23 @@ impl ResourceAllocator {
         // (scaling pauses, discretization) the same pass keeps the
         // satisfiable jobs and surfaces the lapsed rest for fallback —
         // no second from-scratch fill on the rejected path.
-        let (set, mut infeasible) =
-            AdmissionSet::fill(self.total_gpus, jobs.to_vec(), grid, scratch);
-        let (filled_jobs, filled_profiles, ledger) = set.into_parts();
-        let profiles: BTreeMap<JobId, AllocationProfile> = filled_jobs
-            .into_iter()
-            .map(|j| j.id)
-            .zip(filled_profiles)
-            .collect();
+        let (set, mut infeasible) = AdmissionSet::fill(self.total_gpus, jobs, grid, scratch);
         infeasible.sort();
-        (profiles, infeasible, ledger)
+        let (jobs, profiles, ledger) = set.into_parts();
+        (jobs, profiles, infeasible, ledger)
     }
 
     /// Phase 2 of Algorithm 2: distributes up to `budget` leftover slot-0
     /// GPUs by greedy marginal return, mutating `profiles` and `ledger` in
     /// place. Returns the number of GPUs actually granted.
+    ///
+    /// `jobs`, `profiles` and `incumbents` are index-aligned: `profiles[i]`
+    /// is the committed profile of `jobs[i]`, and `incumbents[i]` its
+    /// currently running worker count. Among pending boosts, restoring a
+    /// job to a size it already holds is preferred over growing another
+    /// job past its incumbent. Restorations are free at runtime (no
+    /// checkpoint/restore pause), so this damps allocation churn; ties in
+    /// marginal return are broken in favor of the status quo.
     ///
     /// Selection runs through a lazy binary heap: entries keep the key
     /// they were pushed with, and a popped entry that no longer fits the
@@ -245,45 +246,37 @@ impl ResourceAllocator {
     /// linear rescan for the best pending boost entry for entry, so both
     /// produce identical allocations.
     ///
-    /// `incumbents` holds each job's currently running worker count:
-    /// among pending boosts, restoring a job to a size it already holds
-    /// is preferred over growing another job past its incumbent.
-    /// Restorations are free at runtime (no checkpoint/restore pause), so
-    /// this damps allocation churn; ties in marginal return are broken in
-    /// favor of the status quo.
+    /// The order of the slices does not matter: the heap's order over
+    /// (restoring, priority, id) is total with at most one entry per job,
+    /// and every initial candidate is computed against the same ledger
+    /// (the job's own profile uncommitted, then recommitted).
     ///
-    /// Fills and per-job curve memos come from the caller's workspace.
+    /// Fills run through the caller's workspace.
     #[allow(clippy::too_many_arguments)]
-    pub fn boost(
+    pub(crate) fn boost(
         &self,
         jobs: &[PlanningJob],
         grid: &SlotGrid,
-        profiles: &mut BTreeMap<JobId, AllocationProfile>,
+        profiles: &mut [AllocationProfile],
         ledger: &mut ReservationLedger,
         budget: u32,
-        incumbents: &BTreeMap<JobId, u32>,
+        incumbents: &[u32],
         scratch: &mut FillScratch,
     ) -> u32 {
+        debug_assert!(jobs.len() == profiles.len() && jobs.len() == incumbents.len());
         if budget == 0 {
             return 0; // every boost step costs at least one GPU
         }
-        let jobs_by_id: BTreeMap<JobId, &PlanningJob> = jobs.iter().map(|j| (j.id, j)).collect();
-        let mut memos = std::mem::take(&mut scratch.memos);
-        let mut states: Vec<BoostState<'_>> = profiles
-            .iter_mut()
-            .map(|(id, profile)| {
-                let job = jobs_by_id[id];
-                let mut memo = memos.pop().unwrap_or_default();
-                memo.rebuild(&job.curve);
-                BoostState {
-                    job,
-                    cap: memo.clamp_useful(self.total_gpus),
-                    memo,
-                    incumbent: incumbents.get(id).copied().unwrap_or(0),
-                    finish: job.finish_seconds(profile, grid),
-                    gpu_seconds: profile.gpu_seconds(grid),
-                    profile,
-                }
+        let mut states: Vec<BoostState<'_>> = jobs
+            .iter()
+            .zip(profiles.iter_mut())
+            .zip(incumbents)
+            .map(|((job, profile), &incumbent)| BoostState {
+                job,
+                incumbent,
+                finish: job.finish_seconds(profile, grid),
+                gpu_seconds: profile.gpu_seconds(grid),
+                profile,
             })
             .collect();
         let mut free0 = budget;
@@ -368,8 +361,6 @@ impl ResourceAllocator {
         for RankedBoost { boost, .. } in queue {
             scratch.recycle(boost.profile);
         }
-        memos.extend(states.into_iter().map(|state| state.memo));
-        scratch.memos = memos;
         budget - free0
     }
 
@@ -389,7 +380,7 @@ impl ResourceAllocator {
     ) -> Option<Boost> {
         let cur0 = state.profile.gpus(0);
         let next0 = if cur0 == 0 { 1 } else { cur0 * 2 };
-        if next0 > state.cap {
+        if next0 > state.job.curve.clamp_useful(self.total_gpus) {
             return None; // past the knee: constraint (7)
         }
         let extra = next0 - cur0;
@@ -398,13 +389,13 @@ impl ResourceAllocator {
         }
         // Evaluate against the ledger without this job's own reservations.
         ledger.uncommit(state.profile);
-        let filled = progressive_filling_memo(
+        let filled = ladder_fill(
             state.job,
-            &state.memo,
             ledger,
             grid,
             self.total_gpus,
             Some(next0),
+            1,
             scratch,
         )
         .map(|(profile, target)| {
@@ -776,82 +767,121 @@ mod tests {
         ledger: ReservationLedger,
     }
 
+    /// Algorithm 2's phase-1 state for one instance: the jobs with a
+    /// minimum satisfactory share, their index-aligned profiles and
+    /// incumbents, and the committed ledger.
+    struct Phase1 {
+        jobs: Vec<PlanningJob>,
+        profiles: Vec<AllocationProfile>,
+        incumbents: Vec<u32>,
+        ledger: ReservationLedger,
+    }
+
+    impl Phase1 {
+        /// Runs the heap boost from this state through `scratch`.
+        fn boost(
+            mut self,
+            alloc: &ResourceAllocator,
+            budget: u32,
+            scratch: &mut FillScratch,
+        ) -> Outcome {
+            let spent = alloc.boost(
+                &self.jobs,
+                &SlotGrid::uniform(1.0),
+                &mut self.profiles,
+                &mut self.ledger,
+                budget,
+                &self.incumbents,
+                scratch,
+            );
+            Outcome {
+                spent,
+                profiles: self.jobs.iter().map(|j| j.id).zip(self.profiles).collect(),
+                ledger: self.ledger,
+            }
+        }
+    }
+
     /// Builds Algorithm 2's phase-1 state (minimum satisfactory shares)
-    /// for `specs` on `total` GPUs, then runs the heap boost (through
-    /// `scratch`) and the linear reference from it. Returns the budget
-    /// and both outcomes.
+    /// for `specs` on `total` GPUs, and picks a budget from 0 up to the
+    /// full leftover, including starved ones.
+    fn phase1(
+        specs: Vec<(ScalingCurve, f64, usize, u32)>,
+        total: u32,
+        budget_pick: u32,
+    ) -> (u32, Phase1) {
+        let grid = SlotGrid::uniform(1.0);
+        let mut state = Phase1 {
+            jobs: Vec::new(),
+            profiles: Vec::new(),
+            incumbents: Vec::new(),
+            ledger: ReservationLedger::new(),
+        };
+        for (i, (curve, work_scale, deadline_slot, incumbent)) in specs.into_iter().enumerate() {
+            let job = PlanningJob {
+                id: JobId::new(i as u64),
+                remaining_iterations: work_scale
+                    * curve
+                        .iters_per_sec(1)
+                        .expect("1 GPU is always on the curve"),
+                curve,
+                deadline_slot,
+            };
+            let filled = progressive_filling(
+                &job,
+                &state.ledger,
+                &grid,
+                total,
+                None,
+                &mut FillScratch::new(),
+            );
+            if let Some(p) = filled {
+                state.ledger.commit(&p);
+                state.jobs.push(job);
+                state.profiles.push(p);
+                state.incumbents.push(incumbent);
+            }
+        }
+        let used: u32 = state.profiles.iter().map(|p| p.gpus(0)).sum();
+        let free0 = total.saturating_sub(used);
+        let budget = if free0 == 0 {
+            0
+        } else {
+            budget_pick % (free0 + 1)
+        };
+        (budget, state)
+    }
+
+    /// Runs the heap boost (through `scratch`) and the linear reference
+    /// from the phase-1 state of `specs`. Returns the budget and both
+    /// outcomes; the reference takes id-keyed maps.
     fn boost_both(
         specs: Vec<(ScalingCurve, f64, usize, u32)>,
         total: u32,
         budget_pick: u32,
         scratch: &mut FillScratch,
     ) -> (u32, Outcome, Outcome) {
-        let grid = SlotGrid::uniform(1.0);
         let alloc = ResourceAllocator::new(total);
-        let mut jobs = Vec::new();
-        let mut incumbents = BTreeMap::new();
-        for (i, (curve, work_scale, deadline_slot, incumbent)) in specs.into_iter().enumerate() {
-            let id = JobId::new(i as u64);
-            let work = work_scale
-                * curve
-                    .iters_per_sec(1)
-                    .expect("1 GPU is always on the curve");
-            if incumbent > 0 {
-                incumbents.insert(id, incumbent);
-            }
-            jobs.push(PlanningJob {
-                id,
-                curve,
-                remaining_iterations: work,
-                deadline_slot,
-            });
-        }
-        let mut profiles = BTreeMap::new();
-        let mut ledger = ReservationLedger::new();
-        for job in &jobs {
-            if let Some(p) =
-                progressive_filling(job, &ledger, &grid, total, None, &mut FillScratch::new())
-            {
-                ledger.commit(&p);
-                profiles.insert(job.id, p);
-            }
-        }
-        let used: u32 = profiles.values().map(|p| p.gpus(0)).sum();
-        let free0 = total.saturating_sub(used);
-        // Budgets from 0 up to the full leftover, including starved ones.
-        let budget = if free0 == 0 {
-            0
-        } else {
-            budget_pick % (free0 + 1)
-        };
-
-        let mut heap = Outcome {
-            spent: 0,
-            profiles: profiles.clone(),
-            ledger: ledger.clone(),
-        };
-        heap.spent = alloc.boost(
-            &jobs,
-            &grid,
-            &mut heap.profiles,
-            &mut heap.ledger,
-            budget,
-            &incumbents,
-            scratch,
-        );
+        let (budget, state) = phase1(specs, total, budget_pick);
+        let ids = || state.jobs.iter().map(|j| j.id);
         let mut reference = Outcome {
             spent: 0,
-            profiles,
-            ledger,
+            profiles: ids().zip(state.profiles.iter().cloned()).collect(),
+            ledger: state.ledger.clone(),
         };
+        let incumbents: BTreeMap<JobId, u32> = ids()
+            .zip(state.incumbents.iter().copied())
+            .filter(|&(_, g)| g > 0)
+            .collect();
         reference.spent = alloc.boost_reference(
-            &jobs,
-            &grid,
+            &state.jobs,
+            &SlotGrid::uniform(1.0),
             &mut reference.profiles,
             &mut reference.ledger,
             budget,
             &incumbents,
         );
+        let heap = state.boost(&alloc, budget, scratch);
         (budget, heap, reference)
     }
 
@@ -864,8 +894,7 @@ mod tests {
             l
         };
         let fill = |job: &PlanningJob, l: &ReservationLedger| {
-            let memo = job.curve.memo();
-            progressive_filling_memo(job, &memo, l, &grid, 4, Some(2), &mut FillScratch::new())
+            ladder_fill(job, l, &grid, 4, Some(2), 1, &mut FillScratch::new())
         };
         // Slot 0 pinned at 2 GPUs does 1.5 units; rung 1 falls short
         // and rung 2 finishes in slot 3 with 2 of 3 free GPUs per slot.
@@ -941,6 +970,32 @@ mod tests {
                 boost_both(specs, total, budget_pick, &mut FillScratch::new());
             prop_assert_eq!(&heap, &reference);
             prop_assert!(heap.spent <= budget, "boost overspent its budget");
+        }
+
+        /// The boost's outcome does not depend on the order of its
+        /// index-aligned (job, profile, incumbent) slices.
+        #[test]
+        fn boost_does_not_depend_on_state_order(
+            specs in headroom_instance(),
+            total in prop_oneof![Just(8u32), Just(32u32)],
+            budget_pick in 0u32..33,
+            keys in prop::collection::vec(0u32..1_000, 10..11),
+        ) {
+            let alloc = ResourceAllocator::new(total);
+            let (budget, state) = phase1(specs, total, budget_pick);
+            let mut order: Vec<usize> = (0..state.jobs.len()).collect();
+            order.sort_by_key(|&i| (keys[i], i));
+            let permuted = Phase1 {
+                jobs: order.iter().map(|&i| state.jobs[i].clone()).collect(),
+                profiles: order.iter().map(|&i| state.profiles[i].clone()).collect(),
+                incumbents: order.iter().map(|&i| state.incumbents[i]).collect(),
+                ledger: state.ledger.clone(),
+            };
+            let mut scratch = FillScratch::new();
+            let want = state.boost(&alloc, budget, &mut scratch);
+            let mut other = FillScratch::new();
+            prop_assert_eq!(permuted.boost(&alloc, budget, &mut other), want);
+            prop_assert_eq!(other.counters(), scratch.counters());
         }
     }
 }

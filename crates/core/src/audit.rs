@@ -14,10 +14,7 @@
 //! `elasticflow_sim::audit`, which sees the allocator; this module audits
 //! the planning layer, which owns the deadline guarantee.
 
-use std::collections::BTreeMap;
-
 use elasticflow_sched::SchedulePlan;
-use elasticflow_trace::JobId;
 
 use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
 
@@ -33,11 +30,13 @@ fn audit_fail(invariant: &str, detail: &str) -> ! {
     panic!("planner audit failed\n  invariant: {invariant}\n  detail:    {detail}")
 }
 
-/// Audits one replan's outputs. Called at the end of
+/// Audits one replan's outputs: the feasible jobs with their
+/// index-aligned reserved profiles (lapsed jobs hold no reservation and
+/// are served best-effort). Called at the end of
 /// [`crate::ElasticFlowScheduler`]'s `plan` when the `audit` feature is on.
 pub(crate) fn check_plan(
-    planning: &[PlanningJob],
-    profiles: &BTreeMap<JobId, AllocationProfile>,
+    feasible: &[PlanningJob],
+    profiles: &[AllocationProfile],
     ledger: &ReservationLedger,
     plan: &SchedulePlan,
     grid: &SlotGrid,
@@ -60,10 +59,7 @@ pub(crate) fn check_plan(
             );
         }
     }
-    for job in planning {
-        let Some(profile) = profiles.get(&job.id) else {
-            continue; // infeasible (lapsed) job: served best-effort, no reservation
-        };
+    for (job, profile) in feasible.iter().zip(profiles) {
         for (t, &g) in profile.as_slice().iter().enumerate() {
             if g != 0 && !g.is_power_of_two() {
                 audit_fail(

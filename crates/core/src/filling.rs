@@ -1,6 +1,5 @@
 //! Progressive filling (the inner loop of the paper's Algorithm 1).
 
-use elasticflow_perfmodel::CurveMemo;
 use elasticflow_sched::clamp_pow2;
 
 use crate::plan::WORK_EPSILON;
@@ -11,12 +10,13 @@ use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
 ///
 /// Progressive filling is the planner's innermost loop: every admission
 /// check and every Algorithm-2 boost probe builds per-slot candidate
-/// vectors and re-derives the job's curve knee. A scratch owns both —
-/// the candidate slot vector (cleared, never freed, between targets) and
-/// a [`CurveMemo`] rebuilt once per fill — plus a pool of recycled
-/// profile buffers, a pool of per-job curve memos for the boost loop, the
+/// vectors. A scratch owns the candidate slot vector (cleared, never
+/// freed, between targets), a pool of recycled profile buffers, the
 /// per-slot ledger difference a suffix refill tracks for its ladder
-/// hints, and the kernel's [`FillCounters`].
+/// hints, and the kernel's [`FillCounters`]. The curve lookups the fill
+/// reads (knee, clamp, per-rung and prefix-peak rates) live in the
+/// job's shared [`ScalingCurve`](elasticflow_perfmodel::ScalingCurve),
+/// derived once when the curve was built, so a fill rebuilds nothing.
 ///
 /// Ownership rule: the caller owns the workspace and lends it to every
 /// fill, admission check and boost it runs. A scheduler or gateway keeps
@@ -32,16 +32,12 @@ use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
 #[derive(Debug, Default)]
 pub struct FillScratch {
     gpus: Vec<u32>,
-    memo: CurveMemo,
     /// Recycled profile buffers: successful fills pop one instead of
     /// allocating, and callers whose profiles die young (declined
     /// refills, superseded plans) push them back via
     /// [`FillScratch::recycle`]. Contents are dead — only capacity is
     /// reused — so recycling can never change a fill's outcome.
     pool: Vec<Vec<u32>>,
-    /// Curve memos lent to the boost loop's per-job state and handed
-    /// back when the loop ends; rebuilt before every use.
-    pub(crate) memos: Vec<CurveMemo>,
     /// Per-slot `working − stored` ledger difference of a suffix refill
     /// and the number of its negative slots (see
     /// [`crate::AdmissionSet`]'s refill); rebuilt per refill.
@@ -200,7 +196,12 @@ pub(crate) fn progressive_filling_from(
     ladder_fill(job, ledger, grid, total_gpus, None, start_target, scratch)
 }
 
-fn ladder_fill(
+/// The one ladder walk behind every fill: tries targets up the
+/// power-of-two ladder from `start_target` (from rung 1 when slot 0 is
+/// pinned, see [`progressive_filling_from`]) and returns the first
+/// profile that meets the deadline with its target. Algorithm 2's boost
+/// probes call it directly with a pinned slot 0.
+pub(crate) fn ladder_fill(
     job: &PlanningJob,
     ledger: &ReservationLedger,
     grid: &SlotGrid,
@@ -208,102 +209,24 @@ fn ladder_fill(
     fixed_slot0: Option<u32>,
     start_target: u32,
     scratch: &mut FillScratch,
-) -> Option<(AllocationProfile, u32)> {
-    scratch.memo.rebuild(&job.curve);
-    let FillScratch {
-        gpus,
-        memo,
-        pool,
-        counters,
-        ..
-    } = scratch;
-    ladder_walk(
-        job,
-        memo,
-        ledger,
-        grid,
-        total_gpus,
-        fixed_slot0,
-        start_target,
-        gpus,
-        pool,
-        counters,
-    )
-}
-
-/// [`progressive_filling`] against a memo of `job.curve` the caller
-/// already holds: Algorithm 2 probes one job many times and builds its
-/// memo once. Also reports the target the ladder settled on.
-pub(crate) fn progressive_filling_memo(
-    job: &PlanningJob,
-    memo: &CurveMemo,
-    ledger: &ReservationLedger,
-    grid: &SlotGrid,
-    total_gpus: u32,
-    fixed_slot0: Option<u32>,
-    scratch: &mut FillScratch,
-) -> Option<(AllocationProfile, u32)> {
-    let FillScratch {
-        gpus,
-        pool,
-        counters,
-        ..
-    } = scratch;
-    ladder_walk(
-        job,
-        memo,
-        ledger,
-        grid,
-        total_gpus,
-        fixed_slot0,
-        1,
-        gpus,
-        pool,
-        counters,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ladder_walk(
-    job: &PlanningJob,
-    memo: &CurveMemo,
-    ledger: &ReservationLedger,
-    grid: &SlotGrid,
-    total_gpus: u32,
-    fixed_slot0: Option<u32>,
-    start_target: u32,
-    gpus: &mut Vec<u32>,
-    pool: &mut Vec<Vec<u32>>,
-    counters: &mut FillCounters,
 ) -> Option<(AllocationProfile, u32)> {
     if job.deadline_slot == 0 {
         return None;
     }
-    let max_target = memo.clamp_useful(total_gpus).max(1);
+    let max_target = job.curve.clamp_useful(total_gpus).max(1);
     // A hint only skips rungs when the monotonicity gate holds (see
     // `progressive_filling_from`); malformed hints fall back to rung 1.
     let mut j = if fixed_slot0.is_none()
         && start_target > 1
         && start_target.is_power_of_two()
-        && memo.ladder_monotone()
+        && job.curve.ladder_monotone()
     {
         start_target.min(max_target)
     } else {
         1u32
     };
     loop {
-        if let Some(profile) = try_target(
-            job,
-            ledger,
-            grid,
-            total_gpus,
-            j,
-            fixed_slot0,
-            memo,
-            gpus,
-            pool,
-            counters,
-        ) {
+        if let Some(profile) = try_target(job, ledger, grid, total_gpus, j, fixed_slot0, scratch) {
             return Some((profile, j));
         }
         if j >= max_target {
@@ -353,7 +276,6 @@ pub(crate) fn headroom_through(
 fn trim_final_slot(
     job: &PlanningJob,
     grid: &SlotGrid,
-    memo: &CurveMemo,
     gpus: &mut [u32],
     fixed_slot0: Option<u32>,
     done_before: f64,
@@ -367,7 +289,7 @@ fn trim_final_slot(
     let needed = job.remaining_iterations - done_before;
     let mut g = 1u32;
     while g < gpus[last] {
-        if memo.iters_per_sec(g) * grid.duration(last) + WORK_EPSILON >= needed {
+        if job.curve.rate(g) * grid.duration(last) + WORK_EPSILON >= needed {
             gpus[last] = g;
             return;
         }
@@ -398,7 +320,6 @@ fn emit_profile(gpus: &[u32], pool: &mut Vec<Vec<u32>>) -> AllocationProfile {
 /// digests depend on the order — but a booked slot adds nothing and a
 /// headroom slot adds the same precomputed value, so only a partial slot
 /// pays for the ladder arithmetic.
-#[allow(clippy::too_many_arguments)]
 fn try_target(
     job: &PlanningJob,
     ledger: &ReservationLedger,
@@ -406,11 +327,15 @@ fn try_target(
     total_gpus: u32,
     j: u32,
     fixed_slot0: Option<u32>,
-    memo: &CurveMemo,
-    gpus: &mut Vec<u32>,
-    pool: &mut Vec<Vec<u32>>,
-    counters: &mut FillCounters,
+    scratch: &mut FillScratch,
 ) -> Option<AllocationProfile> {
+    let FillScratch {
+        gpus,
+        pool,
+        counters,
+        ..
+    } = scratch;
+    let curve = &job.curve;
     counters.probes += 1;
     gpus.clear();
     let horizon = job.deadline_slot;
@@ -418,16 +343,16 @@ fn try_target(
     // The grant of a slot with room for the whole target: `j` is a power
     // of two, so `clamp_pow2(j, free)` is `j` itself whenever
     // `free >= j`, and only the knee clamp (constraint (7)) remains.
-    let full = memo.clamp_useful(j.min(total_gpus));
+    let full = curve.clamp_useful(j.min(total_gpus));
     // Slots past 0 all last `rest` seconds.
-    let per_full = memo.iters_per_sec(full) * grid.rest_seconds();
+    let per_full = curve.rate(full) * grid.rest_seconds();
     // The most any slot can add under this target: the best throughput
     // reachable under its cap (a prefix max, so safe for measured curves
     // that dip before the knee) for a whole slot. Every infeasibility
     // bound below keeps one such slot of slack on top, which dwarfs both
     // WORK_EPSILON and the float rounding of the bound itself, so no
     // bound can fire on a target the walk would have accepted.
-    let cap = memo.peak_rate_at_or_below(full) * grid.rest_seconds();
+    let cap = curve.peak_rate_at_or_below(full) * grid.rest_seconds();
     let bounded = cap > WORK_EPSILON && horizon != usize::MAX;
     let x = match fixed_slot0 {
         Some(x0) => x0,
@@ -442,8 +367,8 @@ fn try_target(
         }
     };
     // Never allocate past the knee (constraint (7)).
-    let x = if x == 0 { 0 } else { memo.clamp_useful(x) };
-    let mut done = memo.iters_per_sec(x) * grid.duration(0);
+    let x = if x == 0 { 0 } else { curve.clamp_useful(x) };
+    let mut done = curve.rate(x) * grid.duration(0);
     // Pinned slot 0 may exceed the target's cap, so the entry bound does
     // not hold for it; its work is known exactly instead, and the other
     // `horizon - 1` slots plus one of slack bound the rest.
@@ -457,7 +382,7 @@ fn try_target(
     }
     gpus.push(x);
     if done + WORK_EPSILON >= remaining {
-        trim_final_slot(job, grid, memo, gpus, fixed_slot0, 0.0);
+        trim_final_slot(job, grid, gpus, fixed_slot0, 0.0);
         return Some(emit_profile(gpus, pool));
     }
     let committed = ledger.committed_slots();
@@ -488,7 +413,7 @@ fn try_target(
                     if done + WORK_EPSILON >= remaining {
                         counters.headroom_slots += (s + 1 - t) as u64;
                         gpus.resize(gpus.len() + (s + 1 - t), full);
-                        trim_final_slot(job, grid, memo, gpus, fixed_slot0, before);
+                        trim_final_slot(job, grid, gpus, fixed_slot0, before);
                         return Some(emit_profile(gpus, pool));
                     }
                 }
@@ -500,8 +425,8 @@ fn try_target(
             continue;
         } else {
             let free = total_gpus - c;
-            let x = memo.clamp_useful(clamp_pow2(j.min(free), free));
-            let per = memo.iters_per_sec(x) * grid.duration(t);
+            let x = curve.clamp_useful(clamp_pow2(j.min(free), free));
+            let per = curve.rate(x) * grid.duration(t);
             counters.partial_slots += 1;
             gpus.push(x);
             t += 1;
@@ -509,7 +434,7 @@ fn try_target(
                 let before = done;
                 done += per;
                 if done + WORK_EPSILON >= remaining {
-                    trim_final_slot(job, grid, memo, gpus, fixed_slot0, before);
+                    trim_final_slot(job, grid, gpus, fixed_slot0, before);
                     return Some(emit_profile(gpus, pool));
                 }
             }
@@ -548,7 +473,7 @@ fn try_target(
         done_before += per_full;
     }
     counters.tail_steps += (need - 1) as u64;
-    trim_final_slot(job, grid, memo, gpus, fixed_slot0, done_before);
+    trim_final_slot(job, grid, gpus, fixed_slot0, done_before);
     Some(emit_profile(gpus, pool))
 }
 
@@ -570,7 +495,6 @@ mod reference {
     pub(super) fn trim_final_slot(
         job: &PlanningJob,
         grid: &SlotGrid,
-        memo: &CurveMemo,
         gpus: &mut [u32],
         fixed_slot0: Option<u32>,
     ) {
@@ -583,12 +507,12 @@ mod reference {
         let done_before: f64 = gpus[..last]
             .iter()
             .enumerate()
-            .map(|(t, &g)| memo.iters_per_sec(g) * grid.duration(t))
+            .map(|(t, &g)| job.curve.rate(g) * grid.duration(t))
             .sum();
         let needed = job.remaining_iterations - done_before;
         let mut g = 1u32;
         while g < gpus[last] {
-            if memo.iters_per_sec(g) * grid.duration(last) + WORK_EPSILON >= needed {
+            if job.curve.rate(g) * grid.duration(last) + WORK_EPSILON >= needed {
                 gpus[last] = g;
                 return;
             }
@@ -604,14 +528,13 @@ mod reference {
         total_gpus: u32,
         j: u32,
         fixed_slot0: Option<u32>,
-        memo: &CurveMemo,
         gpus: &mut Vec<u32>,
         pool: &mut Vec<Vec<u32>>,
     ) -> Option<AllocationProfile> {
         let horizon = job.deadline_slot;
         if fixed_slot0.is_none() && horizon != usize::MAX {
-            let cap = memo.clamp_useful(j.min(total_gpus));
-            let best = memo.peak_rate_at_or_below(cap);
+            let cap = job.curve.clamp_useful(j.min(total_gpus));
+            let best = job.curve.peak_rate_at_or_below(cap);
             let slack = best * grid.rest_seconds();
             if slack > WORK_EPSILON && slack * (horizon as f64 + 1.0) < job.remaining_iterations {
                 return None;
@@ -623,8 +546,8 @@ mod reference {
         let mut t = 0usize;
         while t < horizon {
             if t >= committed_horizon.max(1) {
-                let x = memo.clamp_useful(j.min(total_gpus));
-                let per_slot = memo.iters_per_sec(x) * grid.duration(t);
+                let x = job.curve.clamp_useful(j.min(total_gpus));
+                let per_slot = job.curve.rate(x) * grid.duration(t);
                 if per_slot <= 0.0 {
                     return None;
                 }
@@ -638,7 +561,7 @@ mod reference {
                     return None;
                 }
                 gpus.extend(std::iter::repeat_n(x, need));
-                trim_final_slot(job, grid, memo, gpus, fixed_slot0);
+                trim_final_slot(job, grid, gpus, fixed_slot0);
                 return Some(emit_profile(gpus, pool));
             }
             if t == 0 {
@@ -649,11 +572,11 @@ mod reference {
                         clamp_pow2(j.min(free), free)
                     }
                 };
-                let x = if x == 0 { 0 } else { memo.clamp_useful(x) };
+                let x = if x == 0 { 0 } else { job.curve.clamp_useful(x) };
                 gpus.push(x);
-                done += memo.iters_per_sec(x) * grid.duration(0);
+                done += job.curve.rate(x) * grid.duration(0);
                 if done + WORK_EPSILON >= job.remaining_iterations {
-                    trim_final_slot(job, grid, memo, gpus, fixed_slot0);
+                    trim_final_slot(job, grid, gpus, fixed_slot0);
                     return Some(emit_profile(gpus, pool));
                 }
                 t = 1;
@@ -665,8 +588,8 @@ mod reference {
                 .min(committed_horizon.max(1));
             let free = ledger.free(t, total_gpus);
             let x = clamp_pow2(j.min(free), free);
-            let x = if x == 0 { 0 } else { memo.clamp_useful(x) };
-            let per = memo.iters_per_sec(x) * grid.duration(t);
+            let x = if x == 0 { 0 } else { job.curve.clamp_useful(x) };
+            let per = job.curve.rate(x) * grid.duration(t);
             if per <= 0.0 {
                 gpus.resize(run_end, x);
                 t = run_end;
@@ -677,7 +600,7 @@ mod reference {
                 done += per;
                 t += 1;
                 if done + WORK_EPSILON >= job.remaining_iterations {
-                    trim_final_slot(job, grid, memo, gpus, fixed_slot0);
+                    trim_final_slot(job, grid, gpus, fixed_slot0);
                     return Some(emit_profile(gpus, pool));
                 }
                 if t >= run_end {
@@ -863,38 +786,17 @@ mod tests {
         let grid = SlotGrid::uniform(1.0);
         let mut ledger = ReservationLedger::new();
         ledger.commit(&AllocationProfile::new(vec![0, 1, 1]));
-        let memo = fig4_curve().memo();
         let probe = |work: f64| {
             let job = job(work, 3);
-            let mut counters = FillCounters::default();
+            let mut scratch = FillScratch::new();
+            let got = try_target(&job, &ledger, &grid, 4, 1, Some(4), &mut scratch);
             let (mut gpus, mut pool) = (Vec::new(), Vec::new());
-            let got = try_target(
-                &job,
-                &ledger,
-                &grid,
-                4,
-                1,
-                Some(4),
-                &memo,
-                &mut gpus,
-                &mut pool,
-                &mut counters,
-            );
-            let want = reference::try_target(
-                &job,
-                &ledger,
-                &grid,
-                4,
-                1,
-                Some(4),
-                &memo,
-                &mut gpus,
-                &mut pool,
-            );
+            let want =
+                reference::try_target(&job, &ledger, &grid, 4, 1, Some(4), &mut gpus, &mut pool);
             assert_eq!(got, want, "work {work}");
             let ladder =
                 progressive_filling(&job, &ledger, &grid, 4, Some(4), &mut FillScratch::new());
-            (got, counters, ladder)
+            (got, scratch.counters, ladder)
         };
         // Just inside the bound: rung 1 walks both slots (4 units < 5)
         // and fails on its own; rung 2 then finishes in slot 2.
@@ -1005,7 +907,6 @@ mod tests {
         ) {
             let grid = SlotGrid::new(first * 2.0, 2.0);
             let total = 16u32;
-            let memo = curve.memo();
             // Most cases put the work exactly on the epsilon edge of a
             // target's walk: the work its first `exact.len()` slots
             // complete, summed in slot order, plus WORK_EPSILON. There a
@@ -1021,8 +922,8 @@ mod tests {
                             (0, Some(x0)) => x0,
                             _ => clamp_pow2(j.min(free), free),
                         };
-                        let x = if x == 0 { 0 } else { memo.clamp_useful(x) };
-                        done += memo.iters_per_sec(x) * grid.duration(t);
+                        let x = if x == 0 { 0 } else { curve.clamp_useful(x) };
+                        done += curve.rate(x) * grid.duration(t);
                     }
                     done + WORK_EPSILON
                 }
@@ -1033,29 +934,24 @@ mod tests {
                 curve,
                 deadline_slot: deadline,
             };
-            let max_target = memo.clamp_useful(total).max(1);
-            let (mut a, mut b, mut pool) = (Vec::new(), Vec::new(), Vec::new());
+            let max_target = job.curve.clamp_useful(total).max(1);
+            let (mut b, mut pool) = (Vec::new(), Vec::new());
             let mut j = 1u32;
             while j <= max_target {
-                let new = try_target(
-                    &job, &ledger, &grid, total, j, pin, &memo, &mut a, &mut pool,
-                    &mut FillCounters::default(),
-                );
-                let old = reference::try_target(
-                    &job, &ledger, &grid, total, j, pin, &memo, &mut b, &mut pool,
-                );
+                let new = try_target(&job, &ledger, &grid, total, j, pin, &mut FillScratch::new());
+                let old = reference::try_target(&job, &ledger, &grid, total, j, pin, &mut b, &mut pool);
                 prop_assert_eq!(new, old, "target {}", j);
                 j *= 2;
             }
             let got = ladder_fill(&job, &ledger, &grid, total, pin, hint, &mut FillScratch::new());
-            let mut j = if pin.is_none() && hint > 1 && hint.is_power_of_two() && memo.ladder_monotone() {
+            let mut j = if pin.is_none() && hint > 1 && hint.is_power_of_two() && job.curve.ladder_monotone() {
                 hint.min(max_target)
             } else {
                 1
             };
             let want = loop {
                 if let Some(p) =
-                    reference::try_target(&job, &ledger, &grid, total, j, pin, &memo, &mut b, &mut pool)
+                    reference::try_target(&job, &ledger, &grid, total, j, pin, &mut b, &mut pool)
                 {
                     break Some((p, j));
                 }

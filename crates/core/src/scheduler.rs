@@ -220,8 +220,8 @@ impl ElasticFlowScheduler {
             let prio = gain / extra as f64 / job.remaining_iterations.max(WORK_EPSILON);
             Some((prio, next, extra))
         };
-        // Max-heap key: (priority, Reverse(index)) via the tuple encoding
-        // (prio bits are totally ordered through total_cmp's wrapper).
+        // Max-heap of `BestEffortStep`s: highest priority first (ordered
+        // by `total_cmp`), lowest index on ties.
         let mut heap: std::collections::BinaryHeap<BestEffortStep> =
             std::collections::BinaryHeap::new();
         for idx in 0..alloc.len() {
@@ -337,19 +337,19 @@ impl Scheduler for ElasticFlowScheduler {
             .iter()
             .map(|j| Self::planning_job(j, now, &grid))
             .collect();
-        let incumbents: std::collections::BTreeMap<JobId, u32> = slo
-            .iter()
-            .filter(|j| j.current_gpus > 0)
-            .map(|j| (j.id(), j.current_gpus))
-            .collect();
-        // Stage 1: minimum satisfactory shares of the feasible SLO set.
+        // Stage 1: minimum satisfactory shares of the feasible SLO set, in
+        // fill order, with each job's running size index-aligned.
         let allocator = ResourceAllocator::new(view.total_gpus);
-        let (mut profiles, infeasible, mut ledger) =
-            allocator.minimum_shares(&planning, &grid, &mut self.workspace);
+        let (feasible, mut profiles, infeasible, mut ledger) =
+            allocator.minimum_shares(planning, &grid, &mut self.workspace);
+        let incumbents: Vec<u32> = feasible
+            .iter()
+            .map(|j| jobs.get(j.id).map_or(0, |rt| rt.current_gpus))
+            .collect();
         let mut plan = SchedulePlan::new();
-        for (&id, profile) in &profiles {
+        for (job, profile) in feasible.iter().zip(&profiles) {
             if profile.gpus(0) > 0 {
-                plan.assign(id, profile.gpus(0));
+                plan.assign(job.id, profile.gpus(0));
             }
         }
         let mut free = view.total_gpus - plan.total_gpus();
@@ -375,7 +375,7 @@ impl Scheduler for ElasticFlowScheduler {
         // Stage 3: remaining GPUs go to the feasible SLO jobs by marginal
         // return (Algorithm 2's greedy boost phase).
         let granted = allocator.boost(
-            &planning,
+            &feasible,
             &grid,
             &mut profiles,
             &mut ledger,
@@ -384,9 +384,9 @@ impl Scheduler for ElasticFlowScheduler {
             &mut self.workspace,
         );
         free -= granted;
-        for (&id, profile) in &profiles {
-            if profile.gpus(0) > plan.gpus(id) {
-                plan.assign(id, profile.gpus(0));
+        for (job, profile) in feasible.iter().zip(&profiles) {
+            if profile.gpus(0) > plan.gpus(job.id) {
+                plan.assign(job.id, profile.gpus(0));
             }
         }
         // Anti-churn hysteresis: never *shrink* a job while GPUs would sit
@@ -416,8 +416,8 @@ impl Scheduler for ElasticFlowScheduler {
         // `SimObserver` hooked on every replan).
         debug_assert!(plan.total_gpus() <= view.total_gpus);
         #[cfg(feature = "audit")]
-        crate::audit::check_plan(&planning, &profiles, &ledger, &plan, &grid, view.total_gpus);
-        for profile in profiles.into_values() {
+        crate::audit::check_plan(&feasible, &profiles, &ledger, &plan, &grid, view.total_gpus);
+        for profile in profiles {
             self.workspace.recycle(profile);
         }
         plan
@@ -446,6 +446,7 @@ impl Scheduler for ElasticFlowScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FillCounters;
     use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
     use elasticflow_sched::DeclineReason;
     use elasticflow_trace::JobSpec;
@@ -566,6 +567,65 @@ mod tests {
         let newcomer = runtime(99, Some(3_700.0), work_for(3_500.0, 4));
         let d = ef.on_job_arrival(&newcomer, 0.0, &ClusterView::new(16), &jobs);
         assert!(matches!(d, AdmissionDecision::Drop { .. }), "{d:?}");
+    }
+
+    /// The planner's work counters on a fixed job table on 1,024 GPUs: 24
+    /// admitted SLO jobs on large-batch curves (knees of 8 and 128 GPUs)
+    /// with staggered deadlines and some incumbents, plus four best-effort
+    /// jobs on Table-1 curves, planned at three times. The reservations
+    /// crowd some slots, so the fills meet booked, partial and headroom
+    /// slots, and the boost revalidates stale entries. The counters are a
+    /// pure function of the fills `plan` asks for, so a change that moves
+    /// one of them changes how much work a planning round does.
+    #[test]
+    fn plan_work_counters_are_pinned_on_a_fixed_table() {
+        let net = Interconnect::paper_testbed();
+        let curves: Vec<(DnnModel, ScalingCurve)> = elasticflow_perfmodel::PAPER_TABLE1
+            .iter()
+            .flat_map(|&(model, batches)| batches.iter().map(move |&b| (model, b)))
+            .flat_map(|(model, b)| [(model, b), (model, b * 16)])
+            .map(|(model, b)| (model, ScalingCurve::build(model, b, &net)))
+            .collect();
+        let mut jobs = JobTable::new();
+        for i in 0..28u64 {
+            let slo = i < 24;
+            // SLO jobs take the large-batch curves, best-effort jobs the rest.
+            let (model, curve) = &curves[(i as usize * 2 + usize::from(slo)) % curves.len()];
+            let seconds = 1_800.0 + 700.0 * (i % 9) as f64;
+            let gpus = (16 << (i % 4)).min(curve.knee());
+            let iterations = seconds * curve.iters_per_sec(gpus).unwrap();
+            let mut b = JobSpec::builder(JobId::new(i), *model, curve.global_batch())
+                .iterations(iterations)
+                .trace_shape(gpus, seconds);
+            if slo {
+                b = b.deadline(seconds * (1.1 + 0.15 * (i % 5) as f64));
+            }
+            let mut rt = JobRuntime::new(b.build(), curve.clone());
+            rt.admitted = true;
+            rt.current_gpus = if i % 3 == 0 { gpus } else { 0 };
+            jobs.insert(rt);
+        }
+        let mut ef = ElasticFlowScheduler::new();
+        let view = ClusterView::new(1_024);
+        for now in [0.0, 450.0, 1_234.5] {
+            ef.plan(now, &view, &jobs);
+        }
+        assert_eq!(
+            ef.workspace.counters(),
+            FillCounters {
+                probes: 567,
+                pruned_entry: 373,
+                pruned_walk: 1,
+                pruned_pinned: 102,
+                booked_slots: 48,
+                headroom_slots: 6665,
+                partial_slots: 28,
+                failed_slots: 255,
+                tail_steps: 512,
+                hinted_fills: 0,
+                revalidated_boosts: 5,
+            }
+        );
     }
 
     #[test]

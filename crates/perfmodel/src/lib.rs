@@ -54,4 +54,4 @@ pub use interconnect::Interconnect;
 pub use model::{DnnModel, ModelProfile, Task, PAPER_TABLE1};
 pub use overhead::{OverheadModel, ScalingEvent};
 pub use profiler::{ProfileReport, Profiler};
-pub use scaling::{CurveMemo, CurvePoint, ScalingCurve};
+pub use scaling::{CurvePoint, ScalingCurve};

@@ -25,8 +25,13 @@ pub struct CurvePoint {
 ///
 /// The points are shared, immutable and reference-counted: every planning
 /// round hands each job a copy of its curve, and a clone costs one
-/// refcount bump instead of a fresh allocation. They still serialize as a
-/// plain sequence, so the bytes are those of a `Vec`.
+/// refcount bump instead of a fresh allocation. The shared part also holds
+/// the ladder lookups the planner's innermost loop reads — the knee, the
+/// prefix-peak rates and the ladder-monotone flag — derived once, when the
+/// curve is built or deserialized, so [`knee`](ScalingCurve::knee) and
+/// [`clamp_useful`](ScalingCurve::clamp_useful) cost O(1). Only the points
+/// are data: they alone serialize (as a plain sequence, so the bytes are
+/// those of a `Vec`), print under `Debug` and take part in equality.
 ///
 /// # Example
 ///
@@ -44,7 +49,90 @@ pub struct ScalingCurve {
     model: DnnModel,
     global_batch: u32,
     gpus_per_server: u32,
-    points: Arc<[CurvePoint]>,
+    #[serde(with = "ladder_points")]
+    points: Arc<Ladder>,
+}
+
+/// A curve's points and the ladder lookups derived from them.
+struct Ladder {
+    points: Box<[CurvePoint]>,
+    /// `peak_rate[i]` = max throughput over `points[..=i]` — an upper
+    /// bound on the throughput reachable with any allocation of at most
+    /// `2^i` workers, even for measured curves that dip before the knee.
+    peak_rate: Box<[f64]>,
+    knee: u32,
+    /// `true` when the throughput is nondecreasing along the ladder up to
+    /// the knee, i.e. over every allocation `clamp_useful` can grant.
+    monotone: bool,
+}
+
+impl Ladder {
+    /// Validates `points` as a dense power-of-two ladder from 1 with
+    /// positive, finite throughputs, and derives the lookups.
+    fn new(points: Vec<CurvePoint>) -> Result<Self, &'static str> {
+        if points.is_empty() {
+            return Err("a curve needs at least one point");
+        }
+        let mut peak_rate = Vec::with_capacity(points.len());
+        let (mut peak, mut knee) = (0.0f64, 0usize);
+        for (i, p) in points.iter().enumerate() {
+            if 1u32.checked_shl(i as u32) != Some(p.gpus) {
+                return Err("curve points must be the dense power-of-two ladder");
+            }
+            if !(p.iters_per_sec.is_finite() && p.iters_per_sec > 0.0) {
+                return Err("throughput must be positive and finite");
+            }
+            // On ties the knee is the last maximum, as `Iterator::max_by`.
+            if p.iters_per_sec >= points[knee].iters_per_sec {
+                knee = i;
+            }
+            peak = peak.max(p.iters_per_sec);
+            peak_rate.push(peak);
+        }
+        let monotone = points[..=knee]
+            .windows(2)
+            .all(|p| p[0].iters_per_sec <= p[1].iters_per_sec);
+        Ok(Ladder {
+            knee: points[knee].gpus,
+            points: points.into(),
+            peak_rate: peak_rate.into(),
+            monotone,
+        })
+    }
+}
+
+/// Prints the points alone, as a plain sequence.
+impl std::fmt::Debug for Ladder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.points.fmt(f)
+    }
+}
+
+/// The lookups are a function of the points, so the points decide.
+impl PartialEq for Ladder {
+    fn eq(&self, other: &Self) -> bool {
+        self.points == other.points
+    }
+}
+
+/// Serializes a [`Ladder`] as its plain point sequence and derives the
+/// lookups again on the way back in.
+mod ladder_points {
+    use std::sync::Arc;
+
+    use serde::de::Error;
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+
+    use super::{CurvePoint, Ladder};
+
+    pub fn serialize<S: Serializer>(ladder: &Arc<Ladder>, s: S) -> Result<S::Ok, S::Error> {
+        ladder.points.serialize(s)
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Arc<Ladder>, D::Error> {
+        let points = Vec::<CurvePoint>::deserialize(d)?;
+        Ladder::new(points).map(Arc::new).map_err(D::Error::custom)
+    }
 }
 
 impl ScalingCurve {
@@ -92,7 +180,7 @@ impl ScalingCurve {
             model,
             global_batch,
             gpus_per_server: net.gpus_per_server(),
-            points: points.into(),
+            points: Arc::new(Ladder::new(points).expect("a probed ladder is valid")),
         }
     }
 
@@ -105,24 +193,12 @@ impl ScalingCurve {
     /// increasing powers of two starting at 1, or any throughput is not
     /// positive and finite.
     pub fn from_points(model: DnnModel, global_batch: u32, points: Vec<CurvePoint>) -> Self {
-        assert!(!points.is_empty(), "a curve needs at least one point");
-        let mut expect = 1u32;
-        for p in &points {
-            assert_eq!(
-                p.gpus, expect,
-                "curve points must be the dense power-of-two ladder"
-            );
-            assert!(
-                p.iters_per_sec.is_finite() && p.iters_per_sec > 0.0,
-                "throughput must be positive and finite"
-            );
-            expect *= 2;
-        }
+        let ladder = Ladder::new(points).unwrap_or_else(|e| panic!("{e}"));
         ScalingCurve {
             model,
             global_batch,
             gpus_per_server: 8,
-            points: points.into(),
+            points: Arc::new(ladder),
         }
     }
 
@@ -138,12 +214,12 @@ impl ScalingCurve {
 
     /// The curve points, ascending by GPU count.
     pub fn points(&self) -> &[CurvePoint] {
-        &self.points
+        &self.points.points
     }
 
     /// Largest worker count in the curve's domain.
     pub fn max_gpus(&self) -> u32 {
-        self.points.last().expect("nonempty").gpus
+        1 << (self.points().len() - 1)
     }
 
     /// Throughput in iterations/second with `gpus` workers, or `None` if
@@ -156,13 +232,22 @@ impl ScalingCurve {
         if !gpus.is_power_of_two() || gpus > self.max_gpus() {
             return None;
         }
-        let idx = gpus.trailing_zeros() as usize;
-        Some(self.points[idx].iters_per_sec)
+        Some(self.rate(gpus))
+    }
+
+    /// `iters_per_sec(gpus).unwrap_or(0.0)`: zero workers and counts
+    /// outside the power-of-two domain both yield zero throughput, exactly
+    /// as the planning call sites treat them.
+    pub fn rate(&self, gpus: u32) -> f64 {
+        if gpus == 0 || !gpus.is_power_of_two() || gpus > self.max_gpus() {
+            return 0.0;
+        }
+        self.points()[gpus.trailing_zeros() as usize].iters_per_sec
     }
 
     /// Speedup over a single GPU.
     pub fn speedup(&self, gpus: u32) -> Option<f64> {
-        let base = self.points[0].iters_per_sec;
+        let base = self.points()[0].iters_per_sec;
         self.iters_per_sec(gpus).map(|t| t / base)
     }
 
@@ -174,18 +259,11 @@ impl ScalingCurve {
         self.speedup(gpus).map(|s| s / gpus as f64)
     }
 
-    /// The *knee*: the worker count with the highest throughput. Adding
-    /// GPUs beyond the knee makes the job slower (paper constraint (7)).
+    /// The *knee*: the worker count with the highest throughput (the
+    /// largest such count on ties). Adding GPUs beyond the knee makes the
+    /// job slower (paper constraint (7)).
     pub fn knee(&self) -> u32 {
-        self.points
-            .iter()
-            .max_by(|a, b| {
-                a.iters_per_sec
-                    .partial_cmp(&b.iters_per_sec)
-                    .expect("finite throughputs")
-            })
-            .expect("nonempty")
-            .gpus
+        self.points.knee
     }
 
     /// Clamps a desired worker count to the largest *useful* count: a
@@ -194,18 +272,33 @@ impl ScalingCurve {
         if gpus == 0 {
             return 0;
         }
-        let knee = self.knee();
-        let mut w = 1u32;
-        let target = gpus.min(knee);
-        while w * 2 <= target {
-            w *= 2;
+        1 << (31 - gpus.min(self.knee()).leading_zeros())
+    }
+
+    /// `true` when throughput never decreases as grantable power-of-two
+    /// allocations grow (up to the knee clamp). Planners use this as the
+    /// soundness gate for ladder-start shortcuts: under a pointwise-fuller
+    /// ledger, grants only shrink, so a monotone curve guarantees per-slot
+    /// progress only shrinks — a target that fails on the emptier ledger
+    /// still fails on the fuller one. The analytic curves always are; a
+    /// measured curve that dips before the knee is not.
+    pub fn ladder_monotone(&self) -> bool {
+        self.points.monotone
+    }
+
+    /// The highest throughput reachable with at most `cap` workers, where
+    /// `cap` is a power of two inside the domain. Returns 0.0 for a zero
+    /// or out-of-domain cap (callers then skip any pruning based on it).
+    pub fn peak_rate_at_or_below(&self, cap: u32) -> f64 {
+        if cap == 0 || !cap.is_power_of_two() || cap > self.max_gpus() {
+            return 0.0;
         }
-        w
+        self.points.peak_rate[cap.trailing_zeros() as usize]
     }
 
     /// The power-of-two ladder of the curve's domain.
     pub fn ladder(&self) -> impl Iterator<Item = u32> + '_ {
-        self.points.iter().map(|p| p.gpus)
+        self.points().iter().map(|p| p.gpus)
     }
 
     /// `true` when marginal throughput gains per added GPU are
@@ -216,7 +309,7 @@ impl ScalingCurve {
     pub fn is_concave(&self) -> bool {
         let knee = self.knee();
         let mut last_gain_per_gpu = f64::INFINITY;
-        for pair in self.points.windows(2) {
+        for pair in self.points().windows(2) {
             if pair[1].gpus > knee {
                 break;
             }
@@ -238,122 +331,6 @@ impl ScalingCurve {
             return None;
         }
         Some(gpus as f64 * iterations / t)
-    }
-
-    /// Builds a [`CurveMemo`] snapshot of this curve's ladder lookups.
-    pub fn memo(&self) -> CurveMemo {
-        let mut memo = CurveMemo::default();
-        memo.rebuild(self);
-        memo
-    }
-}
-
-/// Precomputed ladder lookups for one [`ScalingCurve`].
-///
-/// [`ScalingCurve::knee`] scans every point and [`ScalingCurve::clamp_useful`]
-/// calls it again, so the progressive-filling inner loop paid an O(ladder)
-/// scan per slot. A memo runs those scans once per fill and serves O(1)
-/// lookups afterwards. Every value is copied bit-for-bit from the curve —
-/// a memoized lookup returns the *identical* `f64` the direct call would,
-/// which is what keeps the golden-replay digests unchanged.
-///
-/// The buffers are reusable: [`rebuild`](CurveMemo::rebuild) clears and
-/// refills them in place so a scratch-held memo allocates only on the first
-/// fill (or when a later curve has a longer ladder).
-#[derive(Debug, Clone, Default)]
-pub struct CurveMemo {
-    knee: u32,
-    max_gpus: u32,
-    /// `rate[i]` = throughput at `2^i` workers.
-    rate: Vec<f64>,
-    /// `peak_rate[i]` = max of `rate[0..=i]` — an upper bound on the
-    /// throughput reachable with any allocation of at most `2^i` workers,
-    /// even for measured curves that dip before the knee.
-    peak_rate: Vec<f64>,
-    /// `true` when the throughput is nondecreasing along the power-of-two
-    /// ladder over every allocation [`clamp_useful`](CurveMemo::clamp_useful)
-    /// can grant (the analytic curves always are; a measured curve that
-    /// dips before the knee is not).
-    ladder_monotone: bool,
-}
-
-impl CurveMemo {
-    /// Clears and refills the memo from `curve`, reusing the buffers.
-    pub fn rebuild(&mut self, curve: &ScalingCurve) {
-        self.knee = curve.knee();
-        self.max_gpus = curve.max_gpus();
-        self.rate.clear();
-        self.peak_rate.clear();
-        let mut peak = 0.0f64;
-        for p in curve.points() {
-            self.rate.push(p.iters_per_sec);
-            peak = peak.max(p.iters_per_sec);
-            self.peak_rate.push(peak);
-        }
-        // Monotonicity matters only across grantable sizes: every grant is
-        // a power of two at most the largest one not exceeding the knee.
-        let cap = self.clamp_useful(u32::MAX);
-        let grantable = if cap == 0 {
-            0
-        } else {
-            (cap.trailing_zeros() as usize + 1).min(self.rate.len())
-        };
-        self.ladder_monotone = self.rate.first().is_none_or(|r| *r >= 0.0)
-            && self.rate[..grantable].windows(2).all(|p| p[0] <= p[1]);
-    }
-
-    /// The memoized [`ScalingCurve::knee`].
-    pub fn knee(&self) -> u32 {
-        self.knee
-    }
-
-    /// Largest worker count in the curve's domain.
-    pub fn max_gpus(&self) -> u32 {
-        self.max_gpus
-    }
-
-    /// `ScalingCurve::iters_per_sec(gpus).unwrap_or(0.0)` — zero workers
-    /// and out-of-domain counts both yield zero throughput, exactly as the
-    /// planning call sites treat them.
-    pub fn iters_per_sec(&self, gpus: u32) -> f64 {
-        if gpus == 0 || !gpus.is_power_of_two() || gpus > self.max_gpus {
-            return 0.0;
-        }
-        self.rate[gpus.trailing_zeros() as usize]
-    }
-
-    /// The memoized [`ScalingCurve::clamp_useful`]: largest power of two
-    /// not exceeding `min(gpus, knee)`.
-    pub fn clamp_useful(&self, gpus: u32) -> u32 {
-        if gpus == 0 {
-            return 0;
-        }
-        let target = gpus.min(self.knee);
-        let mut w = 1u32;
-        while w * 2 <= target {
-            w *= 2;
-        }
-        w
-    }
-
-    /// `true` when throughput never decreases as grantable power-of-two
-    /// allocations grow (up to the knee clamp). Planners use this as the
-    /// soundness gate for ladder-start shortcuts: under a pointwise-fuller
-    /// ledger, grants only shrink, so a monotone curve guarantees per-slot
-    /// progress only shrinks — a target that fails on the emptier ledger
-    /// still fails on the fuller one.
-    pub fn ladder_monotone(&self) -> bool {
-        self.ladder_monotone
-    }
-
-    /// The highest throughput reachable with at most `cap` workers, where
-    /// `cap` is a power of two inside the domain. Returns 0.0 for a zero
-    /// or out-of-domain cap (callers then skip any pruning based on it).
-    pub fn peak_rate_at_or_below(&self, cap: u32) -> f64 {
-        if cap == 0 || !cap.is_power_of_two() || cap > self.max_gpus {
-            return 0.0;
-        }
-        self.peak_rate[cap.trailing_zeros() as usize]
     }
 }
 
@@ -503,54 +480,141 @@ mod tests {
         assert!(curve.is_concave());
     }
 
+    /// The clamp the ladder lookups replaced: double from 1 while the
+    /// next rung stays at or below `min(gpus, knee)`.
+    fn doubling_clamp(gpus: u32, knee: u32) -> u32 {
+        if gpus == 0 {
+            return 0;
+        }
+        let target = gpus.min(knee);
+        let mut w = 1u32;
+        while w * 2 <= target {
+            w *= 2;
+        }
+        w
+    }
+
+    /// A dense ladder of `len` points with the given rates.
+    fn ladder_of(rates: &[f64]) -> ScalingCurve {
+        let points = rates
+            .iter()
+            .enumerate()
+            .map(|(i, &iters_per_sec)| CurvePoint {
+                gpus: 1 << i,
+                iters_per_sec,
+            })
+            .collect();
+        ScalingCurve::from_points(DnnModel::ResNet50, 64, points)
+    }
+
     #[test]
-    fn memo_agrees_with_curve_bit_for_bit() {
+    fn ladder_lookups_agree_with_the_points() {
         for (model, batches) in crate::PAPER_TABLE1 {
             for &b in batches {
                 let curve = ScalingCurve::build(model, b, &net());
-                let memo = curve.memo();
-                assert_eq!(memo.knee(), curve.knee());
-                assert_eq!(memo.max_gpus(), curve.max_gpus());
+                let scanned = curve
+                    .points()
+                    .iter()
+                    .max_by(|a, b| a.iters_per_sec.total_cmp(&b.iters_per_sec))
+                    .unwrap()
+                    .gpus;
+                assert_eq!(curve.knee(), scanned, "{model} gbs={b}");
                 for g in 0..=(curve.max_gpus() * 2) {
                     assert_eq!(
-                        memo.iters_per_sec(g).to_bits(),
+                        curve.rate(g).to_bits(),
                         curve.iters_per_sec(g).unwrap_or(0.0).to_bits(),
                         "{model} gbs={b} gpus={g}"
                     );
-                    assert_eq!(memo.clamp_useful(g), curve.clamp_useful(g));
+                    assert_eq!(curve.clamp_useful(g), doubling_clamp(g, scanned));
                 }
                 // The peak-rate prefix really is an upper bound per cap.
                 for cap in curve.ladder() {
-                    let peak = memo.peak_rate_at_or_below(cap);
+                    let peak = curve.peak_rate_at_or_below(cap);
                     for g in curve.ladder().filter(|&g| g <= cap) {
                         assert!(curve.iters_per_sec(g).unwrap() <= peak);
                     }
                 }
+                assert!(curve.ladder_monotone(), "{model} gbs={b}");
             }
         }
     }
 
     #[test]
-    fn memo_peak_rate_covers_dipping_curves() {
+    fn peak_rate_covers_dipping_curves() {
         // A measured curve can dip before recovering; the prefix max must
         // not under-estimate the reachable throughput.
-        let pts = vec![
-            CurvePoint {
-                gpus: 1,
-                iters_per_sec: 1.0,
-            },
-            CurvePoint {
-                gpus: 2,
-                iters_per_sec: 0.5,
-            },
-            CurvePoint {
-                gpus: 4,
-                iters_per_sec: 2.0,
-            },
-        ];
-        let memo = ScalingCurve::from_points(DnnModel::ResNet50, 64, pts).memo();
-        assert_eq!(memo.peak_rate_at_or_below(2), 1.0);
-        assert_eq!(memo.peak_rate_at_or_below(4), 2.0);
+        let curve = ladder_of(&[1.0, 0.5, 2.0]);
+        assert_eq!(curve.peak_rate_at_or_below(2), 1.0);
+        assert_eq!(curve.peak_rate_at_or_below(4), 2.0);
+        assert_eq!(curve.peak_rate_at_or_below(3), 0.0);
+        assert_eq!(curve.peak_rate_at_or_below(8), 0.0);
+        assert!(!curve.ladder_monotone());
+        // A dip past the knee does not count against monotonicity.
+        let past_knee = ladder_of(&[1.0, 2.0, 1.5]);
+        assert_eq!(past_knee.knee(), 2);
+        assert!(past_knee.ladder_monotone());
+    }
+
+    #[test]
+    fn bit_clamp_equals_the_doubling_loop_for_every_knee() {
+        for k in 0..13 {
+            // Rates rise to the knee at 2^k and fall past it.
+            let rates: Vec<f64> = (0..14)
+                .map(|i: i32| 100.0 - f64::from((i - k).abs()))
+                .collect();
+            let curve = ladder_of(&rates);
+            assert_eq!(curve.knee(), 1 << k);
+            for g in 0..=4096 {
+                assert_eq!(curve.clamp_useful(g), doubling_clamp(g, 1 << k), "g={g}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// A deserialized curve derives the same lookups, bit for bit, as
+        /// the freshly built one it was serialized from — on monotone
+        /// ladders and on measured ones that dip before the knee.
+        #[test]
+        fn deserialized_curves_derive_the_same_lookups(
+            steps in proptest::collection::vec(0.05f64..4.0, 1..10),
+            monotone in proptest::prelude::any::<bool>(),
+        ) {
+            let rates: Vec<f64> = if monotone {
+                steps.iter().scan(0.0, |acc, s| { *acc += s; Some(*acc) }).collect()
+            } else {
+                steps
+            };
+            let fresh = ladder_of(&rates);
+            let json = serde_json::to_string(&fresh).unwrap();
+            let back: ScalingCurve = serde_json::from_str(&json).unwrap();
+            proptest::prop_assert_eq!(&back, &fresh);
+            proptest::prop_assert_eq!(back.knee(), fresh.knee());
+            proptest::prop_assert_eq!(back.ladder_monotone(), fresh.ladder_monotone());
+            for g in 0..=fresh.max_gpus() * 2 {
+                proptest::prop_assert_eq!(back.clamp_useful(g), fresh.clamp_useful(g));
+                proptest::prop_assert_eq!(back.rate(g).to_bits(), fresh.rate(g).to_bits());
+                proptest::prop_assert_eq!(
+                    back.peak_rate_at_or_below(g).to_bits(),
+                    fresh.peak_rate_at_or_below(g).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deserialization_rejects_what_from_points_rejects() {
+        let head = r#"{"model":"Bert","global_batch":64,"gpus_per_server":8,"points":"#;
+        for points in [
+            "[]",
+            r#"[{"gpus":1,"iters_per_sec":1.0},{"gpus":4,"iters_per_sec":2.0}]"#,
+            r#"[{"gpus":1,"iters_per_sec":0.0}]"#,
+        ] {
+            let json = format!("{head}{points}}}");
+            assert!(
+                serde_json::from_str::<ScalingCurve>(&json).is_err(),
+                "{json}"
+            );
+        }
     }
 
     #[test]
@@ -559,6 +623,34 @@ mod tests {
         let copy = curve.clone();
         assert!(std::ptr::eq(curve.points(), copy.points()));
         assert_eq!(copy, curve);
+    }
+
+    #[test]
+    fn a_built_curve_serializes_as_its_plain_point_sequence() {
+        let curve = ScalingCurve::build_with_max(DnnModel::Bert, 64, &net(), 4);
+        let json = serde_json::to_string(&curve).unwrap();
+        assert_eq!(
+            json,
+            r#"{"model":"Bert","global_batch":64,"gpus_per_server":8,"points":["#.to_owned()
+                + r#"{"gpus":1,"iters_per_sec":2.986857825567503},"#
+                + r#"{"gpus":2,"iters_per_sec":5.700441784238278},"#
+                + r#"{"gpus":4,"iters_per_sec":10.437051532941945}]}"#
+        );
+        // The same bytes as a curve whose points are a plain `Vec`.
+        #[derive(Serialize)]
+        struct Plain {
+            model: DnnModel,
+            global_batch: u32,
+            gpus_per_server: u32,
+            points: Vec<CurvePoint>,
+        }
+        let plain = Plain {
+            model: curve.model(),
+            global_batch: curve.global_batch(),
+            gpus_per_server: net().gpus_per_server(),
+            points: curve.points().to_vec(),
+        };
+        assert_eq!(json, serde_json::to_string(&plain).unwrap());
     }
 
     #[test]
