@@ -25,6 +25,7 @@ test:
 # Full-simulation runs under the runtime invariant auditor.
 audit:
 	cargo test --features audit -q
+	cargo test -q --features audit -p elasticflow-bench --test mega_cluster
 
 # API docs with warnings promoted to errors (same gate as CI).
 doc:

@@ -33,7 +33,7 @@ pub fn run() -> Vec<Table> {
                 .collect::<Vec<_>>()
                 .join(", "),
             format!("{:.1}", profile.params as f64 / 1e6),
-            format!("{:.2}", curve.iters_per_sec(1).unwrap_or(0.0)),
+            format!("{:.2}", curve.rate(1)),
         ]);
     }
     vec![table]

@@ -7,21 +7,39 @@
 //! the indexed allocation table must reproduce the exact event order and
 //! job arithmetic or the digest moves.
 //!
-//! Both tests are `#[ignore]`d because they need a release build to
-//! finish quickly. CI runs the smoke only:
+//! Those two run EDF, which never reaches Algorithm 2, and are
+//! `#[ignore]`d because they need a release build to finish quickly. CI
+//! runs the smoke only:
 //! `cargo test -q --release -p elasticflow-bench --test mega_cluster -- --ignored --exact mega_cluster_smoke_matches_golden_digest`.
 //! The paper-scale run takes about a minute in release:
 //! `cargo test -q --release -p elasticflow-bench --test mega_cluster -- --ignored --exact mega_cluster_paper_scale_matches_golden_digest`.
 //! To re-capture after an *intentional* observable change, add
 //! `MEGA_SMOKE_PRINT=1` and `--nocapture` to either command.
+//!
+//! A third, non-ignored gate runs ElasticFlow on the smoke's cluster
+//! and generator with fewer arrivals, so every `cargo test` (debug, with
+//! the planner's recompute-and-assert checks on) and every `cargo test
+//! --features audit` (with `check_plan` on every plan) drives Algorithms
+//! 1 and 2 at 1,024 GPUs.
 
-use elasticflow_bench::mega::{run_mega, MegaConfig, MegaStats};
+use elasticflow_bench::mega::{mega_trace, outcome_digest, run_mega, MegaConfig, MegaStats};
+use elasticflow_cluster::ClusterSpec;
+use elasticflow_core::ElasticFlowScheduler;
+use elasticflow_sim::{SimConfig, Simulation};
 
 /// Golden digest of the smoke run's per-outcome JSON stream.
 const SMOKE_DIGEST: u64 = 0xc92b_4b22_3b5f_af20;
 
 /// Golden digest of the paper-scale run's per-outcome JSON stream.
 const PAPER_SCALE_DIGEST: u64 = 0xf772_1004_a83c_5432;
+
+/// Arrivals of the ElasticFlow gate: the smoke's generator, cut short to
+/// the trace perfbench's `sim_elasticflow` workload replays at seed 0.
+const ELASTICFLOW_ARRIVALS: usize = 15_000;
+
+/// Golden digest of the ElasticFlow gate's per-outcome JSON stream (the
+/// same value perfbench pins for `sim_elasticflow` at seed 0).
+const ELASTICFLOW_DIGEST: u64 = 0xee9c_ba58_5af9_24be;
 
 fn print_if_asked(label: &str, stats: &MegaStats) {
     if std::env::var("MEGA_SMOKE_PRINT").is_ok() {
@@ -69,5 +87,31 @@ fn mega_cluster_paper_scale_matches_golden_digest() {
         stats.digest, PAPER_SCALE_DIGEST,
         "paper-scale outcome digest changed (got {:#018x})",
         stats.digest
+    );
+}
+
+#[test]
+fn elasticflow_at_mega_shape_matches_golden_digest() {
+    let cfg = MegaConfig {
+        arrivals: ELASTICFLOW_ARRIVALS,
+        ..MegaConfig::smoke()
+    };
+    let report = Simulation::new(
+        ClusterSpec::with_servers(cfg.servers, cfg.gpus_per_server),
+        SimConfig::default(),
+    )
+    .run(&mega_trace(&cfg), &mut ElasticFlowScheduler::new());
+    let digest = outcome_digest(&report);
+    if std::env::var("MEGA_SMOKE_PRINT").is_ok() {
+        eprintln!(
+            "mega elasticflow: digest {digest:#018x}, {} dropped",
+            report.dropped()
+        );
+    }
+    assert_eq!(report.outcomes().len(), ELASTICFLOW_ARRIVALS);
+    assert_eq!(report.dropped(), 2_850);
+    assert_eq!(
+        digest, ELASTICFLOW_DIGEST,
+        "ElasticFlow mega-shape outcome digest changed (got {digest:#018x})"
     );
 }

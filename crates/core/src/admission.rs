@@ -10,7 +10,7 @@ use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EP
 
 /// Sort key of Algorithm 1's deadline order (ties broken by job id so
 /// the fill order — and with it every downstream plan — is total).
-fn fill_key(job: &PlanningJob) -> (usize, JobId) {
+pub(crate) fn fill_key(job: &PlanningJob) -> (usize, JobId) {
     (job.deadline_slot, job.id)
 }
 
@@ -334,11 +334,13 @@ impl AdmissionSet {
     ) -> (AdmissionSet, Vec<JobId>) {
         assert!(total_gpus > 0, "cluster must have GPUs");
         jobs.sort_by_key(fill_key);
+        // Room for one admit past the fill, the common next step.
+        let room = jobs.len() + 1;
         let mut set = AdmissionSet {
             total_gpus,
-            jobs: Vec::with_capacity(jobs.len()),
-            profiles: Vec::with_capacity(jobs.len()),
-            targets: Vec::with_capacity(jobs.len()),
+            jobs: Vec::with_capacity(room),
+            profiles: Vec::with_capacity(room),
+            targets: Vec::with_capacity(room),
             ledger: ReservationLedger::new(),
         };
         let lapsed = set.fill_tail(jobs, grid, scratch);
@@ -416,6 +418,23 @@ impl AdmissionSet {
             .zip(&self.profiles)
             .map(|(job, profile)| (job.id, profile.clone()))
             .collect()
+    }
+
+    /// `true` when `jobs`, in fill order, are exactly the set's jobs on a
+    /// cluster of `total_gpus` GPUs: the same ids and deadline slots, the
+    /// same remaining work bit for bit, and equal curves. A set whose own
+    /// fills lapsed nothing is then what [`AdmissionSet::fill`] of `jobs`
+    /// builds (the incremental admission invariant), so it can stand in
+    /// for that fill.
+    pub(crate) fn is_fill_of(&self, total_gpus: u32, jobs: &[PlanningJob]) -> bool {
+        self.total_gpus == total_gpus
+            && self.jobs.len() == jobs.len()
+            && self.jobs.iter().zip(jobs).all(|(a, b)| {
+                a.id == b.id
+                    && a.deadline_slot == b.deadline_slot
+                    && a.remaining_iterations.to_bits() == b.remaining_iterations.to_bits()
+                    && a.curve == b.curve
+            })
     }
 
     /// Decomposes the set into jobs (fill order), their profiles, and
@@ -1226,8 +1245,8 @@ mod tests {
         // Every fourth admitted job leaves slot-0 GPUs for the boost loop.
         let allocator = crate::ResourceAllocator::new(total);
         let jobs: Vec<PlanningJob> = set.jobs().iter().step_by(4).cloned().collect();
-        let (jobs, mut profiles, _, mut ledger) =
-            allocator.minimum_shares(jobs, &grid, &mut scratch);
+        let (phase1, _) = AdmissionSet::fill(total, jobs, &grid, &mut scratch);
+        let (jobs, mut profiles, mut ledger) = phase1.into_parts();
         let free0 = total - profiles.iter().map(|p| p.gpus(0)).sum::<u32>();
         assert_eq!(free0, 2);
         allocator.boost(
@@ -1253,6 +1272,9 @@ mod tests {
                 tail_steps: 58,
                 hinted_fills: 116,
                 revalidated_boosts: 1,
+                boost_candidates: 9,
+                boosts_applied: 2,
+                fills_reused: 0,
             }
         );
         // Counters are not state: a clone starts from zero.

@@ -59,13 +59,11 @@ pub struct ResourceAllocator {
     total_gpus: u32,
 }
 
-/// One pending boost in the priority queue.
+/// A job's one pending boost: the profile it would move to, and what
+/// that costs and saves.
 #[derive(Debug, PartialEq)]
 struct Boost {
     priority: f64,
-    id: JobId,
-    /// Index of the job's [`BoostState`].
-    slot: usize,
     extra: u32,
     profile: AllocationProfile,
     /// `finish_seconds` and `gpu_seconds` of `profile`, carried so an
@@ -121,39 +119,62 @@ struct BoostState<'a> {
     profile: &'a mut AllocationProfile,
     finish: Option<f64>,
     gpu_seconds: f64,
+    /// The job's queued boost, if any; the heap holds only its key.
+    pending: Option<Boost>,
 }
 
-/// Heap entry wrapping a [`Boost`] with its fixed selection key, ordered
-/// so `BinaryHeap::pop` yields exactly the entry a linear scan for the
-/// best pending boost selects: restorations toward incumbent sizes first,
-/// then highest marginal priority, smallest job id as the final
-/// tiebreak. The queue holds at most one entry per job id at any time,
-/// so the order is total and pops are deterministic.
-struct RankedBoost {
+impl BoostState<'_> {
+    /// Parks `boost` as this job's pending boost and returns its heap
+    /// key. A job has at most one queued boost at any time.
+    fn queue(&mut self, slot: usize, boost: Boost) -> BoostKey {
+        debug_assert!(self.pending.is_none(), "one queued boost per job");
+        let key = BoostKey {
+            restoring: boost.profile.gpus(0) <= self.incumbent,
+            priority: boost.priority,
+            id: self.job.id,
+            slot,
+        };
+        self.pending = Some(boost);
+        key
+    }
+}
+
+/// The heap key of a pending boost, ordered so `BinaryHeap::pop` yields
+/// exactly the boost a linear scan for the best pending one selects:
+/// restorations toward incumbent sizes first, then highest marginal
+/// priority, smallest job id as the final tiebreak. The queue holds at
+/// most one key per job id at any time, so the order is total and pops
+/// are deterministic. The boost itself waits in its job's
+/// [`BoostState`], so sifts move only these few bytes.
+#[derive(Debug, Clone, Copy)]
+struct BoostKey {
     restoring: bool,
-    boost: Boost,
+    priority: f64,
+    id: JobId,
+    /// Index of the job's [`BoostState`].
+    slot: usize,
 }
 
-impl PartialEq for RankedBoost {
+impl PartialEq for BoostKey {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl Eq for RankedBoost {}
+impl Eq for BoostKey {}
 
-impl PartialOrd for RankedBoost {
+impl PartialOrd for BoostKey {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for RankedBoost {
+impl Ord for BoostKey {
     fn cmp(&self, other: &Self) -> Ordering {
         self.restoring
             .cmp(&other.restoring)
-            .then(self.boost.priority.total_cmp(&other.boost.priority))
-            .then(other.boost.id.cmp(&self.boost.id))
+            .then(self.priority.total_cmp(&other.priority))
+            .then(other.id.cmp(&self.id))
     }
 }
 
@@ -177,8 +198,14 @@ impl ResourceAllocator {
     /// itself.
     pub fn allocate(&self, jobs: &[PlanningJob], grid: &SlotGrid) -> AllocationResult {
         let mut scratch = FillScratch::new();
-        let (jobs, mut profiles, infeasible, mut ledger) =
-            self.minimum_shares(jobs.to_vec(), grid, &mut scratch);
+        // One fill serves both cases: an all-feasible set is exactly the
+        // admitted plan of Algorithm 1, and when guarantees have drifted
+        // (scaling pauses, discretization) the same pass keeps the
+        // satisfiable jobs and surfaces the lapsed rest for fallback.
+        let (set, mut infeasible) =
+            AdmissionSet::fill(self.total_gpus, jobs.to_vec(), grid, &mut scratch);
+        infeasible.sort();
+        let (jobs, mut profiles, mut ledger) = set.into_parts();
         let free0 = self.total_gpus - profiles.iter().map(|p| p.gpus(0)).sum::<u32>();
         let incumbents = vec![0; jobs.len()];
         self.boost(
@@ -194,33 +221,6 @@ impl ResourceAllocator {
             profiles: jobs.iter().map(|j| j.id).zip(profiles).collect(),
             infeasible,
         }
-    }
-
-    /// Phase 1 of Algorithm 2: every job's minimum satisfactory profile
-    /// (via Algorithm 1's progressive filling). Returns the feasible jobs
-    /// in fill order with their index-aligned profiles, the sorted ids
-    /// that no longer fit, and the reservation ledger of the committed
-    /// profiles. Fills run through the caller's workspace.
-    pub(crate) fn minimum_shares(
-        &self,
-        jobs: Vec<PlanningJob>,
-        grid: &SlotGrid,
-        scratch: &mut FillScratch,
-    ) -> (
-        Vec<PlanningJob>,
-        Vec<AllocationProfile>,
-        Vec<JobId>,
-        ReservationLedger,
-    ) {
-        // One fill serves both cases: an all-feasible set is exactly the
-        // admitted plan of Algorithm 1, and when guarantees have drifted
-        // (scaling pauses, discretization) the same pass keeps the
-        // satisfiable jobs and surfaces the lapsed rest for fallback —
-        // no second from-scratch fill on the rejected path.
-        let (set, mut infeasible) = AdmissionSet::fill(self.total_gpus, jobs, grid, scratch);
-        infeasible.sort();
-        let (jobs, profiles, ledger) = set.into_parts();
-        (jobs, profiles, infeasible, ledger)
     }
 
     /// Phase 2 of Algorithm 2: distributes up to `budget` leftover slot-0
@@ -277,40 +277,58 @@ impl ResourceAllocator {
                 finish: job.finish_seconds(profile, grid),
                 gpu_seconds: profile.gpu_seconds(grid),
                 profile,
+                pending: None,
             })
             .collect();
         let mut free0 = budget;
         let mut version = 0u64;
-        let mut queue: BinaryHeap<RankedBoost> = BinaryHeap::new();
-        let ranked = |state: &BoostState<'_>, boost: Boost| RankedBoost {
-            restoring: boost.profile.gpus(0) <= state.incumbent,
-            boost,
-        };
-        for (slot, state) in states.iter().enumerate() {
-            if let Some(b) = self.candidate(state, slot, ledger, grid, free0, version, scratch) {
-                queue.push(ranked(state, b));
+        let mut queue: BinaryHeap<BoostKey> = BinaryHeap::with_capacity(states.len());
+        for (slot, state) in states.iter_mut().enumerate() {
+            // A job past its knee or the budget has no candidate: it
+            // skips the ledger round trip.
+            let Some(step) = self.next_step(state, free0) else {
+                continue;
+            };
+            ledger.uncommit(state.profile);
+            let first = self.candidate(state, step, ledger, grid, version, scratch);
+            ledger.commit(state.profile);
+            if let Some(b) = first {
+                queue.push(state.queue(slot, b));
             }
         }
         while free0 > 0 {
-            let Some(RankedBoost { boost, .. }) = queue.pop() else {
+            let Some(key) = queue.pop() else {
                 break;
             };
-            let slot = boost.slot;
-            let state = &mut states[slot];
-            if boost.version < version {
-                // Stale: revalidate against the current ledger, or
-                // recompute and re-queue.
-                ledger.uncommit(state.profile);
+            let state = &mut states[key.slot];
+            let Some(boost) = state.pending.take() else {
+                debug_assert!(false, "a queued key has its boost");
+                continue;
+            };
+            let stale = boost.version < version;
+            if !stale && boost.extra > free0 {
+                // Cannot ever fit again: free0 only shrinks.
+                scratch.recycle(boost.profile);
+                continue;
+            }
+            // The revalidation, the apply and the job's next candidate all
+            // read the ledger without the job's own reservations: take
+            // them out once, and put the job's profile (old or new) back
+            // once. The vector each fill reads is the canonical one, as if
+            // every step had uncommitted and recommitted on its own.
+            ledger.uncommit(state.profile);
+            if stale {
+                // Revalidate against the current ledger, or recompute and
+                // re-queue.
                 let holds = boost
                     .footprint
                     .is_some_and(|f| f.holds(state.job, ledger, self.total_gpus));
-                ledger.commit(state.profile);
                 if !holds {
                     scratch.recycle(boost.profile);
-                    if let Some(fresh) =
-                        self.candidate(state, slot, ledger, grid, free0, version, scratch)
-                    {
-                        queue.push(ranked(state, fresh));
+                    let fresh = self.next_boost(state, ledger, grid, free0, version, scratch);
+                    ledger.commit(state.profile);
+                    if let Some(b) = fresh {
+                        queue.push(state.queue(key.slot, b));
                     }
                     continue;
                 }
@@ -324,7 +342,7 @@ impl ResourceAllocator {
                     // they read the same in debug and release builds.
                     let counted = scratch.counters;
                     let recomputed = self
-                        .candidate(state, slot, ledger, grid, free0, version, scratch)
+                        .next_boost(state, ledger, grid, free0, version, scratch)
                         .map(|b| Boost {
                             version: boost.version,
                             ..b
@@ -338,72 +356,84 @@ impl ResourceAllocator {
                     }
                     scratch.counters = counted;
                 }
+                if boost.extra > free0 {
+                    scratch.recycle(boost.profile);
+                    ledger.commit(state.profile);
+                    continue;
+                }
             }
-            if boost.extra > free0 {
-                // Cannot ever fit again: free0 only shrinks.
-                scratch.recycle(boost.profile);
-                continue;
-            }
-            // Apply the boost: swap profiles in the ledger.
-            ledger.uncommit(state.profile);
-            ledger.commit(&boost.profile);
+            // Apply the boost.
             let superseded = std::mem::replace(state.profile, boost.profile);
             scratch.recycle(superseded);
             state.finish = boost.finish;
             state.gpu_seconds = boost.gpu_seconds;
             free0 -= boost.extra;
             version += 1;
+            scratch.counters.boosts_applied += 1;
             // Queue this job's next step.
-            if let Some(next) = self.candidate(state, slot, ledger, grid, free0, version, scratch) {
-                queue.push(ranked(state, next));
+            let next = self.next_boost(state, ledger, grid, free0, version, scratch);
+            ledger.commit(state.profile);
+            if let Some(b) = next {
+                queue.push(state.queue(key.slot, b));
             }
         }
-        for RankedBoost { boost, .. } in queue {
+        for boost in states.into_iter().filter_map(|s| s.pending) {
             scratch.recycle(boost.profile);
         }
         budget - free0
     }
 
-    /// Computes the next boost candidate for one job: double its slot-0
-    /// allocation (or start it at 1) and progressively re-fill the future.
-    /// Returns `None` when no further boost helps or fits.
-    #[allow(clippy::too_many_arguments)]
-    fn candidate(
-        &self,
-        state: &BoostState<'_>,
-        slot: usize,
-        ledger: &mut ReservationLedger,
-        grid: &SlotGrid,
-        free0: u32,
-        version: u64,
-        scratch: &mut FillScratch,
-    ) -> Option<Boost> {
+    /// The next boost step of one job — double its slot-0 allocation (or
+    /// start it at 1) — as the new slot-0 grant and the GPUs it adds.
+    /// `None` past the knee or the budget. Reads no ledger.
+    fn next_step(&self, state: &BoostState<'_>, free0: u32) -> Option<(u32, u32)> {
         let cur0 = state.profile.gpus(0);
         let next0 = if cur0 == 0 { 1 } else { cur0 * 2 };
         if next0 > state.job.curve.clamp_useful(self.total_gpus) {
             return None; // past the knee: constraint (7)
         }
         let extra = next0 - cur0;
-        if extra > free0 {
-            return None;
-        }
-        // Evaluate against the ledger without this job's own reservations.
-        ledger.uncommit(state.profile);
-        let filled = ladder_fill(
+        (extra <= free0).then_some((next0, extra))
+    }
+
+    /// The job's next boost candidate ([`Self::next_step`], then
+    /// [`Self::candidate`]), or `None` when no further boost helps or fits.
+    fn next_boost(
+        &self,
+        state: &BoostState<'_>,
+        others: &ReservationLedger,
+        grid: &SlotGrid,
+        free0: u32,
+        version: u64,
+        scratch: &mut FillScratch,
+    ) -> Option<Boost> {
+        let step = self.next_step(state, free0)?;
+        self.candidate(state, step, others, grid, version, scratch)
+    }
+
+    /// Computes the boost candidate of `step` for one job: pin slot 0 at
+    /// the step's grant and progressively re-fill the future against
+    /// `others`, the ledger without the job's own reservations. Returns
+    /// `None` when the boost does not finish the job earlier.
+    fn candidate(
+        &self,
+        state: &BoostState<'_>,
+        (next0, extra): (u32, u32),
+        others: &ReservationLedger,
+        grid: &SlotGrid,
+        version: u64,
+        scratch: &mut FillScratch,
+    ) -> Option<Boost> {
+        scratch.counters.boost_candidates += 1;
+        let (fresh, target) = ladder_fill(
             state.job,
-            ledger,
+            others,
             grid,
             self.total_gpus,
             Some(next0),
             1,
             scratch,
-        )
-        .map(|(profile, target)| {
-            let footprint = Footprint::of(state.job, ledger, self.total_gpus, target);
-            (profile, footprint)
-        });
-        ledger.commit(state.profile);
-        let (fresh, footprint) = filled?;
+        )?;
         // Paper line 10/23: enqueue only if the boost finishes the job
         // strictly earlier (fractional finish times within slots).
         let finish = state.job.finish_seconds(&fresh, grid);
@@ -419,13 +449,11 @@ impl ResourceAllocator {
         let gpu_seconds = fresh.gpu_seconds(grid);
         Some(Boost {
             priority: (state.gpu_seconds - gpu_seconds) / extra as f64,
-            id: state.job.id,
-            slot,
             extra,
             profile: fresh,
             finish,
             gpu_seconds,
-            footprint,
+            footprint: Footprint::of(state.job, others, self.total_gpus, target),
             version,
         })
     }
@@ -905,6 +933,11 @@ mod tests {
         let fp = Footprint::of(&tight, &base, 4, target).expect("every slot has room");
         assert_eq!(fp.walk_end, 4);
         assert!(fp.holds(&tight, &base, 4));
+        // Exactly the target free in a walked slot is still headroom,
+        // and the fill repeats.
+        let snug = ledger(vec![1, 2, 1, 1]);
+        assert!(fp.holds(&tight, &snug, 4));
+        assert_eq!(fill(&tight, &snug), Some((profile.clone(), target)));
         // Slot 1 loses its headroom: same walk end, different fill.
         let crowded = ledger(vec![1, 3, 1, 1]);
         assert!(!fp.holds(&tight, &crowded, 4));

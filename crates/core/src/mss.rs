@@ -52,13 +52,13 @@ pub fn minimum_satisfactory_share(
     let knee = curve.knee();
     let mut lo = 0u32; // exponent
     let mut hi = knee.trailing_zeros();
-    if curve.iters_per_sec(knee).unwrap_or(0.0) + 1e-12 < needed {
+    if curve.rate(knee) + 1e-12 < needed {
         return None;
     }
     while lo < hi {
         let mid = (lo + hi) / 2;
         let gpus = 1u32 << mid;
-        if curve.iters_per_sec(gpus).unwrap_or(0.0) + 1e-12 >= needed {
+        if curve.rate(gpus) + 1e-12 >= needed {
             hi = mid;
         } else {
             lo = mid + 1;

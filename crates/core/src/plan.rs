@@ -111,23 +111,38 @@ pub struct PlanningJob {
 impl PlanningJob {
     /// Iterations completed in slot `t` when running `gpus` workers.
     pub fn iters_in_slot(&self, gpus: u32, grid: &SlotGrid, t: usize) -> f64 {
-        self.curve.iters_per_sec(gpus).unwrap_or(0.0) * grid.duration(t)
+        self.curve.rate(gpus) * grid.duration(t)
     }
 
     /// Exact (fractional) time at which the job finishes its remaining
     /// work under `profile`, seconds from now — the `finish_time`
     /// Algorithm 2 compares (line 10). `None` if the profile never
     /// completes the job.
+    ///
+    /// A run of equal grants past slot 0 (which may be short) shares one
+    /// rate and one per-slot work, looked up and multiplied once per run.
+    /// The per-slot comparisons, subtractions and additions stay, in
+    /// slot order, so the result is the per-slot walk's bit for bit.
     pub fn finish_seconds(&self, profile: &AllocationProfile, grid: &SlotGrid) -> Option<f64> {
         let mut remaining = self.remaining_iterations;
         let mut elapsed = 0.0;
+        // The current run's grant, rate and work per slot.
+        let mut run: Option<(u32, f64, f64)> = None;
         for (t, &g) in profile.as_slice().iter().enumerate() {
-            let rate = self.curve.iters_per_sec(g).unwrap_or(0.0);
             let d = grid.duration(t);
-            if rate * d + 1e-12 >= remaining {
+            let (rate, work) = match run {
+                Some((grant, rate, work)) if grant == g && t > 1 => (rate, work),
+                _ => {
+                    let rate = self.curve.rate(g);
+                    let work = rate * d;
+                    run = Some((g, rate, work));
+                    (rate, work)
+                }
+            };
+            if work + 1e-12 >= remaining {
                 return Some(elapsed + if rate > 0.0 { remaining / rate } else { 0.0 });
             }
-            remaining -= rate * d;
+            remaining -= work;
             elapsed += d;
         }
         None
@@ -163,12 +178,20 @@ impl AllocationProfile {
 
     /// Total GPU-time of the profile in GPU-slots weighted by slot
     /// durations (the quantity Algorithm 2 minimizes).
+    ///
+    /// The same additions, in slot order, as summing `g · duration(t)`
+    /// with `Iterator::sum`, which folds from −0.0: an empty profile is
+    /// −0.0, and −0.0 plus slot 0's term (never negative) is that term.
+    /// The additions are the critical path, so later slots only hoist
+    /// their common duration (a walk by runs measured slower).
     pub fn gpu_seconds(&self, grid: &SlotGrid) -> f64 {
-        self.gpus
-            .iter()
-            .enumerate()
-            .map(|(t, &g)| g as f64 * grid.duration(t))
-            .sum()
+        let Some((&g0, rest)) = self.gpus.split_first() else {
+            return -0.0;
+        };
+        let d = grid.rest_seconds();
+        rest.iter().fold(g0 as f64 * grid.duration(0), |total, &g| {
+            total + g as f64 * d
+        })
     }
 
     /// Index of the last slot with a non-zero allocation, if any — a proxy
@@ -244,11 +267,12 @@ impl ReservationLedger {
     ///
     /// Panics (debug) if the profile was never committed.
     pub fn uncommit(&mut self, profile: &AllocationProfile) {
-        for (t, &g) in profile.as_slice().iter().enumerate() {
-            debug_assert!(self.committed.get(t).copied().unwrap_or(0) >= g);
-            if let Some(c) = self.committed.get_mut(t) {
-                *c -= g;
-            }
+        let gpus = profile.as_slice();
+        // A committed profile's slots past the ledger's end are zero.
+        debug_assert!(gpus.iter().skip(self.committed.len()).all(|&g| g == 0));
+        for (c, &g) in self.committed.iter_mut().zip(gpus) {
+            debug_assert!(*c >= g);
+            *c -= g;
         }
         while self.committed.last() == Some(&0) {
             self.committed.pop();
@@ -301,6 +325,120 @@ impl ReservationLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elasticflow_perfmodel::{CurvePoint, DnnModel};
+    use proptest::prelude::*;
+
+    /// The per-slot walks the run-hoisted `finish_seconds` and
+    /// `gpu_seconds` replaced, kept as their bit-for-bit oracles.
+    fn finish_seconds_per_slot(
+        job: &PlanningJob,
+        profile: &AllocationProfile,
+        grid: &SlotGrid,
+    ) -> Option<f64> {
+        let mut remaining = job.remaining_iterations;
+        let mut elapsed = 0.0;
+        for (t, &g) in profile.as_slice().iter().enumerate() {
+            let rate = job.curve.iters_per_sec(g).unwrap_or(0.0);
+            let d = grid.duration(t);
+            if rate * d + 1e-12 >= remaining {
+                return Some(elapsed + if rate > 0.0 { remaining / rate } else { 0.0 });
+            }
+            remaining -= rate * d;
+            elapsed += d;
+        }
+        None
+    }
+
+    fn gpu_seconds_per_slot(profile: &AllocationProfile, grid: &SlotGrid) -> f64 {
+        profile
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(t, &g)| g as f64 * grid.duration(t))
+            .sum()
+    }
+
+    /// Profiles built from runs of one grant: long runs, zero runs, and
+    /// grants off the power-of-two ladder or past the curve (rate 0).
+    fn runs() -> impl Strategy<Value = Vec<u32>> {
+        prop::collection::vec(
+            (
+                prop_oneof![
+                    Just(0u32),
+                    Just(1),
+                    Just(2),
+                    Just(3),
+                    Just(4),
+                    Just(6),
+                    Just(8),
+                    Just(16),
+                ],
+                prop_oneof![1usize..4, 20usize..200],
+            ),
+            0..8,
+        )
+        .prop_map(|runs| {
+            runs.into_iter()
+                .flat_map(|(g, n)| std::iter::repeat_n(g, n))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The run-hoisted profile arithmetic equals the per-slot walks
+        /// bit for bit: short slot 0s, zero and off-ladder grants, work
+        /// that never finishes, and work that ends exactly where a slot
+        /// does.
+        #[test]
+        fn hoisted_profile_arithmetic_is_bit_equal(
+            gpus in runs(),
+            rates in prop::collection::vec(0.1f64..3.0, 4..5),
+            first in prop_oneof![Just(60.0f64), Just(1.0), 0.01f64..60.0],
+            end_at in 0usize..400,
+            work_scale in prop_oneof![Just(0.0f64), 0.0f64..1.5, Just(1e9)],
+        ) {
+            let grid = SlotGrid::new(first, 60.0);
+            // A dense ladder up to 8 GPUs: 16 is past its end.
+            let mut peak = 0.0;
+            let points = rates
+                .iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    peak += r;
+                    CurvePoint { gpus: 1 << i, iters_per_sec: peak }
+                })
+                .collect();
+            let curve = ScalingCurve::from_points(DnnModel::ResNet50, 64, points);
+            let profile = AllocationProfile::new(gpus);
+            // The work of the first `end_at` slots, summed in slot order,
+            // scaled; a scale of 1 ends the work on a slot boundary.
+            let boundary: f64 = profile
+                .as_slice()
+                .iter()
+                .take(end_at)
+                .enumerate()
+                .map(|(t, &g)| curve.rate(g) * grid.duration(t))
+                .sum();
+            for remaining_iterations in [boundary, boundary * work_scale, work_scale] {
+                let job = PlanningJob {
+                    id: JobId::new(0),
+                    curve: curve.clone(),
+                    remaining_iterations,
+                    deadline_slot: usize::MAX,
+                };
+                prop_assert_eq!(
+                    job.finish_seconds(&profile, &grid).map(f64::to_bits),
+                    finish_seconds_per_slot(&job, &profile, &grid).map(f64::to_bits)
+                );
+            }
+            prop_assert_eq!(
+                profile.gpu_seconds(&grid).to_bits(),
+                gpu_seconds_per_slot(&profile, &grid).to_bits()
+            );
+        }
+    }
 
     #[test]
     fn slots_before_boundaries() {

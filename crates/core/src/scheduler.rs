@@ -8,6 +8,7 @@ use elasticflow_sched::{
 use elasticflow_trace::JobId;
 use serde::{Deserialize, Serialize};
 
+use crate::admission::fill_key;
 use crate::{AdmissionSet, FillScratch, PlanningJob, ResourceAllocator, SlotGrid, WORK_EPSILON};
 
 /// The planning grid at time `now` for `slot_seconds`-long slots,
@@ -81,6 +82,72 @@ pub struct ElasticFlowScheduler {
     /// borrows. Not state: it is not compared, not snapshotted, and a
     /// clone starts with an empty one.
     workspace: FillScratch,
+    /// The last arrival's Algorithm 1 fill, for the round's next fill.
+    /// Workspace too, under the same rule.
+    kept: KeptFill,
+}
+
+/// An arrival's Algorithm 1 fill of the active SLO jobs plus the
+/// admitted newcomer's planning view, kept for the round's next fill
+/// (its `plan` or next arrival), keyed by the bits of `now`. It is kept
+/// only while it equals a from-scratch fill — the fill lapsed nothing
+/// and every admit succeeded — and used only at the same instant and
+/// cluster size, over planning views equal to its jobs (DESIGN §10.3).
+#[derive(Debug, Default)]
+pub(crate) struct KeptFill(Option<(u64, AdmissionSet)>);
+
+/// A clone starts without a kept fill, as with the workspace.
+impl Clone for KeptFill {
+    fn clone(&self) -> Self {
+        KeptFill::default()
+    }
+}
+
+impl KeptFill {
+    /// Algorithm 1's fill of `jobs` at `now` on `total_gpus` GPUs, and
+    /// the ids it lapsed: the kept set when it is exactly that fill, a
+    /// from-scratch fill otherwise. Nothing stays kept either way.
+    fn fill(
+        &mut self,
+        now: f64,
+        total_gpus: u32,
+        mut jobs: Vec<PlanningJob>,
+        grid: &SlotGrid,
+        scratch: &mut FillScratch,
+    ) -> (AdmissionSet, Vec<JobId>) {
+        jobs.sort_by_key(fill_key);
+        match self.0.take() {
+            Some((at, set)) if at == now.to_bits() && set.is_fill_of(total_gpus, &jobs) => {
+                scratch.counters.fills_reused += 1;
+                #[cfg(debug_assertions)]
+                {
+                    // The reuse argument, checked on every debug run: a
+                    // from-scratch fill builds the same set. Its fills stay
+                    // out of the work counters.
+                    let counted = scratch.counters;
+                    let (fresh, lapsed) = AdmissionSet::fill(total_gpus, jobs, grid, scratch);
+                    debug_assert!(lapsed.is_empty());
+                    debug_assert_eq!(fresh.jobs(), set.jobs());
+                    debug_assert_eq!(fresh.plan(), set.plan());
+                    debug_assert_eq!(fresh.ledger(), set.ledger());
+                    recycle(fresh, scratch);
+                    scratch.counters = counted;
+                }
+                return (set, Vec::new());
+            }
+            Some((_, stale)) => recycle(stale, scratch),
+            None => {}
+        }
+        AdmissionSet::fill(total_gpus, jobs, grid, scratch)
+    }
+}
+
+/// Returns a set's profile buffers to the workspace.
+fn recycle(set: AdmissionSet, scratch: &mut FillScratch) {
+    let (_, profiles, _) = set.into_parts();
+    for profile in profiles {
+        scratch.recycle(profile);
+    }
 }
 
 /// Schedulers compare by configuration; the workspace is not state.
@@ -109,6 +176,7 @@ impl ElasticFlowScheduler {
         ElasticFlowScheduler {
             planning_slot_seconds: Self::DEFAULT_PLANNING_SLOT,
             workspace: FillScratch::new(),
+            kept: KeptFill::default(),
         }
     }
 
@@ -268,6 +336,11 @@ impl Default for ElasticFlowScheduler {
 /// progressive filling against the feasible subset of the active SLO
 /// jobs, with a deadline-window safety reserve scaled by how heavily the
 /// near-term schedule is already booked.
+///
+/// With `kept`, the fill of the active SLO jobs comes from (and goes
+/// back to) the round's kept fill: ElasticFlow's `plan` and the round's
+/// next arrival reuse it. An admitted job's planning view — without the
+/// reserve, as `plan` sees it — is then admitted into the kept set.
 pub(crate) fn arrival_decision(
     job: &JobRuntime,
     now: f64,
@@ -275,6 +348,7 @@ pub(crate) fn arrival_decision(
     jobs: &JobTable,
     planning_slot_seconds: f64,
     scratch: &mut FillScratch,
+    mut kept: Option<&mut KeptFill>,
 ) -> AdmissionDecision {
     if !job.is_slo() {
         return AdmissionDecision::Admit;
@@ -288,7 +362,10 @@ pub(crate) fn arrival_decision(
     // One fill commits the feasible subset; the candidate is then answered
     // incrementally — only the deadline-ordered suffix at or after its
     // insertion point refills, instead of every job from scratch.
-    let (set, _lapsed) = AdmissionSet::fill(view.total_gpus, existing, &grid, scratch);
+    let (mut set, lapsed) = match kept.as_deref_mut() {
+        Some(kept) => kept.fill(now, view.total_gpus, existing, &grid, scratch),
+        None => AdmissionSet::fill(view.total_gpus, existing, &grid, scratch),
+    };
     // Booked load over the next ~hour decides how much slack to demand.
     let horizon = elasticflow_cluster::num::slots_ceil(3_600.0 / grid.rest_seconds())
         .unwrap_or(1)
@@ -296,9 +373,17 @@ pub(crate) fn arrival_decision(
     let contention = set.booked_fraction(horizon);
     let candidate = ElasticFlowScheduler::planning_job_with_reserve(job, now, &grid, contention);
     let outcome = set.whatif_admit(&candidate, &grid, scratch);
-    let (_, profiles, _) = set.into_parts();
-    for profile in profiles {
-        scratch.recycle(profile);
+    // The set stays exact — what a from-scratch fill of the next views
+    // builds — while its fill lapsed nothing and every admit succeeds.
+    let exact = kept.is_some()
+        && lapsed.is_empty()
+        && (outcome.is_err() || {
+            let plain = ElasticFlowScheduler::planning_job(job, now, &grid);
+            set.admit(plain, &grid, scratch).is_ok()
+        });
+    match kept {
+        Some(kept) if exact => kept.0 = Some((now.to_bits(), set)),
+        _ => recycle(set, scratch),
     }
     match outcome {
         Ok(()) => AdmissionDecision::Admit,
@@ -327,6 +412,7 @@ impl Scheduler for ElasticFlowScheduler {
             jobs,
             self.planning_slot_seconds,
             &mut self.workspace,
+            Some(&mut self.kept),
         )
     }
 
@@ -338,10 +424,15 @@ impl Scheduler for ElasticFlowScheduler {
             .map(|j| Self::planning_job(j, now, &grid))
             .collect();
         // Stage 1: minimum satisfactory shares of the feasible SLO set, in
-        // fill order, with each job's running size index-aligned.
+        // fill order, with each job's running size index-aligned; lapsed
+        // jobs surface for fallback. After an arrival at this instant the
+        // fill is usually the one it kept.
+        let (set, mut infeasible) =
+            self.kept
+                .fill(now, view.total_gpus, planning, &grid, &mut self.workspace);
+        infeasible.sort();
+        let (feasible, mut profiles, mut ledger) = set.into_parts();
         let allocator = ResourceAllocator::new(view.total_gpus);
-        let (feasible, mut profiles, infeasible, mut ledger) =
-            allocator.minimum_shares(planning, &grid, &mut self.workspace);
         let incumbents: Vec<u32> = feasible
             .iter()
             .map(|j| jobs.get(j.id).map_or(0, |rt| rt.current_gpus))
@@ -439,6 +530,7 @@ impl Scheduler for ElasticFlowScheduler {
             ));
         }
         self.planning_slot_seconds = parsed.planning_slot_seconds;
+        self.kept = KeptFill::default();
         Ok(())
     }
 }
@@ -449,7 +541,7 @@ mod tests {
     use crate::FillCounters;
     use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
     use elasticflow_sched::DeclineReason;
-    use elasticflow_trace::JobSpec;
+    use elasticflow_trace::{JobSpec, Rng};
 
     fn runtime(id: u64, now_deadline: Option<f64>, iterations: f64) -> JobRuntime {
         let curve = ScalingCurve::build(DnnModel::ResNet50, 128, &Interconnect::paper_testbed());
@@ -624,7 +716,152 @@ mod tests {
                 tail_steps: 512,
                 hinted_fills: 0,
                 revalidated_boosts: 5,
+                boost_candidates: 22,
+                boosts_applied: 4,
+                fills_reused: 0,
             }
+        );
+    }
+
+    /// What [`kept_fill_plans_equal_from_scratch_plans`] covered.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        admitted: usize,
+        declined: usize,
+        plain_admit_failed: usize,
+        lapsed_fills: usize,
+        second_arrivals: usize,
+        moved_plans: usize,
+        progressed_jobs: usize,
+    }
+
+    /// A random job for the kept-fill test: SLO (its deadline sometimes
+    /// already out of reach), best-effort or soft-deadline, part done,
+    /// with or without an incumbent size.
+    fn random_job(rng: &mut Rng, id: u64, now: f64, kind: usize) -> JobRuntime {
+        let net = Interconnect::paper_testbed();
+        let (model, batch) = [
+            (DnnModel::ResNet50, 256),
+            (DnnModel::Vgg16, 128),
+            (DnnModel::Bert, 128),
+            (DnnModel::Gpt2, 256),
+        ][rng.uniform_usize(4)];
+        let curve = ScalingCurve::build(model, batch, &net);
+        let gpus = (1u32 << rng.uniform_usize(5)).min(curve.knee());
+        let seconds = rng.uniform_range(300.0, 4_000.0);
+        let iterations = seconds * curve.rate(gpus);
+        let window = seconds * rng.uniform_range(0.6, 3.0);
+        let b = JobSpec::builder(JobId::new(id), model, batch)
+            .iterations(iterations)
+            .trace_shape(gpus, seconds);
+        let b = match kind {
+            0 => b.deadline(now + window),
+            1 => b.soft_deadline(now + window),
+            _ => b,
+        };
+        let mut rt = JobRuntime::new(b.build(), curve);
+        rt.remaining_iterations = iterations * rng.uniform_range(0.3, 1.0);
+        rt.current_gpus = if rng.uniform() < 0.5 { gpus } else { 0 };
+        rt
+    }
+
+    /// Runs one arrival through `ef` and through a clone of it (which
+    /// starts without a kept fill), checks that both decide alike, and
+    /// records what the arrival covered. Admitted jobs join the table.
+    fn arrive(
+        ef: &mut ElasticFlowScheduler,
+        job: JobRuntime,
+        now: f64,
+        view: &ClusterView,
+        jobs: &mut JobTable,
+        seen: &mut Coverage,
+    ) {
+        let grid = anchored_grid(ef.planning_slot_seconds, now);
+        let existing: Vec<PlanningJob> = jobs
+            .active()
+            .filter(|j| j.is_slo())
+            .map(|j| ElasticFlowScheduler::planning_job(j, now, &grid))
+            .collect();
+        let (_, lapsed) =
+            AdmissionSet::fill(view.total_gpus, existing, &grid, &mut FillScratch::new());
+        let mut twin = ef.clone();
+        let decision = ef.on_job_arrival(&job, now, view, jobs);
+        assert_eq!(decision, twin.on_job_arrival(&job, now, view, jobs));
+        if !job.is_slo() {
+            return;
+        }
+        seen.lapsed_fills += usize::from(!lapsed.is_empty());
+        if decision == AdmissionDecision::Admit {
+            seen.admitted += 1;
+            seen.plain_admit_failed += usize::from(lapsed.is_empty() && ef.kept.0.is_none());
+            let mut job = job;
+            job.admitted = true;
+            jobs.insert(job);
+        } else {
+            seen.declined += 1;
+        }
+    }
+
+    /// The kept fill is exact: on random tables, a plan after one or two
+    /// arrivals at the same instant equals the plan of a clone taken
+    /// just before it, which starts without a kept fill and so fills
+    /// from scratch. The cases cover admitted and declined arrivals, an
+    /// admitted job whose reserve-free view does not fit the kept set,
+    /// tables whose fill lapses a job, plans at a later instant, and a
+    /// job whose remaining work changed before the plan.
+    #[test]
+    fn kept_fill_plans_equal_from_scratch_plans() {
+        let mut rng = Rng::new(0x6b65_7074);
+        let mut seen = Coverage::default();
+        let mut reused = 0;
+        for _ in 0..1_000 {
+            let view = ClusterView::new([8, 16, 32][rng.uniform_usize(3)]);
+            let now = rng.uniform_range(0.0, 3_600.0);
+            let mut jobs = JobTable::new();
+            let n = 2 + rng.uniform_usize(12) as u64;
+            for id in 0..n {
+                let kind = rng.weighted_choice(&[0.7, 0.15, 0.15]);
+                let mut rt = random_job(&mut rng, id, now, kind);
+                rt.admitted = true;
+                jobs.insert(rt);
+            }
+            let mut ef = ElasticFlowScheduler::new();
+            let arrivals = 1 + rng.uniform_usize(2) as u64;
+            seen.second_arrivals += usize::from(arrivals == 2);
+            for id in n..n + arrivals {
+                let kind = rng.weighted_choice(&[0.9, 0.1]) * 2;
+                let job = random_job(&mut rng, id, now, kind);
+                arrive(&mut ef, job, now, &view, &mut jobs, &mut seen);
+            }
+            let at = if rng.uniform() < 0.25 {
+                seen.moved_plans += 1;
+                now + rng.uniform_range(0.1, 120.0)
+            } else {
+                now
+            };
+            // Work done between the arrivals and the plan changes a view.
+            if rng.uniform() < 0.15 {
+                let id = jobs.active().find(|j| j.is_slo()).map(JobRuntime::id);
+                if let Some(job) = id.and_then(|id| jobs.get_mut(id)) {
+                    seen.progressed_jobs += 1;
+                    job.remaining_iterations *= 0.5;
+                }
+            }
+            let mut twin = ef.clone();
+            assert_eq!(ef.plan(at, &view, &jobs), twin.plan(at, &view, &jobs));
+            assert_eq!(twin.workspace.counters().fills_reused, 0);
+            reused += ef.workspace.counters().fills_reused;
+        }
+        assert!(reused > 0, "no fill was reused");
+        assert!(
+            seen.admitted > 0
+                && seen.declined > 0
+                && seen.plain_admit_failed > 0
+                && seen.lapsed_fills > 0
+                && seen.second_arrivals > 0
+                && seen.moved_plans > 0
+                && seen.progressed_jobs > 0,
+            "{seen:?}"
         );
     }
 

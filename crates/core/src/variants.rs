@@ -71,6 +71,7 @@ impl Scheduler for EdfWithAdmission {
             jobs,
             self.planning_slot_seconds,
             &mut self.workspace,
+            None,
         )
     }
 

@@ -115,6 +115,11 @@ impl PartialEq for Ladder {
     }
 }
 
+/// Equality is reflexive: every rate is finite (`Ladder::new` rejects
+/// NaN). That lets `Arc<Ladder>` compare two handles to one ladder by
+/// pointer, so comparing clones of a curve costs no point scan.
+impl Eq for Ladder {}
+
 /// Serializes a [`Ladder`] as its plain point sequence and derives the
 /// lookups again on the way back in.
 mod ladder_points {

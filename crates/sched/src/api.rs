@@ -119,7 +119,7 @@ impl JobRuntime {
     /// Throughput (iterations/second) this job achieves with `gpus`
     /// workers, honoring the knee clamp; 0 workers yield 0.
     pub fn iters_per_sec(&self, gpus: u32) -> f64 {
-        self.curve.iters_per_sec(gpus).unwrap_or(0.0)
+        self.curve.rate(gpus)
     }
 
     /// Throughput at the job's *current* worker count, checked: a running
