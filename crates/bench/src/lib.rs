@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod drill;
 pub mod experiments;
 pub mod explain;
 pub mod instrument;

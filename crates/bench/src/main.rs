@@ -5,7 +5,7 @@
 //! experiments <id> [--seed N] [--jobs N] [--json] [--telemetry-out <dir>]
 //!                  [--state-dir <dir>] [--checkpoint-every <secs>] [--resume]
 //! experiments all  [...same options...]
-//! experiments crash-drill [--seed N] [--state-dir <dir>] [--checkpoint-every <secs>]
+//! experiments verify-shapes [--seed N] [--json]
 //! experiments explain [--seed N] [--journal <file>] [--job <id>] [--format text|json]
 //! experiments list
 //! ```
@@ -33,10 +33,6 @@
 //! streams its events into a write-ahead log under `<dir>/<stem>/`; add
 //! `--resume` to pick up from the newest valid snapshot after an
 //! interruption. Results are bit-identical with or without persistence.
-//!
-//! `crash-drill` runs the self-checking crash-restart drill: baseline,
-//! mid-run kill, recovery — and exits nonzero if the resumed report or
-//! the recovered write-ahead log diverges.
 //!
 //! `verify-shapes` checks the paper's qualitative claims and exits
 //! nonzero if any of them reads FAIL.
@@ -140,30 +136,6 @@ fn main() -> ExitCode {
         print_usage();
         return ExitCode::FAILURE;
     };
-
-    if command == "crash-drill" {
-        let state_dir = opts.run.state_dir.clone().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("elasticflow-crash-drill-{}", std::process::id()))
-        });
-        return match elasticflow_bench::drill::run_crash_drill(
-            &state_dir,
-            opts.seed,
-            opts.run.checkpoint_every,
-        ) {
-            Ok(report) => {
-                println!("{report}");
-                if report.passed() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("crash-drill failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
 
     if command == "explain" {
         let journal = match &opts.journal {
@@ -274,7 +246,7 @@ fn emit(tables: Vec<elasticflow_bench::Table>, json: bool) {
 
 fn print_usage() {
     eprintln!(
-        "usage: experiments <id|all|list|crash-drill|explain> [--seed N] [--jobs N] [--json] \
+        "usage: experiments <id|all|list|verify-shapes|explain> [--seed N] [--jobs N] [--json] \
          [--telemetry-out <dir>] [--state-dir <dir>] [--checkpoint-every <secs>] [--resume] \
          [--journal <file>] [--job <id>] [--format text|json]"
     );
@@ -291,9 +263,7 @@ fn print_usage() {
         "--state-dir <dir>: checkpoint + write-ahead-log every simulation; \
          --resume recovers after an interruption"
     );
-    eprintln!(
-        "crash-drill: self-checking kill-and-recover determinism drill (nonzero on divergence)"
-    );
+    eprintln!("verify-shapes: check the paper's qualitative claims (nonzero on any FAIL)");
     eprintln!(
         "explain: print the decision trail (admits, declines with shortfalls, resizes, \
          migrations) for the golden workload or a --journal file; --job narrows to one job, \

@@ -191,11 +191,6 @@ impl RecordLog {
         self.policy = policy;
     }
 
-    /// The configured durability policy.
-    pub fn fsync_policy(&self) -> FsyncPolicy {
-        self.policy
-    }
-
     /// Records appended so far (including any kept prefix).
     pub fn records(&self) -> u64 {
         self.records
@@ -380,7 +375,6 @@ mod tests {
             let path = tmp(&format!("fsync-{name}.log"));
             let mut log = RecordLog::create(TEST_KIND, &path).expect("create");
             log.set_fsync_policy(policy);
-            assert_eq!(log.fsync_policy(), policy);
             log.append_batch(["a", "b"]).expect("batch");
             log.append_payload(b"c").expect("append");
             log.sync().expect("explicit sync");

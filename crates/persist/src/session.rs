@@ -17,7 +17,8 @@
 //! Because the resumed run re-appends every event after the cut exactly
 //! as the lost run would have, an interrupted-and-resumed session leaves
 //! the same write-ahead log as an uninterrupted one — the property the
-//! crash-restart drill asserts end to end. The tap is read-only with
+//! golden crash-recovery tests (`tests/persist_recovery.rs`) assert end
+//! to end. The tap is read-only with
 //! respect to the simulation (the engine's observer contract) and the
 //! checkpointer only consults simulated time, so checkpoint cadence is
 //! deterministic for a given workload. Wall-clock time is used solely for
@@ -161,8 +162,8 @@ impl PersistSession {
         })
     }
 
-    /// Arms a hard stop (no final checkpoint) at `round` — the crash half
-    /// of a crash-restart drill.
+    /// Arms a hard stop (no final checkpoint) at `round`: a simulated
+    /// crash, which a later resuming session recovers from.
     pub fn kill_at_round(mut self, round: u64) -> Self {
         self.kill_at_round = Some(round);
         self

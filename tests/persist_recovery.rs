@@ -1,16 +1,23 @@
-//! Golden crash-recovery regression tests.
+//! Golden crash-recovery regression tests: the one proof that a
+//! persisted simulation survives a crash bit-identically.
 //!
-//! Each golden-replay workload (see `tests/golden_replay.rs`) is split at
-//! three cut points: the run is checkpointed to disk through the real
-//! persistence stack (snapshot file + write-ahead log under a
-//! [`StateDir`]), hard-stopped, recovered in a fresh session, and resumed
-//! to completion. The resumed [`SimReport`] must reproduce the exact
-//! pre-captured FNV digest of the uninterrupted run — persistence is
-//! *bit-identical*, not merely approximately correct.
+//! Each workload is crashed at three cut points (~¼, ~½, ~¾ of its
+//! rounds) through the production persistence stack: a
+//! [`PersistSession`] checkpoints every [`CHECKPOINT_EVERY`] simulated
+//! seconds into a state directory, streams every event into its
+//! write-ahead log, and is hard-killed at the cut without a final
+//! checkpoint. A fresh session then recovers the newest periodic
+//! snapshot, which lies strictly before the cut, rolls the log's
+//! non-empty tail back to it, and resumes to completion. Each resume
+//! must reproduce the pinned FNV digest of the uninterrupted run and
+//! leave a write-ahead log byte-identical to an uninterrupted persisted
+//! run's. Persistence is *bit-identical*, not merely approximately
+//! correct.
 //!
-//! The digests below are the same constants as `tests/golden_replay.rs`;
-//! if an intentional semantic change re-captures those, re-capture here
-//! too (`GOLDEN_REPLAY_PRINT=1` prints them).
+//! The seed-42, seed-7 and seed-13 digests are the same constants as
+//! `tests/golden_replay.rs`; the seed-2023 failure-injection digest is
+//! pinned only here. If an intentional semantic change re-captures them,
+//! re-capture here too (`GOLDEN_REPLAY_PRINT=1` prints them).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,16 +25,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use elasticflow::cluster::ClusterSpec;
 use elasticflow::core::ElasticFlowScheduler;
 use elasticflow::perfmodel::Interconnect;
-use elasticflow::persist::records::read_log;
-use elasticflow::persist::store::WAL_KIND;
-use elasticflow::persist::{PersistSession, StateDir, StoredSnapshot, PERSIST_VERSION};
+use elasticflow::persist::PersistSession;
 use elasticflow::sched::{EdfScheduler, Scheduler};
 use elasticflow::sim::{
-    fnv1a64, Event, FailureSchedule, NodeFailure, RunDirective, SimConfig, SimContext,
-    SimController, SimObserver, SimReport, SimSnapshot, Simulation,
+    fnv1a64, Event, FailureSchedule, NodeFailure, SimConfig, SimContext, SimObserver, SimOutcome,
+    SimReport, Simulation,
 };
 use elasticflow::telemetry::TelemetrySession;
 use elasticflow::trace::{Trace, TraceConfig};
+
+/// Simulated seconds between periodic snapshots: the `experiments`
+/// CLI's `--checkpoint-every` default.
+const CHECKPOINT_EVERY: f64 = 600.0;
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
@@ -71,41 +80,8 @@ fn failure_config() -> SimConfig {
     ]))
 }
 
-/// Writes the snapshot cut at `cut_round` through the real on-disk
-/// persistence stack, stamped with the `wal_records` the crashed run's
-/// log holds, then stops — the checkpoint half of each crash.
-struct DiskCutter {
-    state: StateDir,
-    wal_records: u64,
-    cut_round: u64,
-    wrote: bool,
-}
-
-impl SimController for DiskCutter {
-    fn directive(&mut self, _now: f64, round: u64) -> RunDirective {
-        if round == self.cut_round {
-            RunDirective::CheckpointThenStop
-        } else {
-            RunDirective::Continue
-        }
-    }
-
-    fn on_snapshot(&mut self, snapshot: SimSnapshot) {
-        let stored = StoredSnapshot {
-            version: PERSIST_VERSION,
-            wal_records: self.wal_records,
-            sim: snapshot,
-        };
-        self.state
-            .snapshots()
-            .write_next(&stored)
-            .expect("snapshot write");
-        self.wrote = true;
-    }
-}
-
-/// Counts the events a run emits — the number of records a WAL tap on
-/// the same run would have appended.
+/// Counts the events a run emits — the number of records its WAL tap
+/// must have appended.
 #[derive(Default)]
 struct EventCount(u64);
 
@@ -115,121 +91,111 @@ impl SimObserver for EventCount {
     }
 }
 
-/// Crash at `cut_round` (checkpointing through disk), recover in a fresh
-/// session, resume to completion, and return the resumed report with the
-/// state directory it left.
-///
-/// The crash half is two runs to the same round: a [`PersistSession`]
-/// killed there leaves the write-ahead log, and a [`DiskCutter`] run
-/// writes the snapshot of that round, stamped with the log's record
-/// count; the cutter run's own event count must agree with it.
-///
-/// With `telemetry`, a fresh deterministic telemetry stack is attached
-/// to each of the three runs — the killed session, the cutter and the
-/// resume — proving observers stay read-only across the persistence
-/// seam too: the snapshot the resume loads comes from an observed run.
-fn cut_and_resume(
+/// Runs `psession` under an [`EventCount`] and, with `telemetry`, a fresh
+/// deterministic telemetry stack, then asserts the run hit no
+/// persistence error and its WAL tap logged every event exactly once.
+fn run_observed(
+    psession: &mut PersistSession,
     sim: &Simulation,
     trace: &Trace,
     make_scheduler: &dyn Fn() -> Box<dyn Scheduler>,
-    cut_round: u64,
     telemetry: bool,
-) -> (SimReport, PathBuf) {
-    let root = temp_dir();
-
-    // Crash half: a persisted run hard-stopped at `cut_round`, then the
-    // snapshot of that round written beside the log it left.
-    let wal_records = {
-        let mut psession = PersistSession::begin(&root, f64::INFINITY, false)
-            .expect("open state dir")
-            .kill_at_round(cut_round);
-        let mut session = telemetry.then(TelemetrySession::deterministic);
-        let mut observers: Vec<&mut dyn SimObserver> = Vec::new();
-        if let Some(s) = session.as_mut() {
-            observers.extend(s.observers());
-        }
-        let mut scheduler = make_scheduler();
-        let outcome = psession
-            .run(sim, trace, scheduler.as_mut(), &mut observers)
-            .expect("a fresh run has no snapshot to reject");
-        assert!(!outcome.completed, "cut round {cut_round} never fired");
-        assert!(psession.first_error().is_none());
-        psession.stats().wal_records
-    };
-    let state = StateDir::open(&root).expect("open state dir");
-    let logged = read_log(WAL_KIND, state.wal_path()).expect("read WAL");
-    assert_eq!(logged.payloads.len() as u64, wal_records);
-    let mut cutter = DiskCutter {
-        state,
-        wal_records,
-        cut_round,
-        wrote: false,
-    };
+) -> SimOutcome {
     let mut count = EventCount::default();
     let mut session = telemetry.then(TelemetrySession::deterministic);
     let mut observers: Vec<&mut dyn SimObserver> = vec![&mut count];
     if let Some(s) = session.as_mut() {
         observers.extend(s.observers());
     }
-    let mut scheduler = make_scheduler();
-    let outcome = sim.run_controlled(trace, scheduler.as_mut(), &mut observers, &mut cutter);
-    drop(observers);
-    assert!(!outcome.completed, "cut round {cut_round} never fired");
-    assert!(cutter.wrote, "no snapshot was written at round {cut_round}");
-    assert_eq!(
-        count.0, wal_records,
-        "the snapshot's run and the killed session disagree on the log position"
-    );
-
-    // Resume half, in a "new process": everything reloaded from disk.
-    let mut psession = PersistSession::begin(&root, f64::INFINITY, true).expect("recovery session");
-    let snap = psession.snapshot().expect("recovery found the snapshot");
-    assert_eq!(snap.round, cut_round);
-    let mut session = telemetry.then(TelemetrySession::deterministic);
-    let mut observers: Vec<&mut dyn SimObserver> = Vec::new();
-    if let Some(s) = session.as_mut() {
-        observers.extend(s.observers());
-    }
-    let mut scheduler = make_scheduler();
     let outcome = psession
-        .run(sim, trace, scheduler.as_mut(), &mut observers)
-        .expect("snapshot resumes");
-    assert!(outcome.completed, "resumed run stopped early");
-    (outcome.report, root)
+        .run(sim, trace, make_scheduler().as_mut(), &mut observers)
+        .expect("the state directory belongs to this run");
+    drop(observers);
+    assert!(psession.first_error().is_none());
+    assert_eq!(
+        count.0,
+        psession.stats().wal_records,
+        "the WAL tap did not log every event exactly once"
+    );
+    outcome
 }
 
-/// The write-ahead log of an uninterrupted persisted run.
-fn uninterrupted_wal(sim: &Simulation, trace: &Trace, scheduler: &mut dyn Scheduler) -> Vec<u8> {
-    let root = temp_dir();
-    let mut session = PersistSession::begin(&root, f64::INFINITY, false).expect("open state dir");
-    let outcome = session
-        .run(sim, trace, scheduler, &mut [])
-        .expect("a fresh run has no snapshot to reject");
-    assert!(outcome.completed);
-    drop(session);
-    std::fs::read(root.join("events.wal")).expect("read WAL")
-}
-
-/// Three cut points spread across the run: ~¼, ~½, ~¾.
-fn cut_points(
+/// Crash a persisted run at `cut`, recover it in a fresh session, resume
+/// to completion, and return the resumed report, the state directory it
+/// left and the round of the snapshot it resumed from.
+///
+/// With `telemetry`, a fresh deterministic telemetry stack is attached
+/// to both runs, proving observers stay read-only across the persistence
+/// seam too: the snapshot the resume loads comes from an observed run.
+fn cut_and_resume(
     sim: &Simulation,
     trace: &Trace,
     make_scheduler: &dyn Fn() -> Box<dyn Scheduler>,
-) -> (u64, [u64; 3]) {
-    let baseline = sim.run(trace, make_scheduler().as_mut());
-    let rounds = baseline.timeline().len() as u64;
-    assert!(rounds >= 8, "scenario too short to cut three ways");
-    (digest(&baseline), [rounds / 4, rounds / 2, 3 * rounds / 4])
+    cut: u64,
+    telemetry: bool,
+) -> (SimReport, PathBuf, u64) {
+    let root = temp_dir();
+
+    // Crash half: periodic checkpoints, then a hard stop at `cut`.
+    let mut psession = PersistSession::begin(&root, CHECKPOINT_EVERY, false)
+        .expect("open state dir")
+        .kill_at_round(cut);
+    let outcome = run_observed(&mut psession, sim, trace, make_scheduler, telemetry);
+    assert!(!outcome.completed, "cut round {cut} never fired");
+    let stats = psession.stats();
+    assert!(stats.checkpoints > 0, "no checkpoint before round {cut}");
+    assert_eq!(stats.failures, 0, "a snapshot write failed");
+    let crashed_records = stats.wal_records;
+    drop(psession);
+
+    // Resume half, in a "new process": everything reloaded from disk.
+    let mut psession =
+        PersistSession::begin(&root, CHECKPOINT_EVERY, true).expect("recovery session");
+    let recovered = &psession
+        .recovered()
+        .expect("recovery found a snapshot")
+        .snapshot;
+    let (resumed_round, kept_records) = (recovered.sim.round, recovered.wal_records);
+    assert!(
+        resumed_round < cut,
+        "resumed from round {resumed_round}, not before the cut at {cut}"
+    );
+    assert!(
+        kept_records < crashed_records,
+        "cut {cut}: no WAL tail past the snapshot was rolled back"
+    );
+    let outcome = run_observed(&mut psession, sim, trace, make_scheduler, telemetry);
+    assert!(outcome.completed, "resumed run stopped early");
+    (outcome.report, root, resumed_round)
 }
 
+/// The write-ahead log of an uninterrupted persisted run.
+fn uninterrupted_wal(
+    sim: &Simulation,
+    trace: &Trace,
+    make_scheduler: &dyn Fn() -> Box<dyn Scheduler>,
+) -> Vec<u8> {
+    let root = temp_dir();
+    let mut psession =
+        PersistSession::begin(&root, CHECKPOINT_EVERY, false).expect("open state dir");
+    assert!(run_observed(&mut psession, sim, trace, make_scheduler, false).completed);
+    drop(psession);
+    std::fs::read(root.join("events.wal")).expect("read WAL")
+}
+
+/// Crashes the workload at ~¼, ~½ and ~¾ of its rounds; every resume
+/// must reproduce `expected` and the uninterrupted write-ahead log, and
+/// the three must resume from three different snapshots.
 fn assert_golden_across_cuts(
     sim: &Simulation,
     trace: &Trace,
     make_scheduler: &dyn Fn() -> Box<dyn Scheduler>,
     expected: u64,
     name: &str,
+    telemetry: bool,
 ) {
-    let (baseline_digest, cuts) = cut_points(sim, trace, make_scheduler);
+    let baseline = sim.run(trace, make_scheduler().as_mut());
+    let baseline_digest = digest(&baseline);
     if std::env::var("GOLDEN_REPLAY_PRINT").is_ok() {
         println!("golden digest [{name}]: 0x{baseline_digest:016x}");
     }
@@ -237,13 +203,27 @@ fn assert_golden_across_cuts(
         baseline_digest, expected,
         "{name}: baseline digest drifted before any persistence was involved"
     );
-    for cut in cuts {
-        let (resumed, _) = cut_and_resume(sim, trace, make_scheduler, cut, false);
+    let rounds = baseline.timeline().len() as u64;
+    assert!(rounds >= 8, "{name}: scenario too short to cut three ways");
+    let full_wal = uninterrupted_wal(sim, trace, make_scheduler);
+    let mut resumed_rounds = Vec::new();
+    for cut in [rounds / 4, rounds / 2, 3 * rounds / 4] {
+        let (resumed, root, resumed_round) =
+            cut_and_resume(sim, trace, make_scheduler, cut, telemetry);
         assert_eq!(
             digest(&resumed),
             expected,
             "{name}: resume from cut round {cut} broke the golden digest"
         );
+        assert!(
+            std::fs::read(root.join("events.wal")).expect("read WAL") == full_wal,
+            "{name}: crash at round {cut} + resume left a different write-ahead log"
+        );
+        assert!(
+            !resumed_rounds.contains(&resumed_round),
+            "{name}: two cuts resumed from the snapshot of round {resumed_round}"
+        );
+        resumed_rounds.push(resumed_round);
     }
 }
 
@@ -256,6 +236,7 @@ fn elasticflow_recovery_reproduces_the_golden_digest() {
         &|| Box::new(ElasticFlowScheduler::new()),
         ELASTICFLOW_DIGEST,
         "elasticflow",
+        false,
     );
 }
 
@@ -268,38 +249,41 @@ fn edf_recovery_reproduces_the_golden_digest() {
         &|| Box::new(EdfScheduler::new()),
         EDF_DIGEST,
         "edf",
+        false,
     );
 }
 
 #[test]
 fn failure_injection_recovery_reproduces_the_golden_digest() {
-    let (sim, trace) = scenario_with(13, failure_config());
-    assert_golden_across_cuts(
-        &sim,
-        &trace,
-        &|| Box::new(ElasticFlowScheduler::new()),
-        FAILURE_DIGEST,
-        "failure-injection",
-    );
+    for (seed, expected) in [(13, FAILURE_DIGEST), (2023, FAILURE_2023_DIGEST)] {
+        let (sim, trace) = scenario_with(seed, failure_config());
+        assert_golden_across_cuts(
+            &sim,
+            &trace,
+            &|| Box::new(ElasticFlowScheduler::new()),
+            expected,
+            &format!("failure-injection seed {seed}"),
+            false,
+        );
+    }
 }
 
-/// Telemetry attached to every run of the crash and the resume must not
-/// perturb the resumed digest, nor the write-ahead log it leaves.
+/// Telemetry attached to the crashed run and the resume must not perturb
+/// the resumed digest, nor the write-ahead log it leaves.
 #[test]
 fn recovery_with_telemetry_attached_is_still_golden() {
-    let make: &dyn Fn() -> Box<dyn Scheduler> = &|| Box::new(ElasticFlowScheduler::new());
     for (seed, config, expected) in [
         (42, SimConfig::default(), ELASTICFLOW_DIGEST),
         (13, failure_config(), FAILURE_DIGEST),
     ] {
         let (sim, trace) = scenario_with(seed, config);
-        let (_, cuts) = cut_points(&sim, &trace, make);
-        let (resumed, root) = cut_and_resume(&sim, &trace, make, cuts[1], true);
-        assert_eq!(digest(&resumed), expected);
-        assert_eq!(
-            std::fs::read(root.join("events.wal")).unwrap(),
-            uninterrupted_wal(&sim, &trace, make().as_mut()),
-            "seed {seed}: observed crash+resume log differs from the uninterrupted one"
+        assert_golden_across_cuts(
+            &sim,
+            &trace,
+            &|| Box::new(ElasticFlowScheduler::new()),
+            expected,
+            &format!("telemetry seed {seed}"),
+            true,
         );
     }
 }
@@ -310,12 +294,12 @@ fn recovery_with_telemetry_attached_is_still_golden() {
 fn recovered_wal_is_byte_identical_to_uninterrupted() {
     let (sim, trace) = scenario(7);
     let make: &dyn Fn() -> Box<dyn Scheduler> = &|| Box::new(EdfScheduler::new());
-    let (_, cuts) = cut_points(&sim, &trace, make);
-    let (_, root) = cut_and_resume(&sim, &trace, make, cuts[1], false);
+    let rounds = sim.run(&trace, make().as_mut()).timeline().len() as u64;
+    let (_, root, _) = cut_and_resume(&sim, &trace, make, rounds / 2, false);
 
-    assert_eq!(
-        std::fs::read(root.join("events.wal")).unwrap(),
-        uninterrupted_wal(&sim, &trace, &mut EdfScheduler::new()),
+    assert!(
+        std::fs::read(root.join("events.wal")).expect("read WAL")
+            == uninterrupted_wal(&sim, &trace, make),
         "crash+resume write-ahead log differs from the uninterrupted one"
     );
 }
@@ -325,3 +309,5 @@ fn recovered_wal_is_byte_identical_to_uninterrupted() {
 const ELASTICFLOW_DIGEST: u64 = 0xfc0e_f318_b192_ca64;
 const EDF_DIGEST: u64 = 0x22c5_5c57_dd91_acd6;
 const FAILURE_DIGEST: u64 = 0xb3ee_dbf5_627c_2861;
+// The failure-injection scenario at the `experiments` CLI's default seed.
+const FAILURE_2023_DIGEST: u64 = 0xe955_2ab6_0d8f_c8b4;
