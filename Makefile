@@ -31,13 +31,17 @@ audit:
 doc:
 	RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps
 
-# The determinism gates a performance change must keep, as CI runs them:
-# golden replay and crash recovery, the release mega-cluster smoke digest,
-# and the perfbench seed-0 digests on all four workloads (the serve ones
-# traced too). perfbench exits nonzero when a pinned digest moves.
+# The gates a performance change must keep, as CI runs them: golden
+# replay and crash recovery, the release allocation ceilings of warm
+# planning rounds and declined gateway submissions, the release
+# mega-cluster smoke digest, and the perfbench seed-0 digests on all four
+# workloads (the serve ones traced too). perfbench exits nonzero when a
+# pinned digest moves.
 digests:
 	cargo test -q --test golden_replay
 	cargo test -q --test persist_recovery
+	cargo test -q --release -p elasticflow-core --test round_allocations
+	cargo test -q --release -p elasticflow-serve --test submit_allocations
 	cargo test -q --release -p elasticflow-bench --test mega_cluster -- --ignored --exact mega_cluster_smoke_matches_golden_digest
 	for w in serve_deadline serve_bulk sim_elasticflow sim_edf; do \
 	  cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \

@@ -243,6 +243,16 @@ struct SuffixRefill {
     ledger: ReservationLedger,
 }
 
+impl SuffixRefill {
+    /// Gives the refill's vectors back to `scratch`.
+    fn recycle(self, scratch: &mut FillScratch) {
+        scratch.recycle(self.cand_profile);
+        scratch.give_profiles(self.suffix);
+        scratch.targets.give(self.suffix_targets);
+        scratch.give_ledger(self.ledger);
+    }
+}
+
 /// Adds `new − old` to the scratch's per-slot ledger difference,
 /// keeping its count of negative slots current.
 fn shift_delta(scratch: &mut FillScratch, new: &AllocationProfile, old: &AllocationProfile) {
@@ -333,32 +343,38 @@ impl AdmissionSet {
         scratch: &mut FillScratch,
     ) -> (AdmissionSet, Vec<JobId>) {
         assert!(total_gpus > 0, "cluster must have GPUs");
-        jobs.sort_by_key(fill_key);
-        // Room for one admit past the fill, the common next step.
-        let room = jobs.len() + 1;
+        // Ids are unique within a set, so the key order is total and an
+        // unstable sort (which never allocates) orders like a stable one.
+        jobs.sort_unstable_by_key(fill_key);
         let mut set = AdmissionSet {
             total_gpus,
-            jobs: Vec::with_capacity(room),
-            profiles: Vec::with_capacity(room),
-            targets: Vec::with_capacity(room),
-            ledger: ReservationLedger::new(),
+            jobs: scratch.jobs.take(),
+            profiles: scratch.profiles.take(),
+            targets: scratch.targets.take(),
+            ledger: scratch.take_ledger(),
         };
+        // Room for one admit past the fill, the common next step.
+        let room = jobs.len() + 1;
+        set.jobs.reserve(room);
+        set.profiles.reserve(room);
+        set.targets.reserve(room);
         let lapsed = set.fill_tail(jobs, grid, scratch);
         (set, lapsed)
     }
 
     /// Algorithm 1's fill loop: appends `jobs` — in fill order, each
     /// after every job already in the set — filling each against the
-    /// committed ledger from ladder rung 1. Returns the jobs that cannot
-    /// be satisfied; they commit nothing.
+    /// committed ledger from ladder rung 1, and gives the drained vector
+    /// back to `scratch`. Returns the jobs that cannot be satisfied; they
+    /// commit nothing.
     fn fill_tail(
         &mut self,
-        jobs: Vec<PlanningJob>,
+        mut jobs: Vec<PlanningJob>,
         grid: &SlotGrid,
         scratch: &mut FillScratch,
     ) -> Vec<JobId> {
-        let mut lapsed = Vec::new();
-        for job in jobs {
+        let mut lapsed = scratch.lapsed.take();
+        for job in jobs.drain(..) {
             match progressive_filling_from(&job, &self.ledger, grid, self.total_gpus, 1, scratch) {
                 Some((profile, target)) => {
                     self.ledger.commit(&profile);
@@ -369,6 +385,7 @@ impl AdmissionSet {
                 None => lapsed.push(job.id),
             }
         }
+        scratch.jobs.give(jobs);
         lapsed
     }
 
@@ -411,8 +428,10 @@ impl AdmissionSet {
         self.jobs.is_empty()
     }
 
-    /// The committed plan as an id-keyed map (cloned).
-    pub fn plan(&self) -> BTreeMap<JobId, AllocationProfile> {
+    /// The committed plan as an id-keyed map (cloned). Only tests and
+    /// the kept fill's debug check compare plans this way.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn plan(&self) -> BTreeMap<JobId, AllocationProfile> {
         self.jobs
             .iter()
             .zip(&self.profiles)
@@ -443,6 +462,28 @@ impl AdmissionSet {
         (self.jobs, self.profiles, self.ledger)
     }
 
+    /// The set's jobs (fill order), their profiles and the committed
+    /// ledger, the latter two mutable: a planning round boosts the
+    /// profiles in place (Algorithm 2) and then recycles the set, which
+    /// is no longer a fill of its jobs.
+    pub(crate) fn parts_mut(
+        &mut self,
+    ) -> (
+        &[PlanningJob],
+        &mut [AllocationProfile],
+        &mut ReservationLedger,
+    ) {
+        (&self.jobs, &mut self.profiles, &mut self.ledger)
+    }
+
+    /// Gives every vector of the set back to `scratch`.
+    pub(crate) fn recycle(self, scratch: &mut FillScratch) {
+        scratch.jobs.give(self.jobs);
+        scratch.give_profiles(self.profiles);
+        scratch.targets.give(self.targets);
+        scratch.give_ledger(self.ledger);
+    }
+
     /// Index at which `candidate` would fill (jobs with an equal key
     /// cannot exist: ids are unique within a set).
     fn insertion_point(&self, candidate: &PlanningJob) -> usize {
@@ -455,8 +496,8 @@ impl AdmissionSet {
     /// (insertion index, candidate profile, refilled suffix, updated
     /// ledger); on failure an [`AdmissionDenial`] naming the first job
     /// (in fill order) that cannot be satisfied, with its shortfall. The
-    /// set itself is untouched; profiles of a failed refill are recycled
-    /// into `scratch`.
+    /// set itself is untouched; the vectors of a failed refill go back
+    /// into `scratch`, and so must those of a successful one.
     fn refill_suffix(
         &self,
         candidate: &PlanningJob,
@@ -467,32 +508,32 @@ impl AdmissionSet {
         // The ledger of the prefix `[0, k)`, built from whichever side
         // touches fewer profiles. Commitments are integers, so both
         // routes give the same vector.
-        let mut ledger = if k < self.profiles.len() / 2 {
-            let mut prefix = ReservationLedger::new();
+        let mut ledger = scratch.take_ledger();
+        if k < self.profiles.len() / 2 {
             for profile in &self.profiles[..k] {
-                prefix.commit(profile);
+                ledger.commit(profile);
             }
-            prefix
         } else {
-            let mut full = self.ledger.clone();
+            ledger.copy_from(&self.ledger);
             for profile in &self.profiles[k..] {
-                full.uncommit(profile);
+                ledger.uncommit(profile);
             }
-            full
-        };
+        }
         let (cand_profile, cand_target) =
             match progressive_filling_from(candidate, &ledger, grid, self.total_gpus, 1, scratch) {
                 Some(filled) => filled,
                 None => {
+                    let shortfall = window_shortfall(candidate, &ledger, grid, self.total_gpus);
+                    scratch.give_ledger(ledger);
                     return Err(AdmissionDenial {
                         blocking_job: candidate.id,
-                        shortfall: window_shortfall(candidate, &ledger, grid, self.total_gpus),
-                    })
+                        shortfall,
+                    });
                 }
             };
         ledger.commit(&cand_profile);
-        let mut suffix = Vec::with_capacity(self.profiles.len() - k);
-        let mut suffix_targets = Vec::with_capacity(self.profiles.len() - k);
+        let mut suffix = scratch.profiles.take();
+        let mut suffix_targets = scratch.targets.take();
         // Ladder-start soundness: a job's stored target is the full
         // ladder's answer under the ledger it was filled against, the
         // stored profiles before it. While the working ledger dominates
@@ -528,10 +569,15 @@ impl AdmissionSet {
                         blocking_job: job.id,
                         shortfall: window_shortfall(job, &ledger, grid, self.total_gpus),
                     };
-                    scratch.recycle(cand_profile);
-                    for profile in suffix {
-                        scratch.recycle(profile);
+                    SuffixRefill {
+                        k,
+                        cand_profile,
+                        cand_target,
+                        suffix,
+                        suffix_targets,
+                        ledger,
                     }
+                    .recycle(scratch);
                     return Err(denial);
                 }
             }
@@ -559,11 +605,8 @@ impl AdmissionSet {
         grid: &SlotGrid,
         scratch: &mut FillScratch,
     ) -> Result<(), AdmissionDenial> {
-        let refill = self.refill_suffix(candidate, grid, scratch)?;
-        scratch.recycle(refill.cand_profile);
-        for profile in refill.suffix {
-            scratch.recycle(profile);
-        }
+        self.refill_suffix(candidate, grid, scratch)?
+            .recycle(scratch);
         Ok(())
     }
 
@@ -578,17 +621,27 @@ impl AdmissionSet {
         grid: &SlotGrid,
         scratch: &mut FillScratch,
     ) -> Result<(), AdmissionDenial> {
-        let refill = self.refill_suffix(&candidate, grid, scratch)?;
-        self.jobs.insert(refill.k, candidate);
-        for superseded in self.profiles.drain(refill.k..) {
+        let SuffixRefill {
+            k,
+            cand_profile,
+            cand_target,
+            mut suffix,
+            mut suffix_targets,
+            ledger,
+        } = self.refill_suffix(&candidate, grid, scratch)?;
+        self.jobs.insert(k, candidate);
+        for superseded in self.profiles.drain(k..) {
             scratch.recycle(superseded);
         }
-        self.profiles.push(refill.cand_profile);
-        self.profiles.extend(refill.suffix);
-        self.targets.truncate(refill.k);
-        self.targets.push(refill.cand_target);
-        self.targets.extend(refill.suffix_targets);
-        self.ledger = refill.ledger;
+        self.profiles.push(cand_profile);
+        self.profiles.append(&mut suffix);
+        self.targets.truncate(k);
+        self.targets.push(cand_target);
+        self.targets.append(&mut suffix_targets);
+        scratch.profiles.give(suffix);
+        scratch.targets.give(suffix_targets);
+        let superseded = std::mem::replace(&mut self.ledger, ledger);
+        scratch.give_ledger(superseded);
         Ok(())
     }
 
@@ -619,7 +672,8 @@ impl AdmissionSet {
         // *frees* capacity, so a later job's minimum target can shrink —
         // stored targets are no shortcut here; the refill walks the full
         // ladder from rung 1.
-        let tail: Vec<PlanningJob> = self.jobs.drain(k..).skip(1).collect();
+        let mut tail = scratch.jobs.take();
+        tail.extend(self.jobs.drain(k..).skip(1));
         self.fill_tail(tail, grid, scratch)
     }
 
@@ -668,9 +722,8 @@ impl AdmissionSet {
         if slots == 0 || self.jobs.is_empty() {
             return report;
         }
-        let jobs = std::mem::take(&mut self.jobs);
-        let mut survivors = Vec::with_capacity(jobs.len());
-        for (mut job, profile) in jobs.into_iter().zip(self.profiles.drain(..)) {
+        let mut survivors = scratch.jobs.take();
+        for (mut job, profile) in self.jobs.drain(..).zip(self.profiles.drain(..)) {
             // Work the guaranteed plan performs in the elapsed slots.
             let mut done = 0.0_f64;
             for t in 0..slots.min(profile.len()) {
@@ -697,7 +750,7 @@ impl AdmissionSet {
         // Rebasing shifts every window by the same amount, so the
         // survivors are still in fill order.
         self.targets.clear();
-        self.ledger = ReservationLedger::new();
+        self.ledger.clear();
         report.lapsed = self.fill_tail(survivors, grid, scratch);
         report
     }

@@ -112,31 +112,41 @@ impl Footprint {
 }
 
 /// What the boost loop knows about one job, derived once per profile
-/// rather than once per probe.
-struct BoostState<'a> {
-    job: &'a PlanningJob,
+/// rather than once per probe. Plain data, index-aligned with the jobs
+/// and profiles being boosted, so the workspace keeps the vector.
+#[derive(Debug)]
+struct BoostState {
     incumbent: u32,
-    profile: &'a mut AllocationProfile,
+    /// `finish_seconds` and `gpu_seconds` of the job's current profile.
     finish: Option<f64>,
     gpu_seconds: f64,
     /// The job's queued boost, if any; the heap holds only its key.
     pending: Option<Boost>,
 }
 
-impl BoostState<'_> {
-    /// Parks `boost` as this job's pending boost and returns its heap
-    /// key. A job has at most one queued boost at any time.
-    fn queue(&mut self, slot: usize, boost: Boost) -> BoostKey {
+impl BoostState {
+    /// Parks `boost` as the pending boost of `job` (at index `slot`) and
+    /// returns its heap key. A job has at most one queued boost at any
+    /// time.
+    fn queue(&mut self, job: &PlanningJob, slot: usize, boost: Boost) -> BoostKey {
         debug_assert!(self.pending.is_none(), "one queued boost per job");
         let key = BoostKey {
             restoring: boost.profile.gpus(0) <= self.incumbent,
             priority: boost.priority,
-            id: self.job.id,
+            id: job.id,
             slot,
         };
         self.pending = Some(boost);
         key
     }
+}
+
+/// The boost loop's per-job states and key heap, kept in the
+/// [`FillScratch`] between rounds; empty whenever no boost runs.
+#[derive(Debug, Default)]
+pub(crate) struct BoostBuffers {
+    states: Vec<BoostState>,
+    queue: BinaryHeap<BoostKey>,
 }
 
 /// The heap key of a pending boost, ordered so `BinaryHeap::pop` yields
@@ -267,40 +277,40 @@ impl ResourceAllocator {
         if budget == 0 {
             return 0; // every boost step costs at least one GPU
         }
-        let mut states: Vec<BoostState<'_>> = jobs
-            .iter()
-            .zip(profiles.iter_mut())
-            .zip(incumbents)
-            .map(|((job, profile), &incumbent)| BoostState {
-                job,
+        let BoostBuffers {
+            mut states,
+            mut queue,
+        } = std::mem::take(&mut scratch.boost);
+        states.extend(jobs.iter().zip(profiles.iter()).zip(incumbents).map(
+            |((job, profile), &incumbent)| BoostState {
                 incumbent,
                 finish: job.finish_seconds(profile, grid),
                 gpu_seconds: profile.gpu_seconds(grid),
-                profile,
                 pending: None,
-            })
-            .collect();
+            },
+        ));
         let mut free0 = budget;
         let mut version = 0u64;
-        let mut queue: BinaryHeap<BoostKey> = BinaryHeap::with_capacity(states.len());
         for (slot, state) in states.iter_mut().enumerate() {
+            let (job, profile) = (&jobs[slot], &profiles[slot]);
             // A job past its knee or the budget has no candidate: it
             // skips the ledger round trip.
-            let Some(step) = self.next_step(state, free0) else {
+            let Some(step) = self.next_step(job, profile, free0) else {
                 continue;
             };
-            ledger.uncommit(state.profile);
-            let first = self.candidate(state, step, ledger, grid, version, scratch);
-            ledger.commit(state.profile);
+            ledger.uncommit(profile);
+            let first = self.candidate(job, state, step, ledger, grid, version, scratch);
+            ledger.commit(profile);
             if let Some(b) = first {
-                queue.push(state.queue(slot, b));
+                queue.push(state.queue(job, slot, b));
             }
         }
         while free0 > 0 {
             let Some(key) = queue.pop() else {
                 break;
             };
-            let state = &mut states[key.slot];
+            let (job, state) = (&jobs[key.slot], &mut states[key.slot]);
+            let profile = &mut profiles[key.slot];
             let Some(boost) = state.pending.take() else {
                 debug_assert!(false, "a queued key has its boost");
                 continue;
@@ -316,19 +326,20 @@ impl ResourceAllocator {
             // them out once, and put the job's profile (old or new) back
             // once. The vector each fill reads is the canonical one, as if
             // every step had uncommitted and recommitted on its own.
-            ledger.uncommit(state.profile);
+            ledger.uncommit(profile);
             if stale {
                 // Revalidate against the current ledger, or recompute and
                 // re-queue.
                 let holds = boost
                     .footprint
-                    .is_some_and(|f| f.holds(state.job, ledger, self.total_gpus));
+                    .is_some_and(|f| f.holds(job, ledger, self.total_gpus));
                 if !holds {
                     scratch.recycle(boost.profile);
-                    let fresh = self.next_boost(state, ledger, grid, free0, version, scratch);
-                    ledger.commit(state.profile);
+                    let fresh =
+                        self.next_boost(job, profile, state, ledger, grid, free0, version, scratch);
+                    ledger.commit(profile);
                     if let Some(b) = fresh {
-                        queue.push(state.queue(key.slot, b));
+                        queue.push(state.queue(job, key.slot, b));
                     }
                     continue;
                 }
@@ -342,7 +353,7 @@ impl ResourceAllocator {
                     // they read the same in debug and release builds.
                     let counted = scratch.counters;
                     let recomputed = self
-                        .next_boost(state, ledger, grid, free0, version, scratch)
+                        .next_boost(job, profile, state, ledger, grid, free0, version, scratch)
                         .map(|b| Boost {
                             version: boost.version,
                             ..b
@@ -358,12 +369,12 @@ impl ResourceAllocator {
                 }
                 if boost.extra > free0 {
                     scratch.recycle(boost.profile);
-                    ledger.commit(state.profile);
+                    ledger.commit(profile);
                     continue;
                 }
             }
             // Apply the boost.
-            let superseded = std::mem::replace(state.profile, boost.profile);
+            let superseded = std::mem::replace(profile, boost.profile);
             scratch.recycle(superseded);
             state.finish = boost.finish;
             state.gpu_seconds = boost.gpu_seconds;
@@ -371,25 +382,32 @@ impl ResourceAllocator {
             version += 1;
             scratch.counters.boosts_applied += 1;
             // Queue this job's next step.
-            let next = self.next_boost(state, ledger, grid, free0, version, scratch);
-            ledger.commit(state.profile);
+            let next = self.next_boost(job, profile, state, ledger, grid, free0, version, scratch);
+            ledger.commit(profile);
             if let Some(b) = next {
-                queue.push(state.queue(key.slot, b));
+                queue.push(state.queue(job, key.slot, b));
             }
         }
-        for boost in states.into_iter().filter_map(|s| s.pending) {
+        for boost in states.drain(..).filter_map(|s| s.pending) {
             scratch.recycle(boost.profile);
         }
+        queue.clear();
+        scratch.boost = BoostBuffers { states, queue };
         budget - free0
     }
 
-    /// The next boost step of one job — double its slot-0 allocation (or
-    /// start it at 1) — as the new slot-0 grant and the GPUs it adds.
-    /// `None` past the knee or the budget. Reads no ledger.
-    fn next_step(&self, state: &BoostState<'_>, free0: u32) -> Option<(u32, u32)> {
-        let cur0 = state.profile.gpus(0);
+    /// The next boost step of `job` at `profile` — double its slot-0
+    /// allocation (or start it at 1) — as the new slot-0 grant and the
+    /// GPUs it adds. `None` past the knee or the budget. Reads no ledger.
+    fn next_step(
+        &self,
+        job: &PlanningJob,
+        profile: &AllocationProfile,
+        free0: u32,
+    ) -> Option<(u32, u32)> {
+        let cur0 = profile.gpus(0);
         let next0 = if cur0 == 0 { 1 } else { cur0 * 2 };
-        if next0 > state.job.curve.clamp_useful(self.total_gpus) {
+        if next0 > job.curve.clamp_useful(self.total_gpus) {
             return None; // past the knee: constraint (7)
         }
         let extra = next0 - cur0;
@@ -398,26 +416,31 @@ impl ResourceAllocator {
 
     /// The job's next boost candidate ([`Self::next_step`], then
     /// [`Self::candidate`]), or `None` when no further boost helps or fits.
+    #[allow(clippy::too_many_arguments)]
     fn next_boost(
         &self,
-        state: &BoostState<'_>,
+        job: &PlanningJob,
+        profile: &AllocationProfile,
+        state: &BoostState,
         others: &ReservationLedger,
         grid: &SlotGrid,
         free0: u32,
         version: u64,
         scratch: &mut FillScratch,
     ) -> Option<Boost> {
-        let step = self.next_step(state, free0)?;
-        self.candidate(state, step, others, grid, version, scratch)
+        let step = self.next_step(job, profile, free0)?;
+        self.candidate(job, state, step, others, grid, version, scratch)
     }
 
-    /// Computes the boost candidate of `step` for one job: pin slot 0 at
+    /// Computes the boost candidate of `step` for `job`: pin slot 0 at
     /// the step's grant and progressively re-fill the future against
     /// `others`, the ledger without the job's own reservations. Returns
     /// `None` when the boost does not finish the job earlier.
+    #[allow(clippy::too_many_arguments)]
     fn candidate(
         &self,
-        state: &BoostState<'_>,
+        job: &PlanningJob,
+        state: &BoostState,
         (next0, extra): (u32, u32),
         others: &ReservationLedger,
         grid: &SlotGrid,
@@ -425,18 +448,11 @@ impl ResourceAllocator {
         scratch: &mut FillScratch,
     ) -> Option<Boost> {
         scratch.counters.boost_candidates += 1;
-        let (fresh, target) = ladder_fill(
-            state.job,
-            others,
-            grid,
-            self.total_gpus,
-            Some(next0),
-            1,
-            scratch,
-        )?;
+        let (fresh, target) =
+            ladder_fill(job, others, grid, self.total_gpus, Some(next0), 1, scratch)?;
         // Paper line 10/23: enqueue only if the boost finishes the job
         // strictly earlier (fractional finish times within slots).
-        let finish = state.job.finish_seconds(&fresh, grid);
+        let finish = job.finish_seconds(&fresh, grid);
         let finishes_earlier = match (finish, state.finish) {
             (Some(a), Some(b)) => a + WORK_EPSILON < b,
             (Some(_), None) => true,
@@ -453,7 +469,7 @@ impl ResourceAllocator {
             profile: fresh,
             finish,
             gpu_seconds,
-            footprint: Footprint::of(state.job, others, self.total_gpus, target),
+            footprint: Footprint::of(job, others, self.total_gpus, target),
             version,
         })
     }

@@ -1,8 +1,11 @@
 //! Progressive filling (the inner loop of the paper's Algorithm 1).
 
 use elasticflow_sched::clamp_pow2;
+use elasticflow_trace::JobId;
 
+use crate::alloc::BoostBuffers;
 use crate::plan::WORK_EPSILON;
+use crate::scheduler::PlanBuffers;
 use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
 
 /// The planner's fill workspace: reusable buffers for
@@ -20,15 +23,25 @@ use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
 ///
 /// Ownership rule: the caller owns the workspace and lends it to every
 /// fill, admission check and boost it runs. A scheduler or gateway keeps
-/// one for its whole lifetime and reuses it across rounds. That makes the
-/// fills themselves allocation-free once warm: the candidate slot vector
-/// is cleared, never freed, and each emitted profile takes a recycled
-/// buffer. The rest of a round still allocates — the planning views,
-/// an admission set's vectors and each suffix refill's ledger copy, the
-/// boost's per-job states and key heap, and the schedule plan: about 15
-/// allocations per ElasticFlow `plan` and 12 per arrival decision on the
-/// seed-0 `sim_elasticflow` trace. Contents are dead between calls —
-/// reuse never changes an outcome — which is also why a workspace is
+/// one for its whole lifetime and reuses it across rounds. Besides the
+/// fill kernel's buffers it keeps every per-round vector of a planning
+/// round: the planning views, an admission set's jobs, profiles, ladder
+/// targets and ledger, a suffix refill's working ledger and refilled
+/// profiles, Algorithm 2's per-job boost states and key heap, and
+/// `plan`'s grants, positions and best-effort heap. Each path takes
+/// these vectors from the workspace and gives them back, so a warm
+/// ElasticFlow round allocates only the schedule plan it returns, plus
+/// the odd profile buffer that grows when the pool hands it a longer
+/// profile than it held before. Release-build tests pin ceilings after
+/// one warm-up round: `core/tests/round_allocations.rs` at most 10
+/// allocations per `plan` of a 28-job table (5 of them the returned
+/// plan's map nodes), at most 4 per SLO arrival decision and none per
+/// best-effort one; `serve/tests/submit_allocations.rs` at most 2 per
+/// declined gateway submission.
+///
+/// The buffers hold only owned, lifetime-free data (positions and ids,
+/// never references), and their contents are dead between calls —
+/// reuse never changes an outcome. That is also why a workspace is
 /// never part of its owner's state: it is not compared, not
 /// snapshotted, and a clone starts empty (counters at zero). It must
 /// not be shared concurrently; each worker thread owns its own.
@@ -50,6 +63,52 @@ pub struct FillScratch {
     pub(crate) negative: usize,
     /// Work done so far; see [`FillCounters`].
     pub(crate) counters: FillCounters,
+    /// Planning views and admission-set job vectors.
+    pub(crate) jobs: Shelf<PlanningJob>,
+    /// Admission-set and suffix-refill profile vectors.
+    pub(crate) profiles: Shelf<AllocationProfile>,
+    /// Ladder-target vectors of sets and suffix refills.
+    pub(crate) targets: Shelf<u32>,
+    /// Lapsed-id vectors of Algorithm 1's fills.
+    pub(crate) lapsed: Shelf<JobId>,
+    /// Set ledgers and suffix refills' working ledgers.
+    ledgers: Vec<ReservationLedger>,
+    /// Algorithm 2's boost loop.
+    pub(crate) boost: BoostBuffers,
+    /// The scheduler's `plan`.
+    pub(crate) round: PlanBuffers,
+}
+
+/// Vectors of one element type, handed out empty and given back after
+/// use. A round takes at most a few of each kind at once, so the shelf
+/// keeps a handful; more are dropped.
+#[derive(Debug)]
+pub(crate) struct Shelf<T>(Vec<Vec<T>>);
+
+impl<T> Default for Shelf<T> {
+    fn default() -> Self {
+        Shelf(Vec::new())
+    }
+}
+
+/// Vectors kept per shelf; a planning round holds at most three of a
+/// kind (a kept set, the round's own set and its input views).
+const SHELF_CAP: usize = 8;
+
+impl<T> Shelf<T> {
+    /// An empty vector, with the capacity of one given back earlier.
+    pub(crate) fn take(&mut self) -> Vec<T> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Takes `v` back; its contents are dropped, its capacity kept (a
+    /// vector without capacity is not worth a place).
+    pub(crate) fn give(&mut self, mut v: Vec<T>) {
+        v.clear();
+        if v.capacity() > 0 && self.0.len() < SHELF_CAP {
+            self.0.push(v);
+        }
+    }
 }
 
 /// Deterministic work counters of the fill kernel, cumulative over a
@@ -114,6 +173,27 @@ impl FillScratch {
     /// The work counters accumulated since the workspace was created.
     pub fn counters(&self) -> FillCounters {
         self.counters
+    }
+
+    /// Gives a profile vector back, its profiles' buffers into the pool.
+    pub(crate) fn give_profiles(&mut self, mut profiles: Vec<AllocationProfile>) {
+        for profile in profiles.drain(..) {
+            self.recycle(profile);
+        }
+        self.profiles.give(profiles);
+    }
+
+    /// An empty ledger, with the buffer of one given back earlier.
+    pub(crate) fn take_ledger(&mut self) -> ReservationLedger {
+        self.ledgers.pop().unwrap_or_default()
+    }
+
+    /// Takes a ledger back; its reservations are dropped, its buffer kept.
+    pub(crate) fn give_ledger(&mut self, mut ledger: ReservationLedger) {
+        ledger.clear();
+        if self.ledgers.len() < SHELF_CAP {
+            self.ledgers.push(ledger);
+        }
     }
 }
 

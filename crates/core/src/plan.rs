@@ -242,6 +242,16 @@ impl ReservationLedger {
         &self.committed
     }
 
+    /// Empties the ledger, keeping its buffer for reuse.
+    pub(crate) fn clear(&mut self) {
+        self.committed.clear();
+    }
+
+    /// Makes this ledger equal to `other`, reusing its own buffer.
+    pub(crate) fn copy_from(&mut self, other: &ReservationLedger) {
+        self.committed.clone_from(&other.committed);
+    }
+
     /// GPUs still free in slot `t` on a cluster of `total` GPUs.
     pub fn free(&self, t: usize, total: u32) -> u32 {
         total.saturating_sub(self.committed(t))

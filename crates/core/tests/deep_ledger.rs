@@ -9,9 +9,19 @@
 //! a *mid-pack* job whose deadline falls inside the set, so about half
 //! the suffix is refilled.
 
-use elasticflow_core::{AdmissionSet, FillScratch, PlanningJob, ResourceAllocator, SlotGrid};
+use std::collections::BTreeMap;
+
+use elasticflow_core::{
+    AdmissionSet, AllocationProfile, FillScratch, PlanningJob, ResourceAllocator, SlotGrid,
+};
 use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
 use elasticflow_trace::JobId;
+
+/// The set's committed plan as an id-keyed map.
+fn plan_of(set: &AdmissionSet) -> BTreeMap<JobId, AllocationProfile> {
+    let (jobs, profiles, _) = set.clone().into_parts();
+    jobs.iter().map(|j| j.id).zip(profiles).collect()
+}
 
 const SIZES: [usize; 3] = [50, 200, 1000];
 const TOTAL_GPUS: u32 = 128;
@@ -96,7 +106,7 @@ fn deep_ledgers_agree_with_a_from_scratch_fill() {
             let mut admitted = set.clone();
             let outcome = admitted
                 .admit(candidate, &grid, &mut scratch)
-                .map(|()| admitted.plan());
+                .map(|()| plan_of(&admitted));
             assert_eq!(
                 outcome,
                 AdmissionSet::check(TOTAL_GPUS, &union, &grid),
@@ -107,8 +117,8 @@ fn deep_ledgers_agree_with_a_from_scratch_fill() {
             let (fresh, lapsed) = AdmissionSet::fill(TOTAL_GPUS, union, &grid, &mut scratch);
             assert!(lapsed.is_empty(), "n={n}, {shape}: union lapsed {lapsed:?}");
             assert_eq!(
-                admitted.plan(),
-                fresh.plan(),
+                plan_of(&admitted),
+                plan_of(&fresh),
                 "n={n}, {shape}: plans differ"
             );
             assert_eq!(

@@ -11,6 +11,12 @@ use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
 use elasticflow_trace::JobId;
 use proptest::prelude::*;
 
+/// The set's committed plan as an id-keyed map.
+fn plan_of(set: &AdmissionSet) -> BTreeMap<JobId, AllocationProfile> {
+    let (jobs, profiles, _) = set.clone().into_parts();
+    jobs.iter().map(|j| j.id).zip(profiles).collect()
+}
+
 /// A random concave power-of-two curve up to 4 GPUs.
 fn concave_curve() -> impl Strategy<Value = ScalingCurve> {
     (0.5f64..2.0, 0.3f64..0.95, 0.3f64..0.95).prop_map(|(t1, d1, d2)| {
@@ -67,7 +73,7 @@ fn admitted_plan(
 ) -> Result<BTreeMap<JobId, AllocationProfile>, AdmissionDenial> {
     let mut set = set.clone();
     set.admit(candidate, grid, &mut FillScratch::new())?;
-    Ok(set.plan())
+    Ok(plan_of(&set))
 }
 
 proptest! {
@@ -205,7 +211,7 @@ proptest! {
         // Mid-sequence checkpoint: the mutated set matches a fresh fill.
         let (fresh, lapsed) = AdmissionSet::fill(4, resident.clone(), &grid, scratch);
         prop_assert!(lapsed.is_empty(), "admitted jobs cannot lapse on refill");
-        prop_assert_eq!(set.plan(), fresh.plan());
+        prop_assert_eq!(plan_of(&set), plan_of(&fresh));
         prop_assert_eq!(set.ledger(), fresh.ledger());
         // Withdrawing only frees capacity, so nobody lapses and the
         // survivors match a from-scratch fill again.
@@ -217,7 +223,7 @@ proptest! {
         }
         let (fresh, lapsed) = AdmissionSet::fill(4, resident, &grid, scratch);
         prop_assert!(lapsed.is_empty());
-        prop_assert_eq!(set.plan(), fresh.plan());
+        prop_assert_eq!(plan_of(&set), plan_of(&fresh));
         prop_assert_eq!(set.ledger(), fresh.ledger());
     }
 
@@ -340,7 +346,7 @@ proptest! {
             match (set.admit(job.clone(), &grid, &mut scratch), offline) {
                 (Ok(()), Ok(plan)) => {
                     accepted.push(job);
-                    prop_assert_eq!(set.plan(), plan);
+                    prop_assert_eq!(plan_of(&set), plan);
                 }
                 (Err(denial), Err(offline)) => {
                     prop_assert_eq!(denial.blocking_job, offline.blocking_job);
