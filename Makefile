@@ -34,7 +34,8 @@ doc:
 # The gates a performance change must keep, as CI runs them: golden
 # replay and crash recovery, the release allocation ceilings of warm
 # planning rounds and declined gateway submissions, the release
-# mega-cluster smoke digest, and the perfbench seed-0 digests on all four
+# mega-cluster digests (the EDF smoke, and ElasticFlow on 16,384 GPUs),
+# and the perfbench seed-0 digests on all four
 # workloads (the serve ones traced too). perfbench exits nonzero when a
 # pinned digest moves.
 digests:
@@ -43,6 +44,7 @@ digests:
 	cargo test -q --release -p elasticflow-core --test round_allocations
 	cargo test -q --release -p elasticflow-serve --test submit_allocations
 	cargo test -q --release -p elasticflow-bench --test mega_cluster -- --ignored --exact mega_cluster_smoke_matches_golden_digest
+	cargo test -q --release -p elasticflow-bench --test mega_cluster -- --ignored --exact elasticflow_at_paper_scale_shape_matches_golden_digest
 	for w in serve_deadline serve_bulk sim_elasticflow sim_edf; do \
 	  cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
 	    --workload "$$w" --seed 0 --seconds 1 --trace 0 || exit 1; \

@@ -14,13 +14,17 @@
 //! The paper-scale run takes about a minute in release:
 //! `cargo test -q --release -p elasticflow-bench --test mega_cluster -- --ignored --exact mega_cluster_paper_scale_matches_golden_digest`.
 //! To re-capture after an *intentional* observable change, add
-//! `MEGA_SMOKE_PRINT=1` and `--nocapture` to either command.
+//! `MEGA_SMOKE_PRINT=1` and `--nocapture` to any command here.
 //!
-//! A third, non-ignored gate runs ElasticFlow on the smoke's cluster
-//! and generator with fewer arrivals, so every `cargo test` (debug, with
-//! the planner's recompute-and-assert checks on) and every `cargo test
-//! --features audit` (with `check_plan` on every plan) drives Algorithms
-//! 1 and 2 at 1,024 GPUs.
+//! Two gates run ElasticFlow on the same generator with 15,000
+//! arrivals. The one on the smoke's 1,024 GPUs is not ignored, so every
+//! `cargo test` (debug, with the planner's recompute-and-assert checks
+//! on) and every `cargo test --features audit` (with `check_plan` on
+//! every plan) drives Algorithms 1 and 2 at 1,024 GPUs. The one on the
+//! paper-scale cluster (16,384 GPUs, where Algorithm 2 is most of the
+//! planning time) is `#[ignore]`d and needs a release build (a few
+//! seconds); CI's release mega step runs it:
+//! `cargo test -q --release -p elasticflow-bench --test mega_cluster -- --ignored --exact elasticflow_at_paper_scale_shape_matches_golden_digest`.
 
 use elasticflow_bench::mega::{mega_trace, outcome_digest, run_mega, MegaConfig, MegaStats};
 use elasticflow_cluster::ClusterSpec;
@@ -40,6 +44,9 @@ const ELASTICFLOW_ARRIVALS: usize = 15_000;
 /// Golden digest of the ElasticFlow gate's per-outcome JSON stream (the
 /// same value perfbench pins for `sim_elasticflow` at seed 0).
 const ELASTICFLOW_DIGEST: u64 = 0xee9c_ba58_5af9_24be;
+
+/// Golden digest of the ElasticFlow gate on the paper-scale cluster.
+const ELASTICFLOW_16K_DIGEST: u64 = 0xaf18_4180_d36a_1029;
 
 fn print_if_asked(label: &str, stats: &MegaStats) {
     if std::env::var("MEGA_SMOKE_PRINT").is_ok() {
@@ -90,28 +97,47 @@ fn mega_cluster_paper_scale_matches_golden_digest() {
     );
 }
 
-#[test]
-fn elasticflow_at_mega_shape_matches_golden_digest() {
+/// Runs ElasticFlow on `cfg`'s cluster and trace, cut to
+/// [`ELASTICFLOW_ARRIVALS`] arrivals. Returns the outcome digest and the
+/// number of declined jobs.
+fn run_elasticflow(label: &str, cfg: MegaConfig) -> (u64, usize) {
     let cfg = MegaConfig {
         arrivals: ELASTICFLOW_ARRIVALS,
-        ..MegaConfig::smoke()
+        ..cfg
     };
     let report = Simulation::new(
         ClusterSpec::with_servers(cfg.servers, cfg.gpus_per_server),
         SimConfig::default(),
     )
     .run(&mega_trace(&cfg), &mut ElasticFlowScheduler::new());
+    assert_eq!(report.outcomes().len(), ELASTICFLOW_ARRIVALS);
     let digest = outcome_digest(&report);
     if std::env::var("MEGA_SMOKE_PRINT").is_ok() {
         eprintln!(
-            "mega elasticflow: digest {digest:#018x}, {} dropped",
+            "mega {label}: digest {digest:#018x}, {} dropped",
             report.dropped()
         );
     }
-    assert_eq!(report.outcomes().len(), ELASTICFLOW_ARRIVALS);
-    assert_eq!(report.dropped(), 2_850);
+    (digest, report.dropped())
+}
+
+#[test]
+fn elasticflow_at_mega_shape_matches_golden_digest() {
+    let (digest, dropped) = run_elasticflow("elasticflow", MegaConfig::smoke());
+    assert_eq!(dropped, 2_850);
     assert_eq!(
         digest, ELASTICFLOW_DIGEST,
         "ElasticFlow mega-shape outcome digest changed (got {digest:#018x})"
+    );
+}
+
+#[test]
+#[ignore = "needs a release build; CI runs it with -- --ignored"]
+fn elasticflow_at_paper_scale_shape_matches_golden_digest() {
+    let (digest, dropped) = run_elasticflow("elasticflow 16k", MegaConfig::paper_scale());
+    assert_eq!(dropped, 2_909);
+    assert_eq!(
+        digest, ELASTICFLOW_16K_DIGEST,
+        "ElasticFlow outcome digest on 16,384 GPUs changed (got {digest:#018x})"
     );
 }

@@ -1327,6 +1327,7 @@ mod tests {
                 revalidated_boosts: 1,
                 boost_candidates: 9,
                 boosts_applied: 2,
+                certified_boosts: 0,
                 fills_reused: 0,
             }
         );

@@ -1,61 +1,21 @@
 //! Elastic resource allocation (paper Algorithm 2).
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use elasticflow_trace::JobId;
 
 use crate::filling::{headroom_through, ladder_fill, slot_walk_end, FillScratch};
-use crate::{
-    AdmissionSet, AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON,
-};
-
-/// Outcome of a resource-allocation round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AllocationResult {
-    /// Per-job profiles; `gpus(0)` of each is the allocation to apply now.
-    pub profiles: BTreeMap<JobId, AllocationProfile>,
-    /// Jobs whose deadlines can no longer be guaranteed (e.g. after
-    /// accumulated scaling pauses); they receive no profile and must be
-    /// handled by a fallback policy.
-    pub infeasible: Vec<JobId>,
-}
-
-impl AllocationResult {
-    /// GPUs the result assigns in slot 0.
-    pub fn slot0_gpus(&self) -> u32 {
-        self.profiles.values().map(|p| p.gpus(0)).sum()
-    }
-}
+use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON};
 
 /// The greedy marginal-return allocator: after reserving every job's
 /// minimum satisfactory share, leftover GPUs are granted one ladder step at
 /// a time to the job whose boost saves the most GPU-time per extra GPU
 /// (paper Algorithm 2; optimal for concave curves by Theorem 2).
-///
-/// # Example
-///
-/// ```
-/// use elasticflow_core::{PlanningJob, ResourceAllocator, SlotGrid};
-/// use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
-/// use elasticflow_trace::JobId;
-///
-/// let curve = ScalingCurve::from_points(DnnModel::ResNet50, 64, vec![
-///     CurvePoint { gpus: 1, iters_per_sec: 1.0 },
-///     CurvePoint { gpus: 2, iters_per_sec: 1.5 },
-/// ]);
-/// let job = PlanningJob {
-///     id: JobId::new(0),
-///     curve,
-///     remaining_iterations: 1.0,
-///     deadline_slot: 4,
-/// };
-/// let result = ResourceAllocator::new(4).allocate(&[job], &SlotGrid::uniform(1.0));
-/// // MSS is 1 GPU; the idle cluster boosts it to its knee (2 GPUs).
-/// assert_eq!(result.profiles[&JobId::new(0)].gpus(0), 2);
-/// ```
+/// [`crate::ElasticFlowScheduler`]'s `plan` runs it as its third stage,
+/// after Algorithm 1's minimum shares and the leftover queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResourceAllocator {
+pub(crate) struct ResourceAllocator {
     total_gpus: u32,
 }
 
@@ -194,43 +154,9 @@ impl ResourceAllocator {
     /// # Panics
     ///
     /// Panics if `total_gpus` is zero.
-    pub fn new(total_gpus: u32) -> Self {
+    pub(crate) fn new(total_gpus: u32) -> Self {
         assert!(total_gpus > 0, "cluster must have GPUs");
         ResourceAllocator { total_gpus }
-    }
-
-    /// Runs Algorithm 2 over the given (deadline-carrying) jobs.
-    ///
-    /// Phase 1 recomputes every job's minimum satisfactory profile via
-    /// Algorithm 1's progressive filling; phase 2 distributes leftover
-    /// slot-0 GPUs by marginal return. No job has an incumbent size here;
-    /// the scheduler, which tracks running sizes, runs the two phases
-    /// itself.
-    pub fn allocate(&self, jobs: &[PlanningJob], grid: &SlotGrid) -> AllocationResult {
-        let mut scratch = FillScratch::new();
-        // One fill serves both cases: an all-feasible set is exactly the
-        // admitted plan of Algorithm 1, and when guarantees have drifted
-        // (scaling pauses, discretization) the same pass keeps the
-        // satisfiable jobs and surfaces the lapsed rest for fallback.
-        let (set, mut infeasible) =
-            AdmissionSet::fill(self.total_gpus, jobs.to_vec(), grid, &mut scratch);
-        infeasible.sort();
-        let (jobs, mut profiles, mut ledger) = set.into_parts();
-        let free0 = self.total_gpus - profiles.iter().map(|p| p.gpus(0)).sum::<u32>();
-        let incumbents = vec![0; jobs.len()];
-        self.boost(
-            &jobs,
-            grid,
-            &mut profiles,
-            &mut ledger,
-            free0,
-            &incumbents,
-            &mut scratch,
-        );
-        AllocationResult {
-            profiles: jobs.iter().map(|j| j.id).zip(profiles).collect(),
-            infeasible,
-        }
     }
 
     /// Phase 2 of Algorithm 2: distributes up to `budget` leftover slot-0
@@ -245,21 +171,15 @@ impl ResourceAllocator {
     /// checkpoint/restore pause), so this damps allocation churn; ties in
     /// marginal return are broken in favor of the status quo.
     ///
-    /// Selection runs through a lazy binary heap: entries keep the key
-    /// they were pushed with, and a popped entry that no longer fits the
-    /// shrinking budget is discarded. A popped entry whose version
-    /// predates the ledger is *stale*. If the footprint of its fill still
-    /// holds on the current ledger, that fill would repeat bit for bit;
-    /// the entry was the heap maximum and nothing was pushed since, so
-    /// re-pushing it would pop it again — it is applied as if fresh.
-    /// Otherwise it is recomputed and re-pushed. Pop order equals a
-    /// linear rescan for the best pending boost entry for entry, so both
-    /// produce identical allocations.
+    /// `budget` is at most the slot-0 GPUs the profiles leave free.
     ///
-    /// The order of the slices does not matter: the heap's order over
-    /// (restoring, priority, id) is total with at most one entry per job,
-    /// and every initial candidate is computed against the same ledger
-    /// (the job's own profile uncommitted, then recommitted).
+    /// The greedy's global order matters only when jobs compete: for the
+    /// budget, or for room in a slot past 0. When [`Self::uncontended`]
+    /// rules both out, every job's doubling chain runs to its end on its
+    /// own ([`Self::boost_chains`]), which is what the greedy produces in
+    /// any pop order. Otherwise the greedy runs ([`Self::boost_heap`]).
+    /// Debug builds run the greedy on every certified call as well and
+    /// assert the same profiles, ledger and spend.
     ///
     /// Fills run through the caller's workspace.
     #[allow(clippy::too_many_arguments)]
@@ -277,6 +197,139 @@ impl ResourceAllocator {
         if budget == 0 {
             return 0; // every boost step costs at least one GPU
         }
+        if !self.uncontended(jobs, profiles, budget) {
+            return self.boost_heap(jobs, grid, profiles, ledger, budget, incumbents, scratch);
+        }
+        scratch.counters.certified_boosts += 1;
+        #[cfg(debug_assertions)]
+        let (mut heap_profiles, mut heap_ledger) = (profiles.to_vec(), ledger.clone());
+        let spent = self.boost_chains(jobs, grid, profiles, ledger, budget, scratch);
+        #[cfg(debug_assertions)]
+        {
+            // The certificate's argument, checked on every debug run: the
+            // greedy ends where the chains do. Its fills stay out of the
+            // work counters, so they read the same in debug and release
+            // builds.
+            let counted = scratch.counters;
+            let heap_spent = self.boost_heap(
+                jobs,
+                grid,
+                &mut heap_profiles,
+                &mut heap_ledger,
+                budget,
+                incumbents,
+                scratch,
+            );
+            debug_assert_eq!(heap_spent, spent);
+            debug_assert_eq!(&heap_profiles[..], &profiles[..]);
+            debug_assert_eq!(&heap_ledger, ledger);
+            scratch.counters = counted;
+        }
+        spent
+    }
+
+    /// The certificate that no two jobs compete in a boost: growing every
+    /// job from its slot-0 grant to its largest useful grant fits
+    /// `budget`. One O(n) sum, which rules out both kinds of competition:
+    ///
+    /// * no doubling is ever refused for want of GPUs;
+    /// * the budget is at most what slot 0 leaves free, so the jobs'
+    ///   largest useful grants fit the cluster together. Every grant a
+    ///   fill makes passes through its job's knee clamp, so in every slot
+    ///   past 0 the other jobs leave room for any rung of the job being
+    ///   filled: every slot its fills walk is a headroom slot.
+    fn uncontended(
+        &self,
+        jobs: &[PlanningJob],
+        profiles: &[AllocationProfile],
+        budget: u32,
+    ) -> bool {
+        let mut growth = 0u64;
+        for (job, profile) in jobs.iter().zip(profiles) {
+            let clamp = job.curve.clamp_useful(self.total_gpus);
+            debug_assert!(profile.as_slice().iter().all(|&g| g <= clamp));
+            growth += u64::from(clamp - profile.gpus(0));
+        }
+        debug_assert!(
+            profiles.iter().map(|p| u64::from(p.gpus(0))).sum::<u64>() + u64::from(budget)
+                <= u64::from(self.total_gpus),
+            "the budget is slot 0's leftover"
+        );
+        growth <= u64::from(budget)
+    }
+
+    /// The certified boost: each job's doubling chain runs to its end —
+    /// the knee, or the first doubling that does not finish the job
+    /// earlier — between one uncommit and one commit of its profile.
+    ///
+    /// Under [`Self::uncontended`] every fill reads headroom slots only,
+    /// and such a fill is a function of the job and the rung, wherever
+    /// the ledger's horizon lies (the analytic tail of `try_target` sums
+    /// like the slot walk it replaces). A chain therefore does not depend
+    /// on the other chains, nor on when the greedy would have popped its
+    /// steps, and the budget covers every chain, so one pass in slice
+    /// order grants what the greedy grants.
+    fn boost_chains(
+        &self,
+        jobs: &[PlanningJob],
+        grid: &SlotGrid,
+        profiles: &mut [AllocationProfile],
+        ledger: &mut ReservationLedger,
+        budget: u32,
+        scratch: &mut FillScratch,
+    ) -> u32 {
+        let mut free0 = budget;
+        for (job, profile) in jobs.iter().zip(profiles.iter_mut()) {
+            let Some(mut step) = self.next_step(job, profile, free0) else {
+                continue;
+            };
+            ledger.uncommit(profile);
+            let mut finish = job.finish_seconds(profile, grid);
+            while let Some((fresh, fresh_finish, _)) =
+                self.improvement(job, finish, step.0, ledger, grid, scratch)
+            {
+                scratch.recycle(std::mem::replace(profile, fresh));
+                finish = fresh_finish;
+                free0 -= step.1;
+                scratch.counters.boosts_applied += 1;
+                match self.next_step(job, profile, free0) {
+                    Some(next) => step = next,
+                    None => break,
+                }
+            }
+            ledger.commit(profile);
+        }
+        budget - free0
+    }
+
+    /// The greedy boost, for calls [`Self::uncontended`] does not certify.
+    ///
+    /// Selection runs through a lazy binary heap: entries keep the key
+    /// they were pushed with, and a popped entry that no longer fits the
+    /// shrinking budget is discarded. A popped entry whose version
+    /// predates the ledger is *stale*. If the footprint of its fill still
+    /// holds on the current ledger, that fill would repeat bit for bit;
+    /// the entry was the heap maximum and nothing was pushed since, so
+    /// re-pushing it would pop it again — it is applied as if fresh.
+    /// Otherwise it is recomputed and re-pushed. Pop order equals a
+    /// linear rescan for the best pending boost entry for entry, so both
+    /// produce identical allocations.
+    ///
+    /// The order of the slices does not matter: the heap's order over
+    /// (restoring, priority, id) is total with at most one entry per job,
+    /// and every initial candidate is computed against the same ledger
+    /// (the job's own profile uncommitted, then recommitted).
+    #[allow(clippy::too_many_arguments)]
+    fn boost_heap(
+        &self,
+        jobs: &[PlanningJob],
+        grid: &SlotGrid,
+        profiles: &mut [AllocationProfile],
+        ledger: &mut ReservationLedger,
+        budget: u32,
+        incumbents: &[u32],
+        scratch: &mut FillScratch,
+    ) -> u32 {
         let BoostBuffers {
             mut states,
             mut queue,
@@ -432,10 +485,9 @@ impl ResourceAllocator {
         self.candidate(job, state, step, others, grid, version, scratch)
     }
 
-    /// Computes the boost candidate of `step` for `job`: pin slot 0 at
-    /// the step's grant and progressively re-fill the future against
-    /// `others`, the ledger without the job's own reservations. Returns
-    /// `None` when the boost does not finish the job earlier.
+    /// The greedy's boost candidate of `step` for `job`: the
+    /// [`Self::improvement`] it makes, priced by the GPU-time it saves
+    /// per extra GPU.
     #[allow(clippy::too_many_arguments)]
     fn candidate(
         &self,
@@ -447,13 +499,40 @@ impl ResourceAllocator {
         version: u64,
         scratch: &mut FillScratch,
     ) -> Option<Boost> {
+        let (profile, finish, target) =
+            self.improvement(job, state.finish, next0, others, grid, scratch)?;
+        let gpu_seconds = profile.gpu_seconds(grid);
+        Some(Boost {
+            priority: (state.gpu_seconds - gpu_seconds) / extra as f64,
+            extra,
+            profile,
+            finish,
+            gpu_seconds,
+            footprint: Footprint::of(job, others, self.total_gpus, target),
+            version,
+        })
+    }
+
+    /// Pins slot 0 of `job` at `next0` and progressively re-fills the
+    /// future against `others`, the ledger without the job's own
+    /// reservations. Returns the profile, its finish time and the ladder
+    /// rung the fill settled on, or `None` unless the job then finishes
+    /// strictly earlier than at `finish` (paper line 10/23; fractional
+    /// finish times within slots).
+    fn improvement(
+        &self,
+        job: &PlanningJob,
+        finish: Option<f64>,
+        next0: u32,
+        others: &ReservationLedger,
+        grid: &SlotGrid,
+        scratch: &mut FillScratch,
+    ) -> Option<(AllocationProfile, Option<f64>, u32)> {
         scratch.counters.boost_candidates += 1;
         let (fresh, target) =
             ladder_fill(job, others, grid, self.total_gpus, Some(next0), 1, scratch)?;
-        // Paper line 10/23: enqueue only if the boost finishes the job
-        // strictly earlier (fractional finish times within slots).
-        let finish = job.finish_seconds(&fresh, grid);
-        let finishes_earlier = match (finish, state.finish) {
+        let fresh_finish = job.finish_seconds(&fresh, grid);
+        let finishes_earlier = match (fresh_finish, finish) {
             (Some(a), Some(b)) => a + WORK_EPSILON < b,
             (Some(_), None) => true,
             (None, _) => false,
@@ -462,25 +541,51 @@ impl ResourceAllocator {
             scratch.recycle(fresh);
             return None;
         }
-        let gpu_seconds = fresh.gpu_seconds(grid);
-        Some(Boost {
-            priority: (state.gpu_seconds - gpu_seconds) / extra as f64,
-            extra,
-            profile: fresh,
-            finish,
-            gpu_seconds,
-            footprint: Footprint::of(job, others, self.total_gpus, target),
-            version,
-        })
+        Some((fresh, fresh_finish, target))
     }
 }
 
-/// The linear-scan boost loop the heap-driven [`ResourceAllocator::boost`]
-/// replaced, kept as the differential-testing oracle: every pop of the
-/// heap must match the maximum this scan selects, so both produce
-/// identical profiles, grants, and ledgers.
+/// Algorithm 2 from scratch with no incumbents, for tests: stage 1's
+/// fill, then the boost over every leftover slot-0 GPU. Returns each
+/// filled job's profile by id and the ids the fill lapsed, sorted.
+/// `plan` runs the same two stages with incumbents and the leftover
+/// queue between them.
+#[cfg(test)]
+pub(crate) fn allocate_from_scratch(
+    total_gpus: u32,
+    jobs: &[PlanningJob],
+    grid: &SlotGrid,
+) -> (
+    std::collections::BTreeMap<JobId, AllocationProfile>,
+    Vec<JobId>,
+) {
+    let mut scratch = FillScratch::new();
+    let (set, mut lapsed) =
+        crate::AdmissionSet::fill(total_gpus, jobs.to_vec(), grid, &mut scratch);
+    lapsed.sort();
+    let (jobs, mut profiles, mut ledger) = set.into_parts();
+    let free0 = total_gpus - profiles.iter().map(|p| p.gpus(0)).sum::<u32>();
+    ResourceAllocator::new(total_gpus).boost(
+        &jobs,
+        grid,
+        &mut profiles,
+        &mut ledger,
+        free0,
+        &vec![0; jobs.len()],
+        &mut scratch,
+    );
+    (jobs.iter().map(|j| j.id).zip(profiles).collect(), lapsed)
+}
+
+/// The linear-scan boost loop the heap-driven greedy replaced, kept as the
+/// differential-testing oracle of [`ResourceAllocator::boost`] on both of
+/// its paths: every pop of the heap must match the maximum this scan
+/// selects, and the certified chains must end where it does, so all
+/// produce identical profiles, grants, and ledgers.
 #[cfg(test)]
 mod reference {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::filling::progressive_filling;
 
@@ -635,6 +740,8 @@ mod reference {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::progressive_filling;
     use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
@@ -670,24 +777,63 @@ mod tests {
         }
     }
 
+    /// Algorithm 2 from scratch on a uniform one-second grid.
+    fn allocate(
+        total: u32,
+        jobs: &[PlanningJob],
+    ) -> (BTreeMap<JobId, AllocationProfile>, Vec<JobId>) {
+        allocate_from_scratch(total, jobs, &SlotGrid::uniform(1.0))
+    }
+
+    /// GPUs the profiles assign in slot 0.
+    fn slot0_gpus(profiles: &BTreeMap<JobId, AllocationProfile>) -> u32 {
+        profiles.values().map(|p| p.gpus(0)).sum()
+    }
+
+    #[test]
+    fn idle_cluster_boosts_to_the_knee() {
+        let curve = ScalingCurve::from_points(
+            DnnModel::ResNet50,
+            64,
+            vec![
+                CurvePoint {
+                    gpus: 1,
+                    iters_per_sec: 1.0,
+                },
+                CurvePoint {
+                    gpus: 2,
+                    iters_per_sec: 1.5,
+                },
+            ],
+        );
+        let job = PlanningJob {
+            id: JobId::new(0),
+            curve,
+            remaining_iterations: 1.0,
+            deadline_slot: 4,
+        };
+        let (profiles, _) = allocate(4, &[job]);
+        // MSS is 1 GPU; the idle cluster boosts it to its knee (2 GPUs).
+        assert_eq!(profiles[&JobId::new(0)].gpus(0), 2);
+    }
+
     #[test]
     fn lone_job_boosted_to_knee() {
-        let result = ResourceAllocator::new(8).allocate(&[job(0, 4.0, 8)], &SlotGrid::uniform(1.0));
-        assert!(result.infeasible.is_empty());
+        let (profiles, lapsed) = allocate(8, &[job(0, 4.0, 8)]);
+        assert!(lapsed.is_empty());
         // MSS would be 1 GPU over 4 slots; boosting to the knee (4) finishes
         // in 2 slots.
-        assert_eq!(result.profiles[&JobId::new(0)].gpus(0), 4);
+        assert_eq!(profiles[&JobId::new(0)].gpus(0), 4);
     }
 
     #[test]
     fn paper_fig3_alike_jobs_share_rather_than_hog() {
         // Two jobs (3 units each, deadlines 3 slots) on 2 GPUs: one worker
         // each meets both deadlines; EDF-style hogging would miss one.
-        let result = ResourceAllocator::new(2)
-            .allocate(&[job(0, 3.0, 3), job(1, 3.0, 3)], &SlotGrid::uniform(1.0));
-        assert!(result.infeasible.is_empty());
-        assert_eq!(result.profiles[&JobId::new(0)].gpus(0), 1);
-        assert_eq!(result.profiles[&JobId::new(1)].gpus(0), 1);
+        let (profiles, lapsed) = allocate(2, &[job(0, 3.0, 3), job(1, 3.0, 3)]);
+        assert!(lapsed.is_empty());
+        assert_eq!(profiles[&JobId::new(0)].gpus(0), 1);
+        assert_eq!(profiles[&JobId::new(1)].gpus(0), 1);
     }
 
     #[test]
@@ -695,42 +841,34 @@ mod tests {
         // Job 0 has a tight deadline (MSS 2), job 1 a loose one (MSS 1).
         // One leftover GPU on a 4-GPU cluster: boosting job 1 from 1 -> 2
         // costs 1 GPU; boosting job 0 from 2 -> 4 costs 2 and exceeds free.
-        let result = ResourceAllocator::new(4)
-            .allocate(&[job(0, 1.5, 1), job(1, 2.0, 4)], &SlotGrid::uniform(1.0));
-        assert_eq!(result.profiles[&JobId::new(0)].gpus(0), 2);
-        assert_eq!(result.profiles[&JobId::new(1)].gpus(0), 2);
+        let (profiles, _) = allocate(4, &[job(0, 1.5, 1), job(1, 2.0, 4)]);
+        assert_eq!(profiles[&JobId::new(0)].gpus(0), 2);
+        assert_eq!(profiles[&JobId::new(1)].gpus(0), 2);
     }
 
     #[test]
     fn no_boost_past_the_knee() {
-        let result =
-            ResourceAllocator::new(32).allocate(&[job(0, 10.0, 32)], &SlotGrid::uniform(1.0));
+        let (profiles, _) = allocate(32, &[job(0, 10.0, 32)]);
         // Knee of the test curve is 4.
-        assert_eq!(result.profiles[&JobId::new(0)].gpus(0), 4);
-        assert_eq!(result.slot0_gpus(), 4);
+        assert_eq!(profiles[&JobId::new(0)].gpus(0), 4);
+        assert_eq!(slot0_gpus(&profiles), 4);
     }
 
     #[test]
     fn infeasible_jobs_are_surfaced_not_lost() {
         // 2 GPUs, three urgent jobs: only two fit.
-        let result = ResourceAllocator::new(2).allocate(
-            &[job(0, 1.0, 1), job(1, 1.0, 1), job(2, 1.0, 1)],
-            &SlotGrid::uniform(1.0),
-        );
-        assert_eq!(result.profiles.len(), 2);
-        assert_eq!(result.infeasible, vec![JobId::new(2)]);
+        let (profiles, lapsed) = allocate(2, &[job(0, 1.0, 1), job(1, 1.0, 1), job(2, 1.0, 1)]);
+        assert_eq!(profiles.len(), 2);
+        assert_eq!(lapsed, vec![JobId::new(2)]);
     }
 
     #[test]
     fn never_over_allocates_slot0() {
         for n in 1..6u64 {
             let jobs: Vec<PlanningJob> = (0..n).map(|i| job(i, 2.0, 3)).collect();
-            let result = ResourceAllocator::new(4).allocate(&jobs, &SlotGrid::uniform(1.0));
-            assert!(
-                result.slot0_gpus() <= 4,
-                "n={n}: slot0 {}",
-                result.slot0_gpus()
-            );
+            let (profiles, _) = allocate(4, &jobs);
+            let slot0 = slot0_gpus(&profiles);
+            assert!(slot0 <= 4, "n={n}: slot0 {slot0}");
         }
     }
 
@@ -741,10 +879,10 @@ mod tests {
         // every job still meets its deadline.
         let grid = SlotGrid::uniform(1.0);
         let jobs = [job(0, 2.0, 4), job(1, 3.0, 4), job(2, 1.0, 2)];
-        let result = ResourceAllocator::new(4).allocate(&jobs, &grid);
-        assert!(result.infeasible.is_empty());
+        let (profiles, lapsed) = allocate(4, &jobs);
+        assert!(lapsed.is_empty());
         for j in &jobs {
-            let p = &result.profiles[&j.id];
+            let p = &profiles[&j.id];
             // Deadline respected.
             assert!(p.last_active_slot().unwrap() < j.deadline_slot);
             // Work completed.
@@ -821,15 +959,40 @@ mod tests {
         ledger: ReservationLedger,
     }
 
+    /// [`ResourceAllocator::boost`] or one of its two paths, as the
+    /// test drives them.
+    type Driver = fn(
+        &ResourceAllocator,
+        &[PlanningJob],
+        &SlotGrid,
+        &mut [AllocationProfile],
+        &mut ReservationLedger,
+        u32,
+        &[u32],
+        &mut FillScratch,
+    ) -> u32;
+
     impl Phase1 {
-        /// Runs the heap boost from this state through `scratch`.
+        /// Runs the boost from this state through `scratch`.
         fn boost(
-            mut self,
+            self,
             alloc: &ResourceAllocator,
             budget: u32,
             scratch: &mut FillScratch,
         ) -> Outcome {
-            let spent = alloc.boost(
+            self.run(ResourceAllocator::boost, alloc, budget, scratch)
+        }
+
+        /// Runs `driver` from this state through `scratch`.
+        fn run(
+            mut self,
+            driver: Driver,
+            alloc: &ResourceAllocator,
+            budget: u32,
+            scratch: &mut FillScratch,
+        ) -> Outcome {
+            let spent = driver(
+                alloc,
                 &self.jobs,
                 &SlotGrid::uniform(1.0),
                 &mut self.profiles,
@@ -843,6 +1006,48 @@ mod tests {
                 profiles: self.jobs.iter().map(|j| j.id).zip(self.profiles).collect(),
                 ledger: self.ledger,
             }
+        }
+
+        /// The linear reference's outcome from this state; it takes
+        /// id-keyed maps.
+        fn reference(&self, alloc: &ResourceAllocator, budget: u32) -> Outcome {
+            let ids = || self.jobs.iter().map(|j| j.id);
+            let mut reference = Outcome {
+                spent: 0,
+                profiles: ids().zip(self.profiles.iter().cloned()).collect(),
+                ledger: self.ledger.clone(),
+            };
+            let incumbents: BTreeMap<JobId, u32> = ids()
+                .zip(self.incumbents.iter().copied())
+                .filter(|&(_, g)| g > 0)
+                .collect();
+            reference.spent = alloc.boost_reference(
+                &self.jobs,
+                &SlotGrid::uniform(1.0),
+                &mut reference.profiles,
+                &mut reference.ledger,
+                budget,
+                &incumbents,
+            );
+            reference
+        }
+
+        /// Slot-0 GPUs left over after the minimum shares on `total`.
+        fn free0(&self, total: u32) -> u32 {
+            total.saturating_sub(self.profiles.iter().map(|p| p.gpus(0)).sum())
+        }
+
+        /// The jobs' largest useful grants on `total` GPUs, summed, and the
+        /// GPUs that growing each to it from its slot-0 grant takes (the
+        /// certificate's sum).
+        fn peak_and_growth(&self, total: u32) -> (u32, u32) {
+            self.jobs
+                .iter()
+                .zip(&self.profiles)
+                .fold((0, 0), |(peak, growth), (j, p)| {
+                    let clamp = j.curve.clamp_useful(total);
+                    (peak + clamp, growth + clamp - p.gpus(0))
+                })
         }
     }
 
@@ -896,9 +1101,8 @@ mod tests {
         (budget, state)
     }
 
-    /// Runs the heap boost (through `scratch`) and the linear reference
-    /// from the phase-1 state of `specs`. Returns the budget and both
-    /// outcomes; the reference takes id-keyed maps.
+    /// Runs the boost (through `scratch`) and the linear reference from
+    /// the phase-1 state of `specs`. Returns the budget and both outcomes.
     fn boost_both(
         specs: Vec<(ScalingCurve, f64, usize, u32)>,
         total: u32,
@@ -907,26 +1111,8 @@ mod tests {
     ) -> (u32, Outcome, Outcome) {
         let alloc = ResourceAllocator::new(total);
         let (budget, state) = phase1(specs, total, budget_pick);
-        let ids = || state.jobs.iter().map(|j| j.id);
-        let mut reference = Outcome {
-            spent: 0,
-            profiles: ids().zip(state.profiles.iter().cloned()).collect(),
-            ledger: state.ledger.clone(),
-        };
-        let incumbents: BTreeMap<JobId, u32> = ids()
-            .zip(state.incumbents.iter().copied())
-            .filter(|&(_, g)| g > 0)
-            .collect();
-        reference.spent = alloc.boost_reference(
-            &state.jobs,
-            &SlotGrid::uniform(1.0),
-            &mut reference.profiles,
-            &mut reference.ledger,
-            budget,
-            &incumbents,
-        );
-        let heap = state.boost(&alloc, budget, scratch);
-        (budget, heap, reference)
+        let reference = state.reference(&alloc, budget);
+        (budget, state.boost(&alloc, budget, scratch), reference)
     }
 
     #[test]
@@ -975,13 +1161,21 @@ mod tests {
     #[test]
     fn stale_boosts_revalidate_and_match_the_reference() {
         // Eight 1–2 slot jobs on 64 GPUs: after the first applied boost
-        // every other queued entry is stale, and with this much room each
-        // one's footprint still holds.
+        // every other queued entry of the greedy is stale, and with this
+        // much room each one's footprint still holds. The instance is
+        // certified uncontended, so the greedy runs on its own here.
         let specs: Vec<_> = (0..8u32)
             .map(|i| (curve(), 1.0 + f64::from(i) * 0.3, 1 + (i as usize) % 2, 0))
             .collect();
+        let alloc = ResourceAllocator::new(64);
+        let greedy = |scratch: &mut FillScratch| {
+            let (budget, state) = phase1(specs.clone(), 64, 64);
+            let reference = state.reference(&alloc, budget);
+            let heap = state.run(ResourceAllocator::boost_heap, &alloc, budget, scratch);
+            (budget, heap, reference)
+        };
         let mut scratch = FillScratch::new();
-        let (budget, heap, reference) = boost_both(specs.clone(), 64, 64, &mut scratch);
+        let (budget, heap, reference) = greedy(&mut scratch);
         assert!(budget > 8, "budget {budget}");
         assert!(
             scratch.counters().revalidated_boosts > 0,
@@ -989,8 +1183,34 @@ mod tests {
         );
         assert_eq!(heap, reference);
         // A reused workspace answers the same instance identically.
-        let (_, again, _) = boost_both(specs, 64, 64, &mut scratch);
+        let (_, again, _) = greedy(&mut scratch);
         assert_eq!(again, heap);
+    }
+
+    #[test]
+    fn certified_budget_ends_at_exactly_zero() {
+        // Two long jobs whose knees (4 GPUs each) fill the 8-GPU cluster:
+        // each starts at 1 GPU, and growing both to the knee takes the
+        // 6 leftover GPUs. With exactly that budget the certificate holds
+        // and the chains spend all of it; one GPU less and the greedy
+        // runs.
+        let specs: Vec<_> = (0..2).map(|_| (curve(), 10.0, 32, 0)).collect();
+        let alloc = ResourceAllocator::new(8);
+        let (_, state) = phase1(specs.clone(), 8, 0);
+        assert_eq!(state.free0(8), 6);
+        assert_eq!(state.peak_and_growth(8), (8, 6));
+        for (budget, certified) in [(6, 1), (5, 0)] {
+            let (_, state) = phase1(specs.clone(), 8, 0);
+            let reference = state.reference(&alloc, budget);
+            let mut scratch = FillScratch::new();
+            let got = state.boost(&alloc, budget, &mut scratch);
+            assert_eq!(got, reference, "budget {budget}");
+            assert_eq!(scratch.counters().certified_boosts, certified);
+            if certified == 1 {
+                assert_eq!(got.spent, budget, "the budget ends at zero");
+                assert!(got.profiles.values().all(|p| p.gpus(0) == 4));
+            }
+        }
     }
 
     proptest! {
@@ -1019,6 +1239,73 @@ mod tests {
                 boost_both(specs, total, budget_pick, &mut FillScratch::new());
             prop_assert_eq!(&heap, &reference);
             prop_assert!(heap.spent <= budget, "boost overspent its budget");
+        }
+
+        /// Budgets around the certificate's edge: the GPUs that growing
+        /// every job to its knee takes, give or take two. The boost takes
+        /// the certified path exactly when the budget covers that growth,
+        /// and either path matches the linear reference. At the edge
+        /// itself a certified budget can end at exactly zero.
+        #[test]
+        fn boost_matches_linear_reference_around_the_certificate(
+            specs in headroom_instance(),
+            total in prop_oneof![Just(16u32), Just(32u32), Just(64u32)],
+            offset in 0u32..5,
+        ) {
+            let alloc = ResourceAllocator::new(total);
+            let (_, state) = phase1(specs, total, 0);
+            let (peak, growth) = state.peak_and_growth(total);
+            let budget = (growth + offset).saturating_sub(2).min(state.free0(total));
+            let certified = budget > 0 && growth <= budget;
+            // A budget within slot 0's leftover that covers the growth
+            // leaves the knees room in every later slot.
+            prop_assert!(!certified || peak <= total);
+            let reference = state.reference(&alloc, budget);
+            let mut scratch = FillScratch::new();
+            let got = state.boost(&alloc, budget, &mut scratch);
+            prop_assert_eq!(&got, &reference);
+            prop_assert_eq!(scratch.counters().certified_boosts, u64::from(certified));
+        }
+
+        /// Algorithm 2's output is always executable: per-slot capacity is
+        /// respected and every non-lapsed job finishes by its deadline.
+        #[test]
+        fn allocation_is_executable(
+            specs in prop::collection::vec((concave_curve(), 0.2f64..4.0, 1usize..4), 1..4),
+        ) {
+            let grid = SlotGrid::uniform(1.0);
+            let total = 4u32;
+            let jobs: Vec<PlanningJob> = specs
+                .into_iter()
+                .enumerate()
+                .map(|(i, (curve, work_scale, deadline_slot))| PlanningJob {
+                    id: JobId::new(i as u64),
+                    remaining_iterations: work_scale
+                        * curve.iters_per_sec(1).expect("1 GPU is always on the curve"),
+                    curve,
+                    deadline_slot,
+                })
+                .collect();
+            let (profiles, lapsed) = allocate(total, &jobs);
+            let horizon = jobs.iter().map(|j| j.deadline_slot).max().unwrap_or(0);
+            for t in 0..horizon {
+                let used: u32 = profiles.values().map(|p| p.gpus(t)).sum();
+                prop_assert!(used <= total, "slot {t} over capacity: {used}");
+            }
+            for job in &jobs {
+                if lapsed.contains(&job.id) {
+                    continue;
+                }
+                let p = &profiles[&job.id];
+                let done: f64 = p
+                    .as_slice()
+                    .iter()
+                    .enumerate()
+                    .map(|(t, &g)| job.iters_in_slot(g, &grid, t))
+                    .sum();
+                prop_assert!(done + 1e-6 >= job.remaining_iterations);
+                prop_assert!(p.last_active_slot().unwrap() < job.deadline_slot);
+            }
         }
 
         /// The boost's outcome does not depend on the order of its

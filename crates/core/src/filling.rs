@@ -147,6 +147,9 @@ pub struct FillCounters {
     pub boost_candidates: u64,
     /// Algorithm 2 boosts applied.
     pub boosts_applied: u64,
+    /// Algorithm 2 boost calls certified uncontended, which ran each
+    /// job's doubling chain on its own instead of the greedy heap.
+    pub certified_boosts: u64,
     /// Algorithm 1 fills of a planning round (an arrival's or the plan's
     /// stage 1) answered by the set the round's arrival kept instead.
     pub fills_reused: u64,
@@ -549,23 +552,44 @@ fn try_target(
     if per_full <= 0.0 {
         return failed(gpus, counters);
     }
-    let need =
+    let mut need =
         match elasticflow_cluster::num::slots_ceil((remaining - done - WORK_EPSILON) / per_full) {
             // Absurd horizons are unsatisfiable, not worth materializing.
             Some(n) if n <= 10_000_000 => n.max(1),
             _ => return failed(gpus, counters),
         };
+    // The estimate may sit one slot off the slot walk's sequential sum at
+    // a float edge, and the sums decide (see below): a job that misses its
+    // deadline even one slot earlier fails at once.
+    if horizon != usize::MAX && walk_end + need > horizon + 1 {
+        return failed(gpus, counters);
+    }
+    // The trim needs the work before the final slot: continue the walk's
+    // sum through the tail slots before it — the additions a re-sum of
+    // the profile from zero would make, in the same order.
+    let (mut done_two_before, mut done_before) = (done, done);
+    for _ in 1..need {
+        done_two_before = done_before;
+        done_before += per_full;
+    }
+    // Finish where walking these free slots one by one would, so the
+    // profile does not depend on where the committed horizon ends.
+    if need > 1 && done_before + WORK_EPSILON >= remaining {
+        need -= 1;
+        done_before = done_two_before;
+    } else if done_before + per_full + WORK_EPSILON < remaining {
+        need += 1;
+        done_before += per_full;
+    }
+    debug_assert!(
+        done_before + WORK_EPSILON < remaining
+            && done_before + per_full + WORK_EPSILON >= remaining,
+        "the analytic tail is more than one slot off the sequential sum"
+    );
     if horizon != usize::MAX && walk_end + need > horizon {
         return failed(gpus, counters);
     }
     gpus.resize(gpus.len() + need, full);
-    // The trim needs the work before the final slot: continue the walk's
-    // sum through the tail slots before it — the additions a re-sum of
-    // the profile from zero would make, in the same order.
-    let mut done_before = done;
-    for _ in 1..need {
-        done_before += per_full;
-    }
     counters.tail_steps += (need - 1) as u64;
     trim_final_slot(job, grid, gpus, fixed_slot0, done_before);
     Some(emit_profile(gpus, pool))
@@ -581,7 +605,9 @@ fn failed(gpus: &[u32], counters: &mut FillCounters) -> Option<AllocationProfile
 /// The run-skipping slot walk the headroom walk replaced, its code kept
 /// verbatim (comments dropped, `run_end` given an unbounded limit) as the
 /// oracle of the differential property test below: the headroom walk
-/// must reproduce its profiles bit for bit.
+/// must reproduce its profiles bit for bit. One part is not verbatim:
+/// past the committed horizon the oracle walks the free slots one at a
+/// time, which the kernel's analytic tail must match exactly.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -645,18 +671,19 @@ mod reference {
                 if per_slot <= 0.0 {
                     return None;
                 }
-                let need = match elasticflow_cluster::num::slots_ceil(
-                    (job.remaining_iterations - done - WORK_EPSILON) / per_slot,
-                ) {
-                    Some(n) if n <= 10_000_000 => n.max(1),
-                    _ => return None,
-                };
-                if horizon != usize::MAX && t + need > horizon {
-                    return None;
+                let tail_start = t;
+                loop {
+                    gpus.push(x);
+                    done += per_slot;
+                    t += 1;
+                    if done + WORK_EPSILON >= job.remaining_iterations {
+                        trim_final_slot(job, grid, gpus, fixed_slot0);
+                        return Some(emit_profile(gpus, pool));
+                    }
+                    if t >= horizon || t - tail_start >= 10_000_000 {
+                        return None;
+                    }
                 }
-                gpus.extend(std::iter::repeat_n(x, need));
-                trim_final_slot(job, grid, gpus, fixed_slot0);
-                return Some(emit_profile(gpus, pool));
             }
             if t == 0 {
                 let x = match fixed_slot0 {
@@ -1055,6 +1082,65 @@ mod tests {
                 j *= 2;
             };
             prop_assert_eq!(got, want);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A pinned fill whose walked slots all have headroom is a
+        /// function of the job and the rung: on two ledgers with
+        /// different horizons it settles on the same profile and target.
+        /// Most cases put the work exactly on the epsilon edge of the
+        /// sequential sum some slots out, where an analytic tail that
+        /// disagreed with the slot walk would end the profile a slot
+        /// early or late on one ledger only.
+        #[test]
+        fn pinned_fills_with_headroom_ignore_the_horizon(
+            curve in any_curve(),
+            pin in 0u32..17,
+            deadline in prop_oneof![3 => 1usize..60, 1 => Just(usize::MAX)],
+            committed in (
+                prop::collection::vec(0u32..17, 0..40),
+                prop::collection::vec(0u32..17, 0..40),
+            ),
+            first in 0.2f64..1.0,
+            edge in prop_oneof![1 => Just(None), 3 => (0u32..5, 0usize..60).prop_map(Some)],
+            work_scale in 0.0f64..30.0,
+        ) {
+            let grid = SlotGrid::new(first * 2.0, 2.0);
+            // The largest rung is 16, so 16 committed GPUs leave room for
+            // any of them.
+            let total = 32u32;
+            let remaining_iterations = match edge {
+                None => work_scale * curve.iters_per_sec(1).expect("rate at 1 GPU"),
+                Some((rung, slots)) => {
+                    let full = curve.clamp_useful(1 << rung);
+                    let per_full = curve.rate(full) * grid.rest_seconds();
+                    let x0 = curve.clamp_useful(pin);
+                    let mut done = curve.rate(x0) * grid.duration(0);
+                    for _ in 0..slots {
+                        done += per_full;
+                    }
+                    done + WORK_EPSILON
+                }
+            };
+            let job = PlanningJob {
+                id: JobId::new(0),
+                remaining_iterations,
+                curve,
+                deadline_slot: deadline,
+            };
+            let ledger = |committed: Vec<u32>| {
+                let mut ledger = ReservationLedger::new();
+                ledger.commit(&AllocationProfile::new(committed));
+                ledger
+            };
+            let (a, b) = (ledger(committed.0), ledger(committed.1));
+            let fill = |l: &ReservationLedger| {
+                ladder_fill(&job, l, &grid, total, Some(pin), 1, &mut FillScratch::new())
+            };
+            prop_assert_eq!(fill(&a), fill(&b), "horizons {} and {}", a.horizon(), b.horizon());
         }
     }
 

@@ -9,10 +9,11 @@
 //!   progressive filling over discrete time slots decides whether a new
 //!   job's deadline can be guaranteed without breaking any admitted job's,
 //!   and [`AdmissionSet::advance`] runs the same set against a moving clock;
-//! * **Elastic resource allocation** ([`ResourceAllocator`], paper
-//!   Algorithm 2) — leftover GPUs go to the job with the highest *marginal
-//!   return* (GPU-time saved per extra GPU), provably optimal for concave
-//!   curves (Theorem 2; checked against brute force in [`theory`]).
+//! * **Elastic resource allocation** (paper Algorithm 2, the last stage
+//!   of [`ElasticFlowScheduler`]'s plan) — leftover GPUs go to the job
+//!   with the highest *marginal return* (GPU-time saved per extra GPU),
+//!   provably optimal for concave curves (Theorem 2; checked against
+//!   brute force in [`theory`]).
 //!
 //! [`ElasticFlowScheduler`] packages the three into an
 //! [`elasticflow_sched::Scheduler`] the simulator can drive, including the
@@ -52,7 +53,7 @@ pub mod theory;
 mod variants;
 
 pub use admission::{AdmissionDenial, AdmissionSet, AdvanceReport};
-pub use alloc::ResourceAllocator;
+pub(crate) use alloc::ResourceAllocator;
 pub use filling::{progressive_filling, FillCounters, FillScratch};
 pub use plan::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON};
 pub use scheduler::ElasticFlowScheduler;

@@ -738,6 +738,65 @@ mod tests {
                 revalidated_boosts: 5,
                 boost_candidates: 22,
                 boosts_applied: 4,
+                certified_boosts: 0,
+                fills_reused: 0,
+            }
+        );
+    }
+
+    /// The planner's work counters on an uncontended table: twelve SLO
+    /// jobs on Table-1 curves (knees of at most 16 GPUs) with staggered
+    /// deadlines and some incumbents, on 1,024 GPUs, planned at three
+    /// times. Growing every job to its knee fits the leftover GPUs, so
+    /// every boost is certified and runs each job's chain on its own: no
+    /// stale entry, no revalidation. Debug builds also run the greedy on
+    /// each certified boost, and its work stays out of these counters.
+    #[test]
+    fn plan_work_counters_are_pinned_on_an_uncontended_table() {
+        let net = Interconnect::paper_testbed();
+        let curves: Vec<(DnnModel, ScalingCurve)> = elasticflow_perfmodel::PAPER_TABLE1
+            .iter()
+            .flat_map(|&(model, batches)| batches.iter().map(move |&b| (model, b)))
+            .map(|(model, b)| (model, ScalingCurve::build(model, b, &net)))
+            .collect();
+        let mut jobs = JobTable::new();
+        for i in 0..12u64 {
+            let (model, curve) = &curves[i as usize % curves.len()];
+            let seconds = 1_800.0 + 700.0 * (i % 9) as f64;
+            let gpus = (1 << (i % 4)).min(curve.knee());
+            let iterations = seconds * curve.iters_per_sec(gpus).unwrap();
+            let spec = JobSpec::builder(JobId::new(i), *model, curve.global_batch())
+                .iterations(iterations)
+                .trace_shape(gpus, seconds)
+                .deadline(seconds * (1.5 + 0.25 * (i % 5) as f64))
+                .build();
+            let mut rt = JobRuntime::new(spec, curve.clone());
+            rt.admitted = true;
+            rt.current_gpus = if i % 3 == 0 { gpus } else { 0 };
+            jobs.insert(rt);
+        }
+        let mut ef = ElasticFlowScheduler::new();
+        let view = ClusterView::new(1_024);
+        for now in [0.0, 450.0, 1_234.5] {
+            ef.plan(now, &view, &jobs);
+        }
+        assert_eq!(
+            ef.workspace.counters(),
+            FillCounters {
+                probes: 185,
+                pruned_entry: 48,
+                pruned_walk: 0,
+                pruned_pinned: 41,
+                booked_slots: 0,
+                headroom_slots: 6928,
+                partial_slots: 0,
+                failed_slots: 0,
+                tail_steps: 717,
+                hinted_fills: 0,
+                revalidated_boosts: 0,
+                boost_candidates: 60,
+                boosts_applied: 57,
+                certified_boosts: 3,
                 fills_reused: 0,
             }
         );

@@ -132,7 +132,8 @@ pub fn brute_force_feasible(jobs: &[PlanningJob], grid: &SlotGrid, total_gpus: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AdmissionSet, ResourceAllocator};
+    use crate::alloc::allocate_from_scratch;
+    use crate::AdmissionSet;
     use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
     use elasticflow_trace::Rng;
 
@@ -281,17 +282,17 @@ mod tests {
                     }
                 })
                 .collect();
-            let result = ResourceAllocator::new(total).allocate(&jobs, &grid);
+            let (profiles, lapsed) = allocate_from_scratch(total, &jobs, &grid);
             let horizon = jobs.iter().map(|j| j.deadline_slot).max().unwrap();
             for t in 0..horizon {
-                let used: u32 = result.profiles.values().map(|p| p.gpus(t)).sum();
+                let used: u32 = profiles.values().map(|p| p.gpus(t)).sum();
                 assert!(used <= total, "case {case}: slot {t} over capacity");
             }
             for job in &jobs {
-                if result.infeasible.contains(&job.id) {
+                if lapsed.contains(&job.id) {
                     continue;
                 }
-                let p = &result.profiles[&job.id];
+                let p = &profiles[&job.id];
                 let done: f64 = p
                     .as_slice()
                     .iter()
@@ -350,8 +351,8 @@ mod tests {
                 deadline_slot: 2,
             },
         ];
-        let result = ResourceAllocator::new(4).allocate(&jobs, &grid);
-        assert!(result.infeasible.is_empty());
+        let (_, lapsed) = allocate_from_scratch(4, &jobs, &grid);
+        assert!(lapsed.is_empty());
         // Brute force the minimum GPU-time over all feasible plans.
         let ladder = [0u32, 1, 2, 4];
         let mut best = f64::INFINITY;

@@ -7,15 +7,17 @@
 //! committing one. Two candidate shapes are checked: an *arriving* job
 //! whose deadline lands past every committed one (the common case), and
 //! a *mid-pack* job whose deadline falls inside the set, so about half
-//! the suffix is refilled.
+//! the suffix is refilled. ElasticFlow's plan of each set, Algorithm 2
+//! included, must fit the cluster.
 
 use std::collections::BTreeMap;
 
 use elasticflow_core::{
-    AdmissionSet, AllocationProfile, FillScratch, PlanningJob, ResourceAllocator, SlotGrid,
+    AdmissionSet, AllocationProfile, ElasticFlowScheduler, FillScratch, PlanningJob, SlotGrid,
 };
 use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
-use elasticflow_trace::JobId;
+use elasticflow_sched::{ClusterView, JobRuntime, JobTable, Scheduler};
+use elasticflow_trace::{JobId, JobSpec};
 
 /// The set's committed plan as an id-keyed map.
 fn plan_of(set: &AdmissionSet) -> BTreeMap<JobId, AllocationProfile> {
@@ -25,6 +27,8 @@ fn plan_of(set: &AdmissionSet) -> BTreeMap<JobId, AllocationProfile> {
 
 const SIZES: [usize; 3] = [50, 200, 1000];
 const TOTAL_GPUS: u32 = 128;
+/// The planning slot, in seconds, of the fills and of the plan.
+const SLOT_SECONDS: f64 = 60.0;
 
 /// `n` jobs cycling over four DNN models, with remaining work spanning
 /// 0.5–2.5 h of single-GPU time and deadlines spread with `n` so the set
@@ -60,6 +64,23 @@ fn planning_jobs(n: usize, total_gpus: u32) -> Vec<PlanningJob> {
         .collect()
 }
 
+/// `jobs` as admitted jobs at time 0 whose deadlines end their
+/// deadline slots, so ElasticFlow's plan at time 0 sees them much as
+/// the fills here do (its planning views add a work margin).
+fn job_table(jobs: &[PlanningJob]) -> JobTable {
+    let mut table = JobTable::new();
+    for job in jobs {
+        let spec = JobSpec::builder(job.id, job.curve.model(), job.curve.global_batch())
+            .iterations(job.remaining_iterations)
+            .deadline(job.deadline_slot as f64 * SLOT_SECONDS)
+            .build();
+        let mut runtime = JobRuntime::new(spec, job.curve.clone());
+        runtime.admitted = true;
+        table.insert(runtime);
+    }
+    table
+}
+
 /// A candidate whose deadline lands past every [`planning_jobs`]
 /// deadline of a same-`id`-sized workload: the common arrival shape,
 /// since deadlines grow with arrival time.
@@ -89,7 +110,7 @@ fn workload_is_deterministic_and_sized() {
 
 #[test]
 fn deep_ledgers_agree_with_a_from_scratch_fill() {
-    let grid = SlotGrid::uniform(60.0);
+    let grid = SlotGrid::uniform(SLOT_SECONDS);
     let mut scratch = FillScratch::new();
     for n in SIZES {
         let existing = planning_jobs(n, TOTAL_GPUS);
@@ -128,9 +149,10 @@ fn deep_ledgers_agree_with_a_from_scratch_fill() {
             );
         }
 
-        let slot0 = ResourceAllocator::new(TOTAL_GPUS)
-            .allocate(&existing, &grid)
-            .slot0_gpus();
+        let slot0 = ElasticFlowScheduler::new()
+            .with_planning_slot(SLOT_SECONDS)
+            .plan(0.0, &ClusterView::new(TOTAL_GPUS), &job_table(&existing))
+            .total_gpus();
         assert!(
             slot0 <= TOTAL_GPUS,
             "n={n}: slot 0 allocates {slot0} of {TOTAL_GPUS} GPUs"

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use elasticflow_core::{
     mss::minimum_satisfactory_share, progressive_filling, theory::brute_force_feasible,
     AdmissionDenial, AdmissionSet, AllocationProfile, FillScratch, PlanningJob, ReservationLedger,
-    ResourceAllocator, SlotGrid,
+    SlotGrid,
 };
 use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
 use elasticflow_trace::JobId;
@@ -88,34 +88,6 @@ proptest! {
                 brute_force_feasible(&jobs, &grid, total),
                 "admitted but brute force finds no schedule"
             );
-        }
-    }
-
-    /// Algorithm 2's output is always executable: per-slot capacity is
-    /// respected and every non-lapsed job finishes by its deadline.
-    #[test]
-    fn allocation_is_executable(jobs in small_instance()) {
-        let grid = SlotGrid::uniform(1.0);
-        let total = 4u32;
-        let result = ResourceAllocator::new(total).allocate(&jobs, &grid);
-        let horizon = jobs.iter().map(|j| j.deadline_slot).max().unwrap_or(0);
-        for t in 0..horizon {
-            let used: u32 = result.profiles.values().map(|p| p.gpus(t)).sum();
-            prop_assert!(used <= total, "slot {t} over capacity: {used}");
-        }
-        for job in &jobs {
-            if result.infeasible.contains(&job.id) {
-                continue;
-            }
-            let p = &result.profiles[&job.id];
-            let done: f64 = p
-                .as_slice()
-                .iter()
-                .enumerate()
-                .map(|(t, &g)| job.iters_in_slot(g, &grid, t))
-                .sum();
-            prop_assert!(done + 1e-6 >= job.remaining_iterations);
-            prop_assert!(p.last_active_slot().unwrap() < job.deadline_slot);
         }
     }
 
