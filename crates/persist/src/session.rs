@@ -6,7 +6,8 @@
 //!   log, and checkpoint periodically from simulated time zero;
 //! * **resume** — recover the state directory (newest valid snapshot,
 //!   torn WAL tail truncated, log rolled back to the snapshot's record
-//!   count).
+//!   count). The log is read once: the contents recovery validated are
+//!   what [`RecordLog::resume`] rolls back.
 //!
 //! [`PersistSession::run`] then drives the simulation from the recovered
 //! snapshot, or from the start when there is none. A private WAL tap
@@ -143,11 +144,20 @@ impl PersistSession {
     ) -> Result<Self, PersistError> {
         let dir = StateDir::open(state_dir)?;
         let recovered = if resume { dir.recover()? } else { None };
-        let wal = match &recovered {
-            Some(r) => RecordLog::open_truncated(WAL_KIND, dir.wal_path(), r.snapshot.wal_records)?,
+        let (wal, recovered) = match recovered {
+            // Recovery read the log once; rolling it back reuses that read.
+            Some((r, Some(log))) => (RecordLog::resume(&log, r.snapshot.wal_records)?, Some(r)),
+            // A snapshot that needs no record but whose log is gone: there
+            // is no file to resume appending to.
+            Some((_, None)) => {
+                return Err(PersistError::Io(std::io::Error::new(
+                    std::io::ErrorKind::NotFound,
+                    format!("{} does not exist", dir.wal_path().display()),
+                )))
+            }
             None => {
                 dir.snapshots().clear()?;
-                RecordLog::create(WAL_KIND, dir.wal_path())?
+                (RecordLog::create(WAL_KIND, dir.wal_path())?, None)
             }
         };
         Ok(PersistSession {

@@ -36,7 +36,7 @@ use elasticflow_sim::{SimSnapshot, TraceRecord};
 use serde::{Deserialize, Serialize};
 
 use crate::error::PersistError;
-use crate::records::{read_log, LogKind};
+use crate::records::{recover_log, LogContents, LogKind};
 use crate::snapshots::{LatestValid, SnapshotKind, SnapshotPayload, SnapshotStore};
 
 /// The [`LogKind`] of the simulator write-ahead log.
@@ -115,14 +115,18 @@ impl StateDir {
         &self.snapshots
     }
 
-    /// Full crash recovery: load the newest valid snapshot, repair the
-    /// write-ahead log (truncate a torn tail), and truncate the log back
-    /// to the snapshot's record count so a resumed run re-appends the
-    /// tail itself. `Ok(None)` when the directory holds no snapshot.
+    /// Full crash recovery: load the newest valid snapshot and repair the
+    /// write-ahead log (truncate a torn tail). `Ok(None)` when the
+    /// directory holds no snapshot.
     ///
     /// Every intact record must decode as a [`TraceRecord`]; one that is
     /// checksummed but undecodable is a typed error, not a torn tail.
-    pub fn recover(&self) -> Result<Option<Recovered>, PersistError> {
+    ///
+    /// Next to what it found, recovery hands back the log it read (`None`
+    /// when there is no log file). The caller rolls it back to the
+    /// snapshot's record count with [`crate::RecordLog::resume`], without
+    /// reading it again, so a resumed run re-appends the tail itself.
+    pub fn recover(&self) -> Result<Option<(Recovered, Option<LogContents>)>, PersistError> {
         let LatestValid {
             valid: Some((seq, snapshot)),
             skipped,
@@ -131,29 +135,26 @@ impl StateDir {
             return Ok(None);
         };
         let wal_path = self.wal_path();
-        let wal_was_torn = if wal_path.exists() {
-            let contents = read_log(WAL_KIND, &wal_path)?;
-            for payload in &contents.payloads {
+        let wal = if wal_path.exists() {
+            let contents = recover_log(WAL_KIND, &wal_path)?;
+            for payload in contents.payloads() {
                 serde_json::from_str::<TraceRecord>(payload)?;
             }
-            if contents.torn {
-                let file = std::fs::OpenOptions::new().write(true).open(&wal_path)?;
-                file.set_len(contents.clean_len())?;
-            }
-            contents.torn
+            Some(contents)
         } else if snapshot.wal_records > 0 {
             return Err(PersistError::Corrupt(format!(
                 "snapshot {seq} requires {} WAL records but no write-ahead log exists",
                 snapshot.wal_records
             )));
         } else {
-            false
+            None
         };
-        Ok(Some(Recovered {
+        let recovered = Recovered {
             seq,
             snapshot,
-            wal_was_torn,
+            wal_was_torn: wal.as_ref().is_some_and(LogContents::tail_truncated),
             skipped,
-        }))
+        };
+        Ok(Some((recovered, wal)))
     }
 }

@@ -61,8 +61,7 @@ fn write_log(path: &std::path::Path, records: &[TraceRecord]) {
 /// The log's intact payloads, decoded as the simulator's records.
 fn decoded(contents: &LogContents) -> Vec<TraceRecord> {
     contents
-        .payloads
-        .iter()
+        .payloads()
         .map(|p| serde_json::from_str(p).expect("payload decodes as a TraceRecord"))
         .collect()
 }
@@ -76,9 +75,9 @@ fn truncation_at_every_byte_of_the_final_record_recovers_cleanly() {
 
     // Byte offset where the final record's frame begins.
     let contents = read_log(WAL_KIND, &path).unwrap();
-    assert!(!contents.torn);
+    assert!(!contents.torn());
     assert_eq!(decoded(&contents), records);
-    let last_start = contents.record_offsets[records.len() - 1] as usize;
+    let last_start = contents.record_offsets()[records.len() - 1] as usize;
 
     for cut in last_start..full.len() {
         std::fs::write(&path, &full[..cut]).unwrap();
@@ -86,7 +85,7 @@ fn truncation_at_every_byte_of_the_final_record_recovers_cleanly() {
             panic!("cut at byte {cut}: recovery errored instead of truncating: {e}")
         });
         assert!(
-            !recovered.torn,
+            !recovered.torn(),
             "cut at byte {cut}: still torn after recovery"
         );
         assert_eq!(
@@ -97,7 +96,7 @@ fn truncation_at_every_byte_of_the_final_record_recovers_cleanly() {
         // The file itself was truncated back to a clean prefix: re-reading
         // finds no torn tail and the same records.
         let reread = read_log(WAL_KIND, &path).unwrap();
-        assert!(!reread.torn, "cut at byte {cut}: file not truncated");
+        assert!(!reread.torn(), "cut at byte {cut}: file not truncated");
         assert_eq!(decoded(&reread), records[..records.len() - 1]);
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
@@ -115,12 +114,12 @@ fn corrupted_checksum_is_a_typed_error_not_a_panic() {
     let mut bytes = std::fs::read(&path).unwrap();
     // Flip one byte in the middle record's payload (past header + frame 0).
     let contents = read_log(WAL_KIND, &path).unwrap();
-    let mid = contents.record_offsets[1] as usize + 14;
+    let mid = contents.record_offsets()[1] as usize + 14;
     bytes[mid] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
     match read_log(WAL_KIND, &path) {
         Err(PersistError::ChecksumMismatch { offset, .. }) => {
-            assert_eq!(offset, contents.record_offsets[1]);
+            assert_eq!(offset, contents.record_offsets()[1]);
         }
         other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
@@ -157,13 +156,13 @@ fn wrong_magic_and_unknown_version_are_typed_errors() {
 }
 
 #[test]
-fn open_truncated_rolls_the_log_back_and_appends_from_there() {
+fn resume_rolls_the_log_back_and_appends_from_there() {
     let path = temp_path("events.wal");
     let records = sample_records(5);
     write_log(&path, &records);
 
     // Roll back to 2 records, append a different tail.
-    let mut log = RecordLog::open_truncated(WAL_KIND, &path, 2).unwrap();
+    let mut log = RecordLog::resume(&read_log(WAL_KIND, &path).unwrap(), 2).unwrap();
     assert_eq!(log.records(), 2);
     let replacement = TraceRecord {
         time: 999.0,
@@ -173,7 +172,7 @@ fn open_truncated_rolls_the_log_back_and_appends_from_there() {
     drop(log);
 
     let contents = read_log(WAL_KIND, &path).unwrap();
-    assert!(!contents.torn);
+    assert!(!contents.torn());
     let kept = decoded(&contents);
     assert_eq!(kept.len(), 3);
     assert_eq!(kept[..2], records[..2]);
@@ -181,7 +180,7 @@ fn open_truncated_rolls_the_log_back_and_appends_from_there() {
 
     // Asking for more records than exist is a typed error.
     assert!(matches!(
-        RecordLog::open_truncated(WAL_KIND, &path, 10),
+        RecordLog::resume(&contents, 10),
         Err(PersistError::Corrupt(_))
     ));
 }
@@ -202,7 +201,7 @@ fn interrupted_then_resumed_log_is_byte_identical_to_uninterrupted() {
     // tail the lost run would have written.
     let recovered = recover_log(WAL_KIND, &crashed).unwrap();
     assert_eq!(decoded(&recovered), records[..3]);
-    let mut log = RecordLog::open_truncated(WAL_KIND, &crashed, 3).unwrap();
+    let mut log = RecordLog::resume(&recovered, 3).unwrap();
     for r in &records[3..] {
         append(&mut log, r);
     }

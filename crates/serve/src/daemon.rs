@@ -32,7 +32,8 @@ use elasticflow_telemetry::{Clock, DECISION_LATENCY};
 use crate::gateway::{Gateway, GatewayConfig, GatewayStats};
 use crate::metrics::{
     self, SharedRegistry, ACTIVE_GUARANTEED, BATCH_SIZE, BOOKED_FRACTION, BOOKED_HORIZON_SLOTS,
-    DECISIONS_TOTAL, DECLINES_TOTAL, QUEUE_DEPTH, RUNNING_TOTALS,
+    DECISIONS_TOTAL, DECLINES_TOTAL, QUEUE_DEPTH, RECOVERY_REPLAYED_RECORDS, RECOVERY_SECONDS,
+    RUNNING_TOTALS,
 };
 use crate::proto::{parse_request, render_request_into, Request, Response};
 use crate::store::{render_journal_entry_into, GatewayDir, GatewaySnapshot};
@@ -171,60 +172,62 @@ impl Daemon {
     /// Opens (or resumes) a daemon over the state directory at `root`.
     ///
     /// With prior state present, recovery runs unconditionally: newest
-    /// valid snapshot → journal rewind → WAL-suffix replay. `clock`
-    /// feeds only the latency histogram — it never influences a
-    /// decision.
+    /// valid snapshot → journal rewind → WAL-suffix replay. It then
+    /// publishes how long it took on `clock` and how many records it
+    /// replayed ([`RECOVERY_SECONDS`], [`RECOVERY_REPLAYED_RECORDS`]).
+    /// `clock` feeds only those gauges and the latency histogram — it
+    /// never influences a decision.
     pub fn open(
         root: &std::path::Path,
         config: DaemonConfig,
-        clock: Box<dyn Clock>,
+        mut clock: Box<dyn Clock>,
         registry: SharedRegistry,
     ) -> Result<(Self, Resumption), ServeError> {
+        let started = clock.now_nanos();
         let dir = GatewayDir::open(root)?;
         let fresh = !dir.has_state();
         // A fresh daemon starts from the genesis logs with nothing to
-        // replay; a resumed one recovers both logs and its gateway.
-        let (payloads, snapshot_seq, gateway, covered_records, journal_entries) = if fresh {
-            (Vec::new(), None, Gateway::new(config.gateway), 0, 0)
-        } else {
-            let payloads = dir.recover_wal()?;
-            let latest = dir.snapshots().latest_valid()?;
-            for (seq, why) in &latest.skipped {
-                eprintln!("elasticflow-serve: skipped corrupt snapshot {seq}: {why}");
-            }
-            let (seq, gateway, covered, entries) = match latest.valid {
-                Some((seq, snap)) => {
-                    if snap.config != config.gateway {
-                        return Err(ServeError::ConfigMismatch {
-                            stored: snap.config,
-                            requested: config.gateway,
-                        });
-                    }
-                    if snap.wal_records > payloads.len() as u64 {
-                        return Err(ServeError::Persist(PersistError::Corrupt(format!(
-                            "snapshot {seq} covers {} WAL records but only {} survive on disk",
-                            snap.wal_records,
-                            payloads.len()
-                        ))));
-                    }
-                    let gateway = Gateway::from_snapshot(
-                        config.gateway,
-                        snap.origin_slot,
-                        &snap.jobs,
-                        snap.stats,
-                    );
-                    (Some(seq), gateway, snap.wal_records, snap.journal_entries)
+        // replay; a resumed one recovers both logs and its gateway. One
+        // read of the WAL repairs its tail, reopens it for appending and
+        // yields the history to replay.
+        let (log, mut wal, journal, snapshot_seq, gateway, covered_records, journal_entries) =
+            if fresh {
+                let (wal, journal) = dir.create_genesis()?;
+                (None, wal, journal, None, Gateway::new(config.gateway), 0, 0)
+            } else {
+                let (log, wal) = dir.recover_wal()?;
+                let latest = dir.snapshots().latest_valid()?;
+                for (seq, why) in &latest.skipped {
+                    eprintln!("elasticflow-serve: skipped corrupt snapshot {seq}: {why}");
                 }
-                None => (None, Gateway::new(config.gateway), 0, 0),
+                let (seq, gateway, covered, entries) = match latest.valid {
+                    Some((seq, snap)) => {
+                        if snap.config != config.gateway {
+                            return Err(ServeError::ConfigMismatch {
+                                stored: snap.config,
+                                requested: config.gateway,
+                            });
+                        }
+                        if snap.wal_records > log.len() as u64 {
+                            return Err(ServeError::Persist(PersistError::Corrupt(format!(
+                                "snapshot {seq} covers {} WAL records but only {} survive on disk",
+                                snap.wal_records,
+                                log.len()
+                            ))));
+                        }
+                        let gateway = Gateway::from_snapshot(
+                            config.gateway,
+                            snap.origin_slot,
+                            &snap.jobs,
+                            snap.stats,
+                        );
+                        (Some(seq), gateway, snap.wal_records, snap.journal_entries)
+                    }
+                    None => (None, Gateway::new(config.gateway), 0, 0),
+                };
+                let journal = dir.rewind_journal(entries)?;
+                (Some(log), wal, journal, seq, gateway, covered, entries)
             };
-            (payloads, seq, gateway, covered, entries)
-        };
-        let (mut wal, journal) = if fresh {
-            dir.create_genesis()?
-        } else {
-            let journal = dir.rewind_journal(journal_entries)?;
-            (dir.reopen_wal(payloads.len() as u64)?, journal)
-        };
         wal.set_fsync_policy(config.fsync);
         let mut daemon = Daemon {
             config,
@@ -248,13 +251,16 @@ impl Daemon {
         // the suffix inserts its own ids as it goes through the
         // pipeline, as one batch.
         let covered = usize::try_from(covered_records).unwrap_or(usize::MAX);
-        for line in &payloads[..covered] {
-            if let Ok(Some(Request::Submit { job })) = parse_request(line) {
-                daemon.seen.insert(job.id);
+        if let Some(log) = &log {
+            for line in log.payloads().take(covered) {
+                if let Ok(Some(Request::Submit { job })) = parse_request(line) {
+                    daemon.seen.insert(job.id);
+                }
             }
         }
-        let replay = payloads[covered..]
+        let replay = log
             .iter()
+            .flat_map(|log| log.payloads().skip(covered))
             .map(|line| match parse_request(line) {
                 Ok(Some(request)) => Ok(request),
                 Ok(None) => Err("gateway WAL holds an empty record".to_owned()),
@@ -262,16 +268,23 @@ impl Daemon {
             })
             .collect::<Result<Vec<_>, _>>()
             .map_err(|why| ServeError::Persist(PersistError::Corrupt(why)))?;
+        drop(log);
         daemon.apply(&replay, false, &mut Vec::with_capacity(replay.len()))?;
         if fresh {
             return Ok((daemon, Resumption::Fresh));
         }
         daemon.publish_state();
+        let replayed = replay.len() as u64;
+        let elapsed = daemon.clock.now_nanos().saturating_sub(started);
+        let mut registry = metrics::lock(&daemon.registry);
+        registry.set_gauge(RECOVERY_SECONDS, &[], elapsed as f64 / 1e9);
+        registry.set_gauge(RECOVERY_REPLAYED_RECORDS, &[], replayed as f64);
+        drop(registry);
         Ok((
             daemon,
             Resumption::Resumed {
                 snapshot: snapshot_seq,
-                replayed: replay.len() as u64,
+                replayed,
             },
         ))
     }
@@ -736,6 +749,37 @@ mod tests {
         // History replayed through the dedup guard: old ids still refuse.
         let dup = daemon.handle_request(&request(&submit_line(2, 500.0, None)));
         assert!(matches!(dup, Response::Error { .. }));
+    }
+
+    #[test]
+    fn recovery_gauges_are_pinned_on_a_tick_clock() {
+        let root = tmp("recovery-gauges");
+        let gauges = |daemon: &Daemon| {
+            let registry = daemon.registry();
+            let guard = metrics::lock(&registry);
+            (
+                guard.gauge_value(RECOVERY_SECONDS, &[]),
+                guard.gauge_value(RECOVERY_REPLAYED_RECORDS, &[]),
+            )
+        };
+        {
+            let (mut daemon, _) = open(&root);
+            assert_eq!(gauges(&daemon), (Some(0.0), Some(0.0)), "fresh open");
+            for i in 0..8 {
+                daemon.handle_request(&request(&submit_line(i, i as f64 * 20.0, Some(7_200.0))));
+            }
+        }
+        let (daemon, resumption) = open(&root);
+        assert_eq!(
+            resumption,
+            Resumption::Resumed {
+                snapshot: Some(1),
+                replayed: 3
+            }
+        );
+        // Six readings of the 250 ns tick clock: the start, the replay
+        // batch's entry, one per replayed decision, and the end.
+        assert_eq!(gauges(&daemon), (Some(1.25e-6), Some(3.0)));
     }
 
     #[test]

@@ -60,6 +60,14 @@ pub const FILL_PROBES_TOTAL: &str = "ef_fill_probes_total";
 /// the final-slot trim).
 pub const FILL_SLOTS_TOTAL: &str = "ef_fill_slots_total";
 
+/// Gauge: seconds the last resume spent in `Daemon::open`, from opening
+/// the state directory to the replayed WAL suffix, read on the daemon's
+/// clock.
+pub const RECOVERY_SECONDS: &str = "ef_gateway_recovery_seconds";
+
+/// Gauge: WAL records the last resume replayed on top of its snapshot.
+pub const RECOVERY_REPLAYED_RECORDS: &str = "ef_gateway_recovery_replayed_records";
+
 /// The series the daemon mirrors from running totals it does not own
 /// (gateway counters and fill-kernel work), in the order
 /// `Daemon::publish_state` reads them.
@@ -111,10 +119,21 @@ pub fn gateway_registry() -> SharedRegistry {
     );
     registry.describe_counter(FILL_PROBES_TOTAL, "Ladder probes of the fill kernel");
     registry.describe_counter(FILL_SLOTS_TOTAL, "Slots the fill kernel walked, by kind");
-    // The running totals exist from the first scrape, at zero.
+    registry.describe_gauge(
+        RECOVERY_SECONDS,
+        "Seconds the last resume took to recover and replay the WAL",
+    );
+    registry.describe_gauge(
+        RECOVERY_REPLAYED_RECORDS,
+        "WAL records the last resume replayed on top of its snapshot",
+    );
+    // The running totals and the recovery gauges exist from the first
+    // scrape, at zero, so a resume only overwrites existing series.
     for (name, labels) in RUNNING_TOTALS {
         registry.inc(name, labels, 0.0);
     }
+    registry.set_gauge(RECOVERY_SECONDS, &[], 0.0);
+    registry.set_gauge(RECOVERY_REPLAYED_RECORDS, &[], 0.0);
     Arc::new(Mutex::new(registry))
 }
 
@@ -178,10 +197,13 @@ mod tests {
             EXPIRED_TOTAL,
             FILL_PROBES_TOTAL,
             FILL_SLOTS_TOTAL,
+            RECOVERY_SECONDS,
+            RECOVERY_REPLAYED_RECORDS,
         ] {
             assert!(body.contains(&format!("# HELP {name} ")), "missing {name}");
         }
         assert!(body.contains("ef_gateway_lapsed_total 0\n"));
+        assert!(body.contains("ef_gateway_recovery_replayed_records 0\n"));
         assert!(body.contains("ef_fill_slots_total{kind=\"partial\"} 0\n"));
         assert!(prometheus::parse(&body).is_ok());
     }

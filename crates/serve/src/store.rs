@@ -26,7 +26,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use elasticflow_persist::records::{self, LogKind, RecordLog};
+use elasticflow_persist::records::{self, LogContents, LogKind, RecordLog};
 use elasticflow_persist::{PersistError, SnapshotKind, SnapshotPayload, SnapshotStore};
 use elasticflow_sched::DecisionRecord;
 use elasticflow_telemetry::{JOURNAL_MAGIC, JOURNAL_VERSION};
@@ -157,17 +157,15 @@ impl GatewayDir {
         Ok((wal, journal))
     }
 
-    /// Reads the submission log, truncating a torn final frame (the only
-    /// crash artifact framing allows). Returns the clean payload lines.
-    pub fn recover_wal(&self) -> Result<Vec<String>, PersistError> {
-        Ok(records::recover_log(GATEWAY_WAL_KIND, self.wal_path())?.payloads)
-    }
-
-    /// Re-opens the WAL for appending after all `records` already on
-    /// disk (the full recovered history — gateway WALs keep every
-    /// record; only the journal is rewound on resume).
-    pub fn reopen_wal(&self, records: u64) -> Result<RecordLog, PersistError> {
-        RecordLog::open_truncated(GATEWAY_WAL_KIND, self.wal_path(), records)
+    /// Recovers the submission log with one read: truncates a torn final
+    /// frame (the only crash artifact framing allows) and re-opens the
+    /// log for appending after every intact record (gateway WALs keep
+    /// the whole history; only the journal is rewound on resume).
+    /// Returns the clean payload lines and the reopened log.
+    pub fn recover_wal(&self) -> Result<(LogContents, RecordLog), PersistError> {
+        let contents = records::recover_log(GATEWAY_WAL_KIND, self.wal_path())?;
+        let wal = RecordLog::resume(&contents, contents.len() as u64)?;
+        Ok((contents, wal))
     }
 
     /// Truncates the decision journal back to its header plus the first
@@ -384,10 +382,19 @@ mod tests {
         let mut bytes = std::fs::read(dir.wal_path()).unwrap();
         bytes.extend_from_slice(&[9, 0, 0, 0, 1]);
         std::fs::write(dir.wal_path(), &bytes).unwrap();
-        let payloads = dir.recover_wal().unwrap();
-        assert_eq!(payloads, vec!["{\"req\":1}", "{\"req\":2}"]);
-        let mut wal = dir.reopen_wal(2).unwrap();
+        let (payloads, mut wal) = dir.recover_wal().unwrap();
+        assert!(payloads.tail_truncated());
+        assert_eq!(
+            payloads.payloads().collect::<Vec<_>>(),
+            vec!["{\"req\":1}", "{\"req\":2}"]
+        );
+        assert_eq!(wal.records(), 2);
         wal.append_payload(b"{\"req\":3}").unwrap();
-        assert_eq!(dir.recover_wal().unwrap().len(), 3);
+        drop(wal);
+        let (payloads, wal) = dir.recover_wal().unwrap();
+        assert_eq!(payloads.len(), 3);
+        assert_eq!(payloads.payloads().last(), Some("{\"req\":3}"));
+        assert!(!payloads.tail_truncated());
+        assert_eq!(wal.records(), 3);
     }
 }
