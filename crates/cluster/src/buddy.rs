@@ -245,7 +245,8 @@ impl BuddyAllocator {
 
     /// `true` when a block of `size` GPUs can be allocated right now without
     /// migration.
-    pub fn can_allocate(&self, size: u32) -> bool {
+    #[cfg(test)]
+    fn can_allocate(&self, size: u32) -> bool {
         if size == 0 || !size.is_power_of_two() || size > self.capacity {
             return false;
         }
@@ -254,7 +255,8 @@ impl BuddyAllocator {
     }
 
     /// A snapshot of the free blocks, ascending by offset.
-    pub fn free_blocks(&self) -> Vec<Block> {
+    #[cfg(test)]
+    fn free_blocks(&self) -> Vec<Block> {
         let mut blocks: Vec<Block> = self
             .free
             .iter()

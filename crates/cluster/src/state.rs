@@ -90,11 +90,6 @@ impl ClusterState {
         self.capacity() - self.idle_gpus()
     }
 
-    /// Number of owners currently holding GPUs.
-    pub fn num_owners(&self) -> usize {
-        self.allocations.len()
-    }
-
     /// The placement currently held by `owner`, if any.
     pub fn placement_of(&self, owner: u64) -> Option<Placement> {
         self.allocations
@@ -386,7 +381,7 @@ mod tests {
         let p = c.allocate(7, 8).unwrap();
         assert_eq!(p.num_gpus(), 8);
         assert_eq!(c.used_gpus(), 8);
-        assert_eq!(c.num_owners(), 1);
+        assert_eq!(c.allocations.len(), 1);
         c.release(7).unwrap();
         assert_eq!(c.used_gpus(), 0);
         assert_eq!(c.release(7), Err(ClusterError::UnknownOwner { owner: 7 }));
@@ -486,12 +481,9 @@ mod tests {
         };
         for round in 0..500 {
             let r = next();
-            if r % 4 == 0 && c.num_owners() > 0 {
-                let victim = *c
-                    .allocations
-                    .keys()
-                    .nth((r / 4) as usize % c.num_owners())
-                    .unwrap();
+            let owners = c.allocations.len();
+            if r % 4 == 0 && owners > 0 {
+                let victim = *c.allocations.keys().nth((r / 4) as usize % owners).unwrap();
                 c.release(victim).unwrap();
             } else {
                 let size = 1u32 << (r % 4);

@@ -34,6 +34,7 @@ impl AllocationTable {
     }
 
     /// Number of owners holding a block.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }

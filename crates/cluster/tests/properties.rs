@@ -56,7 +56,7 @@ proptest! {
             buddy.free(block);
         }
         prop_assert_eq!(buddy.idle_gpus(), 64);
-        prop_assert_eq!(buddy.free_blocks().len(), 1);
+        prop_assert!(buddy.allocate(64).is_ok());
     }
 
     /// The §4.3 guarantee: with migration, any power-of-two request no

@@ -67,18 +67,6 @@ pub fn minimum_satisfactory_share(
     Some(1u32 << lo)
 }
 
-/// GPU-time (GPU-seconds) consumed when running the job at its minimum
-/// satisfactory share for the given window — the "resource usage" the
-/// paper's admission control minimizes.
-pub fn mss_gpu_seconds(
-    curve: &ScalingCurve,
-    remaining_iterations: f64,
-    window_seconds: f64,
-) -> Option<f64> {
-    let share = minimum_satisfactory_share(curve, remaining_iterations, window_seconds)?;
-    curve.gpu_time(share, remaining_iterations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,8 +134,12 @@ mod tests {
         // Paper §4.1: tighter deadlines force bigger shares, which waste
         // GPU time under concavity.
         let curve = fig4_curve();
-        let loose = mss_gpu_seconds(&curve, 1.0, 1.0).unwrap();
-        let tight = mss_gpu_seconds(&curve, 1.0, 0.5).unwrap();
+        let mss_gpu_seconds = |window: f64| {
+            let share = minimum_satisfactory_share(&curve, 1.0, window).unwrap();
+            curve.gpu_time(share, 1.0).unwrap()
+        };
+        let loose = mss_gpu_seconds(1.0);
+        let tight = mss_gpu_seconds(0.5);
         assert!((loose - 1.0).abs() < 1e-12);
         assert!((tight - 2.0).abs() < 1e-12);
         assert!(tight > loose);

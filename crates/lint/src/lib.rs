@@ -22,7 +22,7 @@
 //! | id | title | scope |
 //! |----|-------|-------|
 //! | EF-L000 | suppressions must be well-formed, justified, and *used* | all |
-//! | EF-L001 | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` | core, cluster, sim, sched, platform |
+//! | EF-L001 | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` | core, cluster, sim, sched |
 //! | EF-L002 | no exact float `==`/`!=` against literals | core, cluster, sim, sched, perfmodel |
 //! | EF-L003 | no nondeterminism sources (clocks, OS RNGs, hash order) | core, sim, sched |
 //! | EF-L004 | no raw float→int `as` casts | core, cluster, sim, sched |

@@ -64,7 +64,7 @@ pub const RULES: &[RuleInfo] = &[
         remedy: "Return a typed error (see each crate's `error` module) or \
                  suppress with a justification stating the invariant that \
                  makes the site unreachable.",
-        crates: &["core", "cluster", "sim", "sched", "platform"],
+        crates: &["core", "cluster", "sim", "sched"],
     },
     RuleInfo {
         id: "EF-L002",

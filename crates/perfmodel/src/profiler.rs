@@ -102,21 +102,6 @@ impl Profiler {
             probed_gpus: probed,
         }
     }
-
-    /// Profiles every batch size of Table 1 for one model and returns the
-    /// total pre-run cost — one bar of the paper's Fig. 12(a).
-    pub fn profile_model_all_batches(&self, model: DnnModel) -> f64 {
-        crate::PAPER_TABLE1
-            .iter()
-            .find(|(m, _)| *m == model)
-            .map(|(_, batches)| {
-                batches
-                    .iter()
-                    .map(|&b| self.profile(model, b).profiling_seconds)
-                    .sum()
-            })
-            .unwrap_or(0.0)
-    }
 }
 
 impl Default for Profiler {
@@ -144,8 +129,12 @@ mod tests {
         // Paper Fig 12(a): profiling overhead per model is marginal
         // relative to hours-long training jobs.
         let profiler = Profiler::default();
-        for model in DnnModel::ALL {
-            let seconds = profiler.profile_model_all_batches(model);
+        for (model, batches) in crate::PAPER_TABLE1 {
+            // Every Table 1 batch size of one model: one bar of Fig. 12(a).
+            let seconds: f64 = batches
+                .iter()
+                .map(|&b| profiler.profile(model, b).profiling_seconds)
+                .sum();
             assert!(seconds > 0.0);
             assert!(
                 seconds < 3600.0,

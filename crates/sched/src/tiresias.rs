@@ -43,7 +43,8 @@ impl TiresiasScheduler {
     /// # Panics
     ///
     /// Panics if the thresholds are not strictly ascending and positive.
-    pub fn with_thresholds(queue_thresholds: Vec<f64>) -> Self {
+    #[cfg(test)]
+    fn with_thresholds(queue_thresholds: Vec<f64>) -> Self {
         assert!(
             queue_thresholds.windows(2).all(|w| w[0] < w[1])
                 && queue_thresholds.iter().all(|&t| t > 0.0),

@@ -405,6 +405,28 @@ mod tests {
         }
     }
 
+    /// A line no decision can be made on is refused before the WAL: a
+    /// zero batch that reached the gateway would panic the daemon after
+    /// the append and again on every resume.
+    #[test]
+    fn a_submission_that_fails_validation_is_refused_before_the_wal() {
+        let refused = r#"{"Submit":{"job":{"id":1,"model":"Bert","global_batch":0,"iterations":100.0,"arrival_seconds":0.0,"deadline_seconds":3600.0}}}"#;
+        let input = format!("{refused}\n{}", submit_line(0));
+        let (root, mut daemon) = open_daemon("refused");
+        let mut out = Vec::new();
+        serve_connection(&mut daemon, input.as_bytes(), &mut out, 4, None).expect("serves");
+        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(lines.len(), 2, "one error + one decision");
+        assert!(lines[0].starts_with("{\"Error\":"), "got {}", lines[0]);
+        assert!(lines[0].contains("global_batch"), "got {}", lines[0]);
+        assert!(lines[1].starts_with("{\"Decision\":"), "got {}", lines[1]);
+        drop(daemon);
+        let (wal, _) = GatewayDir::open(&root).unwrap().recover_wal().unwrap();
+        let records: Vec<&str> = wal.payloads().collect();
+        assert_eq!(records, [submit_line(0).trim_end()]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     /// A client connection: it sends `input`, then either collects the
     /// answers or fails every write, like a peer that hung up.
     struct Client {

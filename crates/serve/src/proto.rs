@@ -15,8 +15,9 @@
 //! {"Stats":{}}
 //! ```
 
-use elasticflow_perfmodel::DnnModel;
+use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
 use elasticflow_sched::{CapacityShortfall, DecisionRecord, DeclineReason};
+use elasticflow_trace::{JobId, JobSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::gateway::GatewayStats;
@@ -24,6 +25,9 @@ use crate::gateway::GatewayStats;
 /// One job submission: the serverless interface of the paper's §3.1 —
 /// model, hyper-parameters, termination condition, and deadline. No GPU
 /// count: the platform decides shares.
+///
+/// The gateway answers a submission at once with a [`DecisionRecord`];
+/// [`JobSubmission::job_spec`] hands an admitted one to the simulator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobSubmission {
     /// Client-chosen unique job id. Resubmitting an id is rejected
@@ -42,6 +46,50 @@ pub struct JobSubmission {
     /// the job best-effort.
     #[serde(default)]
     pub deadline_seconds: Option<f64>,
+}
+
+impl JobSubmission {
+    /// Refuses the values no decision can be made on: a zero global
+    /// batch, iterations that are not positive and finite, and an
+    /// arrival that is negative or not finite. [`parse_request`] applies
+    /// it to every submission line, so a refused line is answered with
+    /// [`Response::Error`] and never reaches the WAL.
+    pub fn validate(&self) -> Result<(), String> {
+        let refuse = |why: &str| Err(format!("job {}: {why}", self.id));
+        if self.global_batch == 0 {
+            return refuse("global_batch must be positive");
+        }
+        if !(self.iterations.is_finite() && self.iterations > 0.0) {
+            return refuse("iterations must be positive and finite");
+        }
+        if !(self.arrival_seconds.is_finite() && self.arrival_seconds >= 0.0) {
+            return refuse("arrival_seconds must be non-negative and finite");
+        }
+        Ok(())
+    }
+
+    /// The simulator's [`JobSpec`] for this submission on a cluster with
+    /// interconnect `net`: a hard deadline, or best-effort when the
+    /// deadline is absent or not finite (as [`crate::Gateway::submit`]
+    /// reads it). The recorded trace shape is one GPU for as long as the
+    /// iterations take on one GPU.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the submission fails [`JobSubmission::validate`], or if
+    /// its finite deadline does not fall after its arrival. The gateway
+    /// admits neither.
+    pub fn job_spec(&self, net: &Interconnect) -> JobSpec {
+        let curve = ScalingCurve::build_with_max(self.model, self.global_batch, net, 1);
+        let builder = JobSpec::builder(JobId::new(self.id), self.model, self.global_batch)
+            .iterations(self.iterations)
+            .submit_time(self.arrival_seconds)
+            .trace_shape(1, self.iterations / curve.iters_per_sec(1).unwrap_or(1.0));
+        match self.deadline_seconds.filter(|d| d.is_finite()) {
+            Some(deadline) => builder.deadline(deadline).build(),
+            None => builder.build(),
+        }
+    }
 }
 
 /// One client request line.
@@ -105,7 +153,9 @@ pub enum Response {
     Bye {},
 }
 
-/// Parses one request line. Blank lines yield `Ok(None)`.
+/// Parses one request line. Blank lines yield `Ok(None)`; a submission
+/// that fails [`JobSubmission::validate`] is an error like a malformed
+/// line.
 ///
 /// Canonical submission lines — the exact bytes [`render_request_into`]
 /// (and therefore `elasticflow-loadgen` and the WAL) produce — take a
@@ -118,12 +168,15 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
     if trimmed.is_empty() {
         return Ok(None);
     }
-    if let Some(request) = parse_submit_fast(trimmed) {
-        return Ok(Some(request));
+    let request = match parse_submit_fast(trimmed) {
+        Some(request) => request,
+        None => serde_json::from_str::<Request>(trimmed)
+            .map_err(|e| format!("bad request line: {e}"))?,
+    };
+    if let Request::Submit { job } = &request {
+        job.validate()?;
     }
-    serde_json::from_str::<Request>(trimmed)
-        .map(Some)
-        .map_err(|e| format!("bad request line: {e}"))
+    Ok(Some(request))
 }
 
 /// Fast path for the canonical `{"Submit":{"job":{...}}}` shape with
@@ -624,6 +677,75 @@ mod tests {
             let line = serde_json::to_string(&req).unwrap();
             assert_eq!(parse_request(&line).unwrap().unwrap(), req);
         }
+    }
+
+    #[test]
+    fn submissions_no_decision_can_be_made_on_are_refused_on_both_paths() {
+        let base = r#"{"Submit":{"job":{"id":1,"model":"Bert","global_batch":96,"iterations":100.0,"arrival_seconds":0.0,"deadline_seconds":3600.0}}}"#;
+        // The canonical line takes the fast path; a space sends the same
+        // submission through serde.
+        let both_paths = |line: &str| [line.to_owned(), line.replacen('{', "{ ", 1)];
+        for line in both_paths(base) {
+            let Ok(Some(Request::Submit { job })) = parse_request(&line) else {
+                panic!("a 96-sample batch is accepted: {line}");
+            };
+            assert_eq!(job.global_batch, 96);
+        }
+        for (field, from, to) in [
+            ("global_batch", "\"global_batch\":96", "\"global_batch\":0"),
+            ("iterations", "\"iterations\":100.0", "\"iterations\":-5.0"),
+            ("iterations", "\"iterations\":100.0", "\"iterations\":0.0"),
+            ("iterations", "\"iterations\":100.0", "\"iterations\":1e999"),
+            (
+                "arrival_seconds",
+                "\"arrival_seconds\":0.0",
+                "\"arrival_seconds\":-50.0",
+            ),
+            (
+                "arrival_seconds",
+                "\"arrival_seconds\":0.0",
+                "\"arrival_seconds\":1e999",
+            ),
+        ] {
+            for line in both_paths(&base.replace(from, to)) {
+                let message = parse_request(&line).expect_err(&line);
+                assert!(message.contains(field), "{line}: {message}");
+            }
+        }
+    }
+
+    #[test]
+    fn job_spec_builds_the_simulator_spec_of_a_submission() {
+        let net = Interconnect::from_spec(&elasticflow_cluster::ClusterSpec::small_testbed());
+        let slo = JobSubmission {
+            id: 0,
+            model: DnnModel::ResNet50,
+            global_batch: 128,
+            iterations: 10_000.0,
+            arrival_seconds: 0.0,
+            deadline_seconds: Some(28_800.0),
+        };
+        let expected = JobSpec::builder(JobId::new(0), DnnModel::ResNet50, 128)
+            .iterations(10_000.0)
+            .submit_time(0.0)
+            .deadline(28_800.0)
+            .trace_shape(1, 1428.0000000000002)
+            .build();
+        assert_eq!(slo.job_spec(&net), expected);
+        let best_effort = JobSubmission {
+            id: 1,
+            model: DnnModel::Gpt2,
+            global_batch: 128,
+            iterations: 5_000.0,
+            arrival_seconds: 250.0,
+            deadline_seconds: None,
+        };
+        let expected = JobSpec::builder(JobId::new(1), DnnModel::Gpt2, 128)
+            .iterations(5_000.0)
+            .submit_time(250.0)
+            .trace_shape(1, 4490.0)
+            .build();
+        assert_eq!(best_effort.job_spec(&net), expected);
     }
 
     #[test]

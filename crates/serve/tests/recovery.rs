@@ -10,9 +10,10 @@
 
 use std::path::{Path, PathBuf};
 
+use elasticflow_persist::PersistError;
 use elasticflow_serve::{
     gateway_registry, loadgen_stream, parse_request, Daemon, DaemonConfig, FsyncPolicy,
-    GatewayConfig, GatewayDir, LoadgenConfig, Request, Resumption,
+    GatewayConfig, GatewayDir, LoadgenConfig, Request, Resumption, ServeError,
 };
 use elasticflow_telemetry::TickClock;
 
@@ -423,6 +424,31 @@ fn binary_batched_crash_then_resume_matches_the_unbatched_reference() {
     let (journal, wal) = durable_files(&crash_dir);
     assert_eq!(journal, ref_journal, "batched binary journal diverged");
     assert_eq!(wal, ref_wal, "batched binary WAL diverged");
+}
+
+/// A WAL written before submissions were validated may hold a record
+/// no decision can be made on. Recovery refuses it as corruption
+/// instead of panicking in the replay.
+#[test]
+fn a_wal_record_that_fails_validation_is_refused_as_corrupt_on_resume() {
+    let root = tmp("invalid-record");
+    let (mut wal, _) = GatewayDir::open(&root).unwrap().create_genesis().unwrap();
+    wal.append_payload(br#"{"Submit":{"job":{"id":1,"model":"Bert","global_batch":0,"iterations":100.0,"arrival_seconds":0.0,"deadline_seconds":3600.0}}}"#)
+        .unwrap();
+    drop(wal);
+    let opened = Daemon::open(
+        &root,
+        daemon_config(),
+        Box::new(TickClock::new(500)),
+        gateway_registry(),
+    );
+    match opened {
+        Err(ServeError::Persist(PersistError::Corrupt(why))) => {
+            assert!(why.contains("global_batch"), "{why}");
+        }
+        Err(e) => panic!("expected a corrupt WAL, got {e}"),
+        Ok(_) => panic!("a WAL holding an invalid record was replayed"),
+    }
 }
 
 /// A line of bytes that are not UTF-8 is answered with an `Error` line

@@ -69,15 +69,6 @@ impl Trace {
             .fold(f64::NEG_INFINITY, f64::max);
         last - first
     }
-
-    /// Total single-GPU-equivalent work in the trace, GPU-seconds, computed
-    /// from trace shapes (useful for load accounting in experiments).
-    pub fn total_trace_gpu_seconds(&self) -> f64 {
-        self.jobs
-            .iter()
-            .map(|j| j.trace_gpus as f64 * j.trace_duration)
-            .sum()
-    }
 }
 
 impl Extend<JobSpec> for Trace {
@@ -119,7 +110,12 @@ mod tests {
         let t = sample_trace();
         assert!(t.span() > 0.0);
         assert_eq!(t.num_slo_jobs() + t.num_best_effort_jobs(), t.jobs().len());
-        assert!(t.total_trace_gpu_seconds() > 0.0);
+        let trace_gpu_seconds: f64 = t
+            .jobs()
+            .iter()
+            .map(|j| j.trace_gpus as f64 * j.trace_duration)
+            .sum();
+        assert!(trace_gpu_seconds > 0.0);
     }
 
     #[test]

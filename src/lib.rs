@@ -11,11 +11,13 @@
 //! * [`sim`] — the discrete-event cluster simulator (§6.1);
 //! * [`core`] — minimum satisfactory share, admission control
 //!   (Algorithm 1), elastic allocation (Algorithm 2), ElasticFlow itself;
-//! * [`platform`] — the serverless front-end (§3.1);
 //! * [`telemetry`] — metrics registry, lifecycle span tracing, and
 //!   Prometheus / Perfetto exporters on the observer seam;
 //! * [`persist`] — checkpoint snapshots, the write-ahead event log, and
-//!   bit-identical crash recovery.
+//!   bit-identical crash recovery;
+//! * [`serve`] — the serverless front-end (§3.1): a gateway that answers
+//!   each submission at once with an admit/decline decision, run as a
+//!   crash-consistent daemon.
 //!
 //! # Quickstart
 //!
@@ -43,8 +45,8 @@ pub use elasticflow_cluster as cluster;
 pub use elasticflow_core as core;
 pub use elasticflow_perfmodel as perfmodel;
 pub use elasticflow_persist as persist;
-pub use elasticflow_platform as platform;
 pub use elasticflow_sched as sched;
+pub use elasticflow_serve as serve;
 pub use elasticflow_sim as sim;
 pub use elasticflow_telemetry as telemetry;
 pub use elasticflow_trace as trace;
