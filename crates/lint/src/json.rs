@@ -1,12 +1,11 @@
-//! A minimal JSON reader for the lint's config inputs (the snapshot
-//! manifest and the ratchet baseline). Hand-rolled because the lint stays
-//! std-only: it gates the workspace, so it must not depend on it — or on
-//! anything else.
+//! A minimal JSON reader for the lint's one config input, the snapshot
+//! manifest. Hand-rolled because the lint stays std-only: it gates the
+//! workspace, so it must not depend on it — or on anything else.
 //!
 //! Reads the full JSON grammar except `\uXXXX` surrogate pairs (accepted,
 //! decoded as the replacement character) and number formats beyond what
-//! `f64::parse` takes. Both inputs are small committed files; parse errors
-//! carry a line number for direct fixing.
+//! `f64::parse` takes. The manifest is a small committed file; parse
+//! errors carry a line number for direct fixing.
 
 use std::collections::BTreeMap;
 
@@ -44,28 +43,10 @@ impl JsonValue {
         }
     }
 
-    /// The numeric payload as a non-negative integer, if it is one.
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => {
-                Some(*n as usize)
-            }
-            _ => None,
-        }
-    }
-
     /// The element list, if this is an array.
     pub fn as_arr(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The member map, if this is an object.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, JsonValue>> {
-        match self {
-            JsonValue::Obj(m) => Some(m),
             _ => None,
         }
     }
@@ -279,13 +260,6 @@ mod tests {
             v.get("f").and_then(|f| f.as_arr()).map(|f| f.len()),
             Some(0)
         );
-    }
-
-    #[test]
-    fn as_usize_rejects_negatives_and_fractions() {
-        assert_eq!(parse("3").unwrap().as_usize(), Some(3));
-        assert_eq!(parse("-1").unwrap().as_usize(), None);
-        assert_eq!(parse("1.5").unwrap().as_usize(), None);
     }
 
     #[test]

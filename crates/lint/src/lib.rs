@@ -14,8 +14,8 @@
 //! token stream — no external parser — and checks *shape*: snapshot
 //! coverage against a committed manifest (EF-L006), exhaustiveness of
 //! matches over replayed enums (EF-L007), and purity of parallel closures
-//! (EF-L008). A committed ratchet baseline ([`baseline`]) bounds the
-//! violation count per rule so debt can only burn down.
+//! (EF-L008). Any finding fails the gate; a justified `allow` comment is
+//! the one way to tolerate one.
 //!
 //! # Rules
 //!
@@ -52,13 +52,11 @@
 //! directives are themselves violations (EF-L000) — and so is an allow
 //! that matches no finding, so stale suppressions cannot rot in place.
 //!
-//! # The ratchet
+//! # The gate
 //!
-//! `lint-baseline.json` at the workspace root budgets the tolerated
-//! violation count per rule (all-zero in the healthy steady state). The
-//! binary and the `tests/lint.rs` gate fail when any count rises above
-//! budget and hint when it falls below. Regenerate after burning down
-//! debt: `cargo run -p elasticflow-lint -- --write-baseline`.
+//! The binary and the `tests/lint.rs` gate fail on any finding. A site
+//! that is sound despite matching a rule carries a justified `allow`,
+//! which EF-L000 keeps honest.
 //!
 //! # False-positive immunity
 //!
@@ -73,7 +71,6 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod baseline;
 pub mod items;
 pub mod json;
 pub mod lexer;
@@ -82,9 +79,6 @@ pub mod rules;
 pub mod scan;
 
 pub use analysis::{check_snapshot_coverage, parse_manifest, SnapshotManifest, MANIFEST_PATH};
-pub use baseline::{
-    parse_baseline, ratchet, render_baseline, Baseline, RatchetOutcome, BASELINE_PATH,
-};
 pub use report::{to_json, to_sarif};
 pub use rules::{rule_info, RuleInfo, RULES};
 pub use scan::{lint_files, lint_source, lint_workspace, FileAnalysis, LintReport, Violation};

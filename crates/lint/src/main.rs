@@ -1,19 +1,16 @@
 //! CLI entry point for the guarantee-soundness lint.
 //!
 //! Exit status contract (also printed by `--help`):
-//!   0 — workspace clean, or every rule's violation count is within its
-//!       `lint-baseline.json` budget;
-//!   1 — at least one rule exceeds its budget (with no baseline file,
-//!       every budget is zero, so any violation fails);
+//!   0 — no finding: the workspace is clean, or every finding is covered
+//!       by a justified `// elasticflow-lint: allow(RULE): <why>`;
+//!   1 — at least one finding;
 //!   2 — usage or I/O error (bad flag, unreadable root, zero files
-//!       scanned, malformed baseline).
+//!       scanned).
 
 use std::process::ExitCode;
 
-use elasticflow_lint::baseline::{self, Baseline};
 use elasticflow_lint::{
-    lint_workspace, ratchet, render_baseline, render_violation, to_json, to_sarif, workspace_root,
-    RULES,
+    lint_workspace, render_violation, to_json, to_sarif, workspace_root, RULES,
 };
 
 enum Format {
@@ -25,13 +22,10 @@ enum Format {
 fn main() -> ExitCode {
     let mut format = Format::Human;
     let mut show_rules = false;
-    let mut write_baseline = false;
-    let mut no_ratchet = false;
     let mut root = workspace_root();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => format = Format::Json, // kept as an alias
             "--format" => match args.next().as_deref() {
                 Some("json") => format = Format::Json,
                 Some("sarif") => format = Format::Sarif,
@@ -46,8 +40,6 @@ fn main() -> ExitCode {
                 }
             },
             "--rules" => show_rules = true,
-            "--write-baseline" => write_baseline = true,
-            "--no-ratchet" => no_ratchet = true,
             "--root" => match args.next() {
                 Some(dir) => root = dir.into(),
                 None => {
@@ -86,38 +78,6 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let baseline_path = root.join(baseline::BASELINE_PATH);
-    if write_baseline {
-        let rendered = render_baseline(&report);
-        if let Err(e) = std::fs::write(&baseline_path, rendered) {
-            eprintln!("error: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "elasticflow-lint: wrote {} ({} violation(s) budgeted)",
-            baseline_path.display(),
-            report.violations.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Missing baseline file = all-zero budgets (strictest possible).
-    let budgets = match std::fs::read_to_string(&baseline_path) {
-        Ok(src) => match elasticflow_lint::parse_baseline(&src) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: malformed {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Baseline::default(),
-    };
-    let outcome = if no_ratchet {
-        Default::default()
-    } else {
-        ratchet(&report, &budgets)
-    };
-
     match format {
         Format::Json => print!("{}", to_json(&report)),
         Format::Sarif => print!("{}", to_sarif(&report)),
@@ -131,34 +91,10 @@ fn main() -> ExitCode {
                 report.violations.len(),
                 report.allows_used
             );
-            for d in &outcome.regressions {
-                eprintln!(
-                    "ratchet: {} has {} violation(s), budget is {} — fix them or \
-                     (for deliberate debt) raise the budget in {}",
-                    d.rule,
-                    d.count,
-                    d.budget,
-                    baseline::BASELINE_PATH
-                );
-            }
-            for d in &outcome.improvements {
-                eprintln!(
-                    "ratchet: {} is under budget ({} < {}) — tighten with \
-                     `cargo run -p elasticflow-lint -- --write-baseline`",
-                    d.rule, d.count, d.budget
-                );
-            }
         }
     }
 
-    if no_ratchet {
-        // Legacy strict mode: any violation fails.
-        if report.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        }
-    } else if outcome.passes() {
+    if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -168,17 +104,14 @@ fn main() -> ExitCode {
 fn print_help() {
     println!(
         "elasticflow-lint: guarantee-soundness static analysis\n\n\
-         USAGE: elasticflow-lint [--format json|sarif|human] [--rules]\n\
-         \x20                       [--root DIR] [--write-baseline] [--no-ratchet]\n\n\
-         --format F         output format (default human; --json = --format json)\n\
-         --rules            print the rule registry and exit\n\
-         --root DIR         workspace root to scan (default: this checkout)\n\
-         --write-baseline   regenerate lint-baseline.json from the live counts\n\
-         --no-ratchet       ignore the baseline; any violation fails\n\n\
+         USAGE: elasticflow-lint [--format json|sarif|human] [--rules] [--root DIR]\n\n\
+         --format F   output format (default human)\n\
+         --rules      print the rule registry and exit\n\
+         --root DIR   workspace root to scan (default: this checkout)\n\n\
          EXIT STATUS:\n\
-         \x200  clean, or all rule counts within the lint-baseline.json budgets\n\
-         \x201  at least one rule over budget (no baseline file = all budgets 0)\n\
-         \x202  usage or I/O error (bad flag, unreadable root, no files, bad baseline)"
+         \x200  no finding (findings under a justified allow comment do not count)\n\
+         \x201  at least one finding\n\
+         \x202  usage or I/O error (bad flag, unreadable root, no files)"
     );
 }
 

@@ -32,7 +32,7 @@ use std::process::ExitCode;
 use elasticflow_persist::FsyncPolicy;
 use elasticflow_serve::{
     gateway_registry, serve_connection, serve_connections, spawn_exporter, Daemon, DaemonConfig,
-    GatewayConfig, Resumption,
+    GatewayConfig, GatewayDir, Resumption,
 };
 use elasticflow_telemetry::{Clock, MonotonicClock, TickClock};
 
@@ -157,7 +157,10 @@ fn describe_resumption(resumption: &Resumption, config: &GatewayConfig) {
 
 fn run(opts: Options) -> Result<(), String> {
     let path = std::path::PathBuf::from(&opts.state_dir);
-    if path.join("gateway.wal").exists() && !opts.resume {
+    let has_state = GatewayDir::open(&path)
+        .map_err(|e| e.to_string())?
+        .has_state();
+    if has_state && !opts.resume {
         return Err(format!(
             "state dir {} already holds gateway state; pass --resume to recover it",
             opts.state_dir

@@ -65,8 +65,7 @@ pub use event::Event;
 pub use failures::{FailureSchedule, NodeFailure};
 pub use metrics::{JobOutcome, SimReport, TimelinePoint};
 pub use observer::{
-    EventTraceLogger, PhaseEdge, SchedPhase, SimContext, SimObserver, TimelineCollector,
-    TraceRecord,
+    PhaseEdge, SchedPhase, SimContext, SimObserver, TimelineCollector, TraceRecord,
 };
 pub use snapshot::{
     fnv1a64, EventCoreSnapshot, ExecutorSnapshot, JobStatsSnapshot, ResumeError, SimSnapshot,

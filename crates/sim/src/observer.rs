@@ -1,6 +1,6 @@
 //! The pluggable observation layer: [`SimObserver`] hooks plus the stock
-//! observers (timeline collector, event-trace logger; the invariant
-//! auditor joins them under `--features audit`).
+//! timeline collector (the invariant auditor joins it under
+//! `--features audit`).
 //!
 //! Observers are strictly read-only: hooks receive a [`SimContext`]
 //! snapshot borrowing the live cluster and job table, and nothing an
@@ -154,15 +154,24 @@ impl<'a> SimContext<'a> {
 /// use elasticflow_cluster::ClusterSpec;
 /// use elasticflow_perfmodel::Interconnect;
 /// use elasticflow_sched::EdfScheduler;
-/// use elasticflow_sim::{EventTraceLogger, SimConfig, Simulation};
+/// use elasticflow_sim::{Event, SimConfig, SimContext, SimObserver, Simulation};
 /// use elasticflow_trace::TraceConfig;
+///
+/// /// Counts the typed events the engine shows observers.
+/// struct EventCount(usize);
+///
+/// impl SimObserver for EventCount {
+///     fn on_event(&mut self, _now: f64, _event: &Event, _ctx: &SimContext<'_>) {
+///         self.0 += 1;
+///     }
+/// }
 ///
 /// let spec = ClusterSpec::small_testbed();
 /// let trace = TraceConfig::testbed_small(1).generate(&Interconnect::from_spec(&spec));
-/// let mut log = EventTraceLogger::default();
+/// let mut count = EventCount(0);
 /// let report = Simulation::new(spec, SimConfig::default())
-///     .run_observed(&trace, &mut EdfScheduler::new(), &mut [&mut log]);
-/// assert!(log.len() > 0);
+///     .run_observed(&trace, &mut EdfScheduler::new(), &mut [&mut count]);
+/// assert!(count.0 > 0);
 /// assert_eq!(report.outcomes().len(), 25);
 /// ```
 pub trait SimObserver {
@@ -251,66 +260,11 @@ impl SimObserver for TimelineCollector {
     }
 }
 
-/// One record in an [`EventTraceLogger`].
+/// One typed event with its timestamp: the record the persist WAL logs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TraceRecord {
     /// Event time, seconds.
     pub time: f64,
     /// The event.
     pub event: Event,
-}
-
-/// A lightweight event-trace logger: records every typed event with its
-/// timestamp plus a replan counter. Cheap enough to attach to large
-/// sweeps; the raw stream feeds timeline debugging and future tracing
-/// layers.
-#[derive(Debug, Clone, Default)]
-pub struct EventTraceLogger {
-    records: Vec<TraceRecord>,
-    replans: u64,
-}
-
-impl EventTraceLogger {
-    /// An empty logger.
-    pub fn new() -> Self {
-        EventTraceLogger::default()
-    }
-
-    /// All recorded events, in firing order.
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Number of replan rounds observed.
-    pub fn replans(&self) -> u64 {
-        self.replans
-    }
-
-    /// Count of recorded events matching `pred`.
-    pub fn count(&self, pred: impl Fn(&Event) -> bool) -> usize {
-        self.records.iter().filter(|r| pred(&r.event)).count()
-    }
-}
-
-impl SimObserver for EventTraceLogger {
-    fn on_event(&mut self, now: f64, event: &Event, _ctx: &SimContext<'_>) {
-        self.records.push(TraceRecord {
-            time: now,
-            event: *event,
-        });
-    }
-
-    fn on_replan(&mut self, _now: f64, _outcome: &ReplanOutcome, _ctx: &SimContext<'_>) {
-        self.replans += 1;
-    }
 }

@@ -19,21 +19,11 @@ use elasticflow::cluster::ClusterSpec;
 use elasticflow::core::ElasticFlowScheduler;
 use elasticflow::perfmodel::Interconnect;
 use elasticflow::sched::{EdfScheduler, Scheduler};
-use elasticflow::sim::{FailureSchedule, NodeFailure, SimConfig, SimReport, Simulation};
+use elasticflow::sim::{fnv1a64, FailureSchedule, NodeFailure, SimConfig, SimReport, Simulation};
 use elasticflow::telemetry::TelemetrySession;
 use elasticflow::trace::TraceConfig;
 
-/// FNV-1a 64-bit over the report's canonical JSON encoding. Self-contained
-/// so the digest does not depend on `std`'s unstable `Hasher` internals.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
+/// FNV-1a 64-bit over the report's canonical JSON encoding.
 fn digest(report: &SimReport) -> u64 {
     let json = serde_json::to_string(report).expect("SimReport serializes");
     fnv1a64(json.as_bytes())

@@ -1,6 +1,6 @@
 //! Workspace gate: `cargo test` fails if any guarantee-soundness lint rule
-//! is violated anywhere in the workspace, or if per-rule finding counts
-//! exceed the committed ratchet budgets in `lint-baseline.json`.
+//! is violated anywhere in the workspace, unless a justified `allow`
+//! comment covers the site.
 //!
 //! The same checks are available interactively as
 //! `cargo run -p elasticflow-lint` (add `--format json|sarif` for the
@@ -10,8 +10,7 @@
 use std::fs;
 
 use elasticflow_lint::{
-    lint_files, lint_workspace, parse_baseline, parse_manifest, ratchet, render_violation,
-    workspace_root, BASELINE_PATH, MANIFEST_PATH,
+    lint_files, lint_workspace, parse_manifest, render_violation, workspace_root, MANIFEST_PATH,
 };
 
 #[test]
@@ -35,26 +34,6 @@ fn workspace_is_lint_clean() {
         );
         panic!("{msg}");
     }
-}
-
-/// The committed baseline must parse and the workspace must stay within
-/// its per-rule budgets. This is the same gate `make lint` and CI apply;
-/// duplicating it here means a plain `cargo test` catches regressions too.
-#[test]
-fn workspace_stays_within_ratchet_budgets() {
-    let root = workspace_root();
-    let report = lint_workspace(&root).expect("workspace sources readable");
-    let src = fs::read_to_string(root.join(BASELINE_PATH))
-        .expect("lint-baseline.json is committed at the workspace root");
-    let baseline = parse_baseline(&src).expect("lint-baseline.json parses");
-    let outcome = ratchet(&report, &baseline);
-    assert!(
-        outcome.passes(),
-        "lint ratchet regressions (count > budget): {:?}\n\
-         Fix the new findings, or — only with a justified allow — regenerate \
-         the baseline via `cargo run -p elasticflow-lint -- --write-baseline`.",
-        outcome.regressions
-    );
 }
 
 /// Self-check for EF-L006: deliberately drop one field from the *real*
