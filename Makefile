@@ -27,7 +27,8 @@ doc:
 	RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps
 
 # The gates a performance change must keep, as CI runs them: golden
-# replay and crash recovery, the release allocation ceilings of warm
+# replay and crash recovery, the evaluation's tables at seed 2023 against
+# their committed golden, the release allocation ceilings of warm
 # planning rounds and declined gateway submissions, the release
 # mega-cluster digests (the EDF smoke, and ElasticFlow on 16,384 GPUs),
 # and the perfbench seed-0 digests on all four
@@ -36,6 +37,8 @@ doc:
 digests:
 	cargo test -q --test golden_replay
 	cargo test -q --test persist_recovery
+	cargo run -q --release -p elasticflow-bench --bin experiments -- all --json --seed 2023 > target/experiments-all-2023.json
+	diff target/experiments-all-2023.json crates/bench/tests/fixtures/experiments-all-2023.json
 	cargo test -q --release -p elasticflow-core --test round_allocations
 	cargo test -q --release -p elasticflow-serve --test submit_allocations
 	cargo test -q --release -p elasticflow-bench --test mega_cluster -- --ignored --exact mega_cluster_smoke_matches_golden_digest

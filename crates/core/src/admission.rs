@@ -1314,18 +1314,17 @@ mod tests {
         assert_eq!(
             scratch.counters(),
             crate::FillCounters {
-                probes: 293,
+                probes: 294,
                 pruned_entry: 8,
                 pruned_walk: 68,
                 pruned_pinned: 1,
                 booked_slots: 2343,
-                headroom_slots: 769,
+                headroom_slots: 775,
                 partial_slots: 90,
                 failed_slots: 1217,
                 tail_steps: 58,
                 hinted_fills: 116,
-                revalidated_boosts: 1,
-                boost_candidates: 9,
+                boost_candidates: 10,
                 boosts_applied: 2,
                 certified_boosts: 0,
                 fills_reused: 0,

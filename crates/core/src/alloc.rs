@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 
 use elasticflow_trace::JobId;
 
-use crate::filling::{headroom_through, ladder_fill, slot_walk_end, FillScratch};
+use crate::filling::{progressive_filling, FillScratch};
 use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON};
 
 /// The greedy marginal-return allocator: after reserving every job's
@@ -19,127 +19,41 @@ pub(crate) struct ResourceAllocator {
     total_gpus: u32,
 }
 
-/// A job's one pending boost: the profile it would move to, and what
-/// that costs and saves.
-#[derive(Debug, PartialEq)]
+/// A job's one pending boost, as the greedy's heap holds it: the key it
+/// was pushed with, the job's index, the profile the job would move to,
+/// what that costs and saves, and the ledger version it was computed at.
+#[derive(Debug)]
 struct Boost {
+    /// Whether the boost grows the job to at most its running size.
+    restoring: bool,
     priority: f64,
+    id: JobId,
+    /// Index of the job in the slices being boosted.
+    index: usize,
     extra: u32,
     profile: AllocationProfile,
     /// `finish_seconds` and `gpu_seconds` of `profile`, carried so an
     /// applied boost never recomputes them.
     finish: Option<f64>,
     gpu_seconds: f64,
-    /// What the fill that produced `profile` read of the ledger, when
-    /// that is little enough to recheck cheaply.
-    footprint: Option<Footprint>,
     version: u64,
 }
 
-/// The part of the ledger a boost candidate's fill depended on, recorded
-/// only when the fill took the slot walk's headroom branch everywhere.
-///
-/// A candidate fill pins slot 0 and walks the ladder from rung 1 up to
-/// the rung `target` it settles on; every rung walks slots `[1,
-/// walk_end)` of the ledger without the job's own reservations and
-/// treats the rest analytically. When each of those slots has at least
-/// `target` GPUs free, every probed rung takes the headroom branch in
-/// every slot, so grants, the f64 progress sums, the trim, the finish
-/// time, the GPU-seconds and the priority are functions of the rung
-/// alone. The same fill on any later ledger with the same `walk_end` and
-/// the same headroom therefore repeats bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Footprint {
-    target: u32,
-    walk_end: usize,
-}
-
-impl Footprint {
-    /// The footprint of a fill of `job` that settled on `target`, or
-    /// `None` if some walked slot lacked headroom for it. `ledger` holds
-    /// every reservation but the job's own.
-    fn of(job: &PlanningJob, ledger: &ReservationLedger, total: u32, target: u32) -> Option<Self> {
-        let walk_end = slot_walk_end(job, ledger);
-        headroom_through(ledger, walk_end, total, target).then_some(Footprint { target, walk_end })
-    }
-
-    /// `true` when a fill of `job` against `ledger` (again without the
-    /// job's own reservations) would repeat the recorded one.
-    fn holds(self, job: &PlanningJob, ledger: &ReservationLedger, total: u32) -> bool {
-        slot_walk_end(job, ledger) == self.walk_end
-            && headroom_through(ledger, self.walk_end, total, self.target)
-    }
-}
-
-/// What the boost loop knows about one job, derived once per profile
-/// rather than once per probe. Plain data, index-aligned with the jobs
-/// and profiles being boosted, so the workspace keeps the vector.
-#[derive(Debug)]
-struct BoostState {
-    incumbent: u32,
-    /// `finish_seconds` and `gpu_seconds` of the job's current profile.
-    finish: Option<f64>,
-    gpu_seconds: f64,
-    /// The job's queued boost, if any; the heap holds only its key.
-    pending: Option<Boost>,
-}
-
-impl BoostState {
-    /// Parks `boost` as the pending boost of `job` (at index `slot`) and
-    /// returns its heap key. A job has at most one queued boost at any
-    /// time.
-    fn queue(&mut self, job: &PlanningJob, slot: usize, boost: Boost) -> BoostKey {
-        debug_assert!(self.pending.is_none(), "one queued boost per job");
-        let key = BoostKey {
-            restoring: boost.profile.gpus(0) <= self.incumbent,
-            priority: boost.priority,
-            id: job.id,
-            slot,
-        };
-        self.pending = Some(boost);
-        key
-    }
-}
-
-/// The boost loop's per-job states and key heap, kept in the
+/// The greedy's heap and the `(finish_seconds, gpu_seconds)` of each job's
+/// current profile, index-aligned with the jobs being boosted. Kept in the
 /// [`FillScratch`] between rounds; empty whenever no boost runs.
 #[derive(Debug, Default)]
 pub(crate) struct BoostBuffers {
-    states: Vec<BoostState>,
-    queue: BinaryHeap<BoostKey>,
+    current: Vec<(Option<f64>, f64)>,
+    queue: BinaryHeap<Boost>,
 }
 
-/// The heap key of a pending boost, ordered so `BinaryHeap::pop` yields
-/// exactly the boost a linear scan for the best pending one selects:
-/// restorations toward incumbent sizes first, then highest marginal
-/// priority, smallest job id as the final tiebreak. The queue holds at
-/// most one key per job id at any time, so the order is total and pops
-/// are deterministic. The boost itself waits in its job's
-/// [`BoostState`], so sifts move only these few bytes.
-#[derive(Debug, Clone, Copy)]
-struct BoostKey {
-    restoring: bool,
-    priority: f64,
-    id: JobId,
-    /// Index of the job's [`BoostState`].
-    slot: usize,
-}
-
-impl PartialEq for BoostKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for BoostKey {}
-
-impl PartialOrd for BoostKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for BoostKey {
+/// Heap order: `BinaryHeap::pop` yields exactly the boost a linear scan
+/// for the best pending one selects — restorations toward incumbent sizes
+/// first, then highest marginal priority, smallest job id as the final
+/// tiebreak. The heap holds at most one boost per job id at any time, so
+/// the order is total and pops are deterministic.
+impl Ord for Boost {
     fn cmp(&self, other: &Self) -> Ordering {
         self.restoring
             .cmp(&other.restoring)
@@ -147,6 +61,20 @@ impl Ord for BoostKey {
             .then(other.id.cmp(&self.id))
     }
 }
+
+impl PartialOrd for Boost {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Boost {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Boost {}
 
 impl ResourceAllocator {
     /// Creates an allocator for a cluster of `total_gpus` GPUs.
@@ -285,7 +213,7 @@ impl ResourceAllocator {
             };
             ledger.uncommit(profile);
             let mut finish = job.finish_seconds(profile, grid);
-            while let Some((fresh, fresh_finish, _)) =
+            while let Some((fresh, fresh_finish)) =
                 self.improvement(job, finish, step.0, ledger, grid, scratch)
             {
                 scratch.recycle(std::mem::replace(profile, fresh));
@@ -305,15 +233,11 @@ impl ResourceAllocator {
     /// The greedy boost, for calls [`Self::uncontended`] does not certify.
     ///
     /// Selection runs through a lazy binary heap: entries keep the key
-    /// they were pushed with, and a popped entry that no longer fits the
-    /// shrinking budget is discarded. A popped entry whose version
-    /// predates the ledger is *stale*. If the footprint of its fill still
-    /// holds on the current ledger, that fill would repeat bit for bit;
-    /// the entry was the heap maximum and nothing was pushed since, so
-    /// re-pushing it would pop it again — it is applied as if fresh.
-    /// Otherwise it is recomputed and re-pushed. Pop order equals a
-    /// linear rescan for the best pending boost entry for entry, so both
-    /// produce identical allocations.
+    /// they were pushed with. A popped entry whose version predates the
+    /// ledger is *stale*: it is recomputed against the current ledger and
+    /// re-pushed. A fresh one that no longer fits the shrinking budget is
+    /// dropped. Pop order equals a linear rescan for the best pending
+    /// boost entry for entry, so both produce identical allocations.
     ///
     /// The order of the slices does not matter: the heap's order over
     /// (restoring, priority, id) is total with at most one entry per job,
@@ -331,42 +255,41 @@ impl ResourceAllocator {
         scratch: &mut FillScratch,
     ) -> u32 {
         let BoostBuffers {
-            mut states,
+            mut current,
             mut queue,
         } = std::mem::take(&mut scratch.boost);
-        states.extend(jobs.iter().zip(profiles.iter()).zip(incumbents).map(
-            |((job, profile), &incumbent)| BoostState {
-                incumbent,
-                finish: job.finish_seconds(profile, grid),
-                gpu_seconds: profile.gpu_seconds(grid),
-                pending: None,
-            },
-        ));
+        current.extend(
+            jobs.iter()
+                .zip(profiles.iter())
+                .map(|(job, p)| (job.finish_seconds(p, grid), p.gpu_seconds(grid))),
+        );
         let mut free0 = budget;
         let mut version = 0u64;
-        for (slot, state) in states.iter_mut().enumerate() {
-            let (job, profile) = (&jobs[slot], &profiles[slot]);
+        for (index, (job, profile)) in jobs.iter().zip(profiles.iter()).enumerate() {
             // A job past its knee or the budget has no candidate: it
             // skips the ledger round trip.
-            let Some(step) = self.next_step(job, profile, free0) else {
+            if self.next_step(job, profile, free0).is_none() {
                 continue;
-            };
-            ledger.uncommit(profile);
-            let first = self.candidate(job, state, step, ledger, grid, version, scratch);
-            ledger.commit(profile);
-            if let Some(b) = first {
-                queue.push(state.queue(job, slot, b));
             }
+            ledger.uncommit(profile);
+            let first = self.candidate(
+                job,
+                index,
+                profile,
+                incumbents[index],
+                current[index],
+                ledger,
+                grid,
+                free0,
+                version,
+                scratch,
+            );
+            ledger.commit(profile);
+            queue.extend(first);
         }
         while free0 > 0 {
-            let Some(key) = queue.pop() else {
+            let Some(boost) = queue.pop() else {
                 break;
-            };
-            let (job, state) = (&jobs[key.slot], &mut states[key.slot]);
-            let profile = &mut profiles[key.slot];
-            let Some(boost) = state.pending.take() else {
-                debug_assert!(false, "a queued key has its boost");
-                continue;
             };
             let stale = boost.version < version;
             if !stale && boost.extra > free0 {
@@ -374,78 +297,43 @@ impl ResourceAllocator {
                 scratch.recycle(boost.profile);
                 continue;
             }
-            // The revalidation, the apply and the job's next candidate all
-            // read the ledger without the job's own reservations: take
-            // them out once, and put the job's profile (old or new) back
-            // once. The vector each fill reads is the canonical one, as if
-            // every step had uncommitted and recommitted on its own.
+            let index = boost.index;
+            let (job, profile) = (&jobs[index], &mut profiles[index]);
+            // Stale or applied, the job's next candidate reads the ledger
+            // without the job's own reservations: take them out once, and
+            // put the job's profile (old or new) back once. The ledger is
+            // canonical, so the fill reads the vector it would read if
+            // every step uncommitted and recommitted on its own.
             ledger.uncommit(profile);
             if stale {
-                // Revalidate against the current ledger, or recompute and
-                // re-queue.
-                let holds = boost
-                    .footprint
-                    .is_some_and(|f| f.holds(job, ledger, self.total_gpus));
-                if !holds {
-                    scratch.recycle(boost.profile);
-                    let fresh =
-                        self.next_boost(job, profile, state, ledger, grid, free0, version, scratch);
-                    ledger.commit(profile);
-                    if let Some(b) = fresh {
-                        queue.push(state.queue(job, key.slot, b));
-                    }
-                    continue;
-                }
-                scratch.counters.revalidated_boosts += 1;
-                #[cfg(debug_assertions)]
-                {
-                    // The soundness argument, checked on every debug run:
-                    // a recomputation reproduces the revalidated entry
-                    // (or drops it exactly when it no longer fits). The
-                    // check's own fills stay out of the work counters, so
-                    // they read the same in debug and release builds.
-                    let counted = scratch.counters;
-                    let recomputed = self
-                        .next_boost(job, profile, state, ledger, grid, free0, version, scratch)
-                        .map(|b| Boost {
-                            version: boost.version,
-                            ..b
-                        });
-                    debug_assert_eq!(
-                        recomputed.as_ref(),
-                        (boost.extra <= free0).then_some(&boost)
-                    );
-                    if let Some(b) = recomputed {
-                        scratch.recycle(b.profile);
-                    }
-                    scratch.counters = counted;
-                }
-                if boost.extra > free0 {
-                    scratch.recycle(boost.profile);
-                    ledger.commit(profile);
-                    continue;
-                }
+                scratch.recycle(boost.profile);
+            } else {
+                scratch.recycle(std::mem::replace(profile, boost.profile));
+                current[index] = (boost.finish, boost.gpu_seconds);
+                free0 -= boost.extra;
+                version += 1;
+                scratch.counters.boosts_applied += 1;
             }
-            // Apply the boost.
-            let superseded = std::mem::replace(profile, boost.profile);
-            scratch.recycle(superseded);
-            state.finish = boost.finish;
-            state.gpu_seconds = boost.gpu_seconds;
-            free0 -= boost.extra;
-            version += 1;
-            scratch.counters.boosts_applied += 1;
-            // Queue this job's next step.
-            let next = self.next_boost(job, profile, state, ledger, grid, free0, version, scratch);
+            let next = self.candidate(
+                job,
+                index,
+                profile,
+                incumbents[index],
+                current[index],
+                ledger,
+                grid,
+                free0,
+                version,
+                scratch,
+            );
             ledger.commit(profile);
-            if let Some(b) = next {
-                queue.push(state.queue(job, key.slot, b));
-            }
+            queue.extend(next);
         }
-        for boost in states.drain(..).filter_map(|s| s.pending) {
+        for boost in queue.drain() {
             scratch.recycle(boost.profile);
         }
-        queue.clear();
-        scratch.boost = BoostBuffers { states, queue };
+        current.clear();
+        scratch.boost = BoostBuffers { current, queue };
         budget - free0
     }
 
@@ -467,58 +355,47 @@ impl ResourceAllocator {
         (extra <= free0).then_some((next0, extra))
     }
 
-    /// The job's next boost candidate ([`Self::next_step`], then
-    /// [`Self::candidate`]), or `None` when no further boost helps or fits.
+    /// The greedy's next boost candidate of `job` (at `index`, holding
+    /// `profile`, with its incumbent size and its profile's finish time
+    /// and GPU-seconds): [`Self::next_step`], then the
+    /// [`Self::improvement`] it makes, priced by the GPU-time it saves per
+    /// extra GPU. `None` when no further boost helps or fits. `others` is
+    /// the ledger without the job's own reservations.
     #[allow(clippy::too_many_arguments)]
-    fn next_boost(
+    fn candidate(
         &self,
         job: &PlanningJob,
+        index: usize,
         profile: &AllocationProfile,
-        state: &BoostState,
+        incumbent: u32,
+        (finish, gpu_seconds): (Option<f64>, f64),
         others: &ReservationLedger,
         grid: &SlotGrid,
         free0: u32,
         version: u64,
         scratch: &mut FillScratch,
     ) -> Option<Boost> {
-        let step = self.next_step(job, profile, free0)?;
-        self.candidate(job, state, step, others, grid, version, scratch)
-    }
-
-    /// The greedy's boost candidate of `step` for `job`: the
-    /// [`Self::improvement`] it makes, priced by the GPU-time it saves
-    /// per extra GPU.
-    #[allow(clippy::too_many_arguments)]
-    fn candidate(
-        &self,
-        job: &PlanningJob,
-        state: &BoostState,
-        (next0, extra): (u32, u32),
-        others: &ReservationLedger,
-        grid: &SlotGrid,
-        version: u64,
-        scratch: &mut FillScratch,
-    ) -> Option<Boost> {
-        let (profile, finish, target) =
-            self.improvement(job, state.finish, next0, others, grid, scratch)?;
-        let gpu_seconds = profile.gpu_seconds(grid);
+        let (next0, extra) = self.next_step(job, profile, free0)?;
+        let (fresh, fresh_finish) = self.improvement(job, finish, next0, others, grid, scratch)?;
+        let fresh_seconds = fresh.gpu_seconds(grid);
         Some(Boost {
-            priority: (state.gpu_seconds - gpu_seconds) / extra as f64,
+            restoring: fresh.gpus(0) <= incumbent,
+            priority: (gpu_seconds - fresh_seconds) / extra as f64,
+            id: job.id,
+            index,
             extra,
-            profile,
-            finish,
-            gpu_seconds,
-            footprint: Footprint::of(job, others, self.total_gpus, target),
+            profile: fresh,
+            finish: fresh_finish,
+            gpu_seconds: fresh_seconds,
             version,
         })
     }
 
     /// Pins slot 0 of `job` at `next0` and progressively re-fills the
     /// future against `others`, the ledger without the job's own
-    /// reservations. Returns the profile, its finish time and the ladder
-    /// rung the fill settled on, or `None` unless the job then finishes
-    /// strictly earlier than at `finish` (paper line 10/23; fractional
-    /// finish times within slots).
+    /// reservations. Returns the profile and its finish time, or `None`
+    /// unless the job then finishes strictly earlier than at `finish`
+    /// (paper line 10/23; fractional finish times within slots).
     fn improvement(
         &self,
         job: &PlanningJob,
@@ -527,10 +404,9 @@ impl ResourceAllocator {
         others: &ReservationLedger,
         grid: &SlotGrid,
         scratch: &mut FillScratch,
-    ) -> Option<(AllocationProfile, Option<f64>, u32)> {
+    ) -> Option<(AllocationProfile, Option<f64>)> {
         scratch.counters.boost_candidates += 1;
-        let (fresh, target) =
-            ladder_fill(job, others, grid, self.total_gpus, Some(next0), 1, scratch)?;
+        let fresh = progressive_filling(job, others, grid, self.total_gpus, Some(next0), scratch)?;
         let fresh_finish = job.finish_seconds(&fresh, grid);
         let finishes_earlier = match (fresh_finish, finish) {
             (Some(a), Some(b)) => a + WORK_EPSILON < b,
@@ -541,7 +417,7 @@ impl ResourceAllocator {
             scratch.recycle(fresh);
             return None;
         }
-        Some((fresh, fresh_finish, target))
+        Some((fresh, fresh_finish))
     }
 }
 
@@ -587,7 +463,6 @@ mod reference {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::filling::progressive_filling;
 
     struct Boost {
         priority: f64,
@@ -743,7 +618,6 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::progressive_filling;
     use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
     use proptest::prelude::*;
 
@@ -935,7 +809,7 @@ mod tests {
     }
 
     /// Random jobs with short windows on a large cluster: every walked
-    /// slot has room, so most stale boosts revalidate instead of refilling.
+    /// slot has room.
     #[allow(clippy::type_complexity)]
     fn headroom_instance() -> impl Strategy<Value = Vec<(ScalingCurve, f64, usize, u32)>> {
         prop::collection::vec((concave_curve(), 0.2f64..4.0, 1usize..4, 0u32..9), 2..10)
@@ -1116,54 +990,12 @@ mod tests {
     }
 
     #[test]
-    fn footprint_holds_only_with_the_same_walk_end_and_headroom() {
-        let grid = SlotGrid::uniform(1.0);
-        let ledger = |committed: Vec<u32>| {
-            let mut l = ReservationLedger::new();
-            l.commit(&AllocationProfile::new(committed));
-            l
-        };
-        let fill = |job: &PlanningJob, l: &ReservationLedger| {
-            ladder_fill(job, l, &grid, 4, Some(2), 1, &mut FillScratch::new())
-        };
-        // Slot 0 pinned at 2 GPUs does 1.5 units; rung 1 falls short
-        // and rung 2 finishes in slot 3 with 2 of 3 free GPUs per slot.
-        let tight = job(0, 6.0, 4);
-        let base = ledger(vec![1, 1, 1, 1]);
-        let (profile, target) = fill(&tight, &base).expect("rung 2 fits");
-        assert_eq!((profile.as_slice(), target), (&[2, 2, 2, 2][..], 2));
-        let fp = Footprint::of(&tight, &base, 4, target).expect("every slot has room");
-        assert_eq!(fp.walk_end, 4);
-        assert!(fp.holds(&tight, &base, 4));
-        // Exactly the target free in a walked slot is still headroom,
-        // and the fill repeats.
-        let snug = ledger(vec![1, 2, 1, 1]);
-        assert!(fp.holds(&tight, &snug, 4));
-        assert_eq!(fill(&tight, &snug), Some((profile.clone(), target)));
-        // Slot 1 loses its headroom: same walk end, different fill.
-        let crowded = ledger(vec![1, 3, 1, 1]);
-        assert!(!fp.holds(&tight, &crowded, 4));
-        assert_eq!(fill(&tight, &crowded), None);
-        // A fill that settles around a short slot records no footprint:
-        // once the slot frees up, the same fill comes out different.
-        let around = job(0, 6.0, 5);
-        let (profile, target) = fill(&around, &crowded).expect("rung 2 fits");
-        assert_eq!((profile.as_slice(), target), (&[2, 1, 2, 2, 1][..], 2));
-        assert_eq!(Footprint::of(&around, &crowded, 4, target), None);
-        assert_ne!(fill(&around, &base), Some((profile, target)));
-        // A longer window walks to the ledger's horizon, which moves.
-        let loose = job(0, 6.0, 6);
-        let (_, target) = fill(&loose, &base).expect("fits");
-        let fp = Footprint::of(&loose, &base, 4, target).expect("every slot has room");
-        assert!(!fp.holds(&loose, &ledger(vec![1, 1, 1, 1, 1]), 4));
-    }
-
-    #[test]
-    fn stale_boosts_revalidate_and_match_the_reference() {
+    fn stale_boosts_recompute_and_match_the_reference() {
         // Eight 1–2 slot jobs on 64 GPUs: after the first applied boost
-        // every other queued entry of the greedy is stale, and with this
-        // much room each one's footprint still holds. The instance is
-        // certified uncontended, so the greedy runs on its own here.
+        // every other queued entry of the greedy is stale. The instance is
+        // certified uncontended, so the greedy runs on its own here, and
+        // the certified chains try exactly its candidates minus the
+        // recomputes of stale entries.
         let specs: Vec<_> = (0..8u32)
             .map(|i| (curve(), 1.0 + f64::from(i) * 0.3, 1 + (i as usize) % 2, 0))
             .collect();
@@ -1177,11 +1009,15 @@ mod tests {
         let mut scratch = FillScratch::new();
         let (budget, heap, reference) = greedy(&mut scratch);
         assert!(budget > 8, "budget {budget}");
-        assert!(
-            scratch.counters().revalidated_boosts > 0,
-            "no stale boost revalidated"
-        );
         assert_eq!(heap, reference);
+        let mut chains = FillScratch::new();
+        let (_, state) = phase1(specs.clone(), 64, 64);
+        assert_eq!(state.boost(&alloc, budget, &mut chains), heap);
+        assert_eq!(chains.counters().certified_boosts, 1);
+        assert!(
+            scratch.counters().boost_candidates > chains.counters().boost_candidates,
+            "no stale boost recomputed"
+        );
         // A reused workspace answers the same instance identically.
         let (_, again, _) = greedy(&mut scratch);
         assert_eq!(again, heap);
@@ -1228,7 +1064,8 @@ mod tests {
         }
 
         /// The same on headroom-rich instances (large cluster, short
-        /// windows), where stale entries mostly revalidate.
+        /// windows), where stale entries mostly recompute to what they
+        /// were.
         #[test]
         fn heap_boost_matches_linear_reference_with_headroom(
             specs in headroom_instance(),

@@ -27,7 +27,7 @@ use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
 /// fill kernel's buffers it keeps every per-round vector of a planning
 /// round: the planning views, an admission set's jobs, profiles, ladder
 /// targets and ledger, a suffix refill's working ledger and refilled
-/// profiles, Algorithm 2's per-job boost states and key heap, and
+/// profiles, Algorithm 2's boost heap and per-job finish times, and
 /// `plan`'s grants, positions and best-effort heap. Each path takes
 /// these vectors from the workspace and gives them back, so a warm
 /// ElasticFlow round allocates only the schedule plan it returns, plus
@@ -141,8 +141,6 @@ pub struct FillCounters {
     pub tail_steps: u64,
     /// Suffix refills started from the job's stored ladder target.
     pub hinted_fills: u64,
-    /// Stale Algorithm 2 boosts applied without a recomputing fill.
-    pub revalidated_boosts: u64,
     /// Algorithm 2 boost candidates computed: one pinned-slot-0 fill each.
     pub boost_candidates: u64,
     /// Algorithm 2 boosts applied.
@@ -294,9 +292,8 @@ pub(crate) fn progressive_filling_from(
 /// The one ladder walk behind every fill: tries targets up the
 /// power-of-two ladder from `start_target` (from rung 1 when slot 0 is
 /// pinned, see [`progressive_filling_from`]) and returns the first
-/// profile that meets the deadline with its target. Algorithm 2's boost
-/// probes call it directly with a pinned slot 0.
-pub(crate) fn ladder_fill(
+/// profile that meets the deadline with its target.
+fn ladder_fill(
     job: &PlanningJob,
     ledger: &ReservationLedger,
     grid: &SlotGrid,
@@ -334,27 +331,8 @@ pub(crate) fn ladder_fill(
 /// The exclusive end of `try_target`'s slot walk on `ledger`: the walk
 /// visits slots `[1, end)` and treats everything from `end` on
 /// analytically (fully free up to the deadline).
-pub(crate) fn slot_walk_end(job: &PlanningJob, ledger: &ReservationLedger) -> usize {
+fn slot_walk_end(job: &PlanningJob, ledger: &ReservationLedger) -> usize {
     job.deadline_slot.min(ledger.horizon().max(1))
-}
-
-/// `true` when every slot in `[1, end)` of `ledger` has at least `j`
-/// GPUs free — there every rung up to `j` takes the walk's headroom
-/// branch, whose grant and progress depend on the rung alone.
-pub(crate) fn headroom_through(
-    ledger: &ReservationLedger,
-    end: usize,
-    total_gpus: u32,
-    j: u32,
-) -> bool {
-    // Slots past the committed vector are free. A max over the walked
-    // slots, not an early-exit scan: the common answer is "yes", which
-    // reads every slot anyway, and the max vectorizes.
-    let committed = ledger.committed_slots();
-    let walked = committed.get(1..end.min(committed.len())).unwrap_or(&[]);
-    total_gpus
-        .checked_sub(j)
-        .is_some_and(|room| walked.iter().copied().max().unwrap_or(0) <= room)
 }
 
 /// Shrinks the final active slot's grant to the smallest power of two that

@@ -686,7 +686,7 @@ mod tests {
     /// with staggered deadlines and some incumbents, plus four best-effort
     /// jobs on Table-1 curves, planned at three times. The reservations
     /// crowd some slots, so the fills meet booked, partial and headroom
-    /// slots, and the boost revalidates stale entries. The counters are a
+    /// slots, and the boost recomputes stale entries. The counters are a
     /// pure function of the fills `plan` asks for, so a change that moves
     /// one of them changes how much work a planning round does.
     #[test]
@@ -725,18 +725,17 @@ mod tests {
         assert_eq!(
             ef.workspace.counters(),
             FillCounters {
-                probes: 567,
+                probes: 583,
                 pruned_entry: 373,
                 pruned_walk: 1,
-                pruned_pinned: 102,
+                pruned_pinned: 115,
                 booked_slots: 48,
-                headroom_slots: 6665,
+                headroom_slots: 6803,
                 partial_slots: 28,
                 failed_slots: 255,
                 tail_steps: 512,
                 hinted_fills: 0,
-                revalidated_boosts: 5,
-                boost_candidates: 22,
+                boost_candidates: 25,
                 boosts_applied: 4,
                 certified_boosts: 0,
                 fills_reused: 0,
@@ -749,7 +748,7 @@ mod tests {
     /// deadlines and some incumbents, on 1,024 GPUs, planned at three
     /// times. Growing every job to its knee fits the leftover GPUs, so
     /// every boost is certified and runs each job's chain on its own: no
-    /// stale entry, no revalidation. Debug builds also run the greedy on
+    /// stale entry to recompute. Debug builds also run the greedy on
     /// each certified boost, and its work stays out of these counters.
     #[test]
     fn plan_work_counters_are_pinned_on_an_uncontended_table() {
@@ -793,7 +792,6 @@ mod tests {
                 failed_slots: 0,
                 tail_steps: 717,
                 hinted_fills: 0,
-                revalidated_boosts: 0,
                 boost_candidates: 60,
                 boosts_applied: 57,
                 certified_boosts: 3,

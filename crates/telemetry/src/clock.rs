@@ -11,8 +11,7 @@
 //!   advances a fixed step, so exports are byte-stable across reruns and
 //!   golden tests never flake;
 //! * [`MonotonicClock`] reads the host's monotonic clock for real
-//!   profiling sessions (opt-in; exports stop being byte-stable);
-//! * [`ManualClock`] is driven explicitly by tests.
+//!   profiling sessions (opt-in; exports stop being byte-stable).
 
 use std::time::Instant;
 
@@ -52,30 +51,6 @@ impl Default for TickClock {
 impl Clock for TickClock {
     fn now_nanos(&mut self) -> u64 {
         self.now = self.now.saturating_add(self.step_nanos);
-        self.now
-    }
-}
-
-/// Test clock whose readings are set explicitly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ManualClock {
-    now: u64,
-}
-
-impl ManualClock {
-    /// A manual clock starting at zero.
-    pub fn new() -> Self {
-        ManualClock::default()
-    }
-
-    /// Moves the clock forward by `nanos`.
-    pub fn advance(&mut self, nanos: u64) {
-        self.now = self.now.saturating_add(nanos);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_nanos(&mut self) -> u64 {
         self.now
     }
 }
@@ -124,15 +99,6 @@ mod tests {
         let reads_b: Vec<u64> = (0..4).map(|_| b.now_nanos()).collect();
         assert_eq!(reads_a, reads_b);
         assert_eq!(reads_a, vec![250, 500, 750, 1000]);
-    }
-
-    #[test]
-    fn manual_clock_holds_until_advanced() {
-        let mut c = ManualClock::new();
-        assert_eq!(c.now_nanos(), 0);
-        c.advance(42);
-        assert_eq!(c.now_nanos(), 42);
-        assert_eq!(c.now_nanos(), 42);
     }
 
     #[test]

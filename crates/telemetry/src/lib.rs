@@ -14,8 +14,8 @@
 //!    perturb a run.
 //! 2. With the default [`TickClock`], exports themselves are
 //!    byte-stable across reruns of the same seed, so they can be
-//!    golden-tested. Opt into [`MonotonicClock`] (or
-//!    [`TelemetrySession::wall`]) for real host-side phase timings.
+//!    golden-tested. Opt into [`MonotonicClock`] for real host-side
+//!    phase timings.
 //!
 //! All metric *timestamps* (e.g. `ef_sim_time_seconds`) are simulated
 //! time; only phase *durations* come from the clock.
@@ -57,7 +57,7 @@ pub mod registry;
 pub mod session;
 pub mod spans;
 
-pub use clock::{Clock, ManualClock, MonotonicClock, TickClock};
+pub use clock::{Clock, MonotonicClock, TickClock};
 pub use collector::{
     describe_decision_latency, MetricsCollector, DECISION_LATENCY, DECISION_LATENCY_BUCKETS,
     PHASE_SECONDS, REPLAN_UTILIZATION,

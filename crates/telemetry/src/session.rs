@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use elasticflow_sim::SimObserver;
 
 use crate::chrome;
-use crate::clock::{MonotonicClock, TickClock};
+use crate::clock::TickClock;
 use crate::collector::MetricsCollector;
 use crate::journal::DecisionJournal;
 use crate::prometheus;
@@ -33,18 +33,6 @@ impl TelemetrySession {
         TelemetrySession {
             metrics: MetricsCollector::new(Box::<TickClock>::default()),
             spans: SpanTracer::new(Box::<TickClock>::default()),
-            journal: DecisionJournal::new(),
-        }
-    }
-
-    /// A session timing scheduler phases with the host's monotonic
-    /// clock — real profiling numbers, non-deterministic output. (The
-    /// decision journal never reads a clock, so it stays deterministic
-    /// even here.)
-    pub fn wall() -> Self {
-        TelemetrySession {
-            metrics: MetricsCollector::new(Box::new(MonotonicClock::new())),
-            spans: SpanTracer::new(Box::new(MonotonicClock::new())),
             journal: DecisionJournal::new(),
         }
     }
