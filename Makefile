@@ -2,8 +2,9 @@
 
 .PHONY: lint fmt clippy test audit doc digests check
 
-# Project-specific static analysis (guarantee-soundness rules EF-L001..L008):
-# any finding fails unless a justified `allow` comment covers it.
+# The guarantee-soundness checks clippy cannot make (EF-L000, L002, L005,
+# L006, L008): any finding fails unless a justified `allow` comment covers
+# it. EF-L001, L003, L004 and L007 fail `make clippy` instead.
 lint:
 	cargo run -q -p elasticflow-lint
 
@@ -11,8 +12,8 @@ fmt:
 	cargo fmt --all --check
 
 clippy:
-	cargo clippy --workspace --all-targets
-	cargo clippy --workspace --all-targets --features audit
+	cargo clippy --workspace --all-targets -- -D warnings
+	cargo clippy --workspace --all-targets --features audit -- -D warnings
 
 test:
 	cargo test --workspace -q

@@ -214,6 +214,10 @@ fn run_persisted(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
     use crate::parallel::RunRequest;

@@ -193,9 +193,17 @@ fn main() -> ExitCode {
         "all" => {
             // Timing lines go to stderr: stdout carries only the tables,
             // which are golden-compared across `--jobs` settings.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "progress timing on stderr; stdout's tables never read the clock"
+            )]
             let sweep = std::time::Instant::now();
             for exp in &registry {
                 eprintln!("== running {} — {}", exp.name, exp.description);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "progress timing on stderr; stdout's tables never read the clock"
+                )]
                 let start = std::time::Instant::now();
                 emit((exp.run)(opts.seed), opts.json);
                 eprintln!(

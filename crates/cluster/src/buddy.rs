@@ -261,7 +261,10 @@ impl BuddyAllocator {
             .free
             .iter()
             .enumerate()
-            .flat_map(|(k, offsets)| offsets.iter().map(move |&off| Block::new(k as u32, off)))
+            .flat_map(|(k, offsets)| {
+                let order = u32::try_from(k).unwrap();
+                offsets.iter().map(move |&off| Block::new(order, off))
+            })
             .collect();
         blocks.sort_by_key(|b| b.offset());
         blocks

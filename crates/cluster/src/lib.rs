@@ -45,6 +45,13 @@ mod state;
 mod table;
 mod topology;
 
+// The retired lint rules' forms, each `#[expect]`ed at the clippy lint that
+// enforces it now; compiled by clippy only (see
+// `crates/sim/src/clippy_corpus/mod.rs`).
+#[cfg(clippy)]
+#[path = "../../sim/src/clippy_corpus/mod.rs"]
+mod clippy_corpus;
+
 pub use buddy::{Block, BuddyAllocator};
 pub use error::ClusterError;
 pub use ids::{GpuId, ServerId};

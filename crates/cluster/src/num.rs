@@ -38,13 +38,15 @@ pub fn approx_ne(a: f64, b: f64) -> bool {
 }
 
 /// [`approx_eq`] with an explicit tolerance.
+#[expect(
+    clippy::float_cmp,
+    reason = "the helper's own bitwise fast path: exact hits and equal infinities"
+)]
 pub fn approx_eq_eps(a: f64, b: f64, eps: f64) -> bool {
     if a.is_nan() || b.is_nan() {
         return false;
     }
     if a == b {
-        // Bitwise fast path of the approx helper itself (variable-vs-
-        // variable compare; EF-L002 gates literal comparisons only).
         return true; // covers equal infinities and exact hits
     }
     if a.is_infinite() || b.is_infinite() {
@@ -69,6 +71,11 @@ pub fn approx_eq_eps(a: f64, b: f64, eps: f64) -> bool {
 /// assert_eq!(gpu_count_from_f64(-1.0), None);
 /// assert_eq!(gpu_count_from_f64(f64::NAN), None);
 /// ```
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "range-checked first: `as` is exact for integers in 0..=u32::MAX"
+)]
 pub fn gpu_count_from_f64(x: f64) -> Option<u32> {
     if !x.is_finite() {
         return None;
@@ -77,7 +84,6 @@ pub fn gpu_count_from_f64(x: f64) -> Option<u32> {
     if !approx_eq(x, rounded) || rounded < 0.0 || rounded > u32::MAX as f64 {
         return None;
     }
-    // Range-checked above; `as` here is exact for integers ≤ u32::MAX.
     Some(rounded as u32)
 }
 
@@ -116,6 +122,11 @@ pub fn slots_floor(x: f64) -> Option<usize> {
 /// Shared tail of the slot conversions: `v` is already integral (post
 /// `ceil`/`floor`); reject non-finite and negative, clamp `-0.0`/rounding
 /// dust to 0.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "non-negative, integral, and < 2^53 — exact"
+)]
 fn float_to_usize(v: f64) -> Option<usize> {
     if !v.is_finite() || v < -0.5 {
         return None;
@@ -125,7 +136,6 @@ fn float_to_usize(v: f64) -> Option<usize> {
     if v >= 9_007_199_254_740_992.0 {
         return None;
     }
-    // elasticflow-lint: allow(EF-L004): non-negative, integral, and < 2^53 — exact
     Some(v.max(0.0) as usize)
 }
 

@@ -37,6 +37,10 @@ impl Placement {
         let bottleneck_bandwidth = topology.bottleneck_bandwidth(&gpus);
         let mut servers: Vec<ServerId> = gpus.iter().map(|&g| topology.server_of(g)).collect();
         servers.dedup();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "at most one server per GPU of the block, whose size is a `u32`"
+        )]
         let gpus_per_server = block.size() / servers.len() as u32;
         Placement {
             block,
@@ -63,6 +67,10 @@ impl Placement {
     }
 
     /// Number of distinct servers the placement touches.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "at most one server per GPU of the block, whose size is a `u32`"
+    )]
     pub fn num_servers(&self) -> u32 {
         self.servers.len() as u32
     }

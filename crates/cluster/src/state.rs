@@ -329,10 +329,17 @@ impl ClusterState {
         // Pinned blocks (failed servers) keep their exact positions.
         for (owner, block) in &entries {
             if self.pinned.contains(owner) {
-                fresh
-                    .allocate_at(*block)
-                    // elasticflow-lint: allow(EF-L001): pinned blocks were disjoint and in range in the old allocator and the fresh one has identical capacity; a failure here means corrupted bookkeeping, where continuing would double-assign GPUs
-                    .expect("pinned blocks are disjoint and in range");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "pinned blocks were disjoint and in range in the old allocator and \
+                              the fresh one has identical capacity; a failure here means \
+                              corrupted bookkeeping, where continuing would double-assign GPUs"
+                )]
+                {
+                    fresh
+                        .allocate_at(*block)
+                        .expect("pinned blocks are disjoint and in range");
+                }
                 new_allocations.insert(*owner, *block);
             }
         }
@@ -340,9 +347,14 @@ impl ClusterState {
             if self.pinned.contains(&owner) {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "largest-first repacking of power-of-two blocks that fit before \
+                          cannot fail in an equal-capacity buddy allocator; defragment() has \
+                          no error channel and a quiet skip would leak the job's GPUs"
+            )]
             let new_block = fresh
                 .allocate(old_block.size())
-                // elasticflow-lint: allow(EF-L001): largest-first repacking of power-of-two blocks that fit before cannot fail in an equal-capacity buddy allocator; defragment() has no error channel and a quiet skip would leak the job's GPUs
                 .expect("largest-first packing of power-of-two blocks cannot fail");
             if new_block != old_block {
                 migrations.push(Migration {

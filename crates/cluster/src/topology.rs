@@ -88,7 +88,7 @@ pub struct Topology {
     levels: Vec<Level>,
     /// `subtree_gpus[l]` = number of GPUs under one node of level `l`
     /// (level 0 = a single GPU, so `subtree_gpus[0]` is `levels[0].fanout`).
-    subtree_gpus: Vec<usize>,
+    subtree_gpus: Vec<u32>,
     /// Index into `levels` of the first level whose subtree spans more than
     /// one server (i.e. the first *network* level), or `levels.len()` if the
     /// topology is a single server.
@@ -130,12 +130,19 @@ impl Topology {
             levels.len()
         );
         let mut subtree_gpus = Vec::with_capacity(levels.len());
-        let mut acc = 1usize;
+        let mut acc = 1u32;
         for level in &levels {
-            acc = acc
-                .checked_mul(level.fanout())
-                // elasticflow-lint: allow(EF-L001): constructor contract — a topology wider than usize is a configuration error caught at build time, in line with the asserts above; never reached from scheduling paths
+            #[expect(
+                clippy::expect_used,
+                reason = "constructor contract: a topology with more GPUs than `u32` ids \
+                          is a configuration error caught at build time, in line with the \
+                          asserts above; never reached from scheduling paths"
+            )]
+            let next = u32::try_from(level.fanout())
+                .ok()
+                .and_then(|fanout| acc.checked_mul(fanout))
                 .expect("topology size overflow");
+            acc = next;
             subtree_gpus.push(acc);
         }
         Topology {
@@ -149,7 +156,7 @@ impl Topology {
     pub fn num_gpus(&self) -> u32 {
         // The constructor rejects empty level lists, so `last()` is always
         // `Some`; the zero fallback is unreachable.
-        self.subtree_gpus.last().copied().unwrap_or(0) as u32
+        self.subtree_gpus.last().copied().unwrap_or(0)
     }
 
     /// The bottom-up list of levels.
@@ -164,7 +171,7 @@ impl Topology {
     ///
     /// Panics if `level >= levels().len()`.
     pub fn subtree_gpus(&self, level: usize) -> u32 {
-        self.subtree_gpus[level] as u32
+        self.subtree_gpus[level]
     }
 
     /// Number of GPUs on a single server.
@@ -172,7 +179,7 @@ impl Topology {
         if self.server_level == 0 {
             1
         } else {
-            self.subtree_gpus[self.server_level - 1] as u32
+            self.subtree_gpus[self.server_level - 1]
         }
     }
 
@@ -206,7 +213,7 @@ impl Topology {
         if gpus <= 1 {
             return Some(0);
         }
-        self.subtree_gpus.iter().position(|&n| n as u32 >= gpus)
+        self.subtree_gpus.iter().position(|&n| n >= gpus)
     }
 
     /// Bottleneck (slowest) link bandwidth crossed by a set of GPUs, in
@@ -236,8 +243,8 @@ impl Topology {
             assert!(g.index() < n, "gpu {g} out of range (cluster has {n})");
         }
         // Nonempty is asserted above, so the zero fallbacks are unreachable.
-        let min = gpus.iter().map(|g| g.as_usize()).min().unwrap_or(0);
-        let max = gpus.iter().map(|g| g.as_usize()).max().unwrap_or(0);
+        let min = gpus.iter().map(|g| g.index()).min().unwrap_or(0);
+        let max = gpus.iter().map(|g| g.index()).max().unwrap_or(0);
         // Walk up until min and max fall under the same subtree.
         for (l, &size) in self.subtree_gpus.iter().enumerate() {
             if min / size == max / size {
@@ -254,6 +261,10 @@ impl Topology {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
     use crate::ClusterSpec;

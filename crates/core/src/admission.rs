@@ -757,6 +757,10 @@ impl AdmissionSet {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
     use elasticflow_perfmodel::{CurvePoint, DnnModel, ScalingCurve};
@@ -809,6 +813,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "the test fails on any variant it does not expect"
+    )]
     fn decline_reason_attributes_the_blocking_job() {
         let shortfall = CapacityShortfall {
             window_slots: 7,

@@ -110,7 +110,10 @@ impl ResourceAllocator {
     /// assert the same profiles, ledger and spend.
     ///
     /// Fills run through the caller's workspace.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the planning inputs, the ledger and the caller's workspace are separate borrows"
+    )]
     pub(crate) fn boost(
         &self,
         jobs: &[PlanningJob],
@@ -243,7 +246,10 @@ impl ResourceAllocator {
     /// (restoring, priority, id) is total with at most one entry per job,
     /// and every initial candidate is computed against the same ledger
     /// (the job's own profile uncommitted, then recommitted).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the planning inputs, the ledger and the caller's workspace are separate borrows"
+    )]
     fn boost_heap(
         &self,
         jobs: &[PlanningJob],
@@ -361,7 +367,10 @@ impl ResourceAllocator {
     /// [`Self::improvement`] it makes, priced by the GPU-time it saves per
     /// extra GPU. `None` when no further boost helps or fits. `others` is
     /// the ledger without the job's own reservations.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the planning inputs, the ledger and the caller's workspace are separate borrows"
+    )]
     fn candidate(
         &self,
         job: &PlanningJob,
@@ -564,7 +573,10 @@ mod reference {
             budget - free0
         }
 
-        #[allow(clippy::too_many_arguments)]
+        #[expect(
+            clippy::too_many_arguments,
+            reason = "mirrors `candidate`'s signature so the two compare call for call"
+        )]
         fn candidate_reference(
             &self,
             job: &PlanningJob,
@@ -803,14 +815,12 @@ mod tests {
 
     /// Random jobs plus a per-job incumbent GPU count (0 = no incumbent),
     /// the incumbents being what steers the heap's restoring-first ordering.
-    #[allow(clippy::type_complexity)]
     fn instance() -> impl Strategy<Value = Vec<(ScalingCurve, f64, usize, u32)>> {
         prop::collection::vec((concave_curve(), 0.2f64..6.0, 1usize..6, 0u32..5), 1..7)
     }
 
     /// Random jobs with short windows on a large cluster: every walked
     /// slot has room.
-    #[allow(clippy::type_complexity)]
     fn headroom_instance() -> impl Strategy<Value = Vec<(ScalingCurve, f64, usize, u32)>> {
         prop::collection::vec((concave_curve(), 0.2f64..4.0, 1usize..4, 0u32..9), 2..10)
     }

@@ -25,8 +25,12 @@ const EPS_ITERS: f64 = 1e-6;
 
 /// Aborts the run with a structured diagnostic on a violated invariant.
 #[cold]
+#[expect(
+    clippy::panic,
+    reason = "the auditor's entire purpose is a loud structured abort on a violated guarantee \
+              invariant: continuing would let a broken reservation masquerade as a guarantee"
+)]
 fn audit_fail(invariant: &str, detail: &str) -> ! {
-    // elasticflow-lint: allow(EF-L001): the auditor's entire purpose is a loud structured abort on a violated guarantee invariant — continuing would let a broken reservation masquerade as a guarantee
     panic!("planner audit failed\n  invariant: {invariant}\n  detail:    {detail}")
 }
 

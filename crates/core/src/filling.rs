@@ -618,7 +618,10 @@ mod reference {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one fill probe reads the job, the ledger, the grid and the cluster size separately"
+    )]
     pub(super) fn try_target(
         job: &PlanningJob,
         ledger: &ReservationLedger,
@@ -807,6 +810,22 @@ mod tests {
         let p = progressive_filling(&job(2.0, 10), &ledger, &grid, 4, None, s).unwrap();
         assert_eq!(p.len(), 2);
         assert_eq!(p.as_slice(), &[1, 1]);
+    }
+
+    #[test]
+    fn work_epsilon_is_the_completion_slack() {
+        // One slot at the cluster's one GPU delivers exactly 1 iteration.
+        // A job that slot leaves 5e-8 iterations short needs a second
+        // slot; one left 5e-10 short is done, since `WORK_EPSILON` (1e-9)
+        // absorbs the gap.
+        let grid = SlotGrid::uniform(1.0);
+        let ledger = ReservationLedger::new();
+        let s = &mut FillScratch::new();
+        let mut fill = |remaining: f64| {
+            progressive_filling(&job(remaining, 10), &ledger, &grid, 1, None, s).unwrap()
+        };
+        assert_eq!(fill(1.0 + 5e-8).as_slice(), &[1, 1]);
+        assert_eq!(fill(1.0 + 5e-10).as_slice(), &[1]);
     }
 
     #[test]

@@ -52,6 +52,13 @@ pub(crate) mod scheduler;
 pub mod theory;
 mod variants;
 
+// The retired lint rules' forms, each `#[expect]`ed at the clippy lint that
+// enforces it now; compiled by clippy only (see
+// `crates/sim/src/clippy_corpus/mod.rs`).
+#[cfg(clippy)]
+#[path = "../../sim/src/clippy_corpus/mod.rs"]
+mod clippy_corpus;
+
 pub use admission::{AdmissionDenial, AdmissionSet, AdvanceReport};
 pub(crate) use alloc::ResourceAllocator;
 pub use filling::{progressive_filling, FillCounters, FillScratch};

@@ -333,6 +333,10 @@ impl ReservationLedger {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
     use elasticflow_perfmodel::{CurvePoint, DnnModel};

@@ -583,6 +583,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "the test fails on any variant it does not expect"
+    )]
     fn hopeless_deadline_is_dropped() {
         let mut ef = ElasticFlowScheduler::new();
         let jobs = JobTable::new();
@@ -690,6 +694,7 @@ mod tests {
     /// pure function of the fills `plan` asks for, so a change that moves
     /// one of them changes how much work a planning round does.
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "test job ids are small")]
     fn plan_work_counters_are_pinned_on_a_fixed_table() {
         let net = Interconnect::paper_testbed();
         let curves: Vec<(DnnModel, ScalingCurve)> = elasticflow_perfmodel::PAPER_TABLE1
@@ -751,6 +756,7 @@ mod tests {
     /// stale entry to recompute. Debug builds also run the greedy on
     /// each certified boost, and its work stays out of these counters.
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "test job ids are small")]
     fn plan_work_counters_are_pinned_on_an_uncontended_table() {
         let net = Interconnect::paper_testbed();
         let curves: Vec<(DnnModel, ScalingCurve)> = elasticflow_perfmodel::PAPER_TABLE1

@@ -91,7 +91,7 @@ pub fn brute_force_feasible(jobs: &[PlanningJob], grid: &SlotGrid, total_gpus: u
         g *= 2;
     }
     let cells = jobs.len() * horizon;
-    let states = (ladder.len() as f64).powi(cells as i32);
+    let states = (ladder.len() as f64).powi(i32::try_from(cells).unwrap_or(i32::MAX));
     assert!(states <= (1 << 24) as f64, "brute force instance too large");
     let mut assignment = vec![0usize; cells];
     'outer: loop {

@@ -10,6 +10,12 @@
 //! the suffix is refilled. ElasticFlow's plan of each set, Algorithm 2
 //! included, must fit the cluster.
 
+#![expect(clippy::cast_possible_truncation, reason = "test job ids are small")]
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+
 use std::collections::BTreeMap;
 
 use elasticflow_core::{

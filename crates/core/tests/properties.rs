@@ -1,5 +1,15 @@
 //! Property-based tests for ElasticFlow's planning algorithms.
 
+#![expect(clippy::cast_possible_truncation, reason = "test job ids are small")]
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+#![expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
+
 use std::collections::BTreeMap;
 
 use elasticflow_core::{

@@ -13,6 +13,12 @@
 //! The bounds are ceilings, not exact counts, so a toolchain's `Vec`
 //! growth policy cannot break them.
 
+#![expect(clippy::cast_possible_truncation, reason = "test job ids are small")]
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -1,6 +1,11 @@
 //! Scenario tests for the end-to-end ElasticFlow scheduler, run through
 //! the simulator.
 
+#![expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
+
 use elasticflow_cluster::ClusterSpec;
 use elasticflow_core::ElasticFlowScheduler;
 use elasticflow_perfmodel::Interconnect;

@@ -1,10 +1,9 @@
 //! Structural item extraction over the lexed token stream.
 //!
 //! The token rules in [`crate::rules`] see a flat stream; the cross-file
-//! rules (EF-L006 snapshot coverage, EF-L007 wildcard-arm detection,
-//! EF-L008 parallel-closure safety) need *shape*: which structs declare
+//! snapshot-coverage rule (EF-L006) needs *shape*: which structs declare
 //! which fields, which enums declare which variants, where `impl` blocks
-//! put their method bodies, and how `match` expressions split into arms.
+//! put their method bodies, and which fields a struct literal populates.
 //!
 //! This module recovers exactly that shape with a single linear pass —
 //! no external parser crates, no AST. It is a *recognizer*, not a
@@ -89,29 +88,6 @@ pub struct ImplItem {
     pub fns: Vec<FnItem>,
 }
 
-/// One arm of a `match` expression.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArmItem {
-    /// 1-based line where the pattern starts.
-    pub line: u32,
-    /// Token range of the pattern, including any `if` guard.
-    pub pattern: Range<usize>,
-    /// `true` when this arm catches everything: a bare `_` or a bare
-    /// binding identifier, with no guard.
-    pub catch_all: bool,
-}
-
-/// A recovered `match` expression.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MatchItem {
-    /// 1-based line of the `match` keyword.
-    pub line: u32,
-    /// Token range of the scrutinee expression.
-    pub scrutinee: Range<usize>,
-    /// Arms in source order.
-    pub arms: Vec<ArmItem>,
-}
-
 /// A struct-literal expression (`Name { field: …, .. }`) found outside a
 /// type-declaration position. Used by the snapshot-coverage rule to
 /// verify capture sites populate every manifest field.
@@ -136,8 +112,6 @@ pub struct FileItems {
     pub enums: Vec<EnumItem>,
     /// `impl` blocks.
     pub impls: Vec<ImplItem>,
-    /// `match` expressions, including ones nested in arm bodies.
-    pub matches: Vec<MatchItem>,
     /// Struct-literal expressions.
     pub literals: Vec<LiteralItem>,
 }
@@ -160,10 +134,6 @@ pub fn extract(tokens: &[Token]) -> FileItems {
                 }
                 "impl" => {
                     i = parse_impl(tokens, i, &mut out);
-                    continue;
-                }
-                "match" => {
-                    i = parse_match(tokens, i, &mut out);
                     continue;
                 }
                 _ => {
@@ -389,7 +359,7 @@ fn parse_struct(tokens: &[Token], i: usize, out: &mut FileItems) -> usize {
                 kind: StructKind::Named,
                 fields,
             });
-            // Resume *inside* the body so nested matches in default exprs
+            // Resume *inside* the body so nested items in default exprs
             // (not legal in structs, but cheap to allow) are still seen.
             j + 1
         }
@@ -497,7 +467,7 @@ fn parse_enum(tokens: &[Token], i: usize, out: &mut FileItems) -> usize {
 
 /// Parses `impl … { … }` at `i`, recording the implemented type and the
 /// block's top-level `fn` bodies. Returns `i + 1` so the main loop also
-/// sees items nested inside the bodies (notably `match` expressions).
+/// sees items nested inside the bodies.
 fn parse_impl(tokens: &[Token], i: usize, out: &mut FileItems) -> usize {
     let line = tokens[i].line;
     let mut j = skip_generics(tokens, i + 1);
@@ -604,117 +574,6 @@ fn parse_impl(tokens: &[Token], i: usize, out: &mut FileItems) -> usize {
     i + 1
 }
 
-/// Parses `match scrutinee { arms }` at `i`. Returns `i + 1` so nested
-/// matches inside arm bodies are found by the main loop.
-fn parse_match(tokens: &[Token], i: usize, out: &mut FileItems) -> usize {
-    let line = tokens[i].line;
-    // Scrutinee: to the first `{` at bracket depth 0. (Rust forbids bare
-    // struct literals in scrutinee position, so this brace opens the arms.)
-    let mut j = i + 1;
-    let mut depth = 0usize;
-    while j < tokens.len() {
-        let t = &tokens[j];
-        if t.kind == TokenKind::Punct {
-            match t.text.chars().next().unwrap_or(' ') {
-                '(' | '[' => depth += 1,
-                ')' | ']' => depth = depth.saturating_sub(1),
-                '{' if depth == 0 => break,
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    if j >= tokens.len() || j == i + 1 {
-        return i + 1; // no scrutinee / no body — not a match expression
-    }
-    let open = j;
-    let close = match match_delim(tokens, open, '{', '}') {
-        Some(c) => c,
-        None => return i + 1,
-    };
-    let mut arms = Vec::new();
-    let mut k = open + 1;
-    while k < close {
-        // Pattern: to the `=>` (a `=` token followed by `>`) at depth 0.
-        let pat_start = k;
-        let mut depth = 0usize;
-        let mut arrow = None;
-        while k < close {
-            let t = &tokens[k];
-            if t.kind == TokenKind::Punct {
-                match t.text.chars().next().unwrap_or(' ') {
-                    '(' | '[' | '{' => depth += 1,
-                    ')' | ']' | '}' => depth = depth.saturating_sub(1),
-                    '=' if depth == 0 && tokens.get(k + 1).is_some_and(|n| n.is_punct('>')) => {
-                        arrow = Some(k);
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            k += 1;
-        }
-        let Some(arrow) = arrow else { break };
-        let pattern = pat_start..arrow;
-        let catch_all = is_catch_all(&tokens[pattern.clone()]);
-        arms.push(ArmItem {
-            line: tokens[pat_start].line,
-            pattern,
-            catch_all,
-        });
-        // Body: a braced block, or an expression ending at `,` (depth 0).
-        k = arrow + 2;
-        if tokens.get(k).is_some_and(|t| t.is_punct('{')) {
-            k = match match_delim(tokens, k, '{', '}') {
-                Some(c) => c + 1,
-                None => close,
-            };
-            if tokens.get(k).is_some_and(|t| t.is_punct(',')) {
-                k += 1;
-            }
-        } else {
-            let mut depth = 0usize;
-            while k < close {
-                let t = &tokens[k];
-                if t.kind == TokenKind::Punct {
-                    match t.text.chars().next().unwrap_or(' ') {
-                        '(' | '[' | '{' => depth += 1,
-                        ')' | ']' | '}' => depth = depth.saturating_sub(1),
-                        ',' if depth == 0 => {
-                            k += 1;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-                k += 1;
-            }
-        }
-    }
-    out.matches.push(MatchItem {
-        line,
-        scrutinee: (i + 1)..open,
-        arms,
-    });
-    i + 1
-}
-
-/// `true` when a pattern swallows every value: a bare `_`, or a single
-/// bare binding identifier. Guarded patterns (`x if cond`) and literal /
-/// path / structured patterns are not catch-alls.
-fn is_catch_all(pattern: &[Token]) -> bool {
-    match pattern {
-        [t] if t.kind == TokenKind::Ident => {
-            t.text == "_"
-                || t.text
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_lowercase() || c == '_')
-        }
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -811,37 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn match_arms_and_wildcards() {
-        let it = items(
-            "fn f(e: Event) {\n  match e {\n    Event::Arrival { job } => use_it(job),\n    \
-             Event::SlotBoundary => {}\n    _ => {}\n  }\n}",
-        );
-        assert_eq!(it.matches.len(), 1);
-        let m = &it.matches[0];
-        assert_eq!(m.arms.len(), 3);
-        assert!(!m.arms[0].catch_all);
-        assert!(!m.arms[1].catch_all);
-        assert!(m.arms[2].catch_all);
-    }
-
-    #[test]
-    fn binding_arm_is_catch_all_guard_is_not() {
-        let it = items(
-            "fn f(e: Event) { match e { Event::SlotBoundary => {} other => log(other) } }\n\
-             fn g(e: Event) { match e { _ if raining() => {} Event::SlotBoundary => {} } }",
-        );
-        assert_eq!(it.matches.len(), 2);
-        assert!(it.matches[0].arms[1].catch_all);
-        assert!(!it.matches[1].arms[0].catch_all, "guarded `_` is selective");
-    }
-
-    #[test]
-    fn nested_match_found() {
-        let it = items("fn f(a: u8, b: u8) { match a { 1 => match b { _ => {} }, _ => {} } }");
-        assert_eq!(it.matches.len(), 2);
-    }
-
-    #[test]
     fn struct_literal_fields_recovered() {
         let it =
             items("fn f() { let s = SimSnapshot { version: V, now, round: r.round, timeline };\n}");
@@ -867,7 +695,6 @@ mod tests {
     fn match_scrutinee_brace_not_taken_as_literal() {
         let it = items("fn f() { match Outcome { Outcome::A => 1, _ => 2 }; }");
         // `Outcome {` here opens the match arms, not a struct literal.
-        assert_eq!(it.matches.len(), 1);
         assert!(it.literals.is_empty());
     }
 

@@ -29,26 +29,20 @@ pub enum JsonValue {
 impl JsonValue {
     /// Member lookup on objects; `None` for absent keys or non-objects.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(m) => m.get(key),
-            _ => None,
-        }
+        let JsonValue::Obj(m) = self else { return None };
+        m.get(key)
     }
 
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
+        let JsonValue::Str(s) = self else { return None };
+        Some(s)
     }
 
     /// The element list, if this is an array.
     pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
+        let JsonValue::Arr(v) = self else { return None };
+        Some(v)
     }
 
     /// An array of strings, if every element is a string.

@@ -59,7 +59,7 @@ impl Token {
 /// A parsed `// elasticflow-lint: allow(RULE): justification` directive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowDirective {
-    /// The rule id being suppressed (e.g. `EF-L001`).
+    /// The rule id being suppressed (e.g. `EF-L002`).
     pub rule: String,
     /// 1-based line of the comment.
     pub line: u32,
@@ -625,16 +625,16 @@ mod tests {
 
     #[test]
     fn allow_directive_parsed() {
-        let f = lex("// elasticflow-lint: allow(EF-L001): checked above\nx.unwrap();");
+        let f = lex("// elasticflow-lint: allow(EF-L002): checked above\nx == 0.0;");
         assert_eq!(f.allows.len(), 1);
-        assert_eq!(f.allows[0].rule, "EF-L001");
+        assert_eq!(f.allows[0].rule, "EF-L002");
         assert!(!f.allows[0].trailing);
         assert!(f.malformed_allows.is_empty());
     }
 
     #[test]
     fn trailing_allow_detected() {
-        let f = lex("x.unwrap(); // elasticflow-lint: allow(EF-L001): invariant");
+        let f = lex("x == 0.0; // elasticflow-lint: allow(EF-L002): invariant");
         assert_eq!(f.allows.len(), 1);
         assert!(f.allows[0].trailing);
     }
@@ -642,11 +642,11 @@ mod tests {
     #[test]
     fn allow_without_justification_is_malformed() {
         for src in [
-            "// elasticflow-lint: allow(EF-L001)",
-            "// elasticflow-lint: allow(EF-L001):",
-            "// elasticflow-lint: allow(EF-L001):   ",
+            "// elasticflow-lint: allow(EF-L002)",
+            "// elasticflow-lint: allow(EF-L002):",
+            "// elasticflow-lint: allow(EF-L002):   ",
             "// elasticflow-lint: allow()",
-            "// elasticflow-lint: disable(EF-L001): nope",
+            "// elasticflow-lint: disable(EF-L002): nope",
         ] {
             let f = lex(src);
             assert!(f.allows.is_empty(), "accepted: {src}");

@@ -2,34 +2,36 @@
 //!
 //! ElasticFlow's value proposition is a *guarantee*: every admitted job
 //! meets its deadline. Code that can panic mid-decision, compare floats
-//! exactly, read host entropy inside the simulator, or truncate a GPU
-//! count with `as` undermines that guarantee in ways ordinary tests miss.
-//! This crate is a zero-dependency static-analysis pass that gates those
-//! patterns at `cargo test` time (via the root `tests/lint.rs`) and on
-//! demand (`cargo run -p elasticflow-lint`).
+//! exactly, read host entropy inside the simulator, truncate a GPU count
+//! with `as`, or swallow a replayed variant in a catch-all arm undermines
+//! that guarantee in ways ordinary tests miss. Clippy enforces most of
+//! this (the `[lints]` tables in the workspace manifests and the root
+//! `clippy.toml`, see DESIGN.md §7.1); this crate is the zero-dependency
+//! pass for what clippy cannot see. It gates at `cargo test` time (via the
+//! root `tests/lint.rs`) and on demand (`cargo run -p elasticflow-lint`).
 //!
 //! The pass has two tiers. The token tier ([`lexer`] + [`rules`]) catches
 //! per-line patterns. The structural tier ([`items`] + [`analysis`])
-//! recovers structs, enum variants, impl blocks, and `match` arms from the
-//! token stream — no external parser — and checks *shape*: snapshot
-//! coverage against a committed manifest (EF-L006), exhaustiveness of
-//! matches over replayed enums (EF-L007), and purity of parallel closures
-//! (EF-L008). Any finding fails the gate; a justified `allow` comment is
-//! the one way to tolerate one.
+//! recovers structs, enum variants, impl blocks, and struct literals from
+//! the token stream — no external parser — and checks snapshot coverage
+//! against a committed manifest (EF-L006). Any finding fails the gate; a
+//! justified `allow` comment is the one way to tolerate one.
 //!
 //! # Rules
 //!
 //! | id | title | scope |
 //! |----|-------|-------|
 //! | EF-L000 | suppressions must be well-formed, justified, and *used* | all |
-//! | EF-L001 | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` | core, cluster, sim, sched |
-//! | EF-L002 | no exact float `==`/`!=` against literals | core, cluster, sim, sched, perfmodel |
-//! | EF-L003 | no nondeterminism sources (clocks, OS RNGs, hash order) | core, sim, sched |
-//! | EF-L004 | no raw float→int `as` casts | core, cluster, sim, sched |
+//! | EF-L002 | no exact float `==`/`!=` against a literal where clippy's `float_cmp` is silent | core, cluster, sim, sched, perfmodel |
 //! | EF-L005 | no literal work-epsilon outside its definition site | core |
 //! | EF-L006 | snapshot coverage: persisted engine state must round-trip | sim (via manifest) |
-//! | EF-L007 | no catch-all arms in matches over replayed enums | sim, persist, telemetry |
 //! | EF-L008 | no side effects / nondeterminism in parallel closures | all |
+//!
+//! EF-L001, EF-L003, EF-L004 and EF-L007 are clippy lints now, and so is
+//! the general case of EF-L002; `crates/sim/src/clippy_corpus` holds one
+//! `#[expect]`ed item per form those rules flagged and checks that the
+//! `[lints]` tables deny their lints, so `cargo clippy` fails if one of
+//! them ever stops being flagged.
 //!
 //! EF-L006 is cross-file: `crates/lint/snapshot-manifest.json` names the
 //! persisted state structs, their snapshot counterparts, the
@@ -43,20 +45,16 @@
 //! Any diagnostic can be silenced per line with a mandatory justification:
 //!
 //! ```text
-//! // elasticflow-lint: allow(EF-L001): ledger invariant: committed ≥ profile
-//! let c = self.committed.get_mut(t).expect("committed profile");
+//! // elasticflow-lint: allow(EF-L005): canonical definition site of the shared epsilon
+//! pub const WORK_EPSILON: f64 = 1e-9;
 //! ```
 //!
 //! A standalone comment suppresses the next token-bearing line; a trailing
 //! comment suppresses its own line. Justification-free or misspelled
 //! directives are themselves violations (EF-L000) — and so is an allow
 //! that matches no finding, so stale suppressions cannot rot in place.
-//!
-//! # The gate
-//!
-//! The binary and the `tests/lint.rs` gate fail on any finding. A site
-//! that is sound despite matching a rule carries a justified `allow`,
-//! which EF-L000 keeps honest.
+//! Clippy's findings are suppressed the same way on the compiler's side:
+//! `#[expect(clippy::…, reason = "…")]`, which fails once it stops firing.
 //!
 //! # False-positive immunity
 //!
@@ -74,12 +72,16 @@ pub mod analysis;
 pub mod items;
 pub mod json;
 pub mod lexer;
-pub mod report;
 pub mod rules;
 pub mod scan;
 
+// The corpus items the workspace `[lints]` table and `clippy.toml` deny,
+// compiled by clippy only (see `crates/sim/src/clippy_corpus/mod.rs`).
+#[cfg(clippy)]
+#[path = "../../sim/src/clippy_corpus/workspace.rs"]
+mod clippy_corpus;
+
 pub use analysis::{check_snapshot_coverage, parse_manifest, SnapshotManifest, MANIFEST_PATH};
-pub use report::{to_json, to_sarif};
 pub use rules::{rule_info, RuleInfo, RULES};
 pub use scan::{lint_files, lint_source, lint_workspace, FileAnalysis, LintReport, Violation};
 

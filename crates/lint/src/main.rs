@@ -9,36 +9,14 @@
 
 use std::process::ExitCode;
 
-use elasticflow_lint::{
-    lint_workspace, render_violation, to_json, to_sarif, workspace_root, RULES,
-};
-
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
+use elasticflow_lint::{lint_workspace, render_violation, workspace_root, RULES};
 
 fn main() -> ExitCode {
-    let mut format = Format::Human;
     let mut show_rules = false;
     let mut root = workspace_root();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--format" => match args.next().as_deref() {
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                Some("human") => format = Format::Human,
-                Some(other) => {
-                    eprintln!("error: unknown format `{other}` (json|sarif|human)");
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("error: --format requires a value (json|sarif|human)");
-                    return ExitCode::from(2);
-                }
-            },
             "--rules" => show_rules = true,
             "--root" => match args.next() {
                 Some(dir) => root = dir.into(),
@@ -78,21 +56,15 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    match format {
-        Format::Json => print!("{}", to_json(&report)),
-        Format::Sarif => print!("{}", to_sarif(&report)),
-        Format::Human => {
-            for v in &report.violations {
-                println!("{}", render_violation(v));
-            }
-            println!(
-                "elasticflow-lint: {} file(s) scanned, {} violation(s), {} justified allow(s)",
-                report.files_scanned,
-                report.violations.len(),
-                report.allows_used
-            );
-        }
+    for v in &report.violations {
+        println!("{}", render_violation(v));
     }
+    println!(
+        "elasticflow-lint: {} file(s) scanned, {} violation(s), {} justified allow(s)",
+        report.files_scanned,
+        report.violations.len(),
+        report.allows_used
+    );
 
     if report.is_clean() {
         ExitCode::SUCCESS
@@ -104,8 +76,7 @@ fn main() -> ExitCode {
 fn print_help() {
     println!(
         "elasticflow-lint: guarantee-soundness static analysis\n\n\
-         USAGE: elasticflow-lint [--format json|sarif|human] [--rules] [--root DIR]\n\n\
-         --format F   output format (default human)\n\
+         USAGE: elasticflow-lint [--rules] [--root DIR]\n\n\
          --rules      print the rule registry and exit\n\
          --root DIR   workspace root to scan (default: this checkout)\n\n\
          EXIT STATUS:\n\

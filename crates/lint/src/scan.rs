@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use crate::analysis;
 use crate::items::{extract, FileItems};
 use crate::lexer::{lex, strip_test_regions, AllowDirective, LexedFile, Token};
-use crate::rules::{check_items, check_tokens, rule_info, META_RULE};
+use crate::rules::{check_tokens, rule_info, META_RULE};
 
 /// One attributed violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,7 +174,6 @@ fn lint_analyses(analyses: &[FileAnalysis], manifest: Option<&str>) -> LintRepor
 
     for fa in analyses {
         let mut raw = check_tokens(&fa.stripped, &fa.crate_name);
-        raw.extend(check_items(&fa.stripped, &fa.items, &fa.crate_name));
 
         // Malformed directives are themselves violations (meta-rule), on
         // every scanned file regardless of crate scope.
@@ -289,24 +288,23 @@ mod tests {
 
     #[test]
     fn standalone_allow_suppresses_next_line() {
-        let src = "fn f() {\n    // elasticflow-lint: allow(EF-L001): invariant: key inserted above\n    a.unwrap();\n}";
+        let src = "fn f() {\n    // elasticflow-lint: allow(EF-L002): zero is an exact sentinel\n    a == 0.0;\n}";
         assert!(lint_source(src, "core", "x.rs").is_empty());
     }
 
     #[test]
     fn trailing_allow_suppresses_its_line() {
-        let src = "fn f() { a.unwrap(); } // elasticflow-lint: allow(EF-L001): demo justification";
+        let src = "fn f() { a == 0.0; } // elasticflow-lint: allow(EF-L002): demo justification";
         assert!(lint_source(src, "core", "x.rs").is_empty());
     }
 
     #[test]
     fn allow_for_wrong_rule_does_not_suppress_and_is_itself_unused() {
-        let src =
-            "fn f() {\n    // elasticflow-lint: allow(EF-L002): wrong rule\n    a.unwrap();\n}";
+        let src = "fn f() {\n    // elasticflow-lint: allow(EF-L005): wrong rule\n    a == 0.0;\n}";
         let v = lint_source(src, "core", "x.rs");
         assert_eq!(v.len(), 2);
         // The original diagnostic survives…
-        assert!(v.iter().any(|v| v.rule == "EF-L001" && v.line == 3));
+        assert!(v.iter().any(|v| v.rule == "EF-L002" && v.line == 3));
         // …and the ineffective allow is flagged as unused.
         assert!(v.iter().any(|v| v.rule == "EF-L000"
             && v.line == 2
@@ -315,16 +313,17 @@ mod tests {
 
     #[test]
     fn unused_allow_is_reported() {
-        let src = "fn f() {\n    // elasticflow-lint: allow(EF-L001): stale, code was fixed\n    a.checked_op();\n}";
+        let src = "fn f() {\n    // elasticflow-lint: allow(EF-L002): stale, code was fixed\n    a.checked_op();\n}";
         let v = lint_source(src, "core", "x.rs");
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "EF-L000");
-        assert!(v[0].message.contains("allow(EF-L001)"));
+        assert!(v[0].message.contains("allow(EF-L002)"));
     }
 
     #[test]
     fn used_allow_is_not_reported_as_unused() {
-        let src = "fn f() {\n    // elasticflow-lint: allow(EF-L001): invariant holds\n    a.unwrap();\n}";
+        let src =
+            "fn f() {\n    // elasticflow-lint: allow(EF-L002): invariant holds\n    a == 0.0;\n}";
         let report = lint_files(&[("core", "x.rs", src)], None);
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!(report.allows_used, 1);
@@ -332,7 +331,7 @@ mod tests {
 
     #[test]
     fn allow_does_not_leak_past_its_target_line() {
-        let src = "fn f() {\n    // elasticflow-lint: allow(EF-L001): first only\n    a.unwrap();\n    b.unwrap();\n}";
+        let src = "fn f() {\n    // elasticflow-lint: allow(EF-L002): first only\n    a == 0.0;\n    b == 0.0;\n}";
         let v = lint_source(src, "core", "x.rs");
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 4);
@@ -340,26 +339,29 @@ mod tests {
 
     #[test]
     fn malformed_allow_is_reported() {
-        let src = "fn f() {\n    // elasticflow-lint: allow(EF-L001)\n    a.unwrap();\n}";
+        let src = "fn f() {\n    // elasticflow-lint: allow(EF-L002)\n    a == 0.0;\n}";
         let rules: Vec<String> = lint_source(src, "core", "x.rs")
             .into_iter()
             .map(|v| v.rule)
             .collect();
         assert!(rules.contains(&"EF-L000".to_string()));
-        assert!(rules.contains(&"EF-L001".to_string()));
+        assert!(rules.contains(&"EF-L002".to_string()));
     }
 
     #[test]
     fn unknown_rule_in_allow_is_reported() {
-        let src = "// elasticflow-lint: allow(EF-L999): no such rule\nfn f() {}";
-        let v = lint_source(src, "core", "x.rs");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "EF-L000");
+        // EF-L001 is a clippy lint, so the lint knows no rule by that id.
+        for rule in ["EF-L999", "EF-L001"] {
+            let src = format!("// elasticflow-lint: allow({rule}): no such rule\nfn f() {{}}");
+            let v = lint_source(&src, "core", "x.rs");
+            assert_eq!(v.len(), 1);
+            assert_eq!(v[0].rule, "EF-L000");
+        }
     }
 
     #[test]
     fn violation_carries_file_and_line() {
-        let src = "fn f() {\n    a.unwrap();\n}";
+        let src = "fn f() {\n    a == 0.0;\n}";
         let v = lint_source(src, "sim", "crates/sim/src/engine.rs");
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].file, "crates/sim/src/engine.rs");

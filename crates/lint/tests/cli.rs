@@ -46,11 +46,11 @@ fn run(root: &Path, extra: &[&str]) -> Output {
 
 const CLEAN: &str = "pub fn add(a: u32, b: u32) -> u32 {\n    a + b\n}\n";
 
-const UNWRAP: &str = "pub fn first(v: &[u32]) -> u32 {\n    *v.first().unwrap()\n}\n";
+const ZERO_COMPARE: &str = "pub fn idle(load: f64) -> bool {\n    load == 0.0\n}\n";
 
-const ALLOWED_UNWRAP: &str = "pub fn first(v: &[u32]) -> u32 {\n    \
-     // elasticflow-lint: allow(EF-L001): every caller passes a non-empty slice\n    \
-     *v.first().unwrap()\n}\n";
+const ALLOWED_ZERO_COMPARE: &str = "pub fn idle(load: f64) -> bool {\n    \
+     // elasticflow-lint: allow(EF-L002): the load is reset to exactly zero, never summed\n    \
+     load == 0.0\n}\n";
 
 #[test]
 fn clean_source_exits_zero() {
@@ -59,19 +59,19 @@ fn clean_source_exits_zero() {
 }
 
 #[test]
-fn unjustified_unwrap_exits_one_and_names_the_line() {
-    let out = run(&root_with_core_source(UNWRAP), &[]);
+fn unjustified_zero_compare_exits_one_and_names_the_line() {
+    let out = run(&root_with_core_source(ZERO_COMPARE), &[]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("crates/core/src/lib.rs:2: [EF-L001]"),
+        stdout.contains("crates/core/src/lib.rs:2: [EF-L002]"),
         "{stdout}"
     );
 }
 
 #[test]
-fn justified_allow_covers_the_unwrap() {
-    let out = run(&root_with_core_source(ALLOWED_UNWRAP), &[]);
+fn justified_allow_covers_the_zero_compare() {
+    let out = run(&root_with_core_source(ALLOWED_ZERO_COMPARE), &[]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("1 justified allow(s)"), "{stdout}");
@@ -85,8 +85,13 @@ fn empty_root_exits_two() {
 
 #[test]
 fn retired_flags_are_usage_errors() {
-    for flag in ["--write-baseline", "--no-ratchet", "--json"] {
-        let out = run(&root_with_core_source(CLEAN), &[flag]);
-        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+    for flags in [
+        &["--write-baseline"][..],
+        &["--no-ratchet"],
+        &["--json"],
+        &["--format", "json"],
+    ] {
+        let out = run(&root_with_core_source(CLEAN), flags);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {out:?}");
     }
 }

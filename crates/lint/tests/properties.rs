@@ -12,19 +12,12 @@ use proptest::prelude::*;
 /// of an in-scope crate, paired with the rule it trips.
 fn violating_fragments() -> Vec<(&'static str, &'static str)> {
     vec![
-        ("x.unwrap()", "EF-L001"),
-        ("y.expect(\"boom\")", "EF-L001"),
-        ("panic!(\"no\")", "EF-L001"),
-        ("todo!()", "EF-L001"),
-        ("unimplemented!()", "EF-L001"),
-        ("a == 1.0", "EF-L002"),
-        ("2.5 != b", "EF-L002"),
-        ("SystemTime::now()", "EF-L003"),
-        ("Instant::now()", "EF-L003"),
-        ("thread_rng()", "EF-L003"),
-        ("HashMap::new()", "EF-L003"),
-        ("x.ceil() as usize", "EF-L004"),
-        ("2.5 as u64", "EF-L004"),
+        ("a == 0.0", "EF-L002"),
+        ("0.0 != b", "EF-L002"),
+        ("c == -0.0", "EF-L002"),
+        ("d + 1e-9", "EF-L005"),
+        ("pool.install(|| println!(\"tick\"))", "EF-L008"),
+        ("v.par_iter().map(|x| HashMap::new()).count()", "EF-L008"),
     ]
 }
 
@@ -194,7 +187,7 @@ proptest! {
         (frag, rule) in fragment(),
         why in justification(),
     ) {
-        let other = ["EF-L001", "EF-L002", "EF-L003", "EF-L004"]
+        let other = ["EF-L002", "EF-L005", "EF-L008"]
             .iter()
             .find(|r| **r != rule)
             .copied()
@@ -221,10 +214,10 @@ proptest! {
             prop::sample::select(vec![
                 "fn", "soup", "{", "}", "(", ")", ";", "=", "==", ".",
                 "\"text\"", "r#\"raw\"#", "b\"bytes\"", "'c'", "'static",
-                "1.5", "42", "0x1f", "1e9", "as", "usize", "unwrap",
+                "1.5", "0.0", "42", "0x1f", "1e9", "as", "usize", "unwrap",
                 "// line comment\n", "/* block */", "/* unterminated",
                 "#[cfg(test)]", "mod", "tests", "\n",
-                "// elasticflow-lint: allow(EF-L001): soup\n",
+                "// elasticflow-lint: allow(EF-L002): soup\n",
                 "// elasticflow-lint: gibberish\n",
             ]),
             0..60,

@@ -98,6 +98,10 @@ pub fn iteration_time(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
     use crate::DnnModel;

@@ -108,6 +108,10 @@ impl Default for Interconnect {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
 

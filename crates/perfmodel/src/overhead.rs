@@ -127,6 +127,10 @@ impl Default for OverheadModel {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
     use crate::DnnModel;

@@ -1,5 +1,10 @@
 //! Property-based tests for the performance model.
 
+#![expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
+
 use elasticflow_cluster::PlacementShape;
 use elasticflow_perfmodel::{
     iteration_time, DnnModel, Interconnect, OverheadModel, ScalingCurve, ScalingEvent,

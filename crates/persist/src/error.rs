@@ -71,7 +71,10 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Io(e) => Some(e),
             PersistError::Decode(e) => Some(e),
-            _ => None,
+            PersistError::BadMagic { .. }
+            | PersistError::UnknownVersion { .. }
+            | PersistError::ChecksumMismatch { .. }
+            | PersistError::Corrupt(_) => None,
         }
     }
 }

@@ -324,6 +324,10 @@ impl SimController for Checkpointer<'_> {
             wal_records: self.position.get(),
             sim: snapshot,
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "snapshot write timing is reported beside the run, never fed back into it"
+        )]
         let started = Instant::now();
         match self.dir.snapshots().write_next(&stored) {
             Ok((_, bytes)) => {

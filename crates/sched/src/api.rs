@@ -201,6 +201,16 @@ pub struct JobTable {
     live: Vec<JobId>,
 }
 
+/// The arena slot of `id` in a [`JobTable`].
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the table is a dense arena indexed by id: an id past `usize::MAX` \
+              could never have a slot"
+)]
+fn slot(id: JobId) -> usize {
+    id.raw() as usize
+}
+
 impl JobTable {
     /// Creates an empty table.
     pub fn new() -> Self {
@@ -214,7 +224,7 @@ impl JobTable {
     /// Panics if the id is already present.
     pub fn insert(&mut self, job: JobRuntime) {
         let id = job.id();
-        let idx = id.raw() as usize;
+        let idx = slot(id);
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
         }
@@ -227,12 +237,12 @@ impl JobTable {
 
     /// Looks up a job.
     pub fn get(&self, id: JobId) -> Option<&JobRuntime> {
-        self.slots.get(id.raw() as usize)?.as_ref()
+        self.slots.get(slot(id))?.as_ref()
     }
 
     /// Mutable lookup (simulator only).
     pub fn get_mut(&mut self, id: JobId) -> Option<&mut JobRuntime> {
-        self.slots.get_mut(id.raw() as usize)?.as_mut()
+        self.slots.get_mut(slot(id))?.as_mut()
     }
 
     /// All jobs, ascending by id.
@@ -260,10 +270,7 @@ impl JobTable {
     pub fn for_each_active_mut(&mut self, mut f: impl FnMut(&mut JobRuntime)) {
         let slots = &mut self.slots;
         for id in &self.live {
-            if let Some(job) = slots
-                .get_mut(id.raw() as usize)
-                .and_then(|slot| slot.as_mut())
-            {
+            if let Some(job) = slots.get_mut(slot(*id)).and_then(|slot| slot.as_mut()) {
                 if job.is_active() {
                     f(job);
                 }
@@ -328,7 +335,7 @@ impl<'de> Deserialize<'de> for JobTable {
         // system for good need no probes on future `active` scans.
         let slots = &table.slots;
         table.live.retain(|&id| {
-            slots[id.raw() as usize]
+            slots[slot(id)]
                 .as_ref()
                 .is_some_and(|j| !j.dropped && j.finish_time.is_none())
         });
@@ -538,6 +545,10 @@ pub fn clamp_pow2(want: u32, available: u32) -> u32 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
     use elasticflow_perfmodel::{DnnModel, Interconnect};

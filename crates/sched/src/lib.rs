@@ -34,13 +34,23 @@ mod pollux;
 mod themis;
 mod tiresias;
 
+// The retired lint rules' forms, each `#[expect]`ed at the clippy lint that
+// enforces it now; compiled by clippy only (see
+// `crates/sim/src/clippy_corpus/mod.rs`).
+#[cfg(clippy)]
+#[path = "../../sim/src/clippy_corpus/mod.rs"]
+mod clippy_corpus;
+
 pub use api::{
     clamp_pow2, AdmissionDecision, ClusterView, JobRuntime, JobTable, ReplanOutcome, RestoreError,
     SchedulePlan, Scheduler,
 };
 pub use decision::{CapacityShortfall, DecisionRecord, DeclineReason, PauseCause};
 
-#[allow(clippy::items_after_test_module)]
+#[expect(
+    clippy::items_after_test_module,
+    reason = "the shared test helpers sit next to the modules that use them"
+)]
 #[cfg(test)]
 pub(crate) mod testutil {
     //! Shared helpers for baseline-scheduler unit tests.

@@ -1,6 +1,11 @@
 //! Cross-baseline behavioural tests: the distinguishing property of each
 //! policy, checked on shared scenarios.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+
 use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
 use elasticflow_sched::{
     ChronusScheduler, ClusterView, EdfScheduler, GandivaScheduler, JobRuntime, JobTable,

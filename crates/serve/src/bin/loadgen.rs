@@ -122,6 +122,10 @@ struct Pacer {
 }
 
 impl Pacer {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "paces emission against the wall clock; the stream's content never reads it"
+    )]
     fn new(rate: u64) -> Self {
         Pacer {
             start: Instant::now(),

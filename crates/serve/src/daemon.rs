@@ -578,6 +578,10 @@ impl Daemon {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
     use crate::metrics::gateway_registry;

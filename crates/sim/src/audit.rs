@@ -40,8 +40,12 @@ impl SimObserver for InvariantAuditor {
 
 /// Aborts the run with a structured diagnostic on a violated invariant.
 #[cold]
+#[expect(
+    clippy::panic,
+    reason = "the auditor's entire purpose is a loud structured abort on a violated \
+              invariant: continuing would hand back a corrupted report"
+)]
 fn audit_fail(invariant: &str, detail: &str, now: f64) -> ! {
-    // elasticflow-lint: allow(EF-L001): the auditor's entire purpose is a loud structured abort on a violated invariant — continuing would hand back a corrupted report
     panic!("invariant audit failed at t={now:.3}s\n  invariant: {invariant}\n  detail:    {detail}")
 }
 
@@ -106,10 +110,7 @@ impl InvariantAuditor {
                     now,
                 );
             }
-            let contiguous = gpus
-                .iter()
-                .enumerate()
-                .all(|(i, g)| g.index() == first + i as u32);
+            let contiguous = gpus.iter().zip(first..).all(|(g, want)| g.index() == want);
             if gpus.len() != n as usize || !contiguous {
                 audit_fail(
                     "placements are contiguous buddy blocks",

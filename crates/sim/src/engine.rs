@@ -527,6 +527,10 @@ impl SimObserver for EventLog {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
     use elasticflow_perfmodel::{DnnModel, ScalingCurve};

@@ -255,6 +255,10 @@ impl<'t> EventCore<'t> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
     use crate::failures::NodeFailure;
@@ -334,13 +338,13 @@ mod tests {
         let trace = Trace::new("empty", Vec::new());
         let mut rng = Rng::new(0x5eed_ca1e);
         for case in 0..100 {
-            let n = 1 + rng.uniform_usize(60);
+            let n = u32::try_from(1 + rng.uniform_usize(60)).unwrap();
             let mut draw = || match rng.uniform_usize(3) {
                 0 => rng.uniform_range(0.0, 1.0e6),
                 1 => rng.uniform_range(0.0, 10.0),
                 _ => (1 + rng.uniform_usize(5)) as f64 * 2.5,
             };
-            let events: Vec<NodeFailure> = (0..n as u32)
+            let events: Vec<NodeFailure> = (0..n)
                 .map(|server| {
                     let at = draw();
                     fail(server, at, draw())
@@ -363,7 +367,7 @@ mod tests {
             times.sort_by(f64::total_cmp);
             times.dedup();
 
-            let mut c = EventCore::new(&trace, &schedule, n as u32, 3_600.0, 1.0e9);
+            let mut c = EventCore::new(&trace, &schedule, n, 3_600.0, 1.0e9);
             for t in times {
                 let expected: Vec<(u32, bool)> = pushed
                     .iter()

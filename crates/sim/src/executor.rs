@@ -34,8 +34,12 @@ pub(crate) const EPS_ITERS: f64 = 1e-6;
 /// cluster cannot honor. GPU accounting past such a point would be wrong,
 /// so a loud abort beats a silently corrupted [`crate::SimReport`].
 #[cold]
+#[expect(
+    clippy::panic,
+    reason = "deliberate single abort point: every engine invariant failure funnels here \
+              so a violation stops the replay instead of corrupting the report"
+)]
 pub(crate) fn sim_bug(context: &str) -> ! {
-    // elasticflow-lint: allow(EF-L001): deliberate single abort point — every engine invariant failure funnels here so a violation stops the replay instead of corrupting the report
     panic!("simulation engine invariant violated: {context}")
 }
 
@@ -57,10 +61,19 @@ struct JobStatsArena {
 }
 
 impl JobStatsArena {
+    /// The arena slot of `id`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the arena is dense in ids: an id past `usize::MAX` could never have a slot"
+    )]
+    fn index(id: JobId) -> usize {
+        id.raw() as usize
+    }
+
     /// Mutable stats slot for `id`, growing the arena with zeroed slots on
     /// first touch (the `entry(..).or_default()` equivalent).
     fn slot_mut(&mut self, id: JobId) -> &mut JobStats {
-        let idx = id.raw() as usize;
+        let idx = Self::index(id);
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, JobStats::default);
         }
@@ -69,10 +82,7 @@ impl JobStatsArena {
 
     /// Stats for `id` (zero when the job never accrued any).
     fn get(&self, id: JobId) -> JobStats {
-        self.slots
-            .get(id.raw() as usize)
-            .copied()
-            .unwrap_or_default()
+        self.slots.get(Self::index(id)).copied().unwrap_or_default()
     }
 
     /// Drops all slots.
@@ -141,7 +151,7 @@ impl Executor {
             &self.cluster,
             &self.jobs,
             self.total_gpus,
-            self.down_servers.len() as u32 * self.gpus_per_server,
+            self.down_gpus(),
             self.submitted,
             self.admitted,
             PHANTOM_BASE,
@@ -261,7 +271,17 @@ impl Executor {
     /// The cluster as the scheduler may see it: capacity net of fenced-off
     /// failed servers.
     pub(crate) fn scheduler_view(&self) -> ClusterView {
-        ClusterView::new(self.total_gpus - self.down_servers.len() as u32 * self.gpus_per_server)
+        ClusterView::new(self.total_gpus - self.down_gpus())
+    }
+
+    /// GPUs fenced off on failed servers.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "failed servers are a subset of the cluster's, which number at most its \
+                  `u32` GPU count"
+    )]
+    fn down_gpus(&self) -> u32 {
+        self.down_servers.len() as u32 * self.gpus_per_server
     }
 
     /// Registers an arriving job (memoizing its scaling curve per
@@ -340,6 +360,10 @@ impl Executor {
         // Shrinks first (free capacity), then grows largest-first (less
         // defragmentation churn).
         changes.sort_by(|a, b| (a.2 > a.1).cmp(&(b.2 > b.1)).then(b.2.cmp(&a.2)));
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "at most one change per job, and jobs hold at least one of the `u32` GPUs"
+        )]
         let resized_jobs = changes.len() as u32;
         let mut round_migrations = 0u32;
         let mut round_pause = 0.0f64;
@@ -398,8 +422,13 @@ impl Executor {
                 }
             }
             // Charge migration pauses to relocated bystanders.
-            self.migrations_total += migrated.len() as u32;
-            round_migrations += migrated.len() as u32;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "each migrated job holds at least one of the cluster's `u32` GPUs"
+            )]
+            let moved = migrated.len() as u32;
+            self.migrations_total += moved;
+            round_migrations += moved;
             for owner in migrated {
                 let mid = JobId::new(owner);
                 if mid == id {
@@ -432,7 +461,7 @@ impl Executor {
         // structural cross-check as a `SimObserver` (see `crate::audit`).
         debug_assert_eq!(
             self.cluster.used_gpus(),
-            plan.total_gpus() + self.down_servers.len() as u32 * self.gpus_per_server
+            plan.total_gpus() + self.down_gpus()
         );
         (
             ReplanOutcome {

@@ -57,6 +57,11 @@ mod metrics;
 mod observer;
 mod snapshot;
 
+// The retired lint rules' forms, each `#[expect]`ed at the clippy lint that
+// enforces it now; compiled by clippy only (see `clippy_corpus/mod.rs`).
+#[cfg(clippy)]
+mod clippy_corpus;
+
 #[cfg(feature = "audit")]
 pub use audit::InvariantAuditor;
 pub use config::SimConfig;

@@ -70,7 +70,10 @@ pub struct SimReport {
 
 impl SimReport {
     /// Assembles a report (used by the engine).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the engine hands over each run total it accumulated"
+    )]
     pub(crate) fn new(
         scheduler: String,
         trace: String,
@@ -239,6 +242,10 @@ impl SimReport {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
 

@@ -68,6 +68,10 @@ pub struct MonotonicClock {
 
 impl MonotonicClock {
     /// A monotonic clock with its epoch at construction time.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the telemetry clock is where host time enters a profiled run"
+    )]
     pub fn new() -> Self {
         MonotonicClock {
             origin: Instant::now(),

@@ -279,6 +279,10 @@ impl SimObserver for MetricsCollector {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
     use elasticflow_cluster::ClusterSpec;

@@ -220,6 +220,10 @@ pub fn parse(text: &str) -> Result<Vec<Sample>, String> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
     use crate::registry::MetricsRegistry;

@@ -292,7 +292,7 @@ impl MetricsRegistry {
         if !self.descs.contains_key(name) {
             let buckets = match kind {
                 MetricKind::Histogram => DEFAULT_BUCKETS.to_vec(),
-                _ => Vec::new(),
+                MetricKind::Counter | MetricKind::Gauge => Vec::new(),
             };
             self.descs.insert(
                 name.to_owned(),
@@ -399,7 +399,7 @@ mod reference {
             if !self.descs.contains_key(name) {
                 let buckets = match kind {
                     MetricKind::Histogram => DEFAULT_BUCKETS.to_vec(),
-                    _ => Vec::new(),
+                    MetricKind::Counter | MetricKind::Gauge => Vec::new(),
                 };
                 self.descs.insert(
                     name.to_owned(),
@@ -461,6 +461,10 @@ mod reference {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::reference::ReferenceRegistry;
     use super::*;

@@ -255,6 +255,10 @@ impl JobSpecBuilder {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
 

@@ -84,6 +84,10 @@ impl Extend<JobSpec> for Trace {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "tests pin values the code computes exactly"
+)]
 mod tests {
     use super::*;
     use crate::{JobId, TraceConfig};

@@ -81,7 +81,11 @@ fn main() {
                 );
                 assert_eq!(model, DnnModel::Vgg16, "only the hopeless job is declined");
             }
-            _ => {
+            DecisionRecord::Admit { .. }
+            | DecisionRecord::Resize { .. }
+            | DecisionRecord::Preempt { .. }
+            | DecisionRecord::Migrate { .. }
+            | DecisionRecord::Pause { .. } => {
                 println!("submitted {name:<32} -> job{id} admitted");
                 admitted.push(job.job_spec(&net));
             }

@@ -12,6 +12,11 @@
 //! back to a registry version.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "serde's API implements `Serialize`/`Deserialize` for the std hash collections; \
+              the impls serialize them in sorted order"
+)]
 
 pub use serde_derive::{Deserialize, Serialize};
 

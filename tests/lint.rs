@@ -1,11 +1,12 @@
-//! Workspace gate: `cargo test` fails if any guarantee-soundness lint rule
-//! is violated anywhere in the workspace, unless a justified `allow`
-//! comment covers the site.
+//! Workspace gate: `cargo test` fails if any `elasticflow-lint` rule
+//! (EF-L000, L002, L005, L006, L008) is violated anywhere in the
+//! workspace, unless a justified `allow` comment covers the site.
 //!
-//! The same checks are available interactively as
-//! `cargo run -p elasticflow-lint` (add `--format json|sarif` for the
-//! machine-readable reports). Rules and the suppression syntax are
-//! documented in the `elasticflow_lint` crate docs and in DESIGN.md.
+//! EF-L001, L003, L004 and L007 are clippy lints and fail `cargo clippy`
+//! (the CI checks job and `make clippy`), not this test. The same checks
+//! are available interactively as `cargo run -p elasticflow-lint`. Rules
+//! and the suppression syntax are documented in the `elasticflow_lint`
+//! crate docs and in DESIGN.md §7.1.
 
 use std::fs;
 
