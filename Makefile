@@ -2,9 +2,10 @@
 
 .PHONY: lint fmt clippy test audit doc digests check
 
-# The guarantee-soundness checks clippy cannot make (EF-L000, L002, L005,
-# L006, L008): any finding fails unless a justified `allow` comment covers
-# it. EF-L001, L003, L004 and L007 fail `make clippy` instead.
+# The guarantee-soundness checks the compiler and clippy cannot make
+# (EF-L000, L002, L005, L008, L009): any finding fails unless a justified
+# `allow` comment covers it. EF-L001, L003, L004 and L007 fail `make
+# clippy` instead, and EF-L006 fails `cargo build`.
 lint:
 	cargo run -q -p elasticflow-lint
 

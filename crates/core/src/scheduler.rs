@@ -535,8 +535,17 @@ impl Scheduler for ElasticFlowScheduler {
     }
 
     fn snapshot_state(&self) -> Option<String> {
+        // The pattern names every field, so a new one fails to compile
+        // until it is snapshotted or marked `_` with a reason.
+        let ElasticFlowScheduler {
+            planning_slot_seconds,
+            // Fill workspace: carries no decision state between calls.
+            workspace: _,
+            // Reset on restore; a cold fill decides identically.
+            kept: _,
+        } = self;
         let state = ElasticFlowState {
-            planning_slot_seconds: self.planning_slot_seconds,
+            planning_slot_seconds: *planning_slot_seconds,
         };
         serde_json::to_string(&state).ok()
     }

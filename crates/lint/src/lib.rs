@@ -10,12 +10,10 @@
 //! pass for what clippy cannot see. It gates at `cargo test` time (via the
 //! root `tests/lint.rs`) and on demand (`cargo run -p elasticflow-lint`).
 //!
-//! The pass has two tiers. The token tier ([`lexer`] + [`rules`]) catches
-//! per-line patterns. The structural tier ([`items`] + [`analysis`])
-//! recovers structs, enum variants, impl blocks, and struct literals from
-//! the token stream — no external parser — and checks snapshot coverage
-//! against a committed manifest (EF-L006). Any finding fails the gate; a
-//! justified `allow` comment is the one way to tolerate one.
+//! The pass is a token tier: [`lexer`] strips comments, string contents
+//! and test regions, and [`rules`] matches per-line patterns in what is
+//! left. Any finding fails the gate; a justified `allow` comment is the
+//! one way to tolerate one.
 //!
 //! # Rules
 //!
@@ -24,8 +22,8 @@
 //! | EF-L000 | suppressions must be well-formed, justified, and *used* | all |
 //! | EF-L002 | no exact float `==`/`!=` against a literal where clippy's `float_cmp` is silent | core, cluster, sim, sched, perfmodel |
 //! | EF-L005 | no literal work-epsilon outside its definition site | core |
-//! | EF-L006 | snapshot coverage: persisted engine state must round-trip | sim (via manifest) |
 //! | EF-L008 | no side effects / nondeterminism in parallel closures | all |
+//! | EF-L009 | no `macro_rules!` in decision code | core, cluster, sim, sched |
 //!
 //! EF-L001, EF-L003, EF-L004 and EF-L007 are clippy lints now, and so is
 //! the general case of EF-L002; `crates/sim/src/clippy_corpus` holds one
@@ -33,12 +31,13 @@
 //! `[lints]` tables deny their lints, so `cargo clippy` fails if one of
 //! them ever stops being flagged.
 //!
-//! EF-L006 is cross-file: `crates/lint/snapshot-manifest.json` names the
-//! persisted state structs, their snapshot counterparts, the
-//! capture/restore functions, and the fields deliberately reconstructed on
-//! resume. Any drift between the manifest and the code — a new uncaptured
-//! field, a stale manifest entry, a capture site that skips a field —
-//! fails the lint.
+//! EF-L006 (snapshot coverage) is the compiler's job: every snapshot
+//! capture and restore destructures its struct with an exhaustive pattern,
+//! so a new state field fails to compile (E0027) until it is captured or
+//! marked `_` with a reason, and a snapshot field restore binds but drops
+//! is an unused variable, which every `[lints]` table denies. EF-L009
+//! keeps decision code out of `macro_rules!` bodies, which clippy does not
+//! lint.
 //!
 //! # Suppression
 //!
@@ -62,15 +61,10 @@
 //! examples), and test-only regions (`#[cfg(test)]`, `#[test]`,
 //! `mod tests`) before rules run, so forbidden spellings in prose, test
 //! assertions, or `# Panics` sections never fire. The property tests in
-//! `tests/properties.rs` fuzz exactly this claim, and
-//! `tests/items_properties.rs` pins the structural extractor's round-trip
-//! and totality guarantees.
+//! `tests/properties.rs` fuzz exactly this claim.
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
-pub mod items;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod scan;
@@ -81,9 +75,8 @@ pub mod scan;
 #[path = "../../sim/src/clippy_corpus/workspace.rs"]
 mod clippy_corpus;
 
-pub use analysis::{check_snapshot_coverage, parse_manifest, SnapshotManifest, MANIFEST_PATH};
 pub use rules::{rule_info, RuleInfo, RULES};
-pub use scan::{lint_files, lint_source, lint_workspace, FileAnalysis, LintReport, Violation};
+pub use scan::{lint_files, lint_source, lint_workspace, LintReport, Violation};
 
 use std::path::PathBuf;
 

@@ -80,21 +80,6 @@ pub const RULES: &[RuleInfo] = &[
         crates: &["core"],
     },
     RuleInfo {
-        id: "EF-L006",
-        title: "snapshot coverage: persisted engine state must round-trip",
-        rationale: "A field added to the executor, the event-core cursors, or \
-                    the engine's run state without being wired through \
-                    `SimSnapshot` capture *and* restore resumes as a default \
-                    value, silently diverging a resumed run from the original \
-                    — the exact failure the bit-identical checkpoint \
-                    guarantee exists to prevent.",
-        remedy: "Add the field to the snapshot struct, populate it in the \
-                 capture path, read it back on restore, and list it in \
-                 crates/lint/snapshot-manifest.json — or declare it under \
-                 `reconstructed` there if resume deterministically rebuilds it.",
-        crates: &["sim"],
-    },
-    RuleInfo {
         id: "EF-L008",
         title: "no side effects or nondeterminism in parallel closures",
         rationale: "Closures run under the shims/rayon APIs (`install`, \
@@ -109,6 +94,18 @@ pub const RULES: &[RuleInfo] = &[
                  join; hoist I/O, shared mutation, and entropy outside the \
                  parallel region.",
         crates: &[], // parallel entry points may appear in any crate
+    },
+    RuleInfo {
+        id: "EF-L009",
+        title: "no `macro_rules!` in decision code",
+        rationale: "Clippy does not lint code written inside a local \
+                    `macro_rules!` body, so an `unwrap`, `expect`, `panic!`, \
+                    `todo!` or `unimplemented!` there escapes the decision \
+                    crates' `[lints]` tables and can abort a replan \
+                    mid-decision.",
+        remedy: "Write a function (generic if need be) instead of a macro, \
+                 so the compiler and clippy check its body.",
+        crates: &["core", "cluster", "sim", "sched"],
     },
 ];
 
@@ -135,7 +132,23 @@ pub fn check_tokens(tokens: &[Token], crate_name: &str) -> Vec<RawViolation> {
     if applies("EF-L008") {
         check_l008(tokens, &mut out);
     }
+    if applies("EF-L009") {
+        check_l009(tokens, &mut out);
+    }
     out
+}
+
+/// EF-L009: a `macro_rules!` definition.
+fn check_l009(tokens: &[Token], out: &mut Vec<RawViolation>) {
+    for (i, t) in tokens.iter().enumerate() {
+        if t.is_ident("macro_rules") && tokens.get(i + 1).is_some_and(|n| n.is_punct('!')) {
+            out.push(RawViolation {
+                rule: "EF-L009",
+                line: t.line,
+                message: "`macro_rules!` body escapes clippy's panic lints".to_string(),
+            });
+        }
+    }
 }
 
 /// Index of the `)` matching the `(` at `open`, if any.
@@ -604,6 +617,28 @@ mod tests {
         let src = "fn f() { pool.install(|| v.par_iter().map(|x| println!(\"{x}\")).collect()); }";
         let v = run(src, "bench");
         assert_eq!(rules_of(&v), vec!["EF-L008"], "{v:?}");
+    }
+
+    #[test]
+    fn l009_flags_macro_rules_in_decision_crates() {
+        let src = "fn f() {}\nmacro_rules! pick {\n    ($x:expr) => { $x.unwrap() };\n}";
+        for crate_name in ["core", "cluster", "sim", "sched"] {
+            let v = run(src, crate_name);
+            assert_eq!(rules_of(&v), vec!["EF-L009"], "{crate_name}");
+            assert_eq!(v[0].line, 2);
+        }
+        assert!(run(src, "serve").is_empty(), "serve is out of scope");
+    }
+
+    #[test]
+    fn l009_ignores_test_regions_and_string_literals() {
+        for src in [
+            "#[cfg(test)]\nmod tests {\n    macro_rules! case { () => {} }\n}",
+            "fn f() -> &'static str { \"macro_rules! pick { () => {} }\" }",
+            "// macro_rules! pick { () => {} }\nfn f() {}",
+        ] {
+            assert!(run(src, "core").is_empty(), "false positive: {src}");
+        }
     }
 
     #[test]

@@ -2,21 +2,17 @@
 //!
 //! Linting is a two-pass pipeline:
 //!
-//! 1. **Analyze** every in-scope file once: lex, strip test regions,
-//!    extract structural items ([`FileAnalysis`]).
-//! 2. **Check**: per-file token and structural rules, then the cross-file
-//!    snapshot-coverage analysis ([`crate::analysis`]), then suppression
-//!    resolution over the combined violation list — which is also where
-//!    *unused* `allow(...)` directives are detected and reported under
-//!    EF-L000 (a suppression that silences nothing is stale documentation
-//!    at best and a hidden hole at worst).
+//! 1. **Analyze** every in-scope file once: lex and strip test regions.
+//! 2. **Check**: per-file token rules, then suppression resolution over
+//!    the combined violation list — which is also where *unused*
+//!    `allow(...)` directives are detected and reported under EF-L000 (a
+//!    suppression that silences nothing is stale documentation at best
+//!    and a hidden hole at worst).
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::analysis;
-use crate::items::{extract, FileItems};
 use crate::lexer::{lex, strip_test_regions, AllowDirective, LexedFile, Token};
 use crate::rules::{check_tokens, rule_info, META_RULE};
 
@@ -53,31 +49,27 @@ impl LintReport {
 
 /// Everything pass 1 computes for one source file.
 #[derive(Debug, Clone)]
-pub struct FileAnalysis {
+struct FileAnalysis {
     /// The crate the file belongs to (directory name under `crates/`).
-    pub crate_name: String,
+    crate_name: String,
     /// Workspace-relative path, `/`-separated.
-    pub file: String,
+    file: String,
     /// Raw lexer output (tokens incl. test regions, allow directives).
-    pub lexed: LexedFile,
+    lexed: LexedFile,
     /// Token stream with test-only regions removed; rules run on this.
-    pub stripped: Vec<Token>,
-    /// Structural items extracted from `stripped`.
-    pub items: FileItems,
+    stripped: Vec<Token>,
 }
 
 impl FileAnalysis {
     /// Runs pass 1 on one source string.
-    pub fn new(crate_name: &str, file: &str, src: &str) -> Self {
+    fn new(crate_name: &str, file: &str, src: &str) -> Self {
         let lexed = lex(src);
         let stripped = strip_test_regions(&lexed.tokens);
-        let items = extract(&stripped);
         FileAnalysis {
             crate_name: crate_name.to_string(),
             file: file.to_string(),
             lexed,
             stripped,
-            items,
         }
     }
 }
@@ -87,10 +79,6 @@ impl FileAnalysis {
 /// Scanned: `crates/*/src/**/*.rs` and the facade's `src/**/*.rs`. The
 /// vendored dependency shims (`shims/`), tests, benches, and examples are
 /// out of scope — rules gate the guarantee-critical product code only.
-///
-/// The snapshot manifest (`crates/lint/snapshot-manifest.json`) is loaded
-/// from `root`; a missing or unparseable manifest is itself an EF-L006
-/// finding — the coverage rule must fail loudly, never silently disable.
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
     let mut files: Vec<(String, PathBuf)> = Vec::new();
     let crates_dir = root.join("crates");
@@ -119,53 +107,28 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
             .replace('\\', "/");
         analyses.push(FileAnalysis::new(&crate_name, &rel, &src));
     }
-    let manifest = fs::read_to_string(root.join(analysis::MANIFEST_PATH)).ok();
-    let mut report = lint_analyses(&analyses, manifest.as_deref());
-    if manifest.is_none() && !analyses.is_empty() {
-        report.violations.push(Violation {
-            rule: analysis::SNAPSHOT_RULE.to_string(),
-            file: analysis::MANIFEST_PATH.to_string(),
-            line: 1,
-            message: "snapshot manifest is missing — the coverage rule cannot \
-                      run; restore the manifest or regenerate it per DESIGN.md §7"
-                .to_string(),
-        });
-        sort_violations(&mut report.violations);
-    }
-    Ok(report)
+    Ok(lint_analyses(&analyses))
 }
 
-/// Lints a set of in-memory sources `(crate_name, rel_path, src)` with an
-/// optional snapshot manifest. This is the full pipeline — used by the
-/// workspace scan above and by tests that need cross-file analysis over
-/// doctored fixtures.
-pub fn lint_files(files: &[(&str, &str, &str)], manifest: Option<&str>) -> LintReport {
+/// Lints a set of in-memory sources `(crate_name, rel_path, src)`. This is
+/// the full pipeline — the workspace scan above runs it on files read
+/// from disk.
+pub fn lint_files(files: &[(&str, &str, &str)]) -> LintReport {
     let analyses: Vec<FileAnalysis> = files
         .iter()
         .map(|(c, f, s)| FileAnalysis::new(c, f, s))
         .collect();
-    lint_analyses(&analyses, manifest)
+    lint_analyses(&analyses)
 }
 
 /// Lints a single source string as though it lived in `crate_name`.
-/// Exposed for the rule/property tests. Cross-file analysis (EF-L006) does
-/// not run — there is no manifest.
+/// Exposed for the rule/property tests.
 pub fn lint_source(src: &str, crate_name: &str, file: &str) -> Vec<Violation> {
-    lint_files(&[(crate_name, file, src)], None).violations
+    lint_files(&[(crate_name, file, src)]).violations
 }
 
-fn sort_violations(violations: &mut [Violation]) {
-    violations.sort_by(|a, b| {
-        a.file
-            .cmp(&b.file)
-            .then(a.line.cmp(&b.line))
-            .then(a.rule.cmp(&b.rule))
-            .then(a.message.cmp(&b.message))
-    });
-}
-
-/// Pass 2: rules, cross-file analysis, suppression resolution.
-fn lint_analyses(analyses: &[FileAnalysis], manifest: Option<&str>) -> LintReport {
+/// Pass 2: rules, then suppression resolution.
+fn lint_analyses(analyses: &[FileAnalysis]) -> LintReport {
     let mut report = LintReport {
         files_scanned: analyses.len(),
         ..LintReport::default()
@@ -204,19 +167,6 @@ fn lint_analyses(analyses: &[FileAnalysis], manifest: Option<&str>) -> LintRepor
         }));
     }
 
-    // Cross-file snapshot coverage (EF-L006), manifest-driven.
-    if let Some(src) = manifest {
-        match analysis::parse_manifest(src) {
-            Ok(m) => all.extend(analysis::check_snapshot_coverage(&m, analyses)),
-            Err(e) => all.push(Violation {
-                rule: analysis::SNAPSHOT_RULE.to_string(),
-                file: analysis::MANIFEST_PATH.to_string(),
-                line: 1,
-                message: format!("snapshot manifest unreadable: {e}"),
-            }),
-        }
-    }
-
     // Suppression resolution over the combined list. Each well-formed
     // allow suppresses matching violations on its target line; an allow
     // of a *known* rule that suppresses nothing is reported (EF-L000) so
@@ -249,7 +199,13 @@ fn lint_analyses(analyses: &[FileAnalysis], manifest: Option<&str>) -> LintRepor
         }
     }
 
-    sort_violations(&mut all);
+    all.sort_by(|a, b| {
+        a.file
+            .cmp(&b.file)
+            .then(a.line.cmp(&b.line))
+            .then(a.rule.cmp(&b.rule))
+            .then(a.message.cmp(&b.message))
+    });
     report.violations = all;
     report
 }
@@ -324,7 +280,7 @@ mod tests {
     fn used_allow_is_not_reported_as_unused() {
         let src =
             "fn f() {\n    // elasticflow-lint: allow(EF-L002): invariant holds\n    a == 0.0;\n}";
-        let report = lint_files(&[("core", "x.rs", src)], None);
+        let report = lint_files(&[("core", "x.rs", src)]);
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!(report.allows_used, 1);
     }
@@ -369,33 +325,17 @@ mod tests {
     }
 
     #[test]
-    fn bad_manifest_is_an_ef_l006_finding() {
-        let report = lint_files(
-            &[("sim", "crates/sim/src/x.rs", "fn f() {}")],
-            Some("not json"),
-        );
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, "EF-L006");
-        assert_eq!(report.violations[0].file, analysis::MANIFEST_PATH);
-    }
-
-    #[test]
-    fn allow_suppresses_cross_file_finding() {
-        // A struct field missing from capture, with a justified allow on
-        // the field's line: EF-L006 is silenced, and the allow counts as
-        // used (not unused).
-        let manifest = r#"{
-          "schema_version": 1,
-          "states": [{
-            "owner": "S", "file": "crates/sim/src/s.rs",
-            "snapshot": "SSnap", "snapshot_file": "crates/sim/src/s.rs",
-            "capture_fn": "capture", "restore_fn": "restore",
-            "reconstructed": []
-          }]
-        }"#;
-        let src = "pub struct S {\n    a: u32,\n    // elasticflow-lint: allow(EF-L006): transient scratch, never persisted\n    b: u32,\n}\npub struct SSnap { a: u32 }\nimpl S {\n    fn capture(&self) -> SSnap { SSnap { a: self.a } }\n    fn restore(&mut self, snap: &SSnap) { self.a = snap.a; }\n}\n";
-        let report = lint_files(&[("sim", "crates/sim/src/s.rs", src)], Some(manifest));
-        assert!(report.is_clean(), "{:?}", report.violations);
-        assert_eq!(report.allows_used, 1);
+    fn allow_of_ef_l006_is_an_unknown_rule() {
+        // Snapshot coverage is a compiler check now (exhaustive patterns in
+        // every capture and restore), so an EF-L006 allow on a state field
+        // names no rule the lint knows.
+        let src = "pub struct S {\n    a: u32,\n    \
+                   // elasticflow-lint: allow(EF-L006): transient scratch, never persisted\n    \
+                   b: u32,\n}\n";
+        let v = lint_source(src, "sim", "crates/sim/src/s.rs");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "EF-L000");
+        assert_eq!(v[0].line, 3);
+        assert!(v[0].message.contains("unknown rule `EF-L006`"), "{v:?}");
     }
 }

@@ -1,7 +1,6 @@
 //! The lint binary's exit contract: 0 when the report is clean, 1 on any
 //! finding, 2 on a usage or I/O error. Each case runs the built binary
-//! with `--root` on a throwaway workspace holding one core source file
-//! and an empty snapshot manifest.
+//! with `--root` on a throwaway workspace holding one core source file.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -23,13 +22,7 @@ fn empty_root() -> PathBuf {
 fn root_with_core_source(src: &str) -> PathBuf {
     let root = empty_root();
     fs::create_dir_all(root.join("crates/core/src")).expect("create core src");
-    fs::create_dir_all(root.join("crates/lint")).expect("create lint dir");
     fs::write(root.join("crates/core/src/lib.rs"), src).expect("write core source");
-    fs::write(
-        root.join("crates/lint/snapshot-manifest.json"),
-        r#"{"schema_version": 1, "states": []}"#,
-    )
-    .expect("write manifest");
     root
 }
 
@@ -94,4 +87,20 @@ fn retired_flags_are_usage_errors() {
         let out = run(&root_with_core_source(CLEAN), flags);
         assert_eq!(out.status.code(), Some(2), "{flags:?}: {out:?}");
     }
+}
+
+#[test]
+fn rules_lists_the_registry() {
+    let out = run(&empty_root(), &["--rules"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let ids: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split(" — ").next().filter(|id| id.starts_with("EF-L")))
+        .collect();
+    assert_eq!(
+        ids,
+        ["EF-L000", "EF-L002", "EF-L005", "EF-L008", "EF-L009"],
+        "{stdout}"
+    );
 }

@@ -18,6 +18,7 @@ fn violating_fragments() -> Vec<(&'static str, &'static str)> {
         ("d + 1e-9", "EF-L005"),
         ("pool.install(|| println!(\"tick\"))", "EF-L008"),
         ("v.par_iter().map(|x| HashMap::new()).count()", "EF-L008"),
+        ("{ macro_rules! m { () => { 1 }; } m!() }", "EF-L009"),
     ]
 }
 
@@ -187,7 +188,7 @@ proptest! {
         (frag, rule) in fragment(),
         why in justification(),
     ) {
-        let other = ["EF-L002", "EF-L005", "EF-L008"]
+        let other = ["EF-L002", "EF-L005", "EF-L008", "EF-L009"]
             .iter()
             .find(|r| **r != rule)
             .copied()

@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::Write;
 
-use elasticflow_persist::{FsyncPolicy, PersistError, RecordLog, PERSIST_VERSION};
+use elasticflow_persist::{FsyncPolicy, PersistError, RecordLog};
 use elasticflow_sched::{DecisionRecord, DeclineReason};
 use elasticflow_telemetry::{Clock, DECISION_LATENCY};
 
@@ -202,26 +202,34 @@ impl Daemon {
                 }
                 let (seq, gateway, covered, entries) = match latest.valid {
                     Some((seq, snap)) => {
-                        if snap.config != config.gateway {
+                        // The pattern names every snapshot field, so a new
+                        // one fails to compile until resume reads it.
+                        let GatewaySnapshot {
+                            // Validated by the snapshot store's decode.
+                            version: _,
+                            wal_records,
+                            journal_entries,
+                            config: stored,
+                            origin_slot,
+                            stats,
+                            jobs,
+                        } = snap;
+                        if stored != config.gateway {
                             return Err(ServeError::ConfigMismatch {
-                                stored: snap.config,
+                                stored,
                                 requested: config.gateway,
                             });
                         }
-                        if snap.wal_records > log.len() as u64 {
+                        if wal_records > log.len() as u64 {
                             return Err(ServeError::Persist(PersistError::Corrupt(format!(
-                                "snapshot {seq} covers {} WAL records but only {} survive on disk",
-                                snap.wal_records,
+                                "snapshot {seq} covers {wal_records} WAL records but only {} \
+                                 survive on disk",
                                 log.len()
                             ))));
                         }
-                        let gateway = Gateway::from_snapshot(
-                            config.gateway,
-                            snap.origin_slot,
-                            &snap.jobs,
-                            snap.stats,
-                        );
-                        (Some(seq), gateway, snap.wal_records, snap.journal_entries)
+                        let gateway =
+                            Gateway::from_snapshot(config.gateway, origin_slot, &jobs, stats);
+                        (Some(seq), gateway, wal_records, journal_entries)
                     }
                     None => (None, Gateway::new(config.gateway), 0, 0),
                 };
@@ -563,16 +571,9 @@ impl Daemon {
     /// sequence; returns its sequence number.
     pub fn snapshot_now(&mut self) -> Result<u64, PersistError> {
         self.journal.flush()?;
-        let (origin_slot, jobs) = self.gateway.snapshot_jobs();
-        let snap = GatewaySnapshot {
-            version: PERSIST_VERSION,
-            wal_records: self.wal.records(),
-            journal_entries: self.journal_entries,
-            config: self.config.gateway,
-            origin_slot,
-            stats: self.gateway.stats(),
-            jobs,
-        };
+        let snap = self
+            .gateway
+            .snapshot(self.wal.records(), self.journal_entries);
         self.dir.write_next_snapshot(&snap)
     }
 }

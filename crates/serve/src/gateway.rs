@@ -13,11 +13,13 @@ use std::collections::BTreeMap;
 use elasticflow_cluster::ClusterSpec;
 use elasticflow_core::{AdmissionSet, FillCounters, FillScratch, PlanningJob, SlotGrid};
 use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
+use elasticflow_persist::PERSIST_VERSION;
 use elasticflow_sched::DecisionRecord;
 use elasticflow_trace::JobId;
 use serde::{Deserialize, Serialize};
 
 use crate::proto::JobSubmission;
+use crate::store::GatewaySnapshot;
 
 /// Static configuration of a gateway instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -200,22 +202,51 @@ impl Gateway {
         self.set.booked_fraction(horizon_slots)
     }
 
+    /// The snapshot of this gateway's state, covering `wal_records` WAL
+    /// records and `journal_entries` journal entries. The pattern names
+    /// every field, so a new one fails to compile until it is captured or
+    /// marked `_` with the reason [`Gateway::from_snapshot`] rebuilds it.
+    pub(crate) fn snapshot(&self, wal_records: u64, journal_entries: u64) -> GatewaySnapshot {
+        let Gateway {
+            config,
+            // Built from the configuration's cluster shape.
+            net: _,
+            // A memo of pure functions of (model, batch), refilled on demand.
+            curves: _,
+            // Built from the configuration's slot length.
+            grid: _,
+            origin_slot,
+            set,
+            stats,
+            // Fill workspace: carries no decision state between calls.
+            scratch: _,
+        } = self;
+        GatewaySnapshot {
+            version: PERSIST_VERSION,
+            wal_records,
+            journal_entries,
+            config: *config,
+            origin_slot: *origin_slot,
+            stats: *stats,
+            jobs: set
+                .jobs()
+                .iter()
+                .map(|j| SnapshotJob {
+                    id: j.id.raw(),
+                    model: j.curve.model(),
+                    global_batch: j.curve.global_batch(),
+                    remaining_iterations: j.remaining_iterations,
+                    deadline_slot: j.deadline_slot as u64,
+                })
+                .collect(),
+        }
+    }
+
     /// Snapshot state: origin slot plus every committed job with its
     /// origin-relative window, in fill order.
     pub fn snapshot_jobs(&self) -> (u64, Vec<SnapshotJob>) {
-        let snap = self
-            .set
-            .jobs()
-            .iter()
-            .map(|j| SnapshotJob {
-                id: j.id.raw(),
-                model: j.curve.model(),
-                global_batch: j.curve.global_batch(),
-                remaining_iterations: j.remaining_iterations,
-                deadline_slot: j.deadline_slot as u64,
-            })
-            .collect();
-        (self.origin_slot, snap)
+        let snap = self.snapshot(0, 0);
+        (snap.origin_slot, snap.jobs)
     }
 
     /// The scaling curve for `(model, global_batch)` on this cluster

@@ -2,8 +2,9 @@
 //! `#[expect]`ed at the clippy lint that now enforces it.
 //!
 //! EF-L001, EF-L003, EF-L004 and EF-L007 (and EF-L002's general case) used
-//! to be token checks in `elasticflow-lint`; they are clippy lints now,
-//! set in each crate's `[lints]` table and in the root `clippy.toml`. This
+//! to be token checks in `elasticflow-lint`, and EF-L006 a cross-file
+//! snapshot-coverage check; they are compiler and clippy lints now, set in
+//! each crate's `[lints]` table and in the root `clippy.toml`. This
 //! module holds every form those rules' tests flagged. Each item's
 //! `#[expect(…, reason = "EF-L00N: <form>")]` is denied by
 //! `unfulfilled_lint_expectations` once clippy stops flagging the form

@@ -147,6 +147,25 @@ fn hash_set() -> usize {
     std::collections::HashSet::<u32>::new().len()
 }
 
+// EF-L006: snapshot restore paths destructure every field by name, so a
+// field bound and then dropped is an unused variable.
+
+const _: () = denied(&["unused_variables"]);
+
+struct Snapshot {
+    kept: u32,
+    dropped: u32,
+}
+
+#[expect(
+    unused_variables,
+    reason = "EF-L006: restore binds a snapshot field and drops it"
+)]
+fn restore_drops_a_field(snap: Snapshot) -> u32 {
+    let Snapshot { kept, dropped } = snap;
+    kept
+}
+
 // EF-L007: catch-all arms that swallow variants added later.
 
 const _: () = denied(&[

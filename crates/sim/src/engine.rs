@@ -285,42 +285,58 @@ impl Simulation {
         // for fingerprinting the trace and run context.
         let mut fingerprints: Option<(u64, u64)> = None;
 
-        if let Some(snap) = resume {
-            if snap.version != SIM_SNAPSHOT_VERSION {
+        // The pattern names every snapshot field, so a new one fails to
+        // compile until resume reads it, and one bound but left unapplied
+        // is a denied unused variable.
+        if let Some(SimSnapshot {
+            version,
+            now: cut_now,
+            round: cut_round,
+            scheduler_name,
+            scheduler_state,
+            trace_name,
+            trace_fingerprint,
+            context_fingerprint,
+            executor,
+            event_core,
+            timeline,
+        }) = resume
+        {
+            if *version != SIM_SNAPSHOT_VERSION {
                 return Err(ResumeError::UnknownVersion {
-                    found: snap.version,
+                    found: *version,
                     supported: SIM_SNAPSHOT_VERSION,
                 });
             }
-            if snap.scheduler_name != scheduler.name() {
+            if scheduler_name != scheduler.name() {
                 return Err(ResumeError::SchedulerMismatch {
-                    snapshot: snap.scheduler_name.clone(),
+                    snapshot: scheduler_name.clone(),
                     actual: scheduler.name().to_owned(),
                 });
             }
-            if snap.trace_name != trace.name() {
+            if trace_name != trace.name() {
                 return Err(ResumeError::TraceMismatch { what: "name" });
             }
             let fp = (fingerprint_json(trace), self.context_fingerprint());
-            if snap.trace_fingerprint != fp.0 {
+            if *trace_fingerprint != fp.0 {
                 return Err(ResumeError::TraceMismatch {
                     what: "fingerprint",
                 });
             }
-            if snap.context_fingerprint != fp.1 {
+            if *context_fingerprint != fp.1 {
                 return Err(ResumeError::ContextMismatch);
             }
             fingerprints = Some(fp);
-            core.restore(&snap.event_core)?;
-            exec.restore(snap.executor.clone());
-            collector = TimelineCollector::from_timeline(snap.timeline.clone());
-            if let Some(state) = &snap.scheduler_state {
+            core.restore(event_core)?;
+            exec.restore(executor.clone());
+            collector = TimelineCollector::from_timeline(timeline.clone());
+            if let Some(state) = scheduler_state {
                 scheduler
                     .restore_state(state)
                     .map_err(ResumeError::SchedulerState)?;
             }
-            now = snap.now;
-            round = snap.round;
+            now = *cut_now;
+            round = *cut_round;
         }
 
         let mut driver = SchedulerDriver::new(scheduler);

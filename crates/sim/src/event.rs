@@ -223,35 +223,53 @@ impl<'t> EventCore<'t> {
     }
 
     /// Captures the cursor positions; the streams themselves are rebuilt
-    /// from the trace and failure schedule on resume.
+    /// from the trace and failure schedule on resume. The pattern names
+    /// every field, so a new one fails to compile until it is captured or
+    /// marked `_` with the reason resume rebuilds it.
     pub(crate) fn capture(&self) -> EventCoreSnapshot {
+        let EventCore {
+            // Rebuilt from the trace, which resume fingerprints.
+            arrivals: _,
+            next_arrival,
+            // Rebuilt from the failure schedule in the validated config.
+            transitions: _,
+            next_transition,
+            // Taken from the run config, which resume validates.
+            slot_seconds: _,
+            // Read off the trace, which resume fingerprints.
+            last_arrival: _,
+            // Taken from the run config, which resume validates.
+            horizon_after_last_arrival: _,
+        } = self;
         EventCoreSnapshot {
-            next_arrival: self.next_arrival,
-            next_transition: self.next_transition,
+            next_arrival: *next_arrival,
+            next_transition: *next_transition,
         }
     }
 
     /// Restores captured cursor positions, validating them against the
-    /// freshly rebuilt streams.
+    /// freshly rebuilt streams. Each cursor is bound by name and used only
+    /// by its assignment, so one left unapplied is a denied unused
+    /// variable.
     pub(crate) fn restore(&mut self, snap: &EventCoreSnapshot) -> Result<(), ResumeError> {
-        if snap.next_arrival > self.arrivals.len() {
-            return Err(ResumeError::CursorOutOfRange {
-                cursor: "arrival",
-                value: snap.next_arrival,
-                len: self.arrivals.len(),
-            });
-        }
-        if snap.next_transition > self.transitions.len() {
-            return Err(ResumeError::CursorOutOfRange {
-                cursor: "transition",
-                value: snap.next_transition,
-                len: self.transitions.len(),
-            });
-        }
-        self.next_arrival = snap.next_arrival;
-        self.next_transition = snap.next_transition;
+        let EventCoreSnapshot {
+            next_arrival,
+            next_transition,
+        } = *snap;
+        let arrival = checked_cursor("arrival", next_arrival, self.arrivals.len())?;
+        let transition = checked_cursor("transition", next_transition, self.transitions.len())?;
+        self.next_arrival = arrival;
+        self.next_transition = transition;
         Ok(())
     }
+}
+
+/// `value` when it is a valid cursor into a stream of `len` events.
+fn checked_cursor(cursor: &'static str, value: usize, len: usize) -> Result<usize, ResumeError> {
+    if value > len {
+        return Err(ResumeError::CursorOutOfRange { cursor, value, len });
+    }
+    Ok(value)
 }
 
 #[cfg(test)]

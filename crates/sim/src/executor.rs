@@ -475,21 +475,39 @@ impl Executor {
     }
 
     /// Captures the executor's full mutable state for a checkpoint. The
-    /// scaling-curve memo, interconnect, and overhead model are omitted:
-    /// they are pure functions of the run's inputs and are rebuilt
-    /// identically on demand after a restore.
+    /// pattern names every field, so a new one fails to compile until it
+    /// is captured or marked `_` with the reason resume rebuilds it.
     pub(crate) fn capture(&self) -> ExecutorSnapshot {
+        let Executor {
+            cluster,
+            jobs,
+            stats,
+            // A memo of pure functions of (model, batch), refilled on demand.
+            curves: _,
+            // Built from the cluster spec, which resume validates.
+            net: _,
+            // Taken from the run config, which resume validates.
+            overheads: _,
+            // Read off the freshly built cluster's topology.
+            total_gpus: _,
+            // Read off the freshly built cluster's topology.
+            gpus_per_server: _,
+            down_servers,
+            migrations_total,
+            total_pause,
+            submitted,
+            admitted,
+        } = self;
         ExecutorSnapshot {
-            cluster: self.cluster.clone(),
-            jobs: self.jobs.clone(),
+            cluster: cluster.clone(),
+            jobs: jobs.clone(),
             // The arena has one materialized slot per arrived job, so
             // walking the job table (ascending by id) reproduces the
             // historical map's key set and order exactly.
-            stats: self
-                .jobs
+            stats: jobs
                 .iter()
                 .map(|j| {
-                    let st = self.stats.get(j.id());
+                    let st = stats.get(j.id());
                     (
                         j.id(),
                         JobStatsSnapshot {
@@ -499,33 +517,45 @@ impl Executor {
                     )
                 })
                 .collect(),
-            down_servers: self.down_servers.clone(),
-            migrations_total: self.migrations_total,
-            total_pause: self.total_pause,
-            submitted: self.submitted,
-            admitted: self.admitted,
+            down_servers: down_servers.clone(),
+            migrations_total: *migrations_total,
+            total_pause: *total_pause,
+            submitted: *submitted,
+            admitted: *admitted,
         }
     }
 
     /// Replaces the executor's mutable state with a captured snapshot.
-    /// The curve memo is left empty — future arrivals repopulate it with
-    /// bit-identical curves (deterministic construction), and restored
-    /// jobs already carry their own curve copies.
+    /// Every snapshot field is bound by name, so one left unapplied is a
+    /// denied unused variable. The curve memo is left empty — future
+    /// arrivals repopulate it with bit-identical curves (deterministic
+    /// construction), and restored jobs already carry their own curve
+    /// copies.
     pub(crate) fn restore(&mut self, snap: ExecutorSnapshot) {
-        self.cluster = snap.cluster;
-        self.jobs = snap.jobs;
+        let ExecutorSnapshot {
+            cluster,
+            jobs,
+            stats,
+            down_servers,
+            migrations_total,
+            total_pause,
+            submitted,
+            admitted,
+        } = snap;
+        self.cluster = cluster;
+        self.jobs = jobs;
         self.stats.clear();
-        for (id, st) in snap.stats {
+        for (id, st) in stats {
             *self.stats.slot_mut(id) = JobStats {
                 paused_seconds: st.paused_seconds,
                 scale_events: st.scale_events,
             };
         }
-        self.down_servers = snap.down_servers;
-        self.migrations_total = snap.migrations_total;
-        self.total_pause = snap.total_pause;
-        self.submitted = snap.submitted;
-        self.admitted = snap.admitted;
+        self.down_servers = down_servers;
+        self.migrations_total = migrations_total;
+        self.total_pause = total_pause;
+        self.submitted = submitted;
+        self.admitted = admitted;
         self.curves.clear();
     }
 
