@@ -1,11 +1,12 @@
 # Developer shortcuts; CI (.github/workflows/ci.yml) runs the same steps.
 
-.PHONY: lint fmt clippy test audit doc digests check
+.PHONY: lint fmt clippy test doc digests check
 
 # The guarantee-soundness checks the compiler and clippy cannot make
 # (EF-L000, L002, L005, L008, L009): any finding fails unless a justified
 # `allow` comment covers it. EF-L001, L003, L004 and L007 fail `make
-# clippy` instead, and EF-L006 fails `cargo build`.
+# clippy` instead, and EF-L006 fails `cargo build`. `make test` runs
+# these checks too (tests/lint.rs); this target is for interactive use.
 lint:
 	cargo run -q -p elasticflow-lint
 
@@ -14,15 +15,10 @@ fmt:
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
-	cargo clippy --workspace --all-targets --features audit -- -D warnings
 
+# A debug build, so every simulation runs under both invariant auditors.
 test:
 	cargo test --workspace -q
-
-# Full-simulation runs under the runtime invariant auditor.
-audit:
-	cargo test --features audit -q
-	cargo test -q --features audit -p elasticflow-bench --test mega_cluster
 
 # API docs with warnings promoted to errors (same gate as CI).
 doc:
@@ -54,4 +50,4 @@ digests:
 	    --workload "$$w" --seed 0 --seconds 1 --trace 1 || exit 1; \
 	done
 
-check: fmt clippy lint test audit doc digests
+check: fmt clippy test doc digests

@@ -18,9 +18,9 @@
 //!
 //! Two gates run ElasticFlow on the same generator with 15,000
 //! arrivals. The one on the smoke's 1,024 GPUs is not ignored, so every
-//! `cargo test` (debug, with the planner's recompute-and-assert checks
-//! on) and every `cargo test --features audit` (with `check_plan` on
-//! every plan) drives Algorithms 1 and 2 at 1,024 GPUs. The one on the
+//! debug `cargo test` drives Algorithms 1 and 2 at 1,024 GPUs with the
+//! planner's recompute-and-assert checks and both invariant auditors
+//! (`check_plan` on every plan) on. The one on the
 //! paper-scale cluster (16,384 GPUs, where Algorithm 2 is most of the
 //! planning time) is `#[ignore]`d and needs a release build (a few
 //! seconds); CI's release mega step runs it:

@@ -1,18 +1,18 @@
 //! Guarantee-level invariant audit for the ElasticFlow planner.
 //!
-//! Compiled only with the default-off `audit` cargo feature. After every
-//! replan the planner's outputs are checked against the paper's soundness
-//! conditions (§4.1–§4.2): reserved GPU-time never exceeds capacity, every
-//! feasible SLO job's reserved profile still completes its remaining work
-//! by its deadline, and the emitted plan never hands a guaranteed job
-//! fewer slot-0 GPUs than its reserved profile. A violation aborts with a
+//! Runs in every debug build; release builds compile the call away. After
+//! every replan the planner's outputs are checked against the paper's
+//! soundness conditions (§4.1–§4.2): reserved GPU-time never exceeds
+//! capacity, every feasible SLO job's reserved profile still completes
+//! its remaining work by its deadline, and the emitted plan never hands a
+//! guaranteed job fewer slot-0 GPUs than its reserved profile. A violation aborts with a
 //! structured diagnostic — a scheduler that breaks its own reservation
 //! math must not keep running quietly.
 //!
 //! The structural cluster-side invariants (capacity conservation,
 //! buddy-aligned power-of-two placements) are audited by
-//! `elasticflow_sim::audit`, which sees the allocator; this module audits
-//! the planning layer, which owns the deadline guarantee.
+//! `elasticflow-sim`'s `audit` module, which sees the allocator; this
+//! module audits the planning layer, which owns the deadline guarantee.
 
 use elasticflow_sched::SchedulePlan;
 
@@ -37,7 +37,7 @@ fn audit_fail(invariant: &str, detail: &str) -> ! {
 /// Audits one replan's outputs: the feasible jobs with their
 /// index-aligned reserved profiles (lapsed jobs hold no reservation and
 /// are served best-effort). Called at the end of
-/// [`crate::ElasticFlowScheduler`]'s `plan` when the `audit` feature is on.
+/// [`crate::ElasticFlowScheduler`]'s `plan` in debug builds.
 pub(crate) fn check_plan(
     feasible: &[PlanningJob],
     profiles: &[AllocationProfile],

@@ -43,7 +43,6 @@
 
 mod admission;
 mod alloc;
-#[cfg(feature = "audit")]
 mod audit;
 mod filling;
 pub mod mss;

@@ -518,16 +518,15 @@ impl Scheduler for ElasticFlowScheduler {
             .filter(|&(_, &gpus)| gpus > 0)
             .map(|(&id, &gpus)| (id, gpus))
             .collect();
-        // Always-on fast path; the `audit` feature adds the full
-        // reservation-soundness check of the guarantee invariants. This
-        // check stays at plan time (it needs planner internals — profiles,
-        // the reservation ledger — that never leave this function); the
+        // The reservation-soundness audit, checked on every debug run. It
+        // stays at plan time because it needs planner internals (profiles,
+        // the reservation ledger) that never leave this function; the
         // *structural* cluster audit runs downstream in the simulator's
         // observer chain (`elasticflow-sim`'s `InvariantAuditor`, a
         // `SimObserver` hooked on every replan).
-        debug_assert!(plan.total_gpus() <= view.total_gpus);
-        #[cfg(feature = "audit")]
-        crate::audit::check_plan(feasible, profiles, ledger, &plan, &grid, view.total_gpus);
+        if cfg!(debug_assertions) {
+            crate::audit::check_plan(feasible, profiles, ledger, &plan, &grid, view.total_gpus);
+        }
         set.recycle(ws);
         round.clear();
         ws.round = round;

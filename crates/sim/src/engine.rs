@@ -10,8 +10,8 @@
 //! * [`crate::driver`] — the scheduler driver: mediates [`Scheduler`]
 //!   trait calls and validates every plan;
 //! * [`crate::observer`] — pluggable [`SimObserver`]s: the timeline
-//!   collector (always on, feeds the report), the `--features audit`
-//!   invariant auditor, and any user-attached observers.
+//!   collector (always on, feeds the report), the invariant auditor
+//!   (every debug build), and any user-attached observers.
 //!
 //! Replay is deterministic by construction: the loop body is a fixed
 //! sequence of layer calls, observers are read-only, and every container
@@ -147,9 +147,9 @@ impl Simulation {
     /// Like [`Simulation::run`], with [`SimObserver`]s attached.
     ///
     /// Observers are read-only and cannot perturb the replay: the returned
-    /// report is byte-identical whatever combination is attached. With the
-    /// `audit` cargo feature enabled, the structural `InvariantAuditor`
-    /// (see `crate::audit`) is always attached in addition to `observers`.
+    /// report is byte-identical whatever combination is attached. Debug
+    /// builds also attach the structural `InvariantAuditor` (see
+    /// `crate::audit`) ahead of `observers`.
     ///
     /// # Panics
     ///
@@ -341,13 +341,13 @@ impl Simulation {
 
         let mut driver = SchedulerDriver::new(scheduler);
 
-        // The rest of the observer chain: the auditor when compiled in,
+        // The rest of the observer chain: the auditor in debug builds,
         // then the caller's observers.
-        #[cfg(feature = "audit")]
         let mut auditor = crate::audit::InvariantAuditor;
         let mut chain: Vec<&mut dyn SimObserver> = Vec::with_capacity(observers.len() + 1);
-        #[cfg(feature = "audit")]
-        chain.push(&mut auditor);
+        if cfg!(debug_assertions) {
+            chain.push(&mut auditor);
+        }
         for obs in observers.iter_mut() {
             chain.push(&mut **obs);
         }

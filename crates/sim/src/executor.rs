@@ -457,8 +457,8 @@ impl Executor {
                 }
             }
         }
-        // Always-on fast path; the `audit` feature attaches the full
-        // structural cross-check as a `SimObserver` (see `crate::audit`).
+        // Cheap check here; debug builds also run the full structural
+        // cross-check as a `SimObserver` (see `crate::audit`).
         debug_assert_eq!(
             self.cluster.used_gpus(),
             plan.total_gpus() + self.down_gpus()

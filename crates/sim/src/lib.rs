@@ -45,8 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "audit")]
-pub mod audit;
+mod audit;
 mod config;
 mod driver;
 mod engine;
@@ -62,8 +61,6 @@ mod snapshot;
 #[cfg(clippy)]
 mod clippy_corpus;
 
-#[cfg(feature = "audit")]
-pub use audit::InvariantAuditor;
 pub use config::SimConfig;
 pub use engine::{RunDirective, SimController, SimOutcome, Simulation};
 pub use event::Event;

@@ -1,6 +1,6 @@
 //! The pluggable observation layer: [`SimObserver`] hooks plus the stock
-//! timeline collector (the invariant auditor joins it under
-//! `--features audit`).
+//! timeline collector (the invariant auditor joins it in every debug
+//! build).
 //!
 //! Observers are strictly read-only: hooks receive a [`SimContext`]
 //! snapshot borrowing the live cluster and job table, and nothing an
@@ -117,9 +117,8 @@ pub struct SimContext<'a> {
 }
 
 impl<'a> SimContext<'a> {
-    /// Assembles a snapshot. Public so tests and external harnesses can
-    /// drive observers directly against hand-built state.
-    pub fn new(
+    /// Assembles a snapshot.
+    pub(crate) fn new(
         cluster: &'a ClusterState,
         jobs: &'a JobTable,
         total_gpus: u32,

@@ -1,11 +1,10 @@
 //! Full-simulation runs under the runtime invariant auditor.
 //!
-//! Compiled only with `cargo test --features audit`. Every replan is then
-//! cross-checked by `elasticflow_sim::audit` (structural cluster/job-table
-//! invariants) and `elasticflow_core::audit` (reservation-soundness of the
-//! ElasticFlow planner); any violation panics with a structured
-//! diagnostic, failing these tests.
-#![cfg(feature = "audit")]
+//! In a debug build (plain `cargo test`) every replan is cross-checked by
+//! `elasticflow-sim`'s auditor (structural cluster/job-table invariants)
+//! and `elasticflow-core`'s (reservation-soundness of the ElasticFlow
+//! planner); any violation panics with a structured diagnostic, failing
+//! these tests.
 
 use elasticflow::cluster::ClusterSpec;
 use elasticflow::core::{EdfWithAdmission, ElasticFlowScheduler};
