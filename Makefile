@@ -27,7 +27,8 @@ doc:
 # The gates a performance change must keep, as CI runs them: golden
 # replay and crash recovery, the evaluation's tables at seed 2023 against
 # their committed golden, the release allocation ceilings of warm
-# planning rounds and declined gateway submissions, the release
+# planning rounds and declined gateway submissions, the release memory
+# ceiling of a daemon resuming over 16 MiB logs, the release
 # mega-cluster digests (the EDF smoke, and ElasticFlow on 16,384 GPUs),
 # and the perfbench seed-0 digests on all four
 # workloads (the serve ones traced too). perfbench exits nonzero when a
@@ -39,6 +40,7 @@ digests:
 	diff target/experiments-all-2023.json crates/bench/tests/fixtures/experiments-all-2023.json
 	cargo test -q --release -p elasticflow-core --test round_allocations
 	cargo test -q --release -p elasticflow-serve --test submit_allocations
+	cargo test -q --release -p elasticflow-serve --test recovery_memory
 	cargo test -q --release -p elasticflow-bench --test mega_cluster -- --ignored --exact mega_cluster_smoke_matches_golden_digest
 	cargo test -q --release -p elasticflow-bench --test mega_cluster -- --ignored --exact elasticflow_at_paper_scale_shape_matches_golden_digest
 	for w in serve_deadline serve_bulk sim_elasticflow sim_edf; do \

@@ -56,7 +56,7 @@ pub mod store;
 
 pub use error::PersistError;
 pub use frame::PERSIST_VERSION;
-pub use records::{FsyncPolicy, LogContents, LogKind, RecordLog};
+pub use records::{FsyncPolicy, LogKind, LogScan, RecordLog};
 pub use session::{CheckpointStats, PersistSession};
 pub use snapshots::{LatestValid, SnapshotKind, SnapshotPayload, SnapshotStore, KEEP_SNAPSHOTS};
 pub use store::{Recovered, StateDir, StoredSnapshot};

@@ -9,17 +9,25 @@
 //! rot and surfaces as a typed error. This module owns that shape once,
 //! parameterized by a [`LogKind`] naming the magic bytes and the words
 //! used in error messages; callers (de)serialize their own payloads.
+//!
+//! Recovery ([`RecordLog::recover`]) streams: it reads the file in
+//! fixed-size chunks and hands each verified payload to the caller as
+//! it goes, so restarting costs a constant amount of memory however
+//! long the log has grown.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
+use std::path::Path;
 
 use crate::error::PersistError;
 use crate::frame::{
     check_header, decode_frames, encode_frame, encode_frames, encode_header, CHECKSUM_LANES,
     FRAME_HEADER_LEN, HEADER_LEN,
 };
+
+/// Bytes a recovery scan reads at a time. Only a frame larger than this
+/// grows the read buffer, to fit that frame.
+const SCAN_CHUNK: usize = 1 << 20;
 
 /// Identity of one record-log file format: its magic bytes plus the
 /// names used in error messages.
@@ -88,37 +96,42 @@ impl RecordLog {
         })
     }
 
-    /// Re-opens the log `contents` was read from, truncates it to its
-    /// first `keep` records, and positions for appending record `keep`.
+    /// Recovers the log at `path` in one streaming pass and reopens it
+    /// for appending after its first `keep` records (after every intact
+    /// record when `keep` is `None`).
     ///
-    /// The file is not read again: [`read_log`] already validated every
-    /// record in `contents`. Fewer than `keep` records in `contents` is
+    /// The file is read 1 MiB at a time. Every intact record is
+    /// checksum-verified ([`CHECKSUM_LANES`] frames at a time), checked
+    /// as UTF-8 and handed to `visit` as `(index, payload)` in file
+    /// order; nothing is kept per record. The first bad record in
+    /// file order is the error: a [`PersistError::ChecksumMismatch`] at
+    /// its file offset, a [`PersistError::Corrupt`] for a payload that is
+    /// not UTF-8, or the error `visit` returned for it. A torn final
+    /// frame ends the scan; it is truncated away, and so is every record
+    /// past `keep`. Fewer than `keep` intact records is
     /// [`PersistError::Corrupt`] (the snapshot being resumed from
-    /// promises they exist).
-    pub fn resume(contents: &LogContents, keep: u64) -> Result<Self, PersistError> {
-        let kept = usize::try_from(keep)
-            .ok()
-            .and_then(|keep| contents.record_offsets.get(keep));
-        let Some(&keep_bytes) = kept else {
-            return Err(PersistError::Corrupt(format!(
-                "{} holds {} records but the snapshot requires {keep}",
-                contents.kind.long_name,
-                contents.len()
-            )));
-        };
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&contents.path)?;
-        file.set_len(keep_bytes)?;
-        file.seek(SeekFrom::End(0))?;
-        Ok(RecordLog {
+    /// promises they exist). On any error the file is left as it was.
+    pub fn recover<P: AsRef<Path>>(
+        kind: LogKind,
+        path: P,
+        keep: Option<u64>,
+        mut visit: impl FnMut(u64, &str) -> Result<(), PersistError>,
+    ) -> Result<(Self, LogScan), PersistError> {
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        let len = file.metadata()?.len();
+        let (scan, kept_end) = scan_log(kind, &mut file, len, SCAN_CHUNK, keep, &mut visit)?;
+        if kept_end < len {
+            file.set_len(kept_end)?;
+        }
+        file.seek(SeekFrom::Start(kept_end))?;
+        let log = RecordLog {
             file,
-            records: keep,
+            records: keep.unwrap_or(scan.records),
             policy: FsyncPolicy::default(),
             frame_buf: Vec::new(),
             unsynced: 0,
-        })
+        };
+        Ok((log, scan))
     }
 
     /// Appends one payload as a framed record and flushes it to the OS.
@@ -136,7 +149,7 @@ impl RecordLog {
     /// appends.
     ///
     /// A crash mid-write leaves at most one torn frame at the tail —
-    /// exactly the failure [`recover_log`] repairs — because frames are
+    /// exactly the failure [`RecordLog::recover`] repairs — because frames are
     /// laid out back to back and the OS write is a single contiguous
     /// range.
     pub fn append_batch<I>(&mut self, payloads: I) -> Result<u64, PersistError>
@@ -218,161 +231,160 @@ impl RecordLog {
     }
 }
 
-/// The decoded contents of a record log: UTF-8 payloads in append order.
+/// What [`RecordLog::recover`] found in the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogScan {
+    /// Intact records in the file, every one handed to the visitor.
+    pub records: u64,
+    /// `true` when the file ended in a torn frame (a crash mid-append),
+    /// which recovery truncated away.
+    pub tail_truncated: bool,
+}
+
+/// The streaming scan behind [`RecordLog::recover`]: reads `source`, a
+/// log of `len` bytes, `chunk` bytes at a time, and returns what it
+/// found with the offset just past the last kept record.
 ///
-/// The payloads share one buffer: [`read_log`] reads the file once,
-/// moves every payload to the front of that buffer, back to back, and
-/// checks the whole text as UTF-8 before any caller sees a payload.
-#[derive(Debug)]
-pub struct LogContents {
+/// The read buffer holds one chunk. A frame cut off at its end is
+/// carried to the front and completed by the next read; a frame larger
+/// than the buffer grows it to fit. The checksums of the frames in the
+/// buffer are verified before any of them is visited, so the frames
+/// visited before a mismatch are exactly those ahead of it.
+fn scan_log(
     kind: LogKind,
-    path: PathBuf,
-    /// Every intact payload, concatenated in append order.
-    text: String,
-    record_offsets: Vec<u64>,
-    torn: bool,
-    tail_truncated: bool,
-}
-
-impl LogContents {
-    /// Number of intact records.
-    pub fn len(&self) -> usize {
-        self.record_offsets.len() - 1
-    }
-
-    /// `true` when the log holds no intact record.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The payload of record `i < self.len()`.
-    fn payload(&self, i: usize) -> &str {
-        &self.text[payload_range(&self.record_offsets, i)]
-    }
-
-    /// Every intact payload, in append order.
-    pub fn payloads(&self) -> impl Iterator<Item = &str> + '_ {
-        (0..self.len()).map(|i| self.payload(i))
-    }
-
-    /// Byte offset where record `i` begins; the final entry is the offset
-    /// just past the last intact record (`record_offsets().len() ==
-    /// len() + 1`). Truncating the file to any of these offsets yields a
-    /// clean log prefix.
-    pub fn record_offsets(&self) -> &[u64] {
-        &self.record_offsets
-    }
-
-    /// `true` when the file ends in an incomplete frame (crash
-    /// mid-append) that has not been truncated away.
-    pub fn torn(&self) -> bool {
-        self.torn
-    }
-
-    /// `true` when [`recover_log`] truncated a torn tail away.
-    pub fn tail_truncated(&self) -> bool {
-        self.tail_truncated
-    }
-
-    /// Byte length of the clean prefix (header + intact records).
-    pub fn clean_len(&self) -> u64 {
-        *self.record_offsets.last().unwrap_or(&(HEADER_LEN as u64))
-    }
-}
-
-/// Where payload `i` lies in the concatenated text: the file offset of
-/// its frame, less the file header and the `i` frame headers before it.
-fn payload_range(record_offsets: &[u64], i: usize) -> Range<usize> {
-    let skipped = |i: usize| HEADER_LEN + FRAME_HEADER_LEN * i;
-    let start = record_offsets[i] as usize - skipped(i);
-    let end = record_offsets[i + 1] as usize - skipped(i + 1);
-    start..end
-}
-
-/// Reads and validates a record log.
-///
-/// A torn final frame stops the scan and sets [`LogContents::torn`]; a
-/// complete frame with a bad checksum or a non-UTF-8 payload is a typed
-/// error. The file is read once and its checksums are verified
-/// [`CHECKSUM_LANES`] frames at a time; the error reported is the first
-/// bad frame in file order, as a frame-by-frame scan would report it.
-pub fn read_log<P: AsRef<Path>>(kind: LogKind, path: P) -> Result<LogContents, PersistError> {
-    let path = path.as_ref();
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    check_header(&bytes, kind.magic, kind.magic_name)?;
-    let mut record_offsets = vec![HEADER_LEN as u64];
-    let scanned = decode_frames(&bytes, HEADER_LEN, &mut record_offsets);
-    // A non-UTF-8 payload in front of a bad checksum is the first bad
-    // frame, so the frames verified before the mismatch are checked
-    // before the mismatch is reported.
-    let text = payload_text(kind, bytes, &record_offsets)?;
-    let torn = scanned?;
-    Ok(LogContents {
-        kind,
-        path: path.to_path_buf(),
-        text,
-        record_offsets,
-        torn,
-        tail_truncated: false,
-    })
-}
-
-/// Moves the payloads of the frames `record_offsets` delimits to the
-/// front of `bytes`, back to back, and returns them as one string.
-///
-/// The check is the whole text as UTF-8 plus each payload's start as a
-/// char boundary: together they hold exactly when every payload is UTF-8
-/// on its own. When they fail, the first payload that is not is a
-/// [`PersistError::Corrupt`] naming its frame's offset.
-fn payload_text(
-    kind: LogKind,
-    mut bytes: Vec<u8>,
-    record_offsets: &[u64],
-) -> Result<String, PersistError> {
-    let records = record_offsets.len() - 1;
-    let mut len = 0;
-    for pair in record_offsets.windows(2) {
-        let payload = pair[0] as usize + FRAME_HEADER_LEN..pair[1] as usize;
-        let n = payload.len();
-        bytes.copy_within(payload, len);
-        len += n;
-    }
-    bytes.truncate(len);
-    let bytes = match String::from_utf8(bytes) {
-        Ok(text) => {
-            if (0..records).all(|i| text.is_char_boundary(payload_range(record_offsets, i).start)) {
-                return Ok(text);
+    source: &mut impl Read,
+    len: u64,
+    chunk: usize,
+    keep: Option<u64>,
+    visit: &mut dyn FnMut(u64, &str) -> Result<(), PersistError>,
+) -> Result<(LogScan, u64), PersistError> {
+    let mut header = [0; HEADER_LEN];
+    let header_len = fill(source, &mut header)?;
+    check_header(&header[..header_len], kind.magic, kind.magic_name)?;
+    let mut buf = vec![0; chunk.max(1)];
+    let mut ends = Vec::new();
+    // File offset of `buf[0]`, and how much of `buf` holds file bytes.
+    let mut base = HEADER_LEN as u64;
+    let mut filled = 0;
+    let mut records = 0;
+    let mut kept_end = HEADER_LEN as u64;
+    let torn = loop {
+        filled += fill(source, &mut buf[filled..])?;
+        let at_end = filled < buf.len();
+        ends.clear();
+        let decoded = decode_frames(&buf[..filled], 0, &mut ends);
+        let mut start = 0;
+        for &end in &ends {
+            let end = end as usize;
+            let Ok(payload) = std::str::from_utf8(&buf[start + FRAME_HEADER_LEN..end]) else {
+                return Err(PersistError::Corrupt(format!(
+                    "{} record at offset {} is not valid UTF-8",
+                    kind.record_name,
+                    base + start as u64
+                )));
+            };
+            visit(records, payload)?;
+            records += 1;
+            if keep.is_none_or(|keep| records <= keep) {
+                kept_end = base + end as u64;
             }
-            text.into_bytes()
+            start = end;
         }
-        Err(e) => e.into_bytes(),
+        let torn = decoded.map_err(|e| at_file_offset(e, base))?;
+        if at_end {
+            break torn;
+        }
+        // Carry the unfinished frame, if any, to the front.
+        buf.copy_within(start..filled, 0);
+        base += start as u64;
+        filled -= start;
+        let need = match buf[..filled].get(..FRAME_HEADER_LEN) {
+            Some(h) => FRAME_HEADER_LEN + u32::from_le_bytes([h[0], h[1], h[2], h[3]]) as usize,
+            None => FRAME_HEADER_LEN,
+        };
+        // A frame that runs past the end of the file is the torn tail,
+        // whatever its length field claims: no buffer is grown for it.
+        if filled > 0 && base + need as u64 > len {
+            break true;
+        }
+        if need > buf.len() {
+            buf.resize(need, 0);
+        }
     };
-    let bad = (0..records)
-        .find(|&i| std::str::from_utf8(&bytes[payload_range(record_offsets, i)]).is_err())
-        .unwrap_or(0);
-    Err(PersistError::Corrupt(format!(
-        "{} record at offset {} is not valid UTF-8",
-        kind.record_name, record_offsets[bad]
-    )))
+    if let Some(keep) = keep.filter(|&keep| keep > records) {
+        return Err(PersistError::Corrupt(format!(
+            "{} holds {records} records but the snapshot requires {keep}",
+            kind.long_name
+        )));
+    }
+    let scan = LogScan {
+        records,
+        tail_truncated: torn,
+    };
+    Ok((scan, kept_end))
 }
 
-/// Reads the log and, if it ends in a torn frame, truncates the file back
-/// to its clean prefix. Returns the (now guaranteed clean) contents.
-pub fn recover_log<P: AsRef<Path>>(kind: LogKind, path: P) -> Result<LogContents, PersistError> {
-    let mut contents = read_log(kind, &path)?;
-    if contents.torn {
-        let file = OpenOptions::new().write(true).open(&path)?;
-        file.set_len(contents.clean_len())?;
-        contents.torn = false;
-        contents.tail_truncated = true;
+/// Reads into `buf` until it is full or `source` ends (retrying
+/// interrupted reads); returns the bytes read. Fewer than `buf.len()`
+/// means `source` is exhausted.
+pub fn fill(source: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match source.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    Ok(contents)
+    Ok(got)
+}
+
+/// Moves a checksum mismatch found in a buffer starting at file offset
+/// `base` to its file offset.
+fn at_file_offset(mut e: PersistError, base: u64) -> PersistError {
+    if let PersistError::ChecksumMismatch { offset, .. } = &mut e {
+        *offset += base;
+    }
+    e
+}
+
+/// The whole-file decoder the streaming scan replaced, kept as the
+/// oracle of its differential tests: one buffer, one
+/// [`decode_frames`] pass, and the frames verified before a mismatch
+/// checked as UTF-8 and visited ahead of it.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// Every intact record's frame offset plus the clean end, and
+    /// whether a torn frame follows them.
+    pub(super) fn read_log(
+        kind: LogKind,
+        bytes: &[u8],
+        visit: &mut dyn FnMut(u64, &str) -> Result<(), PersistError>,
+    ) -> Result<(Vec<u64>, bool), PersistError> {
+        check_header(bytes, kind.magic, kind.magic_name)?;
+        let mut offsets = vec![HEADER_LEN as u64];
+        let scanned = decode_frames(bytes, HEADER_LEN, &mut offsets);
+        for (i, pair) in offsets.windows(2).enumerate() {
+            let payload = &bytes[pair[0] as usize + FRAME_HEADER_LEN..pair[1] as usize];
+            let Ok(payload) = std::str::from_utf8(payload) else {
+                return Err(PersistError::Corrupt(format!(
+                    "{} record at offset {} is not valid UTF-8",
+                    kind.record_name, pair[0]
+                )));
+            };
+            visit(i as u64, payload)?;
+        }
+        Ok((offsets, scanned?))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const TEST_KIND: LogKind = LogKind {
         magic: b"EFWL",
@@ -387,24 +399,272 @@ mod tests {
         dir.join(name)
     }
 
-    fn payloads(contents: &LogContents) -> Vec<&str> {
-        contents.payloads().collect()
+    /// What a scan of `bytes` in `chunk`-byte reads found: the visited
+    /// payloads, the scan and the kept end.
+    type Scan = Result<(Vec<String>, LogScan, u64), PersistError>;
+
+    fn scan_bytes(bytes: &[u8], chunk: usize, keep: Option<u64>) -> Scan {
+        let mut payloads = Vec::new();
+        let mut visit = |i: u64, payload: &str| {
+            assert_eq!(i, payloads.len() as u64, "records are visited in order");
+            payloads.push(payload.to_owned());
+            Ok(())
+        };
+        let mut source = bytes;
+        let (scan, kept_end) = scan_log(
+            TEST_KIND,
+            &mut source,
+            bytes.len() as u64,
+            chunk,
+            keep,
+            &mut visit,
+        )?;
+        Ok((payloads, scan, kept_end))
+    }
+
+    /// The reference decoder's answer for [`scan_bytes`].
+    fn reference_scan(bytes: &[u8], keep: Option<u64>) -> Scan {
+        let mut payloads = Vec::new();
+        let mut visit = |_: u64, payload: &str| {
+            payloads.push(payload.to_owned());
+            Ok(())
+        };
+        let (offsets, torn) = reference::read_log(TEST_KIND, bytes, &mut visit)?;
+        let records = payloads.len() as u64;
+        let kept = keep.unwrap_or(records);
+        let Some(&kept_end) = offsets.get(kept as usize) else {
+            return Err(PersistError::Corrupt(format!(
+                "write-ahead log holds {records} records but the snapshot requires {kept}"
+            )));
+        };
+        let scan = LogScan {
+            records,
+            tail_truncated: torn,
+        };
+        Ok((payloads, scan, kept_end))
+    }
+
+    /// Frame offsets of a clean log of `payloads`, plus its end.
+    fn frame_offsets<S: AsRef<[u8]>>(payloads: &[S]) -> Vec<u64> {
+        let mut offsets = vec![HEADER_LEN as u64];
+        for p in payloads {
+            let last = *offsets.last().expect("starts at the header");
+            offsets.push(last + (FRAME_HEADER_LEN + p.as_ref().len()) as u64);
+        }
+        offsets
+    }
+
+    fn log_bytes<S: AsRef<[u8]>>(payloads: &[S]) -> Vec<u8> {
+        let mut bytes = encode_header(TEST_KIND.magic, crate::frame::PERSIST_VERSION).to_vec();
+        for p in payloads {
+            encode_frame(&mut bytes, p.as_ref());
+        }
+        bytes
+    }
+
+    /// Results compare by their rendering: `PersistError` holds I/O and
+    /// serde errors and has no `PartialEq`.
+    fn same(a: &Scan, b: &Scan) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    /// Chunk sizes from a few bytes to past the whole file.
+    const CHUNKS: [usize; 9] = [1, 2, 3, 5, 12, 13, 31, 64, SCAN_CHUNK];
+
+    /// Recovers the file at `path` keeping every record; returns the
+    /// payloads with the scan.
+    fn recover_all(path: &Path) -> Result<(Vec<String>, LogScan), PersistError> {
+        let mut payloads = Vec::new();
+        let (_, scan) = RecordLog::recover(TEST_KIND, path, None, |_, p| {
+            payloads.push(p.to_owned());
+            Ok(())
+        })?;
+        Ok((payloads, scan))
+    }
+
+    #[derive(Debug, Clone)]
+    enum Damage {
+        None,
+        /// Cut the file to this share of its length, in thousandths.
+        Cut(u16),
+        /// Flip a bit of the byte at this share of the length.
+        Flip(u16, u8),
+    }
+
+    fn payload() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            8 => prop::collection::vec(
+                prop::sample::select(vec!["a", "{", "\"", "é", "€", "𝄞", "\n"]),
+                0..40,
+            )
+            .prop_map(|parts| parts.concat().into_bytes()),
+            1 => prop::collection::vec(any::<u8>(), 0..8),
+            1 => prop::collection::vec(b'x'..b'{', 60..200),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The streaming scan at any chunk size, down to one byte,
+        /// returns the reference decoder's answer: the same payloads,
+        /// torn flag, kept end and first error — frames straddling
+        /// chunk edges, frames larger than a chunk, torn tails, bit rot
+        /// and non-UTF-8 payloads included.
+        #[test]
+        fn the_streaming_scan_matches_the_whole_file_decoder(
+            payloads in prop::collection::vec(payload(), 0..12),
+            damage in prop_oneof![
+                Just(Damage::None),
+                (0..1000u16).prop_map(Damage::Cut),
+                ((0..1000u16), (0..8u8)).prop_map(|(at, bit)| Damage::Flip(at, bit)),
+            ],
+            chunk in prop_oneof![1..16usize, 16..256usize, Just(SCAN_CHUNK)],
+            keep in (0..15u64).prop_map(|k| (k < 14).then_some(k)),
+        ) {
+            let mut bytes = log_bytes(&payloads);
+            match damage {
+                Damage::None => {}
+                Damage::Cut(at) => bytes.truncate(bytes.len() * usize::from(at) / 1000),
+                Damage::Flip(at, bit) => {
+                    let i = bytes.len() * usize::from(at) / 1000;
+                    bytes[i] ^= 1 << bit;
+                }
+            }
+            let streamed = scan_bytes(&bytes, chunk, keep);
+            let reference = reference_scan(&bytes, keep);
+            prop_assert!(same(&streamed, &reference), "{streamed:?} != {reference:?}");
+        }
     }
 
     #[test]
-    fn append_then_read_round_trips_payloads() {
+    fn frames_straddling_every_chunk_edge_match_the_reference() {
+        let payloads: Vec<String> = (0..9)
+            .map(|i| format!("frame-{i}:{}", "y".repeat(i * 11 % 31)))
+            .collect();
+        let bytes = log_bytes(&payloads);
+        for chunk in 1..=bytes.len() + 1 {
+            let (got, scan, end) = scan_bytes(&bytes, chunk, None).expect("clean log");
+            assert_eq!(got, payloads, "chunk {chunk}");
+            assert!(!scan.tail_truncated, "chunk {chunk}");
+            assert_eq!(end, bytes.len() as u64, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_chunk_grows_the_buffer() {
+        let payloads = ["short".to_owned(), "L".repeat(5_000), "tail".to_owned()];
+        let bytes = log_bytes(&payloads);
+        for chunk in [1, 7, 64, 4_096] {
+            let (got, scan, _) = scan_bytes(&bytes, chunk, None).expect("clean log");
+            assert_eq!(got, payloads, "chunk {chunk}");
+            assert_eq!(scan.records, 3);
+        }
+        // A torn tail whose length field claims more than the file holds
+        // ends the scan without growing the buffer to the claim.
+        let mut torn = log_bytes(&payloads[..1]);
+        torn.extend_from_slice(&u32::MAX.to_le_bytes());
+        torn.extend_from_slice(&[0; 9]);
+        let (got, scan, end) = scan_bytes(&torn, 4, None).expect("torn is not an error");
+        assert_eq!(got, ["short"]);
+        assert!(scan.tail_truncated);
+        assert_eq!(end, frame_offsets(&payloads[..1])[1]);
+    }
+
+    #[test]
+    fn a_torn_tail_cut_at_every_byte_of_the_last_frame_keeps_the_prefix() {
+        let payloads = ["first", "second", "third-and-last-é"];
+        let bytes = log_bytes(&payloads);
+        let offsets = frame_offsets(&payloads);
+        for cut in offsets[2] + 1..offsets[3] {
+            for chunk in CHUNKS {
+                let (got, scan, end) =
+                    scan_bytes(&bytes[..cut as usize], chunk, None).expect("torn is not an error");
+                assert_eq!(got, payloads[..2], "cut {cut}, chunk {chunk}");
+                assert!(scan.tail_truncated, "cut {cut}, chunk {chunk}");
+                assert_eq!(end, offsets[2], "cut {cut}, chunk {chunk}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipped_byte_is_reported_at_its_file_offset() {
+        let payloads: Vec<String> = (0..40).map(|i| format!("record-{i:03}")).collect();
+        let clean = log_bytes(&payloads);
+        let offsets = frame_offsets(&payloads);
+        for k in [0, 1, 17, 39] {
+            let mut bytes = clean.clone();
+            bytes[offsets[k] as usize + FRAME_HEADER_LEN + 2] ^= 0x04;
+            for chunk in CHUNKS {
+                match scan_bytes(&bytes, chunk, None) {
+                    Err(PersistError::ChecksumMismatch { offset, .. }) => {
+                        assert_eq!(offset, offsets[k], "frame {k}, chunk {chunk}");
+                    }
+                    other => panic!("frame {k}, chunk {chunk}: got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_utf8_payload_ahead_of_a_bad_checksum_wins_at_every_chunk_size() {
+        let frames: [&[u8]; 6] = [b"ok", b"\xff", b"ok", b"ok", b"ok", b"later"];
+        let offsets = frame_offsets(&frames);
+        let mut bytes = log_bytes(&frames);
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x20;
+        for chunk in CHUNKS {
+            match scan_bytes(&bytes, chunk, None) {
+                Err(PersistError::Corrupt(msg)) => assert_eq!(
+                    msg,
+                    format!("WAL record at offset {} is not valid UTF-8", offsets[1]),
+                    "chunk {chunk}"
+                ),
+                other => panic!("chunk {chunk}: got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejected_record_stops_the_scan_and_leaves_the_file_alone() {
+        let path = tmp("rejected.log");
+        let mut log = RecordLog::create(TEST_KIND, &path).expect("create");
+        log.append_batch(["a", "b", "c"]).expect("batch");
+        drop(log);
+        let mut torn = std::fs::read(&path).expect("read");
+        torn.extend_from_slice(&[5, 0, 0]);
+        std::fs::write(&path, &torn).expect("write torn");
+        let mut seen = Vec::new();
+        let err = RecordLog::recover(TEST_KIND, &path, None, |i, p| {
+            seen.push(p.to_owned());
+            if i == 1 {
+                Err(PersistError::Corrupt(format!("rejected {p}")))
+            } else {
+                Ok(())
+            }
+        })
+        .expect_err("the visitor's error is the scan's");
+        assert!(
+            matches!(err, PersistError::Corrupt(ref m) if m == "rejected b"),
+            "{err:?}"
+        );
+        assert_eq!(seen, ["a", "b"]);
+        assert_eq!(std::fs::read(&path).expect("reread"), torn);
+    }
+
+    #[test]
+    fn append_then_recover_round_trips_payloads() {
         let path = tmp("roundtrip.log");
         let mut log = RecordLog::create(TEST_KIND, &path).expect("create");
         log.append_payload(b"one").expect("append");
         log.append_payload(b"two").expect("append");
         assert_eq!(log.records(), 2);
-        let contents = read_log(TEST_KIND, &path).expect("read");
-        assert_eq!(payloads(&contents), vec!["one", "two"]);
-        assert!(!contents.torn());
+        let (payloads, scan) = recover_all(&path).expect("recover");
+        assert_eq!(payloads, vec!["one", "two"]);
+        assert!(!scan.tail_truncated);
     }
 
     #[test]
-    fn resume_keeps_exactly_the_prefix() {
+    fn recover_keeps_exactly_the_prefix() {
         let path = tmp("truncate.log");
         let mut log = RecordLog::create(TEST_KIND, &path).expect("create");
         for i in 0..5 {
@@ -412,12 +672,18 @@ mod tests {
                 .expect("append");
         }
         drop(log);
-        let contents = read_log(TEST_KIND, &path).expect("read");
-        let mut log = RecordLog::resume(&contents, 3).expect("open");
+        let mut visited = 0;
+        let (mut log, scan) = RecordLog::recover(TEST_KIND, &path, Some(3), |_, _| {
+            visited += 1;
+            Ok(())
+        })
+        .expect("recover");
+        assert_eq!(visited, 5, "records past the kept prefix are visited too");
+        assert_eq!(scan.records, 5);
         assert_eq!(log.records(), 3);
         log.append_payload(b"r3'").expect("append");
-        let contents = read_log(TEST_KIND, &path).expect("read");
-        assert_eq!(payloads(&contents), vec!["r0", "r1", "r2", "r3'"]);
+        let (payloads, _) = recover_all(&path).expect("recover");
+        assert_eq!(payloads, vec!["r0", "r1", "r2", "r3'"]);
     }
 
     #[test]
@@ -426,8 +692,7 @@ mod tests {
         let mut log = RecordLog::create(TEST_KIND, &path).expect("create");
         log.append_payload(b"only").expect("append");
         drop(log);
-        let contents = read_log(TEST_KIND, &path).expect("read");
-        match RecordLog::resume(&contents, 2) {
+        match RecordLog::recover(TEST_KIND, &path, Some(2), |_, _| Ok(())) {
             Err(PersistError::Corrupt(msg)) => {
                 assert!(
                     msg.contains("holds 1 records but the snapshot requires 2"),
@@ -488,8 +753,8 @@ mod tests {
             log.append_batch(["a", "b"]).expect("batch");
             log.append_payload(b"c").expect("append");
             log.sync().expect("explicit sync");
-            let contents = read_log(TEST_KIND, &path).expect("read");
-            assert_eq!(payloads(&contents), vec!["a", "b", "c"], "policy {name}");
+            let (payloads, _) = recover_all(&path).expect("recover");
+            assert_eq!(payloads, vec!["a", "b", "c"], "policy {name}");
         }
     }
 
@@ -501,18 +766,21 @@ mod tests {
             .expect("batch");
         drop(log);
         let clean = std::fs::read(&path).expect("read bytes");
-        let contents = read_log(TEST_KIND, &path).expect("read");
         // Cut the file mid-way through the last record of the batch: the
         // crash point a power failure during the single group-commit
         // write would leave.
-        let cut = contents.record_offsets()[2] + 5;
+        let cut = frame_offsets(&["first", "second"])[2] + 5;
         let mut torn_bytes = clean.clone();
         torn_bytes.truncate(cut as usize);
         std::fs::write(&path, &torn_bytes).expect("write torn");
-        let recovered = recover_log(TEST_KIND, &path).expect("recover");
-        assert_eq!(payloads(&recovered), vec!["first", "second"]);
-        assert!(!recovered.torn());
-        assert!(recovered.tail_truncated());
+        let (payloads, scan) = recover_all(&path).expect("recover");
+        assert_eq!(payloads, vec!["first", "second"]);
+        assert!(scan.tail_truncated);
+        let (_, rescan) = recover_all(&path).expect("recover again");
+        assert!(
+            !rescan.tail_truncated,
+            "the torn tail is gone from the file"
+        );
     }
 
     #[test]
@@ -525,9 +793,10 @@ mod tests {
         let mut torn_bytes = clean.clone();
         torn_bytes.extend_from_slice(&[7, 0, 0, 0, 1, 2]); // half a frame header
         std::fs::write(&path, &torn_bytes).expect("write torn");
-        assert!(read_log(TEST_KIND, &path).expect("read").torn());
-        let contents = recover_log(TEST_KIND, &path).expect("recover");
-        assert!(!contents.torn());
+        let (_, scan, _) = scan_bytes(&torn_bytes, SCAN_CHUNK, None).expect("scan");
+        assert!(scan.tail_truncated, "the bytes end in a torn frame");
+        let (_, scan) = recover_all(&path).expect("recover");
+        assert!(scan.tail_truncated);
         assert_eq!(std::fs::read(&path).expect("reread"), clean);
     }
 
@@ -542,9 +811,9 @@ mod tests {
         log.append_batch(records.iter()).expect("batch");
         drop(log);
         let bytes = std::fs::read(&path).expect("read bytes");
-        let contents = read_log(TEST_KIND, &path).expect("read");
-        assert_eq!(payloads(&contents), records);
-        (path, bytes, contents.record_offsets().to_vec())
+        let (payloads, _) = recover_all(&path).expect("recover");
+        assert_eq!(payloads, records);
+        (path, bytes, frame_offsets(&records))
     }
 
     #[test]
@@ -560,34 +829,39 @@ mod tests {
                 let last = offsets[9] as usize - 1;
                 bytes[last] ^= 0x20;
             }
-            std::fs::write(&path, &bytes).expect("write corrupt");
-            match read_log(TEST_KIND, &path) {
-                Err(PersistError::ChecksumMismatch { offset, .. }) => {
-                    assert_eq!(offset, offsets[k], "corrupt frame {k}");
+            for chunk in CHUNKS {
+                match scan_bytes(&bytes, chunk, None) {
+                    Err(PersistError::ChecksumMismatch { offset, .. }) => {
+                        assert_eq!(offset, offsets[k], "corrupt frame {k}, chunk {chunk}");
+                    }
+                    other => panic!("frame {k}: expected ChecksumMismatch, got {other:?}"),
                 }
-                other => panic!("frame {k}: expected ChecksumMismatch, got {other:?}"),
             }
+            std::fs::write(&path, &bytes).expect("write corrupt");
             assert!(
                 matches!(
-                    recover_log(TEST_KIND, &path),
+                    recover_all(&path),
                     Err(PersistError::ChecksumMismatch { .. })
                 ),
                 "frame {k}: recovery truncated bit rot"
             );
+            assert_eq!(std::fs::read(&path).expect("reread"), bytes);
         }
     }
 
     #[test]
     fn a_torn_frame_inside_a_checksum_group_still_reads_as_torn() {
-        let (path, clean, offsets) = nine_frame_log("nine-torn.log");
+        let (_, clean, offsets) = nine_frame_log("nine-torn.log");
         for k in 0..9 {
             for cut in [offsets[k] + 1, offsets[k] + 12, offsets[k + 1] - 1] {
-                std::fs::write(&path, &clean[..cut as usize]).expect("write torn");
-                let contents = read_log(TEST_KIND, &path).expect("torn is not an error");
-                assert!(contents.torn(), "cut {cut} in frame {k}");
-                assert_eq!(contents.len(), k, "cut {cut} in frame {k}");
-                assert_eq!(contents.clean_len(), offsets[k]);
-                assert_eq!(contents.record_offsets(), &offsets[..=k]);
+                for chunk in CHUNKS {
+                    let (payloads, scan, end) = scan_bytes(&clean[..cut as usize], chunk, None)
+                        .expect("torn is not an error");
+                    assert!(scan.tail_truncated, "cut {cut} in frame {k}");
+                    assert_eq!(scan.records, k as u64, "cut {cut} in frame {k}");
+                    assert_eq!(end, offsets[k]);
+                    assert_eq!(frame_offsets(&payloads), &offsets[..=k]);
+                }
             }
         }
     }
@@ -610,7 +884,7 @@ mod tests {
             assert!(!decode_frames(&bytes, HEADER_LEN, &mut ends).expect("checksums hold"));
             ends
         };
-        match read_log(TEST_KIND, &path) {
+        match recover_all(&path) {
             Err(PersistError::Corrupt(msg)) => assert_eq!(msg, utf8_error(offsets[1])),
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -622,7 +896,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x20;
         std::fs::write(&path, &bytes).expect("write");
-        match read_log(TEST_KIND, &path) {
+        match recover_all(&path) {
             Err(PersistError::Corrupt(msg)) => assert_eq!(msg, utf8_error(offsets[1])),
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -630,7 +904,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).expect("read");
         bytes[offsets[1] as usize + FRAME_HEADER_LEN] ^= 0x20;
         std::fs::write(&path, &bytes).expect("write");
-        match read_log(TEST_KIND, &path) {
+        match recover_all(&path) {
             Err(PersistError::ChecksumMismatch { offset, .. }) => assert_eq!(offset, offsets[1]),
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }

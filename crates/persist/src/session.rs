@@ -5,9 +5,9 @@
 //! * **fresh** — remove the directory's snapshots, create the write-ahead
 //!   log, and checkpoint periodically from simulated time zero;
 //! * **resume** — recover the state directory (newest valid snapshot,
-//!   torn WAL tail truncated, log rolled back to the snapshot's record
-//!   count). The log is read once: the contents recovery validated are
-//!   what [`RecordLog::resume`] rolls back.
+//!   then one streaming scan of the write-ahead log that validates every
+//!   record and rolls the log back to the snapshot's record count,
+//!   [`StateDir::recover`]).
 //!
 //! [`PersistSession::run`] then drives the simulation from the recovered
 //! snapshot, or from the start when there is none. A private WAL tap
@@ -145,16 +145,7 @@ impl PersistSession {
         let dir = StateDir::open(state_dir)?;
         let recovered = if resume { dir.recover()? } else { None };
         let (wal, recovered) = match recovered {
-            // Recovery read the log once; rolling it back reuses that read.
-            Some((r, Some(log))) => (RecordLog::resume(&log, r.snapshot.wal_records)?, Some(r)),
-            // A snapshot that needs no record but whose log is gone: there
-            // is no file to resume appending to.
-            Some((_, None)) => {
-                return Err(PersistError::Io(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    format!("{} does not exist", dir.wal_path().display()),
-                )))
-            }
+            Some((r, wal)) => (wal, Some(r)),
             None => {
                 dir.snapshots().clear()?;
                 (RecordLog::create(WAL_KIND, dir.wal_path())?, None)

@@ -12,7 +12,7 @@
 //! Snapshots live in a [`SnapshotStore`] of [`SNAPSHOT_KIND`]; a corrupt
 //! newest one degrades to its fallback.
 //!
-//! The write-ahead log is a [`RecordLog`](crate::RecordLog) of
+//! The write-ahead log is a [`RecordLog`] of
 //! [`WAL_KIND`]: every typed simulation event is appended as one framed
 //! [`TraceRecord`] (JSON payload, length-prefixed, FNV-1a-64 checksummed)
 //! behind an `EFWL` + version header. The log is an audit trail with
@@ -36,7 +36,7 @@ use elasticflow_sim::{SimSnapshot, TraceRecord};
 use serde::{Deserialize, Serialize};
 
 use crate::error::PersistError;
-use crate::records::{recover_log, LogContents, LogKind};
+use crate::records::{LogKind, RecordLog};
 use crate::snapshots::{LatestValid, SnapshotKind, SnapshotPayload, SnapshotStore};
 
 /// The [`LogKind`] of the simulator write-ahead log.
@@ -115,18 +115,17 @@ impl StateDir {
         &self.snapshots
     }
 
-    /// Full crash recovery: load the newest valid snapshot and repair the
-    /// write-ahead log (truncate a torn tail). `Ok(None)` when the
-    /// directory holds no snapshot.
+    /// Full crash recovery: load the newest valid snapshot, then scan
+    /// the write-ahead log once and roll it back to the snapshot's record
+    /// count (a torn tail goes with the rest of the cut). `Ok(None)` when
+    /// the directory holds no snapshot.
     ///
     /// Every intact record must decode as a [`TraceRecord`]; one that is
     /// checksummed but undecodable is a typed error, not a torn tail.
-    ///
-    /// Next to what it found, recovery hands back the log it read (`None`
-    /// when there is no log file). The caller rolls it back to the
-    /// snapshot's record count with [`crate::RecordLog::resume`], without
-    /// reading it again, so a resumed run re-appends the tail itself.
-    pub fn recover(&self) -> Result<Option<(Recovered, Option<LogContents>)>, PersistError> {
+    /// The scan streams ([`RecordLog::recover`]), and the log it hands
+    /// back is positioned to append record `wal_records`, so a resumed
+    /// run re-appends the tail itself.
+    pub fn recover(&self) -> Result<Option<(Recovered, RecordLog)>, PersistError> {
         let LatestValid {
             valid: Some((seq, snapshot)),
             skipped,
@@ -135,24 +134,34 @@ impl StateDir {
             return Ok(None);
         };
         let wal_path = self.wal_path();
-        let wal = if wal_path.exists() {
-            let contents = recover_log(WAL_KIND, &wal_path)?;
-            for payload in contents.payloads() {
+        if !wal_path.exists() {
+            return Err(if snapshot.wal_records > 0 {
+                PersistError::Corrupt(format!(
+                    "snapshot {seq} requires {} WAL records but no write-ahead log exists",
+                    snapshot.wal_records
+                ))
+            } else {
+                // A snapshot that needs no record but whose log is gone:
+                // there is no file to resume appending to.
+                PersistError::Io(std::io::Error::new(
+                    std::io::ErrorKind::NotFound,
+                    format!("{} does not exist", wal_path.display()),
+                ))
+            });
+        }
+        let (wal, scan) = RecordLog::recover(
+            WAL_KIND,
+            &wal_path,
+            Some(snapshot.wal_records),
+            |_, payload| {
                 serde_json::from_str::<TraceRecord>(payload)?;
-            }
-            Some(contents)
-        } else if snapshot.wal_records > 0 {
-            return Err(PersistError::Corrupt(format!(
-                "snapshot {seq} requires {} WAL records but no write-ahead log exists",
-                snapshot.wal_records
-            )));
-        } else {
-            None
-        };
+                Ok(())
+            },
+        )?;
         let recovered = Recovered {
             seq,
             snapshot,
-            wal_was_torn: wal.as_ref().is_some_and(LogContents::tail_truncated),
+            wal_was_torn: scan.tail_truncated,
             skipped,
         };
         Ok(Some((recovered, wal)))

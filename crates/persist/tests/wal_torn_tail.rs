@@ -9,9 +9,8 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use elasticflow_persist::records::{read_log, recover_log};
 use elasticflow_persist::store::WAL_KIND;
-use elasticflow_persist::{LogContents, PersistError, RecordLog};
+use elasticflow_persist::{LogScan, PersistError, RecordLog};
 use elasticflow_sim::{Event, TraceRecord};
 use elasticflow_trace::JobId;
 
@@ -58,12 +57,28 @@ fn write_log(path: &std::path::Path, records: &[TraceRecord]) {
     assert_eq!(log.records(), records.len() as u64);
 }
 
-/// The log's intact payloads, decoded as the simulator's records.
-fn decoded(contents: &LogContents) -> Vec<TraceRecord> {
-    contents
-        .payloads()
-        .map(|p| serde_json::from_str(p).expect("payload decodes as a TraceRecord"))
-        .collect()
+/// Recovers the log at `path` keeping `keep` records (all when `None`):
+/// the intact records decoded as the simulator's, the scan, and the log
+/// reopened for appending.
+fn recover(
+    path: &std::path::Path,
+    keep: Option<u64>,
+) -> Result<(Vec<TraceRecord>, LogScan, RecordLog), PersistError> {
+    let mut records = Vec::new();
+    let (log, scan) = RecordLog::recover(WAL_KIND, path, keep, |_, payload| {
+        records.push(serde_json::from_str(payload)?);
+        Ok(())
+    })?;
+    Ok((records, scan, log))
+}
+
+/// Byte offset where frame `i` of a log of `records` begins (the header,
+/// then each earlier frame's 12-byte header and payload).
+fn frame_start(records: &[TraceRecord], i: usize) -> u64 {
+    8 + records[..i]
+        .iter()
+        .map(|r| 12 + serde_json::to_string(r).expect("serializes").len() as u64)
+        .sum::<u64>()
 }
 
 #[test]
@@ -73,34 +88,38 @@ fn truncation_at_every_byte_of_the_final_record_recovers_cleanly() {
     write_log(&path, &records);
     let full = std::fs::read(&path).unwrap();
 
+    let (decoded, scan, _) = recover(&path, None).unwrap();
+    assert!(!scan.tail_truncated);
+    assert_eq!(decoded, records);
     // Byte offset where the final record's frame begins.
-    let contents = read_log(WAL_KIND, &path).unwrap();
-    assert!(!contents.torn());
-    assert_eq!(decoded(&contents), records);
-    let last_start = contents.record_offsets()[records.len() - 1] as usize;
+    let last_start = frame_start(&records, records.len() - 1);
 
-    for cut in last_start..full.len() {
+    for cut in last_start as usize..full.len() {
         std::fs::write(&path, &full[..cut]).unwrap();
-        let recovered = recover_log(WAL_KIND, &path).unwrap_or_else(|e| {
+        let (recovered, scan, _) = recover(&path, None).unwrap_or_else(|e| {
             panic!("cut at byte {cut}: recovery errored instead of truncating: {e}")
         });
-        assert!(
-            !recovered.torn(),
-            "cut at byte {cut}: still torn after recovery"
+        assert_eq!(
+            scan.tail_truncated,
+            cut as u64 > last_start,
+            "cut at byte {cut}: torn tail not reported"
         );
         assert_eq!(
-            decoded(&recovered),
+            recovered,
             records[..records.len() - 1],
             "cut at byte {cut}: wrong records survived"
         );
-        // The file itself was truncated back to a clean prefix: re-reading
-        // finds no torn tail and the same records.
-        let reread = read_log(WAL_KIND, &path).unwrap();
-        assert!(!reread.torn(), "cut at byte {cut}: file not truncated");
-        assert_eq!(decoded(&reread), records[..records.len() - 1]);
+        // The file itself was truncated back to a clean prefix: recovering
+        // again finds no torn tail and the same records.
+        let (reread, rescan, _) = recover(&path, None).unwrap();
+        assert!(
+            !rescan.tail_truncated,
+            "cut at byte {cut}: file not truncated"
+        );
+        assert_eq!(reread, records[..records.len() - 1]);
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
-            recovered.clean_len(),
+            last_start,
             "cut at byte {cut}: file length does not match the clean prefix"
         );
     }
@@ -113,21 +132,17 @@ fn corrupted_checksum_is_a_typed_error_not_a_panic() {
     write_log(&path, &records);
     let mut bytes = std::fs::read(&path).unwrap();
     // Flip one byte in the middle record's payload (past header + frame 0).
-    let contents = read_log(WAL_KIND, &path).unwrap();
-    let mid = contents.record_offsets()[1] as usize + 14;
-    bytes[mid] ^= 0x01;
+    let mid_start = frame_start(&records, 1);
+    bytes[mid_start as usize + 14] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
-    match read_log(WAL_KIND, &path) {
+    match recover(&path, None) {
         Err(PersistError::ChecksumMismatch { offset, .. }) => {
-            assert_eq!(offset, contents.record_offsets()[1]);
+            assert_eq!(offset, mid_start);
         }
-        other => panic!("expected ChecksumMismatch, got {other:?}"),
+        other => panic!("expected ChecksumMismatch, got {:?}", other.map(|r| r.1)),
     }
     // Recovery must not silently truncate bit rot either.
-    assert!(matches!(
-        recover_log(WAL_KIND, &path),
-        Err(PersistError::ChecksumMismatch { .. })
-    ));
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
 }
 
 #[test]
@@ -140,18 +155,18 @@ fn wrong_magic_and_unknown_version_are_typed_errors() {
     wrong_magic[0] = b'X';
     std::fs::write(&path, &wrong_magic).unwrap();
     assert!(matches!(
-        read_log(WAL_KIND, &path),
+        recover(&path, None),
         Err(PersistError::BadMagic { expected: "EFWL" })
     ));
 
     bytes[4] = 0xff; // version little-endian low byte -> 255
     std::fs::write(&path, &bytes).unwrap();
-    match read_log(WAL_KIND, &path) {
+    match recover(&path, None) {
         Err(PersistError::UnknownVersion { found, supported }) => {
             assert_eq!(found, 255);
             assert_eq!(supported, elasticflow_persist::PERSIST_VERSION);
         }
-        other => panic!("expected UnknownVersion, got {other:?}"),
+        other => panic!("expected UnknownVersion, got {:?}", other.map(|r| r.1)),
     }
 }
 
@@ -162,7 +177,7 @@ fn resume_rolls_the_log_back_and_appends_from_there() {
     write_log(&path, &records);
 
     // Roll back to 2 records, append a different tail.
-    let mut log = RecordLog::resume(&read_log(WAL_KIND, &path).unwrap(), 2).unwrap();
+    let (_, _, mut log) = recover(&path, Some(2)).unwrap();
     assert_eq!(log.records(), 2);
     let replacement = TraceRecord {
         time: 999.0,
@@ -171,16 +186,15 @@ fn resume_rolls_the_log_back_and_appends_from_there() {
     append(&mut log, &replacement);
     drop(log);
 
-    let contents = read_log(WAL_KIND, &path).unwrap();
-    assert!(!contents.torn());
-    let kept = decoded(&contents);
+    let (kept, scan, _) = recover(&path, None).unwrap();
+    assert!(!scan.tail_truncated);
     assert_eq!(kept.len(), 3);
     assert_eq!(kept[..2], records[..2]);
     assert_eq!(kept[2], replacement);
 
     // Asking for more records than exist is a typed error.
     assert!(matches!(
-        RecordLog::resume(&contents, 10),
+        recover(&path, Some(10)),
         Err(PersistError::Corrupt(_))
     ));
 }
@@ -199,9 +213,9 @@ fn interrupted_then_resumed_log_is_byte_identical_to_uninterrupted() {
 
     // Recovery truncates the torn tail; the resumed writer re-appends the
     // tail the lost run would have written.
-    let recovered = recover_log(WAL_KIND, &crashed).unwrap();
-    assert_eq!(decoded(&recovered), records[..3]);
-    let mut log = RecordLog::resume(&recovered, 3).unwrap();
+    let (recovered, scan, mut log) = recover(&crashed, Some(3)).unwrap();
+    assert_eq!(recovered, records[..3]);
+    assert!(scan.tail_truncated);
     for r in &records[3..] {
         append(&mut log, r);
     }

@@ -172,7 +172,11 @@ impl Daemon {
     /// Opens (or resumes) a daemon over the state directory at `root`.
     ///
     /// With prior state present, recovery runs unconditionally: newest
-    /// valid snapshot → journal rewind → WAL-suffix replay. It then
+    /// valid snapshot → one streaming WAL scan (seeding the dedup set
+    /// from the records the snapshot covers, parsing the suffix) →
+    /// journal rewind → WAL-suffix replay. Its memory is the dedup set,
+    /// the replayed suffix and fixed-size read buffers, never the logs'
+    /// length. It then
     /// publishes how long it took on `clock` and how many records it
     /// replayed ([`RECOVERY_SECONDS`], [`RECOVERY_REPLAYED_RECORDS`]).
     /// `clock` feeds only those gauges and the latency histogram — it
@@ -187,55 +191,78 @@ impl Daemon {
         let dir = GatewayDir::open(root)?;
         let fresh = !dir.has_state();
         // A fresh daemon starts from the genesis logs with nothing to
-        // replay; a resumed one recovers both logs and its gateway. One
-        // read of the WAL repairs its tail, reopens it for appending and
-        // yields the history to replay.
-        let (log, mut wal, journal, snapshot_seq, gateway, covered_records, journal_entries) =
-            if fresh {
-                let (wal, journal) = dir.create_genesis()?;
-                (None, wal, journal, None, Gateway::new(config.gateway), 0, 0)
-            } else {
-                let (log, wal) = dir.recover_wal()?;
-                let latest = dir.snapshots().latest_valid()?;
-                for (seq, why) in &latest.skipped {
-                    eprintln!("elasticflow-serve: skipped corrupt snapshot {seq}: {why}");
-                }
-                let (seq, gateway, covered, entries) = match latest.valid {
-                    Some((seq, snap)) => {
-                        // The pattern names every snapshot field, so a new
-                        // one fails to compile until resume reads it.
-                        let GatewaySnapshot {
-                            // Validated by the snapshot store's decode.
-                            version: _,
-                            wal_records,
-                            journal_entries,
-                            config: stored,
-                            origin_slot,
-                            stats,
-                            jobs,
-                        } = snap;
-                        if stored != config.gateway {
-                            return Err(ServeError::ConfigMismatch {
-                                stored,
-                                requested: config.gateway,
-                            });
-                        }
-                        if wal_records > log.len() as u64 {
-                            return Err(ServeError::Persist(PersistError::Corrupt(format!(
-                                "snapshot {seq} covers {wal_records} WAL records but only {} \
-                                 survive on disk",
-                                log.len()
-                            ))));
-                        }
-                        let gateway =
-                            Gateway::from_snapshot(config.gateway, origin_slot, &jobs, stats);
-                        (Some(seq), gateway, wal_records, journal_entries)
+        // replay; a resumed one recovers its gateway and both logs.
+        let mut seen = BTreeSet::new();
+        let mut replay = Vec::new();
+        let (mut wal, journal, snapshot_seq, gateway, journal_entries) = if fresh {
+            let (wal, journal) = dir.create_genesis()?;
+            (wal, journal, None, Gateway::new(config.gateway), 0)
+        } else {
+            // The snapshot comes first: its record count says where each
+            // WAL record goes, and a refused resume touches no log.
+            let latest = dir.snapshots().latest_valid()?;
+            for (seq, why) in &latest.skipped {
+                eprintln!("elasticflow-serve: skipped corrupt snapshot {seq}: {why}");
+            }
+            let (seq, gateway, covered, entries) = match latest.valid {
+                Some((seq, snap)) => {
+                    // The pattern names every snapshot field, so a new
+                    // one fails to compile until resume reads it.
+                    let GatewaySnapshot {
+                        // Validated by the snapshot store's decode.
+                        version: _,
+                        wal_records,
+                        journal_entries,
+                        config: stored,
+                        origin_slot,
+                        stats,
+                        jobs,
+                    } = snap;
+                    if stored != config.gateway {
+                        return Err(ServeError::ConfigMismatch {
+                            stored,
+                            requested: config.gateway,
+                        });
                     }
-                    None => (None, Gateway::new(config.gateway), 0, 0),
-                };
-                let journal = dir.rewind_journal(entries)?;
-                (Some(log), wal, journal, seq, gateway, covered, entries)
+                    let gateway = Gateway::from_snapshot(config.gateway, origin_slot, &jobs, stats);
+                    (Some(seq), gateway, wal_records, journal_entries)
+                }
+                None => (None, Gateway::new(config.gateway), 0, 0),
             };
+            // One streaming scan of the WAL. The duplicate-id guard must
+            // cover the entire submission history: records folded into
+            // the snapshot seed it here, and the suffix past them is
+            // parsed for replay, inserting its own ids as it goes
+            // through the pipeline.
+            let (wal, scan) = dir.recover_wal(|index, line| {
+                if index < covered {
+                    if let Ok(Some(Request::Submit { job })) = parse_request(line) {
+                        seen.insert(job.id);
+                    }
+                    return Ok(());
+                }
+                match parse_request(line) {
+                    Ok(Some(request)) => {
+                        replay.push(request);
+                        Ok(())
+                    }
+                    Ok(None) => Err(PersistError::Corrupt(
+                        "gateway WAL holds an empty record".to_owned(),
+                    )),
+                    Err(e) => Err(PersistError::Corrupt(format!(
+                        "gateway WAL record failed to parse on replay: {e}"
+                    ))),
+                }
+            })?;
+            if let Some(seq) = seq.filter(|_| covered > scan.records) {
+                return Err(ServeError::Persist(PersistError::Corrupt(format!(
+                    "snapshot {seq} covers {covered} WAL records but only {} survive on disk",
+                    scan.records
+                ))));
+            }
+            let journal = dir.rewind_journal(entries)?;
+            (wal, journal, seq, gateway, entries)
+        };
         wal.set_fsync_policy(config.fsync);
         let mut daemon = Daemon {
             config,
@@ -244,7 +271,7 @@ impl Daemon {
             wal,
             journal,
             journal_entries,
-            seen: BTreeSet::new(),
+            seen,
             clock,
             registry,
             wal_buf: String::new(),
@@ -253,30 +280,6 @@ impl Daemon {
             batch: BatchScratch::default(),
             published: [0; RUNNING_TOTALS.len()],
         };
-
-        // The duplicate-id guard must cover the entire submission
-        // history. Records folded into the snapshot are scanned here;
-        // the suffix inserts its own ids as it goes through the
-        // pipeline, as one batch.
-        let covered = usize::try_from(covered_records).unwrap_or(usize::MAX);
-        if let Some(log) = &log {
-            for line in log.payloads().take(covered) {
-                if let Ok(Some(Request::Submit { job })) = parse_request(line) {
-                    daemon.seen.insert(job.id);
-                }
-            }
-        }
-        let replay = log
-            .iter()
-            .flat_map(|log| log.payloads().skip(covered))
-            .map(|line| match parse_request(line) {
-                Ok(Some(request)) => Ok(request),
-                Ok(None) => Err("gateway WAL holds an empty record".to_owned()),
-                Err(e) => Err(format!("gateway WAL record failed to parse on replay: {e}")),
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|why| ServeError::Persist(PersistError::Corrupt(why)))?;
-        drop(log);
         daemon.apply(&replay, false, &mut Vec::with_capacity(replay.len()))?;
         if fresh {
             return Ok((daemon, Resumption::Fresh));
@@ -875,5 +878,80 @@ mod tests {
         .map(|(d, r)| (d.config(), r))
         .expect_err("mismatched config refused");
         assert!(matches!(err, ServeError::ConfigMismatch { .. }));
+    }
+
+    #[test]
+    fn a_refused_resume_leaves_both_logs_byte_identical() {
+        let root = tmp("refused-untouched");
+        {
+            let (mut daemon, _) = open(&root);
+            for i in 0..8 {
+                daemon.handle_request(&request(&submit_line(i, 0.0, Some(3_600.0))));
+            }
+        }
+        let dir = GatewayDir::open(&root).unwrap();
+        // A torn WAL tail and a torn journal line: resume would cut both.
+        let mut wal = std::fs::read(dir.wal_path()).unwrap();
+        wal.extend_from_slice(&[7, 0, 0, 0, 1, 2]);
+        std::fs::write(dir.wal_path(), &wal).unwrap();
+        let mut journal = std::fs::read(dir.journal_path()).unwrap();
+        journal.extend_from_slice(b"{\"t\":9.0,\"dec");
+        std::fs::write(dir.journal_path(), &journal).unwrap();
+        let mut other = config();
+        other.gateway.gpus_per_server = 4;
+        let err = Daemon::open(
+            &root,
+            other,
+            Box::new(TickClock::new(250)),
+            gateway_registry(),
+        )
+        .map(|(d, r)| (d.config(), r))
+        .expect_err("mismatched config refused");
+        assert!(matches!(err, ServeError::ConfigMismatch { .. }));
+        assert!(
+            std::fs::read(dir.wal_path()).unwrap() == wal,
+            "the refused resume rewrote gateway.wal"
+        );
+        assert!(
+            std::fs::read(dir.journal_path()).unwrap() == journal,
+            "the refused resume rewrote decisions.jsonl"
+        );
+    }
+
+    #[test]
+    fn a_snapshot_covering_more_records_than_survive_is_corrupt() {
+        let root = tmp("snapshot-past-wal");
+        {
+            let (mut daemon, _) = open(&root);
+            // snapshot_every = 5 → snapshot 1 covers five records.
+            for i in 0..8 {
+                daemon.handle_request(&request(&submit_line(i, i as f64 * 20.0, Some(7_200.0))));
+            }
+        }
+        let dir = GatewayDir::open(&root).unwrap();
+        // Keep three records: fewer than the snapshot folded in.
+        RecordLog::recover(
+            crate::store::GATEWAY_WAL_KIND,
+            dir.wal_path(),
+            Some(3),
+            |_, _| Ok(()),
+        )
+        .unwrap();
+        let err = Daemon::open(
+            &root,
+            config(),
+            Box::new(TickClock::new(250)),
+            gateway_registry(),
+        )
+        .map(|(d, r)| (d.config(), r))
+        .expect_err("a WAL shorter than its snapshot is refused");
+        assert!(
+            matches!(
+                &err,
+                ServeError::Persist(PersistError::Corrupt(msg))
+                    if msg == "snapshot 1 covers 5 WAL records but only 3 survive on disk"
+            ),
+            "{err:?}"
+        );
     }
 }

@@ -421,8 +421,14 @@ mod tests {
         assert!(lines[0].contains("global_batch"), "got {}", lines[0]);
         assert!(lines[1].starts_with("{\"Decision\":"), "got {}", lines[1]);
         drop(daemon);
-        let (wal, _) = GatewayDir::open(&root).unwrap().recover_wal().unwrap();
-        let records: Vec<&str> = wal.payloads().collect();
+        let mut records = Vec::new();
+        GatewayDir::open(&root)
+            .unwrap()
+            .recover_wal(|_, payload| {
+                records.push(payload.to_owned());
+                Ok(())
+            })
+            .unwrap();
         assert_eq!(records, [submit_line(0).trim_end()]);
         let _ = std::fs::remove_dir_all(&root);
     }

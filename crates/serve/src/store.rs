@@ -23,10 +23,10 @@
 //! directory whose every snapshot is corrupt recovers from genesis.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use elasticflow_persist::records::{self, LogContents, LogKind, RecordLog};
+use elasticflow_persist::records::{self, LogKind, LogScan, RecordLog};
 use elasticflow_persist::{PersistError, SnapshotKind, SnapshotPayload, SnapshotStore};
 use elasticflow_sched::DecisionRecord;
 use elasticflow_telemetry::{JOURNAL_MAGIC, JOURNAL_VERSION};
@@ -157,48 +157,94 @@ impl GatewayDir {
         Ok((wal, journal))
     }
 
-    /// Recovers the submission log with one read: truncates a torn final
-    /// frame (the only crash artifact framing allows) and re-opens the
-    /// log for appending after every intact record (gateway WALs keep
-    /// the whole history; only the journal is rewound on resume).
-    /// Returns the clean payload lines and the reopened log.
-    pub fn recover_wal(&self) -> Result<(LogContents, RecordLog), PersistError> {
-        let contents = records::recover_log(GATEWAY_WAL_KIND, self.wal_path())?;
-        let wal = RecordLog::resume(&contents, contents.len() as u64)?;
-        Ok((contents, wal))
+    /// Recovers the submission log in one streaming pass
+    /// ([`RecordLog::recover`]): hands every intact record to `visit` as
+    /// `(index, payload)`, truncates a torn final frame (the only crash
+    /// artifact framing allows) and reopens the log for appending after
+    /// every intact record (gateway WALs keep the whole history; only
+    /// the journal is rewound on resume).
+    pub fn recover_wal(
+        &self,
+        visit: impl FnMut(u64, &str) -> Result<(), PersistError>,
+    ) -> Result<(RecordLog, LogScan), PersistError> {
+        RecordLog::recover(GATEWAY_WAL_KIND, self.wal_path(), None, visit)
     }
 
     /// Truncates the decision journal back to its header plus the first
     /// `entries` entry lines, and re-opens it for appending. A partial
     /// final line (crash mid-append) past the kept prefix is discarded
-    /// with it.
+    /// with it. The whole file must be UTF-8, read or not: the check
+    /// streams over it 1 MiB at a time.
     pub fn rewind_journal(&self, entries: u64) -> Result<File, PersistError> {
-        let path = self.journal_path();
-        let mut text = String::new();
-        File::open(&path)?.read_to_string(&mut text)?;
-        let mut keep_bytes: u64 = 0;
-        let mut complete_lines: u64 = 0; // header + entries seen so far
-        let mut start = 0usize;
-        while let Some(nl) = text[start..].find('\n') {
-            start += nl + 1;
-            complete_lines += 1;
-            keep_bytes = start as u64;
-            if complete_lines == entries + 1 {
-                break;
-            }
-        }
-        if complete_lines < entries + 1 {
-            return Err(PersistError::Corrupt(format!(
-                "decision journal holds {} complete lines but the snapshot requires {}",
-                complete_lines,
-                entries + 1
-            )));
-        }
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(self.journal_path())?;
+        let keep_bytes = journal_prefix_len(&mut file, entries + 1, JOURNAL_CHUNK)?;
         file.set_len(keep_bytes)?;
         file.seek(SeekFrom::End(0))?;
         Ok(file)
     }
+}
+
+/// Bytes [`GatewayDir::rewind_journal`] reads at a time.
+const JOURNAL_CHUNK: usize = 1 << 20;
+
+/// The byte length of the first `lines` complete lines of the journal
+/// `source` holds, read `chunk` bytes at a time. Every byte is read: a
+/// journal that is not UTF-8 anywhere is the [`ErrorKind::InvalidData`]
+/// error `read_to_string` reports, ahead of a journal with too few lines.
+/// A UTF-8 sequence cut off at a chunk's end is carried into the next.
+fn journal_prefix_len(
+    source: &mut impl Read,
+    lines: u64,
+    chunk: usize,
+) -> Result<u64, PersistError> {
+    let not_utf8 = || {
+        PersistError::Io(std::io::Error::new(
+            ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        ))
+    };
+    // Room for a carried partial sequence (at most 3 bytes) plus a byte.
+    let mut buf = vec![0; chunk.max(4)];
+    let mut carried = 0;
+    // File offset of `buf[0]`.
+    let mut base = 0u64;
+    let mut complete = 0u64;
+    let mut keep = None;
+    loop {
+        let filled = carried + records::fill(source, &mut buf[carried..])?;
+        let at_end = filled < buf.len();
+        let text = match std::str::from_utf8(&buf[..filled]) {
+            Ok(text) => text,
+            Err(e) if e.error_len().is_none() && !at_end => {
+                std::str::from_utf8(&buf[..e.valid_up_to()]).map_err(|_| not_utf8())?
+            }
+            Err(_) => return Err(not_utf8()),
+        };
+        let valid = text.len();
+        if keep.is_none() {
+            for (nl, _) in text.match_indices('\n') {
+                complete += 1;
+                if complete == lines {
+                    keep = Some(base + nl as u64 + 1);
+                    break;
+                }
+            }
+        }
+        if at_end {
+            break;
+        }
+        buf.copy_within(valid..filled, 0);
+        carried = filled - valid;
+        base += valid as u64;
+    }
+    keep.ok_or_else(|| {
+        PersistError::Corrupt(format!(
+            "decision journal holds {complete} complete lines but the snapshot requires {lines}"
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -371,6 +417,19 @@ mod tests {
         }
     }
 
+    /// Recovers the directory's WAL; returns the payloads, the scan and
+    /// the reopened log.
+    fn recover(dir: &GatewayDir) -> (Vec<String>, LogScan, RecordLog) {
+        let mut payloads = Vec::new();
+        let (wal, scan) = dir
+            .recover_wal(|_, p| {
+                payloads.push(p.to_owned());
+                Ok(())
+            })
+            .unwrap();
+        (payloads, scan, wal)
+    }
+
     #[test]
     fn wal_survives_a_torn_tail() {
         let dir = GatewayDir::open(tmp("torn-wal")).unwrap();
@@ -382,19 +441,90 @@ mod tests {
         let mut bytes = std::fs::read(dir.wal_path()).unwrap();
         bytes.extend_from_slice(&[9, 0, 0, 0, 1]);
         std::fs::write(dir.wal_path(), &bytes).unwrap();
-        let (payloads, mut wal) = dir.recover_wal().unwrap();
-        assert!(payloads.tail_truncated());
-        assert_eq!(
-            payloads.payloads().collect::<Vec<_>>(),
-            vec!["{\"req\":1}", "{\"req\":2}"]
-        );
+        let (payloads, scan, mut wal) = recover(&dir);
+        assert!(scan.tail_truncated);
+        assert_eq!(payloads, vec!["{\"req\":1}", "{\"req\":2}"]);
         assert_eq!(wal.records(), 2);
         wal.append_payload(b"{\"req\":3}").unwrap();
         drop(wal);
-        let (payloads, wal) = dir.recover_wal().unwrap();
+        let (payloads, scan, wal) = recover(&dir);
         assert_eq!(payloads.len(), 3);
-        assert_eq!(payloads.payloads().last(), Some("{\"req\":3}"));
-        assert!(!payloads.tail_truncated());
+        assert_eq!(payloads.last().map(String::as_str), Some("{\"req\":3}"));
+        assert!(!scan.tail_truncated);
         assert_eq!(wal.records(), 3);
+    }
+
+    /// The whole-file rewind the streaming one replaced: `read_to_string`,
+    /// then the byte length of the first `lines` lines.
+    fn reference_prefix_len(bytes: &[u8], lines: u64) -> Result<u64, PersistError> {
+        let mut text = String::new();
+        let mut source = bytes;
+        source.read_to_string(&mut text)?;
+        let mut complete = 0;
+        for (nl, _) in text.match_indices('\n') {
+            complete += 1;
+            if complete == lines {
+                return Ok(nl as u64 + 1);
+            }
+        }
+        Err(PersistError::Corrupt(format!(
+            "decision journal holds {complete} complete lines but the snapshot requires {lines}"
+        )))
+    }
+
+    #[test]
+    fn the_streaming_rewind_matches_read_to_string_at_every_chunk_size() {
+        let good =
+            "{\"journal\":1}\n{\"t\":1.0,\"é\":\"€\"}\n{\"t\":2.0,\"𝄞\":0}\n{\"t\":3.0,\"ent";
+        let mut journals: Vec<Vec<u8>> = vec![good.as_bytes().to_vec(), Vec::new()];
+        // Invalid UTF-8 inside the kept prefix, past it, in the torn tail
+        // and as a sequence cut short by the end of the file.
+        for at in [3, 20, good.len() - 2] {
+            let mut bad = good.as_bytes().to_vec();
+            bad[at] = 0xff;
+            journals.push(bad);
+        }
+        let mut cut = good.as_bytes().to_vec();
+        cut.extend_from_slice("€".as_bytes().split_at(2).0);
+        journals.push(cut);
+        // An error is compared by its kind and the message it prints
+        // (std builds its own UTF-8 error as a constant, which debug-prints
+        // differently from a constructed one).
+        let render = |r: Result<u64, PersistError>| match r {
+            Ok(len) => format!("Ok({len})"),
+            Err(PersistError::Io(e)) => format!("Io({:?}, {e})", e.kind()),
+            Err(e) => format!("{e:?}"),
+        };
+        for bytes in &journals {
+            for lines in 0..6 {
+                let reference = render(reference_prefix_len(bytes, lines));
+                for chunk in (1..=bytes.len() + 1).chain([JOURNAL_CHUNK]) {
+                    let mut source = bytes.as_slice();
+                    let streamed = render(journal_prefix_len(&mut source, lines, chunk));
+                    assert_eq!(
+                        streamed,
+                        reference,
+                        "{lines} lines of {:?} at chunk {chunk}",
+                        String::from_utf8_lossy(bytes)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_journal_that_is_not_utf8_past_the_kept_prefix_is_refused() {
+        let dir = GatewayDir::open(tmp("journal-utf8")).unwrap();
+        let (_wal, mut journal) = dir.create_genesis().unwrap();
+        journal
+            .write_all(b"{\"t\":0.0}\n{\"t\":1.0,\"x\":\"\xc3(\"}\n")
+            .unwrap();
+        drop(journal);
+        let before = std::fs::read(dir.journal_path()).unwrap();
+        match dir.rewind_journal(1) {
+            Err(PersistError::Io(e)) => assert_eq!(e.kind(), ErrorKind::InvalidData),
+            other => panic!("expected invalid UTF-8, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(dir.journal_path()).unwrap(), before);
     }
 }
