@@ -5,10 +5,10 @@
 # The guarantee-soundness checks the compiler and clippy cannot make
 # (EF-L000, L002, L005, L008, L009): any finding fails unless a justified
 # `allow` comment covers it. EF-L001, L003, L004 and L007 fail `make
-# clippy` instead, and EF-L006 fails `cargo build`. `make test` runs
-# these checks too (tests/lint.rs); this target is for interactive use.
+# clippy` instead, and EF-L006 fails `cargo build`. This runs the one
+# test that gates them (tests/lint.rs), which `make test` includes.
 lint:
-	cargo run -q -p elasticflow-lint
+	cargo test -q --test lint
 
 fmt:
 	cargo fmt --all --check
@@ -26,7 +26,8 @@ doc:
 
 # The gates a performance change must keep, as CI runs them: golden
 # replay and crash recovery, the evaluation's tables at seed 2023 against
-# their committed golden, the release allocation ceilings of warm
+# their committed golden (at the default worker count, at --jobs 1, and
+# at --jobs 3, which divides no batch evenly), the release allocation ceilings of warm
 # planning rounds and declined gateway submissions, the release memory
 # ceiling of a daemon resuming over 16 MiB logs, the release
 # mega-cluster digests (the EDF smoke, and ElasticFlow on 16,384 GPUs),
@@ -38,6 +39,10 @@ digests:
 	cargo test -q --test persist_recovery
 	cargo run -q --release -p elasticflow-bench --bin experiments -- all --json --seed 2023 > target/experiments-all-2023.json
 	diff target/experiments-all-2023.json crates/bench/tests/fixtures/experiments-all-2023.json
+	for j in 1 3; do \
+	  cargo run -q --release -p elasticflow-bench --bin experiments -- all --json --seed 2023 --jobs $$j > target/experiments-all-2023-jobs$$j.json || exit 1; \
+	  diff target/experiments-all-2023-jobs$$j.json crates/bench/tests/fixtures/experiments-all-2023.json || exit 1; \
+	done
 	cargo test -q --release -p elasticflow-core --test round_allocations
 	cargo test -q --release -p elasticflow-serve --test submit_allocations
 	cargo test -q --release -p elasticflow-serve --test recovery_memory

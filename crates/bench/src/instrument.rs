@@ -1,7 +1,7 @@
 //! The one run path of the experiment harness: every simulation, with
 //! optional telemetry capture and crash-consistent persistence.
 //!
-//! `experiments ... [--telemetry-out <dir>] [--state-dir <dir>
+//! `experiments ... [--jobs N] [--telemetry-out <dir>] [--state-dir <dir>
 //! --checkpoint-every <secs> [--resume]]` [`install`]s one
 //! [`RunSettings`] value at startup. [`crate::run_one`] and
 //! [`crate::parallel::run_batch`] read it and route every simulation,
@@ -29,6 +29,7 @@
 //! bit-identical with or without instrumentation. Export and persistence
 //! I/O failures are reported on stderr and never fail an experiment.
 
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -40,7 +41,7 @@ use elasticflow_trace::Trace;
 
 use crate::runners::scheduler_by_name;
 
-/// How every simulation run is instrumented.
+/// How every simulation run is instrumented, and how many run at once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSettings {
     /// Directory receiving each run's export set (`--telemetry-out`).
@@ -51,6 +52,9 @@ pub struct RunSettings {
     pub checkpoint_every: f64,
     /// Resume each run from its newest valid snapshot (`--resume`).
     pub resume: bool,
+    /// Worker threads a batch of runs fans out to (`--jobs`); the
+    /// available cores when unset.
+    pub jobs: Option<NonZeroUsize>,
 }
 
 /// Plain runs, with a 600 s snapshot cadence once a state directory is
@@ -60,6 +64,7 @@ static PLAIN: RunSettings = RunSettings {
     state_dir: None,
     checkpoint_every: 600.0,
     resume: false,
+    jobs: None,
 };
 
 impl Default for RunSettings {
@@ -326,6 +331,7 @@ mod tests {
             state_dir: Some(root.join("state")),
             checkpoint_every: 600.0,
             resume: false,
+            jobs: None,
         };
         let expected: Vec<SimReport> = traces
             .iter()

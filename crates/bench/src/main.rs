@@ -53,7 +53,6 @@ use elasticflow_bench::instrument::RunSettings;
 struct Options {
     command: Option<String>,
     seed: u64,
-    jobs: Option<usize>,
     json: bool,
     run: RunSettings,
     journal: Option<String>,
@@ -71,7 +70,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
     let mut opts = Options {
         command: None,
         seed: 2023,
-        jobs: None,
         json: false,
         run: RunSettings::default(),
         journal: None,
@@ -85,9 +83,9 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
                 Some(v) => opts.seed = v,
                 None => return Err("--seed needs an integer value".to_owned()),
             },
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) if v >= 1 => opts.jobs = Some(v),
-                _ => return Err("--jobs needs a positive integer".to_owned()),
+            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(v) => opts.run.jobs = Some(v),
+                None => return Err("--jobs needs a positive integer".to_owned()),
             },
             "--json" => opts.json = true,
             "--telemetry-out" => match it.next() {
@@ -156,13 +154,6 @@ fn main() -> ExitCode {
         };
         print!("{trail}");
         return ExitCode::SUCCESS;
-    }
-
-    if let Some(n) = opts.jobs {
-        if let Err(e) = elasticflow_bench::parallel::set_jobs(n) {
-            eprintln!("--jobs {n}: {e}");
-            return ExitCode::FAILURE;
-        }
     }
 
     if opts.run.resume && opts.run.state_dir.is_none() {

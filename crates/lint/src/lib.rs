@@ -7,8 +7,8 @@
 //! that guarantee in ways ordinary tests miss. Clippy enforces most of
 //! this (the `[lints]` tables in the workspace manifests and the root
 //! `clippy.toml`, see DESIGN.md §7.1); this crate is the zero-dependency
-//! pass for what clippy cannot see. It gates at `cargo test` time (via the
-//! root `tests/lint.rs`) and on demand (`cargo run -p elasticflow-lint`).
+//! pass for what clippy cannot see. It gates at `cargo test` time, through
+//! the root `tests/lint.rs` (`make lint` runs that test alone).
 //!
 //! The pass is a token tier: [`lexer`] strips comments, string contents
 //! and test regions, and [`rules`] matches per-line patterns in what is
@@ -75,10 +75,11 @@ pub mod scan;
 #[path = "../../sim/src/clippy_corpus/workspace.rs"]
 mod clippy_corpus;
 
-pub use rules::{rule_info, RuleInfo, RULES};
-pub use scan::{lint_files, lint_source, lint_workspace, LintReport, Violation};
+pub use scan::{lint_source, lint_workspace, LintReport, Violation};
 
 use std::path::PathBuf;
+
+use rules::rule_info;
 
 /// The workspace root, derived from this crate's manifest directory
 /// (`crates/lint` → two levels up). Usable from any workspace member's
@@ -99,4 +100,23 @@ pub fn render_violation(v: &Violation) -> String {
         "{}:{}: [{}] {} ({})",
         v.file, v.line, v.rule, v.message, title
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn violation_renders_as_file_line_rule_message() {
+        let v = lint_source(
+            "fn f() {\n    a == 0.0;\n}\n",
+            "core",
+            "crates/core/src/lib.rs",
+        );
+        let line = render_violation(&v[0]);
+        assert!(
+            line.starts_with("crates/core/src/lib.rs:2: [EF-L002] exact float `==`"),
+            "{line}"
+        );
+    }
 }

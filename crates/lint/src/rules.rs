@@ -23,17 +23,14 @@ pub struct RawViolation {
     pub message: String,
 }
 
-/// Static description of one rule, for `--rules` and the docs.
+/// Static description of one rule. DESIGN.md §7.1 gives each rule's
+/// rationale and remedy.
 #[derive(Debug, Clone, Copy)]
-pub struct RuleInfo {
+pub(crate) struct RuleInfo {
     /// Stable id.
     pub id: &'static str,
     /// One-line title.
     pub title: &'static str,
-    /// What the rule matches and why it exists.
-    pub rationale: &'static str,
-    /// The remedy the rule demands.
-    pub remedy: &'static str,
     /// Workspace crates (directory names under `crates/`) the rule gates.
     pub crates: &'static [&'static str],
 }
@@ -42,80 +39,41 @@ pub struct RuleInfo {
 pub const META_RULE: &str = "EF-L000";
 
 /// The registry, in id order.
-pub const RULES: &[RuleInfo] = &[
+pub(crate) const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: META_RULE,
         title: "suppressions must be well-formed and justified",
-        rationale: "An `elasticflow-lint:` comment that is not exactly \
-                    `allow(RULE): justification` silently suppresses nothing; \
-                    a justification-free allow hides the reasoning the next \
-                    reader needs to re-audit the site.",
-        remedy: "Write `// elasticflow-lint: allow(EF-L00N): <why this site is sound>`.",
         crates: &[], // empty scope = every scanned crate
     },
     RuleInfo {
         id: "EF-L002",
         title: "no exact float equality where clippy's `float_cmp` is silent",
-        rationale: "Deadline slack, throughput, and GPU-time values are \
-                    accumulated floats; exact `==`/`!=` against a float \
-                    literal flips on rounding noise and turns an admit/reject \
-                    decision into a coin toss. `clippy::float_cmp` denies the \
-                    general case but skips a literal equal to zero and the \
-                    bodies of functions named `eq`, `ne`, `is_nan`, `eq_*` or \
-                    `*_eq`; this rule covers exactly those.",
-        remedy: "Use `elasticflow_cluster::num::approx_eq`/`approx_ne` (or an \
-                 explicit tolerance), or compare integers.",
         crates: &["core", "cluster", "sim", "sched", "perfmodel"],
     },
     RuleInfo {
         id: "EF-L005",
         title: "no literal work-epsilon in planning code",
-        rationale: "The `1e-9` iteration-count slack appears in admission, \
-                    filling, boosting, and the feasibility theorems; a copy \
-                    that drifts independently makes two layers disagree on \
-                    whether a profile completes a job, flipping admit/reject \
-                    decisions between them.",
-        remedy: "Use `elasticflow_core::WORK_EPSILON`; only its definition \
-                 site may spell the literal (with a suppression).",
         crates: &["core"],
     },
     RuleInfo {
         id: "EF-L008",
         title: "no side effects or nondeterminism in parallel closures",
-        rationale: "Closures run under the shims/rayon APIs (`install`, \
-                    `parallel_map_indexed`, par-iter `map`/`for_each`) and \
-                    raw `thread::spawn`/`.spawn(` threads (the serve \
-                    gateway's exporter) execute on worker threads in \
-                    nondeterministic order: stdout/stderr writes interleave, \
-                    `RefCell`/`static mut` access races, and host clocks, OS \
-                    RNGs and hash-order iteration break the byte-identical \
-                    parallel-sweep guarantee.",
-        remedy: "Return values from the closure and aggregate after the \
-                 join; hoist I/O, shared mutation, and entropy outside the \
-                 parallel region.",
-        crates: &[], // parallel entry points may appear in any crate
+        crates: &[], // threads may be spawned in any crate
     },
     RuleInfo {
         id: "EF-L009",
         title: "no `macro_rules!` in decision code",
-        rationale: "Clippy does not lint code written inside a local \
-                    `macro_rules!` body, so an `unwrap`, `expect`, `panic!`, \
-                    `todo!` or `unimplemented!` there escapes the decision \
-                    crates' `[lints]` tables and can abort a replan \
-                    mid-decision.",
-        remedy: "Write a function (generic if need be) instead of a macro, \
-                 so the compiler and clippy check its body.",
         crates: &["core", "cluster", "sim", "sched"],
     },
 ];
 
 /// Looks up a rule by id.
-pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
+pub(crate) fn rule_info(id: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.id == id)
 }
 
 /// `true` when `rule` gates `crate_name` (an empty scope means "all").
-pub fn rule_applies(rule: &RuleInfo, crate_name: &str) -> bool {
+pub(crate) fn rule_applies(rule: &RuleInfo, crate_name: &str) -> bool {
     rule.crates.is_empty() || rule.crates.contains(&crate_name)
 }
 
@@ -167,29 +125,15 @@ fn close_paren(tokens: &[Token], open: usize) -> Option<usize> {
     None
 }
 
-/// EF-L008: forbidden tokens inside the argument region of a shims/rayon
-/// parallel entry point.
+/// EF-L008: forbidden tokens inside the argument region of a thread
+/// spawn.
 fn check_l008(tokens: &[Token], out: &mut Vec<RawViolation>) {
     let mut regions: Vec<(Range<usize>, &'static str)> = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
-        if t.is_ident("parallel_map_indexed") && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
-        {
-            if let Some(close) = close_paren(tokens, i + 1) {
-                regions.push((i + 2..close, "parallel_map_indexed"));
-            }
-        }
-        if t.is_punct('.')
-            && tokens.get(i + 1).is_some_and(|n| n.is_ident("install"))
-            && tokens.get(i + 2).is_some_and(|n| n.is_punct('('))
-        {
-            if let Some(close) = close_paren(tokens, i + 2) {
-                regions.push((i + 3..close, "install"));
-            }
-        }
-        // `thread::spawn(…)` and builder-style `.spawn(…)` threads: the
-        // serve gateway's exporter and any future long-running workers run
-        // their closures concurrently with the deterministic request loop,
-        // so the same side-effect/nondeterminism rules apply.
+        // `thread::spawn(…)` threads and `.spawn(…)` on a builder or a
+        // `thread::scope` handle: the serve gateway's exporter and the
+        // experiment fan-out's workers run their closures concurrently, in
+        // nondeterministic order.
         if t.is_ident("thread")
             && tokens.get(i + 1).is_some_and(|n| n.is_punct(':'))
             && tokens.get(i + 2).is_some_and(|n| n.is_punct(':'))
@@ -208,23 +152,8 @@ fn check_l008(tokens: &[Token], out: &mut Vec<RawViolation>) {
                 regions.push((i + 3..close, "spawn"));
             }
         }
-        // `.par_iter().map(…)` / `.into_par_iter().for_each(…)` chains.
-        let par_entry = t.is_ident("par_iter") || t.is_ident("into_par_iter");
-        if par_entry
-            && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && tokens.get(i + 2).is_some_and(|n| n.is_punct(')'))
-            && tokens.get(i + 3).is_some_and(|n| n.is_punct('.'))
-            && tokens
-                .get(i + 4)
-                .is_some_and(|n| n.is_ident("map") || n.is_ident("for_each"))
-            && tokens.get(i + 5).is_some_and(|n| n.is_punct('('))
-        {
-            if let Some(close) = close_paren(tokens, i + 5) {
-                regions.push((i + 6..close, "par-iter map"));
-            }
-        }
     }
-    // Nested regions (an install around a par-iter) would double-report
+    // Nested regions (a spawn inside a spawned closure) would double-report
     // the same token; key hits by token index so each offending token is
     // reported once, attributed to the outermost enclosing entry point.
     let mut hits: BTreeMap<usize, (u32, String)> = BTreeMap::new();
@@ -502,36 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn l008_fires_inside_parallel_entry_points() {
-        for (src, needle) in [
-            (
-                "fn f() { pool.install(|| { eprintln!(\"tick\"); work() }); }",
-                "eprintln",
-            ),
-            (
-                "fn f() { parallel_map_indexed(n, |i| { CELL.with(|c: &RefCell<u32>| {}); i }); }",
-                "RefCell",
-            ),
-            (
-                "fn f() { v.par_iter().map(|x| reg.lock().insert_into::<HashMap<u32, u32>>(x)).collect() }",
-                "HashMap",
-            ),
-            (
-                "fn f() { pool.install(|| unsafe { static mut N: u32 = 0; N += 1 }); }",
-                "static mut",
-            ),
-            (
-                "fn f() { v.into_par_iter().for_each(|x| log(Instant::now(), x)); }",
-                "Instant::now",
-            ),
-        ] {
-            let v = run(src, "bench");
-            assert_eq!(rules_of(&v), vec!["EF-L008"], "missed: {src}");
-            assert!(v[0].message.contains(needle), "{src}: {}", v[0].message);
-        }
-    }
-
-    #[test]
     fn l008_fires_inside_spawned_threads() {
         for (src, needle) in [
             (
@@ -545,6 +444,23 @@ mod tests {
             (
                 "fn f() { Builder::new().spawn(|| stamp(SystemTime::now())).unwrap(); }",
                 "SystemTime::now",
+            ),
+            (
+                "fn f() { thread::spawn(|| CELL.with(|c: &RefCell<u32>| {})); }",
+                "RefCell",
+            ),
+            (
+                "fn f() { thread::spawn(|| unsafe { static mut N: u32 = 0; N += 1 }); }",
+                "static mut",
+            ),
+            // The experiment fan-out's shape: workers spawned on a scope.
+            (
+                "fn f() { std::thread::scope(|s| { s.spawn(|| eprintln!(\"x\")); }); }",
+                "eprintln",
+            ),
+            (
+                "fn f() { thread::scope(|s| s.spawn(|| log(Instant::now()))); }",
+                "Instant::now",
             ),
         ] {
             let v = run(src, "serve");
@@ -561,24 +477,10 @@ mod tests {
             "fn f() { std::thread::spawn(move || { let b = render(&reg.lock()); s.write_all(b.as_bytes()); }); }",
             // Command::spawn has an empty argument region.
             "fn f() { Command::new(\"bin\").spawn()?.wait() }",
+            // I/O outside the spawned closure; a scope body is not a thread.
+            "fn f() { eprintln!(\"sequential\"); thread::scope(|s| { s.spawn(|| run()); }); }",
         ] {
             assert!(run(src, "serve").is_empty(), "false positive: {src}");
-        }
-    }
-
-    #[test]
-    fn l008_clean_outside_parallel_regions_and_on_pure_closures() {
-        for src in [
-            // I/O outside any parallel entry point.
-            "fn f() { eprintln!(\"sequential\"); pool.install(|| run()); }",
-            // Pure closure: returns values, no shared state.
-            "fn f() { v.par_iter().map(|x| x * 2).collect() }",
-            // Function reference, nothing to scan.
-            "fn f() { reqs.into_par_iter().map(run_request).collect() }",
-            // install with a clean closure body.
-            "fn f() { pool.install(|| fig6::run_large(SWEEP_SEED)); }",
-        ] {
-            assert!(run(src, "bench").is_empty(), "false positive: {src}");
         }
     }
 
@@ -614,7 +516,7 @@ mod tests {
 
     #[test]
     fn l008_nested_regions_report_once() {
-        let src = "fn f() { pool.install(|| v.par_iter().map(|x| println!(\"{x}\")).collect()); }";
+        let src = "fn f() { thread::spawn(|| s.spawn(|| println!(\"{x}\"))); }";
         let v = run(src, "bench");
         assert_eq!(rules_of(&v), vec!["EF-L008"], "{v:?}");
     }
@@ -642,11 +544,8 @@ mod tests {
     }
 
     #[test]
-    fn registry_ids_are_unique_and_sorted() {
-        let ids: Vec<_> = RULES.iter().map(|r| r.id).collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(ids, sorted);
+    fn rules_lists_the_registry() {
+        let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
+        assert_eq!(ids, ["EF-L000", "EF-L002", "EF-L005", "EF-L008", "EF-L009"]);
     }
 }

@@ -113,7 +113,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
 /// Lints a set of in-memory sources `(crate_name, rel_path, src)`. This is
 /// the full pipeline — the workspace scan above runs it on files read
 /// from disk.
-pub fn lint_files(files: &[(&str, &str, &str)]) -> LintReport {
+pub(crate) fn lint_files(files: &[(&str, &str, &str)]) -> LintReport {
     let analyses: Vec<FileAnalysis> = files
         .iter()
         .map(|(c, f, s)| FileAnalysis::new(c, f, s))

@@ -16,8 +16,8 @@ fn violating_fragments() -> Vec<(&'static str, &'static str)> {
         ("0.0 != b", "EF-L002"),
         ("c == -0.0", "EF-L002"),
         ("d + 1e-9", "EF-L005"),
-        ("pool.install(|| println!(\"tick\"))", "EF-L008"),
-        ("v.par_iter().map(|x| HashMap::new()).count()", "EF-L008"),
+        ("std::thread::spawn(|| println!(\"tick\"))", "EF-L008"),
+        ("s.spawn(|| HashMap::<u8, u8>::new()).join()", "EF-L008"),
         ("{ macro_rules! m { () => { 1 }; } m!() }", "EF-L009"),
     ]
 }

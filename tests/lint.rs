@@ -5,10 +5,9 @@
 //! EF-L001, L003, L004 and L007 are clippy lints and fail `cargo clippy`
 //! (the CI checks job and `make clippy`), not this test. EF-L006 (snapshot
 //! coverage) fails `cargo build`: every capture and restore is an
-//! exhaustive pattern, and `unused_variables` is denied. The same checks
-//! are available interactively as `cargo run -p elasticflow-lint`. Rules
-//! and the suppression syntax are documented in the `elasticflow_lint`
-//! crate docs and in DESIGN.md §7.1.
+//! exhaustive pattern, and `unused_variables` is denied. `make lint` runs
+//! this test alone. DESIGN.md §7.1 gives every rule's rationale and
+//! remedy; the suppression syntax is in the `elasticflow_lint` crate docs.
 
 use elasticflow_lint::{lint_workspace, render_violation, workspace_root};
 
@@ -29,7 +28,7 @@ fn workspace_is_lint_clean() {
         msg.push_str(
             "\nFix the sites above or suppress with a justified\n\
              `// elasticflow-lint: allow(RULE): <why this is sound>` comment.\n\
-             Run `cargo run -p elasticflow-lint -- --rules` for the rule registry.",
+             DESIGN.md §7.1 explains each rule and its remedy.",
         );
         panic!("{msg}");
     }
