@@ -28,7 +28,8 @@ doc:
 # replay and crash recovery, the evaluation's tables at seed 2023 against
 # their committed golden (at the default worker count, at --jobs 1, and
 # at --jobs 3, which divides no batch evenly), the release allocation ceilings of warm
-# planning rounds and declined gateway submissions, the release memory
+# planning rounds, declined gateway submissions and the simulator's trace
+# fingerprint, the release memory
 # ceiling of a daemon resuming over 16 MiB logs, the release
 # mega-cluster digests (the EDF smoke, and ElasticFlow on 16,384 GPUs),
 # and the perfbench seed-0 digests on all four
@@ -45,6 +46,7 @@ digests:
 	done
 	cargo test -q --release -p elasticflow-core --test round_allocations
 	cargo test -q --release -p elasticflow-serve --test submit_allocations
+	cargo test -q --release -p elasticflow-bench --test fingerprint
 	cargo test -q --release -p elasticflow-serve --test recovery_memory
 	cargo test -q --release -p elasticflow-bench --test mega_cluster -- --ignored --exact mega_cluster_smoke_matches_golden_digest
 	cargo test -q --release -p elasticflow-bench --test mega_cluster -- --ignored --exact elasticflow_at_paper_scale_shape_matches_golden_digest

@@ -22,8 +22,9 @@
 use elasticflow_cluster::ClusterSpec;
 use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
 use elasticflow_sched::EdfScheduler;
-use elasticflow_sim::{SimConfig, SimReport, Simulation};
+use elasticflow_sim::{Fnv1a64, SimConfig, SimReport, Simulation};
 use elasticflow_trace::{JobId, JobSpec, Rng, Trace};
+use serde::Serialize;
 
 /// Parameters of one mega-cluster run. Construct via [`MegaConfig::paper_scale`]
 /// or [`MegaConfig::smoke`]; the fields are public so experiments can scale
@@ -179,23 +180,19 @@ pub fn run_mega(cfg: &MegaConfig) -> MegaStats {
 }
 
 /// FNV-1a-64 over the concatenation of each outcome's canonical JSON line
-/// (newline-terminated), streamed so a million-outcome report never
-/// materializes as one string. Equivalent to
-/// `fnv1a64(lines.join(""))` — see the equivalence test below.
+/// (newline-terminated). Each outcome serializes straight into the hash,
+/// so neither the report nor any one line materializes as a string.
+/// Equivalent to `fnv1a64(lines.join(""))` — see the equivalence test
+/// below.
 pub fn outcome_digest(report: &SimReport) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv1a64::new();
     for outcome in report.outcomes() {
-        let line = serde_json::to_string(outcome).expect("job outcomes serialize infallibly");
-        eat(line.as_bytes());
-        eat(b"\n");
+        outcome
+            .serialize(&mut serde_json::Serializer::new(&mut hash))
+            .expect("job outcomes serialize infallibly");
+        hash.update(b"\n");
     }
-    hash
+    hash.finish()
 }
 
 #[cfg(test)]

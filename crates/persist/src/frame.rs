@@ -24,7 +24,7 @@
 //! checksum up to [`CHECKSUM_LANES`] frames at once in interleaved lanes
 //! ([`fnv1a64_lanes`]), which changes neither a byte nor an error.
 
-use elasticflow_sim::fnv1a64;
+use elasticflow_sim::{fnv1a64, Fnv1a64};
 
 use crate::error::PersistError;
 
@@ -69,16 +69,6 @@ pub fn check_header(
 /// Payloads [`fnv1a64_lanes`] hashes at once.
 pub const CHECKSUM_LANES: usize = 4;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Continues an FNV-1a-64 hash from `hash` over `bytes`.
-fn fnv1a64_from(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
-
 /// FNV-1a-64 of up to [`CHECKSUM_LANES`] payloads at once: lane `i`
 /// holds exactly [`fnv1a64`]`(payloads[i])`; lanes past
 /// `payloads.len()` hold nothing meaningful.
@@ -98,7 +88,7 @@ pub fn fnv1a64_lanes(payloads: &[&[u8]]) -> [u64; CHECKSUM_LANES] {
         payloads.len()
     );
     let Some(&first) = payloads.first() else {
-        return [FNV_OFFSET; CHECKSUM_LANES];
+        return [Fnv1a64::new().finish(); CHECKSUM_LANES];
     };
     // Unused lanes repeat the first payload: the lockstep runs at the
     // pace of one chain however many lanes carry work.
@@ -106,17 +96,17 @@ pub fn fnv1a64_lanes(payloads: &[&[u8]]) -> [u64; CHECKSUM_LANES] {
         std::array::from_fn(|i| payloads.get(i).copied().unwrap_or(first));
     let shared = lanes.iter().map(|p| p.len()).min().unwrap_or(0);
     let [a, b, c, d] = lanes.map(|p| &p[..shared]);
-    let mut h = [FNV_OFFSET; CHECKSUM_LANES];
-    for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
-        h[0] = (h[0] ^ u64::from(a)).wrapping_mul(FNV_PRIME);
-        h[1] = (h[1] ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        h[2] = (h[2] ^ u64::from(c)).wrapping_mul(FNV_PRIME);
-        h[3] = (h[3] ^ u64::from(d)).wrapping_mul(FNV_PRIME);
+    let mut h = [Fnv1a64::new(); CHECKSUM_LANES];
+    for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
+        h[0].update(std::slice::from_ref(a));
+        h[1].update(std::slice::from_ref(b));
+        h[2].update(std::slice::from_ref(c));
+        h[3].update(std::slice::from_ref(d));
     }
     for (hash, payload) in h.iter_mut().zip(lanes) {
-        *hash = fnv1a64_from(*hash, &payload[shared..]);
+        hash.update(&payload[shared..]);
     }
-    h
+    h.map(|hash| hash.finish())
 }
 
 /// Appends one framed record (length, checksum, payload) to `out`.

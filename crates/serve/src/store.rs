@@ -315,9 +315,7 @@ mod tests {
     fn snapshot_bytes_match_the_pinned_digest() {
         let bytes = GATEWAY_SNAPSHOT_KIND.encode(&one_job_snapshot()).unwrap();
         // FNV-1a-64, the checksum the frame layer uses.
-        let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        });
+        let digest = elasticflow_sim::fnv1a64(&bytes);
         assert_eq!(digest, GATEWAY_SNAPSHOT_DIGEST, "got {digest:#018x}");
     }
 

@@ -26,7 +26,7 @@ use crate::driver::SchedulerDriver;
 use crate::event::{Event, EventCore};
 use crate::executor::Executor;
 use crate::observer::{PhaseEdge, SchedPhase, SimContext, SimObserver, TimelineCollector};
-use crate::snapshot::{fingerprint_json, fnv1a64, ResumeError, SimSnapshot, SIM_SNAPSHOT_VERSION};
+use crate::snapshot::{fingerprint_json, Fnv1a64, ResumeError, SimSnapshot, SIM_SNAPSHOT_VERSION};
 use crate::{SimConfig, SimReport};
 
 /// Fans one phase edge out to the whole observer chain.
@@ -239,10 +239,10 @@ impl Simulation {
     /// context fingerprint that snapshots embed, hashed together. Two runs
     /// share it exactly when a snapshot of one validates against the other.
     pub fn input_fingerprint(&self, trace: &Trace) -> u64 {
-        let mut bytes = [0u8; 16];
-        bytes[..8].copy_from_slice(&fingerprint_json(trace).to_le_bytes());
-        bytes[8..].copy_from_slice(&self.context_fingerprint().to_le_bytes());
-        fnv1a64(&bytes)
+        let mut hash = Fnv1a64::new();
+        hash.update(&fingerprint_json(trace).to_le_bytes());
+        hash.update(&self.context_fingerprint().to_le_bytes());
+        hash.finish()
     }
 
     /// Fingerprint of the run context (cluster spec + sim config) embedded

@@ -70,6 +70,6 @@ pub use observer::{
     PhaseEdge, SchedPhase, SimContext, SimObserver, TimelineCollector, TraceRecord,
 };
 pub use snapshot::{
-    fnv1a64, EventCoreSnapshot, ExecutorSnapshot, JobStatsSnapshot, ResumeError, SimSnapshot,
-    SIM_SNAPSHOT_VERSION,
+    fnv1a64, EventCoreSnapshot, ExecutorSnapshot, Fnv1a64, JobStatsSnapshot, ResumeError,
+    SimSnapshot, SIM_SNAPSHOT_VERSION,
 };

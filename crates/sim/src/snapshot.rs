@@ -40,24 +40,77 @@ use crate::TimelinePoint;
 /// semantics change; resume rejects unknown versions with a typed error.
 pub const SIM_SNAPSHOT_VERSION: u32 = 1;
 
-/// FNV-1a 64-bit hash. Self-contained so checksums and fingerprints do not
-/// depend on `std`'s unstable `Hasher` internals; shared by the snapshot
-/// fingerprints here and the framing checksums in `elasticflow-persist`.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// Incremental FNV-1a 64-bit hash. Self-contained so checksums and
+/// fingerprints do not depend on `std`'s unstable `Hasher` internals;
+/// shared by the snapshot fingerprints here, the framing checksums in
+/// `elasticflow-persist` and the bench outcome digests. Bytes go in through
+/// [`Fnv1a64::update`], [`std::io::Write`] or [`std::fmt::Write`], so a
+/// serializer can stream into it; the hash of a byte stream does not
+/// depend on how it is cut into writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The hash of no bytes (the FNV-1a-64 offset basis).
+    #[inline]
+    pub const fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    /// Continues the hash over `bytes`.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte written so far.
+    #[inline]
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64::new()
+    }
+}
+
+impl std::io::Write for Fnv1a64 {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.update(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl std::fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a 64-bit hash of `bytes`.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv1a64::new();
+    hash.update(bytes);
+    hash.finish()
 }
 
 /// Fingerprints a serializable value by hashing its canonical JSON
 /// encoding (the serializer emits maps in stable order, so equal values
-/// fingerprint equally).
+/// fingerprint equally). The JSON streams into the hash: no tree and no
+/// string of it is built.
 pub(crate) fn fingerprint_json<T: Serialize>(value: &T) -> u64 {
-    match serde_json::to_string(value) {
-        Ok(json) => fnv1a64(json.as_bytes()),
+    let mut hash = Fnv1a64::new();
+    match value.serialize(&mut serde_json::Serializer::new(&mut hash)) {
+        Ok(()) => hash.finish(),
         Err(_) => crate::executor::sim_bug("snapshot fingerprint serialization failed"),
     }
 }
@@ -217,11 +270,71 @@ mod tests {
     }
 
     #[test]
+    fn incremental_hash_ignores_how_the_bytes_are_cut() {
+        use std::fmt::Write as _;
+        use std::io::Write as _;
+        let mut hash = Fnv1a64::default();
+        hash.update(b"fo");
+        hash.write_all(b"ob").unwrap();
+        hash.write_str("ar").unwrap();
+        assert_eq!(hash.finish(), fnv1a64(b"foobar"));
+    }
+
+    #[test]
     fn equal_values_fingerprint_equally() {
         let a = vec![1u32, 2, 3];
         let b = vec![1u32, 2, 3];
         assert_eq!(fingerprint_json(&a), fingerprint_json(&b));
         assert_ne!(fingerprint_json(&a), fingerprint_json(&vec![1u32, 2]));
+    }
+
+    /// A two-job trace: an SLO job with a soft-deadline neighbour and a
+    /// best-effort job, whose infinite deadline encodes as `null`.
+    fn small_trace() -> elasticflow_trace::Trace {
+        use elasticflow_perfmodel::DnnModel;
+        use elasticflow_trace::{JobSpec, Trace};
+        let jobs = vec![
+            JobSpec::builder(JobId::new(2), DnnModel::Gpt2, 256)
+                .iterations(1_500.0)
+                .submit_time(30.5)
+                .trace_shape(4, 1_200.0)
+                .build(),
+            JobSpec::builder(JobId::new(1), DnnModel::Bert, 128)
+                .iterations(50_000.0)
+                .submit_time(0.0)
+                .deadline(3_600.0 * 8.0)
+                .trace_shape(8, 0.1)
+                .build(),
+            JobSpec::builder(JobId::new(3), DnnModel::ResNet50, 64)
+                .iterations(2.0e-3)
+                .submit_time(60.0)
+                .soft_deadline(1e21)
+                .build(),
+        ];
+        Trace::new("pin \"small\"\n", jobs)
+    }
+
+    /// The trace's canonical JSON and its fingerprint, both pinned: a
+    /// serializer change that moves a byte breaks every stored snapshot's
+    /// input check, so it must fail here first.
+    #[test]
+    fn small_trace_fingerprint_is_pinned() {
+        let trace = small_trace();
+        let json = concat!(
+            r#"{"name":"pin \"small\"\n","jobs":["#,
+            r#"{"id":1,"model":"Bert","global_batch":128,"iterations":50000.0,"#,
+            r#""submit_time":0.0,"deadline":28800.0,"trace_gpus":8,"#,
+            r#""trace_duration":0.1,"kind":"Slo"},"#,
+            r#"{"id":2,"model":"Gpt2","global_batch":256,"iterations":1500.0,"#,
+            r#""submit_time":30.5,"deadline":null,"trace_gpus":4,"#,
+            r#""trace_duration":1200.0,"kind":"BestEffort"},"#,
+            r#"{"id":3,"model":"ResNet50","global_batch":64,"iterations":0.002,"#,
+            r#""submit_time":60.0,"deadline":1e21,"trace_gpus":1,"#,
+            r#""trace_duration":0.0,"kind":"SoftDeadline"}]}"#,
+        );
+        assert_eq!(serde_json::to_string(&trace).unwrap(), json);
+        assert_eq!(fingerprint_json(&trace), fnv1a64(json.as_bytes()));
+        assert_eq!(fingerprint_json(&trace), 0x09c5_bac8_f1ab_afc1);
     }
 
     #[test]

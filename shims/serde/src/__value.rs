@@ -1,9 +1,13 @@
-//! The JSON-like value tree that backs the serde shim's data model.
+//! The JSON-like value tree: what the JSON parser builds, deserialization
+//! reads, and `to_value` produces.
 
 use std::fmt;
 
-/// A self-describing tree value: the intermediate representation every
-/// `Serialize`/`Deserialize` impl in the shim goes through.
+use crate::__json as json;
+use crate::ser::Serialize;
+
+/// A self-describing tree value: what the JSON parser produces and every
+/// `Deserialize` impl in the shim reads, and what `to_value` builds.
 ///
 /// Objects preserve insertion order (fields serialize in declaration order)
 /// so output is deterministic and diffs are stable.
@@ -97,69 +101,13 @@ impl Value {
             Value::Object(_) => "object",
         }
     }
-
-    /// Writes the value as compact JSON.
-    pub fn write_json(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::Int(x) => {
-                let mut buf = String::new();
-                fmt::Write::write_fmt(&mut buf, format_args!("{x}")).ok();
-                out.push_str(&buf);
-            }
-            Value::UInt(x) => {
-                let mut buf = String::new();
-                fmt::Write::write_fmt(&mut buf, format_args!("{x}")).ok();
-                out.push_str(&buf);
-            }
-            Value::Float(x) => {
-                if x.is_finite() {
-                    // `{:?}` prints the shortest representation that parses
-                    // back to the identical f64 (round-trip safe).
-                    let mut buf = String::new();
-                    fmt::Write::write_fmt(&mut buf, format_args!("{x:?}")).ok();
-                    out.push_str(&buf);
-                } else {
-                    // JSON has no infinity/NaN literal; real serde_json
-                    // writes null here as well.
-                    out.push_str("null");
-                }
-            }
-            Value::String(s) => write_json_string(s, out),
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_json(out);
-                }
-                out.push(']');
-            }
-            Value::Object(entries) => {
-                out.push('{');
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_string(k, out);
-                    out.push(':');
-                    v.write_json(out);
-                }
-                out.push('}');
-            }
-        }
-    }
 }
 
 /// Compact JSON rendering, so `println!("{value}")` matches `serde_json`.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        f.write_str(&out)
+        self.serialize(&mut json::Serializer::new(f))
+            .map_err(|_| fmt::Error)
     }
 }
 
@@ -209,22 +157,4 @@ impl PartialEq<Value> for &str {
     fn eq(&self, other: &Value) -> bool {
         other.as_str() == Some(*self)
     }
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }

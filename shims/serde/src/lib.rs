@@ -2,14 +2,20 @@
 //!
 //! The build environment for this repository has no access to crates.io, so
 //! the workspace vendors a minimal, std-only re-implementation of the serde
-//! surface it actually uses. The data model is a concrete JSON-like
-//! [`Value`] tree rather than serde's visitor architecture: `Serialize`
-//! lowers a type into a [`Value`], `Deserialize` lifts it back. The public
-//! trait signatures mirror the real crate closely enough that the
-//! application code (including `#[serde(with = "...")]` helper modules) is
-//! written exactly as it would be against real serde, and the whole shim can
-//! be swapped for the genuine crates by flipping the workspace dependency
-//! back to a registry version.
+//! surface it actually uses.
+//!
+//! Serialization streams, as in real serde: `Serialize` feeds a
+//! [`Serializer`] one scalar or compound (struct, sequence, map, enum
+//! variant) at a time, under real serde's method names. The JSON writer
+//! behind `serde_json` formats each call straight into its sink;
+//! [`ser::ValueSerializer`] builds a concrete JSON-like [`Value`] tree
+//! from the same calls. Deserialization is tree-only: `Deserialize` lifts
+//! a type out of a parsed [`Value`] rather than driving serde's visitor
+//! architecture. The public trait signatures mirror the real crate closely
+//! enough that the application code (including `#[serde(with = "...")]`
+//! helper modules) is written exactly as it would be against real serde,
+//! and the whole shim can be swapped for the genuine crates by flipping the
+//! workspace dependency back to a registry version.
 
 #![forbid(unsafe_code)]
 #![expect(
@@ -23,6 +29,8 @@ pub use serde_derive::{Deserialize, Serialize};
 pub mod de;
 pub mod ser;
 
+#[doc(hidden)]
+pub mod __json;
 #[doc(hidden)]
 pub mod __value;
 

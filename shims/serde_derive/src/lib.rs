@@ -3,13 +3,15 @@
 //! Real `serde_derive` pulls in `syn`/`quote`; neither is available in this
 //! build environment, so this crate hand-parses the item definition from the
 //! token stream's textual rendering and emits impls of the shim's
-//! `Serialize`/`Deserialize` traits (which funnel through a JSON-like
-//! `Value` tree, making codegen straightforward).
+//! `Serialize`/`Deserialize` traits. `Serialize` impls stream, calling the
+//! shim serializer's struct, sequence and variant methods field by field;
+//! `Deserialize` impls read fields out of a parsed JSON-like `Value` tree.
 //!
 //! Supported shapes — everything the workspace uses:
 //!
 //! * structs with named fields (`#[serde(default)]`, `#[serde(with = "m")]`
-//!   honored per field);
+//!   honored per field; `with` on an enum variant's field is a compile
+//!   error);
 //! * newtype and tuple structs (newtypes serialize transparently);
 //! * enums with unit, tuple, and struct variants (externally tagged, like
 //!   serde's default representation).
@@ -49,47 +51,58 @@ fn expand(input: TokenStream, gen: fn(&Item) -> String) -> TokenStream {
     }
 }
 
+/// Emits a `Serialize` impl that feeds the item to the serializer one
+/// call at a time: `serialize_struct` and its fields, `serialize_seq` for
+/// tuple structs, and one of the four variant methods per enum arm.
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
         ItemKind::Struct(Fields::Named(fields)) => {
-            let mut pushes = String::new();
+            let mut calls = String::new();
             for f in fields {
-                if let Some(with) = &f.with_module {
-                    pushes.push_str(&format!(
-                        "__fields.push(({n:?}.to_string(), \
-                         match {with}::serialize(&self.{n}, ::serde::ser::ValueSerializer) {{ \
-                         ::std::result::Result::Ok(v) => v, \
-                         ::std::result::Result::Err(e) => match e {{}} }}));\n",
-                        n = f.name,
-                    ));
-                } else {
-                    pushes.push_str(&format!(
-                        "__fields.push(({n:?}.to_string(), ::serde::ser::to_value(&self.{n})));\n",
-                        n = f.name,
-                    ));
-                }
+                let n = &f.name;
+                let value = match &f.with_module {
+                    // `with` modules serialize one field of `Name`; a
+                    // wrapper over the whole struct hands them the field
+                    // and the same serializer.
+                    Some(with) => {
+                        calls.push_str(&format!(
+                            "struct __With_{n}<'__a>(&'__a {name});\n\
+                             impl ::serde::ser::Serialize for __With_{n}<'_> {{\n\
+                             fn serialize<__S: ::serde::ser::Serializer>(&self, __s: __S) \
+                             -> ::std::result::Result<__S::Ok, __S::Error> {{\n\
+                             {with}::serialize(&self.0.{n}, __s)\n}}\n}}\n"
+                        ));
+                        format!("&__With_{n}(self)")
+                    }
+                    None => format!("&self.{n}"),
+                };
+                calls.push_str(&format!(
+                    "::serde::ser::SerializeStruct::serialize_field(&mut __s, {n:?}, {value})?;\n"
+                ));
             }
             format!(
-                "let mut __fields: ::std::vec::Vec<(::std::string::String, \
-                 ::serde::__value::Value)> = ::std::vec::Vec::new();\n{pushes}\
-                 ::serde::ser::Serializer::serialize_value(__serializer, \
-                 ::serde::__value::Value::Object(__fields))"
+                "let mut __s = ::serde::ser::Serializer::serialize_struct(\
+                 __serializer, {name:?}, {len})?;\n{calls}\
+                 ::serde::ser::SerializeStruct::end(__s)",
+                len = fields.len()
             )
         }
         ItemKind::Struct(Fields::Tuple(arity)) => match arity {
             0 => "::serde::ser::Serializer::serialize_unit(__serializer)".to_string(),
-            1 => "::serde::ser::Serializer::serialize_value(__serializer, \
-                  ::serde::ser::to_value(&self.0))"
-                .to_string(),
+            1 => format!(
+                "::serde::ser::Serializer::serialize_newtype_struct(__serializer, {name:?}, &self.0)"
+            ),
             n => {
-                let items: Vec<String> = (0..*n)
-                    .map(|i| format!("::serde::ser::to_value(&self.{i})"))
+                let elements: String = (0..*n)
+                    .map(|i| {
+                        format!("::serde::ser::SerializeSeq::serialize_element(&mut __s, &self.{i})?;\n")
+                    })
                     .collect();
                 format!(
-                    "::serde::ser::Serializer::serialize_value(__serializer, \
-                     ::serde::__value::Value::Array(::std::vec![{}]))",
-                    items.join(", ")
+                    "let mut __s = ::serde::ser::Serializer::serialize_seq(\
+                     __serializer, ::std::option::Option::Some({n}))?;\n{elements}\
+                     ::serde::ser::SerializeSeq::end(__s)"
                 )
             }
         },
@@ -98,55 +111,67 @@ fn gen_serialize(item: &Item) -> String {
         }
         ItemKind::Enum(variants) => {
             let mut arms = String::new();
-            for v in variants {
+            for (index, v) in variants.iter().enumerate() {
                 let vname = &v.name;
+                let head = format!("__serializer, {name:?}, {index}u32, {vname:?}");
                 match &v.fields {
                     Fields::Unit => arms.push_str(&format!(
-                        "{name}::{vname} => ::serde::__value::Value::String({vname:?}.to_string()),\n"
+                        "{name}::{vname} => \
+                         ::serde::ser::Serializer::serialize_unit_variant({head}),\n"
                     )),
                     Fields::Tuple(1) => arms.push_str(&format!(
-                        "{name}::{vname}(__f0) => ::serde::__value::Value::Object(::std::vec![\
-                         ({vname:?}.to_string(), ::serde::ser::to_value(__f0))]),\n"
+                        "{name}::{vname}(__f0) => \
+                         ::serde::ser::Serializer::serialize_newtype_variant({head}, __f0),\n"
                     )),
                     Fields::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let vals: Vec<String> = binds
+                        let fields: String = binds
                             .iter()
-                            .map(|b| format!("::serde::ser::to_value({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vname}({}) => ::serde::__value::Value::Object(::std::vec![\
-                             ({vname:?}.to_string(), ::serde::__value::Value::Array(\
-                             ::std::vec![{}]))]),\n",
-                            binds.join(", "),
-                            vals.join(", ")
-                        ));
-                    }
-                    Fields::Named(fields) => {
-                        let binds: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-                        let pairs: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
+                            .map(|b| {
                                 format!(
-                                    "({n:?}.to_string(), ::serde::ser::to_value({n}))",
-                                    n = f.name
+                                    "::serde::ser::SerializeTupleVariant::serialize_field(\
+                                     &mut __s, {b})?;\n"
                                 )
                             })
                             .collect();
                         arms.push_str(&format!(
-                            "{name}::{vname} {{ {} }} => ::serde::__value::Value::Object(\
-                             ::std::vec![({vname:?}.to_string(), \
-                             ::serde::__value::Value::Object(::std::vec![{}]))]),\n",
+                            "{name}::{vname}({}) => {{\n\
+                             let mut __s = ::serde::ser::Serializer::serialize_tuple_variant(\
+                             {head}, {n})?;\n{fields}\
+                             ::serde::ser::SerializeTupleVariant::end(__s)\n}}\n",
+                            binds.join(", ")
+                        ));
+                    }
+                    Fields::Named(fields) => {
+                        if let Some(f) = fields.iter().find(|f| f.with_module.is_some()) {
+                            return format!(
+                                "::std::compile_error!(\"serde shim: #[serde(with)] on the \
+                                 field `{}` of the variant `{name}::{vname}` is unsupported\");",
+                                f.name
+                            );
+                        }
+                        let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        let calls: String = binds
+                            .iter()
+                            .map(|n| {
+                                format!(
+                                    "::serde::ser::SerializeStructVariant::serialize_field(\
+                                     &mut __s, {n:?}, {n})?;\n"
+                                )
+                            })
+                            .collect();
+                        arms.push_str(&format!(
+                            "{name}::{vname} {{ {} }} => {{\n\
+                             let mut __s = ::serde::ser::Serializer::serialize_struct_variant(\
+                             {head}, {})?;\n{calls}\
+                             ::serde::ser::SerializeStructVariant::end(__s)\n}}\n",
                             binds.join(", "),
-                            pairs.join(", ")
+                            fields.len()
                         ));
                     }
                 }
             }
-            format!(
-                "let __value = match self {{\n{arms}}};\n\
-                 ::serde::ser::Serializer::serialize_value(__serializer, __value)"
-            )
+            format!("match self {{\n{arms}}}")
         }
     };
     format!(

@@ -1,8 +1,11 @@
 //! Offline stand-in for [`serde_json`](https://docs.rs/serde_json).
 //!
 //! Implements the subset of the real crate's API this workspace uses:
-//! [`to_string`], [`from_str`], [`to_writer`], the [`json!`] macro, and a
-//! [`Value`] with indexing/accessor conveniences. Numbers round-trip
+//! [`to_string`], [`from_str`], [`to_writer`], the [`json!`] macro, a
+//! [`Value`] with indexing/accessor conveniences, and the streaming
+//! [`Serializer`] they write through (over any `fmt::Write` sink, where
+//! the real crate's takes an `io::Write`). Serialization streams; parsing
+//! builds a [`Value`] tree and lifts it. Numbers round-trip
 //! exactly: floats print via Rust's shortest-round-trip formatting and parse
 //! back with `str::parse::<f64>`, so `to_string` → `from_str` is the
 //! identity on every finite `f64` (the real crate's `float_roundtrip`
@@ -11,40 +14,15 @@
 #![forbid(unsafe_code)]
 
 use std::fmt;
-use std::io;
+use std::io::{self, Write as _};
 
 use serde::de::DeserializeOwned;
 use serde::ser::Serialize;
 
+pub use serde::__json::{Error, Serializer};
 pub use serde::__value::Value;
 
 mod parser;
-
-/// Error raised by JSON serialization or parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error {
-    msg: String,
-}
-
-impl Error {
-    pub(crate) fn new(msg: impl Into<String>) -> Self {
-        Error { msg: msg.into() }
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.msg)
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<Error> for io::Error {
-    fn from(e: Error) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, e)
-    }
-}
 
 /// `Result` alias matching the real crate.
 pub type Result<T> = std::result::Result<T, Error>;
@@ -52,16 +30,41 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Serializes a value to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    serde::ser::to_value(value).write_json(&mut out);
+    value.serialize(&mut Serializer::new(&mut out))?;
     Ok(out)
 }
 
-/// Serializes a value as compact JSON into an `io::Write`.
-pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> Result<()> {
-    let text = to_string(value)?;
-    writer
-        .write_all(text.as_bytes())
-        .map_err(|e| Error::new(format!("write error: {e}")))
+/// Serializes a value as compact JSON into an `io::Write`, streamed
+/// through an 8 KiB buffer: no string of the whole document is built,
+/// and an unbuffered `File` sees one write per buffer, not per token.
+pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(writer: W, value: &T) -> Result<()> {
+    let mut sink = IoSink {
+        inner: io::BufWriter::new(writer),
+        error: None,
+    };
+    let serialized = value.serialize(&mut Serializer::new(&mut sink));
+    let written = match sink.error {
+        Some(e) => Err(e),
+        None => sink.inner.flush(),
+    };
+    written.map_err(|e| Error::new(format!("write error: {e}")))?;
+    serialized
+}
+
+/// Adapts an `io::Write` to the writer's `fmt::Write` sink, keeping the
+/// I/O error that `fmt::Error` cannot carry.
+struct IoSink<W: io::Write> {
+    inner: io::BufWriter<W>,
+    error: Option<io::Error>,
+}
+
+impl<W: io::Write> fmt::Write for IoSink<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.inner.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
+    }
 }
 
 /// Parses a JSON string into any deserializable type.
@@ -165,6 +168,87 @@ mod tests {
         }
         let back: String = from_str("\"x\\u00e9\\/y\"").unwrap();
         assert_eq!(back, "xé/y");
+    }
+
+    #[test]
+    fn strings_escape_exactly_as_pinned() {
+        // Quote, backslash, \n, \r and \t by name, other control
+        // characters as \u00xx; DEL, non-ASCII text and `/` verbatim.
+        let input = "\"\\\n\r\t\u{1}\u{1f} \u{7f}é/";
+        let expected = concat!(r#""\"\\\n\r\t\u0001\u001f "#, "\u{7f}é/\"");
+        assert_eq!(to_string(input).unwrap(), expected);
+    }
+
+    /// Counts the writes it receives and fails once `fail_after` bytes
+    /// have gone through.
+    struct Sink {
+        writes: usize,
+        bytes: usize,
+        fail_after: usize,
+    }
+
+    impl io::Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.bytes + buf.len() > self.fail_after {
+                return Err(io::Error::other("disk full"));
+            }
+            self.writes += 1;
+            self.bytes += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn to_writer_buffers_and_reports_write_errors() {
+        let value: Vec<u32> = (0..20_000).collect();
+        let text = to_string(&value).unwrap();
+        let mut sink = Sink {
+            writes: 0,
+            bytes: 0,
+            fail_after: usize::MAX,
+        };
+        to_writer(&mut sink, &value).unwrap();
+        assert_eq!(sink.bytes, text.len());
+        assert!(
+            sink.writes <= text.len() / 8_192 + 1,
+            "{} writes for {} bytes",
+            sink.writes,
+            text.len()
+        );
+        let mut full = Sink {
+            writes: 0,
+            bytes: 0,
+            fail_after: 1_000,
+        };
+        let err = to_writer(&mut full, &value).unwrap_err();
+        assert!(err.to_string().contains("disk full"), "{err}");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(from_str::<String>("\"\\u0041\\u00E9\"").unwrap(), "Aé");
+        for bad in [
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04g1\"",
+            "\"\\u041\"",
+        ] {
+            assert!(from_str::<String>(bad).is_err(), "{bad} parsed");
+        }
+    }
+
+    #[test]
+    fn integers_parse_across_the_whole_i64_and_u64_ranges() {
+        assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        assert_eq!(from_str::<i64>("9223372036854775807").unwrap(), i64::MAX);
+        assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        assert!(from_str::<i64>("-9223372036854775809").is_err());
+        assert_eq!(to_string(&i64::MIN).unwrap(), "-9223372036854775808");
     }
 
     #[test]

@@ -173,10 +173,15 @@ impl<'a> Parser<'a> {
                             if self.pos + 4 >= self.bytes.len() {
                                 return Err(Error::new("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| Error::new("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::new("invalid \\u escape"))?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign (`\u+041`).
+                            let hex = &self.bytes[self.pos + 1..self.pos + 5];
+                            let code = hex.iter().try_fold(0u32, |code, &b| {
+                                char::from(b)
+                                    .to_digit(16)
+                                    .map(|digit| code << 4 | digit)
+                                    .ok_or_else(|| Error::new("invalid \\u escape"))
+                            })?;
                             // Surrogate pairs are unsupported; the shim never
                             // emits them (it writes non-ASCII verbatim).
                             out.push(
@@ -233,9 +238,11 @@ impl<'a> Parser<'a> {
                 .parse::<u64>()
                 .map_err(|e| Error::new(format!("invalid number `{text}`: {e}")))
                 .and_then(|mag| {
-                    i64::try_from(mag)
-                        .map(|m| Value::Int(-m))
-                        .map_err(|_| Error::new(format!("integer `{text}` out of range")))
+                    // `0 - mag` reaches `i64::MIN`, whose magnitude no
+                    // positive `i64` holds.
+                    0i64.checked_sub_unsigned(mag)
+                        .map(Value::Int)
+                        .ok_or_else(|| Error::new(format!("integer `{text}` out of range")))
                 })
         } else {
             text.parse::<u64>()
