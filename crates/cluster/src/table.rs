@@ -8,10 +8,10 @@
 //! order — exactly the order the `BTreeMap` produced — and inserts/removes
 //! are a `memmove` within one cache-friendly buffer.
 //!
-//! Serialization goes through a `BTreeMap` mirror so the JSON wire shape
-//! (an object keyed by the stringified owner id, ascending) is byte-for-byte
-//! identical to the historical encoding; snapshot fingerprints and golden
-//! digests are unaffected by the layout change.
+//! Serialization streams the entries as a map in owner order, so the JSON
+//! wire shape (an object keyed by the stringified owner id, ascending) is
+//! byte-for-byte the historical `BTreeMap` encoding; snapshot fingerprints
+//! and golden digests are unaffected by the layout change.
 
 use std::collections::BTreeMap;
 
@@ -93,9 +93,8 @@ impl AllocationTable {
 
 impl Serialize for AllocationTable {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        // Mirror the historical `BTreeMap<u64, Block>` encoding exactly.
-        let map: BTreeMap<u64, Block> = self.entries.iter().copied().collect();
-        map.serialize(serializer)
+        // The historical `BTreeMap<u64, Block>` encoding, without the map.
+        serializer.collect_map(self.iter())
     }
 }
 

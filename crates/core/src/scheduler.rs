@@ -4,29 +4,32 @@
 use std::collections::BinaryHeap;
 
 use elasticflow_sched::{
-    clamp_pow2, AdmissionDecision, ClusterView, JobRuntime, JobTable, RestoreError, SchedulePlan,
-    Scheduler,
+    clamp_pow2, AdmissionDecision, ClusterView, JobRuntime, JobTable, SchedulePlan, Scheduler,
 };
 use elasticflow_trace::{JobId, JobKind};
-use serde::{Deserialize, Serialize};
 
 use crate::admission::fill_key;
 use crate::{AdmissionSet, FillScratch, PlanningJob, ResourceAllocator, SlotGrid, WORK_EPSILON};
 
-/// The planning grid at time `now` for `slot_seconds`-long slots,
-/// anchored to *absolute* multiples of the slot length: slot 0 is the
-/// remainder of the current global slot. Stable slot boundaries keep
-/// reservation profiles comparable across replans — re-anchoring at
-/// `now` would shift every boundary on every event and jitter jobs'
-/// minimum satisfactory shares.
-pub(crate) fn anchored_grid(slot_seconds: f64, now: f64) -> SlotGrid {
-    let into_slot = now.rem_euclid(slot_seconds);
-    let first = if into_slot < WORK_EPSILON || slot_seconds - into_slot < 1.0 {
-        slot_seconds
+/// The planning-slot length Algorithm 1 plans over: 60 seconds. Fine
+/// slots keep the conservative slot discretization of deadlines
+/// negligible even for sub-hour jobs; the analytic fast path in
+/// progressive filling keeps planning cheap despite the fine grid.
+pub(crate) const PLANNING_SLOT: f64 = 60.0;
+
+/// The planning grid at time `now`, anchored to *absolute* multiples of
+/// [`PLANNING_SLOT`]: slot 0 is the remainder of the current global
+/// slot. Stable slot boundaries keep reservation profiles comparable
+/// across replans — re-anchoring at `now` would shift every boundary on
+/// every event and jitter jobs' minimum satisfactory shares.
+pub(crate) fn anchored_grid(now: f64) -> SlotGrid {
+    let into_slot = now.rem_euclid(PLANNING_SLOT);
+    let first = if into_slot < WORK_EPSILON || PLANNING_SLOT - into_slot < 1.0 {
+        PLANNING_SLOT
     } else {
-        slot_seconds - into_slot
+        PLANNING_SLOT - into_slot
     };
-    SlotGrid::new(first, slot_seconds)
+    SlotGrid::new(first, PLANNING_SLOT)
 }
 
 /// One pending best-effort ladder step in `fill_leftovers`' marginal-fill
@@ -184,10 +187,9 @@ impl PlanBuffers {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ElasticFlowScheduler {
-    planning_slot_seconds: f64,
     /// The fill workspace every admission check and planning round
-    /// borrows. Not state: it is not compared, not snapshotted, and a
-    /// clone starts with an empty one.
+    /// borrows. Not state: it is not snapshotted, and a clone starts
+    /// with an empty one.
     workspace: FillScratch,
     /// The last arrival's Algorithm 1 fill, for the round's next fill.
     /// Workspace too, under the same rule.
@@ -252,49 +254,13 @@ impl KeptFill {
     }
 }
 
-/// Schedulers compare by configuration; the workspace is not state.
-impl PartialEq for ElasticFlowScheduler {
-    fn eq(&self, other: &Self) -> bool {
-        self.planning_slot_seconds == other.planning_slot_seconds
-    }
-}
-
-/// ElasticFlow's snapshot state: it recomputes every plan from the job
-/// table, so the planning-slot configuration is all it persists.
-#[derive(Serialize, Deserialize)]
-struct ElasticFlowState {
-    planning_slot_seconds: f64,
-}
-
 impl ElasticFlowScheduler {
-    /// Default planning-slot length: 60 seconds. Fine slots keep the
-    /// conservative slot discretization of deadlines negligible even for
-    /// sub-hour jobs; the analytic fast path in progressive filling keeps
-    /// planning cheap despite the fine grid.
-    pub const DEFAULT_PLANNING_SLOT: f64 = 60.0;
-
-    /// Creates the scheduler with the default planning slot.
+    /// Creates the scheduler.
     pub fn new() -> Self {
         ElasticFlowScheduler {
-            planning_slot_seconds: Self::DEFAULT_PLANNING_SLOT,
             workspace: FillScratch::new(),
             kept: KeptFill::default(),
         }
-    }
-
-    /// Overrides the planning-slot length (finer slots = tighter deadline
-    /// discretization but more planning work).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seconds` is not strictly positive and finite.
-    pub fn with_planning_slot(mut self, seconds: f64) -> Self {
-        assert!(
-            seconds.is_finite() && seconds > 0.0,
-            "planning slot must be positive and finite"
-        );
-        self.planning_slot_seconds = seconds;
-        self
     }
 
     /// Work-inflation margin applied to every planning view: scheduling
@@ -362,14 +328,13 @@ pub(crate) fn arrival_decision(
     now: f64,
     view: &ClusterView,
     jobs: &JobTable,
-    planning_slot_seconds: f64,
     scratch: &mut FillScratch,
     mut kept: Option<&mut KeptFill>,
 ) -> AdmissionDecision {
     if !job.is_slo() {
         return AdmissionDecision::Admit;
     }
-    let grid = anchored_grid(planning_slot_seconds, now);
+    let grid = anchored_grid(now);
     let mut existing = scratch.jobs.take();
     existing.extend(
         jobs.active()
@@ -428,14 +393,13 @@ impl Scheduler for ElasticFlowScheduler {
             now,
             view,
             jobs,
-            self.planning_slot_seconds,
             &mut self.workspace,
             Some(&mut self.kept),
         )
     }
 
     fn plan(&mut self, now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {
-        let grid = anchored_grid(self.planning_slot_seconds, now);
+        let grid = anchored_grid(now);
         let ws = &mut self.workspace;
         let mut round = std::mem::take(&mut ws.round);
         // One pass over the active jobs in id order: the SLO jobs'
@@ -533,33 +497,20 @@ impl Scheduler for ElasticFlowScheduler {
         plan
     }
 
+    /// ElasticFlow recomputes every plan from the job table, so it
+    /// checkpoints nothing. The pattern names every field, so a new one
+    /// fails to compile until it is snapshotted or marked `_` with a
+    /// reason.
     fn snapshot_state(&self) -> Option<String> {
-        // The pattern names every field, so a new one fails to compile
-        // until it is snapshotted or marked `_` with a reason.
         let ElasticFlowScheduler {
-            planning_slot_seconds,
             // Fill workspace: carries no decision state between calls.
             workspace: _,
-            // Reset on restore; a cold fill decides identically.
+            // Reused only after `is_fill_of` proves it equals a
+            // from-scratch fill, so a resumed (fresh) policy without it
+            // decides identically.
             kept: _,
         } = self;
-        let state = ElasticFlowState {
-            planning_slot_seconds: *planning_slot_seconds,
-        };
-        serde_json::to_string(&state).ok()
-    }
-
-    fn restore_state(&mut self, state: &str) -> Result<(), RestoreError> {
-        let parsed: ElasticFlowState = serde_json::from_str(state)
-            .map_err(|e| RestoreError::new(format!("elasticflow state did not parse: {e}")))?;
-        if !(parsed.planning_slot_seconds.is_finite() && parsed.planning_slot_seconds > 0.0) {
-            return Err(RestoreError::new(
-                "planning slot must be positive and finite",
-            ));
-        }
-        self.planning_slot_seconds = parsed.planning_slot_seconds;
-        self.kept = KeptFill::default();
-        Ok(())
+        None
     }
 }
 
@@ -867,7 +818,7 @@ mod tests {
         jobs: &mut JobTable,
         seen: &mut Coverage,
     ) {
-        let grid = anchored_grid(ef.planning_slot_seconds, now);
+        let grid = anchored_grid(now);
         let existing: Vec<PlanningJob> = jobs
             .active()
             .filter(|j| j.is_slo())
@@ -958,24 +909,5 @@ mod tests {
                 && seen.progressed_jobs > 0,
             "{seen:?}"
         );
-    }
-
-    #[test]
-    fn restore_state_rejects_a_bad_planning_slot_and_accepts_its_own_state() {
-        let mut ef = ElasticFlowScheduler::new();
-        for bad in ["0.0", "-60.0"] {
-            let state = format!("{{\"planning_slot_seconds\":{bad}}}");
-            let err = ef.restore_state(&state).expect_err(&state);
-            assert!(err.reason().contains("positive and finite"), "{err}");
-        }
-        assert_eq!(
-            ef,
-            ElasticFlowScheduler::new(),
-            "a rejected state was applied"
-        );
-        let tuned = ElasticFlowScheduler::new().with_planning_slot(300.0);
-        let state = tuned.snapshot_state().expect("elasticflow is stateful");
-        ef.restore_state(&state).expect("own state restores");
-        assert_eq!(ef, tuned);
     }
 }

@@ -29,17 +29,15 @@ use crate::{ElasticFlowScheduler, FillScratch};
 /// ```
 #[derive(Debug, Clone)]
 pub struct EdfWithAdmission {
-    planning_slot_seconds: f64,
     edf: EdfScheduler,
     /// Fill workspace reused across admission checks (not state).
     workspace: FillScratch,
 }
 
 impl EdfWithAdmission {
-    /// Creates the variant with ElasticFlow's default planning slot.
+    /// Creates the variant.
     pub fn new() -> Self {
         EdfWithAdmission {
-            planning_slot_seconds: ElasticFlowScheduler::DEFAULT_PLANNING_SLOT,
             edf: EdfScheduler::new(),
             workspace: FillScratch::new(),
         }
@@ -64,15 +62,7 @@ impl Scheduler for EdfWithAdmission {
         view: &ClusterView,
         jobs: &JobTable,
     ) -> AdmissionDecision {
-        arrival_decision(
-            job,
-            now,
-            view,
-            jobs,
-            self.planning_slot_seconds,
-            &mut self.workspace,
-            None,
-        )
+        arrival_decision(job, now, view, jobs, &mut self.workspace, None)
     }
 
     fn plan(&mut self, now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {
@@ -98,7 +88,6 @@ impl Scheduler for EdfWithAdmission {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EdfWithElastic {
-    planning_slot_seconds: f64,
     /// Fill workspace reused across planning rounds (not state).
     workspace: FillScratch,
 }
@@ -107,7 +96,6 @@ impl EdfWithElastic {
     /// Creates the variant.
     pub fn new() -> Self {
         EdfWithElastic {
-            planning_slot_seconds: ElasticFlowScheduler::DEFAULT_PLANNING_SLOT,
             workspace: FillScratch::new(),
         }
     }
@@ -138,7 +126,7 @@ impl Scheduler for EdfWithElastic {
         use crate::{progressive_filling, AllocationProfile, ReservationLedger};
         use elasticflow_sched::clamp_pow2;
 
-        let grid = anchored_grid(self.planning_slot_seconds, now);
+        let grid = anchored_grid(now);
         let mut actives: Vec<&JobRuntime> = jobs.active().collect();
         actives.sort_by(|a, b| {
             a.spec

@@ -156,7 +156,6 @@ fn deep_ledgers_agree_with_a_from_scratch_fill() {
         }
 
         let slot0 = ElasticFlowScheduler::new()
-            .with_planning_slot(SLOT_SECONDS)
             .plan(0.0, &ClusterView::new(TOTAL_GPUS), &job_table(&existing))
             .total_gpus();
         assert!(

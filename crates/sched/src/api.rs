@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 
 use elasticflow_perfmodel::ScalingCurve;
 use elasticflow_trace::{JobId, JobKind, JobSpec};
+use serde::ser::SerializeStruct;
 use serde::{Deserialize, Serialize};
 
 use crate::decision::DeclineReason;
@@ -307,20 +308,29 @@ impl PartialEq for JobTable {
     }
 }
 
-/// Serde mirror preserving the historical wire shape: a `jobs` object keyed
-/// by stringified id, ascending — so snapshot fingerprints are unaffected
-/// by the arena layout.
-#[derive(Serialize, Deserialize)]
+/// The historical wire shape: a `jobs` object keyed by stringified id,
+/// ascending — so snapshot fingerprints are unaffected by the arena
+/// layout. Deserialization reads it through this mirror; serialization
+/// streams the same bytes straight from the table.
+#[derive(Deserialize)]
 struct JobTableRepr {
     jobs: BTreeMap<JobId, JobRuntime>,
 }
 
+/// The table's `jobs` map, in ascending id order (the slot order).
+struct JobsById<'a>(&'a JobTable);
+
+impl Serialize for JobsById<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.collect_map(self.0.iter().map(|j| (j.id(), j)))
+    }
+}
+
 impl Serialize for JobTable {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        JobTableRepr {
-            jobs: self.iter().map(|j| (j.id(), j.clone())).collect(),
-        }
-        .serialize(serializer)
+        let mut repr = serializer.serialize_struct("JobTableRepr", 1)?;
+        repr.serialize_field("jobs", &JobsById(self))?;
+        repr.end()
     }
 }
 

@@ -6,11 +6,7 @@
 //! little service run first; within a queue, FIFO. Like the original it is
 //! neither elastic (fixed trace sizes) nor deadline-aware.
 
-use serde::{Deserialize, Serialize};
-
-use crate::{
-    AdmissionDecision, ClusterView, JobRuntime, JobTable, RestoreError, SchedulePlan, Scheduler,
-};
+use crate::{AdmissionDecision, ClusterView, JobRuntime, JobTable, SchedulePlan, Scheduler};
 
 /// The Tiresias baseline scheduler.
 ///
@@ -22,48 +18,27 @@ use crate::{
 /// let t = TiresiasScheduler::new();
 /// assert_eq!(t.name(), "tiresias");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TiresiasScheduler {
-    /// Attained-service thresholds (GPU-seconds) separating the discretized
-    /// priority queues, ascending.
-    queue_thresholds: Vec<f64>,
+    _private: (),
 }
+
+/// Attained-service thresholds (GPU-seconds) separating the discretized
+/// priority queues, ascending: 1 GPU-hour and 10 GPU-hours, giving three
+/// queues as in the paper's two-threshold configuration.
+const QUEUE_THRESHOLDS: [f64; 2] = [3_600.0, 36_000.0];
 
 impl TiresiasScheduler {
-    /// Default queue thresholds: 1 GPU-hour and 10 GPU-hours, giving three
-    /// discretized queues as in the paper's two-threshold configuration.
+    /// Creates the scheduler.
     pub fn new() -> Self {
-        TiresiasScheduler {
-            queue_thresholds: vec![3_600.0, 36_000.0],
-        }
+        TiresiasScheduler::default()
     }
 
-    /// Custom thresholds (ascending GPU-seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the thresholds are not strictly ascending and positive.
-    #[cfg(test)]
-    fn with_thresholds(queue_thresholds: Vec<f64>) -> Self {
-        assert!(
-            queue_thresholds.windows(2).all(|w| w[0] < w[1])
-                && queue_thresholds.iter().all(|&t| t > 0.0),
-            "thresholds must be positive and strictly ascending"
-        );
-        TiresiasScheduler { queue_thresholds }
-    }
-
-    fn queue_of(&self, attained_gpu_seconds: f64) -> usize {
-        self.queue_thresholds
+    fn queue_of(attained_gpu_seconds: f64) -> usize {
+        QUEUE_THRESHOLDS
             .iter()
             .position(|&t| attained_gpu_seconds < t)
-            .unwrap_or(self.queue_thresholds.len())
-    }
-}
-
-impl Default for TiresiasScheduler {
-    fn default() -> Self {
-        TiresiasScheduler::new()
+            .unwrap_or(QUEUE_THRESHOLDS.len())
     }
 }
 
@@ -85,7 +60,7 @@ impl Scheduler for TiresiasScheduler {
     fn plan(&mut self, _now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {
         let mut order: Vec<(usize, f64, &JobRuntime)> = jobs
             .active()
-            .map(|j| (self.queue_of(j.gpu_seconds), j.spec.submit_time, j))
+            .map(|j| (Self::queue_of(j.gpu_seconds), j.spec.submit_time, j))
             .collect();
         // Lower queue first; FIFO inside a queue; id as final tiebreak.
         order.sort_by(|a, b| {
@@ -103,27 +78,6 @@ impl Scheduler for TiresiasScheduler {
             }
         }
         plan
-    }
-
-    // Tiresias is plain-old-data (the threshold vector), so the whole
-    // policy doubles as its own checkpoint state.
-    fn snapshot_state(&self) -> Option<String> {
-        serde_json::to_string(self).ok()
-    }
-
-    fn restore_state(&mut self, state: &str) -> Result<(), RestoreError> {
-        let parsed: TiresiasScheduler = serde_json::from_str(state)
-            .map_err(|e| RestoreError::new(format!("tiresias state did not parse: {e}")))?;
-        if parsed.queue_thresholds.is_empty()
-            || !parsed.queue_thresholds.windows(2).all(|w| w[0] < w[1])
-            || !parsed.queue_thresholds.iter().all(|&t| t > 0.0)
-        {
-            return Err(RestoreError::new(
-                "tiresias queue thresholds must be positive and strictly ascending",
-            ));
-        }
-        *self = parsed;
-        Ok(())
     }
 }
 
@@ -158,17 +112,10 @@ mod tests {
 
     #[test]
     fn queue_discretization() {
-        let t = TiresiasScheduler::new();
-        assert_eq!(t.queue_of(0.0), 0);
-        assert_eq!(t.queue_of(3_599.0), 0);
-        assert_eq!(t.queue_of(3_600.0), 1);
-        assert_eq!(t.queue_of(100_000.0), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn bad_thresholds_panic() {
-        let _ = TiresiasScheduler::with_thresholds(vec![10.0, 5.0]);
+        assert_eq!(TiresiasScheduler::queue_of(0.0), 0);
+        assert_eq!(TiresiasScheduler::queue_of(3_599.0), 0);
+        assert_eq!(TiresiasScheduler::queue_of(3_600.0), 1);
+        assert_eq!(TiresiasScheduler::queue_of(100_000.0), 2);
     }
 
     #[test]
@@ -177,20 +124,5 @@ mod tests {
         table.insert(job(1, 0.0, None, 4));
         let plan = TiresiasScheduler::new().plan(0.0, &ClusterView::new(64), &table);
         assert_eq!(plan.gpus(JobId::new(1)), 4);
-    }
-
-    #[test]
-    fn restore_state_rejects_bad_thresholds_and_accepts_its_own_state() {
-        let mut t = TiresiasScheduler::new();
-        for bad in ["[]", "[10.0,5.0]", "[5.0,5.0]", "[0.0,5.0]"] {
-            let state = format!("{{\"queue_thresholds\":{bad}}}");
-            let err = t.restore_state(&state).expect_err(&state);
-            assert!(err.reason().contains("strictly ascending"), "{err}");
-        }
-        assert_eq!(t, TiresiasScheduler::new(), "a rejected state was applied");
-        let tuned = TiresiasScheduler::with_thresholds(vec![60.0, 600.0, 6_000.0]);
-        let state = tuned.snapshot_state().expect("tiresias is stateful");
-        t.restore_state(&state).expect("own state restores");
-        assert_eq!(t, tuned);
     }
 }

@@ -832,6 +832,37 @@ mod checkpoint_tests {
         }
     }
 
+    /// Tiresias checkpoints no policy state; a snapshot written while it
+    /// still saved its queue thresholds resumes like one without them.
+    #[test]
+    fn a_tiresias_snapshot_resumes_with_or_without_its_old_state_string() {
+        let trace = testbed_trace(3);
+        let sim = Simulation::new(small_spec(), SimConfig::default());
+        let baseline = sim.run(&trace, &mut TiresiasScheduler::new());
+        let mut controller = KillAt {
+            kill_round: 5,
+            snapshot: None,
+        };
+        let _ = sim.run_controlled(
+            &trace,
+            &mut TiresiasScheduler::new(),
+            &mut [],
+            &mut controller,
+        );
+        let mut snap = controller.snapshot.expect("checkpoint was captured");
+        assert_eq!(snap.scheduler_state, None);
+        for state in [Some(r#"{"queue_thresholds":[3600.0,36000.0]}"#), None] {
+            snap.scheduler_state = state.map(str::to_owned);
+            let resumed = sim
+                .resume_observed(&trace, &mut TiresiasScheduler::new(), &mut [], &snap)
+                .expect("snapshot resumes");
+            assert_eq!(
+                baseline, resumed,
+                "state {state:?}: resumed report diverged"
+            );
+        }
+    }
+
     #[test]
     fn snapshot_round_trips_through_serde_and_still_resumes() {
         let trace = testbed_trace(5);

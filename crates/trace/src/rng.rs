@@ -4,8 +4,6 @@
 //! every experiment is bit-reproducible from a single `u64` seed, on every
 //! platform, with no dependency on global RNG state.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic pseudo-random number generator.
 ///
 /// # Example
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let mut b = Rng::new(7);
 /// assert_eq!(a.next_u64(), b.next_u64()); // same seed, same stream
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Rng {
     state: [u64; 4],
 }
@@ -36,36 +34,6 @@ impl Rng {
         Rng {
             state: [next_sm(), next_sm(), next_sm(), next_sm()],
         }
-    }
-
-    /// The raw xoshiro256** state, for checkpointing. Restoring it with
-    /// [`Rng::from_state`] (or [`Rng::restore`]) continues the exact same
-    /// stream — a snapshot taken mid-generation resumes bit-identically.
-    pub fn state(&self) -> [u64; 4] {
-        self.state
-    }
-
-    /// Rebuilds a generator from a captured [`Rng::state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on the all-zero state, which xoshiro256** can never reach
-    /// from a seed and would emit zeros forever.
-    pub fn from_state(state: [u64; 4]) -> Self {
-        assert!(
-            state.iter().any(|&w| w != 0),
-            "the all-zero xoshiro256** state is unreachable and degenerate"
-        );
-        Rng { state }
-    }
-
-    /// Replaces this generator's state in place (see [`Rng::from_state`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the all-zero state.
-    pub fn restore(&mut self, state: [u64; 4]) {
-        *self = Rng::from_state(state);
     }
 
     /// Next raw 64-bit value (xoshiro256**).
@@ -236,37 +204,5 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn bad_range_panics() {
         Rng::new(0).uniform_range(2.0, 1.0);
-    }
-
-    #[test]
-    fn state_round_trips_mid_stream() {
-        let mut r = Rng::new(99);
-        for _ in 0..37 {
-            r.next_u64(); // advance into the middle of the stream
-        }
-        let saved = r.state();
-        let tail: Vec<u64> = (0..50).map(|_| r.next_u64()).collect();
-        let mut resumed = Rng::from_state(saved);
-        let replayed: Vec<u64> = (0..50).map(|_| resumed.next_u64()).collect();
-        assert_eq!(tail, replayed);
-        let mut in_place = Rng::new(0);
-        in_place.restore(saved);
-        assert_eq!(in_place.next_u64(), tail[0]);
-    }
-
-    #[test]
-    fn state_round_trips_through_serde() {
-        let mut r = Rng::new(7);
-        r.next_u64();
-        let json = serde_json::to_string(&r).expect("rng serializes");
-        let mut back: Rng = serde_json::from_str(&json).expect("rng deserializes");
-        assert_eq!(back, r);
-        assert_eq!(back.next_u64(), r.next_u64());
-    }
-
-    #[test]
-    #[should_panic(expected = "all-zero")]
-    fn zero_state_is_rejected() {
-        let _ = Rng::from_state([0; 4]);
     }
 }
