@@ -27,9 +27,10 @@ doc:
 # The gates a performance change must keep, as CI runs them: golden
 # replay and crash recovery, the evaluation's tables at seed 2023 against
 # their committed golden (at the default worker count, at --jobs 1, and
-# at --jobs 3, which divides no batch evenly), fig11's persistence smoke (a
-# fresh run with --state-dir, then --resume, which must print the same
-# tables and no warning), the release allocation ceilings of warm
+# at --jobs 3, which divides no batch evenly), the fig11 and failures
+# persistence smokes (a fresh run with --state-dir, then --resume, which
+# must print the same tables and no warning, with one run directory per
+# run holding only snapshot files), the release allocation ceilings of warm
 # planning rounds, declined gateway submissions and the simulator's trace
 # fingerprint, the release memory
 # ceiling of a daemon resuming over 16 MiB logs, the release
@@ -46,11 +47,18 @@ digests:
 	  cargo run -q --release -p elasticflow-bench --bin experiments -- all --json --seed 2023 --jobs $$j > target/experiments-all-2023-jobs$$j.json || exit 1; \
 	  diff target/experiments-all-2023-jobs$$j.json crates/bench/tests/fixtures/experiments-all-2023.json || exit 1; \
 	done
-	rm -rf target/persist-smoke
-	cargo run -q --release -p elasticflow-bench --bin experiments -- fig11 --jobs 2 --state-dir target/persist-smoke > target/persist-smoke-1.out 2> target/persist-smoke-1.err
-	cargo run -q --release -p elasticflow-bench --bin experiments -- fig11 --jobs 2 --state-dir target/persist-smoke --resume > target/persist-smoke-2.out 2> target/persist-smoke-2.err
-	diff target/persist-smoke-1.out target/persist-smoke-2.out
-	! grep 'warning:' target/persist-smoke-1.err target/persist-smoke-2.err
+	for smoke in "fig11 persist-smoke 18" "failures failures-smoke 8"; do \
+	  set -- $$smoke; exp=$$1; d=target/$$2; runs=$$3; \
+	  rm -rf $$d; \
+	  cargo run -q --release -p elasticflow-bench --bin experiments -- $$exp --jobs 2 --state-dir $$d > $$d-1.out 2> $$d-1.err || exit 1; \
+	  cargo run -q --release -p elasticflow-bench --bin experiments -- $$exp --jobs 2 --state-dir $$d --resume > $$d-2.out 2> $$d-2.err || exit 1; \
+	  diff $$d-1.out $$d-2.out || exit 1; \
+	  if grep 'warning:' $$d-1.err $$d-2.err; then exit 1; fi; \
+	  found=$$(find $$d -mindepth 1 -maxdepth 1 -type d | wc -l); \
+	  [ "$$found" -eq "$$runs" ] || { echo "$$exp: expected $$runs run directories, found $$found"; exit 1; }; \
+	  extra=$$(find $$d -mindepth 2 ! -name 'snapshot-*.efsnap'); \
+	  [ -z "$$extra" ] || { echo "$$exp: not a snapshot file: $$extra"; exit 1; }; \
+	done
 	cargo test -q --release -p elasticflow-core --test round_allocations
 	cargo test -q --release -p elasticflow-serve --test submit_allocations
 	cargo test -q --release -p elasticflow-bench --test fingerprint

@@ -12,11 +12,10 @@
 //!   exposition), `<dir>/<stem>.trace.json` (Perfetto-loadable Chrome
 //!   trace) and `<dir>/<stem>.decisions.jsonl` (decision journal,
 //!   replayable with `experiments explain`);
-//! * with `--state-dir`, its events stream into a write-ahead log and
-//!   full-state snapshots are cut every `<secs>` of *simulated* time under
-//!   `<dir>/<stem>/`. With `--resume`, a run that finds a valid snapshot
-//!   picks up from it. When telemetry is on too, the `ef_checkpoint_*` /
-//!   `ef_wal_*` series land in the run's Prometheus exposition.
+//! * with `--state-dir`, full-state snapshots are cut every `<secs>` of
+//!   *simulated* time under `<dir>/<stem>/`. With `--resume`, a run that
+//!   finds a valid snapshot picks up from it. When telemetry is on too,
+//!   the `ef_checkpoint*` series land in the run's Prometheus exposition.
 //!
 //! A run's stem is `<scheduler>-<trace>-<fp>`: `<fp>` is the 16-digit hex
 //! [`Simulation::input_fingerprint`] of the run's trace, cluster spec and
@@ -195,9 +194,6 @@ fn run_persisted(
             for (seq, why) in &r.skipped {
                 eprintln!("warning: skipped corrupt snapshot {seq}: {why}");
             }
-            if r.wal_was_torn {
-                eprintln!("note: truncated a torn write-ahead-log tail (crash artifact)");
-            }
         }
 
         let mut policy = scheduler_by_name(scheduler);
@@ -299,8 +295,7 @@ mod tests {
         let (report, stats) = run_persisted(&sim, &trace, "edf", &dir, &settings, &mut []);
         assert_eq!(plain, report);
         let stats = stats.expect("persistence was active");
-        assert!(stats.wal_records > 0);
-        assert_eq!(stats.wal_failures, 0);
+        assert!(stats.checkpoints > 0);
         assert_eq!(stats.failures, 0);
 
         // A second pass with --resume picks up the last snapshot (or runs
@@ -350,9 +345,7 @@ mod tests {
         for dir in &state_dirs {
             let prom = std::fs::read_to_string(root.join("tel").join(format!("{dir}.prom")))
                 .expect("each state dir has a matching export set");
-            assert!(counter(&prom, "ef_wal_records_total") > 0.0, "{dir}");
             assert!(counter(&prom, "ef_checkpoints_total") > 0.0, "{dir}");
-            assert_eq!(counter(&prom, "ef_wal_failures_total"), 0.0, "{dir}");
             assert_eq!(counter(&prom, "ef_checkpoint_failures_total"), 0.0, "{dir}");
         }
 

@@ -6,9 +6,9 @@
 //! u32 LE payload length | u64 LE FNV-1a-64 checksum | payload bytes
 //! ```
 //!
-//! and the same 8-byte file header: 4 ASCII magic bytes (`EFSN`/`EFWL`
-//! for the simulator's snapshots and log, `EFGS`/`EFGW` for the
-//! gateway's) followed by a `u32` LE format version. Checksums use the
+//! and the same 8-byte file header: 4 ASCII magic bytes (`EFSN` for
+//! the simulator's snapshots, `EFGS`/`EFGW` for the gateway's snapshots
+//! and log) followed by a `u32` LE format version. Checksums use the
 //! simulator's own [`elasticflow_sim::fnv1a64`] so a digest printed by
 //! the persistence layer is directly comparable with golden-replay digests.
 //!
@@ -364,8 +364,8 @@ mod tests {
         let h = encode_header(SNAPSHOT_MAGIC, PERSIST_VERSION);
         assert_eq!(check_header(&h, SNAPSHOT_MAGIC, "EFSN").unwrap(), 1);
         assert!(matches!(
-            check_header(&h, b"EFWL", "EFWL"),
-            Err(PersistError::BadMagic { expected: "EFWL" })
+            check_header(&h, b"EFGS", "EFGS"),
+            Err(PersistError::BadMagic { expected: "EFGS" })
         ));
         let newer = encode_header(SNAPSHOT_MAGIC, PERSIST_VERSION + 1);
         assert!(matches!(

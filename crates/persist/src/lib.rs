@@ -3,24 +3,25 @@
 //! The paper's platform runs as a long-lived service; its scheduler state
 //! must survive controller restarts (§5 runs the central scheduler as a
 //! Kubernetes deployment). This crate is the reproduction's equivalent
-//! for the simulator: periodic full-state **snapshots** plus an
-//! append-only **write-ahead event log**, with recovery that resumes a
-//! run *bit-identically* — the resumed [`elasticflow_sim::SimReport`]
-//! equals the uninterrupted one byte for byte, a property the golden
-//! cut-point tests enforce against pre-captured digests.
+//! for the simulator: periodic full-state **snapshots**, with recovery
+//! that resumes a run *bit-identically* from the newest valid one — the
+//! resumed [`elasticflow_sim::SimReport`] equals the uninterrupted one
+//! byte for byte, a property the golden cut-point tests enforce against
+//! pre-captured digests. Resume re-simulates deterministically from the
+//! snapshot, so the simulator keeps no event log.
 //!
 //! Three layers:
 //!
 //! * **framing** ([`frame`]) — length-prefixed, FNV-1a-64-checksummed
-//!   records behind versioned `EFSN`/`EFWL` headers; torn tails are
-//!   recoverable, checksum mismatches are typed errors, never panics;
+//!   records behind versioned magic headers; torn tails are recoverable,
+//!   checksum mismatches are typed errors, never panics;
 //! * **storage** ([`records`], [`snapshots`]) — the generic [`RecordLog`]
-//!   and [`SnapshotStore`] (atomic writes, newest two kept), bound to the
-//!   simulator's files in [`store`] ([`StateDir`], [`store::WAL_KIND`]);
+//!   (the gateway's submission log) and [`SnapshotStore`] (atomic writes,
+//!   newest two kept), bound to the simulator's snapshot files in
+//!   [`store`] ([`store::SNAPSHOT_KIND`], [`StoredSnapshot`]);
 //! * **session** ([`PersistSession`]) — one call runs a persisted
-//!   simulation: it streams every event into the log and cuts snapshots
-//!   on a simulated clock, resuming from the newest valid snapshot when
-//!   recovery found one.
+//!   simulation: it cuts snapshots on a simulated clock, resuming from
+//!   the newest valid snapshot when recovery found one.
 //!
 //! # Example
 //!
@@ -59,4 +60,4 @@ pub use frame::PERSIST_VERSION;
 pub use records::{FsyncPolicy, LogKind, LogScan, RecordLog};
 pub use session::{CheckpointStats, PersistSession};
 pub use snapshots::{LatestValid, SnapshotKind, SnapshotPayload, SnapshotStore, KEEP_SNAPSHOTS};
-pub use store::{Recovered, StateDir, StoredSnapshot};
+pub use store::{Recovered, StoredSnapshot};

@@ -1,13 +1,11 @@
-//! Generic framed record logs: the storage layer under every
-//! append-only journal in the workspace.
+//! Generic framed record logs: the storage layer under the
+//! `elasticflow-serve` gateway's submission log.
 //!
-//! The simulator's event log ([`crate::store::WAL_KIND`]) and the
-//! `elasticflow-serve` gateway's submission log share the same on-disk
-//! shape — an 8-byte magic+version header followed by length-prefixed,
-//! FNV-1a-64-checksummed frames — and the same crash semantics: a torn
+//! A log is an 8-byte magic+version header followed by length-prefixed,
+//! FNV-1a-64-checksummed frames, with crash semantics to match: a torn
 //! final frame is recoverable by truncation, a checksum mismatch is bit
 //! rot and surfaces as a typed error. This module owns that shape once,
-//! parameterized by a [`LogKind`] naming the magic bytes and the words
+//! parameterized by a [`LogKind`] naming the magic bytes and the word
 //! used in error messages; callers (de)serialize their own payloads.
 //!
 //! Recovery ([`RecordLog::recover`]) streams: it reads the file in
@@ -30,7 +28,7 @@ use crate::frame::{
 const SCAN_CHUNK: usize = 1 << 20;
 
 /// Identity of one record-log file format: its magic bytes plus the
-/// names used in error messages.
+/// name used in error messages.
 #[derive(Debug, Clone, Copy)]
 pub struct LogKind {
     /// The 4 ASCII magic bytes opening the file.
@@ -39,8 +37,6 @@ pub struct LogKind {
     pub magic_name: &'static str,
     /// Short name used in per-record messages (e.g. `"WAL"`).
     pub record_name: &'static str,
-    /// Long name used in whole-file messages (e.g. `"write-ahead log"`).
-    pub long_name: &'static str,
 }
 
 /// When appended records are forced to stable storage.
@@ -97,8 +93,7 @@ impl RecordLog {
     }
 
     /// Recovers the log at `path` in one streaming pass and reopens it
-    /// for appending after its first `keep` records (after every intact
-    /// record when `keep` is `None`).
+    /// for appending after its last intact record.
     ///
     /// The file is read 1 MiB at a time. Every intact record is
     /// checksum-verified ([`CHECKSUM_LANES`] frames at a time), checked
@@ -107,26 +102,23 @@ impl RecordLog {
     /// file order is the error: a [`PersistError::ChecksumMismatch`] at
     /// its file offset, a [`PersistError::Corrupt`] for a payload that is
     /// not UTF-8, or the error `visit` returned for it. A torn final
-    /// frame ends the scan; it is truncated away, and so is every record
-    /// past `keep`. Fewer than `keep` intact records is
-    /// [`PersistError::Corrupt`] (the snapshot being resumed from
-    /// promises they exist). On any error the file is left as it was.
+    /// frame ends the scan and is truncated away. On any error the file
+    /// is left as it was.
     pub fn recover<P: AsRef<Path>>(
         kind: LogKind,
         path: P,
-        keep: Option<u64>,
         mut visit: impl FnMut(u64, &str) -> Result<(), PersistError>,
     ) -> Result<(Self, LogScan), PersistError> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         let len = file.metadata()?.len();
-        let (scan, kept_end) = scan_log(kind, &mut file, len, SCAN_CHUNK, keep, &mut visit)?;
-        if kept_end < len {
-            file.set_len(kept_end)?;
+        let (scan, clean_end) = scan_log(kind, &mut file, len, SCAN_CHUNK, &mut visit)?;
+        if clean_end < len {
+            file.set_len(clean_end)?;
         }
-        file.seek(SeekFrom::Start(kept_end))?;
+        file.seek(SeekFrom::Start(clean_end))?;
         let log = RecordLog {
             file,
-            records: keep.unwrap_or(scan.records),
+            records: scan.records,
             policy: FsyncPolicy::default(),
             frame_buf: Vec::new(),
             unsynced: 0,
@@ -225,7 +217,7 @@ impl RecordLog {
         self.policy = policy;
     }
 
-    /// Records appended so far (including any kept prefix).
+    /// Records in the log, the recovered ones included.
     pub fn records(&self) -> u64 {
         self.records
     }
@@ -243,7 +235,7 @@ pub struct LogScan {
 
 /// The streaming scan behind [`RecordLog::recover`]: reads `source`, a
 /// log of `len` bytes, `chunk` bytes at a time, and returns what it
-/// found with the offset just past the last kept record.
+/// found with the offset just past the last intact record.
 ///
 /// The read buffer holds one chunk. A frame cut off at its end is
 /// carried to the front and completed by the next read; a frame larger
@@ -255,7 +247,6 @@ fn scan_log(
     source: &mut impl Read,
     len: u64,
     chunk: usize,
-    keep: Option<u64>,
     visit: &mut dyn FnMut(u64, &str) -> Result<(), PersistError>,
 ) -> Result<(LogScan, u64), PersistError> {
     let mut header = [0; HEADER_LEN];
@@ -267,8 +258,7 @@ fn scan_log(
     let mut base = HEADER_LEN as u64;
     let mut filled = 0;
     let mut records = 0;
-    let mut kept_end = HEADER_LEN as u64;
-    let torn = loop {
+    let (torn, clean_end) = loop {
         filled += fill(source, &mut buf[filled..])?;
         let at_end = filled < buf.len();
         ends.clear();
@@ -285,14 +275,11 @@ fn scan_log(
             };
             visit(records, payload)?;
             records += 1;
-            if keep.is_none_or(|keep| records <= keep) {
-                kept_end = base + end as u64;
-            }
             start = end;
         }
         let torn = decoded.map_err(|e| at_file_offset(e, base))?;
         if at_end {
-            break torn;
+            break (torn, base + start as u64);
         }
         // Carry the unfinished frame, if any, to the front.
         buf.copy_within(start..filled, 0);
@@ -305,23 +292,17 @@ fn scan_log(
         // A frame that runs past the end of the file is the torn tail,
         // whatever its length field claims: no buffer is grown for it.
         if filled > 0 && base + need as u64 > len {
-            break true;
+            break (true, base);
         }
         if need > buf.len() {
             buf.resize(need, 0);
         }
     };
-    if let Some(keep) = keep.filter(|&keep| keep > records) {
-        return Err(PersistError::Corrupt(format!(
-            "{} holds {records} records but the snapshot requires {keep}",
-            kind.long_name
-        )));
-    }
     let scan = LogScan {
         records,
         tail_truncated: torn,
     };
-    Ok((scan, kept_end))
+    Ok((scan, clean_end))
 }
 
 /// Reads into `buf` until it is full or `source` ends (retrying
@@ -387,10 +368,9 @@ mod tests {
     use proptest::prelude::*;
 
     const TEST_KIND: LogKind = LogKind {
-        magic: b"EFWL",
-        magic_name: "EFWL",
+        magic: b"TEST",
+        magic_name: "TEST",
         record_name: "WAL",
-        long_name: "write-ahead log",
     };
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -400,10 +380,10 @@ mod tests {
     }
 
     /// What a scan of `bytes` in `chunk`-byte reads found: the visited
-    /// payloads, the scan and the kept end.
+    /// payloads, the scan and the clean end.
     type Scan = Result<(Vec<String>, LogScan, u64), PersistError>;
 
-    fn scan_bytes(bytes: &[u8], chunk: usize, keep: Option<u64>) -> Scan {
+    fn scan_bytes(bytes: &[u8], chunk: usize) -> Scan {
         let mut payloads = Vec::new();
         let mut visit = |i: u64, payload: &str| {
             assert_eq!(i, payloads.len() as u64, "records are visited in order");
@@ -411,37 +391,30 @@ mod tests {
             Ok(())
         };
         let mut source = bytes;
-        let (scan, kept_end) = scan_log(
+        let (scan, clean_end) = scan_log(
             TEST_KIND,
             &mut source,
             bytes.len() as u64,
             chunk,
-            keep,
             &mut visit,
         )?;
-        Ok((payloads, scan, kept_end))
+        Ok((payloads, scan, clean_end))
     }
 
     /// The reference decoder's answer for [`scan_bytes`].
-    fn reference_scan(bytes: &[u8], keep: Option<u64>) -> Scan {
+    fn reference_scan(bytes: &[u8]) -> Scan {
         let mut payloads = Vec::new();
         let mut visit = |_: u64, payload: &str| {
             payloads.push(payload.to_owned());
             Ok(())
         };
         let (offsets, torn) = reference::read_log(TEST_KIND, bytes, &mut visit)?;
-        let records = payloads.len() as u64;
-        let kept = keep.unwrap_or(records);
-        let Some(&kept_end) = offsets.get(kept as usize) else {
-            return Err(PersistError::Corrupt(format!(
-                "write-ahead log holds {records} records but the snapshot requires {kept}"
-            )));
-        };
+        let clean_end = *offsets.last().expect("starts at the header");
         let scan = LogScan {
-            records,
+            records: payloads.len() as u64,
             tail_truncated: torn,
         };
-        Ok((payloads, scan, kept_end))
+        Ok((payloads, scan, clean_end))
     }
 
     /// Frame offsets of a clean log of `payloads`, plus its end.
@@ -471,11 +444,10 @@ mod tests {
     /// Chunk sizes from a few bytes to past the whole file.
     const CHUNKS: [usize; 9] = [1, 2, 3, 5, 12, 13, 31, 64, SCAN_CHUNK];
 
-    /// Recovers the file at `path` keeping every record; returns the
-    /// payloads with the scan.
+    /// Recovers the file at `path`; returns the payloads with the scan.
     fn recover_all(path: &Path) -> Result<(Vec<String>, LogScan), PersistError> {
         let mut payloads = Vec::new();
-        let (_, scan) = RecordLog::recover(TEST_KIND, path, None, |_, p| {
+        let (_, scan) = RecordLog::recover(TEST_KIND, path, |_, p| {
             payloads.push(p.to_owned());
             Ok(())
         })?;
@@ -507,7 +479,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
         /// The streaming scan at any chunk size, down to one byte,
         /// returns the reference decoder's answer: the same payloads,
-        /// torn flag, kept end and first error — frames straddling
+        /// torn flag, clean end and first error — frames straddling
         /// chunk edges, frames larger than a chunk, torn tails, bit rot
         /// and non-UTF-8 payloads included.
         #[test]
@@ -519,7 +491,6 @@ mod tests {
                 ((0..1000u16), (0..8u8)).prop_map(|(at, bit)| Damage::Flip(at, bit)),
             ],
             chunk in prop_oneof![1..16usize, 16..256usize, Just(SCAN_CHUNK)],
-            keep in (0..15u64).prop_map(|k| (k < 14).then_some(k)),
         ) {
             let mut bytes = log_bytes(&payloads);
             match damage {
@@ -530,8 +501,8 @@ mod tests {
                     bytes[i] ^= 1 << bit;
                 }
             }
-            let streamed = scan_bytes(&bytes, chunk, keep);
-            let reference = reference_scan(&bytes, keep);
+            let streamed = scan_bytes(&bytes, chunk);
+            let reference = reference_scan(&bytes);
             prop_assert!(same(&streamed, &reference), "{streamed:?} != {reference:?}");
         }
     }
@@ -543,7 +514,7 @@ mod tests {
             .collect();
         let bytes = log_bytes(&payloads);
         for chunk in 1..=bytes.len() + 1 {
-            let (got, scan, end) = scan_bytes(&bytes, chunk, None).expect("clean log");
+            let (got, scan, end) = scan_bytes(&bytes, chunk).expect("clean log");
             assert_eq!(got, payloads, "chunk {chunk}");
             assert!(!scan.tail_truncated, "chunk {chunk}");
             assert_eq!(end, bytes.len() as u64, "chunk {chunk}");
@@ -555,7 +526,7 @@ mod tests {
         let payloads = ["short".to_owned(), "L".repeat(5_000), "tail".to_owned()];
         let bytes = log_bytes(&payloads);
         for chunk in [1, 7, 64, 4_096] {
-            let (got, scan, _) = scan_bytes(&bytes, chunk, None).expect("clean log");
+            let (got, scan, _) = scan_bytes(&bytes, chunk).expect("clean log");
             assert_eq!(got, payloads, "chunk {chunk}");
             assert_eq!(scan.records, 3);
         }
@@ -564,7 +535,7 @@ mod tests {
         let mut torn = log_bytes(&payloads[..1]);
         torn.extend_from_slice(&u32::MAX.to_le_bytes());
         torn.extend_from_slice(&[0; 9]);
-        let (got, scan, end) = scan_bytes(&torn, 4, None).expect("torn is not an error");
+        let (got, scan, end) = scan_bytes(&torn, 4).expect("torn is not an error");
         assert_eq!(got, ["short"]);
         assert!(scan.tail_truncated);
         assert_eq!(end, frame_offsets(&payloads[..1])[1]);
@@ -575,14 +546,28 @@ mod tests {
         let payloads = ["first", "second", "third-and-last-é"];
         let bytes = log_bytes(&payloads);
         let offsets = frame_offsets(&payloads);
-        for cut in offsets[2] + 1..offsets[3] {
+        let path = tmp("torn-every-byte.log");
+        // From the clean end of the second frame to one byte short of
+        // the third's end: only a cut inside the frame is torn.
+        for cut in offsets[2]..offsets[3] {
+            let torn = cut > offsets[2];
             for chunk in CHUNKS {
                 let (got, scan, end) =
-                    scan_bytes(&bytes[..cut as usize], chunk, None).expect("torn is not an error");
+                    scan_bytes(&bytes[..cut as usize], chunk).expect("torn is not an error");
                 assert_eq!(got, payloads[..2], "cut {cut}, chunk {chunk}");
-                assert!(scan.tail_truncated, "cut {cut}, chunk {chunk}");
+                assert_eq!(scan.tail_truncated, torn, "cut {cut}, chunk {chunk}");
                 assert_eq!(end, offsets[2], "cut {cut}, chunk {chunk}");
             }
+            // On disk, recovery cuts the file back to the clean prefix,
+            // so a second recovery finds no torn tail and the same records.
+            std::fs::write(&path, &bytes[..cut as usize]).expect("write cut");
+            let (got, scan) = recover_all(&path).expect("torn is not an error");
+            assert_eq!(got, payloads[..2], "cut {cut}");
+            assert_eq!(scan.tail_truncated, torn, "cut {cut}");
+            assert_eq!(std::fs::metadata(&path).expect("meta").len(), offsets[2]);
+            let (reread, rescan) = recover_all(&path).expect("recover again");
+            assert_eq!(reread, payloads[..2], "cut {cut}");
+            assert!(!rescan.tail_truncated, "cut {cut}: file not truncated");
         }
     }
 
@@ -595,7 +580,7 @@ mod tests {
             let mut bytes = clean.clone();
             bytes[offsets[k] as usize + FRAME_HEADER_LEN + 2] ^= 0x04;
             for chunk in CHUNKS {
-                match scan_bytes(&bytes, chunk, None) {
+                match scan_bytes(&bytes, chunk) {
                     Err(PersistError::ChecksumMismatch { offset, .. }) => {
                         assert_eq!(offset, offsets[k], "frame {k}, chunk {chunk}");
                     }
@@ -613,7 +598,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x20;
         for chunk in CHUNKS {
-            match scan_bytes(&bytes, chunk, None) {
+            match scan_bytes(&bytes, chunk) {
                 Err(PersistError::Corrupt(msg)) => assert_eq!(
                     msg,
                     format!("WAL record at offset {} is not valid UTF-8", offsets[1]),
@@ -634,7 +619,7 @@ mod tests {
         torn.extend_from_slice(&[5, 0, 0]);
         std::fs::write(&path, &torn).expect("write torn");
         let mut seen = Vec::new();
-        let err = RecordLog::recover(TEST_KIND, &path, None, |i, p| {
+        let err = RecordLog::recover(TEST_KIND, &path, |i, p| {
             seen.push(p.to_owned());
             if i == 1 {
                 Err(PersistError::Corrupt(format!("rejected {p}")))
@@ -661,46 +646,6 @@ mod tests {
         let (payloads, scan) = recover_all(&path).expect("recover");
         assert_eq!(payloads, vec!["one", "two"]);
         assert!(!scan.tail_truncated);
-    }
-
-    #[test]
-    fn recover_keeps_exactly_the_prefix() {
-        let path = tmp("truncate.log");
-        let mut log = RecordLog::create(TEST_KIND, &path).expect("create");
-        for i in 0..5 {
-            log.append_payload(format!("r{i}").as_bytes())
-                .expect("append");
-        }
-        drop(log);
-        let mut visited = 0;
-        let (mut log, scan) = RecordLog::recover(TEST_KIND, &path, Some(3), |_, _| {
-            visited += 1;
-            Ok(())
-        })
-        .expect("recover");
-        assert_eq!(visited, 5, "records past the kept prefix are visited too");
-        assert_eq!(scan.records, 5);
-        assert_eq!(log.records(), 3);
-        log.append_payload(b"r3'").expect("append");
-        let (payloads, _) = recover_all(&path).expect("recover");
-        assert_eq!(payloads, vec!["r0", "r1", "r2", "r3'"]);
-    }
-
-    #[test]
-    fn keeping_more_than_exists_is_corrupt() {
-        let path = tmp("overkeep.log");
-        let mut log = RecordLog::create(TEST_KIND, &path).expect("create");
-        log.append_payload(b"only").expect("append");
-        drop(log);
-        match RecordLog::recover(TEST_KIND, &path, Some(2), |_, _| Ok(())) {
-            Err(PersistError::Corrupt(msg)) => {
-                assert!(
-                    msg.contains("holds 1 records but the snapshot requires 2"),
-                    "{msg}"
-                );
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
     }
 
     #[test]
@@ -793,7 +738,7 @@ mod tests {
         let mut torn_bytes = clean.clone();
         torn_bytes.extend_from_slice(&[7, 0, 0, 0, 1, 2]); // half a frame header
         std::fs::write(&path, &torn_bytes).expect("write torn");
-        let (_, scan, _) = scan_bytes(&torn_bytes, SCAN_CHUNK, None).expect("scan");
+        let (_, scan, _) = scan_bytes(&torn_bytes, SCAN_CHUNK).expect("scan");
         assert!(scan.tail_truncated, "the bytes end in a torn frame");
         let (_, scan) = recover_all(&path).expect("recover");
         assert!(scan.tail_truncated);
@@ -830,7 +775,7 @@ mod tests {
                 bytes[last] ^= 0x20;
             }
             for chunk in CHUNKS {
-                match scan_bytes(&bytes, chunk, None) {
+                match scan_bytes(&bytes, chunk) {
                     Err(PersistError::ChecksumMismatch { offset, .. }) => {
                         assert_eq!(offset, offsets[k], "corrupt frame {k}, chunk {chunk}");
                     }
@@ -855,8 +800,8 @@ mod tests {
         for k in 0..9 {
             for cut in [offsets[k] + 1, offsets[k] + 12, offsets[k + 1] - 1] {
                 for chunk in CHUNKS {
-                    let (payloads, scan, end) = scan_bytes(&clean[..cut as usize], chunk, None)
-                        .expect("torn is not an error");
+                    let (payloads, scan, end) =
+                        scan_bytes(&clean[..cut as usize], chunk).expect("torn is not an error");
                     assert!(scan.tail_truncated, "cut {cut} in frame {k}");
                     assert_eq!(scan.records, k as u64, "cut {cut} in frame {k}");
                     assert_eq!(end, offsets[k]);

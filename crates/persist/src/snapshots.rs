@@ -1,5 +1,6 @@
-//! Generic sequenced snapshot files, shared by the simulator's
-//! [`crate::StateDir`] and the `elasticflow-serve` gateway directory:
+//! Generic sequenced snapshot files, shared by the simulator's state
+//! directory ([`crate::PersistSession`]) and the `elasticflow-serve`
+//! gateway directory:
 //! `snapshot-NNNNNN.<extension>`, each an 8-byte magic+version header
 //! and one checksummed frame around a JSON payload. Writes are atomic
 //! (temp file `snapshot-NNNNNN.<extension>.tmp` + rename), keep the

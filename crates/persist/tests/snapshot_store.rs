@@ -5,13 +5,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use elasticflow_cluster::ClusterSpec;
 use elasticflow_perfmodel::Interconnect;
-use elasticflow_persist::store::{SNAPSHOT_KIND, WAL_KIND};
+use elasticflow_persist::frame;
+use elasticflow_persist::store::SNAPSHOT_KIND;
 use elasticflow_persist::{
-    LatestValid, PersistError, PersistSession, RecordLog, StateDir, StoredSnapshot, KEEP_SNAPSHOTS,
+    LatestValid, PersistError, PersistSession, SnapshotPayload, SnapshotStore, StoredSnapshot,
+    KEEP_SNAPSHOTS,
 };
 use elasticflow_sched::EdfScheduler;
 use elasticflow_sim::{RunDirective, SimConfig, SimController, SimSnapshot, Simulation};
 use elasticflow_trace::{Trace, TraceConfig};
+use serde::{Deserialize, Serialize};
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
@@ -23,6 +26,11 @@ fn temp_dir() -> PathBuf {
     ));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
+}
+
+/// The simulator's snapshot store over a fresh temp directory.
+fn store() -> SnapshotStore<StoredSnapshot> {
+    SnapshotStore::new(SNAPSHOT_KIND, temp_dir())
 }
 
 fn spec() -> ClusterSpec {
@@ -68,17 +76,16 @@ fn decode_snapshot(bytes: &[u8]) -> Result<StoredSnapshot, PersistError> {
     SNAPSHOT_KIND.decode(bytes)
 }
 
-fn stored(at_round: u64, wal_records: u64) -> StoredSnapshot {
+fn stored(at_round: u64) -> StoredSnapshot {
     StoredSnapshot {
         version: elasticflow_persist::PERSIST_VERSION,
-        wal_records,
         sim: capture_snapshot(at_round),
     }
 }
 
 #[test]
 fn snapshot_encoding_is_byte_stable_and_round_trips() {
-    let s = stored(4, 17);
+    let s = stored(4);
     let bytes = encode_snapshot(&s).unwrap();
     let back = decode_snapshot(&bytes).unwrap();
     assert_eq!(s, back);
@@ -86,21 +93,90 @@ fn snapshot_encoding_is_byte_stable_and_round_trips() {
     assert_eq!(bytes, encode_snapshot(&back).unwrap());
 }
 
-/// FNV-1a-64 of the encoded `stored(4, 17)` snapshot. Pinned so that
+/// FNV-1a-64 of the encoded `stored(4)` snapshot. Pinned so that
 /// no change to the snapshot store can move a byte of the `.efsnap`
 /// format.
-const STORED_SNAPSHOT_DIGEST: u64 = 0x90ba_db2d_a739_aeca;
+const STORED_SNAPSHOT_DIGEST: u64 = 0x5c55_87c8_059b_9345;
 
 #[test]
 fn snapshot_bytes_match_the_pinned_digest() {
-    let bytes = encode_snapshot(&stored(4, 17)).unwrap();
+    let bytes = encode_snapshot(&stored(4)).unwrap();
     let digest = elasticflow_sim::fnv1a64(&bytes);
     assert_eq!(digest, STORED_SNAPSHOT_DIGEST, "got {digest:#018x}");
 }
 
+/// A snapshot payload as the simulator wrote it while it still kept an
+/// event log (`events.wal`) beside its snapshots: the same members plus
+/// the log's record count.
+#[derive(Serialize, Deserialize)]
+struct LogStampedSnapshot {
+    version: u32,
+    wal_records: u64,
+    sim: SimSnapshot,
+}
+
+impl SnapshotPayload for LogStampedSnapshot {
+    fn version(&self) -> u32 {
+        self.version
+    }
+}
+
+/// FNV-1a-64 of the encoded `stored(4)` snapshot stamped with
+/// `wal_records: 17`: the digest pinned while snapshots carried the
+/// count, so [`LogStampedSnapshot`] writes that format's exact bytes.
+const LOG_STAMPED_SNAPSHOT_DIGEST: u64 = 0x90ba_db2d_a739_aeca;
+
+#[test]
+fn a_state_directory_written_with_an_event_log_still_resumes() {
+    let old = |sim: SimSnapshot| LogStampedSnapshot {
+        version: elasticflow_persist::PERSIST_VERSION,
+        wal_records: 17,
+        sim,
+    };
+    let current = stored(4);
+    let stamped = old(current.sim.clone());
+    let digest = elasticflow_sim::fnv1a64(&SNAPSHOT_KIND.encode(&stamped).unwrap());
+    assert_eq!(digest, LOG_STAMPED_SNAPSHOT_DIGEST, "got {digest:#018x}");
+    // The payloads differ by the removed member alone.
+    assert_eq!(
+        serde_json::to_string(&stamped)
+            .unwrap()
+            .replacen(",\"wal_records\":17", "", 1),
+        serde_json::to_string(&current).unwrap()
+    );
+
+    // A mid-run snapshot in the old format, with a log beside it.
+    let root = temp_dir();
+    let snapshot = capture_snapshot(10);
+    SnapshotStore::new(SNAPSHOT_KIND, root.clone())
+        .write_next(&old(snapshot.clone()))
+        .unwrap();
+    let wal = root.join("events.wal");
+    let mut wal_bytes =
+        frame::encode_header(b"EFWL", elasticflow_persist::PERSIST_VERSION).to_vec();
+    frame::encode_frame(&mut wal_bytes, br#"{"time":0.0,"event":"SlotBoundary"}"#);
+    std::fs::write(&wal, &wal_bytes).unwrap();
+
+    let sim = Simulation::new(spec(), SimConfig::default());
+    let tr = trace();
+    let baseline = sim.run(&tr, &mut EdfScheduler::new());
+    let mut session = PersistSession::begin(&root, 300.0, true).unwrap();
+    assert_eq!(session.snapshot(), Some(&snapshot));
+    let outcome = session
+        .run(&sim, &tr, &mut EdfScheduler::new(), &mut [])
+        .unwrap();
+    assert!(outcome.completed);
+    assert_eq!(baseline, outcome.report);
+    assert_eq!(
+        std::fs::read(&wal).unwrap(),
+        wal_bytes,
+        "the old event log was touched"
+    );
+}
+
 #[test]
 fn unknown_payload_version_is_a_typed_error() {
-    let mut s = stored(3, 0);
+    let mut s = stored(3);
     s.version = elasticflow_persist::PERSIST_VERSION + 7;
     let bytes = encode_snapshot(&s).unwrap();
     match decode_snapshot(&bytes) {
@@ -114,7 +190,7 @@ fn unknown_payload_version_is_a_typed_error() {
 
 #[test]
 fn truncated_and_corrupted_snapshot_files_are_typed_errors() {
-    let bytes = encode_snapshot(&stored(3, 0)).unwrap();
+    let bytes = encode_snapshot(&stored(3)).unwrap();
     // Every truncation is Corrupt or BadMagic/Torn — never a panic.
     for cut in 0..bytes.len() {
         match decode_snapshot(&bytes[..cut]) {
@@ -134,21 +210,21 @@ fn truncated_and_corrupted_snapshot_files_are_typed_errors() {
 
 #[test]
 fn latest_valid_snapshot_skips_corrupt_newer_files() {
-    let dir = StateDir::open(temp_dir()).unwrap();
-    let good = stored(4, 2);
-    let (seq1, _) = dir.snapshots().write_next(&good).unwrap();
-    let newer = stored(6, 5);
-    let (seq2, _) = dir.snapshots().write_next(&newer).unwrap();
+    let store = store();
+    let good = stored(4);
+    let (seq1, _) = store.write_next(&good).unwrap();
+    let newer = stored(6);
+    let (seq2, _) = store.write_next(&newer).unwrap();
     assert_eq!((seq1, seq2), (1, 2));
 
     // Corrupt the newest file's tail.
-    let path = dir.snapshots().path(seq2);
+    let path = store.path(seq2);
     let mut bytes = std::fs::read(&path).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0xff;
     std::fs::write(&path, &bytes).unwrap();
 
-    let LatestValid { valid, skipped } = dir.snapshots().latest_valid().unwrap();
+    let LatestValid { valid, skipped } = store.latest_valid().unwrap();
     assert_eq!(valid, Some((seq1, good)));
     assert_eq!(skipped.len(), 1);
     assert_eq!(skipped[0].0, seq2);
@@ -161,27 +237,26 @@ fn latest_valid_snapshot_skips_corrupt_newer_files() {
 
 #[test]
 fn writes_keep_only_the_newest_snapshots_and_seqs_keep_rising() {
-    let dir = StateDir::open(temp_dir()).unwrap();
-    let snap = stored(4, 2);
+    let store = store();
+    let snap = stored(4);
     for expected in 1..=5 {
-        let (seq, _) = dir.snapshots().write_next(&snap).unwrap();
+        let (seq, _) = store.write_next(&snap).unwrap();
         assert_eq!(seq, expected);
     }
     assert_eq!(KEEP_SNAPSHOTS, 2);
-    assert_eq!(dir.snapshots().seqs().unwrap(), vec![4, 5]);
-    let (seq, _) = dir.snapshots().write_next(&snap).unwrap();
+    assert_eq!(store.seqs().unwrap(), vec![4, 5]);
+    let (seq, _) = store.write_next(&snap).unwrap();
     assert_eq!(seq, 6);
-    assert_eq!(dir.snapshots().seqs().unwrap(), vec![5, 6]);
+    assert_eq!(store.seqs().unwrap(), vec![5, 6]);
     // Only snapshot files and no leftover temporaries are on disk.
-    let files = std::fs::read_dir(dir.snapshots().root()).unwrap().count();
+    let files = std::fs::read_dir(store.root()).unwrap().count();
     assert_eq!(files, 2);
 }
 
 #[test]
 fn a_stale_temp_file_is_removed_by_the_next_write_and_never_counts() {
-    let dir = StateDir::open(temp_dir()).unwrap();
-    let snap = stored(4, 2);
-    let store = dir.snapshots();
+    let store = store();
+    let snap = stored(4);
     store.write_next(&snap).unwrap();
     // A write that crashed before its rename, with a sequence number
     // ahead of every snapshot, and another kind's leftover beside it.
@@ -212,9 +287,8 @@ fn a_stale_temp_file_is_removed_by_the_next_write_and_never_counts() {
 
 #[test]
 fn a_failed_prune_does_not_fail_the_write_and_is_retried() {
-    let dir = StateDir::open(temp_dir()).unwrap();
-    let snap = stored(4, 2);
-    let store = dir.snapshots();
+    let store = store();
+    let snap = stored(4);
     for _ in 0..2 {
         store.write_next(&snap).unwrap();
     }
@@ -242,9 +316,8 @@ fn a_failed_prune_does_not_fail_the_write_and_is_retried() {
 
 #[test]
 fn a_corrupt_snapshot_never_replaces_the_fallback() {
-    let dir = StateDir::open(temp_dir()).unwrap();
-    let store = dir.snapshots();
-    let snap = stored(4, 2);
+    let store = store();
+    let snap = stored(4);
     for _ in 0..2 {
         store.write_next(&snap).unwrap();
     }
@@ -270,28 +343,35 @@ fn a_corrupt_snapshot_never_replaces_the_fallback() {
 
 #[test]
 fn every_snapshot_corrupt_recovers_nothing_and_reports_each() {
-    let dir = StateDir::open(temp_dir()).unwrap();
+    let store = store();
     for _ in 0..3 {
-        dir.snapshots().write_next(&stored(4, 0)).unwrap();
+        store.write_next(&stored(4)).unwrap();
     }
-    for seq in dir.snapshots().seqs().unwrap() {
-        std::fs::write(dir.snapshots().path(seq), b"EFSN").unwrap();
+    for seq in store.seqs().unwrap() {
+        std::fs::write(store.path(seq), b"EFSN").unwrap();
     }
-    let LatestValid { valid, skipped } = dir.snapshots().latest_valid().unwrap();
+    let LatestValid { valid, skipped } = store.latest_valid().unwrap();
     assert!(valid.is_none());
     let seqs: Vec<u64> = skipped.iter().map(|(seq, _)| *seq).collect();
     assert_eq!(seqs, vec![3, 2]);
-    assert!(dir.recover().unwrap().is_none());
+    // A resuming session degrades to a fresh run and clears the rot.
+    let session = PersistSession::begin(store.root(), 600.0, true).unwrap();
+    assert!(session.snapshot().is_none(), "resumed a corrupt snapshot");
+    assert!(store.seqs().unwrap().is_empty());
 }
 
 #[test]
 fn recover_on_empty_dir_is_none_and_fresh_session_starts_clean() {
     let root = temp_dir();
-    let dir = StateDir::open(&root).unwrap();
-    assert!(dir.recover().unwrap().is_none());
-
+    let store = SnapshotStore::<StoredSnapshot>::new(SNAPSHOT_KIND, root.clone());
+    assert!(store.latest_valid().unwrap().valid.is_none());
     let session = PersistSession::begin(&root, 600.0, true).unwrap();
     assert!(session.snapshot().is_none(), "nothing to resume from");
+
+    let missing = root.join("not-yet");
+    let session = PersistSession::begin(&missing, 600.0, true).unwrap();
+    assert!(session.snapshot().is_none());
+    assert!(missing.is_dir(), "begin creates the state directory");
 }
 
 #[test]
@@ -315,7 +395,6 @@ fn session_checkpoints_and_resumes_to_an_identical_report() {
         "no checkpoint was cut before the kill"
     );
     assert_eq!(stats.failures, 0);
-    assert!(stats.wal_records > 0);
     assert!(session.first_error().is_none());
     drop(session);
 
@@ -339,7 +418,7 @@ fn a_fresh_session_drops_the_previous_runs_snapshots() {
     let tr = trace();
     let baseline = sim.run(&tr, &mut EdfScheduler::new());
 
-    // A complete run leaves snapshots and a long log behind.
+    // A complete run leaves snapshots behind.
     let mut session = PersistSession::begin(&root, 300.0, false).unwrap();
     let outcome = session
         .run(&sim, &tr, &mut EdfScheduler::new(), &mut [])
@@ -347,15 +426,15 @@ fn a_fresh_session_drops_the_previous_runs_snapshots() {
     assert!(outcome.completed);
     assert!(session.stats().checkpoints > 0);
     drop(session);
-    let store = StateDir::open(&root).unwrap();
-    assert!(!store.snapshots().seqs().unwrap().is_empty());
+    let store = SnapshotStore::<StoredSnapshot>::new(SNAPSHOT_KIND, root.clone());
+    assert!(!store.seqs().unwrap().is_empty());
 
     // A fresh run dies before its first checkpoint.
     let mut session = PersistSession::begin(&root, f64::INFINITY, false)
         .unwrap()
         .kill_at_round(3);
     assert!(
-        store.snapshots().seqs().unwrap().is_empty(),
+        store.seqs().unwrap().is_empty(),
         "a fresh session kept the previous run's snapshots"
     );
     let outcome = session
@@ -390,15 +469,4 @@ fn a_second_run_on_one_session_panics() {
         .unwrap();
     assert!(!outcome.completed, "kill round did not fire");
     let _ = session.run(&sim, &tr, &mut EdfScheduler::new(), &mut []);
-}
-
-#[test]
-fn a_checksummed_but_undecodable_wal_record_is_a_typed_error() {
-    let dir = StateDir::open(temp_dir()).unwrap();
-    dir.snapshots().write_next(&stored(4, 1)).unwrap();
-    let mut log = RecordLog::create(WAL_KIND, dir.wal_path()).unwrap();
-    log.append_payload(b"{\"not\": \"a trace record\"}")
-        .unwrap();
-    drop(log);
-    assert!(matches!(dir.recover(), Err(PersistError::Decode(_))));
 }

@@ -591,6 +591,7 @@ mod tests {
     use crate::metrics::gateway_registry;
     use crate::proto::JobSubmission;
     use elasticflow_perfmodel::DnnModel;
+    use elasticflow_persist::frame::{FRAME_HEADER_LEN, HEADER_LEN};
     use elasticflow_telemetry::TickClock;
     use std::path::PathBuf;
 
@@ -929,14 +930,18 @@ mod tests {
             }
         }
         let dir = GatewayDir::open(&root).unwrap();
-        // Keep three records: fewer than the snapshot folded in.
-        RecordLog::recover(
-            crate::store::GATEWAY_WAL_KIND,
-            dir.wal_path(),
-            Some(3),
-            |_, _| Ok(()),
-        )
+        // Keep three records, fewer than the snapshot folded in: cut the
+        // WAL at the end of its third frame.
+        let mut third_end = HEADER_LEN;
+        dir.recover_wal(|i, payload| {
+            if i < 3 {
+                third_end += FRAME_HEADER_LEN + payload.len();
+            }
+            Ok(())
+        })
         .unwrap();
+        let wal = std::fs::read(dir.wal_path()).unwrap();
+        std::fs::write(dir.wal_path(), &wal[..third_end]).unwrap();
         let err = Daemon::open(
             &root,
             config(),

@@ -48,7 +48,6 @@ pub const GATEWAY_WAL_KIND: LogKind = LogKind {
     magic: b"EFGW",
     magic_name: "EFGW",
     record_name: "gateway",
-    long_name: "gateway submission log",
 };
 
 /// One gateway snapshot's payload: enough to rebuild the decision core
@@ -167,7 +166,7 @@ impl GatewayDir {
         &self,
         visit: impl FnMut(u64, &str) -> Result<(), PersistError>,
     ) -> Result<(RecordLog, LogScan), PersistError> {
-        RecordLog::recover(GATEWAY_WAL_KIND, self.wal_path(), None, visit)
+        RecordLog::recover(GATEWAY_WAL_KIND, self.wal_path(), visit)
     }
 
     /// Truncates the decision journal back to its header plus the first

@@ -66,9 +66,7 @@ pub use engine::{RunDirective, SimController, SimOutcome, Simulation};
 pub use event::Event;
 pub use failures::{FailureSchedule, NodeFailure};
 pub use metrics::{JobOutcome, SimReport, TimelinePoint};
-pub use observer::{
-    PhaseEdge, SchedPhase, SimContext, SimObserver, TimelineCollector, TraceRecord,
-};
+pub use observer::{PhaseEdge, SchedPhase, SimContext, SimObserver, TimelineCollector};
 pub use snapshot::{
     fnv1a64, EventCoreSnapshot, ExecutorSnapshot, Fnv1a64, JobStatsSnapshot, ResumeError,
     SimSnapshot, SIM_SNAPSHOT_VERSION,

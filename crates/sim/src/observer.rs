@@ -258,12 +258,3 @@ impl SimObserver for TimelineCollector {
         });
     }
 }
-
-/// One typed event with its timestamp: the record the persist WAL logs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TraceRecord {
-    /// Event time, seconds.
-    pub time: f64,
-    /// The event.
-    pub event: Event,
-}

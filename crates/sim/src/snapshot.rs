@@ -23,9 +23,8 @@
 //!   embedded so a snapshot cannot silently resume against the wrong trace
 //!   or cluster.
 //!
-//! Durable storage of snapshots (framing, checksums, write-ahead event
-//! logs) lives in `elasticflow-persist`; this module only defines the
-//! state itself.
+//! Durable storage of snapshots (framing, checksums, retention) lives in
+//! `elasticflow-persist`; this module only defines the state itself.
 
 use std::collections::{BTreeMap, BTreeSet};
 

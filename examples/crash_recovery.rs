@@ -7,9 +7,8 @@
 //! ```
 //!
 //! State lands in `target/crash_recovery/`: sequenced `snapshot-*.efsnap`
-//! files plus the `events.wal` write-ahead log. Each pass starts fresh:
-//! the crash phase clears the directory's old snapshots and log before
-//! it runs.
+//! files, the newest two kept. Each pass starts fresh: the crash phase
+//! clears the directory's old snapshots before it runs.
 
 use elasticflow::cluster::ClusterSpec;
 use elasticflow::core::ElasticFlowScheduler;
@@ -31,9 +30,8 @@ fn main() {
     println!("baseline: {rounds} rounds, digest 0x{baseline_digest:016x}");
 
     // Phase 1: run with persistence attached — a snapshot every 10
-    // simulated minutes, every event streamed into the write-ahead log —
-    // and hard-kill the run halfway through (no goodbye checkpoint, just
-    // like a real crash).
+    // simulated minutes — and hard-kill the run halfway through (no
+    // goodbye checkpoint, just like a real crash).
     let state_dir = std::path::Path::new("target/crash_recovery");
     let mut session = PersistSession::begin(state_dir, 600.0, false)
         .expect("open state directory")
@@ -44,15 +42,14 @@ fn main() {
     assert!(!outcome.completed, "the kill should interrupt the run");
     let stats = session.stats();
     println!(
-        "crashed at round {}: {} snapshot(s) on disk, {} WAL record(s) appended",
+        "crashed at round {}: {} snapshot(s) written",
         rounds / 2,
-        stats.checkpoints,
-        stats.wal_records
+        stats.checkpoints
     );
     drop(session);
 
-    // Phase 2: a "new process" — recover the newest valid snapshot,
-    // truncate any torn WAL tail, and resume to completion.
+    // Phase 2: a "new process" — recover the newest valid snapshot and
+    // re-simulate from it to completion.
     let mut session = PersistSession::begin(state_dir, 600.0, true).expect("recover state");
     let snapshot = session.snapshot().expect("a snapshot survived the crash");
     println!(

@@ -4,14 +4,15 @@
 //! Each workload is crashed at three cut points (~¼, ~½, ~¾ of its
 //! rounds) through the production persistence stack: a
 //! [`PersistSession`] checkpoints every [`CHECKPOINT_EVERY`] simulated
-//! seconds into a state directory, streams every event into its
-//! write-ahead log, and is hard-killed at the cut without a final
-//! checkpoint. A fresh session then recovers the newest periodic
-//! snapshot, which lies strictly before the cut, rolls the log's
-//! non-empty tail back to it, and resumes to completion. Each resume
-//! must reproduce the pinned FNV digest of the uninterrupted run and
-//! leave a write-ahead log byte-identical to an uninterrupted persisted
-//! run's. Persistence is *bit-identical*, not merely approximately
+//! seconds into a state directory and is hard-killed at the cut without
+//! a final checkpoint. A fresh session then recovers the newest periodic
+//! snapshot, which lies strictly before the cut, and resumes to
+//! completion. Each resume must reproduce the pinned FNV digest of the
+//! uninterrupted run. It must also leave the uninterrupted persisted
+//! run's state: the crashed run's events up to the snapshot followed by
+//! the resumed run's events are the uninterrupted run's event stream,
+//! and the state directory holds the same snapshot files, byte for
+//! byte. Persistence is *bit-identical*, not merely approximately
 //! correct.
 //!
 //! The seed-42, seed-7 and seed-13 digests are the same constants as
@@ -19,7 +20,8 @@
 //! pinned only here. If an intentional semantic change re-captures them,
 //! re-capture here too (`GOLDEN_REPLAY_PRINT=1` prints them).
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use elasticflow::cluster::ClusterSpec;
@@ -80,30 +82,32 @@ fn failure_config() -> SimConfig {
     ]))
 }
 
-/// Counts the events a run emits — the number of records its WAL tap
-/// must have appended.
-#[derive(Default)]
-struct EventCount(u64);
+/// Every event a run emits, with its simulated time.
+type Events = Vec<(f64, Event)>;
 
-impl SimObserver for EventCount {
-    fn on_event(&mut self, _now: f64, _event: &Event, _ctx: &SimContext<'_>) {
-        self.0 += 1;
+/// Records every event a run emits.
+#[derive(Default)]
+struct EventLog(Events);
+
+impl SimObserver for EventLog {
+    fn on_event(&mut self, now: f64, event: &Event, _ctx: &SimContext<'_>) {
+        self.0.push((now, *event));
     }
 }
 
-/// Runs `psession` under an [`EventCount`] and, with `telemetry`, a fresh
-/// deterministic telemetry stack, then asserts the run hit no
-/// persistence error and its WAL tap logged every event exactly once.
+/// Runs `psession` under an [`EventLog`] and, with `telemetry`, a fresh
+/// deterministic telemetry stack, asserts the run hit no persistence
+/// error, and returns its outcome with the events it emitted.
 fn run_observed(
     psession: &mut PersistSession,
     sim: &Simulation,
     trace: &Trace,
     make_scheduler: &dyn Fn() -> Box<dyn Scheduler>,
     telemetry: bool,
-) -> SimOutcome {
-    let mut count = EventCount::default();
+) -> (SimOutcome, Events) {
+    let mut events = EventLog::default();
     let mut session = telemetry.then(TelemetrySession::deterministic);
-    let mut observers: Vec<&mut dyn SimObserver> = vec![&mut count];
+    let mut observers: Vec<&mut dyn SimObserver> = vec![&mut events];
     if let Some(s) = session.as_mut() {
         observers.extend(s.observers());
     }
@@ -112,17 +116,64 @@ fn run_observed(
         .expect("the state directory belongs to this run");
     drop(observers);
     assert!(psession.first_error().is_none());
-    assert_eq!(
-        count.0,
-        psession.stats().wal_records,
-        "the WAL tap did not log every event exactly once"
-    );
-    outcome
+    assert_eq!(psession.stats().failures, 0, "a snapshot write failed");
+    (outcome, events.0)
 }
 
-/// Crash a persisted run at `cut`, recover it in a fresh session, resume
-/// to completion, and return the resumed report, the state directory it
-/// left and the round of the snapshot it resumed from.
+/// Every file in the state directory `root`, by name, with its bytes.
+/// Each must be a snapshot file: the simulator keeps nothing else.
+fn state_files(root: &Path) -> BTreeMap<String, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for entry in std::fs::read_dir(root).expect("list state dir") {
+        let entry = entry.expect("state dir entry");
+        let name = entry.file_name().into_string().expect("UTF-8 file name");
+        assert!(
+            name.starts_with("snapshot-") && name.ends_with(".efsnap"),
+            "{}: unexpected file {name}",
+            root.display()
+        );
+        files.insert(name, std::fs::read(entry.path()).expect("read snapshot"));
+    }
+    files
+}
+
+/// What an uninterrupted persisted run emitted and left on disk.
+struct Uninterrupted {
+    events: Events,
+    files: BTreeMap<String, Vec<u8>>,
+}
+
+fn uninterrupted(
+    sim: &Simulation,
+    trace: &Trace,
+    make_scheduler: &dyn Fn() -> Box<dyn Scheduler>,
+) -> Uninterrupted {
+    let root = temp_dir();
+    let mut psession =
+        PersistSession::begin(&root, CHECKPOINT_EVERY, false).expect("open state dir");
+    let (outcome, events) = run_observed(&mut psession, sim, trace, make_scheduler, false);
+    assert!(outcome.completed);
+    drop(psession);
+    Uninterrupted {
+        events,
+        files: state_files(&root),
+    }
+}
+
+/// A run crashed at a cut and resumed to completion.
+struct Resumed {
+    report: SimReport,
+    /// Round of the snapshot the resume started from.
+    round: u64,
+    /// Events of the crashed run, then of the resumed one.
+    crashed_events: Events,
+    resumed_events: Events,
+    /// The state directory after the resume.
+    files: BTreeMap<String, Vec<u8>>,
+}
+
+/// Crash a persisted run at `cut`, recover it in a fresh session and
+/// resume to completion.
 ///
 /// With `telemetry`, a fresh deterministic telemetry stack is attached
 /// to both runs, proving observers stay read-only across the persistence
@@ -133,59 +184,85 @@ fn cut_and_resume(
     make_scheduler: &dyn Fn() -> Box<dyn Scheduler>,
     cut: u64,
     telemetry: bool,
-) -> (SimReport, PathBuf, u64) {
+) -> Resumed {
     let root = temp_dir();
 
     // Crash half: periodic checkpoints, then a hard stop at `cut`.
     let mut psession = PersistSession::begin(&root, CHECKPOINT_EVERY, false)
         .expect("open state dir")
         .kill_at_round(cut);
-    let outcome = run_observed(&mut psession, sim, trace, make_scheduler, telemetry);
+    let (outcome, crashed_events) =
+        run_observed(&mut psession, sim, trace, make_scheduler, telemetry);
     assert!(!outcome.completed, "cut round {cut} never fired");
-    let stats = psession.stats();
-    assert!(stats.checkpoints > 0, "no checkpoint before round {cut}");
-    assert_eq!(stats.failures, 0, "a snapshot write failed");
-    let crashed_records = stats.wal_records;
+    assert!(
+        psession.stats().checkpoints > 0,
+        "no checkpoint before round {cut}"
+    );
     drop(psession);
 
     // Resume half, in a "new process": everything reloaded from disk.
     let mut psession =
         PersistSession::begin(&root, CHECKPOINT_EVERY, true).expect("recovery session");
-    let recovered = &psession
-        .recovered()
+    let round = psession
+        .snapshot()
         .expect("recovery found a snapshot")
-        .snapshot;
-    let (resumed_round, kept_records) = (recovered.sim.round, recovered.wal_records);
+        .round;
     assert!(
-        resumed_round < cut,
-        "resumed from round {resumed_round}, not before the cut at {cut}"
+        round < cut,
+        "resumed from round {round}, not before the cut at {cut}"
     );
-    assert!(
-        kept_records < crashed_records,
-        "cut {cut}: no WAL tail past the snapshot was rolled back"
-    );
-    let outcome = run_observed(&mut psession, sim, trace, make_scheduler, telemetry);
+    let (outcome, resumed_events) =
+        run_observed(&mut psession, sim, trace, make_scheduler, telemetry);
     assert!(outcome.completed, "resumed run stopped early");
-    (outcome.report, root, resumed_round)
+    drop(psession);
+    Resumed {
+        report: outcome.report,
+        round,
+        crashed_events,
+        resumed_events,
+        files: state_files(&root),
+    }
 }
 
-/// The write-ahead log of an uninterrupted persisted run.
-fn uninterrupted_wal(
-    sim: &Simulation,
-    trace: &Trace,
-    make_scheduler: &dyn Fn() -> Box<dyn Scheduler>,
-) -> Vec<u8> {
-    let root = temp_dir();
-    let mut psession =
-        PersistSession::begin(&root, CHECKPOINT_EVERY, false).expect("open state dir");
-    assert!(run_observed(&mut psession, sim, trace, make_scheduler, false).completed);
-    drop(psession);
-    std::fs::read(root.join("events.wal")).expect("read WAL")
+/// Asserts that a crash + resume left the uninterrupted run's state.
+///
+/// * **Event stream.** With `k` = the uninterrupted run's events minus
+///   the resumed run's, the crashed run emitted more than `k` events (a
+///   tail past the snapshot was lost and re-simulated), and its first
+///   `k` events followed by the resumed run's are the uninterrupted
+///   stream.
+/// * **Files on disk.** The state directory holds the same snapshot
+///   files as the uninterrupted run's, byte for byte.
+fn assert_state_matches(full: &Uninterrupted, resumed: &Resumed, what: &str) {
+    let k = full
+        .events
+        .len()
+        .checked_sub(resumed.resumed_events.len())
+        .unwrap_or_else(|| panic!("{what}: the resumed run emitted more events than a whole run"));
+    assert!(
+        resumed.crashed_events.len() > k,
+        "{what}: the crashed run emitted nothing past the snapshot it resumed from"
+    );
+    assert!(
+        resumed.crashed_events[..k] == full.events[..k]
+            && resumed.resumed_events[..] == full.events[k..],
+        "{what}: crashed prefix + resumed events differ from the uninterrupted stream"
+    );
+    let names = |files: &BTreeMap<String, Vec<u8>>| files.keys().cloned().collect::<Vec<_>>();
+    assert_eq!(
+        names(&resumed.files),
+        names(&full.files),
+        "{what}: a different set of snapshot files"
+    );
+    assert!(
+        resumed.files == full.files,
+        "{what}: snapshot files differ from the uninterrupted run's"
+    );
 }
 
 /// Crashes the workload at ~¼, ~½ and ~¾ of its rounds; every resume
-/// must reproduce `expected` and the uninterrupted write-ahead log, and
-/// the three must resume from three different snapshots.
+/// must reproduce `expected` and the uninterrupted run's state, and the
+/// three must resume from three different snapshots.
 fn assert_golden_across_cuts(
     sim: &Simulation,
     trace: &Trace,
@@ -205,25 +282,22 @@ fn assert_golden_across_cuts(
     );
     let rounds = baseline.timeline().len() as u64;
     assert!(rounds >= 8, "{name}: scenario too short to cut three ways");
-    let full_wal = uninterrupted_wal(sim, trace, make_scheduler);
+    let full = uninterrupted(sim, trace, make_scheduler);
     let mut resumed_rounds = Vec::new();
     for cut in [rounds / 4, rounds / 2, 3 * rounds / 4] {
-        let (resumed, root, resumed_round) =
-            cut_and_resume(sim, trace, make_scheduler, cut, telemetry);
+        let resumed = cut_and_resume(sim, trace, make_scheduler, cut, telemetry);
         assert_eq!(
-            digest(&resumed),
+            digest(&resumed.report),
             expected,
             "{name}: resume from cut round {cut} broke the golden digest"
         );
+        assert_state_matches(&full, &resumed, &format!("{name}, cut round {cut}"));
         assert!(
-            std::fs::read(root.join("events.wal")).expect("read WAL") == full_wal,
-            "{name}: crash at round {cut} + resume left a different write-ahead log"
+            !resumed_rounds.contains(&resumed.round),
+            "{name}: two cuts resumed from the snapshot of round {}",
+            resumed.round
         );
-        assert!(
-            !resumed_rounds.contains(&resumed_round),
-            "{name}: two cuts resumed from the snapshot of round {resumed_round}"
-        );
-        resumed_rounds.push(resumed_round);
+        resumed_rounds.push(resumed.round);
     }
 }
 
@@ -269,7 +343,7 @@ fn failure_injection_recovery_reproduces_the_golden_digest() {
 }
 
 /// Telemetry attached to the crashed run and the resume must not perturb
-/// the resumed digest, nor the write-ahead log it leaves.
+/// the resumed digest, nor the events and snapshot files it leaves.
 #[test]
 fn recovery_with_telemetry_attached_is_still_golden() {
     for (seed, config, expected) in [
@@ -288,20 +362,16 @@ fn recovery_with_telemetry_attached_is_still_golden() {
     }
 }
 
-/// The write-ahead log left after crash + resume is byte-identical to an
-/// uninterrupted persisted run's log.
+/// Crash + resume leaves the uninterrupted persisted run's state: its
+/// event stream and its snapshot files.
 #[test]
-fn recovered_wal_is_byte_identical_to_uninterrupted() {
+fn recovered_state_is_identical_to_uninterrupted() {
     let (sim, trace) = scenario(7);
     let make: &dyn Fn() -> Box<dyn Scheduler> = &|| Box::new(EdfScheduler::new());
     let rounds = sim.run(&trace, make().as_mut()).timeline().len() as u64;
-    let (_, root, _) = cut_and_resume(&sim, &trace, make, rounds / 2, false);
-
-    assert!(
-        std::fs::read(root.join("events.wal")).expect("read WAL")
-            == uninterrupted_wal(&sim, &trace, make),
-        "crash+resume write-ahead log differs from the uninterrupted one"
-    );
+    let resumed = cut_and_resume(&sim, &trace, make, rounds / 2, false);
+    let full = uninterrupted(&sim, &trace, make);
+    assert_state_matches(&full, &resumed, "edf, mid-run cut");
 }
 
 // Same constants as tests/golden_replay.rs — bit-identical recovery means
