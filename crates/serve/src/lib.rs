@@ -405,6 +405,29 @@ mod tests {
         }
     }
 
+    /// A line nested 50,000 deep overflows the stack of a parser without
+    /// a depth limit and aborts the daemon. It is answered with an
+    /// error, and the next line is served.
+    #[test]
+    fn a_deeply_nested_line_is_answered_with_an_error_and_serving_continues() {
+        let input = format!("{}\n{}", "[".repeat(50_000), submit_line(0));
+        for batch in [1, 4] {
+            let (root, mut daemon) = open_daemon(&format!("deep-{batch}"));
+            let mut out = Vec::new();
+            let shutdown = serve_connection(&mut daemon, input.as_bytes(), &mut out, batch, None)
+                .expect("serves");
+            assert!(!shutdown);
+            let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+            assert_eq!(lines.len(), 2, "batch {batch}: one error + one decision");
+            assert!(lines[0].starts_with("{\"Error\":"), "got {}", lines[0]);
+            assert!(lines[0].contains("recursion limit"), "got {}", lines[0]);
+            assert!(lines[1].starts_with("{\"Decision\":"), "got {}", lines[1]);
+            assert_eq!(daemon.wal_records(), 1, "only the valid line is logged");
+            drop(daemon);
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
     /// A line no decision can be made on is refused before the WAL: a
     /// zero batch that reached the gateway would panic the daemon after
     /// the append and again on every resume.

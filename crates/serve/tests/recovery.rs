@@ -451,49 +451,53 @@ fn a_wal_record_that_fails_validation_is_refused_as_corrupt_on_resume() {
     }
 }
 
-/// A line of bytes that are not UTF-8 is answered with an `Error` line
-/// and the binary keeps serving: it exits 0 at end-of-input, and its
-/// durable files match a run that never saw the bad line.
+/// Runs the release-shaped binary over `stdin_bytes` in a fresh state
+/// directory and collects its exit status and answers.
 #[cfg(unix)]
-#[test]
-fn binary_answers_a_non_utf8_line_and_keeps_serving() {
+fn run_binary(dir: &Path, stdin_bytes: &[u8]) -> std::process::Output {
     use std::io::Write;
     use std::process::{Command, Stdio};
 
+    let mut child = Command::new(env!("CARGO_BIN_EXE_elasticflow-serve"))
+        .arg("--state-dir")
+        .arg(dir)
+        .args(["--servers", "2", "--gpus-per-server", "8"])
+        .args(["--latency-clock", "tick"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary spawns");
+    if let Some(mut stdin) = child.stdin.take() {
+        stdin
+            .write_all(stdin_bytes)
+            .expect("binary reads its input");
+    }
+    child.wait_with_output().expect("binary exits")
+}
+
+/// Feeds the binary one hostile line followed by 20 valid requests: it
+/// answers the hostile line with an `Error` line naming `reason`, keeps
+/// serving, exits 0 at end-of-input, and its answers and durable files
+/// match a run that never saw the hostile line.
+#[cfg(unix)]
+fn assert_binary_survives(name: &str, hostile: &[u8], reason: &str) {
     let lines = request_lines(20);
     let valid: String = lines.iter().map(|l| format!("{l}\n")).collect();
-    let mut mixed = b"\xff\xfe\n".to_vec();
+    let mut mixed = hostile.to_vec();
+    mixed.push(b'\n');
     mixed.extend_from_slice(valid.as_bytes());
-    let binary = env!("CARGO_BIN_EXE_elasticflow-serve");
-    let run = |dir: &Path, stdin_bytes: &[u8]| {
-        let mut child = Command::new(binary)
-            .arg("--state-dir")
-            .arg(dir)
-            .args(["--servers", "2", "--gpus-per-server", "8"])
-            .args(["--latency-clock", "tick"])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("binary spawns");
-        if let Some(mut stdin) = child.stdin.take() {
-            stdin
-                .write_all(stdin_bytes)
-                .expect("binary reads its input");
-        }
-        child.wait_with_output().expect("binary exits")
-    };
 
-    let clean_dir = tmp("bin-utf8-clean");
-    let clean = run(&clean_dir, valid.as_bytes());
+    let clean_dir = tmp(&format!("bin-{name}-clean"));
+    let clean = run_binary(&clean_dir, valid.as_bytes());
     assert!(
         clean.status.success(),
         "clean run failed: {:?}",
         clean.status
     );
 
-    let mixed_dir = tmp("bin-utf8-mixed");
-    let out = run(&mixed_dir, &mixed);
+    let mixed_dir = tmp(&format!("bin-{name}-mixed"));
+    let out = run_binary(&mixed_dir, &mixed);
     assert!(
         out.status.success(),
         "bad line ended the run: {:?}",
@@ -502,6 +506,7 @@ fn binary_answers_a_non_utf8_line_and_keeps_serving() {
     let stdout = String::from_utf8(out.stdout).expect("responses are UTF-8");
     let (first, rest) = stdout.split_once('\n').expect("a response per line");
     assert!(first.starts_with("{\"Error\":"), "got {first}");
+    assert!(first.contains(reason), "got {first}");
     assert_eq!(
         rest.as_bytes(),
         clean.stdout,
@@ -509,4 +514,21 @@ fn binary_answers_a_non_utf8_line_and_keeps_serving() {
     );
 
     assert_eq!(durable_files(&mixed_dir), durable_files(&clean_dir));
+}
+
+/// A line of bytes that are not UTF-8 is answered with an `Error` line
+/// and the binary keeps serving.
+#[cfg(unix)]
+#[test]
+fn binary_answers_a_non_utf8_line_and_keeps_serving() {
+    assert_binary_survives("utf8", b"\xff\xfe", "UTF-8");
+}
+
+/// A line of 50,000 `[` overflows the stack of a parser without a depth
+/// limit and aborts the binary (exit 134). It is answered like any
+/// other bad line.
+#[cfg(unix)]
+#[test]
+fn binary_answers_a_deeply_nested_line_and_keeps_serving() {
+    assert_binary_survives("deep", "[".repeat(50_000).as_bytes(), "recursion limit");
 }

@@ -269,7 +269,7 @@ impl<W: fmt::Write> ser::SerializeMap for Compound<'_, W> {
     fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), Error> {
         self.separate()?;
         match ser::to_value(key) {
-            Value::String(s) => write_str(&mut self.ser.out, &s)?,
+            Value::String(ref s) => write_str(&mut self.ser.out, s)?,
             scalar @ (Value::Null
             | Value::Bool(_)
             | Value::Int(_)

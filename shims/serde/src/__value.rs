@@ -10,7 +10,10 @@ use crate::ser::Serialize;
 /// `Deserialize` impl in the shim reads, and what `to_value` builds.
 ///
 /// Objects preserve insertion order (fields serialize in declaration order)
-/// so output is deterministic and diffs are stable.
+/// so output is deterministic and diffs are stable. A tree of any depth
+/// drops without recursion (see its `Drop`), so its variants' contents
+/// move out through [`Value::into_string`], [`Value::into_array`] and
+/// [`Value::into_object`] rather than by pattern.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -89,6 +92,30 @@ impl Value {
         matches!(self, Value::Null)
     }
 
+    /// Moves the string out if this is a string; gives `self` back if not.
+    pub fn into_string(mut self) -> Result<String, Value> {
+        match &mut self {
+            Value::String(s) => Ok(std::mem::take(s)),
+            _ => Err(self),
+        }
+    }
+
+    /// Moves the elements out if this is an array; gives `self` back if not.
+    pub fn into_array(mut self) -> Result<Vec<Value>, Value> {
+        match &mut self {
+            Value::Array(items) => Ok(std::mem::take(items)),
+            _ => Err(self),
+        }
+    }
+
+    /// Moves the entries out if this is an object; gives `self` back if not.
+    pub fn into_object(mut self) -> Result<Vec<(String, Value)>, Value> {
+        match &mut self {
+            Value::Object(entries) => Ok(std::mem::take(entries)),
+            _ => Err(self),
+        }
+    }
+
     /// Short human-readable name of the variant, for error messages.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -100,6 +127,36 @@ impl Value {
             Value::Array(_) => "array",
             Value::Object(_) => "object",
         }
+    }
+}
+
+/// Drops nested arrays and objects off a heap stack, not by recursion:
+/// the derived drop glue takes one stack frame per level, so a deep
+/// enough tree would overflow the thread's stack. The parser bounds the
+/// depth of what it builds; a tree built in code has no such bound.
+impl Drop for Value {
+    fn drop(&mut self) {
+        let mut nested = Vec::new();
+        move_nested_children(self, &mut nested);
+        while let Some(mut value) = nested.pop() {
+            // `value` drops here with no nested children left.
+            move_nested_children(&mut value, &mut nested);
+        }
+    }
+}
+
+/// Moves `value`'s array and object children onto `nested`; its scalar
+/// children drop in place. Allocates only when a nested child exists.
+fn move_nested_children(value: &mut Value, nested: &mut Vec<Value>) {
+    fn is_nested(value: &Value) -> bool {
+        matches!(value, Value::Array(_) | Value::Object(_))
+    }
+    match value {
+        Value::Array(items) => nested.extend(items.drain(..).filter(is_nested)),
+        Value::Object(entries) => {
+            nested.extend(entries.drain(..).map(|(_, v)| v).filter(is_nested));
+        }
+        _ => {}
     }
 }
 

@@ -122,11 +122,10 @@ impl<'de> Deserialize<'de> for bool {
 
 impl<'de> Deserialize<'de> for String {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let value = deserializer.into_value()?;
-        match value {
-            Value::String(s) => Ok(s),
-            other => unexpected("string", &other),
-        }
+        deserializer
+            .into_value()?
+            .into_string()
+            .or_else(|other| unexpected("string", &other))
     }
 }
 
@@ -162,10 +161,7 @@ impl<'de, T: DeserializeOwned> Deserialize<'de> for Option<T> {
 }
 
 fn array_items<E: Error>(value: Value, what: &str) -> Result<Vec<Value>, E> {
-    match value {
-        Value::Array(items) => Ok(items),
-        other => unexpected(what, &other),
-    }
+    value.into_array().or_else(|other| unexpected(what, &other))
 }
 
 impl<'de, T: DeserializeOwned> Deserialize<'de> for Vec<T> {
@@ -238,6 +234,12 @@ impl_deserialize_tuple! {
     (4 => A: 0, B: 1, C: 2, D: 3)
 }
 
+fn object_entries<E: Error>(value: Value) -> Result<Vec<(String, Value)>, E> {
+    value
+        .into_object()
+        .or_else(|other| unexpected("object", &other))
+}
+
 /// Map keys parse back from their string form.
 fn key_from_string<K: DeserializeOwned, E: Error>(key: String) -> Result<K, E> {
     // Try a string value first (covers String keys), then numeric forms.
@@ -254,19 +256,15 @@ fn key_from_string<K: DeserializeOwned, E: Error>(key: String) -> Result<K, E> {
 
 impl<'de, K: DeserializeOwned + Ord, V: DeserializeOwned> Deserialize<'de> for BTreeMap<K, V> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let value = deserializer.into_value()?;
-        match value {
-            Value::Object(entries) => entries
-                .into_iter()
-                .map(|(k, v)| {
-                    Ok((
-                        key_from_string::<K, D::Error>(k)?,
-                        from_value(v).map_err(D::Error::custom)?,
-                    ))
-                })
-                .collect(),
-            other => unexpected("object", &other),
-        }
+        object_entries(deserializer.into_value()?)?
+            .into_iter()
+            .map(|(k, v)| {
+                Ok((
+                    key_from_string::<K, D::Error>(k)?,
+                    from_value(v).map_err(D::Error::custom)?,
+                ))
+            })
+            .collect()
     }
 }
 
@@ -276,19 +274,15 @@ where
     V: DeserializeOwned,
 {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let value = deserializer.into_value()?;
-        match value {
-            Value::Object(entries) => entries
-                .into_iter()
-                .map(|(k, v)| {
-                    Ok((
-                        key_from_string::<K, D::Error>(k)?,
-                        from_value(v).map_err(D::Error::custom)?,
-                    ))
-                })
-                .collect(),
-            other => unexpected("object", &other),
-        }
+        object_entries(deserializer.into_value()?)?
+            .into_iter()
+            .map(|(k, v)| {
+                Ok((
+                    key_from_string::<K, D::Error>(k)?,
+                    from_value(v).map_err(D::Error::custom)?,
+                ))
+            })
+            .collect()
     }
 }
 

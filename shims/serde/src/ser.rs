@@ -468,10 +468,7 @@ impl SerializeStructVariant for ValueMap {
 /// itself, anything else as its JSON text (what the JSON writer puts
 /// between the quotes).
 fn key_to_string(key: Value) -> String {
-    match key {
-        Value::String(s) => s,
-        other => other.to_string(),
-    }
+    key.into_string().unwrap_or_else(|other| other.to_string())
 }
 
 /// Lowers any serializable type into a [`Value`]. Infallible by

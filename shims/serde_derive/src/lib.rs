@@ -220,9 +220,9 @@ fn gen_deserialize(item: &Item) -> String {
                 .map(|f| format!("{}: {}", f.name, named_field_expr(f, name, "__entries")))
                 .collect();
             format!(
-                "let __entries = match __value {{\n\
-                 ::serde::__value::Value::Object(entries) => entries,\n\
-                 other => return ::std::result::Result::Err(\
+                "let __entries = match __value.into_object() {{\n\
+                 ::std::result::Result::Ok(entries) => entries,\n\
+                 ::std::result::Result::Err(other) => return ::std::result::Result::Err(\
                  <__D::Error as ::serde::de::Error>::custom(::std::format!(\
                  \"expected object for `{name}`, found {{}}\", other.kind()))),\n}};\n\
                  ::std::result::Result::Ok({name} {{\n{}\n}})",
@@ -245,9 +245,9 @@ fn gen_deserialize(item: &Item) -> String {
                     })
                     .collect();
                 format!(
-                    "let __items = match __value {{\n\
-                     ::serde::__value::Value::Array(items) => items,\n\
-                     other => return ::std::result::Result::Err(\
+                    "let __items = match __value.into_array() {{\n\
+                     ::std::result::Result::Ok(items) => items,\n\
+                     ::std::result::Result::Err(other) => return ::std::result::Result::Err(\
                      <__D::Error as ::serde::de::Error>::custom(::std::format!(\
                      \"expected array for `{name}`, found {{}}\", other.kind()))),\n}};\n\
                      if __items.len() != {n} {{\n\
@@ -292,9 +292,9 @@ fn gen_deserialize(item: &Item) -> String {
                             .collect();
                         tagged_arms.push_str(&format!(
                             "{vname:?} => {{\n\
-                             let __items = match __inner {{\n\
-                             ::serde::__value::Value::Array(items) => items,\n\
-                             other => return ::std::result::Result::Err(\
+                             let __items = match __inner.into_array() {{\n\
+                             ::std::result::Result::Ok(items) => items,\n\
+                             ::std::result::Result::Err(other) => return ::std::result::Result::Err(\
                              <__D::Error as ::serde::de::Error>::custom(::std::format!(\
                              \"expected array for variant `{vname}`, found {{}}\", \
                              other.kind()))),\n}};\n\
@@ -314,9 +314,9 @@ fn gen_deserialize(item: &Item) -> String {
                             .collect();
                         tagged_arms.push_str(&format!(
                             "{vname:?} => {{\n\
-                             let __vfields = match __inner {{\n\
-                             ::serde::__value::Value::Object(entries) => entries,\n\
-                             other => return ::std::result::Result::Err(\
+                             let __vfields = match __inner.into_object() {{\n\
+                             ::std::result::Result::Ok(entries) => entries,\n\
+                             ::std::result::Result::Err(other) => return ::std::result::Result::Err(\
                              <__D::Error as ::serde::de::Error>::custom(::std::format!(\
                              \"expected object for variant `{vname}`, found {{}}\", \
                              other.kind()))),\n}};\n\
@@ -327,13 +327,13 @@ fn gen_deserialize(item: &Item) -> String {
                 }
             }
             format!(
-                "match __value {{\n\
+                "let mut __value = __value;\n\
+                 match &mut __value {{\n\
                  ::serde::__value::Value::String(__s) => match __s.as_str() {{\n{unit_arms}\
                  other => ::std::result::Result::Err(<__D::Error as \
                  ::serde::de::Error>::custom(::std::format!(\
                  \"unknown variant `{{other}}` of `{name}`\"))),\n}},\n\
                  ::serde::__value::Value::Object(__entries) if __entries.len() == 1 => {{\n\
-                 let mut __entries = __entries;\n\
                  let (__tag, __inner) = match __entries.pop() {{\n\
                  ::std::option::Option::Some(pair) => pair,\n\
                  ::std::option::Option::None => return ::std::result::Result::Err(\

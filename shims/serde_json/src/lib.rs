@@ -252,6 +252,38 @@ mod tests {
     }
 
     #[test]
+    fn nesting_deeper_than_the_recursion_limit_is_an_error() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        let limit = parser::RECURSION_LIMIT;
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            assert!(
+                from_str::<Value>(&nest(limit, open, close)).is_ok(),
+                "{open}"
+            );
+            let err = from_str::<Value>(&nest(limit + 1, open, close)).unwrap_err();
+            assert!(err.to_string().contains("recursion limit"), "{err}");
+        }
+        // One hostile line: no stack overflow, whatever its length.
+        let err = from_str::<Value>(&"[".repeat(50_000)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+    }
+
+    #[test]
+    fn a_value_nested_a_million_deep_drops_without_overflow() {
+        let mut value = Value::Null;
+        for depth in 0..1_000_000 {
+            value = if depth % 2 == 0 {
+                Value::Array(vec![Value::UInt(depth), value])
+            } else {
+                Value::Object(vec![("k".to_string(), value)])
+            };
+        }
+        drop(value);
+    }
+
+    #[test]
     fn parse_errors_are_reported() {
         assert!(from_str::<u32>("not json").is_err());
         assert!(from_str::<u32>("[1,").is_err());
