@@ -163,7 +163,7 @@ pub(crate) fn run(
 /// Runs one persisted simulation into `state_dir`, resuming from its
 /// newest valid snapshot when `settings.resume` allows and one exists.
 ///
-/// `extra` observers (telemetry) ride behind the session's WAL tap. A
+/// `extra` observers (telemetry) watch the run the session drives. A
 /// rejected snapshot restarts the run fresh, and a state directory that
 /// cannot be opened runs it unpersisted, each with a warning:
 /// experiments never fail because stored state was unusable. Returns the

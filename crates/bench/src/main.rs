@@ -29,8 +29,8 @@
 //! directory.
 //!
 //! With `--state-dir`, every simulation checkpoints its full resumable
-//! state every `--checkpoint-every` simulated seconds (default 600) and
-//! streams its events into a write-ahead log under `<dir>/<stem>/`; add
+//! state every `--checkpoint-every` simulated seconds (default 600) into
+//! snapshot files under `<dir>/<stem>/`, keeping the newest two; add
 //! `--resume` to pick up from the newest valid snapshot after an
 //! interruption. Results are bit-identical with or without persistence.
 //!
@@ -259,7 +259,7 @@ fn print_usage() {
          per simulation"
     );
     eprintln!(
-        "--state-dir <dir>: checkpoint + write-ahead-log every simulation; \
+        "--state-dir <dir>: checkpoint every simulation into snapshot files; \
          --resume recovers after an interruption"
     );
     eprintln!("verify-shapes: check the paper's qualitative claims (nonzero on any FAIL)");

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use elasticflow_sched::{CapacityShortfall, DeclineReason};
 use elasticflow_trace::JobId;
 
-use crate::filling::{progressive_filling_from, FillScratch};
+use crate::filling::{progressive_filling, FillScratch};
 use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid, WORK_EPSILON};
 
 /// Sort key of Algorithm 1's deadline order (ties broken by job id so
@@ -221,10 +221,6 @@ pub struct AdmissionSet {
     jobs: Vec<PlanningJob>,
     /// `profiles[i]` is the minimum-satisfactory profile of `jobs[i]`.
     profiles: Vec<AllocationProfile>,
-    /// `targets[i]` is the ladder target that produced `profiles[i]` — a
-    /// derived acceleration hint for suffix refills (see
-    /// [`progressive_filling_from`]), never part of the set's identity.
-    targets: Vec<u32>,
     /// Sum of all committed profiles.
     ledger: ReservationLedger,
 }
@@ -233,12 +229,10 @@ pub struct AdmissionSet {
 struct SuffixRefill {
     /// The candidate's fill position.
     k: usize,
-    /// The candidate's minimum-satisfactory profile and ladder target.
+    /// The candidate's minimum-satisfactory profile.
     cand_profile: AllocationProfile,
-    cand_target: u32,
-    /// Refilled profiles and targets of the jobs at positions `k..`.
+    /// Refilled profiles of the jobs at positions `k..`.
     suffix: Vec<AllocationProfile>,
-    suffix_targets: Vec<u32>,
     /// The updated ledger (prefix + candidate + refilled suffix).
     ledger: ReservationLedger,
 }
@@ -248,41 +242,7 @@ impl SuffixRefill {
     fn recycle(self, scratch: &mut FillScratch) {
         scratch.recycle(self.cand_profile);
         scratch.give_profiles(self.suffix);
-        scratch.targets.give(self.suffix_targets);
         scratch.give_ledger(self.ledger);
-    }
-}
-
-/// Adds `new − old` to the scratch's per-slot ledger difference,
-/// keeping its count of negative slots current.
-fn shift_delta(scratch: &mut FillScratch, new: &AllocationProfile, old: &AllocationProfile) {
-    let (new, old) = (new.as_slice(), old.as_slice());
-    if new == old {
-        return;
-    }
-    let FillScratch {
-        delta, negative, ..
-    } = scratch;
-    let len = new.len().max(old.len());
-    if delta.len() < len {
-        delta.resize(len, 0);
-    }
-    let common = new.len().min(old.len());
-    let mut shift = |d: &mut i64, step: i64| {
-        let was = *d < 0;
-        *d += step;
-        *negative = *negative - usize::from(was) + usize::from(*d < 0);
-    };
-    for ((d, &n), &o) in delta.iter_mut().zip(new).zip(old) {
-        if n != o {
-            shift(d, i64::from(n) - i64::from(o));
-        }
-    }
-    for (d, &n) in delta[common..].iter_mut().zip(&new[common..]) {
-        shift(d, i64::from(n));
-    }
-    for (d, &o) in delta[common..].iter_mut().zip(&old[common..]) {
-        shift(d, -i64::from(o));
     }
 }
 
@@ -304,8 +264,8 @@ impl AdmissionSet {
         let mut plan = BTreeMap::new();
         let mut scratch = FillScratch::new();
         for job in order {
-            match progressive_filling_from(job, &ledger, grid, total_gpus, 1, &mut scratch) {
-                Some((profile, _)) => {
+            match progressive_filling(job, &ledger, grid, total_gpus, None, &mut scratch) {
+                Some(profile) => {
                     ledger.commit(&profile);
                     plan.insert(job.id, profile);
                 }
@@ -350,14 +310,10 @@ impl AdmissionSet {
             total_gpus,
             jobs: scratch.jobs.take(),
             profiles: scratch.profiles.take(),
-            targets: scratch.targets.take(),
             ledger: scratch.take_ledger(),
         };
-        // Room for one admit past the fill, the common next step.
-        let room = jobs.len() + 1;
-        set.jobs.reserve(room);
-        set.profiles.reserve(room);
-        set.targets.reserve(room);
+        set.jobs.reserve(jobs.len());
+        set.profiles.reserve(jobs.len());
         let lapsed = set.fill_tail(jobs, grid, scratch);
         (set, lapsed)
     }
@@ -375,12 +331,11 @@ impl AdmissionSet {
     ) -> Vec<JobId> {
         let mut lapsed = scratch.lapsed.take();
         for job in jobs.drain(..) {
-            match progressive_filling_from(&job, &self.ledger, grid, self.total_gpus, 1, scratch) {
-                Some((profile, target)) => {
+            match progressive_filling(&job, &self.ledger, grid, self.total_gpus, None, scratch) {
+                Some(profile) => {
                     self.ledger.commit(&profile);
                     self.jobs.push(job);
                     self.profiles.push(profile);
-                    self.targets.push(target);
                 }
                 None => lapsed.push(job.id),
             }
@@ -428,32 +383,15 @@ impl AdmissionSet {
         self.jobs.is_empty()
     }
 
-    /// The committed plan as an id-keyed map (cloned). Only tests and
-    /// the kept fill's debug check compare plans this way.
-    #[cfg(any(test, debug_assertions))]
+    /// The committed plan as an id-keyed map (cloned). Only tests
+    /// compare plans this way.
+    #[cfg(test)]
     pub(crate) fn plan(&self) -> BTreeMap<JobId, AllocationProfile> {
         self.jobs
             .iter()
             .zip(&self.profiles)
             .map(|(job, profile)| (job.id, profile.clone()))
             .collect()
-    }
-
-    /// `true` when `jobs`, in fill order, are exactly the set's jobs on a
-    /// cluster of `total_gpus` GPUs: the same ids and deadline slots, the
-    /// same remaining work bit for bit, and equal curves. A set whose own
-    /// fills lapsed nothing is then what [`AdmissionSet::fill`] of `jobs`
-    /// builds (the incremental admission invariant), so it can stand in
-    /// for that fill.
-    pub(crate) fn is_fill_of(&self, total_gpus: u32, jobs: &[PlanningJob]) -> bool {
-        self.total_gpus == total_gpus
-            && self.jobs.len() == jobs.len()
-            && self.jobs.iter().zip(jobs).all(|(a, b)| {
-                a.id == b.id
-                    && a.deadline_slot == b.deadline_slot
-                    && a.remaining_iterations.to_bits() == b.remaining_iterations.to_bits()
-                    && a.curve == b.curve
-            })
     }
 
     /// Decomposes the set into jobs (fill order), their profiles, and
@@ -480,7 +418,6 @@ impl AdmissionSet {
     pub(crate) fn recycle(self, scratch: &mut FillScratch) {
         scratch.jobs.give(self.jobs);
         scratch.give_profiles(self.profiles);
-        scratch.targets.give(self.targets);
         scratch.give_ledger(self.ledger);
     }
 
@@ -519,9 +456,9 @@ impl AdmissionSet {
                 ledger.uncommit(profile);
             }
         }
-        let (cand_profile, cand_target) =
-            match progressive_filling_from(candidate, &ledger, grid, self.total_gpus, 1, scratch) {
-                Some(filled) => filled,
+        let cand_profile =
+            match progressive_filling(candidate, &ledger, grid, self.total_gpus, None, scratch) {
+                Some(profile) => profile,
                 None => {
                     let shortfall = window_shortfall(candidate, &ledger, grid, self.total_gpus);
                     scratch.give_ledger(ledger);
@@ -533,36 +470,11 @@ impl AdmissionSet {
             };
         ledger.commit(&cand_profile);
         let mut suffix = scratch.profiles.take();
-        let mut suffix_targets = scratch.targets.take();
-        // Ladder-start soundness: a job's stored target is the full
-        // ladder's answer under the ledger it was filled against, the
-        // stored profiles before it. While the working ledger dominates
-        // that one (pointwise at least as full), no rung below the stored
-        // target can newly succeed (for ladder-monotone curves;
-        // `progressive_filling_from` enforces the curve gate itself). The
-        // per-slot difference `working − stored` starts as the
-        // candidate's profile and moves by `new − stored` with every
-        // refilled job; the hint holds while no slot of it is negative,
-        // so a job that shrank can be made up for by a later one that
-        // grew.
-        scratch.delta.clear();
-        scratch
-            .delta
-            .extend(cand_profile.as_slice().iter().map(|&g| i64::from(g)));
-        scratch.negative = 0;
-        for (i, job) in self.jobs[k..].iter().enumerate() {
-            let hint = if scratch.negative == 0 {
-                scratch.counters.hinted_fills += 1;
-                self.targets[k + i]
-            } else {
-                1
-            };
-            match progressive_filling_from(job, &ledger, grid, self.total_gpus, hint, scratch) {
-                Some((profile, target)) => {
+        for job in &self.jobs[k..] {
+            match progressive_filling(job, &ledger, grid, self.total_gpus, None, scratch) {
+                Some(profile) => {
                     ledger.commit(&profile);
-                    shift_delta(scratch, &profile, &self.profiles[k + i]);
                     suffix.push(profile);
-                    suffix_targets.push(target);
                 }
                 None => {
                     let denial = AdmissionDenial {
@@ -572,9 +484,7 @@ impl AdmissionSet {
                     SuffixRefill {
                         k,
                         cand_profile,
-                        cand_target,
                         suffix,
-                        suffix_targets,
                         ledger,
                     }
                     .recycle(scratch);
@@ -585,9 +495,7 @@ impl AdmissionSet {
         Ok(SuffixRefill {
             k,
             cand_profile,
-            cand_target,
             suffix,
-            suffix_targets,
             ledger,
         })
     }
@@ -624,9 +532,7 @@ impl AdmissionSet {
         let SuffixRefill {
             k,
             cand_profile,
-            cand_target,
             mut suffix,
-            mut suffix_targets,
             ledger,
         } = self.refill_suffix(&candidate, grid, scratch)?;
         self.jobs.insert(k, candidate);
@@ -635,11 +541,7 @@ impl AdmissionSet {
         }
         self.profiles.push(cand_profile);
         self.profiles.append(&mut suffix);
-        self.targets.truncate(k);
-        self.targets.push(cand_target);
-        self.targets.append(&mut suffix_targets);
         scratch.profiles.give(suffix);
-        scratch.targets.give(suffix_targets);
         let superseded = std::mem::replace(&mut self.ledger, ledger);
         scratch.give_ledger(superseded);
         Ok(())
@@ -667,11 +569,7 @@ impl AdmissionSet {
         for superseded in self.profiles.drain(k..) {
             scratch.recycle(superseded);
         }
-        self.targets.truncate(k);
-        // Position `k` holds the withdrawn job itself. A withdrawal
-        // *frees* capacity, so a later job's minimum target can shrink —
-        // stored targets are no shortcut here; the refill walks the full
-        // ladder from rung 1.
+        // Position `k` holds the withdrawn job itself.
         let mut tail = scratch.jobs.take();
         tail.extend(self.jobs.drain(k..).skip(1));
         self.fill_tail(tail, grid, scratch)
@@ -749,7 +647,6 @@ impl AdmissionSet {
         }
         // Rebasing shifts every window by the same amount, so the
         // survivors are still in fill order.
-        self.targets.clear();
         self.ledger.clear();
         report.lapsed = self.fill_tail(survivors, grid, scratch);
         report
@@ -1074,68 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn hints_stop_where_the_working_ledger_falls_below_the_stored_one() {
-        // Admitting job 4 (deadline 2) ahead of the set reshapes job 1's
-        // profile, which frees capacity in a slot job 2 used to fill
-        // against. Job 2's stored ladder target is then too high: the
-        // full ladder settles one rung lower, so a refill that kept the
-        // hint would commit a different plan than a from-scratch check.
-        let mk = |id: u64, rates: [f64; 4], work: f64, slots: usize| PlanningJob {
-            id: JobId::new(id),
-            curve: ScalingCurve::from_points(
-                DnnModel::ResNet50,
-                64,
-                rates
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &iters_per_sec)| CurvePoint {
-                        gpus: 1 << i,
-                        iters_per_sec,
-                    })
-                    .collect(),
-            ),
-            remaining_iterations: work,
-            deadline_slot: slots,
-        };
-        let stream = [
-            mk(0, [2.45, 3.475, 4.55, 6.324999999999999], 22.05, 2),
-            mk(1, [2.625, 4.725, 4.925, 7.4], 16.537499999999998, 3),
-            mk(
-                2,
-                [
-                    1.625,
-                    3.2249999999999996,
-                    4.449999999999999,
-                    5.5249999999999995,
-                ],
-                10.887500000000001,
-                5,
-            ),
-            mk(3, [1.95, 3.75, 4.05, 4.5], 9.555, 5),
-            mk(4, [0.925, 3.6000000000000005, 4.075, 4.975], 1.7575, 2),
-        ];
-        let grid = SlotGrid::uniform(1.0);
-        let scratch = &mut FillScratch::new();
-        let (mut set, _) = AdmissionSet::fill(8, Vec::new(), &grid, scratch);
-        let mut accepted = Vec::new();
-        for job in stream {
-            let mut union = accepted.clone();
-            union.push(job.clone());
-            let outcome = set.admit(job.clone(), &grid, scratch).map(|()| set.plan());
-            assert_eq!(
-                outcome,
-                AdmissionSet::check(8, &union, &grid),
-                "job {}",
-                job.id
-            );
-            if outcome.is_ok() {
-                accepted.push(job);
-            }
-        }
-        assert_eq!(set.plan()[&JobId::new(2)].as_slice(), &[2, 2, 0, 2, 1]);
-    }
-
-    #[test]
     fn advance_credits_guaranteed_progress_and_retires_jobs() {
         let grid = SlotGrid::uniform(1.0);
         let s = &mut FillScratch::new();
@@ -1262,7 +1097,6 @@ mod tests {
                 total_gpus,
                 jobs: Vec::new(),
                 profiles: Vec::new(),
-                targets: Vec::new(),
                 ledger,
             };
             proptest::prop_assert_eq!(set.booked_fraction(horizon).to_bits(), old.to_bits());
@@ -1322,20 +1156,18 @@ mod tests {
         assert_eq!(
             scratch.counters(),
             crate::FillCounters {
-                probes: 294,
-                pruned_entry: 8,
-                pruned_walk: 68,
+                probes: 386,
+                pruned_entry: 17,
+                pruned_walk: 142,
                 pruned_pinned: 1,
-                booked_slots: 2343,
-                headroom_slots: 775,
-                partial_slots: 90,
-                failed_slots: 1217,
+                booked_slots: 3223,
+                headroom_slots: 809,
+                partial_slots: 100,
+                failed_slots: 2141,
                 tail_steps: 58,
-                hinted_fills: 116,
                 boost_candidates: 10,
                 boosts_applied: 2,
                 certified_boosts: 0,
-                fills_reused: 0,
             }
         );
         // Counters are not state: a clone starts from zero.

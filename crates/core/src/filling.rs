@@ -14,9 +14,8 @@ use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
 /// Progressive filling is the planner's innermost loop: every admission
 /// check and every Algorithm-2 boost probe builds per-slot candidate
 /// vectors. A scratch owns the candidate slot vector (cleared, never
-/// freed, between targets), a pool of recycled profile buffers, the
-/// per-slot ledger difference a suffix refill tracks for its ladder
-/// hints, and the kernel's [`FillCounters`]. The curve lookups the fill
+/// freed, between targets), a pool of recycled profile buffers, and the
+/// kernel's [`FillCounters`]. The curve lookups the fill
 /// reads (knee, clamp, per-rung and prefix-peak rates) live in the
 /// job's shared [`ScalingCurve`](elasticflow_perfmodel::ScalingCurve),
 /// derived once when the curve was built, so a fill rebuilds nothing.
@@ -25,8 +24,8 @@ use crate::{AllocationProfile, PlanningJob, ReservationLedger, SlotGrid};
 /// fill, admission check and boost it runs. A scheduler or gateway keeps
 /// one for its whole lifetime and reuses it across rounds. Besides the
 /// fill kernel's buffers it keeps every per-round vector of a planning
-/// round: the planning views, an admission set's jobs, profiles, ladder
-/// targets and ledger, a suffix refill's working ledger and refilled
+/// round: the planning views, an admission set's jobs, profiles and
+/// ledger, a suffix refill's working ledger and refilled
 /// profiles, Algorithm 2's boost heap and per-job finish times, and
 /// `plan`'s grants, positions and best-effort heap. Each path takes
 /// these vectors from the workspace and gives them back, so a warm
@@ -56,19 +55,12 @@ pub struct FillScratch {
     /// [`FillScratch::recycle`]. Contents are dead — only capacity is
     /// reused — so recycling can never change a fill's outcome.
     pool: Vec<Vec<u32>>,
-    /// Per-slot `working − stored` ledger difference of a suffix refill
-    /// and the number of its negative slots (see
-    /// [`crate::AdmissionSet`]'s refill); rebuilt per refill.
-    pub(crate) delta: Vec<i64>,
-    pub(crate) negative: usize,
     /// Work done so far; see [`FillCounters`].
     pub(crate) counters: FillCounters,
     /// Planning views and admission-set job vectors.
     pub(crate) jobs: Shelf<PlanningJob>,
     /// Admission-set and suffix-refill profile vectors.
     pub(crate) profiles: Shelf<AllocationProfile>,
-    /// Ladder-target vectors of sets and suffix refills.
-    pub(crate) targets: Shelf<u32>,
     /// Lapsed-id vectors of Algorithm 1's fills.
     pub(crate) lapsed: Shelf<JobId>,
     /// Set ledgers and suffix refills' working ledgers.
@@ -91,8 +83,8 @@ impl<T> Default for Shelf<T> {
     }
 }
 
-/// Vectors kept per shelf; a planning round holds at most three of a
-/// kind (a kept set, the round's own set and its input views).
+/// Vectors kept per shelf; a planning round holds at most two of a
+/// kind at once (its set's and its input views or a refill's).
 const SHELF_CAP: usize = 8;
 
 impl<T> Shelf<T> {
@@ -139,8 +131,6 @@ pub struct FillCounters {
     /// Slots past the committed horizon added to the final-slot trim's
     /// running sum.
     pub tail_steps: u64,
-    /// Suffix refills started from the job's stored ladder target.
-    pub hinted_fills: u64,
     /// Algorithm 2 boost candidates computed: one pinned-slot-0 fill each.
     pub boost_candidates: u64,
     /// Algorithm 2 boosts applied.
@@ -148,9 +138,6 @@ pub struct FillCounters {
     /// Algorithm 2 boost calls certified uncontended, which ran each
     /// job's doubling chain on its own instead of the greedy heap.
     pub certified_boosts: u64,
-    /// Algorithm 1 fills of a planning round (an arrival's or the plan's
-    /// stage 1) answered by the set the round's arrival kept instead.
-    pub fills_reused: u64,
 }
 
 /// Recycled buffers beyond this are dropped; enough to cover the deepest
@@ -262,64 +249,14 @@ pub fn progressive_filling(
     fixed_slot0: Option<u32>,
     scratch: &mut FillScratch,
 ) -> Option<AllocationProfile> {
-    ladder_fill(job, ledger, grid, total_gpus, fixed_slot0, 1, scratch).map(|(profile, _)| profile)
-}
-
-/// [`progressive_filling`] that also reports the target `j` the ladder
-/// settled on, and accepts a starting rung.
-///
-/// `start_target` above 1 skips the ladder's lower rungs. The caller
-/// asserts that those rungs are known to fail — the contract under which
-/// the result (profile *and* target) is bit-identical to the full ladder.
-/// The incremental-admission refill supplies a job's previous target when
-/// the ledger it refills against dominates the one that produced it
-/// (pointwise at least as full): with a monotone curve, fuller slots can
-/// only shrink grants and per-slot progress, so a target that failed
-/// before still fails. The hint is ignored — full ladder from rung 1 —
-/// whenever the curve is not ladder-monotone, so dips in measured curves
-/// can never flip an outcome.
-pub(crate) fn progressive_filling_from(
-    job: &PlanningJob,
-    ledger: &ReservationLedger,
-    grid: &SlotGrid,
-    total_gpus: u32,
-    start_target: u32,
-    scratch: &mut FillScratch,
-) -> Option<(AllocationProfile, u32)> {
-    ladder_fill(job, ledger, grid, total_gpus, None, start_target, scratch)
-}
-
-/// The one ladder walk behind every fill: tries targets up the
-/// power-of-two ladder from `start_target` (from rung 1 when slot 0 is
-/// pinned, see [`progressive_filling_from`]) and returns the first
-/// profile that meets the deadline with its target.
-fn ladder_fill(
-    job: &PlanningJob,
-    ledger: &ReservationLedger,
-    grid: &SlotGrid,
-    total_gpus: u32,
-    fixed_slot0: Option<u32>,
-    start_target: u32,
-    scratch: &mut FillScratch,
-) -> Option<(AllocationProfile, u32)> {
     if job.deadline_slot == 0 {
         return None;
     }
     let max_target = job.curve.clamp_useful(total_gpus).max(1);
-    // A hint only skips rungs when the monotonicity gate holds (see
-    // `progressive_filling_from`); malformed hints fall back to rung 1.
-    let mut j = if fixed_slot0.is_none()
-        && start_target > 1
-        && start_target.is_power_of_two()
-        && job.curve.ladder_monotone()
-    {
-        start_target.min(max_target)
-    } else {
-        1u32
-    };
+    let mut j = 1u32;
     loop {
         if let Some(profile) = try_target(job, ledger, grid, total_gpus, j, fixed_slot0, scratch) {
-            return Some((profile, j));
+            return Some(profile);
         }
         if j >= max_target {
             return None;
@@ -932,7 +869,7 @@ mod tests {
         assert_eq!(ladder.unwrap().as_slice(), &[4, 2, 2]);
     }
 
-    /// A random curve on the 1..=16 ladder: either ladder-monotone
+    /// A random curve on the 1..=16 ladder: either increasing
     /// (cumulative positive gains) or with arbitrary dips.
     fn any_curve() -> impl Strategy<Value = ScalingCurve> {
         (
@@ -1007,8 +944,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// The run walk returns exactly the verbatim reference's profile
-        /// for every rung, and the ladder — from rung 1 or from a hint —
-        /// settles on the same profile and target.
+        /// for every rung, and the ladder settles on the same profile.
         #[test]
         fn headroom_walk_matches_the_reference_kernel(
             curve in any_curve(),
@@ -1017,7 +953,6 @@ mod tests {
             deadline in prop_oneof![4 => 1usize..30, 2 => 30usize..150, 1 => Just(usize::MAX)],
             first in 0.2f64..1.0,
             pin in prop_oneof![2 => Just(None), 1 => (0u32..17).prop_map(Some)],
-            hint in 0u32..20,
             exact in prop_oneof![
                 3 => prop::collection::vec(0u32..5, 0..12),
                 1 => prop::collection::vec(0u32..5, 12..160),
@@ -1061,17 +996,13 @@ mod tests {
                 prop_assert_eq!(new, old, "target {}", j);
                 j *= 2;
             }
-            let got = ladder_fill(&job, &ledger, &grid, total, pin, hint, &mut FillScratch::new());
-            let mut j = if pin.is_none() && hint > 1 && hint.is_power_of_two() && job.curve.ladder_monotone() {
-                hint.min(max_target)
-            } else {
-                1
-            };
+            let got = progressive_filling(&job, &ledger, &grid, total, pin, &mut FillScratch::new());
+            let mut j = 1;
             let want = loop {
                 if let Some(p) =
                     reference::try_target(&job, &ledger, &grid, total, j, pin, &mut b, &mut pool)
                 {
-                    break Some((p, j));
+                    break Some(p);
                 }
                 if j >= max_target {
                     break None;
@@ -1087,7 +1018,7 @@ mod tests {
 
         /// A pinned fill whose walked slots all have headroom is a
         /// function of the job and the rung: on two ledgers with
-        /// different horizons it settles on the same profile and target.
+        /// different horizons it settles on the same profile.
         /// Most cases put the work exactly on the epsilon edge of the
         /// sequential sum some slots out, where an analytic tail that
         /// disagreed with the slot walk would end the profile a slot
@@ -1135,80 +1066,9 @@ mod tests {
             };
             let (a, b) = (ledger(committed.0), ledger(committed.1));
             let fill = |l: &ReservationLedger| {
-                ladder_fill(&job, l, &grid, total, Some(pin), 1, &mut FillScratch::new())
+                progressive_filling(&job, l, &grid, total, Some(pin), &mut FillScratch::new())
             };
             prop_assert_eq!(fill(&a), fill(&b), "horizons {} and {}", a.horizon(), b.horizon());
-        }
-    }
-
-    /// A random curve over the 1..=8 power-of-two ladder. Rates are drawn
-    /// independently, so a sample may be monotone (ladder-start hints engage)
-    /// or dip (the monotonicity gate must force the full ladder) — both paths
-    /// of the hinted fill get exercised.
-    fn ladder_curve() -> impl Strategy<Value = ScalingCurve> {
-        prop::collection::vec(0.1f64..4.0, 4..5).prop_map(|rates| {
-            ScalingCurve::from_points(
-                DnnModel::ResNet50,
-                64,
-                rates
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, iters_per_sec)| CurvePoint {
-                        gpus: 1 << i,
-                        iters_per_sec,
-                    })
-                    .collect(),
-            )
-        })
-    }
-
-    /// A ledger built from a few random committed profiles.
-    fn random_ledger(total: u32) -> impl Strategy<Value = ReservationLedger> {
-        prop::collection::vec(prop::collection::vec(0u32..total + 1, 0..6), 0..4).prop_map(
-            |profiles| {
-                let mut ledger = ReservationLedger::new();
-                for gpus in profiles {
-                    ledger.commit(&AllocationProfile::new(gpus));
-                }
-                ledger
-            },
-        )
-    }
-
-    proptest! {
-        /// The ladder-start shortcut is exact: a job's full-ladder target
-        /// under some ledger is a sound starting rung under *any* ledger that
-        /// dominates it (pointwise at least as full) — the hinted fill must
-        /// return the same profile and the same target as the full ladder,
-        /// for monotone and non-monotone curves alike.
-        #[test]
-        fn ladder_start_matches_full_ladder_under_dominating_ledgers(
-            curve in ladder_curve(),
-            base in random_ledger(8),
-            extra in prop::collection::vec(0u32..9, 0..8),
-            work_scale in 0.2f64..6.0,
-            deadline_slot in 1usize..10,
-        ) {
-            let grid = SlotGrid::uniform(1.0);
-            let total = 8u32;
-            let work = work_scale * curve.iters_per_sec(1).expect("rate at 1 GPU");
-            let job = PlanningJob {
-                id: JobId::new(1),
-                curve,
-                remaining_iterations: work,
-                deadline_slot,
-            };
-            let mut scratch = FillScratch::new();
-            if let Some((_, stored_target)) =
-                progressive_filling_from(&job, &base, &grid, total, 1, &mut scratch)
-            {
-                let mut fuller = base.clone();
-                fuller.commit(&AllocationProfile::new(extra));
-                let full = progressive_filling_from(&job, &fuller, &grid, total, 1, &mut scratch);
-                let hinted =
-                    progressive_filling_from(&job, &fuller, &grid, total, stored_target, &mut scratch);
-                prop_assert_eq!(hinted, full);
-            }
         }
     }
 }

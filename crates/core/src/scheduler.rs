@@ -8,7 +8,6 @@ use elasticflow_sched::{
 };
 use elasticflow_trace::{JobId, JobKind};
 
-use crate::admission::fill_key;
 use crate::{AdmissionSet, FillScratch, PlanningJob, ResourceAllocator, SlotGrid, WORK_EPSILON};
 
 /// The planning-slot length Algorithm 1 plans over: 60 seconds. Fine
@@ -191,67 +190,6 @@ pub struct ElasticFlowScheduler {
     /// borrows. Not state: it is not snapshotted, and a clone starts
     /// with an empty one.
     workspace: FillScratch,
-    /// The last arrival's Algorithm 1 fill, for the round's next fill.
-    /// Workspace too, under the same rule.
-    kept: KeptFill,
-}
-
-/// An arrival's Algorithm 1 fill of the active SLO jobs plus the
-/// admitted newcomer's planning view, kept for the round's next fill
-/// (its `plan` or next arrival), keyed by the bits of `now`. It is kept
-/// only while it equals a from-scratch fill — the fill lapsed nothing
-/// and every admit succeeded — and used only at the same instant and
-/// cluster size, over planning views equal to its jobs (DESIGN §10.3).
-#[derive(Debug, Default)]
-pub(crate) struct KeptFill(Option<(u64, AdmissionSet)>);
-
-/// A clone starts without a kept fill, as with the workspace.
-impl Clone for KeptFill {
-    fn clone(&self) -> Self {
-        KeptFill::default()
-    }
-}
-
-impl KeptFill {
-    /// Algorithm 1's fill of `jobs` at `now` on `total_gpus` GPUs, and
-    /// the ids it lapsed: the kept set when it is exactly that fill, a
-    /// from-scratch fill otherwise. Nothing stays kept either way.
-    fn fill(
-        &mut self,
-        now: f64,
-        total_gpus: u32,
-        mut jobs: Vec<PlanningJob>,
-        grid: &SlotGrid,
-        scratch: &mut FillScratch,
-    ) -> (AdmissionSet, Vec<JobId>) {
-        // Ids are unique, so an unstable sort orders like a stable one.
-        jobs.sort_unstable_by_key(fill_key);
-        match self.0.take() {
-            Some((at, set)) if at == now.to_bits() && set.is_fill_of(total_gpus, &jobs) => {
-                scratch.counters.fills_reused += 1;
-                #[cfg(debug_assertions)]
-                {
-                    // The reuse argument, checked on every debug run: a
-                    // from-scratch fill builds the same set. Its fills stay
-                    // out of the work counters.
-                    let counted = scratch.counters;
-                    let (fresh, lapsed) =
-                        AdmissionSet::fill(total_gpus, jobs.clone(), grid, scratch);
-                    debug_assert!(lapsed.is_empty());
-                    debug_assert_eq!(fresh.jobs(), set.jobs());
-                    debug_assert_eq!(fresh.plan(), set.plan());
-                    debug_assert_eq!(fresh.ledger(), set.ledger());
-                    fresh.recycle(scratch);
-                    scratch.counters = counted;
-                }
-                scratch.jobs.give(jobs);
-                return (set, Vec::new());
-            }
-            Some((_, stale)) => stale.recycle(scratch),
-            None => {}
-        }
-        AdmissionSet::fill(total_gpus, jobs, grid, scratch)
-    }
 }
 
 impl ElasticFlowScheduler {
@@ -259,7 +197,6 @@ impl ElasticFlowScheduler {
     pub fn new() -> Self {
         ElasticFlowScheduler {
             workspace: FillScratch::new(),
-            kept: KeptFill::default(),
         }
     }
 
@@ -318,18 +255,12 @@ impl Default for ElasticFlowScheduler {
 /// progressive filling against the feasible subset of the active SLO
 /// jobs, with a deadline-window safety reserve scaled by how heavily the
 /// near-term schedule is already booked.
-///
-/// With `kept`, the fill of the active SLO jobs comes from (and goes
-/// back to) the round's kept fill: ElasticFlow's `plan` and the round's
-/// next arrival reuse it. An admitted job's planning view — without the
-/// reserve, as `plan` sees it — is then admitted into the kept set.
 pub(crate) fn arrival_decision(
     job: &JobRuntime,
     now: f64,
     view: &ClusterView,
     jobs: &JobTable,
     scratch: &mut FillScratch,
-    mut kept: Option<&mut KeptFill>,
 ) -> AdmissionDecision {
     if !job.is_slo() {
         return AdmissionDecision::Admit;
@@ -344,10 +275,8 @@ pub(crate) fn arrival_decision(
     // One fill commits the feasible subset; the candidate is then answered
     // incrementally — only the deadline-ordered suffix at or after its
     // insertion point refills, instead of every job from scratch.
-    let (mut set, lapsed) = match kept.as_deref_mut() {
-        Some(kept) => kept.fill(now, view.total_gpus, existing, &grid, scratch),
-        None => AdmissionSet::fill(view.total_gpus, existing, &grid, scratch),
-    };
+    let (set, lapsed) = AdmissionSet::fill(view.total_gpus, existing, &grid, scratch);
+    scratch.lapsed.give(lapsed);
     // Booked load over the next ~hour decides how much slack to demand.
     let horizon = elasticflow_cluster::num::slots_ceil(3_600.0 / grid.rest_seconds())
         .unwrap_or(1)
@@ -355,19 +284,7 @@ pub(crate) fn arrival_decision(
     let contention = set.booked_fraction(horizon);
     let candidate = ElasticFlowScheduler::planning_job_with_reserve(job, now, &grid, contention);
     let outcome = set.whatif_admit(&candidate, &grid, scratch);
-    // The set stays exact — what a from-scratch fill of the next views
-    // builds — while its fill lapsed nothing and every admit succeeds.
-    let exact = kept.is_some()
-        && lapsed.is_empty()
-        && (outcome.is_err() || {
-            let plain = ElasticFlowScheduler::planning_job(job, now, &grid);
-            set.admit(plain, &grid, scratch).is_ok()
-        });
-    scratch.lapsed.give(lapsed);
-    match kept {
-        Some(kept) if exact => kept.0 = Some((now.to_bits(), set)),
-        _ => set.recycle(scratch),
-    }
+    set.recycle(scratch);
     match outcome {
         Ok(()) => AdmissionDecision::Admit,
         Err(denial) => AdmissionDecision::Drop {
@@ -388,14 +305,7 @@ impl Scheduler for ElasticFlowScheduler {
         view: &ClusterView,
         jobs: &JobTable,
     ) -> AdmissionDecision {
-        arrival_decision(
-            job,
-            now,
-            view,
-            jobs,
-            &mut self.workspace,
-            Some(&mut self.kept),
-        )
+        arrival_decision(job, now, view, jobs, &mut self.workspace)
     }
 
     fn plan(&mut self, now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {
@@ -417,9 +327,8 @@ impl Scheduler for ElasticFlowScheduler {
         round.grants.resize(round.active.len(), 0);
         // Stage 1: minimum satisfactory shares of the feasible SLO set, in
         // fill order, with each job's running size index-aligned; lapsed
-        // jobs surface for fallback. After an arrival at this instant the
-        // fill is usually the one it kept.
-        let (mut set, infeasible) = self.kept.fill(now, view.total_gpus, planning, &grid, ws);
+        // jobs surface for fallback.
+        let (mut set, infeasible) = AdmissionSet::fill(view.total_gpus, planning, &grid, ws);
         let (feasible, profiles, ledger) = set.parts_mut();
         round.incumbents.extend(
             feasible
@@ -505,10 +414,6 @@ impl Scheduler for ElasticFlowScheduler {
         let ElasticFlowScheduler {
             // Fill workspace: carries no decision state between calls.
             workspace: _,
-            // Reused only after `is_fill_of` proves it equals a
-            // from-scratch fill, so a resumed (fresh) policy without it
-            // decides identically.
-            kept: _,
         } = self;
         None
     }
@@ -698,11 +603,9 @@ mod tests {
                 partial_slots: 28,
                 failed_slots: 255,
                 tail_steps: 512,
-                hinted_fills: 0,
                 boost_candidates: 25,
                 boosts_applied: 4,
                 certified_boosts: 0,
-                fills_reused: 0,
             }
         );
     }
@@ -756,28 +659,26 @@ mod tests {
                 partial_slots: 0,
                 failed_slots: 0,
                 tail_steps: 717,
-                hinted_fills: 0,
                 boost_candidates: 60,
                 boosts_applied: 57,
                 certified_boosts: 3,
-                fills_reused: 0,
             }
         );
     }
 
-    /// What [`kept_fill_plans_equal_from_scratch_plans`] covered.
+    /// What [`a_long_lived_scheduler_decides_and_plans_like_a_fresh_clone`]
+    /// covered.
     #[derive(Debug, Default)]
     struct Coverage {
         admitted: usize,
         declined: usize,
-        plain_admit_failed: usize,
         lapsed_fills: usize,
         second_arrivals: usize,
         moved_plans: usize,
         progressed_jobs: usize,
     }
 
-    /// A random job for the kept-fill test: SLO (its deadline sometimes
+    /// A random job for the workspace-reuse test: SLO (its deadline sometimes
     /// already out of reach), best-effort or soft-deadline, part done,
     /// with or without an incumbent size.
     fn random_job(rng: &mut Rng, id: u64, now: f64, kind: usize) -> JobRuntime {
@@ -808,8 +709,9 @@ mod tests {
     }
 
     /// Runs one arrival through `ef` and through a clone of it (which
-    /// starts without a kept fill), checks that both decide alike, and
-    /// records what the arrival covered. Admitted jobs join the table.
+    /// starts with an empty workspace), checks that both decide alike,
+    /// and records what the arrival covered. Admitted jobs join the
+    /// table.
     fn arrive(
         ef: &mut ElasticFlowScheduler,
         job: JobRuntime,
@@ -835,7 +737,6 @@ mod tests {
         seen.lapsed_fills += usize::from(!lapsed.is_empty());
         if decision == AdmissionDecision::Admit {
             seen.admitted += 1;
-            seen.plain_admit_failed += usize::from(lapsed.is_empty() && ef.kept.0.is_none());
             let mut job = job;
             job.admitted = true;
             jobs.insert(job);
@@ -844,18 +745,17 @@ mod tests {
         }
     }
 
-    /// The kept fill is exact: on random tables, a plan after one or two
-    /// arrivals at the same instant equals the plan of a clone taken
-    /// just before it, which starts without a kept fill and so fills
-    /// from scratch. The cases cover admitted and declined arrivals, an
-    /// admitted job whose reserve-free view does not fit the kept set,
-    /// tables whose fill lapses a job, plans at a later instant, and a
-    /// job whose remaining work changed before the plan. One scheduler
-    /// plans every table, so its workspace buffers carry contents from
-    /// larger, smaller and different earlier tables, and must not leak
-    /// them into the next one.
+    /// Workspace reuse never changes an outcome: one long-lived scheduler
+    /// answers every arrival and plans every one of 1,000 random tables,
+    /// so its workspace buffers carry contents from larger, smaller and
+    /// different earlier tables. Each of its arrival decisions and plans
+    /// equals that of a clone taken just before, which starts with an
+    /// empty workspace. The cases cover admitted and declined arrivals,
+    /// one or two arrivals per table, tables whose fill lapses a job,
+    /// plans at a later instant, and a job whose remaining work changed
+    /// before the plan.
     #[test]
-    fn kept_fill_plans_equal_from_scratch_plans() {
+    fn a_long_lived_scheduler_decides_and_plans_like_a_fresh_clone() {
         let mut rng = Rng::new(0x6b65_7074);
         let mut seen = Coverage::default();
         let mut ef = ElasticFlowScheduler::new();
@@ -893,16 +793,10 @@ mod tests {
             }
             let mut twin = ef.clone();
             assert_eq!(ef.plan(at, &view, &jobs), twin.plan(at, &view, &jobs));
-            assert_eq!(twin.workspace.counters().fills_reused, 0);
         }
-        assert!(
-            ef.workspace.counters().fills_reused > 0,
-            "no fill was reused"
-        );
         assert!(
             seen.admitted > 0
                 && seen.declined > 0
-                && seen.plain_admit_failed > 0
                 && seen.lapsed_fills > 0
                 && seen.second_arrivals > 0
                 && seen.moved_plans > 0

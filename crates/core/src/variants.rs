@@ -62,7 +62,7 @@ impl Scheduler for EdfWithAdmission {
         view: &ClusterView,
         jobs: &JobTable,
     ) -> AdmissionDecision {
-        arrival_decision(job, now, view, jobs, &mut self.workspace, None)
+        arrival_decision(job, now, view, jobs, &mut self.workspace)
     }
 
     fn plan(&mut self, now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {

@@ -232,9 +232,7 @@ proptest! {
 }
 
 /// A random curve over the 1..=8 power-of-two ladder. Rates are drawn
-/// independently, so a sample may be monotone (ladder-start hints engage)
-/// or dip (the monotonicity gate must force the full ladder) — both paths
-/// of the hinted fill get exercised.
+/// independently, so a sample may rise along the ladder or dip.
 fn ladder_curve() -> impl Strategy<Value = ScalingCurve> {
     prop::collection::vec(0.1f64..4.0, 4..5).prop_map(|rates| {
         ScalingCurve::from_points(
@@ -302,8 +300,8 @@ proptest! {
         }
     }
 
-    /// A stream of incremental admissions (shared scratch, so ladder
-    /// hints and recycled profile buffers accumulate) answers every
+    /// A stream of incremental admissions (shared scratch, so recycled
+    /// profile buffers accumulate) answers every
     /// question — witness plan, blocking job, shortfall — exactly as a
     /// from-scratch Algorithm 1 over the union would.
     #[test]
@@ -344,8 +342,8 @@ proptest! {
 
     /// The same stream with the clock moving between arrivals
     /// (`AdmissionSet::advance`): every boundary refills the survivors from
-    /// scratch and stores fresh ladder targets, and the hinted refills
-    /// that follow must still answer exactly as a from-scratch
+    /// scratch, and the suffix refills that follow must still answer
+    /// exactly as a from-scratch
     /// Algorithm 1 over the survivors plus the candidate — decision,
     /// blocking job, shortfall, and the committed ledger slot by slot.
     #[test]

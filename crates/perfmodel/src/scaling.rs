@@ -26,9 +26,9 @@ pub struct CurvePoint {
 /// The points are shared, immutable and reference-counted: every planning
 /// round hands each job a copy of its curve, and a clone costs one
 /// refcount bump instead of a fresh allocation. The shared part also holds
-/// the ladder lookups the planner's innermost loop reads — the knee, the
-/// prefix-peak rates and the ladder-monotone flag — derived once, when the
-/// curve is built or deserialized, so [`knee`](ScalingCurve::knee) and
+/// the ladder lookups the planner's innermost loop reads — the knee and
+/// the prefix-peak rates — derived once, when the curve is built or
+/// deserialized, so [`knee`](ScalingCurve::knee) and
 /// [`clamp_useful`](ScalingCurve::clamp_useful) cost O(1). Only the points
 /// are data: they alone serialize (as a plain sequence, so the bytes are
 /// those of a `Vec`), print under `Debug` and take part in equality.
@@ -61,9 +61,6 @@ struct Ladder {
     /// `2^i` workers, even for measured curves that dip before the knee.
     peak_rate: Box<[f64]>,
     knee: u32,
-    /// `true` when the throughput is nondecreasing along the ladder up to
-    /// the knee, i.e. over every allocation `clamp_useful` can grant.
-    monotone: bool,
 }
 
 impl Ladder {
@@ -89,14 +86,10 @@ impl Ladder {
             peak = peak.max(p.iters_per_sec);
             peak_rate.push(peak);
         }
-        let monotone = points[..=knee]
-            .windows(2)
-            .all(|p| p[0].iters_per_sec <= p[1].iters_per_sec);
         Ok(Ladder {
             knee: points[knee].gpus,
             points: points.into(),
             peak_rate: peak_rate.into(),
-            monotone,
         })
     }
 }
@@ -114,11 +107,6 @@ impl PartialEq for Ladder {
         self.points == other.points
     }
 }
-
-/// Equality is reflexive: every rate is finite (`Ladder::new` rejects
-/// NaN). That lets `Arc<Ladder>` compare two handles to one ladder by
-/// pointer, so comparing clones of a curve costs no point scan.
-impl Eq for Ladder {}
 
 /// Serializes a [`Ladder`] as its plain point sequence and derives the
 /// lookups again on the way back in.
@@ -278,17 +266,6 @@ impl ScalingCurve {
             return 0;
         }
         1 << (31 - gpus.min(self.knee()).leading_zeros())
-    }
-
-    /// `true` when throughput never decreases as grantable power-of-two
-    /// allocations grow (up to the knee clamp). Planners use this as the
-    /// soundness gate for ladder-start shortcuts: under a pointwise-fuller
-    /// ledger, grants only shrink, so a monotone curve guarantees per-slot
-    /// progress only shrinks — a target that fails on the emptier ledger
-    /// still fails on the fuller one. The analytic curves always are; a
-    /// measured curve that dips before the knee is not.
-    pub fn ladder_monotone(&self) -> bool {
-        self.points.monotone
     }
 
     /// The highest throughput reachable with at most `cap` workers, where
@@ -543,7 +520,6 @@ mod tests {
                         assert!(curve.iters_per_sec(g).unwrap() <= peak);
                     }
                 }
-                assert!(curve.ladder_monotone(), "{model} gbs={b}");
             }
         }
     }
@@ -557,11 +533,6 @@ mod tests {
         assert_eq!(curve.peak_rate_at_or_below(4), 2.0);
         assert_eq!(curve.peak_rate_at_or_below(3), 0.0);
         assert_eq!(curve.peak_rate_at_or_below(8), 0.0);
-        assert!(!curve.ladder_monotone());
-        // A dip past the knee does not count against monotonicity.
-        let past_knee = ladder_of(&[1.0, 2.0, 1.5]);
-        assert_eq!(past_knee.knee(), 2);
-        assert!(past_knee.ladder_monotone());
     }
 
     #[test]
@@ -598,7 +569,6 @@ mod tests {
             let back: ScalingCurve = serde_json::from_str(&json).unwrap();
             proptest::prop_assert_eq!(&back, &fresh);
             proptest::prop_assert_eq!(back.knee(), fresh.knee());
-            proptest::prop_assert_eq!(back.ladder_monotone(), fresh.ladder_monotone());
             for g in 0..=fresh.max_gpus() * 2 {
                 proptest::prop_assert_eq!(back.clamp_useful(g), fresh.clamp_useful(g));
                 proptest::prop_assert_eq!(back.rate(g).to_bits(), fresh.rate(g).to_bits());

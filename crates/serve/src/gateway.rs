@@ -517,6 +517,47 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
     }
 
+    /// The fill kernel's work and the admit count on a seeded
+    /// 5,000-submission stream of `serve_deadline`'s shape (the default
+    /// loadgen mix on the default cluster). The counters are a pure
+    /// function of the fills the gateway asks for, so a change that
+    /// moves one of them changes how much work admission does at scale.
+    #[test]
+    fn fill_counters_are_pinned_on_a_seeded_stream() {
+        use crate::loadgen::{loadgen_stream, LoadgenConfig};
+        use crate::proto::Request;
+
+        let stream = loadgen_stream(&LoadgenConfig {
+            arrivals: 5_000,
+            ..LoadgenConfig::default()
+        });
+        let mut gw = Gateway::new(GatewayConfig::default());
+        for request in &stream {
+            if let Request::Submit { job } = request {
+                gw.submit(job);
+            }
+        }
+        assert_eq!(gw.stats().submissions, 5_000);
+        assert_eq!(gw.stats().admitted, 468);
+        assert_eq!(
+            gw.fill_counters(),
+            FillCounters {
+                probes: 420_879,
+                pruned_entry: 237_326,
+                pruned_walk: 60_457,
+                pruned_pinned: 0,
+                booked_slots: 5_420_864,
+                headroom_slots: 3_582_635,
+                partial_slots: 122_922,
+                failed_slots: 2_975_733,
+                tail_steps: 246_171,
+                boost_candidates: 0,
+                boosts_applied: 0,
+                certified_boosts: 0,
+            }
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         /// A gateway rebuilt from a snapshot taken at any cut point of a

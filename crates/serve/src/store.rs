@@ -11,10 +11,10 @@
 //! ```
 //!
 //! The WAL is the *input* history — every accepted request line, framed
-//! and checksummed via [`elasticflow_persist::records`]. Unlike the
-//! simulator WAL it is never truncated on resume: the suffix past the
-//! snapshot is replayed through the (deterministic) gateway to
-//! regenerate the exact decisions the crashed instance produced. The
+//! and checksummed via [`elasticflow_persist::records`]. It is never
+//! truncated on resume: the suffix past the snapshot is replayed
+//! through the (deterministic) gateway to regenerate the exact
+//! decisions the crashed instance produced. The
 //! decision journal *is* truncated back to the snapshot's entry count
 //! first, so the regenerated entries land where the lost ones were and
 //! the recovered file converges byte-identically to an uninterrupted
