@@ -51,9 +51,8 @@ pub struct JobSubmission {
 impl JobSubmission {
     /// Refuses the values no decision can be made on: a zero global
     /// batch, iterations that are not positive and finite, and an
-    /// arrival that is negative or not finite. [`parse_request`] applies
-    /// it to every submission line, so a refused line is answered with
-    /// [`Response::Error`] and never reaches the WAL.
+    /// arrival that is negative or not finite. [`Request::validate`]
+    /// applies it to every submission.
     pub fn validate(&self) -> Result<(), String> {
         let refuse = |why: &str| Err(format!("job {}: {why}", self.id));
         if self.global_batch == 0 {
@@ -114,6 +113,24 @@ pub enum Request {
     Shutdown {},
 }
 
+impl Request {
+    /// Refuses the requests no decision can be made on: a submission that
+    /// fails [`JobSubmission::validate`] and a withdrawal at a time that
+    /// is not finite. [`parse_request`] applies it to every line and
+    /// [`crate::Daemon`] to every request it is handed, so a refused
+    /// request is answered with [`Response::Error`] and never reaches
+    /// the WAL, whose JSON cannot carry a non-finite number.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            Request::Submit { job } => job.validate(),
+            Request::Withdraw { job, at_seconds } if !at_seconds.is_finite() => {
+                Err(format!("job {job}: at_seconds must be finite"))
+            }
+            Request::Withdraw { .. } | Request::Stats {} | Request::Shutdown {} => Ok(()),
+        }
+    }
+}
+
 /// One gateway response line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
@@ -153,9 +170,8 @@ pub enum Response {
     Bye {},
 }
 
-/// Parses one request line. Blank lines yield `Ok(None)`; a submission
-/// that fails [`JobSubmission::validate`] is an error like a malformed
-/// line.
+/// Parses one request line. Blank lines yield `Ok(None)`; a request
+/// that fails [`Request::validate`] is an error like a malformed line.
 ///
 /// Canonical submission lines — the exact bytes [`render_request_into`]
 /// (and therefore `elasticflow-loadgen` and the WAL) produce — take a
@@ -173,9 +189,7 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
         None => serde_json::from_str::<Request>(trimmed)
             .map_err(|e| format!("bad request line: {e}"))?,
     };
-    if let Request::Submit { job } = &request {
-        job.validate()?;
-    }
+    request.validate()?;
     Ok(Some(request))
 }
 
@@ -317,16 +331,12 @@ fn model_name(model: DnnModel) -> &'static str {
     }
 }
 
-/// Appends a finite float exactly as the serde shim renders it (`{:?}`,
-/// the shortest round-trip form) — `null` for non-finite values, like
-/// real `serde_json`.
+/// Appends a float as the serde shim renders it, through the shim's one
+/// float writer (`serde::__json::write_f64`): the shortest text that
+/// parses back to the same bits, byte-identical to `{:?}`, and `null`
+/// for non-finite values, like real `serde_json`.
 pub(crate) fn push_f64(out: &mut String, x: f64) {
-    use std::fmt::Write;
-    if x.is_finite() {
-        let _ = write!(out, "{x:?}");
-    } else {
-        out.push_str("null");
-    }
+    let _ = serde::__json::write_f64(out, x);
 }
 
 /// Renders one request into `out` (appending; no trailing newline),
@@ -712,6 +722,82 @@ mod tests {
                 assert!(message.contains(field), "{line}: {message}");
             }
         }
+    }
+
+    #[test]
+    fn a_withdrawal_at_a_time_that_is_not_finite_is_refused() {
+        let line = r#"{"Withdraw":{"job":3,"at_seconds":1e999}}"#;
+        let message = parse_request(line).expect_err(line);
+        assert_eq!(message, "job 3: at_seconds must be finite");
+        for at_seconds in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let request = Request::Withdraw { job: 3, at_seconds };
+            assert_eq!(request.validate(), Err(message.clone()));
+        }
+    }
+
+    /// Literal lines, written out by hand: the serde-equality tests below
+    /// cannot catch a float that renders wrong, because serde renders
+    /// floats through the same writer. The floats include two exact ties
+    /// (which must round up, as `{:?}` does), both layout boundaries, the
+    /// smallest subnormal, a sum that is not its decimal, and `-0.0`.
+    #[test]
+    fn wal_journal_and_response_lines_match_literal_text() {
+        let tie_low = f64::from_bits(0x3e60_0000_0000_0000); // 2^-25
+        let tie_high = f64::from_bits(0x42ea_8090_bb0f_6d84);
+        let submit = Request::Submit {
+            job: JobSubmission {
+                id: 7,
+                model: DnnModel::Bert,
+                global_batch: 128,
+                iterations: tie_high,
+                arrival_seconds: 1e-5,
+                deadline_seconds: Some(1e16),
+            },
+        };
+        let mut wal = String::new();
+        render_request_into(&submit, &mut wal);
+        assert_eq!(
+            wal,
+            r#"{"Submit":{"job":{"id":7,"model":"Bert","global_batch":128,"iterations":233115890514796.13,"arrival_seconds":1e-5,"deadline_seconds":1e16}}}"#
+        );
+
+        let decline = DecisionRecord::Decline {
+            job: JobId::new(9),
+            reason: DeclineReason::CandidateInfeasible {
+                shortfall: CapacityShortfall {
+                    window_slots: 3,
+                    demand_gpu_slots: tie_low,
+                    free_gpu_slots: 5e-324,
+                },
+            },
+        };
+        let mut journal = String::new();
+        crate::store::render_journal_entry_into(0.1 + 0.2, &decline, &mut journal);
+        assert_eq!(
+            journal,
+            r#"{"t":0.30000000000000004,"decision":{"Decline":{"job":9,"reason":{"CandidateInfeasible":{"shortfall":{"window_slots":3,"demand_gpu_slots":2.9802322387695313e-8,"free_gpu_slots":5e-324}}}}}}"#
+        );
+
+        let decision = Response::Decision {
+            job: 9,
+            seq: 4,
+            admitted: false,
+            decision: DecisionRecord::Decline {
+                job: JobId::new(9),
+                reason: DeclineReason::WouldDisplace {
+                    blocking_job: JobId::new(2),
+                    shortfall: CapacityShortfall {
+                        window_slots: 5,
+                        demand_gpu_slots: tie_high,
+                        free_gpu_slots: -0.0,
+                    },
+                },
+            },
+        };
+        assert_eq!(
+            render_response(&decision),
+            r#"{"Decision":{"job":9,"seq":4,"admitted":false,"decision":{"Decline":{"job":9,"reason":{"WouldDisplace":{"blocking_job":2,"shortfall":{"window_slots":5,"demand_gpu_slots":233115890514796.13,"free_gpu_slots":-0.0}}}}}}}"#
+        );
     }
 
     #[test]

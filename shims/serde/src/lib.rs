@@ -9,7 +9,10 @@
 //! variant) at a time, under real serde's method names. The JSON writer
 //! behind `serde_json` formats each call straight into its sink;
 //! [`ser::ValueSerializer`] builds a concrete JSON-like [`Value`] tree
-//! from the same calls. Deserialization is tree-only: `Deserialize` lifts
+//! from the same calls. Floats render through one shortest-round-trip
+//! writer, `__json::write_f64` (Ryu, byte-identical to `{:?}`), which
+//! `elasticflow-serve`'s hand-written WAL, journal and response renderers
+//! call too. Deserialization is tree-only: `Deserialize` lifts
 //! a type out of a parsed [`Value`] rather than driving serde's visitor
 //! architecture. The public trait signatures mirror the real crate closely
 //! enough that the application code (including `#[serde(with = "...")]`
@@ -33,6 +36,7 @@ pub mod ser;
 pub mod __json;
 #[doc(hidden)]
 pub mod __value;
+mod ryu;
 
 pub use crate::__value::Value;
 pub use crate::de::{Deserialize, Deserializer};

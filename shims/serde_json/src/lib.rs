@@ -6,10 +6,11 @@
 //! [`Serializer`] they write through (over any `fmt::Write` sink, where
 //! the real crate's takes an `io::Write`). Serialization streams; parsing
 //! builds a [`Value`] tree and lifts it. Numbers round-trip
-//! exactly: floats print via Rust's shortest-round-trip formatting and parse
-//! back with `str::parse::<f64>`, so `to_string` → `from_str` is the
-//! identity on every finite `f64` (the real crate's `float_roundtrip`
-//! feature behavior).
+//! exactly: floats print through the serde shim's one float writer
+//! (`serde::__json::write_f64`: Ryu's shortest round-trip digits,
+//! byte-identical to `{:?}`) and parse back with `str::parse::<f64>`, so
+//! `to_string` → `from_str` is the identity on every finite `f64` (the
+//! real crate's `float_roundtrip` feature behavior).
 
 #![forbid(unsafe_code)]
 
