@@ -35,7 +35,7 @@ use crate::metrics::{
     DECISIONS_TOTAL, DECLINES_TOTAL, QUEUE_DEPTH, RECOVERY_REPLAYED_RECORDS, RECOVERY_SECONDS,
     RUNNING_TOTALS,
 };
-use crate::proto::{parse_request, render_request_into, Request, Response};
+use crate::proto::{parse_request, render_request_into, submit_id, Request, Response};
 use crate::store::{render_journal_entry_into, GatewayDir, GatewaySnapshot};
 
 /// Daemon-level configuration.
@@ -173,12 +173,16 @@ pub struct Daemon {
 impl Daemon {
     /// Opens (or resumes) a daemon over the state directory at `root`.
     ///
-    /// With prior state present, recovery runs unconditionally: newest
-    /// valid snapshot → one streaming WAL scan (seeding the dedup set
-    /// from the records the snapshot covers, parsing the suffix) →
-    /// journal rewind → WAL-suffix replay. Its memory is the dedup set,
-    /// the replayed suffix and fixed-size read buffers, never the logs'
-    /// length. It then
+    /// Prior state is a WAL, a journal or any snapshot file
+    /// ([`GatewayDir::has_state`]). With it present, recovery runs
+    /// unconditionally: newest valid snapshot → one streaming WAL scan
+    /// (reading only the ids of the records the snapshot covers, parsing
+    /// the suffix) → the dedup set, built once from those ids → journal
+    /// rewind → WAL-suffix replay. Its memory is the dedup set and its
+    /// ids, the replayed suffix and fixed-size read buffers, never the
+    /// logs' length. State without a WAL is refused as
+    /// [`PersistError::Corrupt`] before any file is touched: no snapshot
+    /// or journal can be resumed without the history it folds in. It then
     /// publishes how long it took on `clock` and how many records it
     /// replayed ([`RECOVERY_SECONDS`], [`RECOVERY_REPLAYED_RECORDS`]).
     /// `clock` feeds only those gauges and the latency histogram — it
@@ -191,15 +195,28 @@ impl Daemon {
     ) -> Result<(Self, Resumption), ServeError> {
         let started = clock.now_nanos();
         let dir = GatewayDir::open(root)?;
-        let fresh = !dir.has_state();
+        let fresh = !dir.has_state()?;
         // A fresh daemon starts from the genesis logs with nothing to
         // replay; a resumed one recovers its gateway and both logs.
-        let mut seen = BTreeSet::new();
         let mut replay = Vec::new();
-        let (mut wal, journal, snapshot_seq, gateway, journal_entries) = if fresh {
+        let (mut wal, journal, snapshot_seq, gateway, journal_entries, seen) = if fresh {
             let (wal, journal) = dir.create_genesis()?;
-            (wal, journal, None, Gateway::new(config.gateway), 0)
+            (
+                wal,
+                journal,
+                None,
+                Gateway::new(config.gateway),
+                0,
+                BTreeSet::new(),
+            )
         } else {
+            if !dir.wal_path().exists() {
+                return Err(ServeError::Persist(PersistError::Corrupt(format!(
+                    "{} is missing: the snapshots and journal beside it cannot be \
+                     resumed without the submission history",
+                    dir.wal_path().display()
+                ))));
+            }
             // The snapshot comes first: its record count says where each
             // WAL record goes, and a refused resume touches no log.
             let latest = dir.snapshots().latest_valid()?;
@@ -233,14 +250,21 @@ impl Daemon {
             };
             // One streaming scan of the WAL. The duplicate-id guard must
             // cover the entire submission history: records folded into
-            // the snapshot seed it here, and the suffix past them is
-            // parsed for replay, inserting its own ids as it goes
-            // through the pipeline.
+            // the snapshot give up their ids here, and the suffix past
+            // them is parsed for replay, inserting its own ids as it
+            // goes through the pipeline. A covered record in the
+            // canonical `Submit` form yields its id without being parsed
+            // or validated: the daemon that logged it answered it, so its
+            // id is taken even when its body no longer parses. Any other
+            // covered record is parsed in full.
+            let mut covered_ids = Vec::new();
             let (wal, scan) = dir.recover_wal(|index, line| {
                 if index < covered {
-                    if let Ok(Some(Request::Submit { job })) = parse_request(line) {
-                        seen.insert(job.id);
-                    }
+                    let id = submit_id(line).or_else(|| match parse_request(line) {
+                        Ok(Some(Request::Submit { job })) => Some(job.id),
+                        _ => None,
+                    });
+                    covered_ids.extend(id);
                     return Ok(());
                 }
                 match parse_request(line) {
@@ -262,8 +286,13 @@ impl Daemon {
                     scan.records
                 ))));
             }
+            // Built once, after the scan, and bulk-built with full nodes.
+            // Clients that number their submissions in order, as the
+            // load generator does, log ascending ids, and the sort inside
+            // `collect` is then one linear pass.
+            let seen = covered_ids.into_iter().collect();
             let journal = dir.rewind_journal(entries)?;
-            (wal, journal, seq, gateway, entries)
+            (wal, journal, seq, gateway, entries, seen)
         };
         wal.set_fsync_policy(config.fsync);
         let mut daemon = Daemon {
@@ -628,9 +657,13 @@ mod tests {
     }
 
     fn open(root: &std::path::Path) -> (Daemon, Resumption) {
+        open_with(root, config())
+    }
+
+    fn open_with(root: &std::path::Path, config: DaemonConfig) -> (Daemon, Resumption) {
         Daemon::open(
             root,
-            config(),
+            config,
             Box::new(TickClock::new(250)),
             gateway_registry(),
         )
@@ -828,6 +861,163 @@ mod tests {
         // History replayed through the dedup guard: old ids still refuse.
         let dup = daemon.handle_request(&request(&submit_line(2, 500.0, None)));
         assert!(matches!(dup, Response::Error { .. }));
+    }
+
+    /// The answer to a resubmission of `id`: `true` when it is refused
+    /// as a duplicate, `false` when it is decided.
+    fn refused_as_duplicate(daemon: &mut Daemon, id: u64) -> bool {
+        let answer = daemon.handle_request(&request(&submit_line(id, 900.0, None)));
+        if let Response::Decision { job, .. } = answer {
+            assert_eq!(job, id);
+            return false;
+        }
+        let message = format!("job id {id} was already submitted");
+        assert_eq!(answer, Response::Error { message });
+        true
+    }
+
+    #[test]
+    fn resume_reserves_every_covered_and_replayed_id() {
+        let root = tmp("covered-ids");
+        let manual = DaemonConfig {
+            snapshot_every: 0,
+            ..config()
+        };
+        {
+            let (mut daemon, _) = open_with(&root, manual);
+            // The covered prefix: canonical submissions out of id order,
+            // a withdrawal, and a submission whose id follows its other
+            // keys (a serde rendering with another key order).
+            for id in [4, 1] {
+                daemon.handle_request(&request(&submit_line(id, 0.0, Some(7_200.0))));
+            }
+            daemon.handle_request(&Request::Withdraw {
+                job: 4,
+                at_seconds: 30.0,
+            });
+            let reordered = submit_line(7, 40.0, None)
+                .replacen("{\"id\":7,", "{", 1)
+                .replacen("\"deadline_seconds\":", "\"id\":7,\"deadline_seconds\":", 1);
+            assert_eq!(submit_id(&reordered), None, "{reordered}");
+            assert!(matches!(
+                parse_request(&reordered),
+                Ok(Some(Request::Submit { job })) if job.id == 7
+            ));
+            daemon.wal.append_batch([reordered]).unwrap();
+            assert_eq!(daemon.snapshot_now().unwrap(), 1);
+            // The suffix past the snapshot.
+            for id in [3, 2] {
+                daemon.handle_request(&request(&submit_line(id, 60.0, Some(7_200.0))));
+            }
+        }
+        let (mut daemon, resumption) = open_with(&root, manual);
+        assert_eq!(
+            resumption,
+            Resumption::Resumed {
+                snapshot: Some(1),
+                replayed: 2
+            }
+        );
+        for id in [4, 1, 7, 3, 2] {
+            assert!(refused_as_duplicate(&mut daemon, id), "id {id} was free");
+        }
+        for id in [0, 5, 6, 8] {
+            assert!(!refused_as_duplicate(&mut daemon, id), "id {id} was taken");
+        }
+    }
+
+    /// A daemon that logged NaN `iterations` as `null` answered that
+    /// submission, so recovery reserves its id although the record no
+    /// longer parses. Only a record the snapshot covers is read this
+    /// way; past the snapshot the same record is refused as corrupt.
+    #[test]
+    fn a_covered_submission_that_no_longer_parses_reserves_its_id() {
+        let root = tmp("covered-unparsable");
+        {
+            let (mut daemon, _) = open(&root);
+            let line = submit_line(5, 0.0, Some(7_200.0));
+            let start = line.find("\"iterations\":").unwrap() + "\"iterations\":".len();
+            let end = start + line[start..].find(',').unwrap();
+            let unparsable = format!("{}null{}", &line[..start], &line[end..]);
+            assert!(parse_request(&unparsable).is_err(), "{unparsable}");
+            assert_eq!(submit_id(&unparsable), Some(5));
+            daemon.wal.append_batch([unparsable]).unwrap();
+            assert_eq!(daemon.snapshot_now().unwrap(), 1);
+        }
+        let (mut daemon, resumption) = open(&root);
+        assert_eq!(
+            resumption,
+            Resumption::Resumed {
+                snapshot: Some(1),
+                replayed: 0
+            }
+        );
+        assert!(refused_as_duplicate(&mut daemon, 5));
+        assert!(!refused_as_duplicate(&mut daemon, 6));
+    }
+
+    /// A directory keeps another history's snapshots and journal after
+    /// its WAL is deleted. It is still state: opening it is a resume,
+    /// which refuses to run without the WAL and touches no file. (A
+    /// fresh open would keep the old snapshots beside the new WAL, and
+    /// the next resume would fold the new history into the old state.)
+    #[test]
+    fn snapshots_without_their_wal_are_refused_untouched() {
+        let root = tmp("wal-deleted");
+        {
+            let (mut daemon, _) = open(&root);
+            // snapshot_every = 5 → snapshots 1 and 2.
+            for i in 0..12 {
+                daemon.handle_request(&request(&submit_line(i, i as f64 * 20.0, Some(7_200.0))));
+            }
+        }
+        let dir = GatewayDir::open(&root).unwrap();
+        assert_eq!(dir.snapshots().seqs().unwrap(), [1, 2]);
+        std::fs::remove_file(dir.wal_path()).unwrap();
+        let files = || {
+            let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&root)
+                .unwrap()
+                .map(|entry| {
+                    let path = entry.unwrap().path();
+                    let bytes = std::fs::read(&path).unwrap();
+                    (path, bytes)
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = files();
+        // The second history's daemon, which takes no snapshots.
+        let second = DaemonConfig {
+            snapshot_every: 0,
+            ..config()
+        };
+        for _ in 0..2 {
+            let err = Daemon::open(
+                &root,
+                second,
+                Box::new(TickClock::new(250)),
+                gateway_registry(),
+            )
+            .map(|(d, r)| (d.config(), r))
+            .expect_err("snapshots without a WAL are refused");
+            assert!(
+                matches!(
+                    &err,
+                    ServeError::Persist(PersistError::Corrupt(msg)) if msg.contains("gateway.wal")
+                ),
+                "{err:?}"
+            );
+            assert_eq!(files(), before, "the refused open touched the directory");
+        }
+        assert!(dir.has_state().unwrap());
+        // The journal alone is state too.
+        for seq in [1, 2] {
+            std::fs::remove_file(dir.snapshots().path(seq)).unwrap();
+        }
+        assert!(dir.has_state().unwrap());
+        std::fs::remove_file(dir.journal_path()).unwrap();
+        assert!(!dir.has_state().unwrap());
     }
 
     #[test]

@@ -200,9 +200,7 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
 /// numbers are parsed with the same `str::parse` the serde shim uses.
 fn parse_submit_fast(line: &str) -> Option<Request> {
     let mut cur = Cursor(line.as_bytes());
-    cur.expect(b"{\"Submit\":{\"job\":{\"id\":")?;
-    let id = cur.take_u64()?;
-    cur.expect(b",\"model\":\"")?;
+    let id = cur.take_submit_prefix()?;
     let model = cur.take_model()?;
     cur.expect(b"\",\"global_batch\":")?;
     let global_batch = cur.take_u32()?;
@@ -229,12 +227,34 @@ fn parse_submit_fast(line: &str) -> Option<Request> {
     })
 }
 
-/// A borrowing byte cursor for [`parse_submit_fast`]: every `take_*`
-/// either consumes a well-formed token or returns `None` without any
-/// allocation.
+/// The id of a WAL record that starts as [`render_request_into`]
+/// renders a `Submit`: `{"Submit":{"job":{"id":`, the id, then
+/// `,"model":"`. Nothing past that prefix is read, so the body is
+/// neither parsed nor validated. `None` for every other record — a
+/// `Withdraw`, a `Submit` with its keys in another order — which the
+/// caller hands to [`parse_request`] instead.
+///
+/// Recovery reads the records a snapshot covers through here: it needs
+/// only their ids, to seed the duplicate-id guard.
+pub(crate) fn submit_id(record: &str) -> Option<u64> {
+    Cursor(record.as_bytes()).take_submit_prefix()
+}
+
+/// A borrowing byte cursor for [`parse_submit_fast`] and [`submit_id`]:
+/// every `take_*` either consumes a well-formed token or returns `None`
+/// without any allocation.
 struct Cursor<'a>(&'a [u8]);
 
 impl<'a> Cursor<'a> {
+    /// Consumes the canonical `Submit` prefix up to the opening quote of
+    /// the model name and returns the job id.
+    fn take_submit_prefix(&mut self) -> Option<u64> {
+        self.expect(b"{\"Submit\":{\"job\":{\"id\":")?;
+        let id = self.take_u64()?;
+        self.expect(b",\"model\":\"")?;
+        Some(id)
+    }
+
     fn expect(&mut self, literal: &[u8]) -> Option<()> {
         let rest = self.0.strip_prefix(literal)?;
         self.0 = rest;
@@ -245,15 +265,10 @@ impl<'a> Cursor<'a> {
         self.0.is_empty()
     }
 
+    /// Consumes an unsigned JSON integer: `0` or a digit run without a
+    /// leading zero, as RFC 8259 §6 and the serde shim's parser require.
     fn take_digits(&mut self) -> Option<&'a str> {
-        let end = self
-            .0
-            .iter()
-            .position(|b| !b.is_ascii_digit())
-            .unwrap_or(self.0.len());
-        if end == 0 {
-            return None;
-        }
+        let end = int_len(self.0)?;
         let (digits, rest) = self.0.split_at(end);
         self.0 = rest;
         // Digits are ASCII by construction.
@@ -268,22 +283,14 @@ impl<'a> Cursor<'a> {
         self.take_digits()?.parse().ok()
     }
 
-    /// Consumes one JSON number token (`-?digits[.digits][e[±]digits]`)
+    /// Consumes one JSON number token
+    /// (`-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, RFC 8259 §6)
     /// and parses it with `str::parse::<f64>` — the exact routine the
     /// serde shim's parser uses, so the fast path rounds identically.
     fn take_f64(&mut self) -> Option<f64> {
         let bytes = self.0;
-        let mut i = 0;
-        if bytes.first() == Some(&b'-') {
-            i += 1;
-        }
-        let int_start = i;
-        while bytes.get(i).is_some_and(u8::is_ascii_digit) {
-            i += 1;
-        }
-        if i == int_start {
-            return None;
-        }
+        let mut i = usize::from(bytes.first() == Some(&b'-'));
+        i += int_len(&bytes[i..])?;
         if bytes.get(i) == Some(&b'.') {
             i += 1;
             let frac_start = i;
@@ -317,6 +324,17 @@ impl<'a> Cursor<'a> {
             .into_iter()
             .find(|&model| self.expect(model_name(model).as_bytes()).is_some())
     }
+}
+
+/// The length of the unsigned JSON integer `bytes` starts with: `0`,
+/// or a nonzero digit and the digits after it. `None` when `bytes`
+/// starts with no digit, or with a zero that another digit follows.
+fn int_len(bytes: &[u8]) -> Option<usize> {
+    let len = bytes
+        .iter()
+        .position(|b| !b.is_ascii_digit())
+        .unwrap_or(bytes.len());
+    (len == 1 || (len > 1 && bytes[0] != b'0')).then_some(len)
 }
 
 /// The serde variant name of a model — the string form used on the wire.
@@ -1033,6 +1051,105 @@ mod tests {
             r#"{"Submit":{"job":{"id":1,"model":"Bert","global_batch":8,"iterations":1.0,"arrival_seconds":0.0,"deadline_seconds":null}}}x"#
         )
         .is_none());
+    }
+
+    /// A `Submit` line with its id and iterations spelled as given.
+    fn submit_spelled(id: &str, iterations: &str) -> String {
+        format!(
+            r#"{{"Submit":{{"job":{{"id":{id},"model":"Bert","global_batch":8,"iterations":{iterations},"arrival_seconds":0.0,"deadline_seconds":null}}}}}}"#
+        )
+    }
+
+    #[test]
+    fn numbers_rfc_8259_forbids_are_refused_on_both_paths() {
+        let refused = |line: &str| {
+            assert!(parse_submit_fast(line).is_none(), "fast path: {line}");
+            assert!(
+                serde_json::from_str::<Request>(line).is_err(),
+                "serde: {line}"
+            );
+            assert!(parse_request(line).is_err(), "{line}");
+        };
+        for id in ["007", "01", "00"] {
+            let line = submit_spelled(id, "1000.0");
+            assert_eq!(submit_id(&line), None, "{line}");
+            refused(&line);
+        }
+        for iterations in ["01", "-01", "00.5", "1.", "1.e5", "01000.0"] {
+            refused(&submit_spelled("7", iterations));
+        }
+        // The forms the grammar allows parse alike on both paths.
+        for iterations in ["0", "-0", "0.5", "1e05", "1E+2", "-0.0e+0"] {
+            let line = submit_spelled("0", iterations);
+            let fast = parse_submit_fast(&line).expect("canonical line takes the fast path");
+            let Request::Submit { job } = &fast else {
+                panic!("the fast path parses a submission");
+            };
+            let slow: Request = serde_json::from_str(&line).unwrap();
+            let Request::Submit { job: slow_job } = &slow else {
+                panic!("serde parses a submission");
+            };
+            assert_eq!(
+                job.iterations.to_bits(),
+                slow_job.iterations.to_bits(),
+                "{line}"
+            );
+            assert_eq!(fast, slow, "{line}");
+            assert_eq!(submit_id(&line), Some(0));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// `submit_id` reads the id of every rendered submission, agrees
+        /// with `parse_request` wherever both read a `Submit`, and reads
+        /// nothing from the other requests.
+        #[test]
+        fn submit_id_reads_the_id_parse_request_reads(
+            id in any::<u64>(),
+            model in 0usize..DnnModel::ALL.len(),
+            global_batch in any::<u32>(),
+            floats in (-1e12f64..1e12, -1e12f64..1e12, -1e12f64..1e12),
+            special in 0usize..4,
+            best_effort in any::<bool>(),
+        ) {
+            let (iterations, arrival_seconds, deadline) = floats;
+            let special = [iterations, f64::NAN, f64::INFINITY, 0.0][special];
+            let job = JobSubmission {
+                id,
+                model: DnnModel::ALL[model],
+                global_batch,
+                iterations: special,
+                arrival_seconds,
+                deadline_seconds: (!best_effort).then_some(deadline),
+            };
+            let mut line = String::new();
+            render_request_into(&Request::Submit { job }, &mut line);
+            prop_assert_eq!(submit_id(&line), Some(id));
+            // The same submission with its id moved behind the other
+            // keys: only `parse_request` reads it.
+            let reordered = line
+                .replacen(&format!("{{\"id\":{id},"), "{", 1)
+                .replacen("\"deadline_seconds\":", &format!("\"id\":{id},\"deadline_seconds\":"), 1);
+            prop_assert_eq!(submit_id(&reordered), None, "{}", reordered);
+            // Wherever `parse_request` reads a submission (valid ones),
+            // it reads the same id.
+            for line in [&line, &reordered] {
+                if let Ok(Some(Request::Submit { job })) = parse_request(line) {
+                    prop_assert_eq!(job.id, id);
+                }
+            }
+            let other = [
+                Request::Withdraw { job: id, at_seconds: arrival_seconds },
+                Request::Stats {},
+                Request::Shutdown {},
+            ];
+            for request in &other {
+                line.clear();
+                render_request_into(request, &mut line);
+                prop_assert_eq!(submit_id(&line), None, "{}", line);
+            }
+        }
     }
 
     #[test]

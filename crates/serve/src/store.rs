@@ -140,9 +140,13 @@ impl GatewayDir {
         Ok(self.snapshots.write_next(snap)?.0)
     }
 
-    /// `true` when the directory holds prior gateway state.
-    pub fn has_state(&self) -> bool {
-        self.wal_path().exists()
+    /// `true` when the directory holds prior gateway state: the WAL, the
+    /// journal or any snapshot file. Any one of them marks the directory
+    /// as another history's, which only a resume may open.
+    pub fn has_state(&self) -> Result<bool, PersistError> {
+        Ok(self.wal_path().exists()
+            || self.journal_path().exists()
+            || !self.snapshots.seqs()?.is_empty())
     }
 
     /// Creates a fresh WAL and a journal holding only its header line.

@@ -285,6 +285,34 @@ mod tests {
     }
 
     #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for (text, value) in [
+            ("0", Value::UInt(0)),
+            ("-0", Value::Float(-0.0)),
+            ("0.5", Value::Float(0.5)),
+            ("1e05", Value::Float(1e5)),
+            ("1E+2", Value::Float(100.0)),
+            ("-0.0e+0", Value::Float(-0.0)),
+        ] {
+            assert_eq!(parser::parse(text).unwrap(), value, "{text}");
+        }
+        for text in ["-0", "-0.0e+0"] {
+            let negative_zero = parser::parse(text).unwrap().as_f64();
+            assert_eq!(negative_zero.map(f64::to_bits), Some((-0.0f64).to_bits()));
+        }
+        // Leading zeros and a `.` without digits after it are refused,
+        // alone and inside a document.
+        for text in ["01", "-01", "00.5", "1.", "1.e5", "-", "1e", "1e+"] {
+            assert!(parser::parse(text).is_err(), "{text}");
+            assert!(parser::parse(&format!("[{text}]")).is_err(), "[{text}]");
+            assert!(
+                parser::parse(&format!("{{\"k\":{text}}}")).is_err(),
+                "{{\"k\":{text}}}"
+            );
+        }
+    }
+
+    #[test]
     fn parse_errors_are_reported() {
         assert!(from_str::<u32>("not json").is_err());
         assert!(from_str::<u32>("[1,").is_err());

@@ -237,20 +237,49 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consumes a run of ASCII digits; returns how many.
+    fn skip_digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// Parses one number as RFC 8259 §6 spells it,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, as real
+    /// serde_json does: a leading zero takes no digit after it, and a
+    /// `.` or an exponent takes at least one. A number with a fraction
+    /// or an exponent is a float (`str::parse::<f64>`); any other is an
+    /// integer, unsigned unless it starts with `-`, except `-0`, which is
+    /// the float `-0.0`.
     fn parse_number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
+        let invalid = || Error::new(format!("invalid number at byte {start}"));
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let int_start = self.pos;
+        let int_len = self.skip_digits();
+        if int_len == 0 || (int_len > 1 && self.bytes[int_start] == b'0') {
+            return Err(invalid());
+        }
         let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            is_float = true;
+            if self.skip_digits() == 0 {
+                return Err(invalid());
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            is_float = true;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.skip_digits() == 0 {
+                return Err(invalid());
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
@@ -259,6 +288,10 @@ impl<'a> Parser<'a> {
             text.parse::<f64>()
                 .map(Value::Float)
                 .map_err(|e| Error::new(format!("invalid number `{text}`: {e}")))
+        } else if text == "-0" {
+            // As in real serde_json: an integer has no negative zero, so
+            // `-0` is the float that keeps its sign.
+            Ok(Value::Float(-0.0))
         } else if let Some(stripped) = text.strip_prefix('-') {
             // Negative integer.
             stripped
