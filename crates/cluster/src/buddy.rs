@@ -1,12 +1,13 @@
 //! Power-of-two buddy allocation over the GPU leaves.
 //!
-//! Because the topology tree is itself a hierarchy of power-of-two groups,
-//! every aligned buddy block corresponds to a topology subtree: allocating a
-//! block of 2^k GPUs automatically gives a job the tightest subtree that can
-//! host it. Together with job migration this eliminates fragmentation (paper
+//! The GPU hierarchy (switches, sockets, servers) groups GPUs in powers of
+//! two, so every aligned buddy block is a subtree of it: allocating a block
+//! of 2^k GPUs automatically gives a job the tightest subtree that can host
+//! it. Together with job migration this eliminates fragmentation (paper
 //! §4.3): whenever at least 2^k GPUs are idle, a 2^k block can be produced.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -60,11 +61,17 @@ impl Block {
         1 << self.order
     }
 
-    /// The GPUs covered by this block, in ascending order.
-    pub fn gpus(self) -> Vec<GpuId> {
-        (self.offset..self.offset + self.size())
-            .map(GpuId::new)
-            .collect()
+    /// The servers the block touches on a cluster of `gpus_per_server`
+    /// GPUs per machine. A block smaller than a server lies inside one.
+    ///
+    /// ```
+    /// use elasticflow_cluster::Block;
+    ///
+    /// assert_eq!(Block::new(2, 4).servers(8), 0..1);
+    /// assert_eq!(Block::new(5, 32).servers(8), 4..8);
+    /// ```
+    pub fn servers(self, gpus_per_server: u32) -> Range<u32> {
+        self.offset / gpus_per_server..(self.offset + self.size()).div_ceil(gpus_per_server)
     }
 
     /// The sibling block that this block merges with.
@@ -390,6 +397,25 @@ mod tests {
         assert!(blk.contains(GpuId::new(15)));
         assert!(!blk.contains(GpuId::new(16)));
         assert!(!blk.contains(GpuId::new(7)));
+    }
+
+    #[test]
+    fn a_block_smaller_than_a_server_touches_one() {
+        assert_eq!(Block::new(2, 0).servers(8), 0..1);
+        assert_eq!(Block::new(0, 13).servers(8), 1..2);
+    }
+
+    #[test]
+    fn a_block_ending_on_a_server_boundary_stops_there() {
+        assert_eq!(Block::new(2, 4).servers(8), 0..1);
+        assert_eq!(Block::new(3, 8).servers(8), 1..2);
+    }
+
+    #[test]
+    fn a_block_spanning_servers_touches_each() {
+        assert_eq!(Block::new(4, 16).servers(8), 2..4);
+        assert_eq!(Block::new(7, 0).servers(8), 0..16);
+        assert_eq!(Block::new(3, 8).servers(1), 8..16);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Strongly typed identifiers for cluster resources.
+//! The strongly typed GPU identifier.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Identifier of a single GPU, a global index over all leaves of the
-/// topology tree (`0..topology.num_gpus()`).
+/// Identifier of a single GPU, a global index over the cluster's GPUs
+/// (`0..ClusterSpec::total_gpus()`); GPU `i` sits on server
+/// `i / gpus_per_server`.
 ///
 /// # Example
 ///
@@ -50,50 +51,6 @@ impl From<u32> for GpuId {
     }
 }
 
-/// Identifier of a server (a machine hosting several GPUs).
-///
-/// # Example
-///
-/// ```
-/// use elasticflow_cluster::ServerId;
-///
-/// let server = ServerId::new(3);
-/// assert_eq!(format!("{server}"), "server3");
-/// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct ServerId(u32);
-
-impl ServerId {
-    /// Creates a server id from an index.
-    pub fn new(index: u32) -> Self {
-        ServerId(index)
-    }
-
-    /// Returns the index of this server.
-    pub fn index(self) -> u32 {
-        self.0
-    }
-
-    /// Returns the index as `usize`.
-    pub fn as_usize(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for ServerId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "server{}", self.0)
-    }
-}
-
-impl From<u32> for ServerId {
-    fn from(index: u32) -> Self {
-        ServerId(index)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,13 +66,11 @@ mod tests {
     #[test]
     fn display_is_nonempty() {
         assert_eq!(GpuId::new(0).to_string(), "gpu0");
-        assert_eq!(ServerId::new(7).to_string(), "server7");
     }
 
     #[test]
     fn ordering_follows_index() {
         assert!(GpuId::new(1) < GpuId::new(2));
-        assert!(ServerId::new(0) < ServerId::new(1));
     }
 
     #[test]

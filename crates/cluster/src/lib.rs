@@ -1,22 +1,27 @@
-//! GPU cluster substrate for ElasticFlow: hierarchical topology, buddy
-//! allocation, and topology-aware job placement.
+//! GPU cluster substrate for ElasticFlow: buddy allocation and the block
+//! each job holds.
 //!
 //! The ElasticFlow paper (§4.3) organizes GPUs in a multi-layer hierarchical
 //! tree (Fig. 5): GPUs hang off PCIe switches, PCIe switches off CPU sockets,
 //! sockets form servers, servers form racks. Links higher in the tree are
 //! slower, so a job placed inside a small subtree communicates faster than a
-//! job spread across servers.
+//! job spread across servers. Every level groups GPUs in powers of two, so
+//! an aligned power-of-two block of GPU indices *is* the tightest subtree
+//! that can host a job, and no tree needs to be stored: the block is the
+//! placement. The link bandwidths live in `elasticflow_perfmodel`'s
+//! `Interconnect`, which prices a placement by its [`PlacementShape`].
 //!
 //! This crate provides:
 //!
-//! * [`Topology`] — the hierarchical tree with per-level bandwidths;
-//! * [`BuddyAllocator`] — a power-of-two buddy allocator over the leaf GPUs
-//!   whose blocks are, by construction, aligned with topology subtrees;
-//! * [`Placement`] — the concrete set of GPUs given to a job plus the derived
-//!   bottleneck communication level;
-//! * [`ClusterState`] — allocation bookkeeping with best-fit placement and
-//!   migration-based defragmentation (paper §4.3, "Defragmentation with buddy
-//!   allocation").
+//! * [`BuddyAllocator`] — a power-of-two buddy allocator over the GPUs,
+//!   handing out aligned [`Block`]s;
+//! * [`ClusterState`] — the block each owner holds, with best-fit
+//!   allocation and migration-based defragmentation (paper §4.3,
+//!   "Defragmentation with buddy allocation");
+//! * [`ClusterSpec`] — the cluster's shape and bandwidths, with the paper's
+//!   presets;
+//! * [`PlacementShape`] — a servers x GPUs-per-server spread, the input of
+//!   the performance model.
 //!
 //! # Example
 //!
@@ -25,11 +30,11 @@
 //!
 //! // The paper's testbed: 16 servers x 8 GPUs.
 //! let spec = ClusterSpec::paper_testbed();
-//! let mut cluster = ClusterState::new(spec.build_topology());
-//! let placement = cluster.allocate(1, 8).expect("128 idle GPUs");
-//! assert_eq!(placement.num_gpus(), 8);
+//! let mut cluster = ClusterState::new(spec.total_gpus());
+//! let block = cluster.allocate(1, 8).expect("128 idle GPUs");
+//! assert_eq!(block.size(), 8);
 //! // Eight GPUs fit inside one server, so no network hop is crossed.
-//! assert!(placement.highest_level() <= 2);
+//! assert_eq!(block.servers(spec.gpus_per_server).len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,7 +48,6 @@ mod placement;
 mod spec;
 mod state;
 mod table;
-mod topology;
 
 // The retired lint rules' forms, each `#[expect]`ed at the clippy lint that
 // enforces it now; compiled by clippy only (see
@@ -54,8 +58,7 @@ mod clippy_corpus;
 
 pub use buddy::{Block, BuddyAllocator};
 pub use error::ClusterError;
-pub use ids::{GpuId, ServerId};
-pub use placement::{Placement, PlacementShape};
+pub use ids::GpuId;
+pub use placement::PlacementShape;
 pub use spec::ClusterSpec;
 pub use state::{ClusterState, Migration};
-pub use topology::{Level, Topology};

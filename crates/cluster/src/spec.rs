@@ -2,9 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Level, Topology};
-
-/// A declarative description of a GPU cluster, convertible to a [`Topology`].
+/// A declarative description of a GPU cluster: its shape, which sizes the
+/// buddy allocator, and its link bandwidths, which
+/// `elasticflow_perfmodel::Interconnect` reads.
 ///
 /// Bandwidth numbers are *effective all-reduce* bandwidths calibrated so that
 /// the analytic performance model in `elasticflow-perfmodel` reproduces the
@@ -12,14 +12,16 @@ use crate::{Level, Topology};
 /// ResNet50 roughly 2.2x faster than eight-way spreads, VGG16 at 8 GPUs about
 /// 76 % of linear scaling.
 ///
+/// Every field feeds the simulator's input fingerprint, so
+/// `servers_per_rack` and `core_bw` stay although nothing reads them.
+///
 /// # Example
 ///
 /// ```
 /// use elasticflow_cluster::ClusterSpec;
 ///
 /// let spec = ClusterSpec::with_servers(4, 8);
-/// let topo = spec.build_topology();
-/// assert_eq!(topo.num_gpus(), 32);
+/// assert_eq!(spec.total_gpus(), 32);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterSpec {
@@ -27,7 +29,8 @@ pub struct ClusterSpec {
     pub servers: u32,
     /// GPUs per server (must be a power of two).
     pub gpus_per_server: u32,
-    /// GPUs sharing one PCIe switch / NVLink island.
+    /// GPUs sharing one PCIe switch / NVLink island (must divide
+    /// `gpus_per_server`).
     pub gpus_per_switch: u32,
     /// Effective all-reduce bandwidth within a switch, bytes/s.
     pub intra_switch_bw: f64,
@@ -35,9 +38,10 @@ pub struct ClusterSpec {
     pub intra_server_bw: f64,
     /// Effective all-reduce bandwidth across servers within a rack, bytes/s.
     pub network_bw: f64,
-    /// Servers per rack (a cluster larger than one rack adds a core level).
+    /// Servers per rack. Unread: the performance model has no rack level.
     pub servers_per_rack: u32,
-    /// Effective all-reduce bandwidth across racks, bytes/s.
+    /// Effective all-reduce bandwidth across racks, bytes/s. Unread: the
+    /// performance model has no rack level.
     pub core_bw: f64,
 }
 
@@ -86,42 +90,6 @@ impl ClusterSpec {
     pub fn total_gpus(&self) -> u32 {
         self.servers * self.gpus_per_server
     }
-
-    /// Materializes the topology tree for this spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec is internally inconsistent (e.g. `gpus_per_switch`
-    /// does not divide `gpus_per_server`).
-    pub fn build_topology(&self) -> Topology {
-        assert!(
-            self.gpus_per_server.is_multiple_of(self.gpus_per_switch),
-            "gpus_per_switch must divide gpus_per_server"
-        );
-        let mut levels = Vec::new();
-        levels.push(Level::new(
-            "pcie",
-            self.gpus_per_switch as usize,
-            self.intra_switch_bw,
-        ));
-        let sockets = (self.gpus_per_server / self.gpus_per_switch) as usize;
-        if sockets > 1 {
-            levels.push(Level::new("qpi", sockets, self.intra_server_bw));
-        }
-        let racks = self.servers.div_ceil(self.servers_per_rack);
-        let servers_in_rack = self.servers.min(self.servers_per_rack) as usize;
-        if servers_in_rack > 1 || racks > 1 {
-            levels.push(Level::new("ib", servers_in_rack.max(1), self.network_bw));
-        }
-        if racks > 1 {
-            assert!(
-                racks.is_power_of_two(),
-                "rack count must be a power of two, got {racks}"
-            );
-            levels.push(Level::new("core", racks as usize, self.core_bw));
-        }
-        Topology::new(levels)
-    }
 }
 
 impl Default for ClusterSpec {
@@ -139,35 +107,14 @@ mod tests {
     fn paper_testbed_shape() {
         let spec = ClusterSpec::paper_testbed();
         assert_eq!(spec.total_gpus(), 128);
-        let topo = spec.build_topology();
-        assert_eq!(topo.num_gpus(), 128);
-        assert_eq!(topo.num_servers(), 16);
-    }
-
-    #[test]
-    fn single_server_cluster() {
-        let spec = ClusterSpec::with_servers(1, 8);
-        let topo = spec.build_topology();
-        assert_eq!(topo.num_gpus(), 8);
-        assert_eq!(topo.num_servers(), 1);
-    }
-
-    #[test]
-    fn multi_rack_cluster() {
-        let spec = ClusterSpec::with_servers(64, 8);
-        let topo = spec.build_topology();
-        assert_eq!(topo.num_gpus(), 512);
-        // 64 servers / 32 per rack = 2 racks -> extra core level.
-        assert_eq!(topo.levels().last().unwrap().name(), "core");
+        assert_eq!(spec.servers, 16);
     }
 
     #[test]
     fn bandwidth_ordering_intra_beats_network() {
-        let topo = ClusterSpec::paper_testbed().build_topology();
-        let levels = topo.levels();
-        let first = levels.first().unwrap().bandwidth_bytes_per_sec();
-        let last = levels.last().unwrap().bandwidth_bytes_per_sec();
-        assert!(first > last);
+        let spec = ClusterSpec::paper_testbed();
+        assert!(spec.intra_switch_bw > spec.intra_server_bw);
+        assert!(spec.intra_server_bw > spec.network_bw);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 
 use crate::table::AllocationTable;
-use crate::{Block, BuddyAllocator, ClusterError, Placement, Topology};
+use crate::{Block, BuddyAllocator, ClusterError};
 
 /// A job relocation emitted by defragmentation: move the owner's workers
 /// from one block of GPUs to another of the same size.
@@ -22,8 +22,8 @@ pub struct Migration {
     pub to: Block,
 }
 
-/// Allocation state of a whole cluster: topology + buddy allocator + the
-/// block each owner currently holds.
+/// Allocation state of a whole cluster: the buddy allocator and the block
+/// each owner currently holds.
 ///
 /// Owners are opaque `u64` tags (job ids at higher layers).
 ///
@@ -32,9 +32,10 @@ pub struct Migration {
 /// ```
 /// use elasticflow_cluster::{ClusterSpec, ClusterState};
 ///
-/// let mut cluster = ClusterState::new(ClusterSpec::with_servers(2, 8).build_topology());
-/// let p1 = cluster.allocate(1, 8)?;
-/// let p2 = cluster.allocate(2, 4)?;
+/// let mut cluster = ClusterState::new(ClusterSpec::with_servers(2, 8).total_gpus());
+/// cluster.allocate(1, 8)?;
+/// let block = cluster.allocate(2, 4)?;
+/// assert_eq!(block.size(), 4);
 /// assert_eq!(cluster.idle_gpus(), 4);
 /// cluster.release(1)?;
 /// assert_eq!(cluster.idle_gpus(), 12);
@@ -42,7 +43,6 @@ pub struct Migration {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterState {
-    topology: Topology,
     buddy: BuddyAllocator,
     /// Dense sorted owner → block table; iteration order (ascending owner)
     /// and serialized shape are identical to the former `BTreeMap`.
@@ -54,25 +54,18 @@ pub struct ClusterState {
 }
 
 impl ClusterState {
-    /// Creates an empty cluster over the given topology.
+    /// Creates an empty cluster of `capacity` GPUs.
     ///
     /// # Panics
     ///
-    /// Panics if the topology's GPU count is not a power of two (required
-    /// for buddy allocation).
-    pub fn new(topology: Topology) -> Self {
-        let buddy = BuddyAllocator::new(topology.num_gpus());
+    /// Panics if `capacity` is zero or not a power of two (required for
+    /// buddy allocation).
+    pub fn new(capacity: u32) -> Self {
         ClusterState {
-            topology,
-            buddy,
+            buddy: BuddyAllocator::new(capacity),
             allocations: AllocationTable::new(),
             pinned: BTreeSet::new(),
         }
-    }
-
-    /// The cluster topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// Total number of GPUs.
@@ -90,11 +83,9 @@ impl ClusterState {
         self.capacity() - self.idle_gpus()
     }
 
-    /// The placement currently held by `owner`, if any.
-    pub fn placement_of(&self, owner: u64) -> Option<Placement> {
-        self.allocations
-            .get(&owner)
-            .map(|&b| Placement::from_block(b, &self.topology))
+    /// The block currently held by `owner`, if any.
+    pub fn block_of(&self, owner: u64) -> Option<Block> {
+        self.allocations.get(&owner).copied()
     }
 
     /// Allocates `size` GPUs (a power of two) to `owner` **without**
@@ -108,20 +99,20 @@ impl ClusterState {
     /// * [`ClusterError::Insufficient`] when no aligned block exists —
     ///   possibly due to fragmentation; see
     ///   [`ClusterState::allocate_with_defrag`].
-    pub fn allocate(&mut self, owner: u64, size: u32) -> Result<Placement, ClusterError> {
+    pub fn allocate(&mut self, owner: u64, size: u32) -> Result<Block, ClusterError> {
         if self.allocations.contains_key(&owner) {
             return Err(ClusterError::AlreadyAllocated { owner });
         }
         let block = self.buddy.allocate(size)?;
         self.allocations.insert(owner, block);
-        Ok(Placement::from_block(block, &self.topology))
+        Ok(block)
     }
 
     /// Allocates `size` GPUs to `owner`, migrating existing jobs if needed.
     ///
     /// This realizes the paper's §4.3 guarantee: with power-of-two jobs and
     /// migration, a request succeeds whenever `idle_gpus() >= size`. Returns
-    /// the placement together with the migrations performed (empty when no
+    /// the block together with the migrations performed (empty when no
     /// defragmentation was necessary).
     ///
     /// # Errors
@@ -133,9 +124,9 @@ impl ClusterState {
         &mut self,
         owner: u64,
         size: u32,
-    ) -> Result<(Placement, Vec<Migration>), ClusterError> {
+    ) -> Result<(Block, Vec<Migration>), ClusterError> {
         match self.allocate(owner, size) {
-            Ok(p) => Ok((p, Vec::new())),
+            Ok(block) => Ok((block, Vec::new())),
             Err(ClusterError::Insufficient { .. }) if self.idle_gpus() >= size => {
                 // Minimal-move defragmentation first; full repack only as
                 // a fallback (it relocates far more jobs, and every
@@ -144,12 +135,12 @@ impl ClusterState {
                     Some(migrations) => migrations,
                     None => self.defragment(),
                 };
-                let p = self
+                let block = self
                     .allocate(owner, size)
                     .map_err(|_| ClusterError::Internal {
                         context: "defragmentation must yield an aligned block when idle >= size",
                     })?;
-                Ok((p, migrations))
+                Ok((block, migrations))
             }
             Err(e) => Err(e),
         }
@@ -257,7 +248,7 @@ impl ClusterState {
     }
 
     /// Changes `owner`'s allocation to `new_size`, defragmenting if needed.
-    /// Returns the new placement and any migrations of *other* jobs.
+    /// Returns the new block and any migrations of *other* jobs.
     ///
     /// # Errors
     ///
@@ -268,13 +259,13 @@ impl ClusterState {
         &mut self,
         owner: u64,
         new_size: u32,
-    ) -> Result<(Placement, Vec<Migration>), ClusterError> {
+    ) -> Result<(Block, Vec<Migration>), ClusterError> {
         let old = *self
             .allocations
             .get(&owner)
             .ok_or(ClusterError::UnknownOwner { owner })?;
         if old.size() == new_size {
-            return Ok((Placement::from_block(old, &self.topology), Vec::new()));
+            return Ok((old, Vec::new()));
         }
         if !new_size.is_power_of_two() || new_size == 0 {
             return Err(ClusterError::NotPowerOfTwo {
@@ -296,7 +287,7 @@ impl ClusterState {
         let in_place = Block::new(new_order, old.offset() & !(new_size - 1));
         if self.buddy.allocate_at(in_place).is_ok() {
             self.allocations.insert(owner, in_place);
-            return Ok((Placement::from_block(in_place, &self.topology), Vec::new()));
+            return Ok((in_place, Vec::new()));
         }
         match self.allocate_with_defrag(owner, new_size) {
             Ok(ok) => Ok(ok),
@@ -308,7 +299,7 @@ impl ClusterState {
                         context: "rollback to the original size must succeed after a failed resize",
                     }
                 })?;
-                debug_assert_eq!(restored.num_gpus(), old.size());
+                debug_assert_eq!(restored.size(), old.size());
                 Err(e)
             }
         }
@@ -370,11 +361,9 @@ impl ClusterState {
         migrations
     }
 
-    /// Iterates over `(owner, placement)` pairs, ascending by owner.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, Placement)> + '_ {
-        self.allocations
-            .iter()
-            .map(|(&o, &b)| (o, Placement::from_block(b, &self.topology)))
+    /// Iterates over `(owner, block)` pairs, ascending by owner.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, Block)> + '_ {
+        self.allocations.iter().map(|(&o, &b)| (o, b))
     }
 }
 
@@ -384,14 +373,14 @@ mod tests {
     use crate::ClusterSpec;
 
     fn cluster_2x8() -> ClusterState {
-        ClusterState::new(ClusterSpec::with_servers(2, 8).build_topology())
+        ClusterState::new(ClusterSpec::with_servers(2, 8).total_gpus())
     }
 
     #[test]
     fn allocate_and_release() {
         let mut c = cluster_2x8();
-        let p = c.allocate(7, 8).unwrap();
-        assert_eq!(p.num_gpus(), 8);
+        let block = c.allocate(7, 8).unwrap();
+        assert_eq!(block.size(), 8);
         assert_eq!(c.used_gpus(), 8);
         assert_eq!(c.allocations.len(), 1);
         c.release(7).unwrap();
@@ -426,8 +415,8 @@ mod tests {
         }
         assert_eq!(c.idle_gpus(), 8);
         assert!(c.allocate(99, 2).is_err());
-        let (p, migrations) = c.allocate_with_defrag(99, 2).unwrap();
-        assert_eq!(p.num_gpus(), 2);
+        let (block, migrations) = c.allocate_with_defrag(99, 2).unwrap();
+        assert_eq!(block.size(), 2);
         assert!(!migrations.is_empty());
         assert_eq!(c.idle_gpus(), 6);
         // Migration-enabled allocation keeps satisfying requests as long
@@ -446,9 +435,9 @@ mod tests {
         let migrations = c.defragment();
         assert_eq!(c.used_gpus(), before);
         // After defrag all sizes preserved.
-        assert_eq!(c.placement_of(1).unwrap().num_gpus(), 4);
-        assert_eq!(c.placement_of(2).unwrap().num_gpus(), 1);
-        assert_eq!(c.placement_of(3).unwrap().num_gpus(), 2);
+        assert_eq!(c.block_of(1).unwrap().size(), 4);
+        assert_eq!(c.block_of(2).unwrap().size(), 1);
+        assert_eq!(c.block_of(3).unwrap().size(), 2);
         // Migrations reference real moves.
         for m in &migrations {
             assert_ne!(m.from, m.to);
@@ -459,10 +448,10 @@ mod tests {
     fn resize_grow_and_shrink() {
         let mut c = cluster_2x8();
         c.allocate(1, 2).unwrap();
-        let (p, _) = c.resize(1, 8).unwrap();
-        assert_eq!(p.num_gpus(), 8);
-        let (p, _) = c.resize(1, 1).unwrap();
-        assert_eq!(p.num_gpus(), 1);
+        let (block, _) = c.resize(1, 8).unwrap();
+        assert_eq!(block.size(), 8);
+        let (block, _) = c.resize(1, 1).unwrap();
+        assert_eq!(block.size(), 1);
         assert_eq!(c.used_gpus(), 1);
     }
 
@@ -474,7 +463,7 @@ mod tests {
         let err = c.resize(1, 16).unwrap_err();
         assert!(matches!(err, ClusterError::Insufficient { .. }));
         // Owner 1 still holds its original 8 GPUs.
-        assert_eq!(c.placement_of(1).unwrap().num_gpus(), 8);
+        assert_eq!(c.block_of(1).unwrap().size(), 8);
         assert_eq!(c.used_gpus(), 16);
     }
 
@@ -482,7 +471,7 @@ mod tests {
     fn guarantee_idle_implies_allocatable() {
         // The §4.3 guarantee: any power-of-two request <= idle succeeds with
         // defrag, whatever the history.
-        let mut c = ClusterState::new(ClusterSpec::with_servers(4, 8).build_topology());
+        let mut c = ClusterState::new(ClusterSpec::with_servers(4, 8).total_gpus());
         let mut owner = 0u64;
         let mut state = 12345u64;
         let mut next = move || {

@@ -1,6 +1,6 @@
 //! Property-based tests for the buddy allocator and cluster state.
 
-use elasticflow_cluster::{BuddyAllocator, ClusterSpec, ClusterState, GpuId};
+use elasticflow_cluster::{BuddyAllocator, ClusterSpec, ClusterState};
 use proptest::prelude::*;
 
 /// An operation in a random allocator schedule.
@@ -66,7 +66,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..150),
         final_exp in 0u32..6,
     ) {
-        let mut cluster = ClusterState::new(ClusterSpec::with_servers(8, 8).build_topology());
+        let mut cluster = ClusterState::new(ClusterSpec::with_servers(8, 8).total_gpus());
         let mut owners: Vec<u64> = Vec::new();
         let mut next_owner = 0u64;
         for op in ops {
@@ -94,39 +94,21 @@ proptest! {
         }
     }
 
-    /// Placements derived from buddy blocks use the tightest subtree: a
-    /// block never spans more servers than strictly necessary.
+    /// Buddy blocks are the tightest subtree: a block never spans more
+    /// servers than strictly necessary, and one no larger than a server
+    /// sits inside one.
     #[test]
-    fn placements_are_maximally_consolidated(sizes in prop::collection::vec(0u32..4, 1..12)) {
-        let topo = ClusterSpec::paper_testbed().build_topology();
-        let mut cluster = ClusterState::new(topo);
+    fn placements_are_maximally_consolidated(sizes in prop::collection::vec(0u32..6, 1..12)) {
+        let spec = ClusterSpec::paper_testbed();
+        let mut cluster = ClusterState::new(spec.total_gpus());
         for (owner, &exp) in sizes.iter().enumerate() {
             let size = 1u32 << exp;
-            if let Ok(p) = cluster.allocate(owner as u64, size) {
-                let needed_servers = size.div_ceil(8);
-                prop_assert_eq!(p.num_servers(), needed_servers.max(1));
+            if let Ok(block) = cluster.allocate(owner as u64, size) {
+                let servers = block.servers(spec.gpus_per_server);
+                prop_assert_eq!(servers.end - servers.start, size.div_ceil(spec.gpus_per_server));
+                prop_assert!(servers.start * spec.gpus_per_server <= block.offset());
+                prop_assert!(block.offset() + size <= servers.end * spec.gpus_per_server);
             }
         }
-    }
-
-    /// The topology LCA level is monotone: adding more distant GPUs never
-    /// lowers the highest crossed level.
-    #[test]
-    fn lca_level_is_monotone(mut ids in prop::collection::vec(0u32..128, 2..12)) {
-        let topo = ClusterSpec::paper_testbed().build_topology();
-        ids.sort_unstable();
-        ids.dedup();
-        prop_assume!(ids.len() >= 2);
-        let gpus: Vec<GpuId> = ids.iter().map(|&i| GpuId::new(i)).collect();
-        let mut last = 0usize;
-        for k in 2..=gpus.len() {
-            let level = topo.highest_level_crossed(&gpus[..k]);
-            prop_assert!(level >= last);
-            last = level;
-        }
-        // Bandwidth decreases (weakly) with level.
-        let bw_pair = topo.bottleneck_bandwidth(&gpus[..2]);
-        let bw_all = topo.bottleneck_bandwidth(&gpus);
-        prop_assert!(bw_all <= bw_pair + f64::EPSILON);
     }
 }

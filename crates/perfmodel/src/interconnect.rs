@@ -38,7 +38,15 @@ impl Interconnect {
     }
 
     /// Derives the interconnect profile from a [`ClusterSpec`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gpus_per_switch` does not divide `gpus_per_server`.
     pub fn from_spec(spec: &ClusterSpec) -> Self {
+        assert!(
+            spec.gpus_per_server.is_multiple_of(spec.gpus_per_switch),
+            "gpus_per_switch must divide gpus_per_server"
+        );
         Interconnect {
             gpus_per_switch: spec.gpus_per_switch,
             gpus_per_server: spec.gpus_per_server,
@@ -147,5 +155,13 @@ mod tests {
         spec.network_bw = 1.0e9;
         let net = Interconnect::from_spec(&spec);
         assert_eq!(net.network_bw(), 1.0e9);
+    }
+
+    #[test]
+    #[should_panic(expected = "gpus_per_switch must divide gpus_per_server")]
+    fn from_spec_rejects_a_switch_that_splits_a_server_unevenly() {
+        let mut spec = ClusterSpec::with_servers(2, 8);
+        spec.gpus_per_switch = 3;
+        let _ = Interconnect::from_spec(&spec);
     }
 }

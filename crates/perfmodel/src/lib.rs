@@ -11,7 +11,7 @@
 //!   so doubling the workers halves compute but grows communication —
 //!   diminishing returns, exactly the property ElasticFlow's algorithms
 //!   exploit.
-//! * **Topology-dependent placement** (Fig. 2b): the all-reduce is
+//! * **Spread-dependent throughput** (Fig. 2b): the all-reduce is
 //!   hierarchical — an intra-server phase at NVLink/PCIe speed plus an
 //!   inter-server phase at network speed — so consolidated placements beat
 //!   spread ones (ResNet50 1x8 vs 8x1 ≈ 2.2x, matching the paper's 2.17x).

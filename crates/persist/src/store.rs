@@ -30,8 +30,9 @@ pub const SNAPSHOT_KIND: SnapshotKind = SnapshotKind {
 /// format version.
 ///
 /// A snapshot written before the simulator's event log was removed also
-/// carries a `wal_records` member; decoding ignores it, so such a file
-/// still resumes.
+/// carries a `wal_records` member, and one written before the cluster
+/// state dropped its topology tree carries a `topology` member inside
+/// `cluster`; decoding ignores both, so such a file still resumes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredSnapshot {
     /// On-disk format version ([`crate::PERSIST_VERSION`] at write time).

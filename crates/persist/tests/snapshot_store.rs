@@ -96,13 +96,51 @@ fn snapshot_encoding_is_byte_stable_and_round_trips() {
 /// FNV-1a-64 of the encoded `stored(4)` snapshot. Pinned so that
 /// no change to the snapshot store can move a byte of the `.efsnap`
 /// format.
-const STORED_SNAPSHOT_DIGEST: u64 = 0x5c55_87c8_059b_9345;
+const STORED_SNAPSHOT_DIGEST: u64 = 0x07d3_af40_2283_dd93;
 
 #[test]
 fn snapshot_bytes_match_the_pinned_digest() {
     let bytes = encode_snapshot(&stored(4)).unwrap();
     let digest = elasticflow_sim::fnv1a64(&bytes);
     assert_eq!(digest, STORED_SNAPSHOT_DIGEST, "got {digest:#018x}");
+}
+
+/// The member snapshots carried while the cluster state still held its
+/// topology tree, as [`spec`] (2 servers x 8 GPUs) serialized it: the
+/// tree was a pure function of the cluster spec, so it left the format.
+const TOPOLOGY_MEMBER: &str = concat!(
+    r#""topology":{"levels":["#,
+    r#"{"name":"pcie","fanout":4,"bandwidth_bytes_per_sec":32000000000.0},"#,
+    r#"{"name":"qpi","fanout":2,"bandwidth_bytes_per_sec":28000000000.0},"#,
+    r#"{"name":"ib","fanout":2,"bandwidth_bytes_per_sec":2600000000.0}],"#,
+    r#""subtree_gpus":[4,8,16],"server_level":2},"#
+);
+
+/// Encodes `payload` in the format that still held the topology tree:
+/// today's bytes with [`TOPOLOGY_MEMBER`] spliced back in as the cluster
+/// state's first member.
+fn encode_with_topology<T: Serialize>(payload: &T) -> Vec<u8> {
+    let json = serde_json::to_string(payload).expect("payload serializes");
+    let cluster = r#""cluster":{"#;
+    assert_eq!(json.matches(cluster).count(), 1, "one cluster state");
+    let json = json.replacen(cluster, &format!("{cluster}{TOPOLOGY_MEMBER}"), 1);
+    let mut bytes = frame::encode_header(b"EFSN", elasticflow_persist::PERSIST_VERSION).to_vec();
+    frame::encode_frame(&mut bytes, json.as_bytes());
+    bytes
+}
+
+/// FNV-1a-64 of the encoded `stored(4)` snapshot in the format that
+/// still held the topology tree: the digest pinned for that format, so
+/// [`encode_with_topology`] writes its exact bytes.
+const TOPOLOGY_SNAPSHOT_DIGEST: u64 = 0x5c55_87c8_059b_9345;
+
+#[test]
+fn a_snapshot_holding_the_topology_tree_still_decodes() {
+    let current = stored(4);
+    let bytes = encode_with_topology(&current);
+    let digest = elasticflow_sim::fnv1a64(&bytes);
+    assert_eq!(digest, TOPOLOGY_SNAPSHOT_DIGEST, "got {digest:#018x}");
+    assert_eq!(decode_snapshot(&bytes).unwrap(), current);
 }
 
 /// A snapshot payload as the simulator wrote it while it still kept an
@@ -122,8 +160,10 @@ impl SnapshotPayload for LogStampedSnapshot {
 }
 
 /// FNV-1a-64 of the encoded `stored(4)` snapshot stamped with
-/// `wal_records: 17`: the digest pinned while snapshots carried the
-/// count, so [`LogStampedSnapshot`] writes that format's exact bytes.
+/// `wal_records: 17`, in the format that still held the topology tree:
+/// the digest pinned while snapshots carried the count, so
+/// [`LogStampedSnapshot`] under [`encode_with_topology`] writes that
+/// format's exact bytes.
 const LOG_STAMPED_SNAPSHOT_DIGEST: u64 = 0x90ba_db2d_a739_aeca;
 
 #[test]
@@ -135,7 +175,7 @@ fn a_state_directory_written_with_an_event_log_still_resumes() {
     };
     let current = stored(4);
     let stamped = old(current.sim.clone());
-    let digest = elasticflow_sim::fnv1a64(&SNAPSHOT_KIND.encode(&stamped).unwrap());
+    let digest = elasticflow_sim::fnv1a64(&encode_with_topology(&stamped));
     assert_eq!(digest, LOG_STAMPED_SNAPSHOT_DIGEST, "got {digest:#018x}");
     // The payloads differ by the removed member alone.
     assert_eq!(
@@ -148,9 +188,12 @@ fn a_state_directory_written_with_an_event_log_still_resumes() {
     // A mid-run snapshot in the old format, with a log beside it.
     let root = temp_dir();
     let snapshot = capture_snapshot(10);
-    SnapshotStore::new(SNAPSHOT_KIND, root.clone())
-        .write_next(&old(snapshot.clone()))
-        .unwrap();
+    let old_store = SnapshotStore::<LogStampedSnapshot>::new(SNAPSHOT_KIND, root.clone());
+    std::fs::write(
+        old_store.path(1),
+        encode_with_topology(&old(snapshot.clone())),
+    )
+    .unwrap();
     let wal = root.join("events.wal");
     let mut wal_bytes =
         frame::encode_header(b"EFWL", elasticflow_persist::PERSIST_VERSION).to_vec();

@@ -9,8 +9,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::decision::DeclineReason;
 
-/// What the scheduler can see of the cluster. Placement is deliberately
-/// *not* part of the scheduling interface: buddy allocation guarantees that
+/// What the scheduler can see of the cluster. Where workers land is
+/// deliberately *not* part of the scheduling interface: buddy allocation guarantees that
 /// any power-of-two GPU count gets the tightest possible subtree, which is
 /// what lets ElasticFlow decouple placement from admission control and
 /// resource allocation (paper §4.3). Schedulers therefore reason about
@@ -498,8 +498,8 @@ impl std::error::Error for RestoreError {}
 /// The simulator calls [`Scheduler::on_job_arrival`] once per submission
 /// (before the job is eligible), then [`Scheduler::plan`] on every
 /// scheduling event — arrival, completion, or slot boundary — to obtain the
-/// desired allocation for the next interval. Placement of the planned
-/// counts is handled by the simulator's buddy allocator.
+/// desired allocation for the next interval. The simulator's buddy
+/// allocator places the planned counts.
 pub trait Scheduler {
     /// A short policy name for reports ("edf", "elasticflow", ...).
     fn name(&self) -> &str;

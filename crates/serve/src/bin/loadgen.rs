@@ -14,6 +14,9 @@
 //! elasticflow-loadgen --arrivals 100000 | elasticflow-serve --state-dir state
 //! ```
 //!
+//! `--servers` and `--gpus-per-server` follow the daemon's rule: nonzero
+//! powers of two whose product fits a `u32`, else a usage error.
+//!
 //! The stream is a pure function of its flags — replaying the same
 //! invocation against a fresh and a crash-recovered daemon must produce
 //! byte-identical decision journals, and the CI smoke checks exactly
@@ -30,7 +33,9 @@ use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use elasticflow_serve::{loadgen_stream, render_request_into, LoadgenConfig, Request};
+use elasticflow_serve::{
+    check_cluster_shape, loadgen_stream, render_request_into, LoadgenConfig, Request,
+};
 
 #[derive(Debug, Default)]
 struct Options {
@@ -83,6 +88,7 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
             other => return Err(format!("unexpected argument: {other}")),
         }
     }
+    check_cluster_shape(opts.config.servers, opts.config.gpus_per_server)?;
     Ok(opts)
 }
 

@@ -56,6 +56,32 @@ pub use elasticflow_persist::FsyncPolicy;
 
 use std::io::{ErrorKind, Read, Write};
 
+/// Checks a `--servers` x `--gpus-per-server` pair before anything is
+/// built from it: buddy allocation needs both to be nonzero powers of
+/// two, and the GPU count must fit a `u32`.
+///
+/// # Errors
+///
+/// A message naming the flag at fault.
+pub fn check_cluster_shape(servers: u32, gpus_per_server: u32) -> Result<(), String> {
+    if !servers.is_power_of_two() {
+        return Err(format!(
+            "--servers needs a nonzero power of two, got {servers}"
+        ));
+    }
+    if !gpus_per_server.is_power_of_two() {
+        return Err(format!(
+            "--gpus-per-server needs a nonzero power of two, got {gpus_per_server}"
+        ));
+    }
+    if servers.checked_mul(gpus_per_server).is_none() {
+        return Err(format!(
+            "--servers {servers} x --gpus-per-server {gpus_per_server} overflows a u32 GPU count"
+        ));
+    }
+    Ok(())
+}
+
 /// One input line's place in a batch: a parsed request (answered by the
 /// daemon) or a parse failure (answered in place, in order).
 enum LineSlot {

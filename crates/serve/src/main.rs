@@ -14,7 +14,10 @@
 //! JSONL [`Request`] per input line, one [`Response`] per output line.
 //! `--listen` serves TCP connections sequentially instead; `--unix`
 //! (Unix only) does the same over a Unix socket. `--metrics` exposes
-//! the Prometheus endpoint on a background thread.
+//! the Prometheus endpoint on a background thread. `--servers` and
+//! `--gpus-per-server` take nonzero powers of two whose product fits a
+//! `u32`; anything else is a usage error, raised before the state
+//! directory is touched.
 //!
 //! `--resume` is required to open a state directory that already holds
 //! gateway state, that is a WAL, a journal or any snapshot (guarding
@@ -31,8 +34,8 @@ use std::process::ExitCode;
 
 use elasticflow_persist::FsyncPolicy;
 use elasticflow_serve::{
-    gateway_registry, serve_connection, serve_connections, spawn_exporter, Daemon, DaemonConfig,
-    GatewayConfig, GatewayDir, Resumption,
+    check_cluster_shape, gateway_registry, serve_connection, serve_connections, spawn_exporter,
+    Daemon, DaemonConfig, GatewayConfig, GatewayDir, Resumption,
 };
 use elasticflow_telemetry::{Clock, MonotonicClock, TickClock};
 
@@ -116,6 +119,8 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
     if opts.listen.is_some() && opts.unix.is_some() {
         return Err("--listen and --unix are mutually exclusive".to_owned());
     }
+    let gateway = &opts.config.gateway;
+    check_cluster_shape(gateway.servers, gateway.gpus_per_server)?;
     Ok(opts)
 }
 

@@ -68,9 +68,9 @@ impl InvariantAuditor {
     }
 
     /// Total allocated GPUs never exceed capacity, and the buddy
-    /// allocator's idle counter agrees with the sum of live placements.
+    /// allocator's idle counter agrees with the sum of live blocks.
     fn check_capacity(cluster: &ClusterState, now: f64) {
-        let placed: u32 = cluster.iter().map(|(_, p)| p.num_gpus()).sum();
+        let placed: u32 = cluster.iter().map(|(_, block)| block.size()).sum();
         if placed > cluster.capacity() {
             audit_fail(
                 "total allocated GPUs <= cluster capacity",
@@ -85,7 +85,7 @@ impl InvariantAuditor {
             audit_fail(
                 "placement sum == used-GPU counter",
                 &format!(
-                    "placements cover {placed} GPUs but the allocator reports {} used",
+                    "blocks cover {placed} GPUs but the allocator reports {} used",
                     cluster.used_gpus()
                 ),
                 now,
@@ -93,20 +93,11 @@ impl InvariantAuditor {
         }
     }
 
-    /// Every placement is a power-of-two, contiguous, aligned buddy block —
-    /// i.e. it corresponds to a topology subtree (paper §4.3).
+    /// Every block is aligned to its power-of-two size — i.e. it is a
+    /// subtree of the GPU hierarchy (paper §4.3).
     fn check_placements(cluster: &ClusterState, now: f64) {
-        for (owner, placement) in cluster.iter() {
-            let n = placement.num_gpus();
-            if n == 0 || !n.is_power_of_two() {
-                audit_fail(
-                    "placement sizes are powers of two",
-                    &format!("owner {owner} holds {n} GPUs"),
-                    now,
-                );
-            }
-            let gpus = placement.gpus();
-            let first = gpus.first().map(|g| g.index()).unwrap_or(0);
+        for (owner, block) in cluster.iter() {
+            let (n, first) = (block.size(), block.offset());
             if first % n != 0 {
                 audit_fail(
                     "placements are buddy-aligned",
@@ -114,32 +105,24 @@ impl InvariantAuditor {
                     now,
                 );
             }
-            let contiguous = gpus.iter().zip(first..).all(|(g, want)| g.index() == want);
-            if gpus.len() != n as usize || !contiguous {
-                audit_fail(
-                    "placements are contiguous buddy blocks",
-                    &format!("owner {owner}: GPUs {gpus:?} are not {n} consecutive leaves"),
-                    now,
-                );
-            }
         }
     }
 
     /// The job table and the cluster agree: every active job with workers
-    /// holds a placement of exactly that size, and every non-phantom
-    /// placement belongs to an active job.
+    /// holds a block of exactly that size, and every non-phantom block
+    /// belongs to an active job.
     fn check_job_agreement(cluster: &ClusterState, jobs: &JobTable, phantom_base: u64, now: f64) {
         for job in jobs.iter() {
             if job.is_active() && job.current_gpus > 0 {
-                match cluster.placement_of(job.id().raw()) {
-                    Some(p) if p.num_gpus() == job.current_gpus => {}
-                    Some(p) => audit_fail(
+                match cluster.block_of(job.id().raw()) {
+                    Some(block) if block.size() == job.current_gpus => {}
+                    Some(block) => audit_fail(
                         "job worker counts match their placements",
                         &format!(
                             "job {} runs {} workers but holds a {}-GPU block",
                             job.id(),
                             job.current_gpus,
-                            p.num_gpus()
+                            block.size()
                         ),
                         now,
                     ),
@@ -155,17 +138,17 @@ impl InvariantAuditor {
                 }
             }
         }
-        for (owner, placement) in cluster.iter() {
+        for (owner, block) in cluster.iter() {
             if owner >= phantom_base {
                 continue; // fenced-off failed server, not a job
             }
             match jobs.get(JobId::new(owner)) {
-                Some(job) if job.is_active() && job.current_gpus == placement.num_gpus() => {}
+                Some(job) if job.is_active() && job.current_gpus == block.size() => {}
                 Some(job) => audit_fail(
                     "placements belong to active jobs of matching size",
                     &format!(
                         "owner {owner} holds {} GPUs but job state is active={} workers={}",
-                        placement.num_gpus(),
+                        block.size(),
                         job.is_active(),
                         job.current_gpus
                     ),
@@ -175,7 +158,7 @@ impl InvariantAuditor {
                     "placements belong to known jobs",
                     &format!(
                         "owner {owner} holds {} GPUs but is not in the job table",
-                        placement.num_gpus()
+                        block.size()
                     ),
                     now,
                 ),
@@ -199,7 +182,7 @@ mod tests {
     const PHANTOM_BASE: u64 = u64::MAX / 2;
 
     fn cluster() -> ClusterState {
-        ClusterState::new(ClusterSpec::with_servers(2, 8).build_topology())
+        ClusterState::new(ClusterSpec::with_servers(2, 8).total_gpus())
     }
 
     fn runtime(id: u64) -> JobRuntime {

@@ -17,8 +17,7 @@
 //! sequence of layer calls, observers are read-only, and every container
 //! on the path iterates in a stable order.
 
-use elasticflow_cluster::{ClusterSpec, ClusterState};
-use elasticflow_perfmodel::Interconnect;
+use elasticflow_cluster::ClusterSpec;
 use elasticflow_sched::Scheduler;
 use elasticflow_trace::Trace;
 
@@ -261,15 +260,12 @@ impl Simulation {
         controller: &mut dyn SimController,
         resume: Option<&SimSnapshot>,
     ) -> Result<SimOutcome, ResumeError> {
-        let cluster = ClusterState::new(self.spec.build_topology());
-        let net = Interconnect::from_spec(&self.spec);
-        let num_servers = cluster.topology().num_servers();
-        let mut exec = Executor::new(cluster, net, self.config.overheads);
+        let mut exec = Executor::new(&self.spec, self.config.overheads);
         let total_gpus = exec.total_gpus();
         let mut core = EventCore::new(
             trace,
             &self.config.failures,
-            num_servers,
+            self.spec.servers,
             self.config.slot_seconds,
             self.config.horizon_after_last_arrival,
         );
@@ -549,7 +545,7 @@ impl SimObserver for EventLog {
 )]
 mod tests {
     use super::*;
-    use elasticflow_perfmodel::{DnnModel, ScalingCurve};
+    use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
     use elasticflow_sched::{
         AdmissionDecision, ClusterView, EdfScheduler, GandivaScheduler, JobRuntime, JobTable,
         PolluxScheduler, SchedulePlan, TiresiasScheduler,
@@ -753,6 +749,7 @@ mod tests {
 #[cfg(test)]
 mod checkpoint_tests {
     use super::*;
+    use elasticflow_perfmodel::Interconnect;
     use elasticflow_sched::{EdfScheduler, TiresiasScheduler};
     use elasticflow_trace::TraceConfig;
 
@@ -970,9 +967,14 @@ mod checkpoint_tests {
 #[cfg(test)]
 mod failure_tests {
     use super::*;
+    use crate::executor::PHANTOM_BASE;
     use crate::{FailureSchedule, NodeFailure};
-    use elasticflow_perfmodel::{DnnModel, ScalingCurve};
-    use elasticflow_sched::EdfScheduler;
+    use elasticflow_cluster::Block;
+    use elasticflow_perfmodel::{DnnModel, Interconnect, ScalingCurve};
+    use elasticflow_sched::{
+        AdmissionDecision, ClusterView, EdfScheduler, JobRuntime, JobTable, ReplanOutcome,
+        SchedulePlan,
+    };
     use elasticflow_trace::{JobId, JobSpec};
 
     fn spec() -> ClusterSpec {
@@ -1071,6 +1073,100 @@ mod failure_tests {
         let o = &report.outcomes()[0];
         assert!(o.finish_time.is_some());
         assert!(o.scale_events >= 3, "expected repeated evictions");
+    }
+
+    /// Test-only observer: every block each replan leaves in the cluster.
+    #[derive(Default)]
+    struct BlockLog(Vec<(f64, Vec<(u64, Block)>)>);
+
+    impl SimObserver for BlockLog {
+        fn on_replan(&mut self, now: f64, _outcome: &ReplanOutcome, ctx: &SimContext<'_>) {
+            self.0.push((now, ctx.cluster.iter().collect()));
+        }
+    }
+
+    impl BlockLog {
+        /// The blocks the last replan at or before `time` left.
+        fn at(&self, time: f64) -> &[(u64, Block)] {
+            let (_, blocks) = self
+                .0
+                .iter()
+                .rev()
+                .find(|(now, _)| *now <= time)
+                .expect("a replan before the time");
+            blocks
+        }
+    }
+
+    /// Runs every active job at its trace GPU count, in id order, while
+    /// capacity lasts; a job that does not fit waits.
+    struct AtTraceShape;
+
+    impl Scheduler for AtTraceShape {
+        fn name(&self) -> &str {
+            "trace-shape"
+        }
+        fn on_job_arrival(
+            &mut self,
+            _job: &JobRuntime,
+            _now: f64,
+            _view: &ClusterView,
+            _jobs: &JobTable,
+        ) -> AdmissionDecision {
+            AdmissionDecision::Admit
+        }
+        fn plan(&mut self, _now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {
+            let mut free = view.total_gpus;
+            jobs.active()
+                .filter_map(|j| {
+                    let gpus = j.spec.trace_gpus;
+                    free = free.checked_sub(gpus)?;
+                    Some((j.id(), gpus))
+                })
+                .collect()
+        }
+    }
+
+    /// Runs `jobs` at their trace shapes on `spec()` with server `server`
+    /// down from t = 1,800 s for an hour, logging every replan's blocks.
+    fn run_with_outage(jobs: Vec<JobSpec>, server: u32) -> BlockLog {
+        let cfg = SimConfig::default().with_failures(FailureSchedule::fixed(vec![NodeFailure {
+            server,
+            at: 1_800.0,
+            repair_seconds: 3_600.0,
+        }]));
+        let mut log = BlockLog::default();
+        let report = Simulation::new(spec(), cfg).run_observed(
+            &Trace::new("outage", jobs),
+            &mut AtTraceShape,
+            &mut [&mut log],
+        );
+        assert!(report.outcomes().iter().all(|o| o.finish_time.is_some()));
+        log
+    }
+
+    #[test]
+    fn a_job_spanning_servers_is_evicted_when_its_last_server_fails() {
+        let log = run_with_outage(vec![long_job(0, 16)], 1);
+        assert_eq!(log.at(1_799.0), [(0, Block::new(4, 0))]);
+        // Only the fence around server 1 is left: the job held GPUs on it.
+        let fence = (PHANTOM_BASE + 1, Block::new(3, 8));
+        assert_eq!(log.at(1_801.0), [fence]);
+    }
+
+    #[test]
+    fn jobs_inside_a_failed_server_are_evicted_wherever_they_sit() {
+        let jobs = vec![long_job(0, 8), long_job(1, 4), long_job(2, 4)];
+        let log = run_with_outage(jobs, 1);
+        // Job 1 ends and job 2 starts in the middle of server 1.
+        let before = [
+            (0, Block::new(3, 0)),
+            (1, Block::new(2, 8)),
+            (2, Block::new(2, 12)),
+        ];
+        assert_eq!(log.at(1_799.0), before);
+        let fence = (PHANTOM_BASE + 1, Block::new(3, 8));
+        assert_eq!(log.at(1_801.0), [(0, Block::new(3, 0)), fence]);
     }
 
     #[test]

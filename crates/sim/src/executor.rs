@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use elasticflow_cluster::ClusterState;
+use elasticflow_cluster::{ClusterSpec, ClusterState};
 use elasticflow_perfmodel::{DnnModel, Interconnect, OverheadModel, ScalingCurve, ScalingEvent};
 use elasticflow_sched::{
     AdmissionDecision, ClusterView, DecisionRecord, JobRuntime, JobTable, PauseCause,
@@ -114,19 +114,17 @@ pub(crate) struct Executor {
 }
 
 impl Executor {
-    /// Creates the executor over an idle cluster.
-    pub(crate) fn new(cluster: ClusterState, net: Interconnect, overheads: OverheadModel) -> Self {
-        let total_gpus = cluster.capacity();
-        let gpus_per_server = cluster.topology().gpus_per_server();
+    /// Creates the executor over an idle cluster of the given shape.
+    pub(crate) fn new(spec: &ClusterSpec, overheads: OverheadModel) -> Self {
         Executor {
-            cluster,
+            cluster: ClusterState::new(spec.total_gpus()),
             jobs: JobTable::new(),
             stats: JobStatsArena::default(),
             curves: BTreeMap::new(),
-            net,
+            net: Interconnect::from_spec(spec),
             overheads,
-            total_gpus,
-            gpus_per_server,
+            total_gpus: spec.total_gpus(),
+            gpus_per_server: spec.gpus_per_server,
             down_servers: BTreeSet::new(),
             migrations_total: 0,
             total_pause: 0.0,
@@ -226,8 +224,8 @@ impl Executor {
         let victims: Vec<u64> = self
             .cluster
             .iter()
-            .filter(|(owner, p)| {
-                *owner < PHANTOM_BASE && p.servers().iter().any(|srv| srv.index() == server)
+            .filter(|(owner, block)| {
+                *owner < PHANTOM_BASE && block.servers(self.gpus_per_server).contains(&server)
             })
             .map(|(owner, _)| owner)
             .collect();
@@ -488,9 +486,9 @@ impl Executor {
             net: _,
             // Taken from the run config, which resume validates.
             overheads: _,
-            // Read off the freshly built cluster's topology.
+            // Taken from the cluster spec, which resume validates.
             total_gpus: _,
-            // Read off the freshly built cluster's topology.
+            // Taken from the cluster spec, which resume validates.
             gpus_per_server: _,
             down_servers,
             migrations_total,

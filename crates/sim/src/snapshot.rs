@@ -18,8 +18,8 @@
 //!   scheduler's serialized policy state
 //!   ([`elasticflow_sched::Scheduler::snapshot_state`]);
 //! * reconstructed — the interconnect model, scaling-curve memo, overhead
-//!   model, topology, and the failure/repair transition timeline, all pure
-//!   functions of the run's inputs. Fingerprints of those inputs are
+//!   model, the cluster's capacity and server size, and the failure/repair
+//!   transition timeline, all pure functions of the run's inputs. Fingerprints of those inputs are
 //!   embedded so a snapshot cannot silently resume against the wrong trace
 //!   or cluster.
 //!

@@ -4,7 +4,7 @@
 //! This facade crate re-exports the whole workspace so applications can
 //! depend on a single crate:
 //!
-//! * [`cluster`] — GPU topology, buddy allocation, placement (paper §4.3);
+//! * [`cluster`] — buddy allocation of aligned GPU blocks (paper §4.3);
 //! * [`perfmodel`] — scaling curves, profiler, overhead models (§3.2, §5);
 //! * [`trace`] — job specs and synthetic production traces (§6.1);
 //! * [`sched`] — the scheduler interface and the six baselines (§6.1);
@@ -13,7 +13,7 @@
 //!   (Algorithm 1), elastic allocation (Algorithm 2), ElasticFlow itself;
 //! * [`telemetry`] — metrics registry, lifecycle span tracing, and
 //!   Prometheus / Perfetto exporters on the observer seam;
-//! * [`persist`] — checkpoint snapshots, the write-ahead event log, and
+//! * [`persist`] — checksummed record logs, checkpoint snapshots, and
 //!   bit-identical crash recovery;
 //! * [`serve`] — the serverless front-end (§3.1): a gateway that answers
 //!   each submission at once with an admit/decline decision, run as a
